@@ -9,6 +9,8 @@ operation is a pure function, so values are safe to share freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, lcm
 from typing import Iterable
 
 # Arbitrary-precision rational, always in lowest terms with positive
@@ -228,6 +230,46 @@ def phi_eval(phi: HomogPoly, m) -> Fraction:
                 v *= Fraction(mi) ** e
         total += v
     return total
+
+
+@lru_cache(maxsize=None)
+def _faulhaber(k: int):
+    """Faulhaber's polynomial for sum_{t=1}^x t^k, as (integer coefficients, d).
+
+    sum_{t=1}^x t^k = (1/(k+1)) sum_j C(k+1, j) B_j^+ x^(k+1-j), with the
+    Bernoulli numbers B_j^+ (B_1^+ = +1/2) built in Fraction from
+    sum_{j<=m} C(m+1, j) B_j = 0.  The coefficients of x^0 .. x^(k+1) are
+    returned over their common denominator d.
+    """
+    bern = [RAT_ONE]
+    for m in range(1, k + 1):
+        bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / Fraction(m + 1))
+    if k >= 1:
+        bern[1] = -bern[1]
+    coeffs = [RAT_ZERO] * (k + 2)
+    for j, b in enumerate(bern):
+        coeffs[k + 1 - j] = comb(k + 1, j) * b / Fraction(k + 1)
+    d = lcm(*(c.denominator for c in coeffs))
+    return tuple((c * d).numerator for c in coeffs), d
+
+
+def power_sum(k: int, a: int, b: int) -> int:
+    """sum_{t=a}^{b} t^k exactly, for integers a, b and k >= 0; 0 when b < a.
+
+    Faulhaber's polynomial F_k satisfies F_k(x) - F_k(x-1) = x^k for every
+    integer x, so the sum is F_k(b) - F_k(a-1) on either side of zero.
+    """
+    if b < a:
+        return 0
+    coeffs, d = _faulhaber(k)
+    top = bottom = 0
+    for c in reversed(coeffs):
+        top = top * b + c
+        bottom = bottom * (a - 1) + c
+    q = Fraction(top - bottom, d)
+    if q.denominator != 1:
+        raise ArithmeticError(f"power sum of degree {k} came out as {q}")
+    return q.numerator
 
 
 class CharacterSum:

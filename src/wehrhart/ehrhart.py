@@ -13,6 +13,8 @@ cross-validate two computation routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm, prod
 
 from .algebra import (
     CharacterSum,
@@ -24,9 +26,10 @@ from .algebra import (
     lagrange_interpolate,
     neg_y_power,
     phi_eval,
+    power_sum,
     substitute_inverse,
 )
-from .polytope import FaceLattice, points_by_face
+from .polytope import FaceLattice, fibres, points_by_face
 from .stanley import g_weight_function
 from .weights import WeightFunction, dualize
 
@@ -102,14 +105,33 @@ def apply_phi(s: CharacterSum, phi: HomogPoly, variant: str) -> LaurentPoly:
 
 
 def _phi_face_sums(lattice, phi, ell):
-    """sum of phi over Relint(ell Q) for every nonempty Q, memoized."""
+    """sum of phi over Relint(ell Q) for every nonempty Q, memoized.
+
+    Sums over the fibres of ell*P in closed form, without visiting their
+    points.  Write d*phi(prefix, t) = sum_k g_k(prefix) t^k with integer
+    g_k, d the common denominator of the coefficients; a fibre's two ends
+    are evaluated and its middle lo < t < hi adds sum_k g_k times the
+    power sum of t^k.  Each face total is divided by d once, as a Fraction.
+    """
+    if phi.n != lattice.polytope.n:
+        raise ValueError("integrand dimension differs from the polytope's")
     key = (phi, ell)
     if key not in lattice._phi_sums:
-        relint = points_by_face(lattice, ell)
-        lattice._phi_sums[key] = {
-            q: sum((phi_eval(phi, m) for m in pts), start=0)
-            for q, pts in relint.items()
-        }
+        d = lcm(*(c.denominator for _, c in phi.monomials))
+        by_power = {}
+        for exps, c in phi.monomials:
+            by_power.setdefault(exps[-1], []).append((exps[:-1], (c * d).numerator))
+        acc = dict.fromkeys(lattice.nonempty_ids, 0)
+        for prefix, lo, hi, face_lo, face_mid, face_hi in fibres(lattice, ell):
+            g = [
+                (k, sum(c * prod(map(pow, prefix, e)) for e, c in terms))
+                for k, terms in by_power.items()
+            ]
+            acc[face_lo] += sum(gk * lo**k for k, gk in g)
+            if hi > lo:
+                acc[face_mid] += sum(gk * power_sum(k, lo + 1, hi - 1) for k, gk in g)
+                acc[face_hi] += sum(gk * hi**k for k, gk in g)
+        lattice._phi_sums[key] = {q: Fraction(v, d) for q, v in acc.items()}
     return lattice._phi_sums[key]
 
 
@@ -135,14 +157,17 @@ def weighted_ehrhart_value(
     _check_lattice(lattice, f)
     if ell < 1:
         raise ValueError("dilation must be a positive integer")
-    if phi.n != lattice.polytope.n:
-        raise ValueError("integrand dimension differs from the polytope's")
     sums = _phi_face_sums(lattice, phi, ell)
-    acc = LaurentPoly()
+    # collect f_Q * sum_Q by dim Q, so (1+y)^dim is raised once per dimension
+    by_dim = {}
     for q, fq in f.values.items():
         s = sums[q]
         if s:
-            acc = acc + fq * ONE_PLUS_Y ** lattice.faces[q].dim * s
+            dim = lattice.faces[q].dim
+            by_dim[dim] = by_dim.get(dim, LaurentPoly()) + fq * s
+    acc = LaurentPoly()
+    for dim, p in by_dim.items():
+        acc = acc + p * ONE_PLUS_Y**dim
     if variant == VARIANT_E:
         acc = acc * ONE_PLUS_Y**phi.degree
     return acc

@@ -26,6 +26,11 @@ class ContentError(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false parse to bool, a subclass of int, and are refused."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _rat_str(c: Fraction) -> str:
     return str(c)
 
@@ -50,7 +55,7 @@ def laurent_from_json(data) -> LaurentPoly:
     for item in data:
         if not isinstance(item, dict) or set(item) != {"exp", "coeff"}:
             raise FormatError(f"bad Laurent term {item!r}")
-        if not isinstance(item["exp"], int):
+        if not _is_int(item["exp"]):
             raise FormatError(f"exponent must be an integer, got {item['exp']!r}")
         terms.append((item["exp"], _rat_parse(item["coeff"])))
     return LaurentPoly(terms)
@@ -75,15 +80,11 @@ def load_polytope(path) -> LatticePolytope:
     if not isinstance(verts, list) or not verts:
         raise FormatError(f"{path}: 'vertices' must be a nonempty list")
     for v in verts:
-        if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or not all(_is_int(x) for x in v):
             raise FormatError(f"{path}: vertex {v!r} is not a list of integers")
         if len(v) != len(verts[0]):
             raise FormatError(f"{path}: vertices of mixed dimension")
     return facet_presentation(verts)
-
-
-def polytope_to_json(P: LatticePolytope):
-    return {"vertices": [list(v) for v in P.vertices]}
 
 
 def lattice_to_json(lattice: FaceLattice):
@@ -151,14 +152,14 @@ def load_phi(path, n_expected=None) -> HomogPoly:
     data = _load_json(path)
     if not isinstance(data, dict) or set(data) != {"n", "monomials"}:
         raise FormatError(f"{path}: expected 'n' and 'monomials'")
-    if not isinstance(data["n"], int) or not isinstance(data["monomials"], list):
+    if not _is_int(data["n"]) or not isinstance(data["monomials"], list):
         raise FormatError(f"{path}: bad field types")
     monomials = []
     for item in data["monomials"]:
         if not isinstance(item, dict) or set(item) != {"exps", "coeff"}:
             raise FormatError(f"{path}: bad monomial {item!r}")
         exps = item["exps"]
-        if not isinstance(exps, list) or not all(isinstance(e, int) for e in exps):
+        if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
             raise FormatError(f"{path}: exponents must be integers")
         monomials.append((tuple(exps), _rat_parse(item["coeff"])))
     try:
@@ -197,7 +198,7 @@ def charsum_from_json(data, n: int) -> CharacterSum:
         if not isinstance(item, dict) or set(item) != {"m", "coeff"}:
             raise FormatError(f"bad character term {item!r}")
         m = item["m"]
-        if not isinstance(m, list) or not all(isinstance(x, int) for x in m):
+        if not isinstance(m, list) or not all(_is_int(x) for x in m):
             raise FormatError(f"character {m!r} is not a list of integers")
         terms[tuple(m)] = laurent_from_json(item["coeff"])
     return CharacterSum(n, terms)

@@ -2,9 +2,12 @@
 
 Facet presentation by brute-force hyperplane fitting over vertex subsets,
 face lattice by closing tight-facet vertex sets under intersection, and
-lattice point enumeration partitioned by the unique face whose relative
-interior contains each point.  Everything is exact over Q; dimensions up
-to 6 and a few dozen vertices are the intended scale.
+lattice points by a fibre walk.  The walk fixes the first n-1 coordinates
+and solves the facet inequalities for the interval of the last one, whose
+ends and middle each lie in the relative interior of one face; its cost
+is proportional to the box of (n-1)-prefixes plus the points kept, not to
+the full bounding box.  Everything is exact over Q; dimensions up to 6
+and a few dozen vertices are the intended scale.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import floordiv, mul
 
 
 class InvalidPolytope(ValueError):
@@ -22,7 +26,7 @@ class InvalidPolytope(ValueError):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _rank(rows) -> int:
@@ -217,8 +221,8 @@ class FaceLattice:
         self.polytope = polytope
         self.faces = list(faces)
         self._subs = [f.vertex_set for f in self.faces]
-        self._by_tight = {
-            f.tight_facets: f.id for f in self.faces if f.dim >= 0
+        self._by_mask = {
+            sum(1 << F for F in f.tight_facets): f.id for f in self.faces if f.dim >= 0
         }
         self._points_cache = {}
         self._g_memo = {}
@@ -306,47 +310,105 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
         )
         dim = _affine_rank(members)
         faces.append(Face(id=fid, vertex_set=s, tight_facets=tight, dim=dim))
-    # the closure guarantees each face is exactly the common tight set
-    for f in faces:
-        if f.dim >= 0:
-            common = all_v
-            for F in f.tight_facets:
-                common &= facet_tight[F]
-            assert common == f.vertex_set, "face lattice closure broken"
+    # Every set in the closure is the common vertex set of its tight
+    # facets by construction; what a wrong facet list breaks is the grading:
+    # each facet must close to an (n-1)-face and each vertex to a 0-face.
+    dims = {f.vertex_set: f.dim for f in faces}
+    for F, ft in enumerate(facet_tight):
+        if dims[ft] != P.n - 1:
+            raise InvalidPolytope(
+                f"face lattice closure broken: facet {P.facets[F]} spans a "
+                f"{dims[ft]}-face, not an {P.n - 1}-face"
+            )
+    for i, v in enumerate(P.vertices):
+        if dims.get(frozenset({i})) != 0:
+            raise InvalidPolytope(
+                f"face lattice closure broken: vertex {v} is not cut out by its facets"
+            )
     return FaceLattice(P, faces)
+
+
+def fibres(lattice: FaceLattice, ell: int):
+    """Every nonempty fibre of the integer points of ell*P, in lexicographic order.
+
+    A fibre fixes the first n-1 coordinates (the prefix) and runs over the
+    last one, t.  For each integer prefix in the bounding box of the
+    projected vertices, the facet inequalities <m, u_F> >= -ell*a_F cut t
+    down to an integer interval [lo, hi]: a facet with u_F[-1] > 0 bounds
+    t from below and can be tight only at t = lo, one with u_F[-1] < 0
+    bounds it from above and can be tight only at t = hi, and one with
+    u_F[-1] = 0 holds, and is tight, on the whole fibre or on none of it.
+
+    Yields (prefix, lo, hi, face_lo, face_mid, face_hi): the face of lo,
+    the face shared by every t strictly between lo and hi (None when
+    lo == hi), and the face of hi.  Prefixes come in lexicographic order.
+    """
+    if ell <= 0:
+        raise ValueError("dilation must be a positive integer")
+    P = lattice.polytope
+    by_mask = lattice._by_mask
+    # facet F has slack <u_F[:-1], prefix> + ell*a_F + u_F[-1]*t at (prefix, t);
+    # each group keeps the facet bits, |u_F[-1]| and (u_F[:-1], ell*a_F)
+    lower, upper, flat = ([], [], []), ([], [], []), ([], [], [])
+    for F, (u, a) in enumerate(P.facets):
+        bits, cs, rows = lower if u[-1] > 0 else upper if u[-1] < 0 else flat
+        bits.append(1 << F)
+        cs.append(abs(u[-1]))
+        rows.append((u[:-1], ell * a))
+    (bits_l, c_l, rows_l), (bits_u, c_u, rows_u), (bits_f, _, rows_f) = lower, upper, flat
+    ranges = [
+        range(ell * min(v[i] for v in P.vertices), ell * max(v[i] for v in P.vertices) + 1)
+        for i in range(P.n - 1)
+    ]
+    for prefix in itertools.product(*ranges):
+        sf = [_dot(w, prefix) + b for w, b in rows_f]
+        if sf and min(sf) < 0:
+            continue
+        sl = [_dot(w, prefix) + b for w, b in rows_l]
+        su = [_dot(w, prefix) + b for w, b in rows_u]
+        # t >= -s/c on a lower facet, t <= s/c on an upper one
+        lo = -min(map(floordiv, sl, c_l))
+        hi = min(map(floordiv, su, c_u))
+        if lo > hi:
+            continue
+        base = 0
+        for bit, s in zip(bits_f, sf):
+            if s == 0:
+                base |= bit
+        at_lo = at_hi = base
+        for bit, s, c in zip(bits_l, sl, c_l):
+            if s == -c * lo:
+                at_lo |= bit
+        for bit, s, c in zip(bits_u, su, c_u):
+            if s == c * hi:
+                at_hi |= bit
+        if lo == hi:
+            face = by_mask[at_lo | at_hi]
+            yield prefix, lo, hi, face, None, face
+        else:
+            yield prefix, lo, hi, by_mask[at_lo], by_mask[base], by_mask[at_hi]
 
 
 def points_by_face(lattice: FaceLattice, ell: int):
     """All m in ell*P (integer points), partitioned by relative interior.
 
-    Scans the integer bounding box of ell*vertices, keeps points satisfying
-    every <m, u_F> >= -ell*a_F, and assigns each to the unique face whose
-    tight facet set matches.  Lists are sorted lexicographically; results
-    are memoized on the lattice.
+    Materialises the fibres of fibres(): every point of a fibre lands in
+    the face read off its end or its middle, so no point outside ell*P is
+    ever visited.  The cost is proportional to the box of prefixes (the
+    first n-1 coordinates) plus the points kept, not to the full bounding
+    box.  Prefixes come in lexicographic order and t rises within a
+    fibre, so every list is sorted lexicographically as built.  Results
+    are memoized on the lattice; only character sums call this, the
+    weighted counts sum over the fibres directly.
     """
-    if ell <= 0:
-        raise ValueError("dilation must be a positive integer")
     if ell in lattice._points_cache:
         return lattice._points_cache[ell]
-    P = lattice.polytope
-    lo = [min(v[i] for v in P.vertices) * ell for i in range(P.n)]
-    hi = [max(v[i] for v in P.vertices) * ell for i in range(P.n)]
-    result = {fid: [] for fid in lattice.nonempty_ids}
-    facets = P.facets
-    for m in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        tight = []
-        inside = True
-        for F, (u, a) in enumerate(facets):
-            v = _dot(m, u) + ell * a
-            if v < 0:
-                inside = False
-                break
-            if v == 0:
-                tight.append(F)
-        if not inside:
-            continue
-        result[lattice._by_tight[frozenset(tight)]].append(m)
-    out = {fid: sorted(pts) for fid, pts in result.items()}
+    out = {fid: [] for fid in lattice.nonempty_ids}
+    for prefix, lo, hi, face_lo, face_mid, face_hi in fibres(lattice, ell):
+        out[face_lo].append(prefix + (lo,))
+        if hi > lo:
+            out[face_mid].extend(prefix + (t,) for t in range(lo + 1, hi))
+            out[face_hi].append(prefix + (hi,))
     lattice._points_cache[ell] = out
     return out
 

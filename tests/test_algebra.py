@@ -18,6 +18,7 @@ from wehrhart.algebra import (
     lagrange_interpolate,
     neg_y_power,
     phi_eval,
+    power_sum,
     substitute_inverse,
     substitute_negative,
 )
@@ -223,3 +224,24 @@ class TestLagrangeInterpolate:
     def test_sample_count_must_match_bound(self):
         with pytest.raises(ValueError):
             lagrange_interpolate([(1, L({0: 1}))], 1)
+
+
+class TestPowerSum:
+    def test_matches_term_by_term_sum(self):
+        for k in range(7):
+            for a in range(-6, 7):
+                for b in range(a - 1, 8):
+                    assert power_sum(k, a, b) == sum(t**k for t in range(a, b + 1)), (k, a, b)
+
+    def test_empty_range_is_zero(self):
+        assert power_sum(3, 5, 4) == 0
+        assert power_sum(2, 5, -5) == 0
+
+    def test_closed_forms(self):
+        assert power_sum(0, -3, 3) == 7
+        assert power_sum(1, 1, 100) == 5050
+        assert power_sum(3, 1, 10) == 55**2
+
+    def test_result_is_an_int(self):
+        for k in range(6):
+            assert type(power_sum(k, -4, 9)) is int

@@ -368,3 +368,37 @@ def test_lmax_must_be_positive(capsys):
     )
     assert code == 2
     assert "--lmax" in err
+
+
+def test_parse_error_boolean_vertex(tmp_path, capsys):
+    path = tmp_path / "bools.json"
+    path.write_text('{"vertices": [[true, false], [0, 1], [1, 0], [1, 1]]}')
+    code, out, err = run_cli(["faces", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse: ")
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        '{"n": true, "monomials": [{"exps": [1], "coeff": "1"}]}',
+        '{"n": 1, "monomials": [{"exps": [true], "coeff": "1"}]}',
+    ],
+)
+def test_parse_error_boolean_phi_field(tmp_path, capsys, phi):
+    path = tmp_path / "phi.json"
+    path.write_text(phi)
+    code, _, err = run_cli(
+        ["ehrhart", fx("segment"), "--variant", "E", "--phi", str(path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: parse: ")
+
+
+def test_boolean_exponent_and_character_refused():
+    from wehrhart.jsonio import FormatError, laurent_from_json
+
+    with pytest.raises(FormatError):
+        laurent_from_json([{"exp": True, "coeff": "1"}])
+    with pytest.raises(FormatError):
+        charsum_from_json({"terms": [{"m": [False], "coeff": []}]}, 1)

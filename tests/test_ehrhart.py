@@ -6,11 +6,15 @@ character-sum duality case for the delta weight on the segment's edge
 (both sides expand to -(1+y)y^-1 * (chi^0 + chi^(-1))).
 """
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wehrhart.ehrhart as eh
+from box_oracle import box_phi_face_sums, random_lattice
 from wehrhart.algebra import (
     CharacterSum,
     HomogPoly,
@@ -20,7 +24,7 @@ from wehrhart.algebra import (
     substitute_inverse,
     substitute_negative,
 )
-from wehrhart.corpus import build
+from wehrhart.corpus import CORPUS, build, names
 from wehrhart.ehrhart import (
     PolynomialityError,
     apply_phi,
@@ -317,3 +321,115 @@ class TestHLink:
             value = apply_phi(hodge_character_sum(lat, f, 0), phi_one(n), "Etilde")
             h = h_polynomial(lat)
             assert substitute_negative(value) == L(dict(h.terms)), name
+
+
+# coefficients cycled through the monomials of the test integrands
+MIXED_COEFFS = (Fraction(3, 2), -2, Fraction(-5, 3), 1, Fraction(7, 4))
+
+
+def mixed_phi(n, degree):
+    """Every monomial of the degree, with fractional and negative coefficients."""
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) == degree]
+    return HomogPoly(n, zip(exps, itertools.cycle(MIXED_COEFFS)))
+
+
+class TestPhiFaceSumsAgainstPointSums:
+    """Closed-form fibre sums against phi_eval added up one point at a time."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        lat = build(name)
+        n = lat.polytope.n
+        for degree in (0, 1, 2, 3):
+            phi = mixed_phi(n, degree)
+            for ell in (1, 2, 3):
+                assert eh._phi_face_sums(lat, phi, ell) == box_phi_face_sums(lat, phi, ell)
+
+    @pytest.mark.parametrize("n,seed", [(2, 3), (3, 3), (4, 3)])
+    def test_random(self, n, seed):
+        lat = random_lattice(n, seed, 1, n + 4)
+        for degree in (0, 1, 2, 3):
+            phi = mixed_phi(n, degree)
+            for ell in (1, 2):
+                assert eh._phi_face_sums(lat, phi, ell) == box_phi_face_sums(lat, phi, ell)
+
+    def test_zero_integrand(self):
+        lat = build("square")
+        assert set(eh._phi_face_sums(lat, HomogPoly(2, []), 2).values()) == {0}
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            eh._phi_face_sums(build("square"), phi_one(3), 1)
+
+
+def assert_exact(value):
+    """Every number reachable from value is an int or a Fraction, never a float."""
+    if isinstance(value, LaurentPoly):
+        assert_exact(value.terms)
+    elif isinstance(value, ZPoly):
+        assert_exact(value.coeffs)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            assert_exact(k)
+            assert_exact(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            assert_exact(v)
+    else:
+        assert type(value) in (int, Fraction), f"{value!r} is a {type(value).__name__}"
+
+
+@st.composite
+def integrands(draw, n):
+    degree = draw(st.integers(min_value=0, max_value=3))
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) == degree]
+    chosen = draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3, unique=True))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return HomogPoly(n, [(e, draw(coeffs)) for e in chosen])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["segment", "square", "simplex2", "pyramid"]), st.data())
+def test_phi_sums_and_polynomial_are_float_free(name, data):
+    lat = build(name)
+    phi = data.draw(integrands(lat.polytope.n))
+    for ell in (1, 2, 3):
+        assert_exact(eh._phi_face_sums(lat, phi, ell))
+    variant = data.draw(st.sampled_from(["E", "Etilde"]))
+    assert_exact(ehrhart_polynomial(lat, all_ones(lat), phi, variant))
+
+
+# normalized volume n! vol(P) where it has a closed form
+NORMALIZED_VOLUME = {
+    "segment": 1, "square": 2, "cube": 6, "pyramid": 2,
+    "simplex1": 1, "simplex2": 1, "simplex3": 1, "simplex4": 1,
+}
+
+
+class TestStanleyHStar:
+    """All-ones weights, phi = 1, variant E at y = 0 give L_P(ell) = #(ell P).
+
+    h*_j = sum_i (-1)^i C(n+1, i) L_P(j-i), with L_P = 0 below 0, must be
+    a nonnegative integer (Stanley's nonnegativity theorem) with h*_0 = 1,
+    vanish above n, and sum to the normalized volume.
+    """
+
+    @pytest.mark.parametrize("name", names())
+    def test_h_star(self, name):
+        lat = build(name)
+        n = lat.polytope.n
+        zp = ehrhart_polynomial(lat, all_ones(lat), phi_one(n), "E")
+        at_y0 = [c.subs(0) for c in zp.coeffs]
+
+        def count(ell):
+            return sum(c * ell**k for k, c in enumerate(at_y0)) if ell >= 0 else 0
+
+        h_star = [
+            sum((-1) ** i * comb(n + 1, i) * count(j - i) for i in range(n + 2))
+            for j in range(2 * n + 2)
+        ]
+        assert h_star[0] == 1
+        assert all(Fraction(h).denominator == 1 and h >= 0 for h in h_star), h_star
+        assert not any(h_star[n + 1:]), h_star
+        if name in NORMALIZED_VOLUME:
+            assert sum(h_star) == NORMALIZED_VOLUME[name]

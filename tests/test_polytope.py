@@ -7,12 +7,15 @@ implementation ran.
 
 import pytest
 
+from box_oracle import box_points_by_face, random_lattice
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.polytope import (
     InvalidPolytope,
+    LatticePolytope,
     build_face_lattice,
     eulerian_check,
     facet_presentation,
+    fibres,
     is_simple,
     points_by_face,
     validate_eulerian,
@@ -241,3 +244,52 @@ class TestIsSimple:
     def test_simplices(self):
         for n in (1, 2, 3, 4):
             assert is_simple(facet_presentation(simplex(n)))
+
+
+# (dimension, seed, radius, draws) of the seeded random polytopes below
+RANDOM_SHAPES = [
+    (2, 1, 3, 7), (2, 2, 2, 5), (3, 1, 2, 8), (3, 2, 1, 7),
+    (4, 1, 1, 8), (4, 2, 1, 7), (5, 1, 1, 8),
+]
+
+
+class TestFibreWalkAgainstBoxScan:
+    """The fibre walk against the box scan, face by face and in list order."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        lattice = build_face_lattice(facet_presentation(CORPUS[name]))
+        for ell in (1, 2, 3, 4):
+            assert points_by_face(lattice, ell) == box_points_by_face(lattice, ell), ell
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
+    def test_random(self, n, seed, radius, draws):
+        lattice = random_lattice(n, seed, radius, draws)
+        for ell in (1, 2, 3, 4):
+            assert points_by_face(lattice, ell) == box_points_by_face(lattice, ell), ell
+
+    def test_fibres_split_at_their_ends(self):
+        lattice = build("pyramid")
+        parts = points_by_face(lattice, 3)
+        face_of = {m: q for q, pts in parts.items() for m in pts}
+        for prefix, lo, hi, face_lo, face_mid, face_hi in fibres(lattice, 3):
+            assert face_of[prefix + (lo,)] == face_lo
+            assert face_of[prefix + (hi,)] == face_hi
+            for t in range(lo + 1, hi):
+                assert face_of[prefix + (t,)] == face_mid
+            assert (face_mid is None) == (lo == hi)
+
+
+class TestClosureCheck:
+    def test_dropped_facet_is_refused(self):
+        P = facet_presentation(SQUARE)
+        broken = LatticePolytope(P.n, P.vertices, P.facets[1:])
+        with pytest.raises(InvalidPolytope, match="closure"):
+            build_face_lattice(broken)
+
+    def test_facet_off_the_vertices_is_refused(self):
+        P = facet_presentation(SQUARE)
+        (u, a), rest = P.facets[0], P.facets[1:]
+        broken = LatticePolytope(P.n, P.vertices, [(u, a + 1)] + list(rest))
+        with pytest.raises(InvalidPolytope, match="closure"):
+            build_face_lattice(broken)
