@@ -5,15 +5,23 @@ polytope is from simple there; the h-polynomial of the whole reversed
 lattice is palindromic (master duality).
 """
 
-from wehrhart import build, h_polynomial, is_simple, names, polar_g
+from wehrhart import (
+    LaurentPoly,
+    build,
+    h_polynomial,
+    is_simple,
+    names,
+    polar_g,
+    substitute_inverse,
+)
 
 for name in names():
     lattice = build(name)
     n = lattice.polytope.n
     h = h_polynomial(lattice)
     simple = "simple" if is_simple(lattice.polytope) else "not simple"
-    print(f"h({name}) = {h}   [{simple}]")
-    assert h == h.reversed_coeffs(n), "master duality must hold"
+    print(f"h({name}) = {h:t}   [{simple}]")
+    assert h == substitute_inverse(h) * LaurentPoly({n: 1}), "master duality must hold"
 
 print()
 print("the square pyramid is the smallest non-simple example:")
@@ -23,5 +31,5 @@ for fid in pyr.nonempty_ids:
     g = polar_g(pyr, fid, pyr.top_id)
     if g != polar_g(pyr, pyr.top_id, pyr.top_id):
         face = pyr.faces[fid]
-        print(f"  face {fid} (dim {face.dim}) has g = {g}")
+        print(f"  face {fid} (dim {face.dim}) has g = {g:t}")
 print(f"  (face {apex} is the apex, the vertex sitting on 4 facets)")

@@ -50,4 +50,4 @@ for name in ("square", "cube", "pyramid"):
     s = hodge_character_sum(lattice, g, 0)
     value = apply_phi(s, HomogPoly.one(lattice.polytope.n), VARIANT_ETILDE)
     h = h_polynomial(lattice)
-    print(f"  {name}: {substitute_negative(value)} vs h = {h}")
+    print(f"  {name}: {substitute_negative(value)} vs h = {h:t}")

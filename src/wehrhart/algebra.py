@@ -33,6 +33,7 @@ class LaurentPoly:
 
     Zero coefficients are never stored, so structural equality is
     mathematical equality.  Terms iterate in increasing exponent order.
+    The Stanley layer uses the same type for its polynomials in t.
     """
 
     __slots__ = ("terms",)
@@ -128,7 +129,9 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return next(iter(self.terms))
 
-    def __str__(self):
+    def __format__(self, var=""):
+        """Render in the variable var (y when empty): f"{p}", f"{p:t}"."""
+        var = var or "y"
         if not self.terms:
             return "0"
         parts = []
@@ -136,10 +139,12 @@ class LaurentPoly:
             if k == 0:
                 parts.append(str(c))
             elif k == 1:
-                parts.append(f"{c}*y")
+                parts.append(f"{c}*{var}")
             else:
-                parts.append(f"{c}*y^{k}")
+                parts.append(f"{c}*{var}^{k}")
         return " + ".join(parts)
+
+    __str__ = __format__
 
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .algebra import HomogPoly, ZPoly
 from .ehrhart import (
@@ -20,7 +19,6 @@ from .ehrhart import (
     VARIANT_ETILDE,
     EhrhartReport,
     PolynomialityError,
-    constant_term,
     ehrhart_polynomial,
     hodge_character_sum,
     verify_duality_reciprocity,
@@ -58,25 +56,6 @@ class CliError(Exception):
     @property
     def code(self) -> int:
         return 2 if self.kind == "parse" else 3
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One CLI invocation, fully resolved from argv."""
-
-    command: str
-    polytope: str
-    face: str | None = None
-    weights: str | None = None
-    phi: str | None = None
-    variant: str = VARIANT_ETILDE
-    ell: int | None = None
-    suite: str = "all"
-    lmax: int = 3
-    random_weights: bool = False
-    seed: int | None = None
-    count: int = 5
-    out: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,23 +103,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> JobSpec:
-    ns = _build_parser().parse_args(argv)
-    spec = JobSpec(
-        command=ns.command,
-        polytope=ns.polytope,
-        face=getattr(ns, "face", None),
-        weights=getattr(ns, "weights", None),
-        phi=getattr(ns, "phi", None),
-        variant=getattr(ns, "variant", VARIANT_ETILDE),
-        ell=getattr(ns, "ell", None),
-        suite=getattr(ns, "suite", "all"),
-        lmax=getattr(ns, "lmax", 3),
-        random_weights=getattr(ns, "random_weights", False),
-        seed=getattr(ns, "seed", None),
-        count=getattr(ns, "count", 5),
-        out=ns.out,
-    )
+def parse_args(argv) -> argparse.Namespace:
+    """One CLI invocation, fully resolved from argv.
+
+    Each command's handler reads only the flags its own subcommand defines.
+    """
+    spec = _build_parser().parse_args(argv)
     if spec.command == "verify":
         if spec.lmax < 1:
             raise CliError("parse", "--lmax must be a positive integer")
@@ -151,24 +119,24 @@ def parse_args(argv) -> JobSpec:
     return spec
 
 
-def _load_lattice(spec: JobSpec) -> FaceLattice:
+def _load_lattice(spec: argparse.Namespace) -> FaceLattice:
     P = load_polytope(spec.polytope)
     return build_face_lattice(P)
 
 
-def _resolve_weights(spec: JobSpec, lattice: FaceLattice):
+def _resolve_weights(spec: argparse.Namespace, lattice: FaceLattice):
     if spec.weights is None:
         return all_ones(lattice)
     return load_weight(spec.weights, lattice)
 
 
-def _resolve_phi(spec: JobSpec, lattice: FaceLattice) -> HomogPoly:
+def _resolve_phi(spec: argparse.Namespace, lattice: FaceLattice) -> HomogPoly:
     if spec.phi is None:
         return HomogPoly.one(lattice.polytope.n)
     return load_phi(spec.phi, n_expected=lattice.polytope.n)
 
 
-def _resolve_face(spec: JobSpec, lattice: FaceLattice) -> int:
+def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
     if spec.face == "P":
         return lattice.top_id
     try:
@@ -192,7 +160,7 @@ def _cmd_gweights(spec, lattice):
 
 
 def _cmd_hpoly(spec, lattice):
-    return str(h_polynomial(lattice)) + "\n"
+    return f"{h_polynomial(lattice):t}\n"
 
 
 def _cmd_dualize(spec, lattice):
@@ -209,20 +177,21 @@ def _cmd_ehrhart(spec, lattice):
     f = _resolve_weights(spec, lattice)
     phi = _resolve_phi(spec, lattice)
     zp = ehrhart_polynomial(lattice, f, phi, spec.variant)
-    c0 = constant_term(lattice, f, phi, spec.variant)
     payload = {
         "polytope_hash": polytope_hash(lattice.polytope),
         "variant": spec.variant,
         "degree_bound": lattice.polytope.n + phi.degree,
         "degree": zp.degree,
         "coeffs": [laurent_to_json(c) for c in zp.coeffs],
-        "constant_term": laurent_to_json(c0),
-        "constant_term_check": zp(0) == c0,
+        # ehrhart_polynomial has already checked zp(0) against the closed
+        # form and raised PolynomialityError (exit 1) on a mismatch
+        "constant_term": laurent_to_json(zp(0)),
+        "constant_term_check": True,
     }
     return dumps(payload)
 
 
-def _verify_weight_set(spec: JobSpec, lattice: FaceLattice):
+def _verify_weight_set(spec: argparse.Namespace, lattice: FaceLattice):
     named = [
         ("all-ones", all_ones(lattice)),
         ("g-weights(P)", g_weight_function(lattice, lattice.top_id)),
@@ -233,7 +202,7 @@ def _verify_weight_set(spec: JobSpec, lattice: FaceLattice):
     return named
 
 
-def _run_verify(spec: JobSpec, lattice: FaceLattice):
+def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
     phi = _resolve_phi(spec, lattice)
     phash = polytope_hash(lattice.polytope)
     ells = range(1, spec.lmax + 1)
@@ -307,7 +276,7 @@ _COMMANDS = {
 }
 
 
-def run(spec: JobSpec, stdout=None) -> int:
+def run(spec: argparse.Namespace, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     lattice = _load_lattice(spec)
     result = _COMMANDS[spec.command](spec, lattice)

@@ -48,6 +48,11 @@ def _check_lattice(lattice, f):
         raise ValueError("weight function belongs to a different lattice")
 
 
+def _check_dilation(ell):
+    if ell < 1:
+        raise ValueError("dilation must be a positive integer")
+
+
 def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> CharacterSum:
     """The equivariant character sum of the weighted divisor at dilation ell.
 
@@ -155,8 +160,7 @@ def weighted_ehrhart_value(
     """
     _check_variant(variant)
     _check_lattice(lattice, f)
-    if ell < 1:
-        raise ValueError("dilation must be a positive integer")
+    _check_dilation(ell)
     sums = _phi_face_sums(lattice, phi, ell)
     # collect f_Q * sum_Q by dim Q, so (1+y)^dim is raised once per dimension
     by_dim = {}
@@ -287,6 +291,18 @@ class EhrhartReport:
         }
 
 
+def _value_at_negative(lattice, f, phi, ell, variant, zpoly) -> LaurentPoly:
+    """The polynomial's value at -ell, interpolating it when zpoly is None."""
+    _check_dilation(ell)
+    if zpoly is None:
+        zpoly = ehrhart_polynomial(lattice, f, phi, variant)
+    return zpoly(-ell)
+
+
+def _compare(name, params, lhs, rhs) -> CheckResult:
+    return CheckResult(name, params, lhs == rhs, lhs, rhs)
+
+
 def verify_reciprocity(
     lattice, f, phi, ell: int, variant: str = VARIANT_E, zpoly: ZPoly | None = None
 ) -> CheckResult:
@@ -296,11 +312,7 @@ def verify_reciprocity(
     ell*Q closed of phi(m); Etilde replaces the exponent shift with a
     global (-1)^deg phi.
     """
-    if ell < 1:
-        raise ValueError("dilation must be a positive integer")
-    if zpoly is None:
-        zpoly = ehrhart_polynomial(lattice, f, phi, variant)
-    lhs = zpoly(-ell)
+    lhs = _value_at_negative(lattice, f, phi, ell, variant, zpoly)
     rhs = LaurentPoly()
     for q, fq in f.values.items():
         s = _phi_closed_sum(lattice, phi, q, ell)
@@ -311,13 +323,7 @@ def verify_reciprocity(
             rhs = rhs + fq * NEG_ONE_MINUS_Y ** (dim_q + phi.degree) * s
         else:
             rhs = rhs + fq * NEG_ONE_MINUS_Y**dim_q * ((-1) ** phi.degree * s)
-    return CheckResult(
-        name="reciprocity",
-        params={"ell": ell, "variant": variant},
-        passed=lhs == rhs,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    return _compare("reciprocity", {"ell": ell, "variant": variant}, lhs, rhs)
 
 
 def verify_duality_reciprocity(
@@ -327,60 +333,33 @@ def verify_duality_reciprocity(
 
     E variant carries the factor (-y)^deg phi; Etilde carries (-1)^deg phi.
     """
-    if ell < 1:
-        raise ValueError("dilation must be a positive integer")
-    if zpoly is None:
-        zpoly = ehrhart_polynomial(lattice, f, phi, variant)
-    lhs = zpoly(-ell)
+    lhs = _value_at_negative(lattice, f, phi, ell, variant, zpoly)
     dual_value = weighted_ehrhart_value(lattice, dualize(f), phi, ell, variant)
     rhs = substitute_inverse(dual_value)
     if variant == VARIANT_E:
         rhs = rhs * neg_y_power(phi.degree)
     else:
         rhs = rhs * ((-1) ** phi.degree)
-    return CheckResult(
-        name="duality_reciprocity",
-        params={"ell": ell, "variant": variant},
-        passed=lhs == rhs,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    return _compare("duality_reciprocity", {"ell": ell, "variant": variant}, lhs, rhs)
 
 
 def verify_hodge_duality(lattice, f, ell: int) -> CheckResult:
     """Character sum of the dual weights vs the inverted, negated sum at -ell."""
-    if ell < 1:
-        raise ValueError("dilation must be a positive integer")
+    _check_dilation(ell)
     lhs = hodge_character_sum(lattice, dualize(f), ell)
     rhs = negate_characters(
         hodge_character_sum(lattice, f, -ell).map_values(substitute_inverse)
     )
-    return CheckResult(
-        name="hodge_duality",
-        params={"ell": ell},
-        passed=lhs == rhs,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    return _compare("hodge_duality", {"ell": ell}, lhs, rhs)
 
 
 def verify_purity(lattice, qprime_id: int, phi, ell: int, zpoly: ZPoly | None = None) -> CheckResult:
     """With the g-weights of a face: E(-ell, y) = (-y)^(n'+deg phi) E(ell, 1/y)."""
-    if ell < 1:
-        raise ValueError("dilation must be a positive integer")
     if lattice.faces[qprime_id].dim < 0:
         raise ValueError("purity needs a nonempty face")
     f = g_weight_function(lattice, qprime_id)
-    if zpoly is None:
-        zpoly = ehrhart_polynomial(lattice, f, phi, VARIANT_E)
-    lhs = zpoly(-ell)
+    lhs = _value_at_negative(lattice, f, phi, ell, VARIANT_E, zpoly)
     value = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_E)
     nprime = lattice.faces[qprime_id].dim
     rhs = substitute_inverse(value) * neg_y_power(nprime + phi.degree)
-    return CheckResult(
-        name="purity",
-        params={"ell": ell, "face": qprime_id},
-        passed=lhs == rhs,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    return _compare("purity", {"ell": ell, "face": qprime_id}, lhs, rhs)

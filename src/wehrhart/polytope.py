@@ -29,34 +29,16 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _rank(rows) -> int:
-    """Rank of a matrix given as a list of rational/integer row vectors."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-    return rank
+def _echelon(rows, ncols):
+    """Gauss-Jordan elimination over Fraction.
 
-
-def _nullspace(rows, ncols):
-    """Basis of the right kernel of the given matrix, as Fraction vectors."""
+    Returns the reduced nonzero rows and their pivot columns; row i has a 1
+    in column pivots[i] and 0 there in every other row.
+    """
     mat = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    row = 0
     for col in range(ncols):
+        row = len(pivots)
         pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
@@ -68,7 +50,17 @@ def _nullspace(rows, ncols):
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
         pivots.append(col)
-        row += 1
+    return mat[: len(pivots)], pivots
+
+
+def _rank(rows) -> int:
+    """Rank of a matrix given as a list of rational/integer row vectors."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _nullspace(rows, ncols):
+    """Basis of the right kernel of the given matrix, as Fraction vectors."""
+    mat, pivots = _echelon(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

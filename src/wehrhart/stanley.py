@@ -2,109 +2,19 @@
 
 The f/g recursion on Eulerian posets, g-polynomials of polar faces read
 off reversed intervals [Q, Q'], the induced weight functions (t -> -y),
-and the h-polynomial of the fully reversed lattice.
+and the h-polynomial of the fully reversed lattice.  Polynomials in t are
+LaurentPoly values with nonnegative exponents, rendered with f"{p:t}".
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import LaurentPoly, as_rat
-from .polytope import FaceLattice, eulerian_check
+from .algebra import L_ONE, L_ZERO, LaurentPoly, substitute_negative
+from .polytope import FaceLattice
 from .weights import WeightFunction
 
 
 class NonEulerianPoset(ValueError):
     pass
-
-
-class PolyT:
-    """Sparse polynomial in the abstract variable t over Fraction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        acc = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for k, c in items:
-                k = int(k)
-                if k < 0:
-                    raise ValueError("t-polynomials have nonnegative exponents")
-                c = as_rat(c)
-                acc[k] = acc.get(k, Fraction(0)) + c
-        self.terms = {k: c for k, c in sorted(acc.items()) if c != 0}
-
-    @staticmethod
-    def const(c):
-        return PolyT({0: c})
-
-    @property
-    def degree(self):
-        return max(self.terms) if self.terms else 0
-
-    def coeff(self, k):
-        return self.terms.get(k, Fraction(0))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyT) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms.items()))
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return PolyT(acc)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyT({k: c * other for k, c in self.terms.items()})
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                acc[k1 + k2] = acc.get(k1 + k2, Fraction(0)) + c1 * c2
-        return PolyT(acc)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = PolyT.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def at_neg_y(self) -> LaurentPoly:
-        """Substitute t = -y, the only bridge between t and y."""
-        return LaurentPoly({k: c if k % 2 == 0 else -c for k, c in self.terms.items()})
-
-    def reversed_coeffs(self, degree: int) -> "PolyT":
-        """t**degree * p(1/t), for palindromicity checks."""
-        return PolyT({degree - k: c for k, c in self.terms.items()})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in self.terms.items():
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"PolyT({self.terms!r})"
-
-
-T_ONE = PolyT({0: 1})
-T_MINUS_1 = PolyT({0: -1, 1: 1})
 
 
 class ReversedInterval:
@@ -141,7 +51,7 @@ class ReversedInterval:
         return len(self.elements)
 
 
-def _g_cached(lattice: FaceLattice, q_id: int, qp_id: int) -> PolyT:
+def _g_cached(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     key = (q_id, qp_id)
     if key not in lattice._g_memo:
         lattice._g_memo[key] = stanley_fg(ReversedInterval(lattice, q_id, qp_id))[1]
@@ -157,25 +67,29 @@ def stanley_fg(poset: ReversedInterval):
     sequence of f's coefficients at degree floor(r/2).
     """
     if len(poset) == 1:
-        return T_ONE, T_ONE
+        return L_ONE, L_ONE
     r = poset.top_rank - 1
-    f = PolyT()
+    # sum the g([min, x]) of each rank, so (t-1)^k is raised once per rank
+    by_power = {}
     for x in poset.elements:
         if x == poset.q_id:
             continue
         # [min, x] in the reversed order is the reversed interval [x, Q']
         gx = _g_cached(poset.lattice, x, poset.qp_id)
-        f = f + gx * T_MINUS_1 ** (r - poset.rank(x))
+        k = r - poset.rank(x)
+        by_power[k] = by_power.get(k, L_ZERO) + gx
+    t_minus_1 = LaurentPoly({0: -1, 1: 1})
+    f = sum((gk * t_minus_1**k for k, gk in by_power.items()), L_ZERO)
     g_terms = {}
-    prev = Fraction(0)
+    prev = 0
     for i in range(r // 2 + 1):
         ki = f.coeff(i)
         g_terms[i] = ki - prev
         prev = ki
-    return f, PolyT(g_terms)
+    return f, LaurentPoly(g_terms)
 
 
-def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> PolyT:
+def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     """g of the reversed interval [Q, Q'], i.e. of the polar face of Q.
 
     Both faces must be nonempty and nested; results are memoized on the
@@ -195,11 +109,11 @@ def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     values = {}
     for q in lattice.nonempty_ids:
         if lattice.leq(q, qp_id):
-            values[q] = polar_g(lattice, q, qp_id).at_neg_y()
+            values[q] = substitute_negative(polar_g(lattice, q, qp_id))
     return WeightFunction(lattice, values)
 
 
-def h_polynomial(lattice: FaceLattice) -> PolyT:
+def h_polynomial(lattice: FaceLattice) -> LaurentPoly:
     """f-polynomial of the fully reversed lattice [empty, P].
 
     This is the h-polynomial of the polar polytope's boundary; it must

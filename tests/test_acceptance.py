@@ -31,7 +31,7 @@ from wehrhart.ehrhart import (
     weighted_ehrhart_value,
 )
 from wehrhart.polytope import is_simple, points_by_face, validate_eulerian
-from wehrhart.stanley import PolyT, g_weight_function, h_polynomial, polar_g
+from wehrhart.stanley import g_weight_function, h_polynomial, polar_g
 from wehrhart.weights import (
     all_ones,
     delta_weight,
@@ -214,8 +214,8 @@ def test_criterion_7_character_sum_duality():
 
 
 def test_criterion_8_stanley_layer():
-    t = PolyT({1: 1})
-    one = PolyT.const(1)
+    t = L({1: 1})
+    one = L.const(1)
     assert h_polynomial(corpus.build("square")) == one + t * 2 + t * t
     assert h_polynomial(corpus.build("cube")) == one + t * 3 + (t * t) * 3 + t * t * t
     pyramid = corpus.build("pyramid")
@@ -226,9 +226,9 @@ def test_criterion_8_stanley_layer():
         n = lattice.polytope.n
         h = h_polynomial(lattice)
         # master duality: h(t) = t^n h(1/t)
-        assert h == h.reversed_coeffs(n), name
+        assert h == substitute_inverse(h) * L({n: 1}), name
         if is_simple(lattice.polytope):
-            assert h == h.reversed_coeffs(n)  # Dehn-Sommerville
+            assert h == substitute_inverse(h) * L({n: 1})  # Dehn-Sommerville
             gw = g_weight_function(lattice, lattice.top_id)
             assert gw == all_ones(lattice), name
             for q in lattice.nonempty_ids:

@@ -6,12 +6,15 @@ implementation ran.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from box_oracle import box_points_by_face, random_lattice
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.polytope import (
     InvalidPolytope,
     LatticePolytope,
+    _nullspace,
+    _rank,
     build_face_lattice,
     eulerian_check,
     facet_presentation,
@@ -293,3 +296,26 @@ class TestClosureCheck:
         broken = LatticePolytope(P.n, P.vertices, [(u, a + 1)] + list(rest))
         with pytest.raises(InvalidPolytope, match="closure"):
             build_face_lattice(broken)
+
+
+@st.composite
+def int_matrices(draw):
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+class TestElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    def test_rank_nullity_and_transpose(self, matrix):
+        rows, ncols = matrix
+        basis = _nullspace(rows, ncols)
+        assert _rank(rows) + len(basis) == ncols
+        for vec in basis:
+            assert any(vec)
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+        assert _rank(rows) == _rank([list(col) for col in zip(*rows)])
