@@ -4,6 +4,9 @@ Rationals, sparse Laurent polynomials in y, homogeneous polynomial
 integrands, finitely supported character sums, and exact Lagrange
 interpolation.  Every value is immutable after construction and every
 operation is a pure function, so values are safe to share freely.
+
+Integers are the fast path: a rational that happens to be integral is
+held as an int, and a Fraction appears only where a denominator does.
 """
 
 from __future__ import annotations
@@ -28,10 +31,17 @@ def as_rat(x) -> Fraction:
     return Fraction(x)
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial sum c_k * y**k with Fraction coefficients.
+def canon(c):
+    """An exact rational in canonical form: int when integral, else Fraction."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
-    Zero coefficients are never stored, so structural equality is
+
+class LaurentPoly:
+    """Sparse Laurent polynomial sum c_k * y**k with exact coefficients.
+
+    Each coefficient is an int when it is integral and a Fraction (with
+    denominator > 1) otherwise, so LaurentPoly({0: Fraction(4, 2)}) stores
+    2.  Zero coefficients are never stored, so structural equality is
     mathematical equality.  Terms iterate in increasing exponent order.
     The Stanley layer uses the same type for its polynomials in t.
     """
@@ -39,18 +49,24 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        acc: dict[int, Fraction] = {}
+        acc = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for k, c in items:
-                c = as_rat(c)
                 k = int(k)
-                acc[k] = acc.get(k, RAT_ZERO) + c
-        self.terms = {k: c for k, c in sorted(acc.items()) if c != 0}
+                acc[k] = acc.get(k, 0) + (c if type(c) is int else as_rat(c))
+        self.terms = LaurentPoly._make(acc).terms
+
+    @staticmethod
+    def _make(acc) -> "LaurentPoly":
+        """Trusted constructor from exponent -> int or Fraction; no re-validation."""
+        p = object.__new__(LaurentPoly)
+        p.terms = {k: canon(c) for k, c in sorted(acc.items()) if c}
+        return p
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: as_rat(c)})
+        return LaurentPoly({0: c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -62,15 +78,12 @@ class LaurentPoly:
         return hash(tuple(self.terms.items()))
 
     def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()})
+        return LaurentPoly._make({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, RAT_ZERO) + c
-        return LaurentPoly(acc)
+        return poly_sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -79,15 +92,15 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly({k: c * other for k, c in self.terms.items()})
+            return LaurentPoly._make({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc: dict[int, Fraction] = {}
+        acc = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = k1 + k2
-                acc[k] = acc.get(k, RAT_ZERO) + c1 * c2
-        return LaurentPoly(acc)
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return LaurentPoly._make(acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -102,8 +115,8 @@ class LaurentPoly:
             if len(self.terms) != 1:
                 raise ValueError("negative power of a non-monomial")
             ((k, c),) = self.terms.items()
-            return LaurentPoly({-k: 1 / c}) ** (-n)
-        out = LaurentPoly.const(1)
+            return LaurentPoly._make({-k: Fraction(1, c)}) ** (-n)
+        out = L_ONE
         base = self
         while n:
             if n & 1:
@@ -112,17 +125,17 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def coeff(self, k: int) -> Fraction:
-        return self.terms.get(k, RAT_ZERO)
+    def coeff(self, k: int):
+        return self.terms.get(k, 0)
 
-    def subs(self, v) -> Fraction:
+    def subs(self, v):
         """Evaluate at y = v exactly; v = 0 is allowed only without poles."""
         v = as_rat(v)
         if v == 0:
             if any(k < 0 for k in self.terms):
                 raise ZeroDivisionError("pole at y = 0")
-            return self.terms.get(0, RAT_ZERO)
-        return sum((c * v**k for k, c in self.terms.items()), RAT_ZERO)
+            return self.terms.get(0, 0)
+        return canon(sum((c * v**k for k, c in self.terms.items()), RAT_ZERO))
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -150,25 +163,46 @@ class LaurentPoly:
         return f"LaurentPoly({self.terms!r})"
 
 
+def poly_sum(polys) -> LaurentPoly:
+    """Sum of LaurentPoly values, with one normalisation at the end."""
+    acc = {}
+    for p in polys:
+        for k, c in p.terms.items():
+            acc[k] = acc.get(k, 0) + c
+    return LaurentPoly._make(acc)
+
+
 L_ZERO = LaurentPoly()
 L_ONE = LaurentPoly.const(1)
 ONE_PLUS_Y = LaurentPoly({0: 1, 1: 1})
-NEG_ONE_MINUS_Y = LaurentPoly({0: -1, 1: -1})
 
 
 def substitute_inverse(p: LaurentPoly) -> LaurentPoly:
     """y -> 1/y, i.e. exponent negation on every term. An involution."""
-    return LaurentPoly({-k: c for k, c in p.terms.items()})
+    return LaurentPoly._make({-k: c for k, c in p.terms.items()})
 
 
 def substitute_negative(p: LaurentPoly) -> LaurentPoly:
     """y -> -y. An involution; bridges the t and y variables elsewhere."""
-    return LaurentPoly({k: c if k % 2 == 0 else -c for k, c in p.terms.items()})
+    return LaurentPoly._make({k: c if k % 2 == 0 else -c for k, c in p.terms.items()})
 
 
 def neg_y_power(k: int) -> LaurentPoly:
     """(-y)**k for any integer k, as a single monomial."""
-    return LaurentPoly({k: -1 if k % 2 else 1})
+    return LaurentPoly._make({k: -1 if k % 2 else 1})
+
+
+@lru_cache(maxsize=128)
+def one_plus_y_power(k: int, negate: bool = False) -> LaurentPoly:
+    """(1+y)**k, or (-1-y)**k when negate, for k >= 0, from binomials.
+
+    Memoized for at most 128 (k, negate) pairs; callers raise to a face
+    dimension plus an integrand degree, which needs far fewer.
+    """
+    if k < 0:
+        raise ValueError("(1+y) has no negative powers in the Laurent ring")
+    sign = -1 if negate and k % 2 else 1
+    return LaurentPoly._make({i: sign * comb(k, i) for i in range(k + 1)})
 
 
 class HomogPoly:
@@ -346,7 +380,7 @@ class ZPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, z) -> LaurentPoly:
-        z = as_rat(z)
+        z = canon(as_rat(z))
         acc = L_ZERO
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -373,21 +407,21 @@ def lagrange_interpolate(samples, degree_bound: int) -> ZPoly:
         raise ValueError(
             f"need {degree_bound + 1} samples for degree bound {degree_bound}, got {len(samples)}"
         )
-    nodes = [as_rat(x) for x, _ in samples]
+    nodes = [canon(as_rat(x)) for x, _ in samples]
     if len(set(nodes)) != len(nodes):
         raise ValueError("duplicate interpolation nodes")
     k = len(samples)
-    coeffs = [L_ZERO] * k
+    coeffs = [{} for _ in range(k)]
     for i, (_, value) in enumerate(samples):
         if not isinstance(value, LaurentPoly):
             value = LaurentPoly.const(value)
         # basis numerator prod_{j != i} (z - x_j), ascending z coefficients
-        basis = [RAT_ONE]
-        denom = RAT_ONE
+        basis = [1]
+        denom = 1
         for j, xj in enumerate(nodes):
             if j == i:
                 continue
-            nxt = [RAT_ZERO] * (len(basis) + 1)
+            nxt = [0] * (len(basis) + 1)
             for d, b in enumerate(basis):
                 nxt[d] += b * (-xj)
                 nxt[d + 1] += b
@@ -395,5 +429,8 @@ def lagrange_interpolate(samples, degree_bound: int) -> ZPoly:
             denom *= nodes[i] - xj
         for d, b in enumerate(basis):
             if b:
-                coeffs[d] = coeffs[d] + value * (b / denom)
-    return ZPoly(coeffs)
+                w = Fraction(b, denom)
+                row = coeffs[d]
+                for e, c in value.terms.items():
+                    row[e] = row.get(e, 0) + c * w
+    return ZPoly(LaurentPoly._make(row) for row in coeffs)

@@ -44,6 +44,14 @@ from .weights import all_ones, dualize, random_weight_functions
 
 SUITES = ("all", "reciprocity", "duality", "purity", "hodge")
 
+# Budgets on the size flags, checked before the polytope is read (exit 3
+# above them): the work grows like the lattice points of the dilate, about
+# vol(P) * ell^n (random3 has 162,081 at ell = 16, 1.28 million at 32),
+# and desk-scale runs need dilations up to n + deg phi + 3.
+MAX_ELL = 16  # |charsum --l|
+MAX_LMAX = 12  # verify --lmax
+MAX_COUNT = 64  # verify --count, random weight functions
+
 
 class CliError(Exception):
     """kind is 'parse' (exit 2) or 'validation' (exit 3)."""
@@ -109,6 +117,8 @@ def parse_args(argv) -> argparse.Namespace:
     Each command's handler reads only the flags its own subcommand defines.
     """
     spec = _build_parser().parse_args(argv)
+    if spec.command == "charsum" and abs(spec.ell) > MAX_ELL:
+        raise CliError("validation", f"--l must lie in -{MAX_ELL} .. {MAX_ELL}")
     if spec.command == "verify":
         if spec.lmax < 1:
             raise CliError("parse", "--lmax must be a positive integer")
@@ -116,6 +126,10 @@ def parse_args(argv) -> argparse.Namespace:
             raise CliError("parse", "--random-weights requires --seed")
         if spec.count < 1:
             raise CliError("parse", "--count must be a positive integer")
+        if spec.lmax > MAX_LMAX:
+            raise CliError("validation", f"--lmax must be at most {MAX_LMAX}")
+        if spec.count > MAX_COUNT:
+            raise CliError("validation", f"--count must be at most {MAX_COUNT}")
     return spec
 
 
@@ -208,12 +222,16 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
     ells = range(1, spec.lmax + 1)
     weight_set = _verify_weight_set(spec, lattice)
     reports = []
+    # both suites compare against the same interpolant; build each once
+    interpolants = {}
 
     def reciprocity_like(checker, suite_name):
-        for label, f in weight_set:
+        for i, (label, f) in enumerate(weight_set):
             for variant in (VARIANT_ETILDE, VARIANT_E):
                 rep = EhrhartReport(phash, label, str(phi))
-                zp = ehrhart_polynomial(lattice, f, phi, variant)
+                if (i, variant) not in interpolants:
+                    interpolants[i, variant] = ehrhart_polynomial(lattice, f, phi, variant)
+                zp = interpolants[i, variant]
                 for ell in ells:
                     rep.add(checker(lattice, f, phi, ell, variant, zpoly=zp))
                 reports.append((suite_name, rep))

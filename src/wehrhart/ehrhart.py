@@ -20,12 +20,13 @@ from .algebra import (
     CharacterSum,
     HomogPoly,
     LaurentPoly,
-    NEG_ONE_MINUS_Y,
-    ONE_PLUS_Y,
     ZPoly,
+    canon,
     lagrange_interpolate,
     neg_y_power,
+    one_plus_y_power,
     phi_eval,
+    poly_sum,
     power_sum,
     substitute_inverse,
 )
@@ -63,26 +64,26 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Ch
     _check_lattice(lattice, f)
     n = lattice.polytope.n
     if ell == 0:
-        total = LaurentPoly()
-        for q, fq in f.values.items():
-            total = total + fq * NEG_ONE_MINUS_Y ** lattice.faces[q].dim
+        total = poly_sum(
+            fq * one_plus_y_power(lattice.faces[q].dim, negate=True)
+            for q, fq in f.values.items()
+        )
         return CharacterSum(n, {(0,) * n: total})
     terms = {}
     if ell > 0:
         relint = points_by_face(lattice, ell)
         for q, fq in f.values.items():
-            coeff = fq * ONE_PLUS_Y ** lattice.faces[q].dim
+            coeff = fq * one_plus_y_power(lattice.faces[q].dim)
             for m in relint[q]:
-                key = tuple(-x for x in m)
-                terms[key] = terms.get(key, LaurentPoly()) + coeff
+                terms.setdefault(tuple(-x for x in m), []).append(coeff)
     else:
         relint = points_by_face(lattice, -ell)
         for q, fq in f.values.items():
-            coeff = fq * NEG_ONE_MINUS_Y ** lattice.faces[q].dim
+            coeff = fq * one_plus_y_power(lattice.faces[q].dim, negate=True)
             for e in lattice.subfaces(q):
                 for m in relint[e]:
-                    terms[m] = terms.get(m, LaurentPoly()) + coeff
-    return CharacterSum(n, terms)
+                    terms.setdefault(m, []).append(coeff)
+    return CharacterSum(n, {m: poly_sum(ps) for m, ps in terms.items()})
 
 
 def negate_characters(s: CharacterSum) -> CharacterSum:
@@ -99,13 +100,9 @@ def apply_phi(s: CharacterSum, phi: HomogPoly, variant: str) -> LaurentPoly:
     _check_variant(variant)
     if s.n != phi.n:
         raise ValueError("character sum and integrand dimensions differ")
-    acc = LaurentPoly()
-    for m, p in s.terms.items():
-        v = phi_eval(phi, tuple(-x for x in m))
-        if v:
-            acc = acc + p * v
+    acc = poly_sum(p * phi_eval(phi, tuple(-x for x in m)) for m, p in s.terms.items())
     if variant == VARIANT_E:
-        acc = acc * ONE_PLUS_Y**phi.degree
+        acc = acc * one_plus_y_power(phi.degree)
     return acc
 
 
@@ -136,7 +133,7 @@ def _phi_face_sums(lattice, phi, ell):
             if hi > lo:
                 acc[face_mid] += sum(gk * power_sum(k, lo + 1, hi - 1) for k, gk in g)
                 acc[face_hi] += sum(gk * hi**k for k, gk in g)
-        lattice._phi_sums[key] = {q: Fraction(v, d) for q, v in acc.items()}
+        lattice._phi_sums[key] = {q: canon(Fraction(v, d)) for q, v in acc.items()}
     return lattice._phi_sums[key]
 
 
@@ -167,13 +164,10 @@ def weighted_ehrhart_value(
     for q, fq in f.values.items():
         s = sums[q]
         if s:
-            dim = lattice.faces[q].dim
-            by_dim[dim] = by_dim.get(dim, LaurentPoly()) + fq * s
-    acc = LaurentPoly()
-    for dim, p in by_dim.items():
-        acc = acc + p * ONE_PLUS_Y**dim
+            by_dim.setdefault(lattice.faces[q].dim, []).append(fq * s)
+    acc = poly_sum(poly_sum(ps) * one_plus_y_power(dim) for dim, ps in by_dim.items())
     if variant == VARIANT_E:
-        acc = acc * ONE_PLUS_Y**phi.degree
+        acc = acc * one_plus_y_power(phi.degree)
     return acc
 
 
@@ -189,9 +183,10 @@ def constant_term(lattice, f, phi, variant) -> LaurentPoly:
     if not phi0:
         return LaurentPoly()
     shift = phi.degree if variant == VARIANT_E else 0
-    acc = LaurentPoly()
-    for q, fq in f.values.items():
-        acc = acc + fq * NEG_ONE_MINUS_Y ** (lattice.faces[q].dim + shift)
+    acc = poly_sum(
+        fq * one_plus_y_power(lattice.faces[q].dim + shift, negate=True)
+        for q, fq in f.values.items()
+    )
     return acc * phi0
 
 
@@ -313,16 +308,17 @@ def verify_reciprocity(
     global (-1)^deg phi.
     """
     lhs = _value_at_negative(lattice, f, phi, ell, variant, zpoly)
-    rhs = LaurentPoly()
+    terms = []
     for q, fq in f.values.items():
         s = _phi_closed_sum(lattice, phi, q, ell)
         if not s:
             continue
         dim_q = lattice.faces[q].dim
         if variant == VARIANT_E:
-            rhs = rhs + fq * NEG_ONE_MINUS_Y ** (dim_q + phi.degree) * s
+            terms.append(fq * one_plus_y_power(dim_q + phi.degree, negate=True) * s)
         else:
-            rhs = rhs + fq * NEG_ONE_MINUS_Y**dim_q * ((-1) ** phi.degree * s)
+            terms.append(fq * one_plus_y_power(dim_q, negate=True) * ((-1) ** phi.degree * s))
+    rhs = poly_sum(terms)
     return _compare("reciprocity", {"ell": ell, "variant": variant}, lhs, rhs)
 
 

@@ -406,21 +406,23 @@ def points_by_face(lattice: FaceLattice, ell: int):
 
 
 def eulerian_check(elements, leq, rank) -> bool:
-    """Every nontrivial closed interval balances even and odd ranks."""
+    """Every nontrivial closed interval balances even and odd ranks.
+
+    Bit j of up[i] (down[i]) marks elements[j] above (below) elements[i],
+    so the interval [a, b] is up[a] & down[b] and its even-rank half is
+    one more mask away: leq is called once per ordered pair.
+    """
     elements = list(elements)
-    for a in elements:
-        for b in elements:
-            if a == b or not leq(a, b):
-                continue
-            even = odd = 0
-            for e in elements:
-                if leq(a, e) and leq(e, b):
-                    if rank(e) % 2 == 0:
-                        even += 1
-                    else:
-                        odd += 1
-            if even != odd:
-                return False
+    size = range(len(elements))
+    up = [sum(1 << j for j in size if leq(a, elements[j])) for a in elements]
+    down = [sum(1 << i for i in size if up[i] >> j & 1) for j in size]
+    even = sum(1 << j for j in size if rank(elements[j]) % 2 == 0)
+    for i in size:
+        for j in size:
+            if i != j and up[i] >> j & 1:
+                interval = up[i] & down[j]
+                if 2 * (interval & even).bit_count() != interval.bit_count():
+                    return False
     return True
 
 

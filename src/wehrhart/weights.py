@@ -10,12 +10,12 @@ D(f)_Q(y) = sum over nonempty faces E above Q of
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .algebra import (
     LaurentPoly,
-    ONE_PLUS_Y,
     neg_y_power,
+    one_plus_y_power,
+    poly_sum,
     substitute_inverse,
 )
 from .polytope import FaceLattice
@@ -88,18 +88,29 @@ def add(f: WeightFunction, g: WeightFunction) -> WeightFunction:
 
 
 def dualize(f: WeightFunction) -> WeightFunction:
-    """The duality involution, summed over nonempty faces above each Q."""
+    """The duality involution, grouped by the dimension of E.
+
+    For each Q the f_E(1/y) over E >= Q of one dimension d are summed
+    first, then multiplied once by the kernel (1+y)^(d - dim Q) * (-y)^(-d);
+    the kernel table covers 0 <= dim Q <= d <= n and each f_E is inverted
+    once per call.
+    """
     L = f.lattice
+    n = L.polytope.n
+    kernel = {
+        (d, dq): one_plus_y_power(d - dq) * neg_y_power(-d)
+        for d in range(n + 1)
+        for dq in range(d + 1)
+    }
+    inverted = [(e, L.faces[e].dim, substitute_inverse(fe)) for e, fe in f.values.items()]
     out = {}
     for q in L.nonempty_ids:
         dim_q = L.faces[q].dim
-        acc = LaurentPoly()
-        for e, fe in f.values.items():
-            if not L.leq(q, e):
-                continue
-            dim_e = L.faces[e].dim
-            term = substitute_inverse(fe) * ONE_PLUS_Y ** (dim_e - dim_q)
-            acc = acc + term * neg_y_power(-dim_e)
+        by_dim = {}
+        for e, d, fe in inverted:
+            if L.leq(q, e):
+                by_dim.setdefault(d, []).append(fe)
+        acc = poly_sum(poly_sum(ps) * kernel[d, dim_q] for d, ps in by_dim.items())
         if acc:
             out[q] = acc
     return WeightFunction(L, out)
@@ -107,7 +118,7 @@ def dualize(f: WeightFunction) -> WeightFunction:
 
 def random_laurent(rng: random.Random) -> LaurentPoly:
     """Coefficients uniform in {-3..3} on exponents -2..2."""
-    return LaurentPoly({k: Fraction(rng.randint(-3, 3)) for k in range(-2, 3)})
+    return LaurentPoly({k: rng.randint(-3, 3) for k in range(-2, 3)})
 
 
 def random_weight_function(lattice: FaceLattice, rng: random.Random) -> WeightFunction:

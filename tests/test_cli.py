@@ -407,3 +407,29 @@ def test_boolean_exponent_and_character_refused():
         laurent_from_json([{"exp": True, "coeff": "1"}])
     with pytest.raises(FormatError):
         charsum_from_json({"terms": [{"m": [False], "coeff": []}]}, 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["charsum", "--l", str(cli.MAX_ELL + 1)],
+        ["charsum", "--l", str(-cli.MAX_ELL - 1)],
+        ["verify", "--suite", "all", "--lmax", str(cli.MAX_LMAX + 1)],
+        ["verify", "--suite", "hodge", "--lmax", "1", "--random-weights", "--seed", "1",
+         "--count", str(cli.MAX_COUNT + 1)],
+    ],
+)
+def test_size_flags_over_budget_are_refused_before_loading(args, capsys):
+    # the polytope file does not exist: the budget is checked before reading it
+    argv = [args[0], "no-such-polytope.json", *args[1:]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: validation: ")
+    assert args[-2] in err
+
+
+def test_size_flags_at_budget_parse():
+    assert cli.parse_args(["charsum", "p.json", "--l", str(-cli.MAX_ELL)]).ell == -cli.MAX_ELL
+    spec = cli.parse_args(["verify", "p.json", "--suite", "all", "--lmax", str(cli.MAX_LMAX),
+                           "--random-weights", "--seed", "1", "--count", str(cli.MAX_COUNT)])
+    assert (spec.lmax, spec.count) == (cli.MAX_LMAX, cli.MAX_COUNT)

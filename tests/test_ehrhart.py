@@ -20,6 +20,7 @@ from wehrhart.algebra import (
     HomogPoly,
     LaurentPoly,
     ZPoly,
+    lagrange_interpolate,
     neg_y_power,
     substitute_inverse,
     substitute_negative,
@@ -39,7 +40,14 @@ from wehrhart.ehrhart import (
     weighted_ehrhart_value,
 )
 from wehrhart.stanley import g_weight_function, h_polynomial
-from wehrhart.weights import all_ones, delta_weight, random_weight_functions
+from wehrhart.weights import (
+    WeightFunction,
+    all_ones,
+    delta_weight,
+    dualize,
+    random_weight_functions,
+    scale,
+)
 
 
 def L(d):
@@ -363,11 +371,21 @@ class TestPhiFaceSumsAgainstPointSums:
 
 
 def assert_exact(value):
-    """Every number reachable from value is an int or a Fraction, never a float."""
+    """Every number reachable from value is an int or a Fraction, never a float.
+
+    Every LaurentPoly coefficient is, moreover, an int exactly when it is
+    integral: a Fraction there always has a denominator above 1.
+    """
     if isinstance(value, LaurentPoly):
         assert_exact(value.terms)
+        for c in value.terms.values():
+            assert type(c) is int or c.denominator != 1, f"{c!r} is not canonical"
     elif isinstance(value, ZPoly):
         assert_exact(value.coeffs)
+    elif isinstance(value, WeightFunction):
+        assert_exact(value.values)
+    elif isinstance(value, CharacterSum):
+        assert_exact(value.terms)
     elif isinstance(value, dict):
         for k, v in value.items():
             assert_exact(k)
@@ -397,6 +415,70 @@ def test_phi_sums_and_polynomial_are_float_free(name, data):
         assert_exact(eh._phi_face_sums(lat, phi, ell))
     variant = data.draw(st.sampled_from(["E", "Etilde"]))
     assert_exact(ehrhart_polynomial(lat, all_ones(lat), phi, variant))
+
+
+# rationals as a caller may pass them: ints, integral and proper Fractions
+rationals = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+nonzero_rationals = rationals.filter(bool)
+laurents = st.dictionaries(
+    st.integers(min_value=-3, max_value=3), rationals, max_size=4
+).map(LaurentPoly)
+
+
+def test_integral_fraction_is_stored_as_int():
+    p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2)})
+    assert p == LaurentPoly({0: 2, 1: Fraction(1, 2)})
+    assert hash(p) == hash(LaurentPoly({0: 2, 1: Fraction(1, 2)}))
+    assert type(p.coeff(0)) is int and type(p.coeff(1)) is Fraction
+    assert_exact(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents, laurents, rationals, st.integers(-3, 3), nonzero_rationals, st.integers(0, 3))
+def test_laurent_results_are_float_free_and_canonical(p, q, c, k, mono_c, power):
+    monomial = LaurentPoly({k: mono_c})
+    results = [p + q, p - q, -p, p * q, p * c, c * p, p**power, monomial ** -power,
+               monomial ** -1 * monomial, substitute_inverse(p), substitute_negative(p)]
+    assert_exact(results)
+    assert_exact([p.coeff(e) for e in range(-3, 4)])
+    assert_exact([p.subs(v) for v in (1, -2, Fraction(1, 3), mono_c)])
+    if min(p.terms, default=0) >= 0:
+        assert_exact(p.subs(0))
+    zp = ZPoly([p, q, monomial])
+    assert_exact([zp(z) for z in (0, 2, -1, c)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(laurents, min_size=1, max_size=4), st.booleans())
+def test_interpolation_is_float_free_and_canonical(values, fractional_nodes):
+    step = Fraction(1, 2) if fractional_nodes else 1
+    samples = [(step * i, v) for i, v in enumerate(values)]
+    zp = lagrange_interpolate(samples, len(values) - 1)
+    assert_exact(zp)
+    for node, value in samples:
+        assert zp(node) == value
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["segment", "square", "simplex2", "pyramid"]), st.data())
+def test_lattice_results_are_float_free_and_canonical(name, data):
+    lat = build(name)
+    n = lat.polytope.n
+    scalar = LaurentPoly({data.draw(st.integers(-1, 1)): data.draw(nonzero_rationals)})
+    seed = data.draw(st.integers(0, 1000))
+    f = scale(scalar, random_weight_functions(lat, seed=seed, count=1)[0])
+    phi = data.draw(integrands(n))
+    qp = data.draw(st.sampled_from(lat.nonempty_ids))
+    variant = data.draw(st.sampled_from(["E", "Etilde"]))
+    assert_exact(dualize(f))
+    assert_exact([hodge_character_sum(lat, f, ell) for ell in (-2, -1, 0, 1, 2)])
+    assert_exact([weighted_ehrhart_value(lat, f, phi, ell, variant) for ell in (1, 2)])
+    assert_exact(ehrhart_polynomial(lat, f, phi, variant))
+    assert_exact(g_weight_function(lat, qp))
+    assert_exact(h_polynomial(lat))
 
 
 # normalized volume n! vol(P) where it has a closed form

@@ -219,6 +219,19 @@ class _StubPoset:
         return self.dims[e] + 1
 
 
+def triple_eulerian_check(elements, leq, rank):
+    """The oracle: count the ranks of every interval one element at a time."""
+    elements = list(elements)
+    for a in elements:
+        for b in elements:
+            if a == b or not leq(a, b):
+                continue
+            ranks = [rank(e) % 2 for e in elements if leq(a, e) and leq(e, b)]
+            if ranks.count(0) != ranks.count(1):
+                return False
+    return True
+
+
 class TestEulerian:
     def test_square_is_eulerian(self):
         assert validate_eulerian(build("square"))
@@ -235,6 +248,24 @@ class TestEulerian:
         some_vertex = L.vertex_face_id(0)
         stub = _StubPoset(L, {some_vertex})
         assert not eulerian_check(stub.ids(), stub.leq, stub.rank)
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_bitmask_check_matches_triple_loop_on_corpus(self, name):
+        L = build(name)
+        stub = _StubPoset(L, set())
+        assert eulerian_check(stub.ids(), stub.leq, stub.rank)
+        assert triple_eulerian_check(stub.ids(), stub.leq, stub.rank)
+
+    @pytest.mark.parametrize("name", ["square", "pyramid", "cube", "simplex3"])
+    def test_bitmask_check_matches_triple_loop_on_stubs(self, name):
+        L = build(name)
+        # dropping a proper face F breaks the diamonds [G, H] with G < F < H
+        for dim in range(L.polytope.n):
+            dropped = {next(f.id for f in L.faces if f.dim == dim)}
+            stub = _StubPoset(L, dropped)
+            expected = triple_eulerian_check(stub.ids(), stub.leq, stub.rank)
+            assert not expected
+            assert eulerian_check(stub.ids(), stub.leq, stub.rank) == expected
 
 
 class TestIsSimple:

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from dualize_oracle import pairwise_dualize
 from wehrhart.algebra import LaurentPoly, neg_y_power, substitute_inverse
 from wehrhart.corpus import CORPUS, build
 from wehrhart.stanley import g_weight_function
@@ -147,6 +148,20 @@ class TestDualize:
                 f = g_weight_function(lat, qp)
                 expected = scale(neg_y_power(-lat.faces[qp].dim), f)
                 assert dualize(f) == expected, (name, qp)
+
+
+class TestDualizeAgainstPairwiseSum:
+    """The grouped dualize against the defining sum taken pair by pair."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        lat = build(name)
+        weights = [all_ones(lat)]
+        weights += [g_weight_function(lat, qp) for qp in lat.nonempty_ids]
+        weights += random_weight_functions(lat, seed=17, count=4)
+        weights.append(scale(L({-1: "1/2", 2: "-3/4"}), weights[-1]))
+        for f in weights:
+            assert dualize(f) == pairwise_dualize(f)
 
 
 class TestRandomWeights:
