@@ -222,38 +222,44 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
     ells = range(1, spec.lmax + 1)
     weight_set = _verify_weight_set(spec, lattice)
     reports = []
-    # both suites compare against the same interpolant; build each once
+    # the suites share interpolants and dual weights; build each once
     interpolants = {}
+    duals = {}
 
-    def reciprocity_like(checker, suite_name):
+    def dual(i):
+        if i not in duals:
+            duals[i] = dualize(weight_set[i][1])
+        return duals[i]
+
+    def reciprocity_like(checker, suite_name, with_dual=False):
         for i, (label, f) in enumerate(weight_set):
+            extra = {"dual": dual(i)} if with_dual else {}
             for variant in (VARIANT_ETILDE, VARIANT_E):
                 rep = EhrhartReport(phash, label, str(phi))
                 if (i, variant) not in interpolants:
                     interpolants[i, variant] = ehrhart_polynomial(lattice, f, phi, variant)
                 zp = interpolants[i, variant]
                 for ell in ells:
-                    rep.add(checker(lattice, f, phi, ell, variant, zpoly=zp))
+                    rep.add(checker(lattice, f, phi, ell, variant, zpoly=zp, **extra))
                 reports.append((suite_name, rep))
 
     if spec.suite in ("all", "reciprocity"):
         reciprocity_like(verify_reciprocity, "reciprocity")
     if spec.suite in ("all", "duality"):
-        reciprocity_like(verify_duality_reciprocity, "duality")
+        reciprocity_like(verify_duality_reciprocity, "duality", with_dual=True)
     if spec.suite in ("all", "purity"):
         for fid in lattice.nonempty_ids:
             rep = EhrhartReport(phash, f"g-weights(face {fid})", str(phi))
-            zp = ehrhart_polynomial(
-                lattice, g_weight_function(lattice, fid), phi, VARIANT_E
-            )
+            f = g_weight_function(lattice, fid)
+            zp = ehrhart_polynomial(lattice, f, phi, VARIANT_E)
             for ell in ells:
-                rep.add(verify_purity(lattice, fid, phi, ell, zpoly=zp))
+                rep.add(verify_purity(lattice, fid, phi, ell, zpoly=zp, weights=f))
             reports.append(("purity", rep))
     if spec.suite in ("all", "hodge"):
-        for label, f in weight_set:
+        for i, (label, f) in enumerate(weight_set):
             rep = EhrhartReport(phash, label, "-")
             for ell in ells:
-                rep.add(verify_hodge_duality(lattice, f, ell))
+                rep.add(verify_hodge_duality(lattice, f, ell, dual=dual(i)))
             reports.append(("hodge", rep))
     return reports
 

@@ -323,14 +323,17 @@ def verify_reciprocity(
 
 
 def verify_duality_reciprocity(
-    lattice, f, phi, ell: int, variant: str = VARIANT_E, zpoly: ZPoly | None = None
+    lattice, f, phi, ell: int, variant: str = VARIANT_E, zpoly: ZPoly | None = None, dual=None
 ) -> CheckResult:
     """Value at -ell vs the dualized weights at +ell with y inverted.
 
     E variant carries the factor (-y)^deg phi; Etilde carries (-1)^deg phi.
+    dual is dualize(f) when the caller has already built it.
     """
     lhs = _value_at_negative(lattice, f, phi, ell, variant, zpoly)
-    dual_value = weighted_ehrhart_value(lattice, dualize(f), phi, ell, variant)
+    dual_value = weighted_ehrhart_value(
+        lattice, dualize(f) if dual is None else dual, phi, ell, variant
+    )
     rhs = substitute_inverse(dual_value)
     if variant == VARIANT_E:
         rhs = rhs * neg_y_power(phi.degree)
@@ -339,21 +342,30 @@ def verify_duality_reciprocity(
     return _compare("duality_reciprocity", {"ell": ell, "variant": variant}, lhs, rhs)
 
 
-def verify_hodge_duality(lattice, f, ell: int) -> CheckResult:
-    """Character sum of the dual weights vs the inverted, negated sum at -ell."""
+def verify_hodge_duality(lattice, f, ell: int, dual=None) -> CheckResult:
+    """Character sum of the dual weights vs the inverted, negated sum at -ell.
+
+    dual is dualize(f) when the caller has already built it.
+    """
     _check_dilation(ell)
-    lhs = hodge_character_sum(lattice, dualize(f), ell)
+    lhs = hodge_character_sum(lattice, dualize(f) if dual is None else dual, ell)
     rhs = negate_characters(
         hodge_character_sum(lattice, f, -ell).map_values(substitute_inverse)
     )
     return _compare("hodge_duality", {"ell": ell}, lhs, rhs)
 
 
-def verify_purity(lattice, qprime_id: int, phi, ell: int, zpoly: ZPoly | None = None) -> CheckResult:
-    """With the g-weights of a face: E(-ell, y) = (-y)^(n'+deg phi) E(ell, 1/y)."""
+def verify_purity(
+    lattice, qprime_id: int, phi, ell: int, zpoly: ZPoly | None = None, weights=None
+) -> CheckResult:
+    """With the g-weights of a face: E(-ell, y) = (-y)^(n'+deg phi) E(ell, 1/y).
+
+    weights is g_weight_function(lattice, qprime_id) when the caller has
+    already built it.
+    """
     if lattice.faces[qprime_id].dim < 0:
         raise ValueError("purity needs a nonempty face")
-    f = g_weight_function(lattice, qprime_id)
+    f = g_weight_function(lattice, qprime_id) if weights is None else weights
     lhs = _value_at_negative(lattice, f, phi, ell, VARIANT_E, zpoly)
     value = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_E)
     nprime = lattice.faces[qprime_id].dim

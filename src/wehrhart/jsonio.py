@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .algebra import CharacterSum, HomogPoly, LaurentPoly, ZPoly
-from .polytope import FaceLattice, LatticePolytope, facet_presentation, polytope_hash
+from .polytope import FaceLattice, LatticePolytope, facet_presentation, mask_ids, polytope_hash
 from .weights import WeightFunction
 
 
@@ -90,11 +90,8 @@ def load_polytope(path) -> LatticePolytope:
 def lattice_to_json(lattice: FaceLattice):
     """Facets, f-vector, faces with tight sets, and the strict order pairs."""
     P = lattice.polytope
-    order = []
-    for a in range(len(lattice.faces)):
-        for b in range(len(lattice.faces)):
-            if a != b and lattice.leq(a, b):
-                order.append([a, b])
+    # read off the up masks in (a, b) order, so the pairs come sorted
+    order = [[a, b] for a, up in enumerate(lattice.up) for b in mask_ids(up & ~(1 << a))]
     return {
         "n": P.n,
         "polytope_hash": polytope_hash(P),
@@ -109,7 +106,7 @@ def lattice_to_json(lattice: FaceLattice):
             }
             for f in lattice.faces
         ],
-        "order": sorted(order),
+        "order": order,
     }
 
 

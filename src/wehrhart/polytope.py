@@ -1,13 +1,16 @@
 """Lattice polytopes at desk scale.
 
-Facet presentation by brute-force hyperplane fitting over vertex subsets,
-face lattice by closing tight-facet vertex sets under intersection, and
-lattice points by a fibre walk.  The walk fixes the first n-1 coordinates
-and solves the facet inequalities for the interval of the last one, whose
-ends and middle each lie in the relative interior of one face; its cost
-is proportional to the box of (n-1)-prefixes plus the points kept, not to
-the full bounding box.  Everything is exact over Q; dimensions up to 6
-and a few dozen vertices are the intended scale.
+Facet presentation by the double-description method (Fukuda-Prodon) in
+int arithmetic, face lattice by closing tight-facet vertex sets under
+intersection, with the face order held as one bitmask of faces above and
+one below each face, and lattice points by a fibre walk.  The walk fixes
+the first n-1 coordinates and solves the facet inequalities for the
+interval of the last one, whose ends and middle each lie in the relative
+interior of one face; its cost is proportional to the box of
+(n-1)-prefixes plus the points kept, not to the full bounding box.
+Everything is exact and no Fraction is built: elimination is
+fraction-free over int.  Dimensions up to 6 and a few dozen vertices are
+the intended scale.
 """
 
 from __future__ import annotations
@@ -16,72 +19,107 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from operator import floordiv, mul
+from functools import reduce
+from math import gcd, lcm
+from operator import and_, floordiv, mul
+
+# Entries kept in FaceLattice._points_cache (one per dilation) and
+# FaceLattice._phi_sums (one per integrand and dilation); past the bound the
+# oldest entry is dropped.  One CLI run asks for at most 16 dilations of
+# points (|charsum --l| <= 16, verify --lmax <= 12) and, for its one
+# integrand, for at most max(lmax, n + deg phi + 3) dilations of sums, so
+# no run at desk scale evicts anything.
+POINTS_CACHE_MAX = 16
+PHI_SUMS_MAX = 64
 
 
 class InvalidPolytope(ValueError):
     """Input point set does not describe a full-dimensional lattice polytope."""
 
 
+class BoundedCache(dict):
+    """A dict of at most `bound` entries that drops its oldest on overflow."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+
+    def __setitem__(self, key, value):
+        if key not in self and len(self) >= self.bound:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
+
+
 def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _echelon(rows, ncols):
-    """Gauss-Jordan elimination over Fraction.
+def mask_ids(mask: int):
+    """Positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Returns the reduced nonzero rows and their pivot columns; row i has a 1
-    in column pivots[i] and 0 there in every other row.
+
+def _primitive(vec):
+    """Divide an int vector by the gcd of its entries (gcd 1 after)."""
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
+
+
+def _echelon(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over int.
+
+    Returns the reduced nonzero rows and their pivot columns; row i has a
+    positive entry in column pivots[i] and 0 there in every other row.
+    Each elimination step r <- p*r - f*pivot row is divided by the gcd of
+    the new row, so entries stay small and never leave int.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     pivots = []
     for col in range(ncols):
         row = len(pivots)
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
+        if mat[row][col] < 0:
+            mat[row] = [-x for x in mat[row]]
+        prow = mat[row]
+        p = prow[col]
+        for r, other in enumerate(mat):
+            f = other[col]
+            if r != row and f:
+                new = [p * a - f * b for a, b in zip(other, prow)]
+                g = gcd(*new)
+                mat[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
     return mat[: len(pivots)], pivots
 
 
 def _rank(rows) -> int:
-    """Rank of a matrix given as a list of rational/integer row vectors."""
+    """Rank of a matrix given as a list of integer row vectors."""
     return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def _nullspace(rows, ncols):
-    """Basis of the right kernel of the given matrix, as Fraction vectors."""
+    """Basis of the right kernel of an integer matrix, as primitive int vectors."""
     mat, pivots = _echelon(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        # row r reads mat[r][pc] * x[pc] + mat[r][fc] * x[fc] = 0 at x[fc] = scale
+        scale = lcm(*(mat[r][pc] for r, pc in enumerate(pivots) if mat[r][fc]))
+        vec = [0] * ncols
+        vec[fc] = scale
         for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
+            vec[pc] = -mat[r][fc] * scale // mat[r][pc]
+        basis.append(_primitive(vec))
     return basis
-
-
-def _primitive(vec):
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
 
 
 def _affine_rank(points) -> int:
@@ -153,10 +191,18 @@ def polytope_hash(P: LatticePolytope) -> str:
 def facet_presentation(points) -> LatticePolytope:
     """Build the unique facet presentation of conv(points).
 
-    Brute force: every n-subset of points that spans a hyperplane is fitted
-    exactly, kept when all points lie on one side, and oriented inward.
-    Points that are not vertices of the hull are dropped from the vertex
-    list.  Requires a full-dimensional hull in the ambient dimension.
+    Double description: the inequalities (u, a) with <p, u> + a >= 0 at
+    every point p form a pointed cone whose extreme rays are the facets.
+    The cone of the first n+1 affinely independent points is simplicial,
+    each ray the kernel of n of the rows (p, 1).  Every other point then
+    cuts the cone: rays on its positive side stay, and each adjacent
+    pair of rays on opposite sides gives one new ray on the cut.  Two
+    rays are adjacent iff their common zero set (the points tight on
+    both, a bitmask) has at least n-1 points and lies in the zero set of
+    no third ray.  All arithmetic is in int; each normal u_F is divided
+    by its gcd at the end.  Points that are not vertices of the hull are
+    dropped from the vertex list.  Requires a full-dimensional hull in
+    the ambient dimension.
     """
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
@@ -166,63 +212,95 @@ def facet_presentation(points) -> LatticePolytope:
         raise InvalidPolytope("points of mixed dimension")
     if len(pts) < n + 1:
         raise InvalidPolytope(f"{len(pts)} distinct points cannot span R^{n}")
-    if _affine_rank(pts) != n:
+    rows = [p + (1,) for p in pts]
+    # pivot columns of the transposed rows: the first affinely independent points
+    _, start = _echelon(list(zip(*rows)), len(rows))
+    if len(start) != n + 1:
         raise InvalidPolytope("points do not affinely span the ambient space")
 
-    facets = set()
-    for subset in itertools.combinations(range(len(pts)), n):
-        base = pts[subset[0]]
-        diffs = [[pts[i][j] - base[j] for j in range(n)] for i in subset[1:]]
-        kernel = _nullspace(diffs, n) if diffs else _nullspace([[0] * n], n)
-        if len(kernel) != 1:
-            continue
-        u = _primitive(kernel[0])
-        b = _dot(base, u)
-        values = [_dot(p, u) - b for p in pts]
-        if all(v >= 0 for v in values):
-            facets.add((u, -b))
-        elif all(v <= 0 for v in values):
-            facets.add((tuple(-x for x in u), b))
+    start_mask = sum(1 << i for i in start)
+    rays = []  # (u_F + (a_F,), bitmask of the points tight on it)
+    for i in start:
+        (ray,) = _nullspace([rows[j] for j in start if j != i], n + 1)
+        if _dot(rows[i], ray) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append((ray, start_mask ^ 1 << i))
+    for k in sorted(set(range(len(pts))) - set(start)):
+        row, bit = rows[k], 1 << k
+        pos, neg, kept = [], [], []
+        for ray, zero in rays:
+            s = _dot(row, ray)
+            if s > 0:
+                pos.append((ray, zero, s))
+                kept.append((ray, zero))
+            elif s < 0:
+                neg.append((ray, zero, s))
+            else:
+                kept.append((ray, zero | bit))
+        zeros = [zero for _, zero in rays]
+        for r1, z1, s1 in pos:
+            for r2, z2, s2 in neg:
+                common = z1 & z2
+                if common.bit_count() < n - 1 or any(
+                    z & common == common for z in zeros if z != z1 and z != z2
+                ):
+                    continue
+                kept.append((_primitive([s1 * b - s2 * a for a, b in zip(r1, r2)]), common | bit))
+        rays = kept
 
-    facets = sorted(facets)
-    tight_count = [
-        [p for p in pts if _dot(p, u) == -a] for u, a in facets
-    ]
-    # a point is a vertex iff its tight facet normals span R^n
-    vertices = []
-    for p in pts:
-        normals = [u for (u, a) in facets if _dot(p, u) == -a]
-        if len(normals) >= n and _rank(normals) == n:
-            vertices.append(p)
-    P = LatticePolytope(n, vertices, facets)
-    for (u, a), tight in zip(facets, tight_count):
-        if _affine_rank(tight) != n - 1:
+    facets = []
+    for ray, zero in rays:
+        g = gcd(*ray[:-1])
+        facets.append(((tuple(x // g for x in ray[:-1]), ray[-1] // g), zero))
+    facets.sort()
+    for (u, a), zero in facets:
+        if _affine_rank([pts[i] for i in mask_ids(zero)]) != n - 1:
             raise InvalidPolytope(f"degenerate facet fit {(u, a)}")
-    return P
+    # a point is a vertex iff no other point lies on all of its facets
+    vertices = [
+        p
+        for i, p in enumerate(pts)
+        if reduce(and_, (zero for _, zero in facets if zero >> i & 1), -1) == 1 << i
+    ]
+    return LatticePolytope(n, vertices, [facet for facet, _ in facets])
 
 
 class FaceLattice:
     """Graded face poset of a polytope, from the empty face up to P.
 
     Faces are ordered by (dim, vertex set); the order relation is vertex
-    set inclusion.  Carries memo tables for point partitions and for the
-    poset polynomials computed on top of it.
+    set inclusion, held as bitmasks over face ids: bit b of up[a] is set
+    iff a <= b, bit a of down[b] likewise.  up[a] is the AND, over the
+    vertices of a, of the faces containing that vertex; down[b] is the
+    AND, over the facets tight at b, of the faces inside that facet
+    (every face is the intersection of its tight facets).  Carries memo
+    tables for point partitions and for the poset polynomials computed on
+    top of it; the two that grow with the dilation are BoundedCaches.
     """
 
     def __init__(self, polytope, faces):
         self.polytope = polytope
         self.faces = list(faces)
-        self._subs = [f.vertex_set for f in self.faces]
         self._by_mask = {
             sum(1 << F for F in f.tight_facets): f.id for f in self.faces if f.dim >= 0
         }
-        self._points_cache = {}
+        full = (1 << len(self.faces)) - 1
+        with_vertex, in_facet = {}, {}
+        for f in self.faces:
+            for v in f.vertex_set:
+                with_vertex[v] = with_vertex.get(v, 0) | 1 << f.id
+            for F in f.tight_facets:
+                in_facet[F] = in_facet.get(F, 0) | 1 << f.id
+        self.up = [reduce(and_, map(with_vertex.get, f.vertex_set), full) for f in self.faces]
+        self.down = [reduce(and_, map(in_facet.get, f.tight_facets), full) for f in self.faces]
+        self._nonempty = sum(1 << f.id for f in self.faces if f.dim >= 0)
+        self._points_cache = BoundedCache(POINTS_CACHE_MAX)
         self._g_memo = {}
-        self._phi_sums = {}
+        self._phi_sums = BoundedCache(PHI_SUMS_MAX)
         self._eulerian = None
 
     def leq(self, a: int, b: int) -> bool:
-        return self._subs[a] <= self._subs[b]
+        return self.up[a] >> b & 1 == 1
 
     @property
     def empty_id(self) -> int:
@@ -244,13 +322,11 @@ class FaceLattice:
         return tuple(counts)
 
     def interval(self, a: int, b: int):
-        return [e for e in range(len(self.faces)) if self.leq(a, e) and self.leq(e, b)]
+        return mask_ids(self.up[a] & self.down[b])
 
     def subfaces(self, a: int):
         """Nonempty faces below (and including) face a."""
-        return [
-            f.id for f in self.faces if f.dim >= 0 and self._subs[f.id] <= self._subs[a]
-        ]
+        return mask_ids(self.down[a] & self._nonempty)
 
     def vertex_face_id(self, vertex_index: int) -> int:
         return next(
@@ -269,17 +345,19 @@ class FaceLattice:
 def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     """All faces of P as intersections of facet vertex sets.
 
-    Closure under intersection makes deduplication by vertex set complete;
-    the empty face (dim -1, tight on all facets) and P itself (empty tight
-    set) are always present.
+    Vertex sets are bitmasks while the closure runs.  Closure under
+    intersection makes deduplication by vertex set complete; the empty
+    face (dim -1, tight on all facets) and P itself (empty tight set) are
+    always present.  Each face's dimension is the rank of its vertices,
+    computed once.
     """
     nv = len(P.vertices)
     facet_tight = [
-        frozenset(i for i, v in enumerate(P.vertices) if _dot(v, u) == -a)
+        sum(1 << i for i, v in enumerate(P.vertices) if _dot(v, u) == -a)
         for u, a in P.facets
     ]
-    all_v = frozenset(range(nv))
-    sets = {all_v, frozenset()}
+    all_v = (1 << nv) - 1
+    sets = {all_v, 0}
     frontier = {all_v}
     while frontier:
         new = set()
@@ -291,21 +369,20 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
         sets |= new
         frontier = new
 
-    def sort_key(s):
-        return (_affine_rank([P.vertices[i] for i in sorted(s)]), tuple(sorted(s)))
-
-    faces = []
-    for fid, s in enumerate(sorted(sets, key=sort_key)):
-        members = [P.vertices[i] for i in sorted(s)]
-        tight = frozenset(
-            F for F, ft in enumerate(facet_tight) if s <= ft
+    members = {s: mask_ids(s) for s in sets}
+    dims = {s: _affine_rank([P.vertices[i] for i in ids]) for s, ids in members.items()}
+    faces = [
+        Face(
+            id=fid,
+            vertex_set=frozenset(members[s]),
+            tight_facets=frozenset(F for F, ft in enumerate(facet_tight) if s & ft == s),
+            dim=dims[s],
         )
-        dim = _affine_rank(members)
-        faces.append(Face(id=fid, vertex_set=s, tight_facets=tight, dim=dim))
+        for fid, s in enumerate(sorted(sets, key=lambda s: (dims[s], members[s])))
+    ]
     # Every set in the closure is the common vertex set of its tight
     # facets by construction; what a wrong facet list breaks is the grading:
     # each facet must close to an (n-1)-face and each vertex to a 0-face.
-    dims = {f.vertex_set: f.dim for f in faces}
     for F, ft in enumerate(facet_tight):
         if dims[ft] != P.n - 1:
             raise InvalidPolytope(
@@ -313,7 +390,7 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
                 f"{dims[ft]}-face, not an {P.n - 1}-face"
             )
     for i, v in enumerate(P.vertices):
-        if dims.get(frozenset({i})) != 0:
+        if dims.get(1 << i) != 0:
             raise InvalidPolytope(
                 f"face lattice closure broken: vertex {v} is not cut out by its facets"
             )
@@ -405,31 +482,37 @@ def points_by_face(lattice: FaceLattice, ell: int):
     return out
 
 
-def eulerian_check(elements, leq, rank) -> bool:
+def eulerian_check(elements, leq, rank, up=None) -> bool:
     """Every nontrivial closed interval balances even and odd ranks.
 
     Bit j of up[i] (down[i]) marks elements[j] above (below) elements[i],
     so the interval [a, b] is up[a] & down[b] and its even-rank half is
-    one more mask away: leq is called once per ordered pair.
+    one more mask away.  Without up masks, leq is called once per ordered
+    pair to build them.
     """
     elements = list(elements)
     size = range(len(elements))
-    up = [sum(1 << j for j in size if leq(a, elements[j])) for a in elements]
-    down = [sum(1 << i for i in size if up[i] >> j & 1) for j in size]
+    if up is None:
+        up = [sum(1 << j for j in size if leq(a, elements[j])) for a in elements]
+    down = [0] * len(elements)
+    for i in size:
+        for j in mask_ids(up[i]):
+            down[j] |= 1 << i
     even = sum(1 << j for j in size if rank(elements[j]) % 2 == 0)
     for i in size:
-        for j in size:
-            if i != j and up[i] >> j & 1:
-                interval = up[i] & down[j]
-                if 2 * (interval & even).bit_count() != interval.bit_count():
-                    return False
+        for j in mask_ids(up[i] & ~(1 << i)):
+            interval = up[i] & down[j]
+            if 2 * (interval & even).bit_count() != interval.bit_count():
+                return False
     return True
 
 
 def validate_eulerian(lattice) -> bool:
     """True iff the face poset is Eulerian (interval parity balance)."""
     ids = [f.id for f in lattice.faces]
-    return eulerian_check(ids, lattice.leq, lambda i: lattice.faces[i].dim + 1)
+    return eulerian_check(
+        ids, lattice.leq, lambda i: lattice.faces[i].dim + 1, up=lattice.up
+    )
 
 
 def is_simple(P: LatticePolytope) -> bool:

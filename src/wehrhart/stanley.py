@@ -107,9 +107,8 @@ def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     if lattice.faces[qp_id].dim < 0:
         raise ValueError("weights are indexed by nonempty faces")
     values = {}
-    for q in lattice.nonempty_ids:
-        if lattice.leq(q, qp_id):
-            values[q] = substitute_negative(polar_g(lattice, q, qp_id))
+    for q in lattice.subfaces(qp_id):
+        values[q] = substitute_negative(polar_g(lattice, q, qp_id))
     return WeightFunction(lattice, values)
 
 

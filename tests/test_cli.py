@@ -1,11 +1,14 @@
 """End-to-end command tests against the bundled fixture files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from wehrhart import cli, corpus
+from wehrhart import cli, corpus, ehrhart, polytope
 from wehrhart.algebra import LaurentPoly as L
 from wehrhart.ehrhart import CheckResult, EhrhartReport
 from wehrhart.jsonio import (
@@ -23,7 +26,8 @@ from wehrhart.stanley import g_weight_function
 from wehrhart.weights import random_weight_function
 import random
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def fx(name):
@@ -433,3 +437,48 @@ def test_size_flags_at_budget_parse():
     spec = cli.parse_args(["verify", "p.json", "--suite", "all", "--lmax", str(cli.MAX_LMAX),
                            "--random-weights", "--seed", "1", "--count", str(cli.MAX_COUNT)])
     assert (spec.lmax, spec.count) == (cli.MAX_LMAX, cli.MAX_COUNT)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0, 0], [1, 1], [2, 2], [3, 3]],  # collinear points in the plane
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 3, 0]],  # a planar cloud in R^3
+    ],
+    ids=["flat", "planar-cloud"],
+)
+def test_hull_checks_survive_python_O(tmp_path, vertices):
+    # -O strips assert statements; the hull's refusals are raised exceptions
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "wehrhart.cli", "faces", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: validation: ")
+
+
+def test_cache_bounds_cover_the_size_budgets():
+    # one run asks for at most this many dilations, so nothing is evicted
+    assert polytope.POINTS_CACHE_MAX >= max(cli.MAX_ELL, cli.MAX_LMAX)
+    assert polytope.PHI_SUMS_MAX >= cli.MAX_LMAX
+
+
+def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
+    calls = {"cli.dualize": 0, "ehrhart.dualize": 0, "ehrhart.g_weight_function": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, attr in [(cli, "dualize"), (ehrhart, "dualize"), (ehrhart, "g_weight_function")]:
+        name = f"{module.__name__.split('.')[-1]}.{attr}"
+        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    code, _, _ = run_cli(["verify", fx("square"), "--suite", "all", "--lmax", "3"], capsys)
+    assert code == 0
+    # all-ones and g-weights(P), each dualized once for both suites that need it
+    assert calls == {"cli.dualize": 2, "ehrhart.dualize": 0, "ehrhart.g_weight_function": 0}

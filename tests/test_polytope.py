@@ -5,15 +5,24 @@ shapes are small enough to enumerate on paper) and frozen before the
 implementation ran.
 """
 
+import itertools
+import random
+from math import comb, lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from box_oracle import box_points_by_face, random_lattice
+from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.polytope import (
+    PHI_SUMS_MAX,
+    POINTS_CACHE_MAX,
+    BoundedCache,
     InvalidPolytope,
     LatticePolytope,
     _nullspace,
+    _primitive,
     _rank,
     build_face_lattice,
     eulerian_check,
@@ -350,3 +359,176 @@ class TestElimination:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
         assert _rank(rows) == _rank([list(col) for col in zip(*rows)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_matrices())
+    def test_int_elimination_matches_fraction_oracle(self, matrix):
+        rows, ncols = matrix
+        basis = _nullspace(rows, ncols)
+        assert _rank(rows) == fraction_rank(rows)
+        assert all(type(x) is int for vec in basis for x in vec)
+        # the same kernel vectors, one per free column, scaled to primitive
+        expected = []
+        for vec in fraction_nullspace(rows, ncols):
+            d = lcm(*(x.denominator for x in vec))
+            expected.append(_primitive([int(x * d) for x in vec]))
+        assert basis == expected
+
+
+def _cloud(n, seed, draws, radius):
+    """Seeded draws in {-radius..radius}^n, two of them repeated, and the origin."""
+    rng = random.Random(f"hull-oracle:{n}:{seed}")
+    pts = [tuple(rng.randint(-radius, radius) for _ in range(n)) for _ in range(draws)]
+    return pts + rng.sample(pts, 2) + [(0,) * n]
+
+
+def _cube_faces(n, centres):
+    """{0,2}^n, the centres of the first `centres` facets, and the centre of the cube."""
+    pts = list(itertools.product((0, 2), repeat=n))
+    pts += [tuple(c if j == i else 1 for j in range(n)) for i in range(n) for c in (0, 2)][:centres]
+    return pts + [(1,) * n]
+
+
+def _cross_faces(n):
+    """The cross-polytope of radius 2, the midpoints of the edges at 2e_1, and 0."""
+    pts = [tuple(s * 2 * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    pts += [tuple((i == 0) + s * (i == j) for i in range(n)) for j in range(1, n) for s in (1, -1)]
+    return pts + [(0,) * n]
+
+
+def _cube(n):
+    return list(itertools.product((0, 1), repeat=n))
+
+
+def _cross(n):
+    return [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+
+
+HULL_CLOUDS = {
+    **{
+        f"cloud{n}-{seed}": _cloud(n, seed, draws, radius)
+        for n, draws, radius in [(2, 12, 3), (3, 12, 2), (4, 11, 2), (5, 10, 1), (6, 10, 1)]
+        for seed in (1, 2)
+    },
+    **{f"cube{n}-faces": _cube_faces(n, centres) for n, centres in [(2, 4), (3, 6), (4, 2)]},
+    **{f"cross{n}-faces": _cross_faces(n) for n in (2, 3, 4)},
+}
+
+
+class TestHullAgainstSubsetFitting:
+    """Double description against fitting every n-subset, exactly."""
+
+    @staticmethod
+    def assert_same_hull(points):
+        got, expected = facet_presentation(points), subset_facet_presentation(points)
+        assert got.facets == expected.facets
+        assert got.vertices == expected.vertices
+        assert build_face_lattice(got).f_vector == build_face_lattice(expected).f_vector
+        assert all(type(x) is int for u, a in got.facets for x in (*u, a))
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        self.assert_same_hull(CORPUS[name])
+
+    @pytest.mark.parametrize("name", list(HULL_CLOUDS))
+    def test_clouds(self, name):
+        self.assert_same_hull(HULL_CLOUDS[name])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [],
+            [(0, 0), (1, 1, 1), (0, 1)],
+            [(0, 0), (1, 1), (0, 0)],
+            [(0, 0), (1, 1), (2, 2), (3, 3)],
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0)],
+        ],
+    )
+    def test_same_refusal(self, points):
+        with pytest.raises(InvalidPolytope) as expected:
+            subset_facet_presentation(points)
+        with pytest.raises(InvalidPolytope) as got:
+            facet_presentation(points)
+        assert str(got.value) == str(expected.value)
+
+
+class TestHullClosedForms:
+    """Shapes the subset loop could not finish: C(64, 6) subsets for cube6."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_cube(self, n):
+        P = facet_presentation(_cube(n))
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert P.facets == tuple(sorted([(e, 0) for e in unit] + [(tuple(-x for x in e), 1) for e in unit]))
+        assert P.vertices == tuple(_cube(n))
+        # f_k = C(n, k) 2^(n-k)
+        f = build_face_lattice(P).f_vector
+        assert f == (1, *(comb(n, k) * 2 ** (n - k) for k in range(n)), 1)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_cross(self, n):
+        P = facet_presentation(_cross(n))
+        signs = itertools.product((1, -1), repeat=n)
+        assert P.facets == tuple(sorted((s, 1) for s in signs))
+        assert P.vertices == tuple(sorted(_cross(n)))
+        # f_k = 2^(k+1) C(n, k+1)
+        f = build_face_lattice(P).f_vector
+        assert f == (1, *(2 ** (k + 1) * comb(n, k + 1) for k in range(n)), 1)
+        assert all(type(x) is int for u, a in P.facets for x in (*u, a))
+
+
+class TestBitmaskOrder:
+    """leq, interval and subfaces against inclusion of vertex sets."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        self.assert_inclusion_order(build_face_lattice(facet_presentation(CORPUS[name])))
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
+    def test_random(self, n, seed, radius, draws):
+        self.assert_inclusion_order(random_lattice(n, seed, radius, draws))
+
+    @staticmethod
+    def assert_inclusion_order(lattice):
+        sets = [f.vertex_set for f in lattice.faces]
+        ids = range(len(sets))
+        for a in ids:
+            assert lattice.subfaces(a) == [
+                e for e in ids if lattice.faces[e].dim >= 0 and sets[e] <= sets[a]
+            ]
+            for b in ids:
+                assert lattice.leq(a, b) == (sets[a] <= sets[b])
+                assert lattice.interval(a, b) == [
+                    e for e in ids if sets[a] <= sets[e] <= sets[b]
+                ]
+
+
+class TestCacheBounds:
+    def test_bounded_cache_drops_its_oldest(self):
+        cache = BoundedCache(3)
+        for k in range(5):
+            cache[k] = k
+        cache[3] = "again"  # overwriting a kept key evicts nothing
+        assert cache == {2: 2, 3: "again", 4: 4}
+
+    def test_points_cache_past_its_bound(self):
+        lattice = build_face_lattice(facet_presentation(SEGMENT))
+        for ell in range(1, POINTS_CACHE_MAX + 3):
+            points_by_face(lattice, ell)
+        assert len(lattice._points_cache) == POINTS_CACHE_MAX
+        assert min(lattice._points_cache) == 3
+        assert points_by_face(lattice, 1) == box_points_by_face(lattice, 1)
+
+    def test_phi_sums_past_its_bound(self):
+        from wehrhart.algebra import HomogPoly
+        from wehrhart.ehrhart import _phi_face_sums
+
+        lattice = build_face_lattice(facet_presentation(SEGMENT))
+        phi = HomogPoly.one(1)
+        for ell in range(1, PHI_SUMS_MAX + 3):
+            _phi_face_sums(lattice, phi, ell)
+        assert len(lattice._phi_sums) == PHI_SUMS_MAX
+        assert (phi, 1) not in lattice._phi_sums
+        # the relative interior of ell*[0, 1] has ell - 1 points
+        assert _phi_face_sums(lattice, phi, 1)[lattice.top_id] == 0
+        assert _phi_face_sums(lattice, phi, 9)[lattice.top_id] == 8
