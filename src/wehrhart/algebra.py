@@ -14,11 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import index
 from typing import Iterable
-
-# Arbitrary-precision rational, always in lowest terms with positive
-# denominator; Fraction guarantees both.
-Rat = Fraction
 
 RAT_ZERO = Fraction(0)
 RAT_ONE = Fraction(1)
@@ -29,6 +26,13 @@ def as_rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact, pass int, str or Fraction")
     return Fraction(x)
+
+
+def as_int(x) -> int:
+    """An exponent, coordinate or id: an int. Floats, bools and strings are refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an exact integer, pass int")
+    return index(x)
 
 
 def canon(c):
@@ -53,7 +57,7 @@ class LaurentPoly:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for k, c in items:
-                k = int(k)
+                k = as_int(k)
                 acc[k] = acc.get(k, 0) + (c if type(c) is int else as_rat(c))
         self.terms = LaurentPoly._make(acc).terms
 
@@ -172,6 +176,14 @@ def poly_sum(polys) -> LaurentPoly:
     return LaurentPoly._make(acc)
 
 
+def grouped_sum(pairs, kernel) -> LaurentPoly:
+    """sum of p * kernel(k) over (k, LaurentPoly p) pairs, one kernel product per distinct k."""
+    groups = {}
+    for k, p in pairs:
+        groups.setdefault(k, []).append(p)
+    return poly_sum(poly_sum(ps) * kernel(k) for k, ps in groups.items())
+
+
 L_ZERO = LaurentPoly()
 L_ONE = LaurentPoly.const(1)
 ONE_PLUS_Y = LaurentPoly({0: 1, 1: 1})
@@ -218,7 +230,7 @@ class HomogPoly:
     def __init__(self, n: int, monomials: Iterable = ()):
         acc: dict[tuple, Fraction] = {}
         for exps, c in monomials:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(as_int, exps))
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} is not length {n}")
             if any(e < 0 for e in exps):
@@ -325,12 +337,20 @@ class CharacterSum:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for m, p in items:
-                m = tuple(int(x) for x in m)
+                m = tuple(map(as_int, m))
                 if len(m) != n:
                     raise ValueError(f"key {m} is not length {n}")
                 acc[m] = acc.get(m, L_ZERO) + p
         self.n = n
-        self.terms = {m: p for m, p in sorted(acc.items()) if p}
+        self.terms = CharacterSum._make(n, acc).terms
+
+    @staticmethod
+    def _make(n: int, terms) -> "CharacterSum":
+        """Trusted constructor from distinct keys to LaurentPoly; zeros dropped, sorted once."""
+        s = object.__new__(CharacterSum)
+        s.n = n
+        s.terms = {m: p for m, p in sorted(terms.items()) if p}
+        return s
 
     def __bool__(self):
         return bool(self.terms)
@@ -348,13 +368,13 @@ class CharacterSum:
         acc = dict(self.terms)
         for m, p in other.terms.items():
             acc[m] = acc.get(m, L_ZERO) + p
-        return CharacterSum(self.n, acc)
+        return CharacterSum._make(self.n, acc)
 
     def scale(self, p: LaurentPoly) -> "CharacterSum":
-        return CharacterSum(self.n, {m: q * p for m, q in self.terms.items()})
+        return CharacterSum._make(self.n, {m: q * p for m, q in self.terms.items()})
 
     def map_values(self, fn) -> "CharacterSum":
-        return CharacterSum(self.n, {m: fn(p) for m, p in self.terms.items()})
+        return CharacterSum._make(self.n, {m: fn(p) for m, p in self.terms.items()})
 
     def __repr__(self):
         return f"CharacterSum(n={self.n}, {len(self.terms)} terms)"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import HomogPoly, ZPoly
+from .algebra import HomogPoly
 from .ehrhart import (
     VARIANT_E,
     VARIANT_ETILDE,
@@ -31,12 +31,14 @@ from .jsonio import (
     FormatError,
     charsum_to_json,
     dumps,
+    face_id_from_json,
     lattice_to_json,
     laurent_to_json,
     load_phi,
     load_polytope,
     load_weight,
     weight_to_json,
+    zpoly_to_json,
 )
 from .polytope import FaceLattice, InvalidPolytope, build_face_lattice, polytope_hash
 from .stanley import g_weight_function, h_polynomial
@@ -154,8 +156,8 @@ def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
     if spec.face == "P":
         return lattice.top_id
     try:
-        fid = int(spec.face)
-    except ValueError:
+        fid = face_id_from_json(spec.face)
+    except FormatError:
         raise CliError("parse", f"--face must be an integer id or P, got {spec.face!r}")
     if not 0 <= fid < len(lattice.faces):
         raise CliError("validation", f"no face with id {fid}")
@@ -196,7 +198,7 @@ def _cmd_ehrhart(spec, lattice):
         "variant": spec.variant,
         "degree_bound": lattice.polytope.n + phi.degree,
         "degree": zp.degree,
-        "coeffs": [laurent_to_json(c) for c in zp.coeffs],
+        **zpoly_to_json(zp),
         # ehrhart_polynomial has already checked zp(0) against the closed
         # form and raised PolynomialityError (exit 1) on a mismatch
         "constant_term": laurent_to_json(zp(0)),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
 
 from .algebra import (
@@ -22,6 +23,7 @@ from .algebra import (
     LaurentPoly,
     ZPoly,
     canon,
+    grouped_sum,
     lagrange_interpolate,
     neg_y_power,
     one_plus_y_power,
@@ -57,38 +59,35 @@ def _check_dilation(ell):
 def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> CharacterSum:
     """The equivariant character sum of the weighted divisor at dilation ell.
 
-    ell > 0:  sum_Q f_Q(y) (1+y)^dim Q  sum over Relint(ell Q) of chi^(-m)
-    ell < 0:  sum_Q f_Q(y) (-1-y)^dim Q sum over |ell| Q closed of chi^(+m)
+    One coefficient c_E per torus orbit, i.e. per nonempty face E, carried
+    by every point m of Relint(|ell| E):
+    ell > 0:  c_E = f_E(y) (1+y)^dim E, at chi^(-m)
+    ell < 0:  c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at chi^(+m),
+              the faces whose closed dilate |ell| Q holds m
     ell = 0:  (sum_Q f_Q(y) (-1-y)^dim Q) * chi^0
     """
     _check_lattice(lattice, f)
     n = lattice.polytope.n
+    power = partial(one_plus_y_power, negate=ell <= 0)
+    coeffs = {q: fq * power(lattice.faces[q].dim) for q, fq in f.values.items()}
     if ell == 0:
-        total = poly_sum(
-            fq * one_plus_y_power(lattice.faces[q].dim, negate=True)
-            for q, fq in f.values.items()
-        )
-        return CharacterSum(n, {(0,) * n: total})
-    terms = {}
-    if ell > 0:
-        relint = points_by_face(lattice, ell)
-        for q, fq in f.values.items():
-            coeff = fq * one_plus_y_power(lattice.faces[q].dim)
-            for m in relint[q]:
-                terms.setdefault(tuple(-x for x in m), []).append(coeff)
-    else:
-        relint = points_by_face(lattice, -ell)
-        for q, fq in f.values.items():
-            coeff = fq * one_plus_y_power(lattice.faces[q].dim, negate=True)
-            for e in lattice.subfaces(q):
-                for m in relint[e]:
-                    terms.setdefault(m, []).append(coeff)
-    return CharacterSum(n, {m: poly_sum(ps) for m, ps in terms.items()})
+        return CharacterSum._make(n, {(0,) * n: poly_sum(coeffs.values())})
+    if ell < 0:
+        coeffs = {
+            e: poly_sum(c for q, c in coeffs.items() if lattice.leq(e, q))
+            for e in lattice.nonempty_ids
+        }
+    relint = points_by_face(lattice, abs(ell))
+    return CharacterSum._make(n, {
+        m if ell < 0 else tuple(-x for x in m): c
+        for e, c in coeffs.items() if c
+        for m in relint[e]
+    })
 
 
 def negate_characters(s: CharacterSum) -> CharacterSum:
     """The involution m -> -m on character keys."""
-    return CharacterSum(s.n, {tuple(-x for x in m): p for m, p in s.terms.items()})
+    return CharacterSum._make(s.n, {tuple(-x for x in m): p for m, p in s.terms.items()})
 
 
 def apply_phi(s: CharacterSum, phi: HomogPoly, variant: str) -> LaurentPoly:
@@ -137,12 +136,6 @@ def _phi_face_sums(lattice, phi, ell):
     return lattice._phi_sums[key]
 
 
-def _phi_closed_sum(lattice, phi, q, ell):
-    """sum of phi over the closed face ell*Q: union of subface interiors."""
-    sums = _phi_face_sums(lattice, phi, ell)
-    return sum(sums[e] for e in lattice.subfaces(q))
-
-
 def weighted_ehrhart_value(
     lattice: FaceLattice,
     f: WeightFunction,
@@ -159,35 +152,20 @@ def weighted_ehrhart_value(
     _check_lattice(lattice, f)
     _check_dilation(ell)
     sums = _phi_face_sums(lattice, phi, ell)
-    # collect f_Q * sum_Q by dim Q, so (1+y)^dim is raised once per dimension
-    by_dim = {}
-    for q, fq in f.values.items():
-        s = sums[q]
-        if s:
-            by_dim.setdefault(lattice.faces[q].dim, []).append(fq * s)
-    acc = poly_sum(poly_sum(ps) * one_plus_y_power(dim) for dim, ps in by_dim.items())
+    pairs = ((lattice.faces[q].dim, fq * sums[q]) for q, fq in f.values.items())
+    acc = grouped_sum(pairs, one_plus_y_power)
     if variant == VARIANT_E:
         acc = acc * one_plus_y_power(phi.degree)
     return acc
 
 
 def constant_term(lattice, f, phi, variant) -> LaurentPoly:
-    """Closed form for the value at dilation 0.
+    """Closed form for the value at dilation 0: phi pushed through the ell = 0 sum.
 
-    sum_Q f_Q(y) (-1-y)^(dim Q + deg phi) * phi(0) for E; the Etilde form
-    drops the deg phi exponent shift.  Nonzero only for deg phi = 0.
+    sum_Q f_Q(y) (-1-y)^dim Q * phi(0), times (1+y)^deg phi for E.
+    Nonzero only for deg phi = 0, where the two variants agree.
     """
-    _check_variant(variant)
-    _check_lattice(lattice, f)
-    phi0 = phi_eval(phi, (0,) * phi.n)
-    if not phi0:
-        return LaurentPoly()
-    shift = phi.degree if variant == VARIANT_E else 0
-    acc = poly_sum(
-        fq * one_plus_y_power(lattice.faces[q].dim + shift, negate=True)
-        for q, fq in f.values.items()
-    )
-    return acc * phi0
+    return apply_phi(hodge_character_sum(lattice, f, 0), phi, variant)
 
 
 class PolynomialityError(ArithmeticError):
@@ -308,17 +286,17 @@ def verify_reciprocity(
     global (-1)^deg phi.
     """
     lhs = _value_at_negative(lattice, f, phi, ell, variant, zpoly)
-    terms = []
-    for q, fq in f.values.items():
-        s = _phi_closed_sum(lattice, phi, q, ell)
-        if not s:
-            continue
-        dim_q = lattice.faces[q].dim
-        if variant == VARIANT_E:
-            terms.append(fq * one_plus_y_power(dim_q + phi.degree, negate=True) * s)
-        else:
-            terms.append(fq * one_plus_y_power(dim_q, negate=True) * ((-1) ** phi.degree * s))
-    rhs = poly_sum(terms)
+    sums = _phi_face_sums(lattice, phi, ell)
+    # the closed face ell*Q is the union of the relative interiors below it
+    pairs = (
+        (lattice.faces[q].dim, fq * sum(sums[e] for e in lattice.subfaces(q)))
+        for q, fq in f.values.items()
+    )
+    rhs = grouped_sum(pairs, partial(one_plus_y_power, negate=True))
+    if variant == VARIANT_E:
+        rhs = rhs * one_plus_y_power(phi.degree, negate=True)
+    else:
+        rhs = rhs * (-1) ** phi.degree
     return _compare("reciprocity", {"ell": ell, "variant": variant}, lhs, rhs)
 
 

@@ -11,6 +11,7 @@ ContentError means they parse but fail semantic validation (exit 3).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import CharacterSum, HomogPoly, LaurentPoly, ZPoly
@@ -117,6 +118,13 @@ def weight_to_json(f: WeightFunction):
     }
 
 
+def face_id_from_json(key: str) -> int:
+    """A face id in canonical decimal ("12"; not "012", " 12" or "1_2"): one key per face."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise FormatError(f"face id {key!r} is not a canonical decimal integer")
+    return int(key)
+
+
 def weight_from_json(data, lattice: FaceLattice) -> WeightFunction:
     if not isinstance(data, dict) or set(data) != {"polytope_hash", "values"}:
         raise FormatError("weight file needs 'polytope_hash' and 'values'")
@@ -124,13 +132,10 @@ def weight_from_json(data, lattice: FaceLattice) -> WeightFunction:
         raise ContentError("weight file was written for a different polytope")
     if not isinstance(data["values"], dict):
         raise FormatError("'values' must be an object keyed by face id")
-    values = {}
-    for key, terms in data["values"].items():
-        try:
-            fid = int(key)
-        except ValueError as exc:
-            raise FormatError(f"face id {key!r} is not an integer") from exc
-        values[fid] = laurent_from_json(terms)
+    values = {
+        face_id_from_json(key): laurent_from_json(terms)
+        for key, terms in data["values"].items()
+    }
     try:
         return WeightFunction(lattice, values)
     except ValueError as exc:

@@ -13,9 +13,10 @@ import random
 
 from .algebra import (
     LaurentPoly,
+    as_int,
+    grouped_sum,
     neg_y_power,
     one_plus_y_power,
-    poly_sum,
     substitute_inverse,
 )
 from .polytope import FaceLattice
@@ -33,7 +34,7 @@ class WeightFunction:
     def __init__(self, lattice: FaceLattice, values=None):
         vals = {}
         for fid, p in (values or {}).items():
-            fid = int(fid)
+            fid = as_int(fid)
             if fid < 0 or fid >= len(lattice.faces):
                 raise ValueError(f"no face with id {fid}")
             if lattice.faces[fid].dim < 0:
@@ -106,11 +107,8 @@ def dualize(f: WeightFunction) -> WeightFunction:
     out = {}
     for q in L.nonempty_ids:
         dim_q = L.faces[q].dim
-        by_dim = {}
-        for e, d, fe in inverted:
-            if L.leq(q, e):
-                by_dim.setdefault(d, []).append(fe)
-        acc = poly_sum(poly_sum(ps) * kernel[d, dim_q] for d, ps in by_dim.items())
+        above = ((d, fe) for e, d, fe in inverted if L.leq(q, e))
+        acc = grouped_sum(above, lambda d: kernel[d, dim_q])
         if acc:
             out[q] = acc
     return WeightFunction(L, out)
@@ -121,11 +119,21 @@ def random_laurent(rng: random.Random) -> LaurentPoly:
     return LaurentPoly({k: rng.randint(-3, 3) for k in range(-2, 3)})
 
 
+def _coin(rng: random.Random) -> bool:
+    """rng.random() < 1/2 without a float, from the same two 32-bit words.
+
+    random() is ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53, below 1/2 iff w1 < 2**31.
+    """
+    w1 = rng.getrandbits(32)
+    rng.getrandbits(32)
+    return w1 < 1 << 31
+
+
 def random_weight_function(lattice: FaceLattice, rng: random.Random) -> WeightFunction:
     """Each nonempty face gets a random_laurent with probability 1/2."""
     vals = {}
     for fid in lattice.nonempty_ids:
-        if rng.random() < 0.5:
+        if _coin(rng):
             p = random_laurent(rng)
             if p:
                 vals[fid] = p

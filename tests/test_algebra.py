@@ -15,6 +15,7 @@ from wehrhart.algebra import (
     LaurentPoly,
     ZPoly,
     as_rat,
+    grouped_sum,
     lagrange_interpolate,
     neg_y_power,
     phi_eval,
@@ -79,6 +80,11 @@ class TestLaurentPoly:
         with pytest.raises(TypeError):
             as_rat(0.5)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, Fraction(3, 2), "1"])
+    def test_inexact_exponents_refused(self, k):
+        with pytest.raises(TypeError):
+            L({k: 1})
+
 
 class TestSubstituteInverse:
     def test_one_plus_y(self):
@@ -101,6 +107,11 @@ class TestSubstituteInverse:
 
 
 class TestHomogPoly:
+    @pytest.mark.parametrize("e", [1.9, 1.0, True, Fraction(3, 2)])
+    def test_inexact_exponents_refused(self, e):
+        with pytest.raises(TypeError):
+            HomogPoly(1, [((e,), 1)])
+
     def test_linear_monomial(self):
         phi = HomogPoly(1, [((1,), 1)])
         assert phi_eval(phi, (3,)) == 3
@@ -135,6 +146,29 @@ class TestHomogPoly:
         assert phi_eval(phi, (4, 5, 6)) == 1
 
 
+class TestGroupedSum:
+    def test_matches_term_by_term_sum(self):
+        pairs = [(2, L({0: 1})), (0, L({1: 3})), (2, L({-1: 2})), (1, L({}))]
+        kernel = lambda k: L({0: 1, 1: 1}) ** k
+        expected = L({})
+        for k, p in pairs:
+            expected = expected + p * kernel(k)
+        assert grouped_sum(pairs, kernel) == expected
+
+    def test_one_kernel_call_per_key(self):
+        calls = []
+
+        def kernel(k):
+            calls.append(k)
+            return L({0: 1})
+
+        assert grouped_sum([(1, L({0: 1})), (1, L({0: 2})), (0, L({0: 1}))], kernel) == L({0: 4})
+        assert sorted(calls) == [0, 1]
+
+    def test_empty_is_zero(self):
+        assert grouped_sum([], lambda k: L({0: 1})) == L({})
+
+
 class TestCharacterSum:
     def test_normalization(self):
         s = CharacterSum(1, {(0,): L({0: 1}), (1,): L({})})
@@ -160,6 +194,20 @@ class TestCharacterSum:
     def test_keys_sorted_lex(self):
         s = CharacterSum(2, {(1, 0): L({0: 1}), (0, 5): L({0: 1}), (0, 2): L({0: 1})})
         assert list(s.terms) == [(0, 2), (0, 5), (1, 0)]
+
+    @pytest.mark.parametrize("x", [0.5, 0.0, False, Fraction(1, 2)])
+    def test_inexact_keys_refused(self, x):
+        with pytest.raises(TypeError):
+            CharacterSum(1, {(x,): L({0: 1})})
+
+    def test_trusted_constructor_sorts_and_drops_zeros(self):
+        s = CharacterSum._make(2, {(1, 0): L({0: 1}), (0, 0): L({}), (0, 2): L({1: 1})})
+        assert s == CharacterSum(2, {(0, 2): L({1: 1}), (1, 0): L({0: 1})})
+        assert list(s.terms) == [(0, 2), (1, 0)]
+
+    def test_map_values_drops_zeros(self):
+        s = CharacterSum(1, {(0,): L({0: 1}), (1,): L({1: 1})})
+        assert s.map_values(lambda p: p - L({0: 1})) == CharacterSum(1, {(1,): L({0: -1, 1: 1})})
 
 
 class TestZPoly:

@@ -12,6 +12,8 @@ from wehrhart import cli, corpus, ehrhart, polytope
 from wehrhart.algebra import LaurentPoly as L
 from wehrhart.ehrhart import CheckResult, EhrhartReport
 from wehrhart.jsonio import (
+    ContentError,
+    FormatError,
     charsum_from_json,
     charsum_to_json,
     dumps,
@@ -23,7 +25,7 @@ from wehrhart.jsonio import (
     zpoly_to_json,
 )
 from wehrhart.stanley import g_weight_function
-from wehrhart.weights import random_weight_function
+from wehrhart.weights import all_ones as all_ones_weight, random_weight_function
 import random
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -275,6 +277,38 @@ def test_validation_error_weight_hash_mismatch(tmp_path, capsys):
 def test_validation_error_bad_face_id(capsys):
     code, _, err = run_cli(["gweights", fx("square"), "--face", "99"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("face", ["1_0", "01", " 2", "+1", "-0", "x"])
+def test_parse_error_noncanonical_face_id(face, capsys):
+    code, _, err = run_cli(["gweights", fx("square"), "--face", face], capsys)
+    assert code == 2
+    assert err == f"error: parse: --face must be an integer id or P, got {face!r}\n"
+
+
+@pytest.mark.parametrize("key", ["01", " 2", "2 ", "1_0", "+1", "-0", "\u0662"])
+def test_weight_file_noncanonical_face_id_refused(key, tmp_path, capsys):
+    lattice = corpus.build("square")
+    data = weight_to_json(g_weight_function(lattice, lattice.top_id))
+    with pytest.raises(FormatError):
+        weight_from_json({**data, "values": {key: [{"exp": 0, "coeff": "1"}]}}, lattice)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**data, "values": {key: [{"exp": 0, "coeff": "1"}]}}))
+    code, out, err = run_cli(["dualize", fx("square"), "--weights", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse: face id")
+
+
+def test_weight_file_two_spellings_of_one_face_refused(tmp_path, capsys):
+    lattice = corpus.build("square")
+    one = [{"exp": 0, "coeff": "1"}]
+    data = {**weight_to_json(all_ones_weight(lattice)), "values": {"1": one, "01": one}}
+    with pytest.raises(FormatError):
+        weight_from_json(data, lattice)
+    # the canonical spelling alone still loads, and a negative id is a content error
+    assert weight_from_json({**data, "values": {"1": one}}, lattice).values == {1: L({0: 1})}
+    with pytest.raises(ContentError):
+        weight_from_json({**data, "values": {"-1": one}}, lattice)
 
 
 def test_dualize_twice_is_identity(tmp_path, capsys):

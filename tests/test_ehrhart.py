@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import wehrhart.ehrhart as eh
 from box_oracle import box_phi_face_sums, random_lattice
+from charsum_oracle import pointwise_character_sum
 from wehrhart.algebra import (
     CharacterSum,
     HomogPoly,
@@ -82,6 +83,31 @@ class TestHodgeCharacterSum:
     def test_lattice_mismatch(self):
         with pytest.raises(ValueError):
             hodge_character_sum(build("segment"), all_ones(build("square")), 1)
+
+
+def oracle_weight_set(lat, seed):
+    """All-ones, the g-weights of P and three seeded random weight functions."""
+    return [all_ones(lat), g_weight_function(lat, lat.top_id)] + random_weight_functions(
+        lat, seed, 3
+    )
+
+
+class TestCharacterSumAgainstPointwiseOracle:
+    """The per-face coefficients against the sum built one lattice point at a time."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        lat = build(name)
+        for f in oracle_weight_set(lat, 17):
+            for ell in range(-3, 4):
+                assert hodge_character_sum(lat, f, ell) == pointwise_character_sum(lat, f, ell)
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in (2, 3, 4, 5) for seed in (5, 6)])
+    def test_random(self, n, seed):
+        lat = random_lattice(n, seed, 1, n + 4)
+        for f in oracle_weight_set(lat, seed):
+            for ell in range(-3, 4):
+                assert hodge_character_sum(lat, f, ell) == pointwise_character_sum(lat, f, ell)
 
 
 class TestNegateCharacters:

@@ -45,6 +45,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightFunction(lat, {99: L({0: 1})})
 
+    @pytest.mark.parametrize("fid", [1.7, 1.0, True, "1"])
+    def test_inexact_face_ids_refused(self, fid):
+        with pytest.raises(TypeError):
+            WeightFunction(build("segment"), {fid: L({0: 1})})
+
     def test_missing_is_zero(self):
         lat = build("segment")
         f = delta_weight(lat, lat.top_id)
@@ -183,3 +188,20 @@ class TestRandomWeights:
             for p in f.values.values():
                 assert all(-2 <= k <= 2 for k in p.terms)
                 assert all(-3 <= c <= 3 for c in p.terms.values())
+
+    @pytest.mark.parametrize("name", ["square", "cube", "pyramid", "random3"])
+    def test_same_stream_as_a_float_coin(self, name):
+        """The integer coin draws exactly what rng.random() < 1/2 drew."""
+        lat = build(name)
+        for seed in range(40):
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(3):
+                vals = {}
+                for fid in lat.nonempty_ids:
+                    if rng.random() < 0.5:
+                        p = LaurentPoly({k: rng.randint(-3, 3) for k in range(-2, 3)})
+                        if p:
+                            vals[fid] = p
+                expected.append(WeightFunction(lat, vals))
+            assert random_weight_functions(lat, seed, 3) == expected
