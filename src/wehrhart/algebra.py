@@ -317,10 +317,10 @@ def power_sum(k: int, a: int, b: int) -> int:
     for c in reversed(coeffs):
         top = top * b + c
         bottom = bottom * (a - 1) + c
-    q = Fraction(top - bottom, d)
-    if q.denominator != 1:
-        raise ArithmeticError(f"power sum of degree {k} came out as {q}")
-    return q.numerator
+    q, r = divmod(top - bottom, d)
+    if r:
+        raise ArithmeticError(f"power sum of degree {k} came out as {top - bottom}/{d}")
+    return q
 
 
 class CharacterSum:

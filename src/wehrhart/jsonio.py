@@ -193,16 +193,19 @@ def charsum_to_json(s: CharacterSum):
 
 
 def charsum_from_json(data, n: int) -> CharacterSum:
-    if not isinstance(data, dict) or set(data) != {"terms"}:
+    """{"terms": [{"m": [int, ...], "coeff": Laurent}, ...]}; terms with equal m add up."""
+    if not isinstance(data, dict) or set(data) != {"terms"} or not isinstance(data["terms"], list):
         raise FormatError("character sum needs a 'terms' list")
-    terms = {}
+    terms = []
     for item in data["terms"]:
         if not isinstance(item, dict) or set(item) != {"m", "coeff"}:
             raise FormatError(f"bad character term {item!r}")
         m = item["m"]
         if not isinstance(m, list) or not all(_is_int(x) for x in m):
             raise FormatError(f"character {m!r} is not a list of integers")
-        terms[tuple(m)] = laurent_from_json(item["coeff"])
+        if len(m) != n:
+            raise ContentError(f"character {m!r} is not of length {n}")
+        terms.append((m, laurent_from_json(item["coeff"])))
     return CharacterSum(n, terms)
 
 

@@ -3,20 +3,19 @@
 Facet presentation by the double-description method (Fukuda-Prodon) in
 int arithmetic, face lattice by closing tight-facet vertex sets under
 intersection, with the face order held as one bitmask of faces above and
-one below each face, and lattice points by a fibre walk.  The walk fixes
-the first n-1 coordinates and solves the facet inequalities for the
+one below each face, and lattice points by a fibre walk.  The walk lifts
+the first n-1 coordinates level by level through the hulls of P's
+coordinate projections and solves the facet inequalities for the
 interval of the last one, whose ends and middle each lie in the relative
-interior of one face; its cost is proportional to the box of
-(n-1)-prefixes plus the points kept, not to the full bounding box.
-Everything is exact and no Fraction is built: elimination is
-fraction-free over int.  Dimensions up to 6 and a few dozen vertices are
-the intended scale.
+interior of one face; its cost is the lattice points of the projections
+plus the points kept.  Everything is exact and no Fraction is built:
+elimination is fraction-free over int.  Dimensions up to 6 and a few
+dozen vertices are the intended scale.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from functools import reduce
@@ -28,7 +27,9 @@ from operator import and_, floordiv, mul
 # oldest entry is dropped.  One CLI run asks for at most 16 dilations of
 # points (|charsum --l| <= 16, verify --lmax <= 12) and, for its one
 # integrand, for at most max(lmax, n + deg phi + 3) dilations of sums, so
-# no run at desk scale evicts anything.
+# no run at desk scale evicts anything.  FaceLattice._projections needs no
+# bound: it holds the facets of the n-1 projections pi_1(P) .. pi_{n-1}(P)
+# and serves every dilation.
 POINTS_CACHE_MAX = 16
 PHI_SUMS_MAX = 64
 
@@ -275,7 +276,10 @@ class FaceLattice:
     AND, over the facets tight at b, of the faces inside that facet
     (every face is the intersection of its tight facets).  Carries memo
     tables for point partitions and for the poset polynomials computed on
-    top of it; the two that grow with the dilation are BoundedCaches.
+    top of it; the two that grow with the dilation are BoundedCaches
+    (POINTS_CACHE_MAX, PHI_SUMS_MAX).  The facets of the coordinate
+    projections that bound the fibre walk are computed on first use and
+    have exactly n-1 entries.
     """
 
     def __init__(self, polytope, faces):
@@ -297,6 +301,7 @@ class FaceLattice:
         self._points_cache = BoundedCache(POINTS_CACHE_MAX)
         self._g_memo = {}
         self._phi_sums = BoundedCache(PHI_SUMS_MAX)
+        self._projections = None
         self._eulerian = None
 
     def leq(self, a: int, b: int) -> bool:
@@ -332,6 +337,15 @@ class FaceLattice:
         return next(
             f.id for f in self.faces if f.vertex_set == frozenset({vertex_index})
         )
+
+    def projections(self):
+        """Facets of pi_k(P), the hull of the vertices cut to their first k coordinates, for k = 1..n-1."""
+        if self._projections is None:
+            verts = self.polytope.vertices
+            self._projections = [
+                facet_presentation([v[:k] for v in verts]).facets for k in range(1, self.polytope.n)
+            ]
+        return self._projections
 
     def ensure_eulerian(self) -> bool:
         if self._eulerian is None:
@@ -397,16 +411,40 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     return FaceLattice(P, faces)
 
 
+def _interval(lower, upper, prefix):
+    """Integer range of the next coordinate x over prefix, from (w, c, b) with c > 0:
+    <w, prefix> + b + c*x >= 0 in lower, <w, prefix> + b - c*x >= 0 in upper."""
+    return range(
+        max(-((_dot(w, prefix) + b) // c) for w, c, b in lower),
+        min((_dot(w, prefix) + b) // c for w, c, b in upper) + 1,
+    )
+
+
+def _prefixes(bounds, prefix=()):
+    """Integer points lifted level by level, coordinate k through the
+    _interval of bounds[k], in lexicographic order."""
+    if len(prefix) == len(bounds):
+        yield prefix
+        return
+    for x in _interval(*bounds[len(prefix)], prefix):
+        yield from _prefixes(bounds, prefix + (x,))
+
+
 def fibres(lattice: FaceLattice, ell: int):
     """Every nonempty fibre of the integer points of ell*P, in lexicographic order.
 
     A fibre fixes the first n-1 coordinates (the prefix) and runs over the
-    last one, t.  For each integer prefix in the bounding box of the
-    projected vertices, the facet inequalities <m, u_F> >= -ell*a_F cut t
-    down to an integer interval [lo, hi]: a facet with u_F[-1] > 0 bounds
-    t from below and can be tight only at t = lo, one with u_F[-1] < 0
-    bounds it from above and can be tight only at t = hi, and one with
-    u_F[-1] = 0 holds, and is tight, on the whole fibre or on none of it.
+    last one, t.  Coordinate k of the prefix runs over the interval that
+    the facets of pi_{k+1}(ell P), the projection to the first k+1
+    coordinates, allow (FaceLattice.projections); a facet with zero k-th
+    coefficient is implied by the level before, so every prefix lies in
+    pi_{n-1}(ell P).  There the facet inequalities <m, u_F> >= -ell*a_F
+    cut t down to an integer interval [lo, hi]: a facet with u_F[-1] > 0
+    bounds t from below and can be tight only at t = lo, one with
+    u_F[-1] < 0 bounds it from above and can be tight only at t = hi, and
+    one with u_F[-1] = 0 holds, and is tight, on the whole fibre or on
+    none of it.  Along the last prefix coordinate x a slack is
+    base + u_F[-2]*x, with base computed once per outer prefix.
 
     Yields (prefix, lo, hi, face_lo, face_mid, face_hi): the face of lo,
     the face shared by every t strictly between lo and hi (None when
@@ -415,47 +453,59 @@ def fibres(lattice: FaceLattice, ell: int):
     if ell <= 0:
         raise ValueError("dilation must be a positive integer")
     P = lattice.polytope
+    if P.n == 1:  # ell*P = ell*[v0, v1]: one fibre, over the empty prefix
+        (v0,), (v1,) = P.vertices
+        yield (), ell * v0, ell * v1, lattice.vertex_face_id(0), lattice.top_id, lattice.vertex_face_id(1)
+        return
     by_mask = lattice._by_mask
-    # facet F has slack <u_F[:-1], prefix> + ell*a_F + u_F[-1]*t at (prefix, t);
-    # each group keeps the facet bits, |u_F[-1]| and (u_F[:-1], ell*a_F)
-    lower, upper, flat = ([], [], []), ([], [], []), ([], [], [])
+    bounds = [
+        (
+            [(u[:k], u[k], ell * a) for u, a in facets if u[k] > 0],
+            [(u[:k], -u[k], ell * a) for u, a in facets if u[k] < 0],
+        )
+        for k, facets in enumerate(lattice.projections())
+    ]
+    # facet F has slack <u_F[:-2], outer> + ell*a_F + u_F[-2]*x + u_F[-1]*t;
+    # each group keeps the facet bits, |u_F[-1]|, u_F[-2] and (u_F[:-2], ell*a_F)
+    lower, upper, flat = ([], [], [], []), ([], [], [], []), ([], [], [], [])
     for F, (u, a) in enumerate(P.facets):
-        bits, cs, rows = lower if u[-1] > 0 else upper if u[-1] < 0 else flat
+        bits, cs, vs, rows = lower if u[-1] > 0 else upper if u[-1] < 0 else flat
         bits.append(1 << F)
         cs.append(abs(u[-1]))
-        rows.append((u[:-1], ell * a))
-    (bits_l, c_l, rows_l), (bits_u, c_u, rows_u), (bits_f, _, rows_f) = lower, upper, flat
-    ranges = [
-        range(ell * min(v[i] for v in P.vertices), ell * max(v[i] for v in P.vertices) + 1)
-        for i in range(P.n - 1)
-    ]
-    for prefix in itertools.product(*ranges):
-        sf = [_dot(w, prefix) + b for w, b in rows_f]
-        if sf and min(sf) < 0:
-            continue
-        sl = [_dot(w, prefix) + b for w, b in rows_l]
-        su = [_dot(w, prefix) + b for w, b in rows_u]
-        # t >= -s/c on a lower facet, t <= s/c on an upper one
-        lo = -min(map(floordiv, sl, c_l))
-        hi = min(map(floordiv, su, c_u))
-        if lo > hi:
-            continue
-        base = 0
-        for bit, s in zip(bits_f, sf):
-            if s == 0:
-                base |= bit
-        at_lo = at_hi = base
-        for bit, s, c in zip(bits_l, sl, c_l):
-            if s == -c * lo:
-                at_lo |= bit
-        for bit, s, c in zip(bits_u, su, c_u):
-            if s == c * hi:
-                at_hi |= bit
-        if lo == hi:
-            face = by_mask[at_lo | at_hi]
-            yield prefix, lo, hi, face, None, face
-        else:
-            yield prefix, lo, hi, by_mask[at_lo], by_mask[base], by_mask[at_hi]
+        vs.append(u[-2])
+        rows.append((u[:-2], ell * a))
+    (bits_l, c_l, v_l, rows_l), (bits_u, c_u, v_u, rows_u), (bits_f, _, v_f, rows_f) = (
+        lower, upper, flat,
+    )
+    for outer in _prefixes(bounds[:-1]):
+        base_l = [_dot(w, outer) + b for w, b in rows_l]
+        base_u = [_dot(w, outer) + b for w, b in rows_u]
+        base_f = [_dot(w, outer) + b for w, b in rows_f]
+        for x in _interval(*bounds[-1], outer):
+            sl = [s + v * x for s, v in zip(base_l, v_l)]
+            su = [s + v * x for s, v in zip(base_u, v_u)]
+            # t >= -s/c on a lower facet, t <= s/c on an upper one
+            lo = -min(map(floordiv, sl, c_l))
+            hi = min(map(floordiv, su, c_u))
+            if lo > hi:
+                continue
+            at_flat = 0
+            for bit, s, v in zip(bits_f, base_f, v_f):
+                if s + v * x == 0:
+                    at_flat |= bit
+            at_lo = at_hi = at_flat
+            for bit, s, c in zip(bits_l, sl, c_l):
+                if s == -c * lo:
+                    at_lo |= bit
+            for bit, s, c in zip(bits_u, su, c_u):
+                if s == c * hi:
+                    at_hi |= bit
+            prefix = outer + (x,)
+            if lo == hi:
+                face = by_mask[at_lo | at_hi]
+                yield prefix, lo, hi, face, None, face
+            else:
+                yield prefix, lo, hi, by_mask[at_lo], by_mask[at_flat], by_mask[at_hi]
 
 
 def points_by_face(lattice: FaceLattice, ell: int):
@@ -463,9 +513,9 @@ def points_by_face(lattice: FaceLattice, ell: int):
 
     Materialises the fibres of fibres(): every point of a fibre lands in
     the face read off its end or its middle, so no point outside ell*P is
-    ever visited.  The cost is proportional to the box of prefixes (the
-    first n-1 coordinates) plus the points kept, not to the full bounding
-    box.  Prefixes come in lexicographic order and t rises within a
+    ever visited.  The cost is the lattice points of the projections that
+    bound the prefixes (the first n-1 coordinates) plus the points kept.
+    Prefixes come in lexicographic order and t rises within a
     fibre, so every list is sorted lexicographically as built.  Results
     are memoized on the lattice; only character sums call this, the
     weighted counts sum over the fibres directly.

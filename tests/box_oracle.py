@@ -1,15 +1,61 @@
 """Brute-force lattice-point oracles shared by the tests.
 
-The library enumerates points fibre by fibre; these helpers scan the whole
-integer bounding box instead and read each point's face off its tight
-facets, the slow and obvious route the fibre walk must agree with.
+The library lifts prefixes level by level through the projections of P
+and enumerates points fibre by fibre.  Two slower, obvious routes stand
+beside it: box_fibres visits every (n-1)-prefix of the bounding box and
+solves each fibre from the facets alone, and box_points_by_face scans the
+whole integer bounding box and reads each point's face off its tight
+facets.
 """
 
 import itertools
 import random
+from operator import floordiv
 
 from wehrhart.algebra import phi_eval
 from wehrhart.polytope import InvalidPolytope, build_face_lattice, facet_presentation
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def box_fibres(lattice, ell):
+    """The tuples of wehrhart.polytope.fibres, from every prefix of the bounding box.
+
+    Each integer prefix of the first n-1 coordinates in the box of ell*P
+    is tried in lexicographic order; the facets solve its fibre exactly as
+    the library's walk does, and empty fibres are skipped.
+    """
+    P = lattice.polytope
+    by_mask = {sum(1 << F for F in f.tight_facets): f.id for f in lattice.faces if f.dim >= 0}
+    lower, upper, flat = [], [], []
+    for F, (u, a) in enumerate(P.facets):
+        group = lower if u[-1] > 0 else upper if u[-1] < 0 else flat
+        group.append((1 << F, abs(u[-1]), u[:-1], ell * a))
+    ranges = [
+        range(ell * min(v[i] for v in P.vertices), ell * max(v[i] for v in P.vertices) + 1)
+        for i in range(P.n - 1)
+    ]
+    for prefix in itertools.product(*ranges):
+        sf = [(bit, _dot(w, prefix) + b) for bit, _, w, b in flat]
+        if any(s < 0 for _, s in sf):
+            continue
+        sl = [(bit, c, _dot(w, prefix) + b) for bit, c, w, b in lower]
+        su = [(bit, c, _dot(w, prefix) + b) for bit, c, w, b in upper]
+        # t >= -s/c on a lower facet, t <= s/c on an upper one
+        lo = -min(floordiv(s, c) for _, c, s in sl)
+        hi = min(floordiv(s, c) for _, c, s in su)
+        if lo > hi:
+            continue
+        at_flat = sum(bit for bit, s in sf if s == 0)
+        at_lo = at_flat + sum(bit for bit, c, s in sl if s == -c * lo)
+        at_hi = at_flat + sum(bit for bit, c, s in su if s == c * hi)
+        if lo == hi:
+            face = by_mask[at_lo | at_hi]
+            yield prefix, lo, hi, face, None, face
+        else:
+            yield prefix, lo, hi, by_mask[at_lo], by_mask[at_flat], by_mask[at_hi]
 
 
 def box_points_by_face(lattice, ell):

@@ -30,7 +30,13 @@ from wehrhart.ehrhart import (
     verify_reciprocity,
     weighted_ehrhart_value,
 )
-from wehrhart.polytope import is_simple, points_by_face, validate_eulerian
+from wehrhart.polytope import (
+    build_face_lattice,
+    facet_presentation,
+    is_simple,
+    points_by_face,
+    validate_eulerian,
+)
 from wehrhart.stanley import g_weight_function, h_polynomial, polar_g
 from wehrhart.weights import (
     all_ones,
@@ -66,6 +72,16 @@ def classical_counts(name, n, ell):
     if name in ("square", "cube"):
         return (ell + 1) ** n, (ell - 1) ** n
     return math.comb(ell + n, n), math.comb(ell - 1, n)
+
+
+def _binom(z, k):
+    """C(z, k) for any integer z, as the falling factorial over k!."""
+    return math.prod(z - i for i in range(k)) // math.factorial(k)
+
+
+def cross_polytope_count(n, z):
+    """L(z) = sum_k 2^k C(n, k) C(z, k), the Ehrhart polynomial of conv(+-e_i)."""
+    return sum(2**k * math.comb(n, k) * _binom(z, k) for k in range(n + 1))
 
 
 # ------------------------------------------------- shared evaluation grid
@@ -136,6 +152,21 @@ def test_criterion_1_classical_ehrhart_specialization():
             assert (closed, interior) == classical_counts(name, n, ell)
             assert zp(ell).subs(Y0) == interior
             assert zp(-ell).subs(Y0) == (-1) ** n * closed
+
+
+def test_criterion_1_classical_specialization_in_dimensions_5_and_6():
+    for n in (5, 6):
+        cross = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+        lattice = build_face_lattice(facet_presentation(cross))
+        f = delta_weight(lattice, lattice.top_id)
+        zp = ehrhart_polynomial(lattice, f, HomogPoly.one(n), VARIANT_ETILDE)
+        for ell in range(1, 5):
+            closed = cross_polytope_count(n, ell)
+            interior = (-1) ** n * cross_polytope_count(n, -ell)
+            if ell <= 2:  # the closed form itself, against the inequalities
+                assert box_scan(lattice.polytope, ell) == (closed, interior)
+            assert zp(ell).subs(Y0) == interior, (n, ell)
+            assert zp(-ell).subs(Y0) == (-1) ** n * closed, (n, ell)
 
 
 def test_criterion_2_polynomiality_and_constant_term():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from wehrhart import cli, corpus, ehrhart, polytope
-from wehrhart.algebra import LaurentPoly as L
+from wehrhart.algebra import CharacterSum, LaurentPoly as L
 from wehrhart.ehrhart import CheckResult, EhrhartReport
 from wehrhart.jsonio import (
     ContentError,
@@ -445,6 +445,30 @@ def test_boolean_exponent_and_character_refused():
         laurent_from_json([{"exp": True, "coeff": "1"}])
     with pytest.raises(FormatError):
         charsum_from_json({"terms": [{"m": [False], "coeff": []}]}, 1)
+
+
+def test_charsum_from_json_adds_duplicate_characters():
+    data = {"terms": [
+        {"m": [0], "coeff": [{"exp": 0, "coeff": "1"}]},
+        {"m": [1], "coeff": [{"exp": 1, "coeff": "1"}]},
+        {"m": [0], "coeff": [{"exp": 0, "coeff": "2"}]},
+    ]}
+    assert charsum_from_json(data, 1) == CharacterSum(1, {(0,): L({0: 3}), (1,): L({1: 1})})
+
+
+def test_charsum_from_json_needs_a_terms_list():
+    from wehrhart.jsonio import FormatError
+
+    for terms in ({"m": [0], "coeff": []}, "terms", 3, None):
+        with pytest.raises(FormatError):
+            charsum_from_json({"terms": terms}, 1)
+
+
+def test_charsum_from_json_refuses_a_character_of_the_wrong_length():
+    from wehrhart.jsonio import ContentError
+
+    with pytest.raises(ContentError, match="length 2"):
+        charsum_from_json({"terms": [{"m": [0, 1, 2], "coeff": []}]}, 2)
 
 
 @pytest.mark.parametrize(

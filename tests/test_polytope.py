@@ -5,6 +5,7 @@ shapes are small enough to enumerate on paper) and frozen before the
 implementation ran.
 """
 
+import inspect
 import itertools
 import random
 from math import comb, lcm
@@ -12,7 +13,7 @@ from math import comb, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from box_oracle import box_points_by_face, random_lattice
+from box_oracle import box_fibres, box_points_by_face, random_lattice
 from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.polytope import (
@@ -289,11 +290,23 @@ class TestIsSimple:
             assert is_simple(facet_presentation(simplex(n)))
 
 
+def _cube(n):
+    return list(itertools.product((0, 1), repeat=n))
+
+
+def _cross(n):
+    return [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+
+
 # (dimension, seed, radius, draws) of the seeded random polytopes below
 RANDOM_SHAPES = [
     (2, 1, 3, 7), (2, 2, 2, 5), (3, 1, 2, 8), (3, 2, 1, 7),
     (4, 1, 1, 8), (4, 2, 1, 7), (5, 1, 1, 8),
 ]
+
+
+# seeded random 6-polytopes, (dimension, seed, radius, draws) as above
+RANDOM_6 = [(6, 1, 1, 10), (6, 2, 1, 12)]
 
 
 class TestFibreWalkAgainstBoxScan:
@@ -311,6 +324,11 @@ class TestFibreWalkAgainstBoxScan:
         for ell in (1, 2, 3, 4):
             assert points_by_face(lattice, ell) == box_points_by_face(lattice, ell), ell
 
+    def test_dimension_6(self):
+        for lattice in (build_face_lattice(facet_presentation(_cross(6))), random_lattice(*RANDOM_6[0])):
+            for ell in (1, 2):
+                assert points_by_face(lattice, ell) == box_points_by_face(lattice, ell), ell
+
     def test_fibres_split_at_their_ends(self):
         lattice = build("pyramid")
         parts = points_by_face(lattice, 3)
@@ -321,6 +339,49 @@ class TestFibreWalkAgainstBoxScan:
             for t in range(lo + 1, hi):
                 assert face_of[prefix + (t,)] == face_mid
             assert (face_mid is None) == (lo == hi)
+
+
+class TestFibresAgainstBoxFibres:
+    """Projection-bounded lifting against every prefix of the box, tuple for tuple and in order."""
+
+    @staticmethod
+    def _agree(lattice, ells):
+        for ell in ells:
+            assert list(fibres(lattice, ell)) == list(box_fibres(lattice, ell)), ell
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        self._agree(build_face_lattice(facet_presentation(CORPUS[name])), range(1, 6))
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
+    def test_random(self, n, seed, radius, draws):
+        self._agree(random_lattice(n, seed, radius, draws), range(1, n + 4))
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_6)
+    def test_random_dimension_6(self, n, seed, radius, draws):
+        self._agree(random_lattice(n, seed, radius, draws), (1, 2, 3))
+
+    @pytest.mark.parametrize("pts", [_cube(6), _cross(6)], ids=["cube6", "cross6"])
+    def test_cube6_and_cross6(self, pts):
+        self._agree(build_face_lattice(facet_presentation(pts)), (1, 2, 3))
+
+    def test_segment_has_one_fibre_over_the_empty_prefix(self):
+        lattice = build("segment")
+        v0, v1 = (lattice.vertex_face_id(i) for i in (0, 1))
+        assert list(fibres(lattice, 3)) == [((), 0, 3, v0, lattice.top_id, v1)]
+
+    def test_fibres_is_a_generator(self):
+        assert inspect.isgenerator(fibres(build("cube"), 2))
+
+    def test_projection_table_is_lazy_and_has_n_minus_1_entries(self):
+        lattice = build_face_lattice(facet_presentation(_cross(5)))
+        assert lattice._projections is None
+        list(fibres(lattice, 1))
+        table = lattice.projections()
+        assert [len(facets) for facets in table] == [2, 4, 8, 16]
+        assert table[0] == (((-1,), 1), ((1,), 1))
+        list(fibres(lattice, 4))
+        assert lattice.projections() is table
 
 
 class TestClosureCheck:
@@ -394,14 +455,6 @@ def _cross_faces(n):
     pts = [tuple(s * 2 * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
     pts += [tuple((i == 0) + s * (i == j) for i in range(n)) for j in range(1, n) for s in (1, -1)]
     return pts + [(0,) * n]
-
-
-def _cube(n):
-    return list(itertools.product((0, 1), repeat=n))
-
-
-def _cross(n):
-    return [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
 
 
 HULL_CLOUDS = {
