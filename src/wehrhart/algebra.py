@@ -141,11 +141,6 @@ class LaurentPoly:
             return self.terms.get(0, 0)
         return canon(sum((c * v**k for k, c in self.terms.items()), RAT_ZERO))
 
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return next(iter(self.terms))
-
     def __format__(self, var=""):
         """Render in the variable var (y when empty): f"{p}", f"{p:t}"."""
         var = var or "y"
@@ -418,7 +413,10 @@ def lagrange_interpolate(samples, degree_bound: int) -> ZPoly:
 
     Requires pairwise distinct nodes and exactly degree_bound + 1 samples.
     Interpolation is coefficientwise in y: the returned ZPoly reproduces
-    every sample value exactly.
+    every sample value exactly.  The library itself interpolates each
+    face's sums in int (ehrhart._face_polynomials); this general form
+    serves the per-weight test oracle and the benchmark's tracer, which
+    wraps it by name.
     """
     samples = list(samples)
     if not samples:

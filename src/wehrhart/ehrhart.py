@@ -1,30 +1,33 @@
 """Weighted lattice-point counting and the identity verifiers.
 
-Character sums at positive, zero, and negative dilations, weighted count
-values E/Etilde, exact interpolation to the polynomial in z (with
-mandatory overdetermination), and pass/fail verifiers for reciprocity,
-reciprocity-for-duality, character-sum duality, and purity.
+A weighted count splits into torus orbits, one per nonempty face Q:
+E(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), times (1+y)^deg phi for E,
+where S_Q(ell), the sum of phi over Relint(ell Q), is a polynomial of
+degree dim Q + deg phi that does not depend on the weights.  It is
+interpolated once per (lattice, phi), in int, and checked face by face.
+Character sums likewise carry one coefficient per orbit, and duality
+compares them face by face; points appear only when a sum is expanded.
 
 Values at negative dilations are always read off the interpolated
-polynomial, never from a second formula, so the verifiers genuinely
-cross-validate two computation routes.
+polynomial, and closed-face sums always come from the walk, so the
+verifiers genuinely cross-validate two computation routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from math import lcm, prod
+from functools import lru_cache, partial
+from math import factorial, lcm, prod
 
 from .algebra import (
+    L_ZERO,
     CharacterSum,
     HomogPoly,
     LaurentPoly,
     ZPoly,
     canon,
     grouped_sum,
-    lagrange_interpolate,
     neg_y_power,
     one_plus_y_power,
     phi_eval,
@@ -56,33 +59,60 @@ def _check_dilation(ell):
         raise ValueError("dilation must be a positive integer")
 
 
-def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> CharacterSum:
-    """The equivariant character sum of the weighted divisor at dilation ell.
+class OrbitSum:
+    """A character sum held as one coefficient per torus orbit: coeffs[E] at
+    chi^(sign * m) for every m in relint[E], the points of Relint(|ell| E)."""
 
-    One coefficient c_E per torus orbit, i.e. per nonempty face E, carried
-    by every point m of Relint(|ell| E):
+    __slots__ = ("n", "coeffs", "relint", "sign")
+
+    def __init__(self, n, coeffs, relint, sign):
+        self.n, self.coeffs, self.relint, self.sign = n, coeffs, relint, sign
+
+    def terms(self, fmt=lambda c: c):
+        """Sorted (character, fmt(coefficient)) pairs; fmt runs once per face."""
+        values = {e: fmt(c) for e, c in self.coeffs.items() if c}
+        sign = self.sign
+        pairs = ((tuple(sign * x for x in m), v) for e, v in values.items() for m in self.relint[e])
+        return sorted(pairs)
+
+    def expand(self) -> CharacterSum:
+        return CharacterSum._make(self.n, dict(self.terms()))
+
+
+def _orbit_sum(lattice, f, ell) -> OrbitSum:
+    """One coefficient c_E per nonempty face E, for ell != 0.
+
     ell > 0:  c_E = f_E(y) (1+y)^dim E, at chi^(-m)
     ell < 0:  c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at chi^(+m),
               the faces whose closed dilate |ell| Q holds m
-    ell = 0:  (sum_Q f_Q(y) (-1-y)^dim Q) * chi^0
     """
     _check_lattice(lattice, f)
-    n = lattice.polytope.n
-    power = partial(one_plus_y_power, negate=ell <= 0)
+    power = partial(one_plus_y_power, negate=ell < 0)
     coeffs = {q: fq * power(lattice.faces[q].dim) for q, fq in f.values.items()}
-    if ell == 0:
-        return CharacterSum._make(n, {(0,) * n: poly_sum(coeffs.values())})
     if ell < 0:
-        coeffs = {
-            e: poly_sum(c for q, c in coeffs.items() if lattice.leq(e, q))
-            for e in lattice.nonempty_ids
-        }
+        above = {}
+        for q, c in coeffs.items():
+            for e in lattice.subfaces(q):
+                above.setdefault(e, []).append(c)
+        coeffs = {e: poly_sum(cs) for e, cs in above.items()}
     relint = points_by_face(lattice, abs(ell))
-    return CharacterSum._make(n, {
-        m if ell < 0 else tuple(-x for x in m): c
-        for e, c in coeffs.items() if c
-        for m in relint[e]
-    })
+    return OrbitSum(lattice.polytope.n, coeffs, relint, 1 if ell < 0 else -1)
+
+
+def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> CharacterSum:
+    """The equivariant character sum of the weighted divisor at dilation ell.
+
+    One coefficient per torus orbit (see _orbit_sum), carried by every
+    point of the orbit's face's relative interior in |ell| P;
+    ell = 0:  (sum_Q f_Q(y) (-1-y)^dim Q) * chi^0
+    """
+    if ell:
+        return _orbit_sum(lattice, f, ell).expand()
+    _check_lattice(lattice, f)
+    n = lattice.polytope.n
+    return CharacterSum._make(n, {(0,) * n: poly_sum(
+        fq * one_plus_y_power(lattice.faces[q].dim, negate=True) for q, fq in f.values.items()
+    )})
 
 
 def negate_characters(s: CharacterSum) -> CharacterSum:
@@ -169,11 +199,67 @@ def constant_term(lattice, f, phi, variant) -> LaurentPoly:
 
 
 class PolynomialityError(ArithmeticError):
-    """Interpolated values failed an overdetermination or constant-term check.
+    """A face's sums failed an overdetermination or constant-term check.
 
     Polynomiality in the dilation is a theorem, so this always signals an
     implementation bug and is surfaced loudly rather than reported.
     """
+
+
+@lru_cache(maxsize=16)
+def _newton_basis(bound):
+    """Row j, for j = 0..bound: the z-coefficients of (bound!/j!) (z-1)(z-2)...(z-j), all int."""
+    row = [factorial(bound)]
+    rows = [row]
+    for j in range(1, bound + 1):
+        # times (z - j), then / j: bound!/(j-1)! is j * bound!/j!
+        row = [(a - j * b) // j for a, b in zip([0] + row, row + [0])]
+        rows.append(row)
+    return rows
+
+
+def _face_polynomials(lattice, phi):
+    """(D, {Q: (a_Q0, .., a_Qdeg)}) with S_Q(z) = sum_k a_Qk z^k / D, memoized per phi.
+
+    D = (n + deg phi)! * lcm(denominators of phi).  Each face's sums at
+    ell = 1 .. n + deg phi + 3 are scaled to int and differenced; every
+    difference above deg = dim Q + deg phi must vanish, and a_Q0 must be
+    (-1)^dim Q * phi(0) * D, or PolynomialityError names the face.
+    """
+    if phi not in lattice._face_polys:
+        n = lattice.polytope.n
+        bound = n + phi.degree
+        d = lcm(*(c.denominator for _, c in phi.monomials))
+        denom = factorial(bound) * d
+        samples = [_phi_face_sums(lattice, phi, ell) for ell in range(1, bound + 4)]
+        basis = _newton_basis(bound)
+        phi0 = factorial(bound) * canon(d * phi_eval(phi, (0,) * n))
+        table = {}
+        for q in lattice.nonempty_ids:
+            dim = lattice.faces[q].dim
+            deg = dim + phi.degree
+            row = [canon(d * sums[q]) for sums in samples]
+            lead = []
+            while row:
+                lead.append(row[0])
+                row = [b - a for a, b in zip(row, row[1:])]
+            for j in range(deg + 1, len(lead)):
+                if lead[j]:
+                    raise PolynomialityError(
+                        f"face {q}: its sums at dilations 1..{len(lead)} have a nonzero "
+                        f"difference of order {j}, above their degree {deg}"
+                    )
+            coeffs = tuple(
+                sum(lead[j] * basis[j][k] for j in range(k, deg + 1)) for k in range(deg + 1)
+            )
+            if coeffs[0] != (-1) ** dim * phi0:
+                raise PolynomialityError(
+                    f"face {q}: constant term {Fraction(coeffs[0], denom)}, "
+                    f"closed form {Fraction((-1) ** dim * phi0, denom)}"
+                )
+            table[q] = coeffs
+        lattice._face_polys[phi] = denom, table
+    return lattice._face_polys[phi]
 
 
 def ehrhart_polynomial(
@@ -182,33 +268,27 @@ def ehrhart_polynomial(
     phi: HomogPoly,
     variant: str,
 ) -> ZPoly:
-    """Interpolate the weighted count to its polynomial in the dilation z.
+    """The weighted count as a polynomial in the dilation z.
 
-    Nodes are 1 .. n + deg phi + 1 with degree bound n + deg phi; two
-    extra samples and the closed-form constant term are then checked
-    exactly, and any mismatch raises PolynomialityError.
+    Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D (times (1+y)^deg
+    phi for E), from the per-face interpolants of _face_polynomials; their
+    checks (two or more extra dilations and the constant term, face by
+    face) raise PolynomialityError.
     """
     _check_variant(variant)
-    n = lattice.polytope.n
-    bound = n + phi.degree
-    samples = [
-        (ell, weighted_ehrhart_value(lattice, f, phi, ell, variant))
-        for ell in range(1, bound + 2)
-    ]
-    zp = lagrange_interpolate(samples, bound)
-    for ell in (bound + 2, bound + 3):
-        direct = weighted_ehrhart_value(lattice, f, phi, ell, variant)
-        if zp(ell) != direct:
-            raise PolynomialityError(
-                f"overdetermination failed at dilation {ell}: "
-                f"interpolated {zp(ell)}, direct {direct}"
-            )
-    expected0 = constant_term(lattice, f, phi, variant)
-    if zp(0) != expected0:
-        raise PolynomialityError(
-            f"constant term mismatch: interpolated {zp(0)}, closed form {expected0}"
-        )
-    return zp
+    _check_lattice(lattice, f)
+    denom, table = _face_polynomials(lattice, phi)
+    scale = Fraction(1, denom)
+    if variant == VARIANT_E:
+        scale = one_plus_y_power(phi.degree) * scale
+    faces = lattice.faces
+    return ZPoly(
+        grouped_sum(
+            ((faces[q].dim, fq * table[q][k]) for q, fq in f.values.items() if k < len(table[q])),
+            one_plus_y_power,
+        ) * scale
+        for k in range(lattice.polytope.n + phi.degree + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -232,10 +312,14 @@ class CheckResult:
 
 
 def render_value(v) -> str:
-    if isinstance(v, CharacterSum):
-        inner = "; ".join(f"chi^{list(m)}: {p}" for m, p in v.terms.items())
-        return f"{{{inner}}}" if inner else "{}"
-    return str(v)
+    if isinstance(v, OrbitSum):
+        terms = v.terms(str)  # each face's coefficient formatted once
+    elif isinstance(v, CharacterSum):
+        terms = v.terms.items()
+    else:
+        return str(v)
+    inner = "; ".join(f"chi^{list(m)}: {p}" for m, p in terms)
+    return f"{{{inner}}}" if inner else "{}"
 
 
 @dataclass
@@ -323,14 +407,23 @@ def verify_duality_reciprocity(
 def verify_hodge_duality(lattice, f, ell: int, dual=None) -> CheckResult:
     """Character sum of the dual weights vs the inverted, negated sum at -ell.
 
-    dual is dualize(f) when the caller has already built it.
+    Both sides hold one coefficient per face E at chi^(-m) for m in
+    Relint(ell E), so they agree exactly when the coefficients agree on
+    every face whose relative interior has points; lhs and rhs are
+    OrbitSums, expanded to points only when rendered.  dual is dualize(f)
+    when the caller has already built it.
     """
     _check_dilation(ell)
-    lhs = hodge_character_sum(lattice, dualize(f) if dual is None else dual, ell)
-    rhs = negate_characters(
-        hodge_character_sum(lattice, f, -ell).map_values(substitute_inverse)
+    lhs = _orbit_sum(lattice, dualize(f) if dual is None else dual, ell)
+    minus = _orbit_sum(lattice, f, -ell)
+    inverted = {e: substitute_inverse(c) for e, c in minus.coeffs.items()}
+    rhs = OrbitSum(minus.n, inverted, minus.relint, -1)
+    passed = all(
+        lhs.coeffs.get(e, L_ZERO) == inverted.get(e, L_ZERO)
+        for e, points in lhs.relint.items()
+        if points
     )
-    return _compare("hodge_duality", {"ell": ell}, lhs, rhs)
+    return CheckResult("hodge_duality", {"ell": ell}, passed, lhs, rhs)
 
 
 def verify_purity(

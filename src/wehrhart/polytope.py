@@ -22,16 +22,18 @@ from functools import reduce
 from math import gcd, lcm
 from operator import and_, floordiv, mul
 
-# Entries kept in FaceLattice._points_cache (one per dilation) and
-# FaceLattice._phi_sums (one per integrand and dilation); past the bound the
-# oldest entry is dropped.  One CLI run asks for at most 16 dilations of
-# points (|charsum --l| <= 16, verify --lmax <= 12) and, for its one
-# integrand, for at most max(lmax, n + deg phi + 3) dilations of sums, so
-# no run at desk scale evicts anything.  FaceLattice._projections needs no
-# bound: it holds the facets of the n-1 projections pi_1(P) .. pi_{n-1}(P)
-# and serves every dilation.
+# Entries kept in FaceLattice._points_cache (one per dilation),
+# FaceLattice._phi_sums (one per integrand and dilation) and
+# FaceLattice._face_polys (one table of per-face interpolants per
+# integrand); past the bound the oldest entry is dropped.  One CLI run asks
+# for at most 16 dilations of points (|charsum --l| <= 16, verify --lmax
+# <= 12) and, for its one integrand, for at most max(lmax, n + deg phi + 3)
+# dilations of sums and one table, so no run at desk scale evicts
+# anything.  FaceLattice._projections needs no bound: it holds the facets
+# of the n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
 POINTS_CACHE_MAX = 16
 PHI_SUMS_MAX = 64
+FACE_POLYS_MAX = 4
 
 
 class InvalidPolytope(ValueError):
@@ -39,15 +41,17 @@ class InvalidPolytope(ValueError):
 
 
 class BoundedCache(dict):
-    """A dict of at most `bound` entries that drops its oldest on overflow."""
+    """A dict of at most `bound` entries that drops its oldest on overflow, counting evictions."""
 
     def __init__(self, bound: int):
         super().__init__()
         self.bound = bound
+        self.evictions = 0
 
     def __setitem__(self, key, value):
         if key not in self and len(self) >= self.bound:
             del self[next(iter(self))]
+            self.evictions += 1
         super().__setitem__(key, value)
 
 
@@ -276,8 +280,9 @@ class FaceLattice:
     AND, over the facets tight at b, of the faces inside that facet
     (every face is the intersection of its tight facets).  Carries memo
     tables for point partitions and for the poset polynomials computed on
-    top of it; the two that grow with the dilation are BoundedCaches
-    (POINTS_CACHE_MAX, PHI_SUMS_MAX).  The facets of the coordinate
+    top of it; the two that grow with the dilation and the per-integrand
+    table of per-face interpolants are BoundedCaches (POINTS_CACHE_MAX,
+    PHI_SUMS_MAX, FACE_POLYS_MAX).  The facets of the coordinate
     projections that bound the fibre walk are computed on first use and
     have exactly n-1 entries.
     """
@@ -301,6 +306,7 @@ class FaceLattice:
         self._points_cache = BoundedCache(POINTS_CACHE_MAX)
         self._g_memo = {}
         self._phi_sums = BoundedCache(PHI_SUMS_MAX)
+        self._face_polys = BoundedCache(FACE_POLYS_MAX)
         self._projections = None
         self._eulerian = None
 

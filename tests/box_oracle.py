@@ -84,6 +84,25 @@ def box_phi_face_sums(lattice, phi, ell):
     }
 
 
+def cube(n):
+    return list(itertools.product((0, 1), repeat=n))
+
+
+def cross(n):
+    return [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+
+
+# (dimension, seed, radius, draws) of the seeded random polytopes the tests share
+RANDOM_SHAPES = [
+    (2, 1, 3, 7), (2, 2, 2, 5), (3, 1, 2, 8), (3, 2, 1, 7),
+    (4, 1, 1, 8), (4, 2, 1, 7), (5, 1, 1, 8),
+]
+
+
+# seeded random 6-polytopes, (dimension, seed, radius, draws) as above
+RANDOM_6 = [(6, 1, 1, 10), (6, 2, 1, 12)]
+
+
 def random_lattice(n, seed, radius, draws):
     """Face lattice of the hull of seeded draws in {-radius..radius}^n."""
     rng = random.Random(f"box-oracle:{n}:{seed}")

@@ -5,9 +5,11 @@ of that face's relative interior; for ell < 0 the coefficient already sums
 the faces above.  This helper follows the defining sum instead: every face
 Q hands its term to every point of |ell| Q (closed, read off the subfaces
 of Q) or of Relint(ell Q), and the terms of a point are added up there.
+Character-sum duality is then compared point by point.
 """
 
-from wehrhart.algebra import CharacterSum, one_plus_y_power, poly_sum
+from wehrhart.algebra import CharacterSum, one_plus_y_power, poly_sum, substitute_inverse
+from wehrhart.ehrhart import CheckResult
 from wehrhart.polytope import points_by_face
 
 
@@ -38,3 +40,13 @@ def pointwise_character_sum(lattice, f, ell):
                 for m in relint[e]:
                     terms.setdefault(m, []).append(coeff)
     return CharacterSum(n, {m: poly_sum(ps) for m, ps in terms.items()})
+
+
+def pointwise_hodge_duality(lattice, f, ell, dual):
+    """verify_hodge_duality on per-point sums: D(f) at ell vs f at -ell, y -> 1/y, m -> -m."""
+    lhs = pointwise_character_sum(lattice, dual, ell)
+    minus = pointwise_character_sum(lattice, f, -ell)
+    rhs = CharacterSum(lattice.polytope.n, {
+        tuple(-x for x in m): substitute_inverse(p) for m, p in minus.terms.items()
+    })
+    return CheckResult("hodge_duality", {"ell": ell}, lhs == rhs, lhs, rhs)

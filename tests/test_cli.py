@@ -146,6 +146,22 @@ def test_ehrhart_with_phi_file(capsys):
     assert data["constant_term"] == []
 
 
+def test_failed_face_check_exits_1(capsys, monkeypatch):
+    # the CLI builds a fresh lattice, so the warped sums reach its face table
+    real = ehrhart._phi_face_sums
+
+    def warped(lattice, phi, ell):
+        sums = dict(real(lattice, phi, ell))
+        sums[lattice.top_id] += ell**4
+        return sums
+
+    monkeypatch.setattr(ehrhart, "_phi_face_sums", warped)
+    code, out, err = run_cli(["ehrhart", fx("square"), "--variant", "E"], capsys)
+    assert (code, out) == (1, "")
+    top = corpus.build("square").top_id
+    assert err.startswith(f"error: check: face {top}: ") and "order 3, above their degree 2" in err
+
+
 def test_verify_pyramid_all_suites_pass(capsys):
     code, out, _ = run_cli(
         ["verify", fx("pyramid"), "--suite", "all", "--lmax", "3"], capsys

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wehrhart.ehrhart as eh
-from box_oracle import box_phi_face_sums, random_lattice
-from charsum_oracle import pointwise_character_sum
+from box_oracle import RANDOM_6, RANDOM_SHAPES, box_phi_face_sums, cross, cube, random_lattice
+from charsum_oracle import pointwise_character_sum, pointwise_hodge_duality
+from interp_oracle import per_weight_polynomial
 from wehrhart.algebra import (
     CharacterSum,
     HomogPoly,
@@ -40,6 +41,7 @@ from wehrhart.ehrhart import (
     verify_reciprocity,
     weighted_ehrhart_value,
 )
+from wehrhart.polytope import build_face_lattice, facet_presentation
 from wehrhart.stanley import g_weight_function, h_polynomial
 from wehrhart.weights import (
     WeightFunction,
@@ -217,17 +219,78 @@ class TestEhrhartPolynomial:
         assert not zp(0)
 
     def test_overdetermination_guard_fires_on_non_polynomial(self, monkeypatch):
-        lat = build("segment")
-        real = eh.weighted_ehrhart_value
+        # a fresh lattice: the corpus one may already hold the per-face table
+        lat = build_face_lattice(facet_presentation(CORPUS["segment"]))
+        real = eh._phi_face_sums
 
-        def warped(lattice, f, phi, ell, variant):
+        def warped(lattice, phi, ell):
+            sums = dict(real(lattice, phi, ell))
             if ell >= 4:
-                return real(lattice, f, phi, ell, variant) + L({0: 1})
-            return real(lattice, f, phi, ell, variant)
+                sums[lat.top_id] += 1
+            return sums
 
-        monkeypatch.setattr(eh, "weighted_ehrhart_value", warped)
-        with pytest.raises(PolynomialityError):
+        monkeypatch.setattr(eh, "_phi_face_sums", warped)
+        message = rf"^face {lat.top_id}: .* order 3, above their degree 1$"
+        with pytest.raises(PolynomialityError, match=message):
             eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(1), "Etilde")
+
+    def test_constant_term_guard_fires_on_offset_face(self, monkeypatch):
+        # one face off by a constant at every dilation is still a polynomial
+        lat = build_face_lattice(facet_presentation(CORPUS["square"]))
+        vertex = lat.vertex_face_id(0)
+        real = eh._phi_face_sums
+
+        def offset(lattice, phi, ell):
+            sums = dict(real(lattice, phi, ell))
+            sums[vertex] += 5
+            return sums
+
+        monkeypatch.setattr(eh, "_phi_face_sums", offset)
+        message = rf"^face {vertex}: constant term 6, closed form 1$"
+        with pytest.raises(PolynomialityError, match=message):
+            eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(2), "E")
+
+
+def delta_per_dimension(lat):
+    """The delta weight of the first face of each dimension 0 .. n."""
+    return [
+        delta_weight(lat, next(f.id for f in lat.faces if f.dim == d))
+        for d in range(lat.polytope.n + 1)
+    ]
+
+
+class TestPolynomialAgainstPerWeightOracle:
+    """Per-face interpolants, combined per weight, against Lagrange through the weighted counts."""
+
+    @staticmethod
+    def check(lat, degrees, seed):
+        n = lat.polytope.n
+        weights = oracle_weight_set(lat, seed) + delta_per_dimension(lat)
+        for phi in (mixed_phi(n, degree) for degree in degrees):
+            for f in weights:
+                for variant in ("E", "Etilde"):
+                    expected = per_weight_polynomial(lat, f, phi, variant)
+                    assert ehrhart_polynomial(lat, f, phi, variant) == expected
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        self.check(build(name), (0, 1, 2), 59)
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
+    def test_random(self, n, seed, radius, draws):
+        self.check(random_lattice(n, seed, radius, draws), (0, 1, 2), seed)
+
+    @pytest.mark.parametrize("shape", ["cube5", "cross5", "random6"])
+    def test_dimensions_5_and_6(self, shape):
+        if shape == "random6":
+            lat = random_lattice(*RANDOM_6[0])
+        else:
+            lat = build_face_lattice(facet_presentation({"cube5": cube, "cross5": cross}[shape](5)))
+        n = lat.polytope.n
+        for f in oracle_weight_set(lat, 61) + delta_per_dimension(lat):
+            for variant in ("E", "Etilde"):
+                expected = per_weight_polynomial(lat, f, phi_one(n), variant)
+                assert ehrhart_polynomial(lat, f, phi_one(n), variant) == expected
 
 
 class TestVerifyReciprocity:
@@ -302,7 +365,7 @@ class TestVerifyHodgeDuality:
         check = verify_hodge_duality(lat, f, 1)
         assert check.passed
         minus = L({-1: -1, 0: -1})  # -(1+y)/y
-        assert check.lhs == CharacterSum(1, {(0,): minus, (-1,): minus})
+        assert check.lhs.expand() == CharacterSum(1, {(0,): minus, (-1,): minus})
 
     def test_square_all_ones(self):
         lat = build("square")
@@ -315,13 +378,47 @@ class TestVerifyHodgeDuality:
         check = verify_hodge_duality(lat, f, 1)
         assert check.passed
         expected = hodge_character_sum(lat, f, 1).scale(neg_y_power(-3))
-        assert check.lhs == expected
+        assert check.lhs.expand() == expected
 
     def test_random_weights(self):
         lat = build("square")
         for f in random_weight_functions(lat, seed=53, count=3):
             for ell in (1, 2):
                 assert verify_hodge_duality(lat, f, ell).passed
+
+
+class TestHodgeDualityAgainstPointwiseOracle:
+    """Face-by-face duality against the point-by-point comparison: verdict and rendered sides."""
+
+    @staticmethod
+    def check(lat, f, dual, expect):
+        for ell in (1, 2, 3):
+            faces = verify_hodge_duality(lat, f, ell, dual=dual)
+            points = pointwise_hodge_duality(lat, f, ell, dual)
+            assert faces.passed is points.passed is expect
+            assert faces.render() == points.render()
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        lat = build(name)
+        for f in oracle_weight_set(lat, 67):
+            self.check(lat, f, dualize(f), True)
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
+    def test_random(self, n, seed, radius, draws):
+        lat = random_lattice(n, seed, radius, draws)
+        for f in oracle_weight_set(lat, seed):
+            self.check(lat, f, dualize(f), True)
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_planted_wrong_dual_weight(self, name):
+        # a vertex has a point at every dilation, so both routes must see it
+        lat = build(name)
+        f = random_weight_functions(lat, seed=71, count=1)[0]
+        dual = dualize(f)
+        vertex = lat.vertex_face_id(0)
+        wrong = WeightFunction(lat, {**dual.values, vertex: dual[vertex] + L({1: 1})})
+        self.check(lat, f, wrong, False)
 
 
 class TestVerifyPurity:

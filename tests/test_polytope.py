@@ -6,17 +6,28 @@ implementation ran.
 """
 
 import inspect
+import io
 import itertools
+import json
 import random
 from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from box_oracle import box_fibres, box_points_by_face, random_lattice
+from box_oracle import (
+    RANDOM_6,
+    RANDOM_SHAPES,
+    box_fibres,
+    box_points_by_face,
+    cross,
+    cube,
+    random_lattice,
+)
 from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.polytope import (
+    FACE_POLYS_MAX,
     PHI_SUMS_MAX,
     POINTS_CACHE_MAX,
     BoundedCache,
@@ -290,25 +301,6 @@ class TestIsSimple:
             assert is_simple(facet_presentation(simplex(n)))
 
 
-def _cube(n):
-    return list(itertools.product((0, 1), repeat=n))
-
-
-def _cross(n):
-    return [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
-
-
-# (dimension, seed, radius, draws) of the seeded random polytopes below
-RANDOM_SHAPES = [
-    (2, 1, 3, 7), (2, 2, 2, 5), (3, 1, 2, 8), (3, 2, 1, 7),
-    (4, 1, 1, 8), (4, 2, 1, 7), (5, 1, 1, 8),
-]
-
-
-# seeded random 6-polytopes, (dimension, seed, radius, draws) as above
-RANDOM_6 = [(6, 1, 1, 10), (6, 2, 1, 12)]
-
-
 class TestFibreWalkAgainstBoxScan:
     """The fibre walk against the box scan, face by face and in list order."""
 
@@ -325,7 +317,7 @@ class TestFibreWalkAgainstBoxScan:
             assert points_by_face(lattice, ell) == box_points_by_face(lattice, ell), ell
 
     def test_dimension_6(self):
-        for lattice in (build_face_lattice(facet_presentation(_cross(6))), random_lattice(*RANDOM_6[0])):
+        for lattice in (build_face_lattice(facet_presentation(cross(6))), random_lattice(*RANDOM_6[0])):
             for ell in (1, 2):
                 assert points_by_face(lattice, ell) == box_points_by_face(lattice, ell), ell
 
@@ -361,7 +353,7 @@ class TestFibresAgainstBoxFibres:
     def test_random_dimension_6(self, n, seed, radius, draws):
         self._agree(random_lattice(n, seed, radius, draws), (1, 2, 3))
 
-    @pytest.mark.parametrize("pts", [_cube(6), _cross(6)], ids=["cube6", "cross6"])
+    @pytest.mark.parametrize("pts", [cube(6), cross(6)], ids=["cube6", "cross6"])
     def test_cube6_and_cross6(self, pts):
         self._agree(build_face_lattice(facet_presentation(pts)), (1, 2, 3))
 
@@ -374,7 +366,7 @@ class TestFibresAgainstBoxFibres:
         assert inspect.isgenerator(fibres(build("cube"), 2))
 
     def test_projection_table_is_lazy_and_has_n_minus_1_entries(self):
-        lattice = build_face_lattice(facet_presentation(_cross(5)))
+        lattice = build_face_lattice(facet_presentation(cross(5)))
         assert lattice._projections is None
         list(fibres(lattice, 1))
         table = lattice.projections()
@@ -510,20 +502,20 @@ class TestHullClosedForms:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_cube(self, n):
-        P = facet_presentation(_cube(n))
+        P = facet_presentation(cube(n))
         unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         assert P.facets == tuple(sorted([(e, 0) for e in unit] + [(tuple(-x for x in e), 1) for e in unit]))
-        assert P.vertices == tuple(_cube(n))
+        assert P.vertices == tuple(cube(n))
         # f_k = C(n, k) 2^(n-k)
         f = build_face_lattice(P).f_vector
         assert f == (1, *(comb(n, k) * 2 ** (n - k) for k in range(n)), 1)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_cross(self, n):
-        P = facet_presentation(_cross(n))
+        P = facet_presentation(cross(n))
         signs = itertools.product((1, -1), repeat=n)
         assert P.facets == tuple(sorted((s, 1) for s in signs))
-        assert P.vertices == tuple(sorted(_cross(n)))
+        assert P.vertices == tuple(sorted(cross(n)))
         # f_k = 2^(k+1) C(n, k+1)
         f = build_face_lattice(P).f_vector
         assert f == (1, *(2 ** (k + 1) * comb(n, k + 1) for k in range(n)), 1)
@@ -563,6 +555,7 @@ class TestCacheBounds:
             cache[k] = k
         cache[3] = "again"  # overwriting a kept key evicts nothing
         assert cache == {2: 2, 3: "again", 4: 4}
+        assert cache.evictions == 2
 
     def test_points_cache_past_its_bound(self):
         lattice = build_face_lattice(facet_presentation(SEGMENT))
@@ -585,3 +578,35 @@ class TestCacheBounds:
         # the relative interior of ell*[0, 1] has ell - 1 points
         assert _phi_face_sums(lattice, phi, 1)[lattice.top_id] == 0
         assert _phi_face_sums(lattice, phi, 9)[lattice.top_id] == 8
+
+    def test_face_polynomials_past_their_bound(self):
+        from wehrhart.algebra import HomogPoly
+        from wehrhart.ehrhart import _face_polynomials
+
+        lattice = build_face_lattice(facet_presentation(SEGMENT))
+        phis = [HomogPoly(1, [((0,), c)]) for c in range(1, FACE_POLYS_MAX + 2)]
+        for phi in phis:
+            _face_polynomials(lattice, phi)
+        assert list(lattice._face_polys) == phis[1:]
+        assert lattice._face_polys.evictions == 1
+        # S(z) = c (z - 1) on the open segment, over D = 1!
+        assert _face_polynomials(lattice, phis[2])[1][lattice.top_id] == (-3, 3)
+
+    def test_verify_at_the_largest_lmax_evicts_nothing(self, tmp_path, monkeypatch):
+        from wehrhart import cli
+
+        built = []
+
+        def keep(P):
+            built.append(build_face_lattice(P))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_face_lattice", keep)
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"vertices": [list(v) for v in CORPUS["cube"]]}))
+        argv = ["verify", str(path), "--suite", "all", "--lmax", str(cli.MAX_LMAX)]
+        assert cli.run(cli.parse_args(argv), stdout=io.StringIO()) == 0
+        (lattice,) = built
+        caches = (lattice._points_cache, lattice._phi_sums, lattice._face_polys)
+        assert [len(c) for c in caches] == [cli.MAX_LMAX, cli.MAX_LMAX, 1]
+        assert [c.evictions for c in caches] == [0, 0, 0]
