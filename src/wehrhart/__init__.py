@@ -46,7 +46,6 @@ from .polytope import (
 )
 from .stanley import (
     NonEulerianPoset,
-    ReversedInterval,
     g_weight_function,
     h_polynomial,
     polar_g,
@@ -80,7 +79,6 @@ __all__ = [
     "LaurentPoly",
     "NonEulerianPoset",
     "PolynomialityError",
-    "ReversedInterval",
     "VARIANT_E",
     "VARIANT_ETILDE",
     "WeightFunction",

@@ -31,6 +31,9 @@ from operator import and_, floordiv, mul
 # dilations of sums and one table, so no run at desk scale evicts
 # anything.  FaceLattice._projections needs no bound: it holds the facets
 # of the n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
+# Nor does FaceLattice._g_memo: it holds one g per nested pair of nonempty
+# faces that the Stanley recursion reached, so at most the number of
+# nested pairs of the lattice.
 POINTS_CACHE_MAX = 16
 PHI_SUMS_MAX = 64
 FACE_POLYS_MAX = 4
@@ -213,6 +216,8 @@ def facet_presentation(points) -> LatticePolytope:
     if not pts:
         raise InvalidPolytope("no points")
     n = len(pts[0])
+    if n == 0:
+        raise InvalidPolytope("points have no coordinates")
     if any(len(p) != n for p in pts):
         raise InvalidPolytope("points of mixed dimension")
     if len(pts) < n + 1:

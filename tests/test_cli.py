@@ -255,6 +255,24 @@ def test_validation_error_degenerate_polytope(tmp_path, capsys):
     assert err.startswith("error: validation: ")
 
 
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("faces", []),
+        ("hpoly", []),
+        ("gweights", ["--face", "P"]),
+        ("ehrhart", ["--variant", "E"]),
+        ("verify", ["--suite", "all", "--lmax", "2"]),
+    ],
+)
+def test_validation_error_vertices_without_coordinates(command, options, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [[]]}')
+    code, out, err = run_cli([command, str(path), *options], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+
+
 def test_validation_error_inhomogeneous_phi(tmp_path, capsys):
     path = tmp_path / "phi.json"
     path.write_text(

@@ -99,6 +99,10 @@ class TestFacetPresentation:
         with pytest.raises(InvalidPolytope):
             facet_presentation([(0, 0), (1, 0), (2, 0)])
 
+    def test_points_without_coordinates(self):
+        with pytest.raises(InvalidPolytope, match="no coordinates"):
+            facet_presentation([()])
+
     def test_too_few_after_dedup(self):
         with pytest.raises(InvalidPolytope):
             facet_presentation([(0, 0), (1, 1), (0, 0)])

@@ -2,16 +2,20 @@
 
 The library is standard-library only, holds no float anywhere, and never
 relies on an assert statement for a check (python -O strips them).  Each
-rule is read off the ast of every module under src/wehrhart.
+rule is read off the ast of every module under src/wehrhart.  The
+benchmark's tracer looks library functions up by name, so one more test
+installs and removes it on the imported library.
 """
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wehrhart"
+TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -73,3 +77,21 @@ def test_each_rule_catches_a_violation(source, rule, tmp_path):
     path.write_text("from __future__ import annotations\nimport json\nfrom . import algebra\n" + source)
     with pytest.raises(AssertionError):
         rule(path)
+
+
+def test_tracer_finds_every_traced_name():
+    """bench/tracing.py wraps each name it traces and puts the originals back."""
+    spec = importlib.util.spec_from_file_location("wehrhart_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in {module for module, _, _ in tracing.TRACED}:
+        importlib.import_module(f"wehrhart.{name}")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patched)
+    finally:
+        tracer.remove()
+    assert {attr for _, attr, _ in patched} >= {path.split(".")[-1] for _, path, _ in tracing.TRACED}
+    for holder, attr, original in patched:
+        assert getattr(holder, attr) is original, (holder, attr)

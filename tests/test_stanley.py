@@ -5,26 +5,43 @@ All expected f/g/h values were expanded by hand from the recursion
 octahedron h-vector for the cube) and frozen before implementation.
 """
 
+import itertools
+from functools import lru_cache
+from math import comb
+
 import pytest
 
 from wehrhart.corpus import CORPUS, build
 from wehrhart.polytope import FaceLattice, Face, build_face_lattice, facet_presentation
 from wehrhart.stanley import (
     NonEulerianPoset,
-    ReversedInterval,
     g_weight_function,
     h_polynomial,
     polar_g,
     stanley_fg,
 )
-from wehrhart.algebra import LaurentPoly, substitute_inverse, substitute_negative
-from wehrhart.weights import all_ones, delta_weight
+from wehrhart.algebra import LaurentPoly, neg_y_power, substitute_inverse, substitute_negative
+from wehrhart.weights import all_ones, delta_weight, dualize, scale
 
 PENTAGON = ((0, 0), (2, 0), (3, 1), (2, 3), (0, 2))
 
 
 def T(d):
     return LaurentPoly(d)
+
+
+def crippled_square():
+    """The square's face poset with one vertex dropped: not Eulerian."""
+    L = build("square")
+    dropped = L.vertex_face_id(0)
+    kept = [f for f in L.faces if f.id != dropped]
+    return FaceLattice(
+        L.polytope,
+        [
+            Face(id=i, vertex_set=f.vertex_set, tight_facets=f.tight_facets, dim=f.dim)
+            for i, f in enumerate(kept)
+        ],
+    )
 
 
 class TestPolyT:
@@ -45,8 +62,7 @@ class TestPolyT:
 class TestStanleyFG:
     def test_single_element(self):
         L = build("segment")
-        iv = ReversedInterval(L, L.top_id, L.top_id)
-        f, g = stanley_fg(iv)
+        f, g = stanley_fg(L, L.top_id, L.top_id)
         assert f == T({0: 1})
         assert g == T({0: 1})
 
@@ -58,9 +74,24 @@ class TestStanleyFG:
         P = facet_presentation(verts)
         assert len(P.vertices) == v
         L = build_face_lattice(P)
-        f, g = stanley_fg(ReversedInterval(L, L.empty_id, L.top_id))
+        f, g = stanley_fg(L, L.empty_id, L.top_id)
         assert f == T({0: 1, 1: v - 2, 2: 1})
         assert g == T({0: 1, 1: v - 3})
+
+    def test_not_nested_rejected(self):
+        L = build("square")
+        with pytest.raises(ValueError):
+            stanley_fg(L, L.vertex_face_id(0), L.vertex_face_id(1))
+        with pytest.raises(ValueError):
+            stanley_fg(L, L.top_id, L.empty_id)
+
+    def test_non_eulerian_rejected(self):
+        crippled = crippled_square()
+        edge = next(f.id for f in crippled.faces if f.dim == 1)
+        with pytest.raises(NonEulerianPoset):
+            stanley_fg(crippled, edge, crippled.top_id)
+        with pytest.raises(NonEulerianPoset):
+            h_polynomial(crippled)
 
     def test_simplex_faces_all_g_one(self):
         for name in ("simplex1", "simplex2", "simplex3", "simplex4"):
@@ -121,18 +152,11 @@ class TestPolarG:
             polar_g(L, L.empty_id, L.top_id)
 
     def test_non_eulerian_rejected(self):
-        L = build("square")
-        dropped = L.vertex_face_id(0)
-        kept = [f for f in L.faces if f.id != dropped]
-        crippled = FaceLattice(
-            L.polytope,
-            [
-                Face(id=i, vertex_set=f.vertex_set, tight_facets=f.tight_facets, dim=f.dim)
-                for i, f in enumerate(kept)
-            ],
-        )
+        crippled = crippled_square()
         with pytest.raises(NonEulerianPoset):
-            ReversedInterval(crippled, crippled.empty_id, crippled.top_id)
+            stanley_fg(crippled, crippled.empty_id, crippled.top_id)
+        with pytest.raises(NonEulerianPoset):
+            polar_g(crippled, crippled.nonempty_ids[0], crippled.top_id)
 
 
 class TestGWeightFunction:
@@ -180,3 +204,37 @@ class TestHPolynomial:
             L = build(name)
             h = h_polynomial(L)
             assert h == substitute_inverse(h) * LaurentPoly({L.polytope.n: 1}), name
+
+
+@lru_cache(maxsize=None)
+def deep_lattice(kind, n):
+    """Face lattice of the n-cube {0,1}^n or the n-cross-polytope conv(+-e_i)."""
+    if kind == "cube":
+        verts = itertools.product((0, 1), repeat=n)
+    else:
+        verts = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    return build_face_lattice(facet_presentation(verts))
+
+
+class TestDeepLattices:
+    """Closed forms and dualities on lattices of dimension 4 and 5."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cube_h_is_binomial(self, n):
+        # the polar of the n-cube is the n-cross-polytope, a simplicial
+        # polytope with h-vector C(n, i)
+        assert h_polynomial(deep_lattice("cube", n)) == T({i: comb(n, i) for i in range(n + 1)})
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cube_top_gives_all_ones(self, n):
+        L = deep_lattice("cube", n)
+        assert g_weight_function(L, L.top_id) == all_ones(L)
+
+    @pytest.mark.parametrize("kind,n", [("cube", 4), ("cross", 4), ("cross", 5)])
+    def test_g_weights_self_dual_and_h_palindromic(self, kind, n):
+        L = deep_lattice(kind, n)
+        for qp in L.nonempty_ids:
+            f = g_weight_function(L, qp)
+            assert dualize(f) == scale(neg_y_power(-L.faces[qp].dim), f), qp
+        h = h_polynomial(L)
+        assert h == substitute_inverse(h) * T({n: 1})
