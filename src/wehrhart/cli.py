@@ -49,10 +49,12 @@ SUITES = ("all", "reciprocity", "duality", "purity", "hodge")
 # Budgets on the size flags, checked before the polytope is read (exit 3
 # above them): the work grows like the lattice points of the dilate, about
 # vol(P) * ell^n (random3 has 162,081 at ell = 16, 1.28 million at 32),
-# and desk-scale runs need dilations up to n + deg phi + 3.
+# and desk-scale runs need dilations up to n + deg phi + 3.  The integrand's
+# degree is checked as soon as it is read, before any sum is taken.
 MAX_ELL = 16  # |charsum --l|
 MAX_LMAX = 12  # verify --lmax
 MAX_COUNT = 64  # verify --count, random weight functions
+MAX_DEGREE = 12  # deg phi of ehrhart/verify --phi
 
 
 class CliError(Exception):
@@ -149,7 +151,10 @@ def _resolve_weights(spec: argparse.Namespace, lattice: FaceLattice):
 def _resolve_phi(spec: argparse.Namespace, lattice: FaceLattice) -> HomogPoly:
     if spec.phi is None:
         return HomogPoly.one(lattice.polytope.n)
-    return load_phi(spec.phi, n_expected=lattice.polytope.n)
+    phi = load_phi(spec.phi, n_expected=lattice.polytope.n)
+    if phi.degree > MAX_DEGREE:
+        raise CliError("validation", f"the integrand's degree must be at most {MAX_DEGREE}")
+    return phi
 
 
 def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:

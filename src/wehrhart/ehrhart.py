@@ -35,7 +35,7 @@ from .algebra import (
     power_sum,
     substitute_inverse,
 )
-from .polytope import FaceLattice, fibres, points_by_face
+from .polytope import FaceLattice, fibre_rows, points_by_face
 from .stanley import g_weight_function
 from .weights import WeightFunction, dualize
 
@@ -138,30 +138,39 @@ def apply_phi(s: CharacterSum, phi: HomogPoly, variant: str) -> LaurentPoly:
 def _phi_face_sums(lattice, phi, ell):
     """sum of phi over Relint(ell Q) for every nonempty Q, memoized.
 
-    Sums over the fibres of ell*P in closed form, without visiting their
-    points.  Write d*phi(prefix, t) = sum_k g_k(prefix) t^k with integer
-    g_k, d the common denominator of the coefficients; a fibre's two ends
-    are evaluated and its middle lo < t < hi adds sum_k g_k times the
-    power sum of t^k.  Each face total is divided by d once, as a Fraction.
+    Sums over the rows of fibre_rows in closed form, without visiting
+    their points.  Write d*phi(outer, x, t) = sum_k t^k sum_j h_kj(outer) x^j
+    with integer h_kj, d the common denominator of the coefficients (for
+    n = 1, x is a dummy at exponent 0).  h is evaluated once per row and
+    g_k = sum_j h_kj x^j once per fibre; a fibre's two ends are evaluated
+    and its middle lo < t < hi adds sum_k g_k times the power sum of t^k.
+    Each face total is divided by d once, as a Fraction.
     """
     if phi.n != lattice.polytope.n:
         raise ValueError("integrand dimension differs from the polytope's")
     key = (phi, ell)
     if key not in lattice._phi_sums:
         d = lcm(*(c.denominator for _, c in phi.monomials))
-        by_power = {}
+        terms = {}  # k -> j -> [(exponents of outer, d*c)]
         for exps, c in phi.monomials:
-            by_power.setdefault(exps[-1], []).append((exps[:-1], (c * d).numerator))
+            *e, j, k = (0,) * (2 - phi.n) + exps
+            terms.setdefault(k, {}).setdefault(j, []).append((e, (c * d).numerator))
         acc = dict.fromkeys(lattice.nonempty_ids, 0)
-        for prefix, lo, hi, face_lo, face_mid, face_hi in fibres(lattice, ell):
-            g = [
-                (k, sum(c * prod(map(pow, prefix, e)) for e, c in terms))
-                for k, terms in by_power.items()
-            ]
-            acc[face_lo] += sum(gk * lo**k for k, gk in g)
-            if hi > lo:
-                acc[face_mid] += sum(gk * power_sum(k, lo + 1, hi - 1) for k, gk in g)
-                acc[face_hi] += sum(gk * hi**k for k, gk in g)
+        for outer, row in fibre_rows(lattice, ell):
+            for k, by_j in terms.items():
+                # h_kj(outer) for j = max j .. 0, the order Horner's rule reads them in
+                h = [
+                    sum(c * prod(map(pow, outer, e)) for e, c in by_j.get(j, ()))
+                    for j in range(max(by_j), -1, -1)
+                ]
+                for x, lo, hi, face_lo, face_mid, face_hi in row:
+                    g = 0
+                    for hj in h:
+                        g = g * x + hj
+                    acc[face_lo] += g * lo**k
+                    if hi > lo:
+                        acc[face_mid] += g * power_sum(k, lo + 1, hi - 1)
+                        acc[face_hi] += g * hi**k
         lattice._phi_sums[key] = {q: canon(Fraction(v, d)) for q, v in acc.items()}
     return lattice._phi_sums[key]
 

@@ -2,15 +2,17 @@
 
 Facet presentation by the double-description method (Fukuda-Prodon) in
 int arithmetic, face lattice by closing tight-facet vertex sets under
-intersection, with the face order held as one bitmask of faces above and
-one below each face, and lattice points by a fibre walk.  The walk lifts
-the first n-1 coordinates level by level through the hulls of P's
-coordinate projections and solves the facet inequalities for the
-interval of the last one, whose ends and middle each lie in the relative
-interior of one face; its cost is the lattice points of the projections
-plus the points kept.  Everything is exact and no Fraction is built:
-elimination is fraction-free over int.  Dimensions up to 6 and a few
-dozen vertices are the intended scale.
+intersection and grading it in one pass down the closure, with the face
+order held as one bitmask of faces above and one below each face, and
+lattice points by a fibre walk.  The walk lifts the first n-1
+coordinates level by level through the hulls of P's coordinate
+projections; along each row (the first n-2 fixed) the ends of the last
+coordinate's interval, whose ends and middle each lie in the relative
+interior of one face, follow two envelopes of facet lines.  Its cost is
+one pass over the facets per row, O(1) per fibre, and the points kept.
+Everything is exact and no Fraction is built: elimination is
+fraction-free over int.  Dimensions up to 6 and a few dozen vertices are
+the intended scale.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cmp_to_key, reduce
 from math import gcd, lcm
-from operator import and_, floordiv, mul
+from operator import and_, mul
 
 # Entries kept in FaceLattice._points_cache (one per dilation),
 # FaceLattice._phi_sums (one per integrand and dilation) and
@@ -373,8 +375,9 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     Vertex sets are bitmasks while the closure runs.  Closure under
     intersection makes deduplication by vertex set complete; the empty
     face (dim -1, tight on all facets) and P itself (empty tight set) are
-    always present.  Each face's dimension is the rank of its vertices,
-    computed once.
+    always present.  Faces are graded by one pass down the closure, in
+    decreasing vertex count; elimination ranks only the facets, for the
+    closure check.
     """
     nv = len(P.vertices)
     facet_tight = [
@@ -395,7 +398,14 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
         frontier = new
 
     members = {s: mask_ids(s) for s in sets}
-    dims = {s: _affine_rank([P.vertices[i] for i in ids]) for s, ids in members.items()}
+    # grade top down: a face meets a facet not containing it in a face one
+    # dimension lower or less, and in exactly one lower along some facet
+    dims = dict.fromkeys(sets, P.n)
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        for ft in facet_tight:
+            t = s & ft
+            if t != s and dims[t] >= dims[s]:
+                dims[t] = dims[s] - 1
     faces = [
         Face(
             id=fid,
@@ -409,10 +419,11 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     # facets by construction; what a wrong facet list breaks is the grading:
     # each facet must close to an (n-1)-face and each vertex to a 0-face.
     for F, ft in enumerate(facet_tight):
-        if dims[ft] != P.n - 1:
+        rank = _affine_rank([P.vertices[i] for i in members[ft]])
+        if rank != P.n - 1:
             raise InvalidPolytope(
                 f"face lattice closure broken: facet {P.facets[F]} spans a "
-                f"{dims[ft]}-face, not an {P.n - 1}-face"
+                f"{rank}-face, not an {P.n - 1}-face"
             )
     for i, v in enumerate(P.vertices):
         if dims.get(1 << i) != 0:
@@ -441,32 +452,77 @@ def _prefixes(bounds, prefix=()):
         yield from _prefixes(bounds, prefix + (x,))
 
 
-def fibres(lattice: FaceLattice, ell: int):
-    """Every nonempty fibre of the integer points of ell*P, in lexicographic order.
+def _floor_min(lines, xs):
+    """floor(min_F (s_F + v_F*x) / c_F) at each x of the range xs, and the
+    bits of the lines attaining it where the minimum is an integer (else 0).
+
+    lines are (s, v, c, bits) with c > 0, in decreasing slope v/c.  Their
+    minimum is a concave envelope, built with a stack: of parallel lines
+    the lowest stays, identical lines merge their bits, and a line that is
+    nowhere strictly below the others is dropped.  A pointer walks it along
+    x, so each x reads one line.  Another line can attain the minimum only
+    where the envelope changes lines; at such an x every line is checked.
+    """
+    env = []  # (s, v, c, bits, num, den): the line takes over at x = num/den
+    for s, v, c, bits in lines:
+        while env:
+            s0, v0, c0, b0, n0, d0 = env[-1]
+            # the line lies below the top for x > num/den; den >= 0 by the order
+            num, den = s * c0 - s0 * c, v0 * c - v * c0
+            if den == 0 and num >= 0:  # parallel and not lower
+                if num == 0:
+                    env[-1] = (s0, v0, c0, b0 | bits, n0, d0)
+                break
+            if den and num * d0 > n0 * den:  # the top keeps a stretch of its own
+                env.append((s, v, c, bits, num, den))
+                break
+            env.pop()
+        else:
+            env.append((s, v, c, bits, -1, 0))
+    floors, tight = [], []
+    i, last = 0, len(env) - 1
+    for x in xs:
+        while i < last and x * env[i + 1][5] >= env[i + 1][4]:
+            i += 1
+        s, v, c, bits, num, den = env[i]
+        q, r = divmod(s + v * x, c)
+        if r:
+            bits = 0
+        elif x * den == num:
+            bits = sum(b for s, v, c, b in lines if s + v * x == c * q)
+        floors.append(q)
+        tight.append(bits)
+    return floors, tight
+
+
+def fibre_rows(lattice: FaceLattice, ell: int):
+    """The nonempty fibres of the integer points of ell*P, one row at a time.
 
     A fibre fixes the first n-1 coordinates (the prefix) and runs over the
-    last one, t.  Coordinate k of the prefix runs over the interval that
-    the facets of pi_{k+1}(ell P), the projection to the first k+1
-    coordinates, allow (FaceLattice.projections); a facet with zero k-th
-    coefficient is implied by the level before, so every prefix lies in
-    pi_{n-1}(ell P).  There the facet inequalities <m, u_F> >= -ell*a_F
-    cut t down to an integer interval [lo, hi]: a facet with u_F[-1] > 0
-    bounds t from below and can be tight only at t = lo, one with
-    u_F[-1] < 0 bounds it from above and can be tight only at t = hi, and
-    one with u_F[-1] = 0 holds, and is tight, on the whole fibre or on
-    none of it.  Along the last prefix coordinate x a slack is
-    base + u_F[-2]*x, with base computed once per outer prefix.
+    last one, t; a row fixes the first n-2 (outer) and runs over the
+    next, x.  Coordinate k of the prefix runs over the interval that the
+    facets of pi_{k+1}(ell P), the projection to the first k+1
+    coordinates, allow (FaceLattice.projections), so every prefix lies in
+    pi_{n-1}(ell P).  On a row a facet <m, u_F> >= -ell*a_F with
+    u_F[-1] > 0 bounds t from below by a line in x and can be tight only
+    at t = lo, one with u_F[-1] < 0 bounds it from above and can be tight
+    only at t = hi: lo and hi are floors of two envelopes (_floor_min) of
+    lines sorted by slope once per call.  A facet with u_F[-1] = 0 holds,
+    and is tight, on the whole fibre or on none of it.
 
-    Yields (prefix, lo, hi, face_lo, face_mid, face_hi): the face of lo,
-    the face shared by every t strictly between lo and hi (None when
-    lo == hi), and the face of hi.  Prefixes come in lexicographic order.
+    Yields (outer, row), row a list of (x, lo, hi, face_lo, face_mid,
+    face_hi), one per nonempty fibre in increasing x: the face of lo, the
+    face shared by every t strictly between lo and hi (None when
+    lo == hi), and the face of hi.  Rows come in lexicographic order; for
+    n = 1 the one fibre, over the empty prefix, is one row at x = 0.
     """
     if ell <= 0:
         raise ValueError("dilation must be a positive integer")
     P = lattice.polytope
-    if P.n == 1:  # ell*P = ell*[v0, v1]: one fibre, over the empty prefix
+    if P.n == 1:  # ell*P = ell*[v0, v1]
         (v0,), (v1,) = P.vertices
-        yield (), ell * v0, ell * v1, lattice.vertex_face_id(0), lattice.top_id, lattice.vertex_face_id(1)
+        faces = lattice.vertex_face_id(0), lattice.top_id, lattice.vertex_face_id(1)
+        yield (), [(0, ell * v0, ell * v1, *faces)]
         return
     by_mask = lattice._by_mask
     bounds = [
@@ -476,47 +532,53 @@ def fibres(lattice: FaceLattice, ell: int):
         )
         for k, facets in enumerate(lattice.projections())
     ]
-    # facet F has slack <u_F[:-2], outer> + ell*a_F + u_F[-2]*x + u_F[-1]*t;
-    # each group keeps the facet bits, |u_F[-1]|, u_F[-2] and (u_F[:-2], ell*a_F)
-    lower, upper, flat = ([], [], [], []), ([], [], [], []), ([], [], [], [])
+    # facet F has slack s + u_F[-2]*x + u_F[-1]*t, s = <u_F[:-2], outer> + ell*a_F, so
+    # -t on a lower facet and t on an upper one are at most (s + u_F[-2]*x) / |u_F[-1]|
+    lower, upper, flat = [], [], []
     for F, (u, a) in enumerate(P.facets):
-        bits, cs, vs, rows = lower if u[-1] > 0 else upper if u[-1] < 0 else flat
-        bits.append(1 << F)
-        cs.append(abs(u[-1]))
-        vs.append(u[-2])
-        rows.append((u[:-2], ell * a))
-    (bits_l, c_l, v_l, rows_l), (bits_u, c_u, v_u, rows_u), (bits_f, _, v_f, rows_f) = (
-        lower, upper, flat,
-    )
+        side = lower if u[-1] > 0 else upper if u[-1] < 0 else flat
+        side.append((u[:-2], ell * a, u[-2], abs(u[-1]), 1 << F))
+    for side in (lower, upper):  # decreasing slope v/c, compared in int
+        side.sort(key=cmp_to_key(lambda p, q: q[2] * p[3] - p[2] * q[3]))
     for outer in _prefixes(bounds[:-1]):
-        base_l = [_dot(w, outer) + b for w, b in rows_l]
-        base_u = [_dot(w, outer) + b for w, b in rows_u]
-        base_f = [_dot(w, outer) + b for w, b in rows_f]
-        for x in _interval(*bounds[-1], outer):
-            sl = [s + v * x for s, v in zip(base_l, v_l)]
-            su = [s + v * x for s, v in zip(base_u, v_u)]
-            # t >= -s/c on a lower facet, t <= s/c on an upper one
-            lo = -min(map(floordiv, sl, c_l))
-            hi = min(map(floordiv, su, c_u))
+        xs = _interval(*bounds[-1], outer)
+        (neg_lo, tight_lo), (hi_end, tight_hi) = (
+            _floor_min([(sum(map(mul, w, outer), b), v, c, bit) for w, b, v, c, bit in side], xs)
+            for side in (lower, upper)
+        )
+        # a flat facet's slack s + v*x is >= 0 on the row: zero at one x, or everywhere
+        always, flat_at = 0, {}
+        for w, b, v, _, bit in flat:
+            s = sum(map(mul, w, outer), b)
+            if v and s % v == 0:
+                flat_at[-s // v] = flat_at.get(-s // v, 0) | bit
+            elif not v and s == 0:
+                always |= bit
+        row = []
+        for x, lo, hi, at_lo, at_hi in zip(xs, neg_lo, hi_end, tight_lo, tight_hi):
+            lo = -lo
             if lo > hi:
                 continue
-            at_flat = 0
-            for bit, s, v in zip(bits_f, base_f, v_f):
-                if s + v * x == 0:
-                    at_flat |= bit
-            at_lo = at_hi = at_flat
-            for bit, s, c in zip(bits_l, sl, c_l):
-                if s == -c * lo:
-                    at_lo |= bit
-            for bit, s, c in zip(bits_u, su, c_u):
-                if s == c * hi:
-                    at_hi |= bit
-            prefix = outer + (x,)
+            at_flat = always | flat_at.get(x, 0)
             if lo == hi:
-                face = by_mask[at_lo | at_hi]
-                yield prefix, lo, hi, face, None, face
+                face = by_mask[at_flat | at_lo | at_hi]
+                row.append((x, lo, hi, face, None, face))
             else:
-                yield prefix, lo, hi, by_mask[at_lo], by_mask[at_flat], by_mask[at_hi]
+                faces = by_mask[at_flat | at_lo], by_mask[at_flat], by_mask[at_flat | at_hi]
+                row.append((x, lo, hi, *faces))
+        yield outer, row
+
+
+def fibres(lattice: FaceLattice, ell: int):
+    """Every nonempty fibre of the integer points of ell*P, in lexicographic order.
+
+    The rows of fibre_rows flattened to (prefix, lo, hi, face_lo,
+    face_mid, face_hi), prefix = outer + (x,), or () for n = 1.
+    """
+    keep = lattice.polytope.n - 1
+    for outer, row in fibre_rows(lattice, ell):
+        for x, *fibre in row:
+            yield ((*outer, x)[:keep], *fibre)
 
 
 def points_by_face(lattice: FaceLattice, ell: int):
@@ -524,12 +586,11 @@ def points_by_face(lattice: FaceLattice, ell: int):
 
     Materialises the fibres of fibres(): every point of a fibre lands in
     the face read off its end or its middle, so no point outside ell*P is
-    ever visited.  The cost is the lattice points of the projections that
-    bound the prefixes (the first n-1 coordinates) plus the points kept.
-    Prefixes come in lexicographic order and t rises within a
-    fibre, so every list is sorted lexicographically as built.  Results
+    ever visited.  The cost is that of the rows of fibre_rows plus the
+    points kept.  Prefixes come in lexicographic order and t rises within
+    a fibre, so every list is sorted lexicographically as built.  Results
     are memoized on the lattice; only character sums call this, the
-    weighted counts sum over the fibres directly.
+    weighted counts sum over the rows directly.
     """
     if ell in lattice._points_cache:
         return lattice._points_cache[ell]

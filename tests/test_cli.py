@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -556,6 +557,38 @@ def test_cache_bounds_cover_the_size_budgets():
     # one run asks for at most this many dilations, so nothing is evicted
     assert polytope.POINTS_CACHE_MAX >= max(cli.MAX_ELL, cli.MAX_LMAX)
     assert polytope.PHI_SUMS_MAX >= cli.MAX_LMAX
+    # the interpolant of a degree-MAX_DEGREE integrand in dimension 6
+    assert polytope.PHI_SUMS_MAX >= 6 + cli.MAX_DEGREE + 3
+
+
+def _phi_file(tmp_path, exponent):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"n": 2, "monomials": [{"exps": [exponent, 0], "coeff": "1"}]}))
+    return str(path)
+
+
+def test_integrand_degree_at_budget_runs(tmp_path, capsys):
+    phi = _phi_file(tmp_path, cli.MAX_DEGREE)
+    code, out, err = run_cli(["ehrhart", fx("simplex2"), "--variant", "E", "--phi", phi], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["degree_bound"] == 2 + cli.MAX_DEGREE
+
+
+@pytest.mark.parametrize("exponent", [cli.MAX_DEGREE + 1, 10**9])
+@pytest.mark.parametrize(
+    "args",
+    [["ehrhart", "--variant", "E"], ["verify", "--suite", "all", "--lmax", "2"]],
+    ids=["ehrhart", "verify"],
+)
+def test_integrand_degree_over_budget_is_refused_at_once(tmp_path, capsys, args, exponent):
+    # the degree is checked before any sum is taken: 10**9 would never finish
+    argv = [args[0], fx("simplex2"), *args[1:], "--phi", _phi_file(tmp_path, exponent)]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+    assert str(cli.MAX_DEGREE) in err
 
 
 def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):

@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import random
+from fractions import Fraction
 from math import comb, lcm
 
 import pytest
@@ -33,12 +34,15 @@ from wehrhart.polytope import (
     BoundedCache,
     InvalidPolytope,
     LatticePolytope,
+    _affine_rank,
+    _floor_min,
     _nullspace,
     _primitive,
     _rank,
     build_face_lattice,
     eulerian_check,
     facet_presentation,
+    fibre_rows,
     fibres,
     is_simple,
     points_by_face,
@@ -378,6 +382,142 @@ class TestFibresAgainstBoxFibres:
         assert table[0] == (((-1,), 1), ((1,), 1))
         list(fibres(lattice, 4))
         assert lattice.projections() is table
+
+
+def _lines_by_slope(lines, rng):
+    """Lines (s, v, c, bits) sorted by decreasing slope v/c, equal slopes in a random order."""
+    rng.shuffle(lines)
+    return sorted(lines, key=lambda line: -Fraction(line[1], line[2]))
+
+
+def _random_line_family(rng):
+    """A seeded family of lines s + v*x over c, with ties planted among them.
+
+    Plants parallel lines, identical lines (also with (s, v, c) scaled),
+    and lines concurrent at a point whose x is an integer and whose value
+    is an integer or not.
+    """
+    lines = [
+        (rng.randint(-12, 12), rng.randint(-4, 4), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 4))
+    ]
+    for _ in range(rng.randint(0, 3)):
+        s, v, c = rng.choice(lines)
+        kind = rng.choice(("parallel", "identical", "scaled", "concurrent"))
+        if kind == "parallel":
+            lines.append((s + rng.choice((-3, -1, 1, 2)) * c, v, c))
+        elif kind == "identical":
+            lines.append((s, v, c))
+        elif kind == "scaled":
+            k = rng.randint(2, 3)
+            lines.append((k * s, k * v, k * c))
+        else:  # two more lines through the value of (s, v, c) at an integer x0
+            x0 = rng.randint(-5, 5)
+            for v2, c2 in rng.sample([(w, d) for w in range(-4, 5) for d in (1, 2, 3)], 2):
+                # (s2 + v2*x0)/c2 = (s + v*x0)/c needs c | c2*(s + v*x0)
+                if c2 * (s + v * x0) % c == 0:
+                    lines.append((c2 * (s + v * x0) // c - v2 * x0, v2, c2))
+    return [(s, v, c, 1 << i) for i, (s, v, c) in enumerate(lines)]
+
+
+class TestFloorMinAgainstBruteForce:
+    """The per-row envelope against a min over every line, floored, and the
+    bits of every line that reaches that floor."""
+
+    @staticmethod
+    def brute(lines, xs):
+        floors = [min((s + v * x) // c for s, v, c, _ in lines) for x in xs]
+        tight = [
+            sum(b for s, v, c, b in lines if s + v * x == c * q) for x, q in zip(xs, floors)
+        ]
+        return floors, tight
+
+    def test_seeded_families(self):
+        rng = random.Random("floor-min")
+        for _ in range(600):
+            lines = _lines_by_slope(_random_line_family(rng), rng)
+            start = rng.randint(-8, 2)
+            xs = range(start, start + rng.randint(0, 14))
+            assert _floor_min(lines, xs) == self.brute(lines, xs), (lines, xs)
+
+    def test_three_concurrent_lines_all_tight_at_their_point(self):
+        # slopes 1, 0, -1 through (2, 3); the middle line is never strictly lowest
+        lines = [(1, 1, 1, 1), (3, 0, 1, 2), (5, -1, 1, 4)]
+        assert _floor_min(lines, range(0, 5)) == ([1, 2, 3, 2, 1], [1, 1, 7, 4, 4])
+
+    def test_parallel_and_identical_lines(self):
+        # (x + 1)/2 three times, once scaled, and above it the parallel x/2 + 1
+        lines = [(1, 1, 2, 1), (2, 1, 2, 2), (2, 2, 4, 4), (1, 1, 2, 8)]
+        assert _floor_min(lines, range(-1, 3)) == ([0, 0, 1, 1], [13, 0, 13, 0])
+
+    def test_single_line_and_empty_range(self):
+        assert _floor_min([(7, -2, 3, 1)], range(0, 4)) == ([2, 1, 1, 0], [0, 0, 1, 0])
+        assert _floor_min([(1, 1, 1, 1), (5, -1, 1, 2)], range(4, 4)) == ([], [])
+
+
+def _shear(points, rows):
+    return [tuple(sum(a * b for a, b in zip(row, p)) for row in rows) for p in points]
+
+
+def _dilate(points, k):
+    return [tuple(k * x for x in p) for p in points]
+
+
+# polytopes whose facets meet the walk's rows in many parallel, identical
+# and concurrent lines, and whose envelopes break at lattice points
+TIE_HEAVY = {
+    "2cube3": _dilate(cube(3), 2),
+    "3cube2": _dilate(cube(2), 3),
+    "2cube4": _dilate(cube(4), 2),
+    "2cross3": _dilate(cross(3), 2),
+    "cross4": cross(4),
+    "3simplex2": _dilate(simplex(2), 3),
+    "2simplex4": _dilate(simplex(4), 2),
+    "sheared-cube3": _shear(cube(3), [(1, 0, 0), (1, 1, 0), (2, 1, 1)]),
+    "sheared-cube4": _shear(cube(4), [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0), (1, -2, 3, 1)]),
+    "pyramid-apex-over-point": [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)],
+    "pyramid4-apex-over-point": [p + (0,) for p in _dilate(cube(3), 2)] + [(1, 1, 1, 3)],
+}
+
+
+class TestRowsOnTieHeavyPolytopes:
+    @pytest.mark.parametrize("name", list(TIE_HEAVY))
+    def test_fibres_match_box_fibres(self, name):
+        lattice = build_face_lattice(facet_presentation(TIE_HEAVY[name]))
+        for ell in (1, 2, 3):
+            assert list(fibres(lattice, ell)) == list(box_fibres(lattice, ell)), ell
+
+    @pytest.mark.parametrize("name", ["segment", "square", "pyramid"])
+    def test_rows_flatten_to_fibres(self, name):
+        lattice = build(name)
+        n = lattice.polytope.n
+        flat = []
+        for outer, row in fibre_rows(lattice, 3):
+            xs = [x for x, *_ in row]
+            assert len(outer) == max(n - 2, 0) and xs == sorted(set(xs))
+            flat += [((outer + (x,))[: n - 1], *rest) for x, *rest in row]
+        assert flat == list(fibres(lattice, 3))
+
+
+class TestGrading:
+    """The top-down grading of the closure against elimination, face by face."""
+
+    @staticmethod
+    def _agree(P):
+        for face in build_face_lattice(P).faces:
+            assert face.dim == _affine_rank([P.vertices[i] for i in face.vertex_set]), face
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        self._agree(facet_presentation(CORPUS[name]))
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
+    def test_random(self, n, seed, radius, draws):
+        self._agree(random_lattice(n, seed, radius, draws).polytope)
+
+    @pytest.mark.parametrize("pts", [cube(6), cross(6)], ids=["cube6", "cross6"])
+    def test_cube6_and_cross6(self, pts):
+        self._agree(facet_presentation(pts))
 
 
 class TestClosureCheck:
