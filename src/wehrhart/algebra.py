@@ -171,6 +171,16 @@ def poly_sum(polys) -> LaurentPoly:
     return LaurentPoly._make(acc)
 
 
+def linear_combination(pairs) -> LaurentPoly:
+    """sum of s * p over (LaurentPoly p, rational s) pairs, in one dict normalised once."""
+    acc = {}
+    for p, s in pairs:
+        if s:
+            for k, c in p.terms.items():
+                acc[k] = acc.get(k, 0) + c * s
+    return LaurentPoly._make(acc)
+
+
 def grouped_sum(pairs, kernel) -> LaurentPoly:
     """sum of p * kernel(k) over (k, LaurentPoly p) pairs, one kernel product per distinct k."""
     groups = {}

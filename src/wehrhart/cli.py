@@ -229,8 +229,7 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
     ells = range(1, spec.lmax + 1)
     weight_set = _verify_weight_set(spec, lattice)
     reports = []
-    # the suites share interpolants and dual weights; build each once
-    interpolants = {}
+    # the suites share the dual weights; build each once
     duals = {}
 
     def dual(i):
@@ -243,11 +242,8 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
             extra = {"dual": dual(i)} if with_dual else {}
             for variant in (VARIANT_ETILDE, VARIANT_E):
                 rep = EhrhartReport(phash, label, str(phi))
-                if (i, variant) not in interpolants:
-                    interpolants[i, variant] = ehrhart_polynomial(lattice, f, phi, variant)
-                zp = interpolants[i, variant]
                 for ell in ells:
-                    rep.add(checker(lattice, f, phi, ell, variant, zpoly=zp, **extra))
+                    rep.add(checker(lattice, f, phi, ell, variant, **extra))
                 reports.append((suite_name, rep))
 
     if spec.suite in ("all", "reciprocity"):
@@ -258,9 +254,8 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
         for fid in lattice.nonempty_ids:
             rep = EhrhartReport(phash, f"g-weights(face {fid})", str(phi))
             f = g_weight_function(lattice, fid)
-            zp = ehrhart_polynomial(lattice, f, phi, VARIANT_E)
             for ell in ells:
-                rep.add(verify_purity(lattice, fid, phi, ell, zpoly=zp, weights=f))
+                rep.add(verify_purity(lattice, fid, phi, ell, weights=f))
             reports.append(("purity", rep))
     if spec.suite in ("all", "hodge"):
         for i, (label, f) in enumerate(weight_set):

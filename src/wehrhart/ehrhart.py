@@ -5,19 +5,23 @@ E(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), times (1+y)^deg phi for E,
 where S_Q(ell), the sum of phi over Relint(ell Q), is a polynomial of
 degree dim Q + deg phi that does not depend on the weights.  It is
 interpolated once per (lattice, phi), in int, and checked face by face.
-Character sums likewise carry one coefficient per orbit, and duality
-compares them face by face; points appear only when a sum is expanded.
+Every value a verifier compares is one linear combination of per-face
+scalars with the orbit coefficients f_Q(y) (1+y)^dim Q, which are built
+once per weight.  Character sums likewise carry one coefficient per
+orbit, and duality compares them face by face; points appear only when
+a sum is expanded.
 
-Values at negative dilations are always read off the interpolated
-polynomial, and closed-face sums always come from the walk, so the
-verifiers genuinely cross-validate two computation routes.
+Values at negative dilations are read off the per-face interpolants, one
+evaluation per face and dilation, and closed-face sums always come from
+the walk, so the verifiers genuinely cross-validate two computation
+routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .algebra import (
@@ -27,7 +31,7 @@ from .algebra import (
     LaurentPoly,
     ZPoly,
     canon,
-    grouped_sum,
+    linear_combination,
     neg_y_power,
     one_plus_y_power,
     phi_eval,
@@ -35,7 +39,7 @@ from .algebra import (
     power_sum,
     substitute_inverse,
 )
-from .polytope import FaceLattice, fibre_rows, points_by_face
+from .polytope import PHI_SUMS_MAX, BoundedCache, FaceLattice, fibre_rows, points_by_face
 from .stanley import g_weight_function
 from .weights import WeightFunction, dualize
 
@@ -79,22 +83,44 @@ class OrbitSum:
         return CharacterSum._make(self.n, dict(self.terms()))
 
 
-def _orbit_sum(lattice, f, ell) -> OrbitSum:
-    """One coefficient c_E per nonempty face E, for ell != 0.
+_PLUS, _MINUS, _MINUS_INVERTED = "plus", "minus", "minus at 1/y"
 
-    ell > 0:  c_E = f_E(y) (1+y)^dim E, at chi^(-m)
-    ell < 0:  c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at chi^(+m),
-              the faces whose closed dilate |ell| Q holds m
+
+def _orbit_coefficients(f, kind):
+    """One coefficient per torus orbit, built on first use and kept on f.
+
+    _PLUS:           c_Q = f_Q(y) (1+y)^dim Q for each Q in the support, the
+                     coefficient at ell > 0 and of every weighted count
+    _MINUS:          c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at ell < 0:
+                     the faces whose closed dilate |ell| Q holds m
+    _MINUS_INVERTED: _MINUS with y -> 1/y
+    None depends on the dilation, so each is built once per weight.
+    """
+    memo = f._orbit
+    if kind not in memo:
+        faces = f.lattice.faces
+        if kind == _PLUS:
+            memo[kind] = {q: fq * one_plus_y_power(faces[q].dim) for q, fq in f.values.items()}
+        elif kind == _MINUS:
+            above = {}
+            for q, c in _orbit_coefficients(f, _PLUS).items():
+                c = -c if faces[q].dim % 2 else c  # (-1-y)^d = (-1)^d (1+y)^d
+                for e in f.lattice.subfaces(q):
+                    above.setdefault(e, []).append(c)
+            memo[kind] = {e: poly_sum(cs) for e, cs in above.items()}
+        else:
+            minus = _orbit_coefficients(f, _MINUS)
+            memo[kind] = {e: substitute_inverse(c) for e, c in minus.items()}
+    return memo[kind]
+
+
+def _orbit_sum(lattice, f, ell) -> OrbitSum:
+    """The coefficients c_E of _orbit_coefficients, for ell != 0.
+
+    ell > 0:  _PLUS at chi^(-m);  ell < 0:  _MINUS at chi^(+m)
     """
     _check_lattice(lattice, f)
-    power = partial(one_plus_y_power, negate=ell < 0)
-    coeffs = {q: fq * power(lattice.faces[q].dim) for q, fq in f.values.items()}
-    if ell < 0:
-        above = {}
-        for q, c in coeffs.items():
-            for e in lattice.subfaces(q):
-                above.setdefault(e, []).append(c)
-        coeffs = {e: poly_sum(cs) for e, cs in above.items()}
+    coeffs = _orbit_coefficients(f, _MINUS if ell < 0 else _PLUS)
     relint = points_by_face(lattice, abs(ell))
     return OrbitSum(lattice.polytope.n, coeffs, relint, 1 if ell < 0 else -1)
 
@@ -110,8 +136,10 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Ch
         return _orbit_sum(lattice, f, ell).expand()
     _check_lattice(lattice, f)
     n = lattice.polytope.n
-    return CharacterSum._make(n, {(0,) * n: poly_sum(
-        fq * one_plus_y_power(lattice.faces[q].dim, negate=True) for q, fq in f.values.items()
+    faces = lattice.faces
+    plus = _orbit_coefficients(f, _PLUS)
+    return CharacterSum._make(n, {(0,) * n: linear_combination(
+        (c, (-1) ** faces[q].dim) for q, c in plus.items()
     )})
 
 
@@ -146,6 +174,11 @@ def _phi_face_sums(lattice, phi, ell):
     and its middle lo < t < hi adds sum_k g_k times the power sum of t^k.
     Each face total is divided by d once, as a Fraction.
     """
+    return _phi_sums_entry(lattice, phi, ell)[0]
+
+
+def _phi_sums_entry(lattice, phi, ell):
+    """The (phi, ell) entry of lattice._phi_sums: [open sums, closed sums or None]."""
     if phi.n != lattice.polytope.n:
         raise ValueError("integrand dimension differs from the polytope's")
     key = (phi, ell)
@@ -171,8 +204,29 @@ def _phi_face_sums(lattice, phi, ell):
                     if hi > lo:
                         acc[face_mid] += g * power_sum(k, lo + 1, hi - 1)
                         acc[face_hi] += g * hi**k
-        lattice._phi_sums[key] = {q: canon(Fraction(v, d)) for q, v in acc.items()}
+        lattice._phi_sums[key] = [{q: canon(Fraction(v, d)) for q, v in acc.items()}, None]
     return lattice._phi_sums[key]
+
+
+def _closed_face_sums(lattice, phi, ell):
+    """sum of phi over the closed dilate ell Q for every nonempty Q.
+
+    The closed face is the union of the relative interiors of its nonempty
+    faces; built once per (phi, ell) and kept in that entry of _phi_sums.
+    """
+    entry = _phi_sums_entry(lattice, phi, ell)
+    if entry[1] is None:
+        sums = entry[0]
+        entry[1] = {
+            q: canon(sum(sums[e] for e in lattice.subfaces(q))) for q in lattice.nonempty_ids
+        }
+    return entry[1]
+
+
+def _combine(f, values, phi, variant) -> LaurentPoly:
+    """sum_Q f_Q(y) (1+y)^dim Q values[Q], times (1+y)^deg phi for E."""
+    acc = linear_combination((c, values[q]) for q, c in _orbit_coefficients(f, _PLUS).items())
+    return acc * one_plus_y_power(phi.degree) if variant == VARIANT_E else acc
 
 
 def weighted_ehrhart_value(
@@ -185,17 +239,13 @@ def weighted_ehrhart_value(
     """The weighted count at a positive dilation.
 
     Equal to apply_phi(hodge_character_sum(lattice, f, ell), phi, variant);
-    computed from per-face integrand sums, which are memoized.
+    one linear combination of the per-face integrand sums, which are
+    memoized, with the weight's orbit coefficients.
     """
     _check_variant(variant)
     _check_lattice(lattice, f)
     _check_dilation(ell)
-    sums = _phi_face_sums(lattice, phi, ell)
-    pairs = ((lattice.faces[q].dim, fq * sums[q]) for q, fq in f.values.items())
-    acc = grouped_sum(pairs, one_plus_y_power)
-    if variant == VARIANT_E:
-        acc = acc * one_plus_y_power(phi.degree)
-    return acc
+    return _combine(f, _phi_face_sums(lattice, phi, ell), phi, variant)
 
 
 def constant_term(lattice, f, phi, variant) -> LaurentPoly:
@@ -228,12 +278,14 @@ def _newton_basis(bound):
 
 
 def _face_polynomials(lattice, phi):
-    """(D, {Q: (a_Q0, .., a_Qdeg)}) with S_Q(z) = sum_k a_Qk z^k / D, memoized per phi.
+    """(D, {Q: (a_Q0, .., a_Qdeg)}, at_negative), memoized per phi.
 
-    D = (n + deg phi)! * lcm(denominators of phi).  Each face's sums at
-    ell = 1 .. n + deg phi + 3 are scaled to int and differenced; every
-    difference above deg = dim Q + deg phi must vanish, and a_Q0 must be
-    (-1)^dim Q * phi(0) * D, or PolynomialityError names the face.
+    S_Q(z) = sum_k a_Qk z^k / D with D = (n + deg phi)! * lcm(denominators
+    of phi).  Each face's sums at ell = 1 .. n + deg phi + 3 are scaled to
+    int and differenced; every difference above deg = dim Q + deg phi must
+    vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D, or
+    PolynomialityError names the face.  at_negative starts empty and is
+    filled by _values_at_negative.
     """
     if phi not in lattice._face_polys:
         n = lattice.polytope.n
@@ -267,8 +319,27 @@ def _face_polynomials(lattice, phi):
                     f"closed form {Fraction((-1) ** dim * phi0, denom)}"
                 )
             table[q] = coeffs
-        lattice._face_polys[phi] = denom, table
+        lattice._face_polys[phi] = denom, table, BoundedCache(PHI_SUMS_MAX)
     return lattice._face_polys[phi]
+
+
+def _values_at_negative(lattice, phi, ell):
+    """S_Q(-ell) for every nonempty Q, read off the face's interpolant.
+
+    Each interpolant is evaluated once per (phi, ell), by Horner's rule in
+    int and one division by D; the values are kept in the phi entry of
+    _face_polys, for at most PHI_SUMS_MAX dilations.
+    """
+    denom, table, at_negative = _face_polynomials(lattice, phi)
+    if ell not in at_negative:
+        values = {}
+        for q, coeffs in table.items():
+            v = 0
+            for a in reversed(coeffs):
+                v = v * -ell + a
+            values[q] = canon(Fraction(v, denom))
+        at_negative[ell] = values
+    return at_negative[ell]
 
 
 def ehrhart_polynomial(
@@ -286,15 +357,14 @@ def ehrhart_polynomial(
     """
     _check_variant(variant)
     _check_lattice(lattice, f)
-    denom, table = _face_polynomials(lattice, phi)
+    denom, table, _ = _face_polynomials(lattice, phi)
     scale = Fraction(1, denom)
     if variant == VARIANT_E:
         scale = one_plus_y_power(phi.degree) * scale
-    faces = lattice.faces
+    plus = _orbit_coefficients(f, _PLUS)
     return ZPoly(
-        grouped_sum(
-            ((faces[q].dim, fq * table[q][k]) for q, fq in f.values.items() if k < len(table[q])),
-            one_plus_y_power,
+        linear_combination(
+            (c, table[q][k]) for q, c in plus.items() if k < len(table[q])
         ) * scale
         for k in range(lattice.polytope.n + phi.degree + 1)
     )
@@ -302,22 +372,32 @@ def ehrhart_polynomial(
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one identity check, with both sides kept for reporting."""
+    """Outcome of one identity check, with both sides kept for reporting.
+
+    difference names the first coefficient at which a failed check's sides
+    differ (see _first_difference); it is None on a passed check.
+    """
 
     name: str
     params: dict
     passed: bool
     lhs: object
     rhs: object
+    difference: dict | None = None
 
     def render(self):
-        return {
+        lhs = render_value(self.lhs)
+        out = {
             "name": self.name,
             "params": {k: str(v) for k, v in self.params.items()},
             "passed": self.passed,
-            "lhs": render_value(self.lhs),
-            "rhs": render_value(self.rhs),
+            "lhs": lhs,
+            # equal sides render alike, so a passed check renders once
+            "rhs": lhs if self.passed else render_value(self.rhs),
         }
+        if self.difference is not None:
+            out["first_difference"] = {k: str(v) for k, v in self.difference.items()}
+        return out
 
 
 def render_value(v) -> str:
@@ -357,35 +437,41 @@ class EhrhartReport:
         }
 
 
-def _value_at_negative(lattice, f, phi, ell, variant, zpoly) -> LaurentPoly:
-    """The polynomial's value at -ell, interpolating it when zpoly is None."""
-    _check_dilation(ell)
-    if zpoly is None:
-        zpoly = ehrhart_polynomial(lattice, f, phi, variant)
-    return zpoly(-ell)
+def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
+    """The lowest y-exponent at which two unequal Laurent polynomials differ."""
+    k = min(k for k in lhs.terms.keys() | rhs.terms.keys() if lhs.coeff(k) != rhs.coeff(k))
+    return {"exponent": k, "lhs": lhs.coeff(k), "rhs": rhs.coeff(k)}
 
 
 def _compare(name, params, lhs, rhs) -> CheckResult:
-    return CheckResult(name, params, lhs == rhs, lhs, rhs)
+    if lhs == rhs:
+        return CheckResult(name, params, True, lhs, rhs)
+    return CheckResult(name, params, False, lhs, rhs, _first_difference(lhs, rhs))
 
 
-def verify_reciprocity(
-    lattice, f, phi, ell: int, variant: str = VARIANT_E, zpoly: ZPoly | None = None
-) -> CheckResult:
-    """Value at -ell from the polynomial vs the closed-face enumeration.
+def _value_at_negative(lattice, f, phi, ell, variant) -> LaurentPoly:
+    """The count's polynomial at -ell: the per-face interpolants at -ell, combined."""
+    _check_variant(variant)
+    _check_lattice(lattice, f)
+    _check_dilation(ell)
+    return _combine(f, _values_at_negative(lattice, phi, ell), phi, variant)
+
+
+def verify_reciprocity(lattice, f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
+    """Value at -ell from the interpolants vs the closed-face enumeration.
 
     E variant:  E(-ell, y) = sum_Q f_Q (-1-y)^(dim Q + deg phi) * sum over
     ell*Q closed of phi(m); Etilde replaces the exponent shift with a
     global (-1)^deg phi.
     """
-    lhs = _value_at_negative(lattice, f, phi, ell, variant, zpoly)
-    sums = _phi_face_sums(lattice, phi, ell)
-    # the closed face ell*Q is the union of the relative interiors below it
-    pairs = (
-        (lattice.faces[q].dim, fq * sum(sums[e] for e in lattice.subfaces(q)))
-        for q, fq in f.values.items()
+    lhs = _value_at_negative(lattice, f, phi, ell, variant)
+    closed = _closed_face_sums(lattice, phi, ell)
+    faces = lattice.faces
+    # (-1-y)^dim Q = (-1)^dim Q (1+y)^dim Q
+    rhs = linear_combination(
+        (c, -closed[q] if faces[q].dim % 2 else closed[q])
+        for q, c in _orbit_coefficients(f, _PLUS).items()
     )
-    rhs = grouped_sum(pairs, partial(one_plus_y_power, negate=True))
     if variant == VARIANT_E:
         rhs = rhs * one_plus_y_power(phi.degree, negate=True)
     else:
@@ -394,14 +480,14 @@ def verify_reciprocity(
 
 
 def verify_duality_reciprocity(
-    lattice, f, phi, ell: int, variant: str = VARIANT_E, zpoly: ZPoly | None = None, dual=None
+    lattice, f, phi, ell: int, variant: str = VARIANT_E, dual=None
 ) -> CheckResult:
     """Value at -ell vs the dualized weights at +ell with y inverted.
 
     E variant carries the factor (-y)^deg phi; Etilde carries (-1)^deg phi.
     dual is dualize(f) when the caller has already built it.
     """
-    lhs = _value_at_negative(lattice, f, phi, ell, variant, zpoly)
+    lhs = _value_at_negative(lattice, f, phi, ell, variant)
     dual_value = weighted_ehrhart_value(
         lattice, dualize(f) if dual is None else dual, phi, ell, variant
     )
@@ -419,25 +505,24 @@ def verify_hodge_duality(lattice, f, ell: int, dual=None) -> CheckResult:
     Both sides hold one coefficient per face E at chi^(-m) for m in
     Relint(ell E), so they agree exactly when the coefficients agree on
     every face whose relative interior has points; lhs and rhs are
-    OrbitSums, expanded to points only when rendered.  dual is dualize(f)
-    when the caller has already built it.
+    OrbitSums, expanded to points only when rendered.  A failed check
+    names the first such face and its first differing exponent.  dual is
+    dualize(f) when the caller has already built it.
     """
     _check_dilation(ell)
+    _check_lattice(lattice, f)
     lhs = _orbit_sum(lattice, dualize(f) if dual is None else dual, ell)
-    minus = _orbit_sum(lattice, f, -ell)
-    inverted = {e: substitute_inverse(c) for e, c in minus.coeffs.items()}
-    rhs = OrbitSum(minus.n, inverted, minus.relint, -1)
-    passed = all(
-        lhs.coeffs.get(e, L_ZERO) == inverted.get(e, L_ZERO)
-        for e, points in lhs.relint.items()
-        if points
-    )
-    return CheckResult("hodge_duality", {"ell": ell}, passed, lhs, rhs)
+    inverted = _orbit_coefficients(f, _MINUS_INVERTED)
+    rhs = OrbitSum(lhs.n, inverted, lhs.relint, -1)
+    for e, points in lhs.relint.items():
+        a, b = lhs.coeffs.get(e, L_ZERO), inverted.get(e, L_ZERO)
+        if points and a != b:
+            difference = {"face": e, **_first_difference(a, b)}
+            return CheckResult("hodge_duality", {"ell": ell}, False, lhs, rhs, difference)
+    return CheckResult("hodge_duality", {"ell": ell}, True, lhs, rhs)
 
 
-def verify_purity(
-    lattice, qprime_id: int, phi, ell: int, zpoly: ZPoly | None = None, weights=None
-) -> CheckResult:
+def verify_purity(lattice, qprime_id: int, phi, ell: int, weights=None) -> CheckResult:
     """With the g-weights of a face: E(-ell, y) = (-y)^(n'+deg phi) E(ell, 1/y).
 
     weights is g_weight_function(lattice, qprime_id) when the caller has
@@ -446,7 +531,7 @@ def verify_purity(
     if lattice.faces[qprime_id].dim < 0:
         raise ValueError("purity needs a nonempty face")
     f = g_weight_function(lattice, qprime_id) if weights is None else weights
-    lhs = _value_at_negative(lattice, f, phi, ell, VARIANT_E, zpoly)
+    lhs = _value_at_negative(lattice, f, phi, ell, VARIANT_E)
     value = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_E)
     nprime = lattice.faces[qprime_id].dim
     rhs = substitute_inverse(value) * neg_y_power(nprime + phi.degree)

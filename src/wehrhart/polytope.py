@@ -25,13 +25,16 @@ from math import gcd, lcm
 from operator import and_, mul
 
 # Entries kept in FaceLattice._points_cache (one per dilation),
-# FaceLattice._phi_sums (one per integrand and dilation) and
+# FaceLattice._phi_sums (one per integrand and dilation: the open face
+# sums, and the closed ones once a verifier asks) and
 # FaceLattice._face_polys (one table of per-face interpolants per
-# integrand); past the bound the oldest entry is dropped.  One CLI run asks
-# for at most 16 dilations of points (|charsum --l| <= 16, verify --lmax
-# <= 12) and, for its one integrand, for at most max(lmax, n + deg phi + 3)
-# dilations of sums and one table, so no run at desk scale evicts
-# anything.  FaceLattice._projections needs no bound: it holds the facets
+# integrand, holding their values at up to PHI_SUMS_MAX negative
+# dilations); past the bound the oldest entry is dropped, and the tables
+# inside an entry leave with it.  One CLI run asks for at most 16
+# dilations of points (|charsum --l| <= 16, verify --lmax <= 12) and, for
+# its one integrand, for at most max(lmax, n + deg phi + 3) dilations of
+# sums, one table and lmax negative dilations, so no run at desk scale
+# evicts anything.  FaceLattice._projections needs no bound: it holds the facets
 # of the n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
 # Nor does FaceLattice._g_memo: it holds one g per nested pair of nonempty
 # faces that the Stanley recursion reached, so at most the number of

@@ -19,7 +19,7 @@ from .algebra import (
     one_plus_y_power,
     substitute_inverse,
 )
-from .polytope import FaceLattice
+from .polytope import FaceLattice, mask_ids
 
 
 class LatticeMismatch(ValueError):
@@ -27,9 +27,13 @@ class LatticeMismatch(ValueError):
 
 
 class WeightFunction:
-    """Map from nonempty face ids to LaurentPoly; absent means zero."""
+    """Map from nonempty face ids to LaurentPoly; absent means zero.
 
-    __slots__ = ("lattice", "values")
+    Treated as immutable once built: _orbit memoizes the orbit
+    coefficients that the weighted counts derive from the values.
+    """
+
+    __slots__ = ("lattice", "values", "_orbit")
 
     def __init__(self, lattice: FaceLattice, values=None):
         vals = {}
@@ -43,6 +47,7 @@ class WeightFunction:
                 vals[fid] = p
         self.lattice = lattice
         self.values = dict(sorted(vals.items()))
+        self._orbit = {}
 
     def __getitem__(self, fid: int) -> LaurentPoly:
         return self.values.get(fid, LaurentPoly())
@@ -94,7 +99,7 @@ def dualize(f: WeightFunction) -> WeightFunction:
     For each Q the f_E(1/y) over E >= Q of one dimension d are summed
     first, then multiplied once by the kernel (1+y)^(d - dim Q) * (-y)^(-d);
     the kernel table covers 0 <= dim Q <= d <= n and each f_E is inverted
-    once per call.
+    once per call, and the faces above Q are read off the bitmask order.
     """
     L = f.lattice
     n = L.polytope.n
@@ -103,11 +108,12 @@ def dualize(f: WeightFunction) -> WeightFunction:
         for d in range(n + 1)
         for dq in range(d + 1)
     }
-    inverted = [(e, L.faces[e].dim, substitute_inverse(fe)) for e, fe in f.values.items()]
+    inverted = {e: (L.faces[e].dim, substitute_inverse(fe)) for e, fe in f.values.items()}
+    support = sum(1 << e for e in inverted)
     out = {}
     for q in L.nonempty_ids:
         dim_q = L.faces[q].dim
-        above = ((d, fe) for e, d, fe in inverted if L.leq(q, e))
+        above = (inverted[e] for e in mask_ids(L.up[q] & support))
         acc = grouped_sum(above, lambda d: kernel[d, dim_q])
         if acc:
             out[q] = acc

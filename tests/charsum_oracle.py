@@ -5,10 +5,11 @@ of that face's relative interior; for ell < 0 the coefficient already sums
 the faces above.  This helper follows the defining sum instead: every face
 Q hands its term to every point of |ell| Q (closed, read off the subfaces
 of Q) or of Relint(ell Q), and the terms of a point are added up there.
-Character-sum duality is then compared point by point.
+Character-sum duality is then compared point by point, and a failure is
+located at the first face, in id order, that holds a differing point.
 """
 
-from wehrhart.algebra import CharacterSum, one_plus_y_power, poly_sum, substitute_inverse
+from wehrhart.algebra import L_ZERO, CharacterSum, one_plus_y_power, poly_sum, substitute_inverse
 from wehrhart.ehrhart import CheckResult
 from wehrhart.polytope import points_by_face
 
@@ -49,4 +50,15 @@ def pointwise_hodge_duality(lattice, f, ell, dual):
     rhs = CharacterSum(lattice.polytope.n, {
         tuple(-x for x in m): substitute_inverse(p) for m, p in minus.terms.items()
     })
-    return CheckResult("hodge_duality", {"ell": ell}, lhs == rhs, lhs, rhs)
+    if lhs == rhs:
+        return CheckResult("hodge_duality", {"ell": ell}, True, lhs, rhs)
+    relint = points_by_face(lattice, ell)
+    a, b, face = next(
+        (lhs.terms.get(key, L_ZERO), rhs.terms.get(key, L_ZERO), e)
+        for e in sorted(relint)
+        for key in (tuple(-x for x in m) for m in relint[e])
+        if lhs.terms.get(key, L_ZERO) != rhs.terms.get(key, L_ZERO)
+    )
+    k = min(k for k in a.terms.keys() | b.terms.keys() if a.coeff(k) != b.coeff(k))
+    difference = {"face": face, "exponent": k, "lhs": a.coeff(k), "rhs": b.coeff(k)}
+    return CheckResult("hodge_duality", {"ell": ell}, False, lhs, rhs, difference)

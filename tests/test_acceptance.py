@@ -187,8 +187,9 @@ def test_criterion_3_reciprocity():
         for variant in (VARIANT_ETILDE, VARIANT_E):
             zp = zp_for(name, wlabel, f, philabel, phi, variant)
             for ell in (1, 2, 3):
-                res = verify_reciprocity(lattice, f, phi, ell, variant, zpoly=zp)
+                res = verify_reciprocity(lattice, f, phi, ell, variant)
                 assert res.passed, (name, wlabel, philabel, variant, ell)
+                assert zp(-ell) == res.lhs
 
 
 def test_criterion_4_reciprocity_for_duality():
@@ -196,10 +197,11 @@ def test_criterion_4_reciprocity_for_duality():
         for variant in (VARIANT_ETILDE, VARIANT_E):
             zp = zp_for(name, wlabel, f, philabel, phi, variant)
             for ell in (1, 2, 3):
-                dual = verify_duality_reciprocity(lattice, f, phi, ell, variant, zpoly=zp)
+                dual = verify_duality_reciprocity(lattice, f, phi, ell, variant)
                 assert dual.passed, (name, wlabel, philabel, variant, ell)
+                assert zp(-ell) == dual.lhs
                 # both formulations evaluate the same left side
-                classic = verify_reciprocity(lattice, f, phi, ell, variant, zpoly=zp)
+                classic = verify_reciprocity(lattice, f, phi, ell, variant)
                 assert classic.passed == dual.passed
                 assert classic.lhs == dual.lhs
 
@@ -231,8 +233,9 @@ def test_criterion_6_purity():
                     lattice, g_weight_function(lattice, qp), phi, VARIANT_E
                 )
                 for ell in (1, 2, 3):
-                    res = verify_purity(lattice, qp, phi, ell, zpoly=zp)
+                    res = verify_purity(lattice, qp, phi, ell)
                     assert res.passed, (name, qp, phi, ell)
+                    assert zp(-ell) == res.lhs
 
 
 def test_criterion_7_character_sum_duality():

@@ -17,8 +17,10 @@ from wehrhart.algebra import (
     as_rat,
     grouped_sum,
     lagrange_interpolate,
+    linear_combination,
     neg_y_power,
     phi_eval,
+    poly_sum,
     power_sum,
     substitute_inverse,
     substitute_negative,
@@ -167,6 +169,33 @@ class TestGroupedSum:
 
     def test_empty_is_zero(self):
         assert grouped_sum([], lambda k: L({0: 1})) == L({})
+
+
+class TestLinearCombination:
+    def test_matches_sum_of_scaled_polynomials(self):
+        pairs = [
+            (L({0: 1, 2: Fraction(1, 3)}), Fraction(3, 4)),
+            (L({-1: 2, 0: -1}), 5),
+            (L({2: -1}), Fraction(1, 4)),
+            (L({0: 7, 1: 1}), 0),
+            (L({}), 3),
+        ]
+        expected = poly_sum(p * s for p, s in pairs)
+        assert linear_combination(pairs) == expected
+        assert linear_combination(iter(pairs)) == expected
+
+    def test_canonical_coefficients(self):
+        # 1/2 + 1/2 and 3/4 - 3/4 leave an int and no stored zero
+        halves = [(L({0: 1, 1: 3}), Fraction(1, 2)), (L({0: 1, 1: -3}), Fraction(1, 2))]
+        got = linear_combination(halves)
+        assert got.terms == {0: 1}
+        assert type(got.terms[0]) is int
+
+    def test_zero_scalars_add_nothing(self):
+        assert linear_combination([(L({0: 1, 3: 2}), 0), (L({1: 1}), Fraction(0))]) == L({})
+
+    def test_empty_is_zero(self):
+        assert linear_combination([]) == L({})
 
 
 class TestCharacterSum:

@@ -35,6 +35,7 @@ from wehrhart.ehrhart import (
     ehrhart_polynomial,
     hodge_character_sum,
     negate_characters,
+    render_value,
     verify_duality_reciprocity,
     verify_hodge_duality,
     verify_purity,
@@ -303,8 +304,9 @@ class TestVerifyReciprocity:
         for ell in (1, 2, 3):
             expected = L({0: -ell}) + L({0: 1, 1: 1}) * Fraction(ell * (ell + 1), 2)
             assert zp(-ell) == expected
-            check = verify_reciprocity(lat, f, phi, ell, "Etilde", zpoly=zp)
+            check = verify_reciprocity(lat, f, phi, ell, "Etilde")
             assert check.passed
+            assert zp(-ell) == check.lhs
 
     def test_delta_top_is_classical(self):
         # |Relint(l P)| vs (-1)^n |l P| at y = 0
@@ -312,8 +314,9 @@ class TestVerifyReciprocity:
         f = delta_weight(lat, lat.top_id)
         zp = ehrhart_polynomial(lat, f, phi_one(2), "Etilde")
         for ell in (1, 2, 3):
-            check = verify_reciprocity(lat, f, phi_one(2), ell, "Etilde", zpoly=zp)
+            check = verify_reciprocity(lat, f, phi_one(2), ell, "Etilde")
             assert check.passed
+            assert zp(-ell) == check.lhs
             assert zp(-ell).subs(0) == (ell + 1) ** 2  # (-1)^2 |lP|
             assert zp(ell).subs(0) == (ell - 1) ** 2
 
@@ -325,9 +328,9 @@ class TestVerifyReciprocity:
                 for variant in ("E", "Etilde"):
                     zp = ehrhart_polynomial(lat, f, phi_coord(n), variant)
                     for ell in (1, 2):
-                        assert verify_reciprocity(
-                            lat, f, phi_coord(n), ell, variant, zpoly=zp
-                        ).passed
+                        check = verify_reciprocity(lat, f, phi_coord(n), ell, variant)
+                        assert check.passed
+                        assert zp(-ell) == check.lhs
 
 
 class TestVerifyDualityReciprocity:
@@ -337,7 +340,9 @@ class TestVerifyDualityReciprocity:
         for f in random_weight_functions(lat, seed=43, count=2):
             zp = ehrhart_polynomial(lat, f, phi, "E")
             for ell in (1, 2):
-                assert verify_duality_reciprocity(lat, f, phi, ell, "E", zpoly=zp).passed
+                check = verify_duality_reciprocity(lat, f, phi, ell, "E")
+                assert check.passed
+                assert zp(-ell) == check.lhs
 
     def test_agrees_with_reciprocity(self):
         lat = build("square")
@@ -346,10 +351,11 @@ class TestVerifyDualityReciprocity:
         for variant in ("E", "Etilde"):
             zp = ehrhart_polynomial(lat, f, phi, variant)
             for ell in (1, 2, 3):
-                a = verify_reciprocity(lat, f, phi, ell, variant, zpoly=zp)
-                b = verify_duality_reciprocity(lat, f, phi, ell, variant, zpoly=zp)
+                a = verify_reciprocity(lat, f, phi, ell, variant)
+                b = verify_duality_reciprocity(lat, f, phi, ell, variant)
                 assert a.passed and b.passed
                 assert a.lhs == b.lhs
+                assert zp(-ell) == a.lhs
 
     def test_delta_weights_pass(self):
         lat = build("segment")
@@ -385,6 +391,68 @@ class TestVerifyHodgeDuality:
         for f in random_weight_functions(lat, seed=53, count=3):
             for ell in (1, 2):
                 assert verify_hodge_duality(lat, f, ell).passed
+
+
+class TestFailedCheckNamesFirstDifference:
+    """A wrong dual weight, planted through the library API, on the segment.
+
+    all-ones has E~(z, y) of degree <= 1 in y, and y^3 on the open edge adds
+    y^3 (1+y) S_edge(2) = y^3 + y^4 to the dual's count at ell = 2.
+    """
+
+    @staticmethod
+    def wrong_dual():
+        lat = build("segment")
+        f = all_ones(lat)
+        dual = dualize(f)
+        planted = {**dual.values, lat.top_id: dual[lat.top_id] + L({3: 1})}
+        return lat, f, WeightFunction(lat, planted)
+
+    def test_duality_reciprocity_names_the_exponent(self):
+        lat, f, wrong = self.wrong_dual()
+        check = verify_duality_reciprocity(lat, f, phi_one(1), 2, "Etilde", dual=wrong)
+        assert not check.passed
+        # y -> 1/y sends y^3 + y^4 to y^-3 + y^-4; the lowest is -4
+        assert check.difference == {"exponent": -4, "lhs": 0, "rhs": 1}
+        rendered = check.render()
+        assert rendered["first_difference"] == {"exponent": "-4", "lhs": "0", "rhs": "1"}
+        # a failed check renders each side from its own value
+        assert rendered["rhs"] == str(check.rhs) != rendered["lhs"]
+
+    def test_hodge_duality_names_the_face_and_exponent(self):
+        lat, f, wrong = self.wrong_dual()
+        check = verify_hodge_duality(lat, f, 2, dual=wrong)
+        assert not check.passed
+        # the vertices agree; the edge's coefficient gains y^3 (1+y)
+        assert check.difference == {"face": lat.top_id, "exponent": 3, "lhs": 1, "rhs": 0}
+        rendered = check.render()
+        expected = {"face": str(lat.top_id), "exponent": "3", "lhs": "1", "rhs": "0"}
+        assert rendered["first_difference"] == expected
+        assert rendered["rhs"] == render_value(check.rhs) != rendered["lhs"]
+
+    def test_passed_checks_render_no_difference(self):
+        lat = build("segment")
+        f = all_ones(lat)
+        checks = [
+            verify_duality_reciprocity(lat, f, phi_one(1), 2, "Etilde"),
+            verify_hodge_duality(lat, f, 2),
+            verify_reciprocity(lat, f, phi_one(1), 2, "E"),
+        ]
+        for check in checks:
+            assert check.passed and check.difference is None
+            rendered = check.render()
+            assert "first_difference" not in rendered
+            # the passed check renders its value once; the rhs renders alike
+            assert rendered["rhs"] == render_value(check.rhs)
+
+    def test_verifiers_take_no_polynomial(self):
+        lat = build("segment")
+        zp = ehrhart_polynomial(lat, all_ones(lat), phi_one(1), "E")
+        for checker in (verify_reciprocity, verify_duality_reciprocity):
+            with pytest.raises(TypeError):
+                checker(lat, all_ones(lat), phi_one(1), 1, "E", zpoly=zp)
+        with pytest.raises(TypeError):
+            verify_purity(lat, lat.top_id, phi_one(1), 1, zpoly=zp)
 
 
 class TestHodgeDualityAgainstPointwiseOracle:
@@ -431,10 +499,11 @@ class TestVerifyPurity:
         lat = build("cube")
         facet = next(f.id for f in lat.faces if f.dim == 2)
         phi = HomogPoly(3, [((2, 0, 0), 1)])
-        zp = None
+        zp = ehrhart_polynomial(lat, g_weight_function(lat, facet), phi, "E")
         for ell in (1, 2):
-            check = verify_purity(lat, facet, phi, ell, zpoly=zp)
+            check = verify_purity(lat, facet, phi, ell)
             assert check.passed
+            assert zp(-ell) == check.lhs
 
     def test_empty_face_rejected(self):
         lat = build("cube")

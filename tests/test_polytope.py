@@ -723,6 +723,24 @@ class TestCacheBounds:
         assert _phi_face_sums(lattice, phi, 1)[lattice.top_id] == 0
         assert _phi_face_sums(lattice, phi, 9)[lattice.top_id] == 8
 
+    def test_closed_sums_leave_with_their_phi_sums_entry(self):
+        from wehrhart.algebra import HomogPoly
+        from wehrhart.ehrhart import _closed_face_sums
+
+        lattice = build_face_lattice(facet_presentation(SEGMENT))
+        phi = HomogPoly.one(1)
+        # the closed segment ell*[0, 1] has ell + 1 points
+        assert _closed_face_sums(lattice, phi, 2)[lattice.top_id] == 3
+        assert lattice._phi_sums[phi, 2][1] is not None
+        for ell in range(3, PHI_SUMS_MAX + 4):
+            _closed_face_sums(lattice, phi, ell)
+        assert (phi, 2) not in lattice._phi_sums
+        assert len(lattice._phi_sums) == PHI_SUMS_MAX
+        assert lattice._phi_sums.evictions == 2
+        assert all(entry[1] is not None for entry in lattice._phi_sums.values())
+        # rebuilt from a fresh walk after the eviction
+        assert _closed_face_sums(lattice, phi, 2)[lattice.top_id] == 3
+
     def test_face_polynomials_past_their_bound(self):
         from wehrhart.algebra import HomogPoly
         from wehrhart.ehrhart import _face_polynomials
@@ -735,6 +753,35 @@ class TestCacheBounds:
         assert lattice._face_polys.evictions == 1
         # S(z) = c (z - 1) on the open segment, over D = 1!
         assert _face_polynomials(lattice, phis[2])[1][lattice.top_id] == (-3, 3)
+
+    def test_values_at_negative_leave_with_their_face_polys_entry(self):
+        from wehrhart.algebra import HomogPoly
+        from wehrhart.ehrhart import _face_polynomials, _values_at_negative
+
+        lattice = build_face_lattice(facet_presentation(SEGMENT))
+        phis = [HomogPoly(1, [((0,), c)]) for c in range(1, FACE_POLYS_MAX + 2)]
+        # S(-ell) = c (-ell - 1) on the open segment
+        assert _values_at_negative(lattice, phis[0], 2)[lattice.top_id] == -3
+        assert list(_face_polynomials(lattice, phis[0])[2]) == [2]
+        for phi in phis[1:]:
+            _values_at_negative(lattice, phi, 1)
+        assert phis[0] not in lattice._face_polys
+        assert all(list(entry[2]) == [1] for entry in lattice._face_polys.values())
+        assert _values_at_negative(lattice, phis[0], 2)[lattice.top_id] == -3
+        assert list(_face_polynomials(lattice, phis[0])[2]) == [2]
+
+    def test_values_at_negative_past_their_bound(self):
+        from wehrhart.algebra import HomogPoly
+        from wehrhart.ehrhart import _face_polynomials, _values_at_negative
+
+        lattice = build_face_lattice(facet_presentation(SEGMENT))
+        phi = HomogPoly.one(1)
+        for ell in range(1, PHI_SUMS_MAX + 3):
+            _values_at_negative(lattice, phi, ell)
+        at_negative = _face_polynomials(lattice, phi)[2]
+        assert len(at_negative) == PHI_SUMS_MAX and at_negative.evictions == 2
+        assert min(at_negative) == 3
+        assert _values_at_negative(lattice, phi, 1)[lattice.top_id] == -2
 
     def test_verify_at_the_largest_lmax_evicts_nothing(self, tmp_path, monkeypatch):
         from wehrhart import cli
@@ -751,6 +798,8 @@ class TestCacheBounds:
         argv = ["verify", str(path), "--suite", "all", "--lmax", str(cli.MAX_LMAX)]
         assert cli.run(cli.parse_args(argv), stdout=io.StringIO()) == 0
         (lattice,) = built
-        caches = (lattice._points_cache, lattice._phi_sums, lattice._face_polys)
-        assert [len(c) for c in caches] == [cli.MAX_LMAX, cli.MAX_LMAX, 1]
-        assert [c.evictions for c in caches] == [0, 0, 0]
+        at_negative = next(iter(lattice._face_polys.values()))[2]
+        caches = (lattice._points_cache, lattice._phi_sums, lattice._face_polys, at_negative)
+        assert [len(c) for c in caches] == [cli.MAX_LMAX, cli.MAX_LMAX, 1, cli.MAX_LMAX]
+        assert [c.evictions for c in caches] == [0, 0, 0, 0]
+        assert all(entry[1] is not None for entry in lattice._phi_sums.values())
