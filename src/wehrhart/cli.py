@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .algebra import HomogPoly
 from .ehrhart import (
@@ -76,7 +77,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("parse", message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use; parse_args returns a new Namespace each call."""
     parser = _Parser(prog="wehrhart", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

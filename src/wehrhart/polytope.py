@@ -36,9 +36,9 @@ from operator import and_, mul
 # sums, one table and lmax negative dilations, so no run at desk scale
 # evicts anything.  FaceLattice._projections needs no bound: it holds the facets
 # of the n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
-# Nor does FaceLattice._g_memo: it holds one g per nested pair of nonempty
-# faces that the Stanley recursion reached, so at most the number of
-# nested pairs of the lattice.
+# Nor does FaceLattice._g_memo: one entry per face Q' that the Stanley
+# sweep reached, holding one int tuple (the f of [Q, Q']) per face Q below
+# Q', the empty face included, so at most the number of nested pairs.
 POINTS_CACHE_MAX = 16
 PHI_SUMS_MAX = 64
 FACE_POLYS_MAX = 4
@@ -607,37 +607,34 @@ def points_by_face(lattice: FaceLattice, ell: int):
     return out
 
 
-def eulerian_check(elements, leq, rank, up=None) -> bool:
+def eulerian_check(up, down, even) -> bool:
     """Every nontrivial closed interval balances even and odd ranks.
 
-    Bit j of up[i] (down[i]) marks elements[j] above (below) elements[i],
-    so the interval [a, b] is up[a] & down[b] and its even-rank half is
-    one more mask away.  Without up masks, leq is called once per ordered
-    pair to build them.
+    Bit j of up[i] (down[i]) marks element j above (below) element i,
+    and bit j of even marks element j of even rank, so the interval
+    [a, b] is up[a] & down[b] and its even-rank half is one more mask
+    away.  The masks must agree: bit i of down[j] is required for every
+    bit j of up[i], and down must hold as many bits as up, so down is
+    exactly the transpose of up.
     """
-    elements = list(elements)
-    size = range(len(elements))
-    if up is None:
-        up = [sum(1 << j for j in size if leq(a, elements[j])) for a in elements]
-    down = [0] * len(elements)
-    for i in size:
-        for j in mask_ids(up[i]):
-            down[j] |= 1 << i
-    even = sum(1 << j for j in size if rank(elements[j]) % 2 == 0)
-    for i in size:
-        for j in mask_ids(up[i] & ~(1 << i)):
-            interval = up[i] & down[j]
-            if 2 * (interval & even).bit_count() != interval.bit_count():
+    if sum(map(int.bit_count, up)) != sum(map(int.bit_count, down)):
+        return False
+    for i, above in enumerate(up):
+        bit = 1 << i
+        for j in mask_ids(above):
+            if not down[j] & bit:
+                return False
+            interval = above & down[j]
+            if j != i and 2 * (interval & even).bit_count() != interval.bit_count():
                 return False
     return True
 
 
 def validate_eulerian(lattice) -> bool:
     """True iff the face poset is Eulerian (interval parity balance)."""
-    ids = [f.id for f in lattice.faces]
-    return eulerian_check(
-        ids, lattice.leq, lambda i: lattice.faces[i].dim + 1, up=lattice.up
-    )
+    # rank is dim + 1: the even-rank faces are those of odd dim, the empty face among them
+    even = sum(1 << f.id for f in lattice.faces if f.dim % 2)
+    return eulerian_check(lattice.up, lattice.down, even)
 
 
 def is_simple(P: LatticePolytope) -> bool:

@@ -1,16 +1,21 @@
 """Poset polynomials on the face lattice.
 
-The f/g recursion on reversed intervals [Q, Q'] of the face lattice, read
-off its bitmask order; g-polynomials of polar faces, the induced weight
-functions (t -> -y), and the h-polynomial of the fully reversed lattice.
-Polynomials in t are LaurentPoly values with nonnegative exponents,
-rendered with f"{p:t}".
+Stanley's f/g polynomials of reversed intervals [Q, Q'] of the face
+lattice, g-polynomials of polar faces, the induced weight functions
+(t -> -y), and the h-polynomial of the fully reversed lattice.  One
+sweep down the faces below Q' gives f of every [Q, Q'] as a tuple of int
+coefficients in t, constant term first; the public functions return
+LaurentPoly values with nonnegative exponents, rendered with f"{p:t}".
 """
 
 from __future__ import annotations
 
-from .algebra import L_ONE, LaurentPoly, grouped_sum, one_plus_y_power, substitute_negative
-from .polytope import FaceLattice
+from functools import lru_cache
+from itertools import groupby
+from math import comb
+
+from .algebra import LaurentPoly
+from .polytope import FaceLattice, mask_ids
 from .weights import WeightFunction
 
 
@@ -25,16 +30,56 @@ def _check_interval(lattice: FaceLattice, q_id: int, qp_id: int):
         raise NonEulerianPoset("face lattice is not Eulerian")
 
 
-def _t_minus_1_power(k: int) -> LaurentPoly:
-    """(t-1)**k, from the memoized binomial row of (-1-y)**k."""
-    return substitute_negative(one_plus_y_power(k, negate=True))
+@lru_cache(maxsize=32)
+def _t_minus_1_row(k: int):
+    """Coefficients of (t-1)**k, constant term first; k = dim x - dim Q - 1 <= n < 32."""
+    return tuple(comb(k, i) * (-1) ** (k - i) for i in range(k + 1))
 
 
-def _g_cached(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
-    key = (q_id, qp_id)
-    if key not in lattice._g_memo:
-        lattice._g_memo[key] = stanley_fg(lattice, q_id, qp_id)[1]
-    return lattice._g_memo[key]
+def _g_row(f):
+    """g from f: the difference sequence of f's coefficients up to degree floor(deg f / 2)."""
+    return tuple(f[i] - f[i - 1] if i else f[0] for i in range((len(f) - 1) // 2 + 1))
+
+
+def _f_rows(lattice: FaceLattice, qp_id: int):
+    """f([Q, Q']) as an int tuple, of length dim Q' - dim Q (1 for Q = Q'), for
+    every face Q below Q', the empty face included; memoized in lattice._g_memo[qp_id].
+
+    The faces below Q' are taken top down by dimension.  Once a dimension d
+    is done, masks[i, v] holds its faces whose g has coefficient v at t**i,
+    so its faces above a lower Q add v * popcount(up[Q] & mask) *
+    t**i * (t-1)**(d - dim Q - 1) to f([Q, Q']).
+    """
+    rows = lattice._g_memo.get(qp_id)
+    if rows is not None:
+        return rows
+    faces, up = lattice.faces, lattice.up
+    top = faces[qp_id].dim
+    rows = {qp_id: (1,)}
+    done = [(top, [(0, 1, 1 << qp_id)])]  # (d, [(i, v, mask)]) per finished dimension
+    below = mask_ids(lattice.down[qp_id] ^ 1 << qp_id)  # ids rise with dim
+    for d, layer in groupby(reversed(below), key=lambda q: faces[q].dim):
+        masks = {}
+        for q in layer:
+            f = [0] * (top - d)
+            for dx, dim_masks in done:
+                kernel = _t_minus_1_row(dx - d - 1)
+                for i, v, m in dim_masks:
+                    c = (up[q] & m).bit_count() * v
+                    if c:
+                        for j, b in enumerate(kernel, i):
+                            f[j] += c * b
+            rows[q] = f = tuple(f)
+            for i, v in enumerate(_g_row(f)):
+                if v:
+                    masks[i, v] = masks.get((i, v), 0) | 1 << q
+        done.append((d, [(i, v, m) for (i, v), m in masks.items()]))
+    lattice._g_memo[qp_id] = rows
+    return rows
+
+
+def _t_poly(row) -> LaurentPoly:
+    return LaurentPoly._make(dict(enumerate(row)))
 
 
 def stanley_fg(lattice: FaceLattice, q_id: int, qp_id: int):
@@ -43,46 +88,38 @@ def stanley_fg(lattice: FaceLattice, q_id: int, qp_id: int):
     With the order reversed, Q' is the minimum and Q the maximum: this is
     the face poset of the polar face of Q inside the polar of Q', of rank
     r + 1 = dim Q' - dim Q.  Q may be the empty face; that case only
-    arises for the h-polynomial and inside the recursion.  Q = Q' gives
-    f = g = 1.  Otherwise f(t) is the sum, over the faces x != Q of the
-    interval, of g([x, Q']) * (t-1)**(dim x - dim Q - 1), and g truncates
-    the difference sequence of f's coefficients at degree floor(r/2).
+    arises for the h-polynomial.  Q = Q' gives f = g = 1.  Otherwise f(t)
+    is the sum, over the faces x != Q of the interval, of
+    g([x, Q']) * (t-1)**(dim x - dim Q - 1), and g truncates the
+    difference sequence of f's coefficients at degree floor(r/2).
     """
     _check_interval(lattice, q_id, qp_id)
-    if q_id == qp_id:
-        return L_ONE, L_ONE
-    dim_q = lattice.faces[q_id].dim
-    f = grouped_sum(
-        (
-            (lattice.faces[x].dim - dim_q - 1, _g_cached(lattice, x, qp_id))
-            for x in lattice.interval(q_id, qp_id)
-            if x != q_id
-        ),
-        _t_minus_1_power,
-    )
-    r = lattice.faces[qp_id].dim - dim_q - 1
-    return f, LaurentPoly._make({i: f.coeff(i) - f.coeff(i - 1) for i in range(r // 2 + 1)})
+    f = _f_rows(lattice, qp_id)[q_id]
+    return _t_poly(f), _t_poly(_g_row(f))
 
 
 def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     """g of the reversed interval [Q, Q'], i.e. of the polar face of Q.
 
-    Both faces must be nonempty and nested; results are memoized on the
-    lattice, keyed by the pair of face ids.
+    Both faces must be nonempty and nested; the sweep below Q' is
+    memoized on the lattice.
     """
     if lattice.faces[q_id].dim < 0 or lattice.faces[qp_id].dim < 0:
         raise ValueError("polar g is defined for nonempty faces")
     _check_interval(lattice, q_id, qp_id)
-    return _g_cached(lattice, q_id, qp_id)
+    return _t_poly(_g_row(_f_rows(lattice, qp_id)[q_id]))
 
 
 def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     """Weights g(reversed [Q, Q']) at t = -y on faces Q below Q', else 0."""
     if lattice.faces[qp_id].dim < 0:
         raise ValueError("weights are indexed by nonempty faces")
+    _check_interval(lattice, qp_id, qp_id)
+    rows = _f_rows(lattice, qp_id)
     values = {}
     for q in lattice.subfaces(qp_id):
-        values[q] = substitute_negative(polar_g(lattice, q, qp_id))
+        g = _g_row(rows[q])
+        values[q] = LaurentPoly._make({i: -c if i % 2 else c for i, c in enumerate(g)})
     return WeightFunction(lattice, values)
 
 
@@ -92,4 +129,5 @@ def h_polynomial(lattice: FaceLattice) -> LaurentPoly:
     This is the h-polynomial of the polar polytope's boundary; it must
     agree with the ell = 0 weighted count at y = -t computed downstream.
     """
-    return stanley_fg(lattice, lattice.empty_id, lattice.top_id)[0]
+    _check_interval(lattice, lattice.empty_id, lattice.top_id)
+    return _t_poly(_f_rows(lattice, lattice.top_id)[lattice.empty_id])

@@ -440,6 +440,24 @@ def test_jobspec_defaults():
     }
 
 
+def test_parser_reuse_gives_independent_namespaces():
+    first = cli.parse_args(["charsum", "a.json", "--l", "4", "--weights", "w.json"])
+    second = cli.parse_args(["charsum", "b.json", "--l", "-2"])
+    assert first is not second
+    assert (first.polytope, first.ell, first.weights) == ("a.json", 4, "w.json")
+    assert (second.polytope, second.ell, second.weights) == ("b.json", -2, None)
+    second.ell = 9
+    assert first.ell == 4
+
+
+def test_bad_flag_after_good_parse_raises_parse_error():
+    cli.parse_args(["faces", "a.json"])
+    with pytest.raises(cli.CliError) as info:
+        cli.parse_args(["faces", "a.json", "--bogus"])
+    assert info.value.kind == "parse"
+    assert cli.parse_args(["hpoly", "a.json"]).command == "hpoly"
+
+
 def test_lmax_must_be_positive(capsys):
     code, _, err = run_cli(
         ["verify", fx("segment"), "--suite", "all", "--lmax", "0"], capsys

@@ -5,6 +5,7 @@ shapes are small enough to enumerate on paper) and frozen before the
 implementation ran.
 """
 
+import copy
 import inspect
 import io
 import itertools
@@ -45,6 +46,7 @@ from wehrhart.polytope import (
     fibre_rows,
     fibres,
     is_simple,
+    mask_ids,
     points_by_face,
     validate_eulerian,
 )
@@ -247,6 +249,15 @@ class _StubPoset:
     def rank(self, e):
         return self.dims[e] + 1
 
+    def masks(self):
+        """(up, down, even) over the positions of the kept elements, built from leq and rank."""
+        ids = self.ids()
+        size = range(len(ids))
+        up = [sum(1 << j for j in size if self.leq(a, ids[j])) for a in ids]
+        down = [sum(1 << j for j in size if self.leq(ids[j], b)) for b in ids]
+        even = sum(1 << j for j in size if self.rank(ids[j]) % 2 == 0)
+        return up, down, even
+
 
 def triple_eulerian_check(elements, leq, rank):
     """The oracle: count the ranks of every interval one element at a time."""
@@ -276,13 +287,13 @@ class TestEulerian:
         L = build("square")
         some_vertex = L.vertex_face_id(0)
         stub = _StubPoset(L, {some_vertex})
-        assert not eulerian_check(stub.ids(), stub.leq, stub.rank)
+        assert not eulerian_check(*stub.masks())
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_bitmask_check_matches_triple_loop_on_corpus(self, name):
         L = build(name)
         stub = _StubPoset(L, set())
-        assert eulerian_check(stub.ids(), stub.leq, stub.rank)
+        assert eulerian_check(*stub.masks())
         assert triple_eulerian_check(stub.ids(), stub.leq, stub.rank)
 
     @pytest.mark.parametrize("name", ["square", "pyramid", "cube", "simplex3"])
@@ -294,7 +305,33 @@ class TestEulerian:
             stub = _StubPoset(L, dropped)
             expected = triple_eulerian_check(stub.ids(), stub.leq, stub.rank)
             assert not expected
-            assert eulerian_check(stub.ids(), stub.leq, stub.rank) == expected
+            assert eulerian_check(*stub.masks()) == expected
+
+    @pytest.mark.parametrize("name", ["square", "pyramid", "cube"])
+    def test_any_flipped_down_bit_fails(self, name):
+        # clearing a bit of down or setting an extra one leaves it no transpose of up
+        L = build(name)
+        size = len(L.faces)
+        for j in range(size):
+            for i in range(size):
+                mutant = copy.copy(L)
+                mutant.down = list(L.down)
+                mutant.down[j] ^= 1 << i
+                assert not validate_eulerian(mutant), (j, i)
+
+    @pytest.mark.parametrize("name", ["square", "pyramid"])
+    def test_moved_down_bit_fails(self, name):
+        # moving a bit keeps the popcount total; the pairwise transpose check catches it
+        L = build(name)
+        size = len(L.faces)
+        for j in range(size):
+            for i in mask_ids(L.down[j]):
+                for k in range(size):
+                    if not L.down[j] >> k & 1:
+                        mutant = copy.copy(L)
+                        mutant.down = list(L.down)
+                        mutant.down[j] ^= 1 << i | 1 << k
+                        assert not validate_eulerian(mutant), (j, i, k)
 
 
 class TestIsSimple:

@@ -11,8 +11,10 @@ from math import comb
 
 import pytest
 
+from box_oracle import random_lattice
+from stanley_oracle import oracle_fg, oracle_g, oracle_h
 from wehrhart.corpus import CORPUS, build
-from wehrhart.polytope import FaceLattice, Face, build_face_lattice, facet_presentation
+from wehrhart.polytope import FaceLattice, Face, build_face_lattice, facet_presentation, mask_ids
 from wehrhart.stanley import (
     NonEulerianPoset,
     g_weight_function,
@@ -238,3 +240,42 @@ class TestDeepLattices:
             assert dualize(f) == scale(neg_y_power(-L.faces[qp].dim), f), qp
         h = h_polynomial(L)
         assert h == substitute_inverse(h) * T({n: 1})
+
+
+ORACLE_LATTICES = [
+    *((name, lambda name=name: build(name)) for name in CORPUS),
+    ("cube5", lambda: deep_lattice("cube", 5)),
+    ("cross5", lambda: deep_lattice("cross", 5)),
+    *((f"random6-{seed}", lambda seed=seed: random_lattice(6, seed, 1, 10)) for seed in (1, 2)),
+]
+
+
+class TestSweepAgainstPairwiseRecursion:
+    """The sweep against tests/stanley_oracle.py, coefficient by coefficient."""
+
+    @pytest.mark.parametrize("name,make", ORACLE_LATTICES, ids=[n for n, _ in ORACLE_LATTICES])
+    def test_every_nested_pair_and_h(self, name, make):
+        L = make()
+        memo = {}
+        for qp in L.nonempty_ids:
+            for q in mask_ids(L.down[qp]):
+                expected = oracle_g(L, q, qp, memo)
+                got = polar_g(L, q, qp) if q != L.empty_id else stanley_fg(L, q, qp)[1]
+                assert got.terms == expected.terms, (q, qp)
+        assert h_polynomial(L).terms == oracle_h(L, memo).terms
+
+    @pytest.mark.parametrize("name", ["cube", "pyramid", "random3"])
+    def test_every_f(self, name):
+        L = build(name)
+        memo = {}
+        for qp in L.nonempty_ids:
+            for q in mask_ids(L.down[qp]):
+                assert stanley_fg(L, q, qp) == oracle_fg(L, q, qp, memo), (q, qp)
+
+
+def test_g_memo_bounded_by_nested_pairs():
+    L = build_face_lattice(facet_presentation(list(itertools.product((0, 1), repeat=4))))
+    for qp in L.nonempty_ids:
+        g_weight_function(L, qp)
+    assert set(L._g_memo) == set(L.nonempty_ids)
+    assert sum(map(len, L._g_memo.values())) <= sum(map(int.bit_count, L.up))
