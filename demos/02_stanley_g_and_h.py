@@ -9,7 +9,6 @@ from wehrhart import (
     LaurentPoly,
     build,
     h_polynomial,
-    is_simple,
     names,
     polar_g,
     substitute_inverse,
@@ -19,7 +18,9 @@ for name in names():
     lattice = build(name)
     n = lattice.polytope.n
     h = h_polynomial(lattice)
-    simple = "simple" if is_simple(lattice.polytope) else "not simple"
+    # simple: every vertex lies on exactly n facets
+    vertices = (f for f in lattice.faces if f.dim == 0)
+    simple = "simple" if all(len(f.tight_facets) == n for f in vertices) else "not simple"
     print(f"h({name}) = {h:t}   [{simple}]")
     assert h == substitute_inverse(h) * LaurentPoly({n: 1}), "master duality must hold"
 

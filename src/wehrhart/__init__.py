@@ -6,7 +6,6 @@ purity checks, and equivariant character sums. All arithmetic is exact.
 """
 
 from .algebra import (
-    CharacterSum,
     HomogPoly,
     LaurentPoly,
     ZPoly,
@@ -20,12 +19,10 @@ from .ehrhart import (
     VARIANT_ETILDE,
     CheckResult,
     EhrhartReport,
+    OrbitSum,
     PolynomialityError,
-    apply_phi,
-    constant_term,
     ehrhart_polynomial,
     hodge_character_sum,
-    negate_characters,
     verify_duality_reciprocity,
     verify_hodge_duality,
     verify_purity,
@@ -39,7 +36,6 @@ from .polytope import (
     LatticePolytope,
     build_face_lattice,
     facet_presentation,
-    is_simple,
     points_by_face,
     polytope_hash,
     validate_eulerian,
@@ -67,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CORPUS",
-    "CharacterSum",
     "CheckResult",
     "EhrhartReport",
     "Face",
@@ -78,6 +73,7 @@ __all__ = [
     "LatticePolytope",
     "LaurentPoly",
     "NonEulerianPoset",
+    "OrbitSum",
     "PolynomialityError",
     "VARIANT_E",
     "VARIANT_ETILDE",
@@ -85,10 +81,8 @@ __all__ = [
     "ZPoly",
     "add",
     "all_ones",
-    "apply_phi",
     "build",
     "build_face_lattice",
-    "constant_term",
     "delta_weight",
     "dualize",
     "ehrhart_polynomial",
@@ -96,9 +90,7 @@ __all__ = [
     "g_weight_function",
     "h_polynomial",
     "hodge_character_sum",
-    "is_simple",
     "names",
-    "negate_characters",
     "phi_eval",
     "points_by_face",
     "polar_g",

@@ -1,9 +1,12 @@
 """Exact arithmetic kernel.
 
 Rationals, sparse Laurent polynomials in y, homogeneous polynomial
-integrands, finitely supported character sums, and exact Lagrange
-interpolation.  Every value is immutable after construction and every
-operation is a pure function, so values are safe to share freely.
+integrands, polynomials in the dilation z, and exact Lagrange
+interpolation.  The library interpolates in int, face by face; Lagrange
+stays here because the per-weight test oracle calls it and the
+benchmark's tracer wraps it by this module's name.  Every value is
+immutable after construction and every operation is a pure function, so
+values are safe to share freely.
 
 Integers are the fast path: a rational that happens to be integral is
 held as an int, and a Fraction appears only where a denominator does.
@@ -29,8 +32,11 @@ def as_rat(x) -> Fraction:
 
 
 def as_int(x) -> int:
-    """An exponent, coordinate or id: an int. Floats, bools and strings are refused."""
-    if isinstance(x, bool):
+    """An exponent, coordinate, offset, id or dilation: an int.
+
+    Floats, bools and strings are refused (TypeError).
+    """
+    if isinstance(x, (bool, float)):
         raise TypeError(f"{x!r} is not an exact integer, pass int")
     return index(x)
 
@@ -326,63 +332,6 @@ def power_sum(k: int, a: int, b: int) -> int:
     if r:
         raise ArithmeticError(f"power sum of degree {k} came out as {top - bottom}/{d}")
     return q
-
-
-class CharacterSum:
-    """Finitely supported map from lattice points m to LaurentPoly.
-
-    Represents an element of Q[M][y^{+-1}]; keys iterate in lexicographic
-    order and zero values are never stored.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        acc: dict[tuple, LaurentPoly] = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for m, p in items:
-                m = tuple(map(as_int, m))
-                if len(m) != n:
-                    raise ValueError(f"key {m} is not length {n}")
-                acc[m] = acc.get(m, L_ZERO) + p
-        self.n = n
-        self.terms = CharacterSum._make(n, acc).terms
-
-    @staticmethod
-    def _make(n: int, terms) -> "CharacterSum":
-        """Trusted constructor from distinct keys to LaurentPoly; zeros dropped, sorted once."""
-        s = object.__new__(CharacterSum)
-        s.n = n
-        s.terms = {m: p for m, p in sorted(terms.items()) if p}
-        return s
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharacterSum)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, CharacterSum) or other.n != self.n:
-            return NotImplemented
-        acc = dict(self.terms)
-        for m, p in other.terms.items():
-            acc[m] = acc.get(m, L_ZERO) + p
-        return CharacterSum._make(self.n, acc)
-
-    def scale(self, p: LaurentPoly) -> "CharacterSum":
-        return CharacterSum._make(self.n, {m: q * p for m, q in self.terms.items()})
-
-    def map_values(self, fn) -> "CharacterSum":
-        return CharacterSum._make(self.n, {m: fn(p) for m, p in self.terms.items()})
-
-    def __repr__(self):
-        return f"CharacterSum(n={self.n}, {len(self.terms)} terms)"
 
 
 class ZPoly:

@@ -8,8 +8,8 @@ interpolated once per (lattice, phi), in int, and checked face by face.
 Every value a verifier compares is one linear combination of per-face
 scalars with the orbit coefficients f_Q(y) (1+y)^dim Q, which are built
 once per weight.  Character sums likewise carry one coefficient per
-orbit, and duality compares them face by face; points appear only when
-a sum is expanded.
+orbit (OrbitSum), and duality compares them face by face; points appear
+only when a sum is rendered.
 
 Values at negative dilations are read off the per-face interpolants, one
 evaluation per face and dilation, and closed-face sums always come from
@@ -26,10 +26,10 @@ from math import factorial, lcm, prod
 
 from .algebra import (
     L_ZERO,
-    CharacterSum,
     HomogPoly,
     LaurentPoly,
     ZPoly,
+    as_int,
     canon,
     linear_combination,
     neg_y_power,
@@ -39,7 +39,14 @@ from .algebra import (
     power_sum,
     substitute_inverse,
 )
-from .polytope import PHI_SUMS_MAX, BoundedCache, FaceLattice, fibre_rows, points_by_face
+from .polytope import (
+    PHI_SUMS_MAX,
+    BoundedCache,
+    FaceLattice,
+    check_dilation,
+    fibre_rows,
+    points_by_face,
+)
 from .stanley import g_weight_function
 from .weights import WeightFunction, dualize
 
@@ -58,11 +65,6 @@ def _check_lattice(lattice, f):
         raise ValueError("weight function belongs to a different lattice")
 
 
-def _check_dilation(ell):
-    if ell < 1:
-        raise ValueError("dilation must be a positive integer")
-
-
 class OrbitSum:
     """A character sum held as one coefficient per torus orbit: coeffs[E] at
     chi^(sign * m) for every m in relint[E], the points of Relint(|ell| E)."""
@@ -78,9 +80,6 @@ class OrbitSum:
         sign = self.sign
         pairs = ((tuple(sign * x for x in m), v) for e, v in values.items() for m in self.relint[e])
         return sorted(pairs)
-
-    def expand(self) -> CharacterSum:
-        return CharacterSum._make(self.n, dict(self.terms()))
 
 
 _PLUS, _MINUS, _MINUS_INVERTED = "plus", "minus", "minus at 1/y"
@@ -114,53 +113,27 @@ def _orbit_coefficients(f, kind):
     return memo[kind]
 
 
-def _orbit_sum(lattice, f, ell) -> OrbitSum:
-    """The coefficients c_E of _orbit_coefficients, for ell != 0.
-
-    ell > 0:  _PLUS at chi^(-m);  ell < 0:  _MINUS at chi^(+m)
-    """
-    _check_lattice(lattice, f)
-    coeffs = _orbit_coefficients(f, _MINUS if ell < 0 else _PLUS)
-    relint = points_by_face(lattice, abs(ell))
-    return OrbitSum(lattice.polytope.n, coeffs, relint, 1 if ell < 0 else -1)
-
-
-def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> CharacterSum:
+def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> OrbitSum:
     """The equivariant character sum of the weighted divisor at dilation ell.
 
-    One coefficient per torus orbit (see _orbit_sum), carried by every
-    point of the orbit's face's relative interior in |ell| P;
-    ell = 0:  (sum_Q f_Q(y) (-1-y)^dim Q) * chi^0
+    One coefficient per torus orbit (_orbit_coefficients), carried by every
+    point of the orbit's face's relative interior in |ell| P:
+    ell > 0:  _PLUS at chi^(-m);  ell < 0:  _MINUS at chi^(+m)
+    ell = 0:  sum_Q f_Q(y) (-1-y)^dim Q at chi^0, the one point of 0 P, held
+              on the empty face, the face below every Q (_MINUS's rule there)
     """
-    if ell:
-        return _orbit_sum(lattice, f, ell).expand()
     _check_lattice(lattice, f)
     n = lattice.polytope.n
+    ell = as_int(ell)
+    if ell:
+        coeffs = _orbit_coefficients(f, _MINUS if ell < 0 else _PLUS)
+        return OrbitSum(n, coeffs, points_by_face(lattice, abs(ell)), 1 if ell < 0 else -1)
     faces = lattice.faces
-    plus = _orbit_coefficients(f, _PLUS)
-    return CharacterSum._make(n, {(0,) * n: linear_combination(
-        (c, (-1) ** faces[q].dim) for q, c in plus.items()
-    )})
-
-
-def negate_characters(s: CharacterSum) -> CharacterSum:
-    """The involution m -> -m on character keys."""
-    return CharacterSum._make(s.n, {tuple(-x for x in m): p for m, p in s.terms.items()})
-
-
-def apply_phi(s: CharacterSum, phi: HomogPoly, variant: str) -> LaurentPoly:
-    """Push a character sum to a Laurent polynomial through the integrand.
-
-    Etilde sends chi^m to phi(-m); E sends chi^m to phi(-(1+y)m), which by
-    homogeneity is (1+y)^deg phi * phi(-m).
-    """
-    _check_variant(variant)
-    if s.n != phi.n:
-        raise ValueError("character sum and integrand dimensions differ")
-    acc = poly_sum(p * phi_eval(phi, tuple(-x for x in m)) for m, p in s.terms.items())
-    if variant == VARIANT_E:
-        acc = acc * one_plus_y_power(phi.degree)
-    return acc
+    total = linear_combination(
+        (c, -1 if faces[q].dim % 2 else 1) for q, c in _orbit_coefficients(f, _PLUS).items()
+    )
+    empty = lattice.empty_id
+    return OrbitSum(n, {empty: total}, {empty: [(0,) * n]}, 1)
 
 
 def _phi_face_sums(lattice, phi, ell):
@@ -238,23 +211,15 @@ def weighted_ehrhart_value(
 ) -> LaurentPoly:
     """The weighted count at a positive dilation.
 
-    Equal to apply_phi(hodge_character_sum(lattice, f, ell), phi, variant);
-    one linear combination of the per-face integrand sums, which are
-    memoized, with the weight's orbit coefficients.
+    Equal to hodge_character_sum(lattice, f, ell) with chi^m sent to
+    phi(-m), times (1+y)^deg phi for E; one linear combination of the
+    per-face integrand sums, which are memoized, with the weight's orbit
+    coefficients.
     """
     _check_variant(variant)
     _check_lattice(lattice, f)
-    _check_dilation(ell)
+    check_dilation(ell)
     return _combine(f, _phi_face_sums(lattice, phi, ell), phi, variant)
-
-
-def constant_term(lattice, f, phi, variant) -> LaurentPoly:
-    """Closed form for the value at dilation 0: phi pushed through the ell = 0 sum.
-
-    sum_Q f_Q(y) (-1-y)^dim Q * phi(0), times (1+y)^deg phi for E.
-    Nonzero only for deg phi = 0, where the two variants agree.
-    """
-    return apply_phi(hodge_character_sum(lattice, f, 0), phi, variant)
 
 
 class PolynomialityError(ArithmeticError):
@@ -401,13 +366,10 @@ class CheckResult:
 
 
 def render_value(v) -> str:
-    if isinstance(v, OrbitSum):
-        terms = v.terms(str)  # each face's coefficient formatted once
-    elif isinstance(v, CharacterSum):
-        terms = v.terms.items()
-    else:
+    if not isinstance(v, OrbitSum):
         return str(v)
-    inner = "; ".join(f"chi^{list(m)}: {p}" for m, p in terms)
+    # each face's coefficient is formatted once
+    inner = "; ".join(f"chi^{list(m)}: {p}" for m, p in v.terms(str))
     return f"{{{inner}}}" if inner else "{}"
 
 
@@ -453,7 +415,7 @@ def _value_at_negative(lattice, f, phi, ell, variant) -> LaurentPoly:
     """The count's polynomial at -ell: the per-face interpolants at -ell, combined."""
     _check_variant(variant)
     _check_lattice(lattice, f)
-    _check_dilation(ell)
+    check_dilation(ell)
     return _combine(f, _values_at_negative(lattice, phi, ell), phi, variant)
 
 
@@ -509,9 +471,9 @@ def verify_hodge_duality(lattice, f, ell: int, dual=None) -> CheckResult:
     names the first such face and its first differing exponent.  dual is
     dualize(f) when the caller has already built it.
     """
-    _check_dilation(ell)
+    check_dilation(ell)
     _check_lattice(lattice, f)
-    lhs = _orbit_sum(lattice, dualize(f) if dual is None else dual, ell)
+    lhs = hodge_character_sum(lattice, dualize(f) if dual is None else dual, ell)
     inverted = _orbit_coefficients(f, _MINUS_INVERTED)
     rhs = OrbitSum(lhs.n, inverted, lhs.relint, -1)
     for e, points in lhs.relint.items():

@@ -1,8 +1,9 @@
 """JSON formats for every value that crosses the process boundary.
 
-Polytopes, face lattice exports, weight functions (guarded by a polytope
-content hash), integrands, character sums, z-polynomials, and reports.
-All orderings are canonical so identical inputs give identical bytes.
+Polytopes, weight functions (guarded by a polytope content hash) and
+integrands are read; face lattice exports, weight functions, character
+sums, z-polynomials and reports are written.  All orderings are
+canonical so identical inputs give identical bytes.
 
 FormatError means the bytes do not parse into the schema (CLI exit 2);
 ContentError means they parse but fail semantic validation (exit 3).
@@ -14,7 +15,8 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import CharacterSum, HomogPoly, LaurentPoly, ZPoly
+from .algebra import HomogPoly, LaurentPoly, ZPoly
+from .ehrhart import OrbitSum
 from .polytope import FaceLattice, LatticePolytope, facet_presentation, mask_ids, polytope_hash
 from .weights import WeightFunction
 
@@ -175,48 +177,13 @@ def load_phi(path, n_expected=None) -> HomogPoly:
     return phi
 
 
-def phi_to_json(phi: HomogPoly):
-    return {
-        "n": phi.n,
-        "monomials": [
-            {"exps": list(e), "coeff": _rat_str(c)} for e, c in phi.monomials
-        ],
-    }
-
-
-def charsum_to_json(s: CharacterSum):
-    return {
-        "terms": [
-            {"m": list(m), "coeff": laurent_to_json(p)} for m, p in s.terms.items()
-        ]
-    }
-
-
-def charsum_from_json(data, n: int) -> CharacterSum:
-    """{"terms": [{"m": [int, ...], "coeff": Laurent}, ...]}; terms with equal m add up."""
-    if not isinstance(data, dict) or set(data) != {"terms"} or not isinstance(data["terms"], list):
-        raise FormatError("character sum needs a 'terms' list")
-    terms = []
-    for item in data["terms"]:
-        if not isinstance(item, dict) or set(item) != {"m", "coeff"}:
-            raise FormatError(f"bad character term {item!r}")
-        m = item["m"]
-        if not isinstance(m, list) or not all(_is_int(x) for x in m):
-            raise FormatError(f"character {m!r} is not a list of integers")
-        if len(m) != n:
-            raise ContentError(f"character {m!r} is not of length {n}")
-        terms.append((m, laurent_from_json(item["coeff"])))
-    return CharacterSum(n, terms)
+def charsum_to_json(s: OrbitSum):
+    """{"terms": [{"m": [int, ...], "coeff": Laurent}, ...]} in sorted character order."""
+    return {"terms": [{"m": list(m), "coeff": c} for m, c in s.terms(laurent_to_json)]}
 
 
 def zpoly_to_json(zp: ZPoly):
     return {"coeffs": [laurent_to_json(c) for c in zp.coeffs]}
-
-
-def zpoly_from_json(data) -> ZPoly:
-    if not isinstance(data, dict) or "coeffs" not in data:
-        raise FormatError("z-polynomial needs a 'coeffs' list")
-    return ZPoly([laurent_from_json(c) for c in data["coeffs"]])
 
 
 def dumps(obj) -> str:

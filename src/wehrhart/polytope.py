@@ -24,6 +24,8 @@ from functools import cmp_to_key, reduce
 from math import gcd, lcm
 from operator import and_, mul
 
+from .algebra import as_int
+
 # Entries kept in FaceLattice._points_cache (one per dilation),
 # FaceLattice._phi_sums (one per integrand and dilation: the open face
 # sums, and the closed ones once a verifier asks) and
@@ -170,18 +172,8 @@ class LatticePolytope:
 
     def __init__(self, n, vertices, facets):
         self.n = n
-        self.vertices = tuple(tuple(v) for v in vertices)
-        self.facets = tuple((tuple(u), int(a)) for u, a in facets)
-
-    def tight_facet_indices(self, point, dilation=1):
-        return frozenset(
-            i
-            for i, (u, a) in enumerate(self.facets)
-            if _dot(point, u) == -dilation * a
-        )
-
-    def contains(self, point, dilation=1) -> bool:
-        return all(_dot(point, u) >= -dilation * a for u, a in self.facets)
+        self.vertices = tuple(tuple(map(as_int, v)) for v in vertices)
+        self.facets = tuple((tuple(map(as_int, u)), as_int(a)) for u, a in facets)
 
     def __eq__(self, other):
         return (
@@ -215,9 +207,10 @@ def facet_presentation(points) -> LatticePolytope:
     no third ray.  All arithmetic is in int; each normal u_F is divided
     by its gcd at the end.  Points that are not vertices of the hull are
     dropped from the vertex list.  Requires a full-dimensional hull in
-    the ambient dimension.
+    the ambient dimension and int coordinates (floats and bools raise
+    TypeError).
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted({tuple(map(as_int, p)) for p in points})
     if not pts:
         raise InvalidPolytope("no points")
     n = len(pts[0])
@@ -436,6 +429,14 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     return FaceLattice(P, faces)
 
 
+def check_dilation(ell) -> int:
+    """A dilation as an int; floats and bools raise TypeError, ell < 1 ValueError."""
+    ell = as_int(ell)
+    if ell < 1:
+        raise ValueError("dilation must be a positive integer")
+    return ell
+
+
 def _interval(lower, upper, prefix):
     """Integer range of the next coordinate x over prefix, from (w, c, b) with c > 0:
     <w, prefix> + b + c*x >= 0 in lower, <w, prefix> + b - c*x >= 0 in upper."""
@@ -519,8 +520,7 @@ def fibre_rows(lattice: FaceLattice, ell: int):
     lo == hi), and the face of hi.  Rows come in lexicographic order; for
     n = 1 the one fibre, over the empty prefix, is one row at x = 0.
     """
-    if ell <= 0:
-        raise ValueError("dilation must be a positive integer")
+    ell = check_dilation(ell)
     P = lattice.polytope
     if P.n == 1:  # ell*P = ell*[v0, v1]
         (v0,), (v1,) = P.vertices
@@ -595,6 +595,7 @@ def points_by_face(lattice: FaceLattice, ell: int):
     are memoized on the lattice; only character sums call this, the
     weighted counts sum over the rows directly.
     """
+    ell = check_dilation(ell)
     if ell in lattice._points_cache:
         return lattice._points_cache[ell]
     out = {fid: [] for fid in lattice.nonempty_ids}
@@ -635,10 +636,3 @@ def validate_eulerian(lattice) -> bool:
     # rank is dim + 1: the even-rank faces are those of odd dim, the empty face among them
     even = sum(1 << f.id for f in lattice.faces if f.dim % 2)
     return eulerian_check(lattice.up, lattice.down, even)
-
-
-def is_simple(P: LatticePolytope) -> bool:
-    """Every vertex on exactly n facets."""
-    return all(
-        len(P.tight_facet_indices(v)) == P.n for v in P.vertices
-    )

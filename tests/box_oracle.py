@@ -5,7 +5,8 @@ and enumerates points fibre by fibre.  Two slower, obvious routes stand
 beside it: box_fibres visits every (n-1)-prefix of the bounding box and
 solves each fibre from the facets alone, and box_points_by_face scans the
 whole integer bounding box and reads each point's face off its tight
-facets.
+facets.  contains, tight_facet_indices and is_simple read a point or a
+vertex against the facet inequalities directly.
 """
 
 import itertools
@@ -18,6 +19,21 @@ from wehrhart.polytope import InvalidPolytope, build_face_lattice, facet_present
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def contains(P, point, dilation=1):
+    """point lies in dilation * P."""
+    return all(_dot(point, u) >= -dilation * a for u, a in P.facets)
+
+
+def tight_facet_indices(P, point, dilation=1):
+    """The facets of dilation * P on which point lies."""
+    return frozenset(i for i, (u, a) in enumerate(P.facets) if _dot(point, u) == -dilation * a)
+
+
+def is_simple(P):
+    """Every vertex on exactly n facets."""
+    return all(len(tight_facet_indices(P, v)) == P.n for v in P.vertices)
 
 
 def box_fibres(lattice, ell):

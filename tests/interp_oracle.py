@@ -8,8 +8,9 @@ Lagrange, then checks two extra dilations and the closed-form constant
 term (the ell = 0 character sum pushed through phi).
 """
 
+from charsum_oracle import constant_term
 from wehrhart.algebra import lagrange_interpolate
-from wehrhart.ehrhart import PolynomialityError, constant_term, weighted_ehrhart_value
+from wehrhart.ehrhart import PolynomialityError, weighted_ehrhart_value
 
 
 def per_weight_polynomial(lattice, f, phi, variant):

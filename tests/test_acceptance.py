@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+from box_oracle import is_simple
+from charsum_oracle import constant_term
 from wehrhart import corpus
 from wehrhart.algebra import (
     HomogPoly,
@@ -22,7 +24,6 @@ from wehrhart.algebra import (
 from wehrhart.ehrhart import (
     VARIANT_E,
     VARIANT_ETILDE,
-    constant_term,
     ehrhart_polynomial,
     verify_duality_reciprocity,
     verify_hodge_duality,
@@ -33,7 +34,6 @@ from wehrhart.ehrhart import (
 from wehrhart.polytope import (
     build_face_lattice,
     facet_presentation,
-    is_simple,
     points_by_face,
     validate_eulerian,
 )

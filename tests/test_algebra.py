@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from wehrhart.algebra import (
-    CharacterSum,
     HomogPoly,
     LaurentPoly,
     ZPoly,
@@ -196,47 +195,6 @@ class TestLinearCombination:
 
     def test_empty_is_zero(self):
         assert linear_combination([]) == L({})
-
-
-class TestCharacterSum:
-    def test_normalization(self):
-        s = CharacterSum(1, {(0,): L({0: 1}), (1,): L({})})
-        assert list(s.terms) == [(0,)]
-
-    def test_addition_cancels(self):
-        a = CharacterSum(2, {(0, 1): L({0: 1})})
-        b = CharacterSum(2, {(0, 1): L({0: -1}), (1, 1): L({1: 2})})
-        assert a + b == CharacterSum(2, {(1, 1): L({1: 2})})
-
-    def test_addition_commutes_associates(self):
-        a = CharacterSum(1, {(0,): L({0: 1})})
-        b = CharacterSum(1, {(1,): L({1: 1})})
-        c = CharacterSum(1, {(0,): L({-1: 1})})
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-
-    def test_scale(self):
-        a = CharacterSum(1, {(2,): L({0: 1, 1: 1})})
-        assert a.scale(L({0: 2})) == CharacterSum(1, {(2,): L({0: 2, 1: 2})})
-        assert not a.scale(L({}))
-
-    def test_keys_sorted_lex(self):
-        s = CharacterSum(2, {(1, 0): L({0: 1}), (0, 5): L({0: 1}), (0, 2): L({0: 1})})
-        assert list(s.terms) == [(0, 2), (0, 5), (1, 0)]
-
-    @pytest.mark.parametrize("x", [0.5, 0.0, False, Fraction(1, 2)])
-    def test_inexact_keys_refused(self, x):
-        with pytest.raises(TypeError):
-            CharacterSum(1, {(x,): L({0: 1})})
-
-    def test_trusted_constructor_sorts_and_drops_zeros(self):
-        s = CharacterSum._make(2, {(1, 0): L({0: 1}), (0, 0): L({}), (0, 2): L({1: 1})})
-        assert s == CharacterSum(2, {(0, 2): L({1: 1}), (1, 0): L({0: 1})})
-        assert list(s.terms) == [(0, 2), (1, 0)]
-
-    def test_map_values_drops_zeros(self):
-        s = CharacterSum(1, {(0,): L({0: 1}), (1,): L({1: 1})})
-        assert s.map_values(lambda p: p - L({0: 1})) == CharacterSum(1, {(1,): L({0: -1, 1: 1})})
 
 
 class TestZPoly:

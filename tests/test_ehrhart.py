@@ -15,10 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 import wehrhart.ehrhart as eh
 from box_oracle import RANDOM_6, RANDOM_SHAPES, box_phi_face_sums, cross, cube, random_lattice
-from charsum_oracle import pointwise_character_sum, pointwise_hodge_duality
+from charsum_oracle import (
+    apply_phi,
+    constant_term,
+    negate_characters,
+    pointwise_character_sum,
+    pointwise_hodge_duality,
+)
 from interp_oracle import per_weight_polynomial
 from wehrhart.algebra import (
-    CharacterSum,
     HomogPoly,
     LaurentPoly,
     ZPoly,
@@ -29,12 +34,10 @@ from wehrhart.algebra import (
 )
 from wehrhart.corpus import CORPUS, build, names
 from wehrhart.ehrhart import (
+    OrbitSum,
     PolynomialityError,
-    apply_phi,
-    constant_term,
     ehrhart_polynomial,
     hodge_character_sum,
-    negate_characters,
     render_value,
     verify_duality_reciprocity,
     verify_hodge_duality,
@@ -42,7 +45,7 @@ from wehrhart.ehrhart import (
     verify_reciprocity,
     weighted_ehrhart_value,
 )
-from wehrhart.polytope import build_face_lattice, facet_presentation
+from wehrhart.polytope import build_face_lattice, facet_presentation, points_by_face
 from wehrhart.stanley import g_weight_function, h_polynomial
 from wehrhart.weights import (
     WeightFunction,
@@ -71,17 +74,29 @@ class TestHodgeCharacterSum:
     def test_segment_positive(self):
         lat = build("segment")
         s = hodge_character_sum(lat, all_ones(lat), 1)
-        assert s == CharacterSum(1, {(0,): L({0: 1}), (-1,): L({0: 1})})
+        assert dict(s.terms()) == {(-1,): L({0: 1}), (0,): L({0: 1})}
 
     def test_segment_zero(self):
         lat = build("segment")
         s = hodge_character_sum(lat, all_ones(lat), 0)
-        assert s == CharacterSum(1, {(0,): L({0: 1, 1: -1})})
+        assert dict(s.terms()) == {(0,): L({0: 1, 1: -1})}
 
     def test_segment_negative(self):
         lat = build("segment")
         s = hodge_character_sum(lat, all_ones(lat), -1)
-        assert s == CharacterSum(1, {(0,): L({1: -1}), (1,): L({1: -1})})
+        assert dict(s.terms()) == {(0,): L({1: -1}), (1,): L({1: -1})}
+
+    def test_one_type_at_every_sign(self):
+        lat = build("square")
+        for ell in (-2, 0, 2):
+            assert type(hodge_character_sum(lat, all_ones(lat), ell)) is OrbitSum
+
+    def test_zero_is_one_orbit_at_the_origin(self):
+        lat = build("square")
+        s = hodge_character_sum(lat, all_ones(lat), 0)
+        # 4 vertices + 4 edges (-1-y) + (-1-y)^2 = 1 - 2y + y^2
+        assert s.terms() == [((0, 0), L({0: 1, 1: -2, 2: 1}))]
+        assert list(s.relint) == list(s.coeffs) == [lat.empty_id]
 
     def test_lattice_mismatch(self):
         with pytest.raises(ValueError):
@@ -103,49 +118,54 @@ class TestCharacterSumAgainstPointwiseOracle:
         lat = build(name)
         for f in oracle_weight_set(lat, 17):
             for ell in range(-3, 4):
-                assert hodge_character_sum(lat, f, ell) == pointwise_character_sum(lat, f, ell)
+                s = hodge_character_sum(lat, f, ell)
+                assert dict(s.terms()) == pointwise_character_sum(lat, f, ell)
 
     @pytest.mark.parametrize("n,seed", [(n, seed) for n in (2, 3, 4, 5) for seed in (5, 6)])
     def test_random(self, n, seed):
         lat = random_lattice(n, seed, 1, n + 4)
         for f in oracle_weight_set(lat, seed):
             for ell in range(-3, 4):
-                assert hodge_character_sum(lat, f, ell) == pointwise_character_sum(lat, f, ell)
+                s = hodge_character_sum(lat, f, ell)
+                assert dict(s.terms()) == pointwise_character_sum(lat, f, ell)
 
 
 class TestNegateCharacters:
+    """The oracle's m -> -m on point-keyed sums."""
+
     def test_origin_fixed(self):
-        s = CharacterSum(2, {(0, 0): L({0: 3})})
+        s = {(0, 0): L({0: 3})}
         assert negate_characters(s) == s
 
     def test_key_negation(self):
-        s = CharacterSum(2, {(1, 2): L({0: 1})})
-        assert negate_characters(s) == CharacterSum(2, {(-1, -2): L({0: 1})})
+        assert negate_characters({(1, 2): L({0: 1})}) == {(-1, -2): L({0: 1})}
 
     def test_involution(self):
-        s = CharacterSum(2, {(1, 2): L({1: 1}), (0, -3): L({-1: 2})})
+        s = {(0, -3): L({-1: 2}), (1, 2): L({1: 1})}
         assert negate_characters(negate_characters(s)) == s
 
 
 class TestApplyPhi:
+    """The oracle's push of a point-keyed sum through an integrand."""
+
     def test_degree_zero_variants_agree(self):
-        s = CharacterSum(1, {(0,): L({0: 1}), (-2,): L({1: 3})})
+        s = {(-2,): L({1: 3}), (0,): L({0: 1})}
         one = phi_one(1)
         assert apply_phi(s, one, "E") == apply_phi(s, one, "Etilde") == L({0: 1, 1: 3})
 
     def test_segment_linear(self):
-        s = CharacterSum(1, {(0,): L({0: 1}), (-1,): L({0: 1})})
+        s = {(-1,): L({0: 1}), (0,): L({0: 1})}
         phi = phi_coord(1)
         assert apply_phi(s, phi, "Etilde") == L({0: 1})
         assert apply_phi(s, phi, "E") == L({0: 1, 1: 1})
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_phi(CharacterSum(1, {}), phi_one(2), "E")
+            apply_phi({(0,): L({0: 1})}, phi_one(2), "E")
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):
-            apply_phi(CharacterSum(1, {}), phi_one(1), "X")
+            apply_phi({}, phi_one(1), "X")
 
 
 class TestWeightedValue:
@@ -165,7 +185,7 @@ class TestWeightedValue:
         assert v == L({0: 3, 1: 1})
 
     def test_matches_character_route(self):
-        # the direct face-sum formula must agree with apply_phi of the sum
+        # the direct face-sum formula must agree with the sum pushed through phi
         for name in ("segment", "square", "pyramid"):
             lat = build(name)
             n = lat.polytope.n
@@ -175,13 +195,41 @@ class TestWeightedValue:
                 for phi in phis:
                     for ell in (1, 2, 3):
                         direct = weighted_ehrhart_value(lat, f, phi, ell, "E")
-                        via_sum = apply_phi(hodge_character_sum(lat, f, ell), phi, "E")
+                        s = hodge_character_sum(lat, f, ell)
+                        via_sum = apply_phi(dict(s.terms()), phi, "E")
                         assert direct == via_sum
 
     def test_rejects_nonpositive(self):
         lat = build("segment")
         with pytest.raises(ValueError):
             weighted_ehrhart_value(lat, all_ones(lat), phi_one(1), 0, "E")
+
+
+# every public entry point that takes a dilation, on (lattice, weight, phi, ell)
+DILATION_CALLS = {
+    "weighted_ehrhart_value": lambda lat, f, phi, ell: weighted_ehrhart_value(
+        lat, f, phi, ell, "E"
+    ),
+    "verify_reciprocity": lambda lat, f, phi, ell: verify_reciprocity(lat, f, phi, ell),
+    "verify_duality_reciprocity": lambda lat, f, phi, ell: verify_duality_reciprocity(
+        lat, f, phi, ell
+    ),
+    "verify_hodge_duality": lambda lat, f, phi, ell: verify_hodge_duality(lat, f, ell),
+    "verify_purity": lambda lat, f, phi, ell: verify_purity(lat, lat.top_id, phi, ell),
+    "hodge_character_sum": lambda lat, f, phi, ell: hodge_character_sum(lat, f, ell),
+    "points_by_face": lambda lat, f, phi, ell: points_by_face(lat, ell),
+}
+
+
+@pytest.mark.parametrize("ell", [True, 2.0, -2.0], ids=repr)
+@pytest.mark.parametrize("name", sorted(DILATION_CALLS))
+def test_dilation_must_be_an_int(name, ell):
+    # True used to count as 1 (a report read "ell": "True"), and 2.0 either
+    # failed inside range() in the walk or, once 2 was cached, counted as 2
+    lat = build("square")
+    weighted_ehrhart_value(lat, all_ones(lat), phi_one(2), 2, "E")  # fill the caches at 2
+    with pytest.raises(TypeError, match="is not an exact integer"):
+        DILATION_CALLS[name](lat, all_ones(lat), phi_one(2), ell)
 
 
 class TestEhrhartPolynomial:
@@ -371,7 +419,7 @@ class TestVerifyHodgeDuality:
         check = verify_hodge_duality(lat, f, 1)
         assert check.passed
         minus = L({-1: -1, 0: -1})  # -(1+y)/y
-        assert check.lhs.expand() == CharacterSum(1, {(0,): minus, (-1,): minus})
+        assert dict(check.lhs.terms()) == {(-1,): minus, (0,): minus}
 
     def test_square_all_ones(self):
         lat = build("square")
@@ -383,8 +431,8 @@ class TestVerifyHodgeDuality:
         f = g_weight_function(lat, lat.top_id)
         check = verify_hodge_duality(lat, f, 1)
         assert check.passed
-        expected = hodge_character_sum(lat, f, 1).scale(neg_y_power(-3))
-        assert check.lhs.expand() == expected
+        expected = [(m, p * neg_y_power(-3)) for m, p in hodge_character_sum(lat, f, 1).terms()]
+        assert check.lhs.terms() == expected
 
     def test_random_weights(self):
         lat = build("square")
@@ -518,7 +566,7 @@ class TestHLink:
             lat = build(name)
             n = lat.polytope.n
             f = g_weight_function(lat, lat.top_id)
-            value = apply_phi(hodge_character_sum(lat, f, 0), phi_one(n), "Etilde")
+            value = apply_phi(dict(hodge_character_sum(lat, f, 0).terms()), phi_one(n), "Etilde")
             h = h_polynomial(lat)
             assert substitute_negative(value) == L(dict(h.terms)), name
 
@@ -576,8 +624,8 @@ def assert_exact(value):
         assert_exact(value.coeffs)
     elif isinstance(value, WeightFunction):
         assert_exact(value.values)
-    elif isinstance(value, CharacterSum):
-        assert_exact(value.terms)
+    elif isinstance(value, OrbitSum):
+        assert_exact(value.terms())
     elif isinstance(value, dict):
         for k, v in value.items():
             assert_exact(k)

@@ -22,8 +22,10 @@ from box_oracle import (
     RANDOM_SHAPES,
     box_fibres,
     box_points_by_face,
+    contains,
     cross,
     cube,
+    is_simple,
     random_lattice,
 )
 from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
@@ -45,7 +47,6 @@ from wehrhart.polytope import (
     facet_presentation,
     fibre_rows,
     fibres,
-    is_simple,
     mask_ids,
     points_by_face,
     validate_eulerian,
@@ -117,7 +118,33 @@ class TestFacetPresentation:
         for name in CORPUS:
             P = build(name).polytope
             for v in P.vertices:
-                assert P.contains(v)
+                assert contains(P, v)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.5, 0), (1.9, 0), (0, 1)],  # used to truncate to (0, 0), (1, 0), (0, 1)
+            [(0, 0), (1, 0), (0, 1.0)],
+            [(False, False), (True, False), (False, True)],
+        ],
+    )
+    def test_coordinates_must_be_ints(self, points):
+        with pytest.raises(TypeError, match="is not an exact integer"):
+            facet_presentation(points)
+
+    @pytest.mark.parametrize(
+        "vertices,facets",
+        [
+            ([(0, 0), (1, 0)], [((1, 0), 0.7)]),  # used to store offset 0
+            ([(0, 0), (1, 0)], [((1, 0), True)]),
+            ([(0, 0), (1, 0)], [((1.0, 0), 0)]),
+            ([(0, 0.5), (1, 0)], [((1, 0), 0)]),
+            ([(0, False), (1, 0)], [((1, 0), 0)]),
+        ],
+    )
+    def test_presentation_entries_must_be_ints(self, vertices, facets):
+        with pytest.raises(TypeError, match="is not an exact integer"):
+            LatticePolytope(2, vertices, facets)
 
 
 class TestFaceLattice:
@@ -222,7 +249,7 @@ class TestPointsByFace:
                 union = [m for lst in pts.values() for m in lst]
                 assert len(union) == len(set(union))
                 P = L.polytope
-                assert all(P.contains(m, ell) for m in union)
+                assert all(contains(P, m, ell) for m in union)
 
     def test_rejects_nonpositive_dilation(self):
         L = build("segment")
@@ -335,6 +362,8 @@ class TestEulerian:
 
 
 class TestIsSimple:
+    """The test helper is_simple, which other tests rely on."""
+
     def test_cube(self):
         assert is_simple(build("cube").polytope)
 

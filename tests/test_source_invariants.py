@@ -1,7 +1,9 @@
 """Invariants of the library source, checked on its syntax trees.
 
 The library is standard-library only, holds no float anywhere, and never
-relies on an assert statement for a check (python -O strips them).  Each
+relies on an assert statement for a check (python -O strips them).  A
+float can also be made at run time, by float(...) or by a true division
+of two ints, so every / must divide by a Fraction(...) call.  Each
 rule is read off the ast of every module under src/wehrhart.  The
 benchmark's tracer looks library functions up by name, so one more test
 installs and removes it on the imported library.
@@ -62,6 +64,23 @@ def test_no_float_literals(path):
     assert not lines, f"{path.name} has float literals on lines {lines}"
 
 
+def _is_call(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_conversions(path):
+    lines = []
+    for node in ast.walk(tree(path)):
+        if _is_call(node, "float"):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            if not _is_call(divisor, "Fraction"):
+                lines.append(node.lineno)
+    assert not lines, f"{path.name} may make a float on lines {lines}"
+
+
 @pytest.mark.parametrize(
     "source,rule",
     [
@@ -70,6 +89,11 @@ def test_no_float_literals(path):
         ("assert x\n", test_no_assert_statements),
         ("x = 0.5\n", test_no_float_literals),
         ("x = 1e3\n", test_no_float_literals),
+        ("x = float(1)\n", test_no_float_conversions),
+        ("x = 1 / 2\n", test_no_float_conversions),
+        ("x = 1 / int(2)\n", test_no_float_conversions),
+        ("x = Fraction(1) / 2\n", test_no_float_conversions),
+        ("x = 1\nx /= 2\n", test_no_float_conversions),
     ],
 )
 def test_each_rule_catches_a_violation(source, rule, tmp_path):
