@@ -239,6 +239,7 @@ class HomogPoly:
     __slots__ = ("n", "degree", "monomials")
 
     def __init__(self, n: int, monomials: Iterable = ()):
+        n = as_int(n)
         acc: dict[tuple, Fraction] = {}
         for exps, c in monomials:
             exps = tuple(map(as_int, exps))
@@ -258,7 +259,7 @@ class HomogPoly:
 
     @staticmethod
     def one(n: int) -> "HomogPoly":
-        return HomogPoly(n, [((0,) * n, 1)])
+        return HomogPoly(n, [((0,) * as_int(n), 1)])
 
     def __bool__(self):
         return bool(self.monomials)

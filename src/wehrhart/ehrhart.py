@@ -11,10 +11,11 @@ once per weight.  Character sums likewise carry one coefficient per
 orbit (OrbitSum), and duality compares them face by face; points appear
 only when a sum is rendered.
 
-Values at negative dilations are read off the per-face interpolants, one
-evaluation per face and dilation, and closed-face sums always come from
-the walk, so the verifiers genuinely cross-validate two computation
-routes.
+The per-face values come by two routes, kept in one table per (phi, ell):
+at ell > 0 from the walk, at ell < 0 off the per-face interpolants, one
+evaluation per face and dilation.  Reciprocity, duality reciprocity and
+purity each compare a value at -ell with one built from the walk at
++ell, so the two routes cross-validate each other.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from .algebra import (
     substitute_inverse,
 )
 from .polytope import (
-    PHI_SUMS_MAX,
-    BoundedCache,
     FaceLattice,
     check_dilation,
+    check_face,
     fibre_rows,
     points_by_face,
 )
@@ -91,7 +91,8 @@ def _orbit_coefficients(f, kind):
     _PLUS:           c_Q = f_Q(y) (1+y)^dim Q for each Q in the support, the
                      coefficient at ell > 0 and of every weighted count
     _MINUS:          c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at ell < 0:
-                     the faces whose closed dilate |ell| Q holds m
+                     the faces whose closed dilate |ell| Q holds m; also
+                     the right side of reciprocity, on the sums at +ell
     _MINUS_INVERTED: _MINUS with y -> 1/y
     None depends on the dilation, so each is built once per weight.
     """
@@ -137,63 +138,58 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Or
 
 
 def _phi_face_sums(lattice, phi, ell):
-    """sum of phi over Relint(ell Q) for every nonempty Q, memoized.
+    """S_Q(ell) for every nonempty Q and ell != 0, memoized in lattice._phi_sums
+    as one {Q: value} dict per (phi, ell).  S_Q(ell) is the sum of phi over
+    Relint(ell Q) at ell > 0, and the value of its polynomial at ell < 0.
 
-    Sums over the rows of fibre_rows in closed form, without visiting
-    their points.  Write d*phi(outer, x, t) = sum_k t^k sum_j h_kj(outer) x^j
-    with integer h_kj, d the common denominator of the coefficients (for
-    n = 1, x is a dummy at exponent 0).  h is evaluated once per row and
-    g_k = sum_j h_kj x^j once per fibre; a fibre's two ends are evaluated
-    and its middle lo < t < hi adds sum_k g_k times the power sum of t^k.
-    Each face total is divided by d once, as a Fraction.
+    ell < 0: each face's interpolant (_face_polynomials) at ell, by Horner's
+    rule in int, over its denominator D.
+    ell > 0: the walk, summing over the rows of fibre_rows in closed form
+    without visiting their points.  Write d*phi(outer, x, t) = sum_k t^k
+    sum_j h_kj(outer) x^j with integer h_kj, d the common denominator of
+    the coefficients (for n = 1, x is a dummy at exponent 0).  h is
+    evaluated once per row and g_k = sum_j h_kj x^j once per fibre; a
+    fibre's two ends are evaluated and its middle lo < t < hi adds sum_k
+    g_k times the power sum of t^k.
+    Either way each face's value is one int, divided once by D or d as a
+    Fraction.
     """
-    return _phi_sums_entry(lattice, phi, ell)[0]
-
-
-def _phi_sums_entry(lattice, phi, ell):
-    """The (phi, ell) entry of lattice._phi_sums: [open sums, closed sums or None]."""
     if phi.n != lattice.polytope.n:
         raise ValueError("integrand dimension differs from the polytope's")
     key = (phi, ell)
     if key not in lattice._phi_sums:
-        d = lcm(*(c.denominator for _, c in phi.monomials))
-        terms = {}  # k -> j -> [(exponents of outer, d*c)]
-        for exps, c in phi.monomials:
-            *e, j, k = (0,) * (2 - phi.n) + exps
-            terms.setdefault(k, {}).setdefault(j, []).append((e, (c * d).numerator))
-        acc = dict.fromkeys(lattice.nonempty_ids, 0)
-        for outer, row in fibre_rows(lattice, ell):
-            for k, by_j in terms.items():
-                # h_kj(outer) for j = max j .. 0, the order Horner's rule reads them in
-                h = [
-                    sum(c * prod(map(pow, outer, e)) for e, c in by_j.get(j, ()))
-                    for j in range(max(by_j), -1, -1)
-                ]
-                for x, lo, hi, face_lo, face_mid, face_hi in row:
-                    g = 0
-                    for hj in h:
-                        g = g * x + hj
-                    acc[face_lo] += g * lo**k
-                    if hi > lo:
-                        acc[face_mid] += g * power_sum(k, lo + 1, hi - 1)
-                        acc[face_hi] += g * hi**k
-        lattice._phi_sums[key] = [{q: canon(Fraction(v, d)) for q, v in acc.items()}, None]
+        if ell < 0:
+            denom, table = _face_polynomials(lattice, phi)
+            acc = {}
+            for q, coeffs in table.items():
+                v = 0
+                for a in reversed(coeffs):
+                    v = v * ell + a
+                acc[q] = v
+        else:
+            denom = lcm(*(c.denominator for _, c in phi.monomials))
+            terms = {}  # k -> j -> [(exponents of outer, d*c)]
+            for exps, c in phi.monomials:
+                *e, j, k = (0,) * (2 - phi.n) + exps
+                terms.setdefault(k, {}).setdefault(j, []).append((e, (c * denom).numerator))
+            acc = dict.fromkeys(lattice.nonempty_ids, 0)
+            for outer, row in fibre_rows(lattice, ell):
+                for k, by_j in terms.items():
+                    # h_kj(outer) for j = max j .. 0, the order Horner's rule reads them in
+                    h = [
+                        sum(c * prod(map(pow, outer, e)) for e, c in by_j.get(j, ()))
+                        for j in range(max(by_j), -1, -1)
+                    ]
+                    for x, lo, hi, face_lo, face_mid, face_hi in row:
+                        g = 0
+                        for hj in h:
+                            g = g * x + hj
+                        acc[face_lo] += g * lo**k
+                        if hi > lo:
+                            acc[face_mid] += g * power_sum(k, lo + 1, hi - 1)
+                            acc[face_hi] += g * hi**k
+        lattice._phi_sums[key] = {q: canon(Fraction(v, denom)) for q, v in acc.items()}
     return lattice._phi_sums[key]
-
-
-def _closed_face_sums(lattice, phi, ell):
-    """sum of phi over the closed dilate ell Q for every nonempty Q.
-
-    The closed face is the union of the relative interiors of its nonempty
-    faces; built once per (phi, ell) and kept in that entry of _phi_sums.
-    """
-    entry = _phi_sums_entry(lattice, phi, ell)
-    if entry[1] is None:
-        sums = entry[0]
-        entry[1] = {
-            q: canon(sum(sums[e] for e in lattice.subfaces(q))) for q in lattice.nonempty_ids
-        }
-    return entry[1]
 
 
 def _combine(f, values, phi, variant) -> LaurentPoly:
@@ -243,14 +239,13 @@ def _newton_basis(bound):
 
 
 def _face_polynomials(lattice, phi):
-    """(D, {Q: (a_Q0, .., a_Qdeg)}, at_negative), memoized per phi.
+    """(D, {Q: (a_Q0, .., a_Qdeg)}), memoized per phi in lattice._face_polys.
 
     S_Q(z) = sum_k a_Qk z^k / D with D = (n + deg phi)! * lcm(denominators
     of phi).  Each face's sums at ell = 1 .. n + deg phi + 3 are scaled to
     int and differenced; every difference above deg = dim Q + deg phi must
     vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D, or
-    PolynomialityError names the face.  at_negative starts empty and is
-    filled by _values_at_negative.
+    PolynomialityError names the face.
     """
     if phi not in lattice._face_polys:
         n = lattice.polytope.n
@@ -284,27 +279,8 @@ def _face_polynomials(lattice, phi):
                     f"closed form {Fraction((-1) ** dim * phi0, denom)}"
                 )
             table[q] = coeffs
-        lattice._face_polys[phi] = denom, table, BoundedCache(PHI_SUMS_MAX)
+        lattice._face_polys[phi] = denom, table
     return lattice._face_polys[phi]
-
-
-def _values_at_negative(lattice, phi, ell):
-    """S_Q(-ell) for every nonempty Q, read off the face's interpolant.
-
-    Each interpolant is evaluated once per (phi, ell), by Horner's rule in
-    int and one division by D; the values are kept in the phi entry of
-    _face_polys, for at most PHI_SUMS_MAX dilations.
-    """
-    denom, table, at_negative = _face_polynomials(lattice, phi)
-    if ell not in at_negative:
-        values = {}
-        for q, coeffs in table.items():
-            v = 0
-            for a in reversed(coeffs):
-                v = v * -ell + a
-            values[q] = canon(Fraction(v, denom))
-        at_negative[ell] = values
-    return at_negative[ell]
 
 
 def ehrhart_polynomial(
@@ -322,7 +298,7 @@ def ehrhart_polynomial(
     """
     _check_variant(variant)
     _check_lattice(lattice, f)
-    denom, table, _ = _face_polynomials(lattice, phi)
+    denom, table = _face_polynomials(lattice, phi)
     scale = Fraction(1, denom)
     if variant == VARIANT_E:
         scale = one_plus_y_power(phi.degree) * scale
@@ -415,25 +391,21 @@ def _value_at_negative(lattice, f, phi, ell, variant) -> LaurentPoly:
     """The count's polynomial at -ell: the per-face interpolants at -ell, combined."""
     _check_variant(variant)
     _check_lattice(lattice, f)
-    check_dilation(ell)
-    return _combine(f, _values_at_negative(lattice, phi, ell), phi, variant)
+    return _combine(f, _phi_face_sums(lattice, phi, -check_dilation(ell)), phi, variant)
 
 
 def verify_reciprocity(lattice, f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
-    """Value at -ell from the interpolants vs the closed-face enumeration.
+    """Value at -ell from the interpolants vs the walk at +ell.
 
     E variant:  E(-ell, y) = sum_Q f_Q (-1-y)^(dim Q + deg phi) * sum over
     ell*Q closed of phi(m); Etilde replaces the exponent shift with a
-    global (-1)^deg phi.
+    global (-1)^deg phi.  Swapping the sums over Q and over the faces E of
+    Q whose relative interiors make up ell*Q, the right side is the walk's
+    sums over Relint(ell E) combined with the _MINUS coefficients.
     """
     lhs = _value_at_negative(lattice, f, phi, ell, variant)
-    closed = _closed_face_sums(lattice, phi, ell)
-    faces = lattice.faces
-    # (-1-y)^dim Q = (-1)^dim Q (1+y)^dim Q
-    rhs = linear_combination(
-        (c, -closed[q] if faces[q].dim % 2 else closed[q])
-        for q, c in _orbit_coefficients(f, _PLUS).items()
-    )
+    sums = _phi_face_sums(lattice, phi, ell)
+    rhs = linear_combination((c, sums[e]) for e, c in _orbit_coefficients(f, _MINUS).items())
     if variant == VARIANT_E:
         rhs = rhs * one_plus_y_power(phi.degree, negate=True)
     else:
@@ -490,6 +462,7 @@ def verify_purity(lattice, qprime_id: int, phi, ell: int, weights=None) -> Check
     weights is g_weight_function(lattice, qprime_id) when the caller has
     already built it.
     """
+    qprime_id = check_face(lattice, qprime_id)
     if lattice.faces[qprime_id].dim < 0:
         raise ValueError("purity needs a nonempty face")
     f = g_weight_function(lattice, qprime_id) if weights is None else weights

@@ -34,10 +34,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _rat_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _rat_parse(s) -> Fraction:
     if not isinstance(s, str):
         raise FormatError(f"rational must be a string like 'p/q', got {s!r}")
@@ -48,7 +44,7 @@ def _rat_parse(s) -> Fraction:
 
 
 def laurent_to_json(p: LaurentPoly):
-    return [{"exp": k, "coeff": _rat_str(c)} for k, c in p.terms.items()]
+    return [{"exp": k, "coeff": str(c)} for k, c in p.terms.items()]
 
 
 def laurent_from_json(data) -> LaurentPoly:

@@ -27,17 +27,16 @@ from operator import and_, mul
 from .algebra import as_int
 
 # Entries kept in FaceLattice._points_cache (one per dilation),
-# FaceLattice._phi_sums (one per integrand and dilation: the open face
-# sums, and the closed ones once a verifier asks) and
-# FaceLattice._face_polys (one table of per-face interpolants per
-# integrand, holding their values at up to PHI_SUMS_MAX negative
-# dilations); past the bound the oldest entry is dropped, and the tables
-# inside an entry leave with it.  One CLI run asks for at most 16
-# dilations of points (|charsum --l| <= 16, verify --lmax <= 12) and, for
-# its one integrand, for at most max(lmax, n + deg phi + 3) dilations of
-# sums, one table and lmax negative dilations, so no run at desk scale
-# evicts anything.  FaceLattice._projections needs no bound: it holds the facets
-# of the n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
+# FaceLattice._phi_sums (one per integrand and dilation +-ell: the
+# per-face sums, walked at ell > 0 and read off the interpolants at
+# ell < 0) and FaceLattice._face_polys (one table of per-face
+# interpolants per integrand); past the bound the oldest entry is
+# dropped.  One CLI run asks for at most 16 dilations of points
+# (|charsum --l| <= 16, verify --lmax <= 12) and, for its one integrand,
+# for sums at max(lmax, n + deg phi + 3) positive and lmax negative
+# dilations and for one table, so no run at desk scale evicts anything.
+# FaceLattice._projections needs no bound: it holds the facets of the
+# n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
 # Nor does FaceLattice._g_memo: one entry per face Q' that the Stanley
 # sweep reached, holding one int tuple (the f of [Q, Q']) per face Q below
 # Q', the empty face included, so at most the number of nested pairs.
@@ -283,11 +282,12 @@ class FaceLattice:
     AND, over the facets tight at b, of the faces inside that facet
     (every face is the intersection of its tight facets).  Carries memo
     tables for point partitions and for the poset polynomials computed on
-    top of it; the two that grow with the dilation and the per-integrand
-    table of per-face interpolants are BoundedCaches (POINTS_CACHE_MAX,
-    PHI_SUMS_MAX, FACE_POLYS_MAX).  The facets of the coordinate
-    projections that bound the fibre walk are computed on first use and
-    have exactly n-1 entries.
+    top of it; the two that grow with the dilation (the points, and the
+    per-face sums at +-ell) and the per-integrand table of per-face
+    interpolants are BoundedCaches (POINTS_CACHE_MAX, PHI_SUMS_MAX,
+    FACE_POLYS_MAX), and every other field is bounded by construction.
+    The facets of the coordinate projections that bound the fibre walk
+    are computed on first use and have exactly n-1 entries.
     """
 
     def __init__(self, polytope, faces):
@@ -435,6 +435,15 @@ def check_dilation(ell) -> int:
     if ell < 1:
         raise ValueError("dilation must be a positive integer")
     return ell
+
+
+def check_face(lattice: FaceLattice, fid) -> int:
+    """A face id of lattice as an int; floats and bools raise TypeError, ids
+    outside 0 <= fid < len(lattice.faces) ValueError."""
+    fid = as_int(fid)
+    if not 0 <= fid < len(lattice.faces):
+        raise ValueError(f"no face with id {fid}")
+    return fid
 
 
 def _interval(lower, upper, prefix):

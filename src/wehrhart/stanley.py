@@ -15,7 +15,7 @@ from itertools import groupby
 from math import comb
 
 from .algebra import LaurentPoly
-from .polytope import FaceLattice, mask_ids
+from .polytope import FaceLattice, check_face, mask_ids
 from .weights import WeightFunction
 
 
@@ -93,6 +93,7 @@ def stanley_fg(lattice: FaceLattice, q_id: int, qp_id: int):
     g([x, Q']) * (t-1)**(dim x - dim Q - 1), and g truncates the
     difference sequence of f's coefficients at degree floor(r/2).
     """
+    q_id, qp_id = check_face(lattice, q_id), check_face(lattice, qp_id)
     _check_interval(lattice, q_id, qp_id)
     f = _f_rows(lattice, qp_id)[q_id]
     return _t_poly(f), _t_poly(_g_row(f))
@@ -104,6 +105,7 @@ def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     Both faces must be nonempty and nested; the sweep below Q' is
     memoized on the lattice.
     """
+    q_id, qp_id = check_face(lattice, q_id), check_face(lattice, qp_id)
     if lattice.faces[q_id].dim < 0 or lattice.faces[qp_id].dim < 0:
         raise ValueError("polar g is defined for nonempty faces")
     _check_interval(lattice, q_id, qp_id)
@@ -112,6 +114,7 @@ def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
 
 def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     """Weights g(reversed [Q, Q']) at t = -y on faces Q below Q', else 0."""
+    qp_id = check_face(lattice, qp_id)
     if lattice.faces[qp_id].dim < 0:
         raise ValueError("weights are indexed by nonempty faces")
     _check_interval(lattice, qp_id, qp_id)

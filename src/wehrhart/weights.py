@@ -13,13 +13,12 @@ import random
 
 from .algebra import (
     LaurentPoly,
-    as_int,
     grouped_sum,
     neg_y_power,
     one_plus_y_power,
     substitute_inverse,
 )
-from .polytope import FaceLattice, mask_ids
+from .polytope import FaceLattice, check_face, mask_ids
 
 
 class LatticeMismatch(ValueError):
@@ -38,9 +37,7 @@ class WeightFunction:
     def __init__(self, lattice: FaceLattice, values=None):
         vals = {}
         for fid, p in (values or {}).items():
-            fid = as_int(fid)
-            if fid < 0 or fid >= len(lattice.faces):
-                raise ValueError(f"no face with id {fid}")
+            fid = check_face(lattice, fid)
             if lattice.faces[fid].dim < 0:
                 raise ValueError("weights live on nonempty faces")
             if p:
@@ -69,6 +66,7 @@ class WeightFunction:
 
 def delta_weight(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     """Value 1 at the given nonempty face, zero elsewhere."""
+    qp_id = check_face(lattice, qp_id)
     if lattice.faces[qp_id].dim < 0:
         raise ValueError("delta weight needs a nonempty face")
     return WeightFunction(lattice, {qp_id: LaurentPoly.const(1)})

@@ -113,6 +113,14 @@ class TestHomogPoly:
         with pytest.raises(TypeError):
             HomogPoly(1, [((e,), 1)])
 
+    def test_bool_dimension_refused(self):
+        with pytest.raises(TypeError, match="is not an exact integer"):
+            HomogPoly(True, [((1,), 1)])
+
+    def test_float_dimension_of_one_refused(self):
+        with pytest.raises(TypeError, match="is not an exact integer"):
+            HomogPoly.one(2.0)
+
     def test_linear_monomial(self):
         phi = HomogPoly(1, [((1,), 1)])
         assert phi_eval(phi, (3,)) == 3

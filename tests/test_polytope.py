@@ -29,7 +29,9 @@ from box_oracle import (
     random_lattice,
 )
 from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
+from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build, simplex
+from wehrhart.ehrhart import verify_purity
 from wehrhart.polytope import (
     FACE_POLYS_MAX,
     PHI_SUMS_MAX,
@@ -51,6 +53,8 @@ from wehrhart.polytope import (
     points_by_face,
     validate_eulerian,
 )
+from wehrhart.stanley import g_weight_function, polar_g, stanley_fg
+from wehrhart.weights import WeightFunction, delta_weight
 
 SEGMENT = CORPUS["segment"]
 SQUARE = CORPUS["square"]
@@ -145,6 +149,29 @@ class TestFacetPresentation:
     def test_presentation_entries_must_be_ints(self, vertices, facets):
         with pytest.raises(TypeError, match="is not an exact integer"):
             LatticePolytope(2, vertices, facets)
+
+
+# every entry point that takes a face id, with fid in each position it can take
+FACE_ID_ENTRY_POINTS = {
+    "g_weight_function": lambda lat, fid: g_weight_function(lat, fid),
+    "polar_g lower": lambda lat, fid: polar_g(lat, fid, lat.top_id),
+    "polar_g upper": lambda lat, fid: polar_g(lat, lat.vertex_face_id(0), fid),
+    "stanley_fg lower": lambda lat, fid: stanley_fg(lat, fid, lat.top_id),
+    "stanley_fg upper": lambda lat, fid: stanley_fg(lat, lat.vertex_face_id(0), fid),
+    "verify_purity": lambda lat, fid: verify_purity(lat, fid, HomogPoly.one(2), 1),
+    "delta_weight": lambda lat, fid: delta_weight(lat, fid),
+    "WeightFunction": lambda lat, fid: WeightFunction(lat, {fid: LaurentPoly.const(1)}),
+}
+
+
+class TestCheckFace:
+    @pytest.mark.parametrize("entry", FACE_ID_ENTRY_POINTS)
+    @pytest.mark.parametrize("where", ["-1", "-2", "len(faces)"])
+    def test_out_of_range_ids_refused(self, entry, where):
+        lat = build("square")
+        fid = len(lat.faces) if where == "len(faces)" else int(where)
+        with pytest.raises(ValueError, match=rf"^no face with id {fid}$"):
+            FACE_ID_ENTRY_POINTS[entry](lat, fid)
 
 
 class TestFaceLattice:
@@ -789,23 +816,26 @@ class TestCacheBounds:
         assert _phi_face_sums(lattice, phi, 1)[lattice.top_id] == 0
         assert _phi_face_sums(lattice, phi, 9)[lattice.top_id] == 8
 
-    def test_closed_sums_leave_with_their_phi_sums_entry(self):
+    def test_both_signs_share_phi_sums_and_its_bound(self):
         from wehrhart.algebra import HomogPoly
-        from wehrhart.ehrhart import _closed_face_sums
+        from wehrhart.ehrhart import _phi_face_sums
 
         lattice = build_face_lattice(facet_presentation(SEGMENT))
         phi = HomogPoly.one(1)
-        # the closed segment ell*[0, 1] has ell + 1 points
-        assert _closed_face_sums(lattice, phi, 2)[lattice.top_id] == 3
-        assert lattice._phi_sums[phi, 2][1] is not None
-        for ell in range(3, PHI_SUMS_MAX + 4):
-            _closed_face_sums(lattice, phi, ell)
-        assert (phi, 2) not in lattice._phi_sums
+        top = lattice.top_id
+        # S(z) = z - 1 on the open segment: walked at +ell, interpolated at -ell
+        last = PHI_SUMS_MAX // 2 + 1
+        for ell in range(1, last + 1):
+            assert _phi_face_sums(lattice, phi, ell)[top] == ell - 1
+            assert _phi_face_sums(lattice, phi, -ell)[top] == -ell - 1
+        # the interpolant walked ell = 1..4 before -1 was read
         assert len(lattice._phi_sums) == PHI_SUMS_MAX
-        assert lattice._phi_sums.evictions == 2
-        assert all(entry[1] is not None for entry in lattice._phi_sums.values())
+        assert lattice._phi_sums.evictions == 2 * last - PHI_SUMS_MAX == 2
+        assert (phi, 1) not in lattice._phi_sums and (phi, 2) not in lattice._phi_sums
+        assert (phi, -1) in lattice._phi_sums
         # rebuilt from a fresh walk after the eviction
-        assert _closed_face_sums(lattice, phi, 2)[lattice.top_id] == 3
+        assert _phi_face_sums(lattice, phi, 1)[top] == 0
+        assert lattice._phi_sums.evictions == 3
 
     def test_face_polynomials_past_their_bound(self):
         from wehrhart.algebra import HomogPoly
@@ -820,34 +850,28 @@ class TestCacheBounds:
         # S(z) = c (z - 1) on the open segment, over D = 1!
         assert _face_polynomials(lattice, phis[2])[1][lattice.top_id] == (-3, 3)
 
-    def test_values_at_negative_leave_with_their_face_polys_entry(self):
+    def test_values_at_negative_outlive_their_face_polys_entry(self):
         from wehrhart.algebra import HomogPoly
-        from wehrhart.ehrhart import _face_polynomials, _values_at_negative
+        from wehrhart.ehrhart import _face_polynomials, _phi_face_sums
 
         lattice = build_face_lattice(facet_presentation(SEGMENT))
+        top = lattice.top_id
         phis = [HomogPoly(1, [((0,), c)]) for c in range(1, FACE_POLYS_MAX + 2)]
         # S(-ell) = c (-ell - 1) on the open segment
-        assert _values_at_negative(lattice, phis[0], 2)[lattice.top_id] == -3
-        assert list(_face_polynomials(lattice, phis[0])[2]) == [2]
+        kept = _phi_face_sums(lattice, phis[0], -2)
+        assert kept[top] == -3
         for phi in phis[1:]:
-            _values_at_negative(lattice, phi, 1)
+            _phi_face_sums(lattice, phi, -1)
         assert phis[0] not in lattice._face_polys
-        assert all(list(entry[2]) == [1] for entry in lattice._face_polys.values())
-        assert _values_at_negative(lattice, phis[0], 2)[lattice.top_id] == -3
-        assert list(_face_polynomials(lattice, phis[0])[2]) == [2]
-
-    def test_values_at_negative_past_their_bound(self):
-        from wehrhart.algebra import HomogPoly
-        from wehrhart.ehrhart import _face_polynomials, _values_at_negative
-
-        lattice = build_face_lattice(facet_presentation(SEGMENT))
-        phi = HomogPoly.one(1)
-        for ell in range(1, PHI_SUMS_MAX + 3):
-            _values_at_negative(lattice, phi, ell)
-        at_negative = _face_polynomials(lattice, phi)[2]
-        assert len(at_negative) == PHI_SUMS_MAX and at_negative.evictions == 2
-        assert min(at_negative) == 3
-        assert _values_at_negative(lattice, phi, 1)[lattice.top_id] == -2
+        assert lattice._face_polys.evictions == 1
+        # the values stay in _phi_sums, and reading them rebuilds nothing
+        assert _phi_face_sums(lattice, phis[0], -2) is kept and kept[top] == -3
+        assert phis[0] not in lattice._face_polys
+        # a new dilation misses and rebuilds the interpolant
+        assert _phi_face_sums(lattice, phis[0], -3)[top] == -4
+        assert phis[0] in lattice._face_polys
+        assert lattice._face_polys.evictions == 2
+        assert _face_polynomials(lattice, phis[0])[1][top] == (-1, 1)
 
     def test_verify_at_the_largest_lmax_evicts_nothing(self, tmp_path, monkeypatch):
         from wehrhart import cli
@@ -864,8 +888,6 @@ class TestCacheBounds:
         argv = ["verify", str(path), "--suite", "all", "--lmax", str(cli.MAX_LMAX)]
         assert cli.run(cli.parse_args(argv), stdout=io.StringIO()) == 0
         (lattice,) = built
-        at_negative = next(iter(lattice._face_polys.values()))[2]
-        caches = (lattice._points_cache, lattice._phi_sums, lattice._face_polys, at_negative)
-        assert [len(c) for c in caches] == [cli.MAX_LMAX, cli.MAX_LMAX, 1, cli.MAX_LMAX]
-        assert [c.evictions for c in caches] == [0, 0, 0, 0]
-        assert all(entry[1] is not None for entry in lattice._phi_sums.values())
+        caches = (lattice._points_cache, lattice._phi_sums, lattice._face_polys)
+        assert [len(c) for c in caches] == [cli.MAX_LMAX, 2 * cli.MAX_LMAX, 1]
+        assert [c.evictions for c in caches] == [0, 0, 0]

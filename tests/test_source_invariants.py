@@ -4,8 +4,10 @@ The library is standard-library only, holds no float anywhere, and never
 relies on an assert statement for a check (python -O strips them).  A
 float can also be made at run time, by float(...) or by a true division
 of two ints, so every / must divide by a Fraction(...) call.  Each
-rule is read off the ast of every module under src/wehrhart.  The
-benchmark's tracer looks library functions up by name, so one more test
+rule is read off the ast of every module under src/wehrhart.  Every
+memo table on a FaceLattice has a known bound: its __init__ assigns only
+BoundedCaches and the fields named in LATTICE_FIELDS.  The benchmark's
+tracer looks library functions up by name, so one more test
 installs and removes it on the imported library.
 """
 
@@ -19,6 +21,13 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "wehrhart"
 TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
+# FaceLattice's structural fields, and its slots bounded by construction:
+# _g_memo (one entry per face), _projections (n - 1 facet lists) and
+# _eulerian (one flag)
+LATTICE_FIELDS = {
+    "polytope", "faces", "_by_mask", "up", "down", "_nonempty",
+    "_g_memo", "_projections", "_eulerian",
+}
 
 
 def tree(path):
@@ -81,6 +90,40 @@ def test_no_float_conversions(path):
     assert not lines, f"{path.name} may make a float on lines {lines}"
 
 
+def test_face_lattice_memo_tables_are_bounded(path=SRC / "polytope.py"):
+    inits = [
+        node
+        for cls in ast.walk(tree(path))
+        if isinstance(cls, ast.ClassDef) and cls.name == "FaceLattice"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    assert len(inits) == 1, f"{path.name} should define FaceLattice.__init__ once"
+    unbounded = []
+    for node in ast.walk(inits[0]):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bounded = _is_call(node.value, "BoundedCache")
+            unbounded += [
+                attr.attr
+                for target in targets
+                for attr in ast.walk(target)
+                if isinstance(attr, ast.Attribute)
+                and isinstance(attr.value, ast.Name)
+                and attr.value.id == "self"
+                and not (bounded or attr.attr in LATTICE_FIELDS)
+            ]
+    assert not unbounded, f"FaceLattice.__init__ assigns unbounded fields {unbounded}"
+
+
+LATTICE_INIT = """
+class FaceLattice:
+    def __init__(self, polytope, faces):
+        self.polytope = polytope
+        self._points_cache = BoundedCache(16)
+"""
+
+
 @pytest.mark.parametrize(
     "source,rule",
     [
@@ -94,6 +137,10 @@ def test_no_float_conversions(path):
         ("x = 1 / int(2)\n", test_no_float_conversions),
         ("x = Fraction(1) / 2\n", test_no_float_conversions),
         ("x = 1\nx /= 2\n", test_no_float_conversions),
+        (LATTICE_INIT + "        self._memo = {}\n", test_face_lattice_memo_tables_are_bounded),
+        (LATTICE_INIT + "        self.a, self.up = {}, []\n", test_face_lattice_memo_tables_are_bounded),
+        (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
+        ("class FaceLattice:\n    pass\n", test_face_lattice_memo_tables_are_bounded),
     ],
 )
 def test_each_rule_catches_a_violation(source, rule, tmp_path):
