@@ -41,7 +41,7 @@ from .jsonio import (
     weight_to_json,
     zpoly_to_json,
 )
-from .polytope import FaceLattice, InvalidPolytope, build_face_lattice, polytope_hash
+from .polytope import FaceLattice, InvalidPolytope, build_face_lattice, check_face, polytope_hash
 from .stanley import g_weight_function, h_polynomial
 from .weights import all_ones, dualize, random_weight_functions
 
@@ -167,8 +167,10 @@ def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
         fid = face_id_from_json(spec.face)
     except FormatError:
         raise CliError("parse", f"--face must be an integer id or P, got {spec.face!r}")
-    if not 0 <= fid < len(lattice.faces):
-        raise CliError("validation", f"no face with id {fid}")
+    try:
+        fid = check_face(lattice, fid)
+    except ValueError as exc:
+        raise CliError("validation", str(exc)) from exc
     if lattice.faces[fid].dim < 0:
         raise CliError("validation", "the empty face carries no g-weights")
     return fid

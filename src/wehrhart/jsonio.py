@@ -5,6 +5,12 @@ integrands are read; face lattice exports, weight functions, character
 sums, z-polynomials and reports are written.  All orderings are
 canonical so identical inputs give identical bytes.
 
+dumps writes the bytes of json.dumps(obj, indent=2) without the pure-
+Python encoder that indent selects: dicts with str keys, lists, str
+(through json's C escaper), exact int, bool and None; anything else, a
+float among them, raises TypeError.  Lists of exact ints, and of
+nonempty such lists, are written from their repr.
+
 FormatError means the bytes do not parse into the schema (CLI exit 2);
 ContentError means they parse but fail semantic validation (exit 3).
 """
@@ -14,6 +20,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import HomogPoly, LaurentPoly, ZPoly
 from .ehrhart import OrbitSum
@@ -182,5 +190,44 @@ def zpoly_to_json(zp: ZPoly):
     return {"coeffs": [laurent_to_json(c) for c in zp.coeffs]}
 
 
+_ATOMS = {None: "null", True: "true", False: "false"}
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append the indent-2 JSON of obj, nested at indent pad, to out."""
+    kind, inner = type(obj), pad + "  "
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int or (kind is list or kind is dict) and not obj:
+        out.append(repr(obj))  # an int, [] or {}
+    elif kind is bool or obj is None:
+        out.append(_ATOMS[obj])
+    elif kind is dict:
+        out.append("{\n" + inner)
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            out += _quote(key), ": "
+            _write(value, inner, out)
+            out.append(",\n" + inner)
+        out[-1] = "\n" + pad + "}"
+    elif kind is not list:
+        raise TypeError(f"{kind.__name__} is not written as JSON")
+    elif (kinds := set(map(type, obj))) == {int}:
+        out += "[\n", inner, repr(obj)[1:-1].replace(", ", ",\n" + inner), "\n" + pad + "]"
+    elif kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+        row = inner + "  "
+        rows = repr(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{row}")
+        out += f"[\n{inner}[\n{row}", rows.replace(", ", ",\n" + row), f"\n{inner}]\n{pad}]"
+    else:
+        out.append("[\n" + inner)
+        for item in obj:
+            _write(item, inner, out)
+            out.append(",\n" + inner)
+        out[-1] = "\n" + pad + "]"
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    out = []
+    _write(obj, "", out)
+    return "".join(out) + "\n"

@@ -2,17 +2,17 @@
 
 Facet presentation by the double-description method (Fukuda-Prodon) in
 int arithmetic, face lattice by closing tight-facet vertex sets under
-intersection and grading it in one pass down the closure, with the face
-order held as one bitmask of faces above and one below each face, and
-lattice points by a fibre walk.  The walk lifts the first n-1
-coordinates level by level through the hulls of P's coordinate
-projections; along each row (the first n-2 fixed) the ends of the last
-coordinate's interval, whose ends and middle each lie in the relative
-interior of one face, follow two envelopes of facet lines.  Its cost is
-one pass over the facets per row, O(1) per fibre, and the points kept.
-Everything is exact and no Fraction is built: elimination is
-fraction-free over int.  Dimensions up to 6 and a few dozen vertices are
-the intended scale.
+intersection in one pass down the closure that also collects each set's
+tight facets and grades it, with the face order held as one bitmask of
+faces above and one below each face, and lattice points by a fibre walk.
+The walk lifts the first n-1 coordinates level by level through the
+hulls of P's coordinate projections; along each row (the first n-2
+fixed) the ends of the last coordinate's interval, whose ends and middle
+each lie in the relative interior of one face, follow two envelopes of
+facet lines.  Its cost is one pass over the facets per row, O(1) per
+fibre, and the points kept.  Everything is exact and no Fraction is
+built: elimination is fraction-free over int.  Dimensions up to 6 and a
+few dozen vertices are the intended scale.
 """
 
 from __future__ import annotations
@@ -368,12 +368,13 @@ class FaceLattice:
 def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     """All faces of P as intersections of facet vertex sets.
 
-    Vertex sets are bitmasks while the closure runs.  Closure under
-    intersection makes deduplication by vertex set complete; the empty
-    face (dim -1, tight on all facets) and P itself (empty tight set) are
-    always present.  Faces are graded by one pass down the closure, in
-    decreasing vertex count; elimination ranks only the facets, for the
-    closure check.
+    Vertex sets are bitmasks, taken in decreasing vertex count from P's
+    own; each meets each facet once, which joins its tight mask if it
+    contains the set and else cuts out a smaller set, queued if new.  So
+    the closure under intersection is complete, deduplicated by vertex set
+    and graded in one pass; the empty face (dim -1, tight on all facets)
+    and P (empty tight set) are always present.  Elimination ranks only
+    the facets, for the closure check.
     """
     nv = len(P.vertices)
     facet_tight = [
@@ -381,35 +382,28 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
         for u, a in P.facets
     ]
     all_v = (1 << nv) - 1
-    sets = {all_v, 0}
-    frontier = {all_v}
-    while frontier:
-        new = set()
-        for s in frontier:
-            for ft in facet_tight:
-                t = s & ft
-                if t not in sets:
-                    new.add(t)
-        sets |= new
-        frontier = new
-
-    members = {s: mask_ids(s) for s in sets}
     # grade top down: a face meets a facet not containing it in a face one
     # dimension lower or less, and in exactly one lower along some facet
-    dims = dict.fromkeys(sets, P.n)
-    for s in sorted(sets, key=int.bit_count, reverse=True):
-        for ft in facet_tight:
-            t = s & ft
-            if t != s and dims[t] >= dims[s]:
-                dims[t] = dims[s] - 1
+    dims, tight = {all_v: P.n}, {}
+    by_count = [[] for _ in range(nv)] + [[all_v]]
+    bits = [(1 << F, ft) for F, ft in enumerate(facet_tight)]
+    for bucket in reversed(by_count):
+        for s in bucket:
+            below, mask = dims[s] - 1, 0
+            for bit, ft in bits:
+                t = s & ft
+                if t == s:
+                    mask |= bit
+                elif (d := dims.get(t)) is None:
+                    dims[t] = below
+                    by_count[t.bit_count()].append(t)
+                elif d > below:
+                    dims[t] = below
+            tight[s] = mask
+    members = {s: mask_ids(s) for s in dims}
     faces = [
-        Face(
-            id=fid,
-            vertex_set=frozenset(members[s]),
-            tight_facets=frozenset(F for F, ft in enumerate(facet_tight) if s & ft == s),
-            dim=dims[s],
-        )
-        for fid, s in enumerate(sorted(sets, key=lambda s: (dims[s], members[s])))
+        Face(fid, frozenset(members[s]), frozenset(mask_ids(tight[s])), dims[s])
+        for fid, s in enumerate(sorted(dims, key=lambda s: (dims[s], members[s])))
     ]
     # Every set in the closure is the common vertex set of its tight
     # facets by construction; what a wrong facet list breaks is the grading:

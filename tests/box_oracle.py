@@ -125,6 +125,7 @@ def random_lattice(n, seed, radius, draws):
     while True:
         pts = [tuple(rng.randint(-radius, radius) for _ in range(n)) for _ in range(draws)]
         try:
-            return build_face_lattice(facet_presentation(pts))
+            P = facet_presentation(pts)
         except InvalidPolytope:  # not full-dimensional: draw again
             continue
+        return build_face_lattice(P)

@@ -311,6 +311,14 @@ def test_validation_error_bad_face_id(capsys):
     assert code == 3
 
 
+def test_face_ids_out_of_range_refused(capsys):
+    n_faces = len(corpus.build("square").faces)
+    for fid in (-1, n_faces):
+        code, out, err = run_cli(["gweights", fx("square"), "--face", str(fid)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: validation: no face with id {fid}\n"
+
+
 @pytest.mark.parametrize("face", ["1_0", "01", " 2", "+1", "-0", "x"])
 def test_parse_error_noncanonical_face_id(face, capsys):
     code, _, err = run_cli(["gweights", fx("square"), "--face", face], capsys)

@@ -28,6 +28,7 @@ from box_oracle import (
     is_simple,
     random_lattice,
 )
+from face_oracle import oracle_faces, oracle_order
 from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
 from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build, simplex
@@ -627,6 +628,14 @@ class TestClosureCheck:
         with pytest.raises(InvalidPolytope, match="closure"):
             build_face_lattice(broken)
 
+    def test_supporting_line_at_a_vertex_is_refused(self):
+        # x + y >= 0 touches the square only at the origin: every vertex is
+        # still cut out by its facets, and only the facet's rank is wrong
+        P = facet_presentation(SQUARE)
+        broken = LatticePolytope(P.n, P.vertices, [*P.facets, ((1, 1), 0)])
+        with pytest.raises(InvalidPolytope, match=r"facet \(\(1, 1\), 0\) spans a 0-face"):
+            build_face_lattice(broken)
+
 
 @st.composite
 def int_matrices(draw):
@@ -732,6 +741,38 @@ class TestHullAgainstSubsetFitting:
         with pytest.raises(InvalidPolytope) as got:
             facet_presentation(points)
         assert str(got.value) == str(expected.value)
+
+
+class TestFaceLatticeAgainstOracle:
+    """The one-pass closure and grading against brute-force intersection and Fraction ranks."""
+
+    @staticmethod
+    def assert_same_lattice(P):
+        lattice = build_face_lattice(P)
+        expected = oracle_faces(P)
+        assert len(lattice.faces) == len(expected)
+        # face by face, so that a failure reports one face, not two long lists
+        for fid, (f, want) in enumerate(zip(lattice.faces, expected)):
+            assert (f.id, f.dim, sorted(f.vertex_set), sorted(f.tight_facets)) == (fid, *want)
+        for fid, masks in enumerate(zip(*oracle_order(expected))):
+            assert (lattice.up[fid], lattice.down[fid]) == masks, fid
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        self.assert_same_lattice(facet_presentation(CORPUS[name]))
+
+    @pytest.mark.parametrize("name", list(HULL_CLOUDS))
+    def test_clouds(self, name):
+        self.assert_same_lattice(facet_presentation(HULL_CLOUDS[name]))
+
+    @pytest.mark.parametrize("pts", [cube(5), cross(5)], ids=["cube5", "cross5"])
+    def test_cube5_and_cross5(self, pts):
+        self.assert_same_lattice(facet_presentation(pts))
+
+    # drawn once here, not by random_lattice, which draws again while the build refuses
+    @pytest.mark.parametrize("shape", [(5, 3, 12, 2), (6, 3, 12, 1)], ids=["random5", "random6"])
+    def test_random(self, shape):
+        self.assert_same_lattice(facet_presentation(_cloud(*shape)))
 
 
 class TestHullClosedForms:

@@ -6,7 +6,9 @@ float can also be made at run time, by float(...) or by a true division
 of two ints, so every / must divide by a Fraction(...) call.  Each
 rule is read off the ast of every module under src/wehrhart.  Every
 memo table on a FaceLattice has a known bound: its __init__ assigns only
-BoundedCaches and the fields named in LATTICE_FIELDS.  The benchmark's
+BoundedCaches and the fields named in LATTICE_FIELDS.  No call passes
+indent= to json.dump or json.dumps, which would bring back the
+pure-Python encoder that jsonio.dumps avoids.  The benchmark's
 tracer looks library functions up by name, so one more test
 installs and removes it on the imported library.
 """
@@ -90,6 +92,22 @@ def test_no_float_conversions(path):
     assert not lines, f"{path.name} may make a float on lines {lines}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_indented_json_encoding(path):
+    """json.dump(s) with indent= always takes the pure-Python encoder; jsonio.dumps writes indent 2 itself."""
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert not lines, f"{path.name} passes indent= to json on lines {lines}"
+
+
 def test_face_lattice_memo_tables_are_bounded(path=SRC / "polytope.py"):
     inits = [
         node
@@ -137,6 +155,8 @@ class FaceLattice:
         ("x = 1 / int(2)\n", test_no_float_conversions),
         ("x = Fraction(1) / 2\n", test_no_float_conversions),
         ("x = 1\nx /= 2\n", test_no_float_conversions),
+        ("x = json.dumps(y, indent=2)\n", test_no_indented_json_encoding),
+        ("json.dump(y, fh, indent=4)\n", test_no_indented_json_encoding),
         (LATTICE_INIT + "        self._memo = {}\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self.a, self.up = {}, []\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
