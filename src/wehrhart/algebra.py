@@ -25,9 +25,9 @@ RAT_ONE = Fraction(1)
 
 
 def as_rat(x) -> Fraction:
-    """Coerce ints, Fractions and strings like "3/4". Floats are refused."""
-    if isinstance(x, float):
-        raise TypeError("floats are not exact, pass int, str or Fraction")
+    """Coerce ints, Fractions and strings like "3/4". Floats and bools are refused."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"{x!r} is not an exact rational, pass int, str or Fraction")
     return Fraction(x)
 
 
@@ -216,16 +216,15 @@ def neg_y_power(k: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=128)
-def one_plus_y_power(k: int, negate: bool = False) -> LaurentPoly:
-    """(1+y)**k, or (-1-y)**k when negate, for k >= 0, from binomials.
+def one_plus_y_power(k: int) -> LaurentPoly:
+    """(1+y)**k for k >= 0, from binomials.
 
-    Memoized for at most 128 (k, negate) pairs; callers raise to a face
-    dimension plus an integrand degree, which needs far fewer.
+    Memoized for at most 128 powers; callers raise to a face dimension
+    plus an integrand degree, which needs far fewer.
     """
     if k < 0:
         raise ValueError("(1+y) has no negative powers in the Laurent ring")
-    sign = -1 if negate and k % 2 else 1
-    return LaurentPoly._make({i: sign * comb(k, i) for i in range(k + 1)})
+    return LaurentPoly._make({i: comb(k, i) for i in range(k + 1)})
 
 
 class HomogPoly:

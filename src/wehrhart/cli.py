@@ -41,7 +41,7 @@ from .jsonio import (
     weight_to_json,
     zpoly_to_json,
 )
-from .polytope import FaceLattice, InvalidPolytope, build_face_lattice, check_face, polytope_hash
+from .polytope import FaceLattice, InvalidPolytope, build_face_lattice, check_nonempty_face, polytope_hash
 from .stanley import g_weight_function, h_polynomial
 from .weights import all_ones, dualize, random_weight_functions
 
@@ -114,7 +114,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--phi")
     p.add_argument("--random-weights", action="store_true")
     p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=int)
     return parser
 
 
@@ -129,13 +129,18 @@ def parse_args(argv) -> argparse.Namespace:
     if spec.command == "verify":
         if spec.lmax < 1:
             raise CliError("parse", "--lmax must be a positive integer")
-        if spec.random_weights and spec.seed is None:
-            raise CliError("parse", "--random-weights requires --seed")
-        if spec.count < 1:
-            raise CliError("parse", "--count must be a positive integer")
+        if spec.random_weights:
+            if spec.seed is None:
+                raise CliError("parse", "--random-weights requires --seed")
+            if spec.count is None:
+                spec.count = 5
+            elif spec.count < 1:
+                raise CliError("parse", "--count must be a positive integer")
+        elif spec.seed is not None or spec.count is not None:
+            raise CliError("parse", "--seed and --count need --random-weights")
         if spec.lmax > MAX_LMAX:
             raise CliError("validation", f"--lmax must be at most {MAX_LMAX}")
-        if spec.count > MAX_COUNT:
+        if spec.random_weights and spec.count > MAX_COUNT:
             raise CliError("validation", f"--count must be at most {MAX_COUNT}")
     return spec
 
@@ -168,12 +173,9 @@ def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
     except FormatError:
         raise CliError("parse", f"--face must be an integer id or P, got {spec.face!r}")
     try:
-        fid = check_face(lattice, fid)
+        return check_nonempty_face(lattice, fid)
     except ValueError as exc:
         raise CliError("validation", str(exc)) from exc
-    if lattice.faces[fid].dim < 0:
-        raise CliError("validation", "the empty face carries no g-weights")
-    return fid
 
 
 def _cmd_faces(spec, lattice):
@@ -313,8 +315,12 @@ def run(spec: argparse.Namespace, stdout=None) -> int:
     result = _COMMANDS[spec.command](spec, lattice)
     text, code = result if isinstance(result, tuple) else (result, 0)
     if spec.out is not None:
-        with open(spec.out, "w") as fh:
-            fh.write(text)
+        # opened only now, so a failed run leaves an existing file as it was
+        try:
+            with open(spec.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError("parse", f"cannot write {spec.out}: {exc}") from exc
     else:
         stdout.write(text)
     return code

@@ -1,21 +1,23 @@
 """Weighted lattice-point counting and the identity verifiers.
 
 A weighted count splits into torus orbits, one per nonempty face Q:
-E(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), times (1+y)^deg phi for E,
-where S_Q(ell), the sum of phi over Relint(ell Q), is a polynomial of
-degree dim Q + deg phi that does not depend on the weights.  It is
-interpolated once per (lattice, phi), in int, and checked face by face.
-Every value a verifier compares is one linear combination of per-face
-scalars with the orbit coefficients f_Q(y) (1+y)^dim Q, which are built
-once per weight.  Character sums likewise carry one coefficient per
-orbit (OrbitSum), and duality compares them face by face; points appear
-only when a sum is rendered.
+Etilde(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), where S_Q(ell), the
+sum of phi over Relint(ell Q), is a polynomial of degree dim Q + deg phi
+that does not depend on the weights.  It is interpolated once per
+(lattice, phi), in int, and checked face by face.  phi is homogeneous,
+so E = (1+y)^deg phi Etilde (_variant_factor).  Every value a verifier
+compares is one linear combination of per-face scalars with the orbit
+coefficients f_Q(y) (1+y)^dim Q, which are built once per weight.
+Character sums likewise carry one coefficient per orbit (OrbitSum), and
+duality compares them face by face; points appear only when a sum is
+rendered.
 
 The per-face values come by two routes, kept in one table per (phi, ell):
 at ell > 0 from the walk, at ell < 0 off the per-face interpolants, one
 evaluation per face and dilation.  Reciprocity, duality reciprocity and
-purity each compare a value at -ell with one built from the walk at
-+ell, so the two routes cross-validate each other.
+purity are one check (_minus_ell_check): the value at -ell against
+(-1)^deg phi times a sum built at +ell, so the two routes cross-validate
+each other.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .algebra import (
+    L_ONE,
     L_ZERO,
     HomogPoly,
     LaurentPoly,
@@ -43,7 +46,7 @@ from .algebra import (
 from .polytope import (
     FaceLattice,
     check_dilation,
-    check_face,
+    check_nonempty_face,
     fibre_rows,
     points_by_face,
 )
@@ -55,9 +58,11 @@ VARIANT_ETILDE = "Etilde"
 _VARIANTS = (VARIANT_E, VARIANT_ETILDE)
 
 
-def _check_variant(variant):
+def _variant_factor(phi, variant):
+    """(1+y)^deg phi for E, 1 for Etilde: phi(-(1+y) m) = (1+y)^deg phi phi(-m)."""
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    return one_plus_y_power(phi.degree) if variant == VARIANT_E else L_ONE
 
 
 def _check_lattice(lattice, f):
@@ -192,12 +197,6 @@ def _phi_face_sums(lattice, phi, ell):
     return lattice._phi_sums[key]
 
 
-def _combine(f, values, phi, variant) -> LaurentPoly:
-    """sum_Q f_Q(y) (1+y)^dim Q values[Q], times (1+y)^deg phi for E."""
-    acc = linear_combination((c, values[q]) for q, c in _orbit_coefficients(f, _PLUS).items())
-    return acc * one_plus_y_power(phi.degree) if variant == VARIANT_E else acc
-
-
 def weighted_ehrhart_value(
     lattice: FaceLattice,
     f: WeightFunction,
@@ -208,14 +207,15 @@ def weighted_ehrhart_value(
     """The weighted count at a positive dilation.
 
     Equal to hodge_character_sum(lattice, f, ell) with chi^m sent to
-    phi(-m), times (1+y)^deg phi for E; one linear combination of the
+    phi(-m), times the variant's factor; one linear combination of the
     per-face integrand sums, which are memoized, with the weight's orbit
     coefficients.
     """
-    _check_variant(variant)
+    factor = _variant_factor(phi, variant)
     _check_lattice(lattice, f)
-    check_dilation(ell)
-    return _combine(f, _phi_face_sums(lattice, phi, ell), phi, variant)
+    sums = _phi_face_sums(lattice, phi, check_dilation(ell))
+    plus = _orbit_coefficients(f, _PLUS)
+    return linear_combination((c, sums[q]) for q, c in plus.items()) * factor
 
 
 class PolynomialityError(ArithmeticError):
@@ -291,17 +291,15 @@ def ehrhart_polynomial(
 ) -> ZPoly:
     """The weighted count as a polynomial in the dilation z.
 
-    Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D (times (1+y)^deg
-    phi for E), from the per-face interpolants of _face_polynomials; their
+    Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D times the variant's
+    factor, from the per-face interpolants of _face_polynomials; their
     checks (two or more extra dilations and the constant term, face by
     face) raise PolynomialityError.
     """
-    _check_variant(variant)
+    factor = _variant_factor(phi, variant)
     _check_lattice(lattice, f)
     denom, table = _face_polynomials(lattice, phi)
-    scale = Fraction(1, denom)
-    if variant == VARIANT_E:
-        scale = one_plus_y_power(phi.degree) * scale
+    scale = factor * Fraction(1, denom)
     plus = _orbit_coefficients(f, _PLUS)
     return ZPoly(
         linear_combination(
@@ -387,50 +385,44 @@ def _compare(name, params, lhs, rhs) -> CheckResult:
     return CheckResult(name, params, False, lhs, rhs, _first_difference(lhs, rhs))
 
 
-def _value_at_negative(lattice, f, phi, ell, variant) -> LaurentPoly:
-    """The count's polynomial at -ell: the per-face interpolants at -ell, combined."""
-    _check_variant(variant)
+def _minus_ell_check(name, params, lattice, f, phi, ell, variant, right) -> CheckResult:
+    """factor * Etilde(-ell) off the interpolants vs (-1)^deg phi * factor * R, where
+    R = right() is the verifier's sum at +ell, built once every argument is checked."""
+    factor = _variant_factor(phi, variant)
     _check_lattice(lattice, f)
-    return _combine(f, _phi_face_sums(lattice, phi, -check_dilation(ell)), phi, variant)
+    ell = check_dilation(ell)
+    rhs = right() * ((-1) ** phi.degree * factor)
+    lows = _phi_face_sums(lattice, phi, -ell)
+    plus = _orbit_coefficients(f, _PLUS)
+    lhs = linear_combination((c, lows[q]) for q, c in plus.items()) * factor
+    return _compare(name, params, lhs, rhs)
 
 
 def verify_reciprocity(lattice, f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
-    """Value at -ell from the interpolants vs the walk at +ell.
+    """Reciprocity: R = sum_Q f_Q(y) (-1-y)^dim Q times phi summed over ell Q closed."""
 
-    E variant:  E(-ell, y) = sum_Q f_Q (-1-y)^(dim Q + deg phi) * sum over
-    ell*Q closed of phi(m); Etilde replaces the exponent shift with a
-    global (-1)^deg phi.  Swapping the sums over Q and over the faces E of
-    Q whose relative interiors make up ell*Q, the right side is the walk's
-    sums over Relint(ell E) combined with the _MINUS coefficients.
-    """
-    lhs = _value_at_negative(lattice, f, phi, ell, variant)
-    sums = _phi_face_sums(lattice, phi, ell)
-    rhs = linear_combination((c, sums[e]) for e, c in _orbit_coefficients(f, _MINUS).items())
-    if variant == VARIANT_E:
-        rhs = rhs * one_plus_y_power(phi.degree, negate=True)
-    else:
-        rhs = rhs * (-1) ** phi.degree
-    return _compare("reciprocity", {"ell": ell, "variant": variant}, lhs, rhs)
+    def right():
+        sums = _phi_face_sums(lattice, phi, ell)
+        return linear_combination((c, sums[e]) for e, c in _orbit_coefficients(f, _MINUS).items())
+
+    params = {"ell": ell, "variant": variant}
+    return _minus_ell_check("reciprocity", params, lattice, f, phi, ell, variant, right)
 
 
 def verify_duality_reciprocity(
     lattice, f, phi, ell: int, variant: str = VARIANT_E, dual=None
 ) -> CheckResult:
-    """Value at -ell vs the dualized weights at +ell with y inverted.
+    """Duality reciprocity: R = Etilde of the dualized weights at +ell, y -> 1/y.
 
-    E variant carries the factor (-y)^deg phi; Etilde carries (-1)^deg phi.
     dual is dualize(f) when the caller has already built it.
     """
-    lhs = _value_at_negative(lattice, f, phi, ell, variant)
-    dual_value = weighted_ehrhart_value(
-        lattice, dualize(f) if dual is None else dual, phi, ell, variant
-    )
-    rhs = substitute_inverse(dual_value)
-    if variant == VARIANT_E:
-        rhs = rhs * neg_y_power(phi.degree)
-    else:
-        rhs = rhs * ((-1) ** phi.degree)
-    return _compare("duality_reciprocity", {"ell": ell, "variant": variant}, lhs, rhs)
+
+    def right():
+        d = dualize(f) if dual is None else dual
+        return substitute_inverse(weighted_ehrhart_value(lattice, d, phi, ell, VARIANT_ETILDE))
+
+    params = {"ell": ell, "variant": variant}
+    return _minus_ell_check("duality_reciprocity", params, lattice, f, phi, ell, variant, right)
 
 
 def verify_hodge_duality(lattice, f, ell: int, dual=None) -> CheckResult:
@@ -457,17 +449,18 @@ def verify_hodge_duality(lattice, f, ell: int, dual=None) -> CheckResult:
 
 
 def verify_purity(lattice, qprime_id: int, phi, ell: int, weights=None) -> CheckResult:
-    """With the g-weights of a face: E(-ell, y) = (-y)^(n'+deg phi) E(ell, 1/y).
+    """Purity, E(-ell, y) = (-y)^(dim Q' + deg phi) E(ell, 1/y) with the g-weights
+    of Q': R = (-y)^dim Q' Etilde(ell, 1/y).
 
     weights is g_weight_function(lattice, qprime_id) when the caller has
     already built it.
     """
-    qprime_id = check_face(lattice, qprime_id)
-    if lattice.faces[qprime_id].dim < 0:
-        raise ValueError("purity needs a nonempty face")
+    qprime_id = check_nonempty_face(lattice, qprime_id)
     f = g_weight_function(lattice, qprime_id) if weights is None else weights
-    lhs = _value_at_negative(lattice, f, phi, ell, VARIANT_E)
-    value = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_E)
-    nprime = lattice.faces[qprime_id].dim
-    rhs = substitute_inverse(value) * neg_y_power(nprime + phi.degree)
-    return _compare("purity", {"ell": ell, "face": qprime_id}, lhs, rhs)
+
+    def right():
+        value = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_ETILDE)
+        return neg_y_power(lattice.faces[qprime_id].dim) * substitute_inverse(value)
+
+    params = {"ell": ell, "face": qprime_id}
+    return _minus_ell_check("purity", params, lattice, f, phi, ell, VARIANT_E, right)

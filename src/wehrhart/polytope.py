@@ -440,6 +440,14 @@ def check_face(lattice: FaceLattice, fid) -> int:
     return fid
 
 
+def check_nonempty_face(lattice: FaceLattice, fid) -> int:
+    """check_face, and ValueError for the empty face, which carries no weight."""
+    fid = check_face(lattice, fid)
+    if lattice.faces[fid].dim < 0:
+        raise ValueError(f"face {fid} is the empty face; a nonempty face is needed")
+    return fid
+
+
 def _interval(lower, upper, prefix):
     """Integer range of the next coordinate x over prefix, from (w, c, b) with c > 0:
     <w, prefix> + b + c*x >= 0 in lower, <w, prefix> + b - c*x >= 0 in upper."""

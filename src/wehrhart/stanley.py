@@ -15,7 +15,7 @@ from itertools import groupby
 from math import comb
 
 from .algebra import LaurentPoly
-from .polytope import FaceLattice, check_face, mask_ids
+from .polytope import FaceLattice, check_face, check_nonempty_face, mask_ids
 from .weights import WeightFunction
 
 
@@ -105,18 +105,14 @@ def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     Both faces must be nonempty and nested; the sweep below Q' is
     memoized on the lattice.
     """
-    q_id, qp_id = check_face(lattice, q_id), check_face(lattice, qp_id)
-    if lattice.faces[q_id].dim < 0 or lattice.faces[qp_id].dim < 0:
-        raise ValueError("polar g is defined for nonempty faces")
+    q_id, qp_id = check_nonempty_face(lattice, q_id), check_nonempty_face(lattice, qp_id)
     _check_interval(lattice, q_id, qp_id)
     return _t_poly(_g_row(_f_rows(lattice, qp_id)[q_id]))
 
 
 def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     """Weights g(reversed [Q, Q']) at t = -y on faces Q below Q', else 0."""
-    qp_id = check_face(lattice, qp_id)
-    if lattice.faces[qp_id].dim < 0:
-        raise ValueError("weights are indexed by nonempty faces")
+    qp_id = check_nonempty_face(lattice, qp_id)
     _check_interval(lattice, qp_id, qp_id)
     rows = _f_rows(lattice, qp_id)
     values = {}

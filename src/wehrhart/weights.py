@@ -18,7 +18,7 @@ from .algebra import (
     one_plus_y_power,
     substitute_inverse,
 )
-from .polytope import FaceLattice, check_face, mask_ids
+from .polytope import FaceLattice, check_nonempty_face, mask_ids
 
 
 class LatticeMismatch(ValueError):
@@ -37,9 +37,7 @@ class WeightFunction:
     def __init__(self, lattice: FaceLattice, values=None):
         vals = {}
         for fid, p in (values or {}).items():
-            fid = check_face(lattice, fid)
-            if lattice.faces[fid].dim < 0:
-                raise ValueError("weights live on nonempty faces")
+            fid = check_nonempty_face(lattice, fid)
             if p:
                 vals[fid] = p
         self.lattice = lattice
@@ -66,9 +64,7 @@ class WeightFunction:
 
 def delta_weight(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     """Value 1 at the given nonempty face, zero elsewhere."""
-    qp_id = check_face(lattice, qp_id)
-    if lattice.faces[qp_id].dim < 0:
-        raise ValueError("delta weight needs a nonempty face")
+    qp_id = check_nonempty_face(lattice, qp_id)
     return WeightFunction(lattice, {qp_id: LaurentPoly.const(1)})
 
 

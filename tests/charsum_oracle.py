@@ -13,7 +13,7 @@ the closed form of the weighted count at dilation 0 (constant_term).
 """
 
 from wehrhart.algebra import L_ZERO, one_plus_y_power, phi_eval, poly_sum, substitute_inverse
-from wehrhart.ehrhart import VARIANT_E, CheckResult, _check_variant
+from wehrhart.ehrhart import VARIANT_E, VARIANT_ETILDE, CheckResult
 from wehrhart.polytope import points_by_face
 
 
@@ -21,6 +21,11 @@ def _point_keyed(terms):
     """{m: sum of the polynomials listed at m}, sorted by m, zeros dropped."""
     sums = ((m, poly_sum(ps)) for m, ps in sorted(terms.items()))
     return {m: p for m, p in sums if p}
+
+
+def minus_one_minus_y_power(k):
+    """(-1-y)**k."""
+    return (-1) ** k * one_plus_y_power(k)
 
 
 def pointwise_character_sum(lattice, f, ell):
@@ -32,7 +37,7 @@ def pointwise_character_sum(lattice, f, ell):
     terms = {}
     if ell == 0:
         terms[(0,) * n] = [
-            fq * one_plus_y_power(lattice.faces[q].dim, negate=True) for q, fq in f.values.items()
+            fq * minus_one_minus_y_power(lattice.faces[q].dim) for q, fq in f.values.items()
         ]
     elif ell > 0:
         relint = points_by_face(lattice, ell)
@@ -43,7 +48,7 @@ def pointwise_character_sum(lattice, f, ell):
     else:
         relint = points_by_face(lattice, -ell)
         for q, fq in f.values.items():
-            coeff = fq * one_plus_y_power(lattice.faces[q].dim, negate=True)
+            coeff = fq * minus_one_minus_y_power(lattice.faces[q].dim)
             for e in lattice.subfaces(q):
                 for m in relint[e]:
                     terms.setdefault(m, []).append(coeff)
@@ -61,7 +66,8 @@ def apply_phi(s, phi, variant):
     Etilde sends chi^m to phi(-m); E sends chi^m to phi(-(1+y)m), which by
     homogeneity is (1+y)^deg phi * phi(-m).
     """
-    _check_variant(variant)
+    if variant not in (VARIANT_E, VARIANT_ETILDE):
+        raise ValueError(f"unknown variant {variant!r}")
     acc = poly_sum(p * phi_eval(phi, tuple(-x for x in m)) for m, p in s.items())
     return acc * one_plus_y_power(phi.degree) if variant == VARIANT_E else acc
 

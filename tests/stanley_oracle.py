@@ -13,7 +13,7 @@ from wehrhart.algebra import L_ONE, LaurentPoly, grouped_sum, one_plus_y_power, 
 
 def t_minus_1_power(k):
     """(t-1)**k, from the binomial row of (-1-y)**k."""
-    return substitute_negative(one_plus_y_power(k, negate=True))
+    return substitute_negative((-1) ** k * one_plus_y_power(k))
 
 
 def oracle_fg(lattice, q_id, qp_id, memo):

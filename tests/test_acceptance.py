@@ -19,6 +19,7 @@ from wehrhart.algebra import (
     LaurentPoly as L,
     ZPoly,
     neg_y_power,
+    one_plus_y_power,
     substitute_inverse,
 )
 from wehrhart.ehrhart import (
@@ -236,6 +237,36 @@ def test_criterion_6_purity():
                     res = verify_purity(lattice, qp, phi, ell)
                     assert res.passed, (name, qp, phi, ell)
                     assert zp(-ell) == res.lhs
+
+
+def test_variants_differ_by_one_factor():
+    """E's sides are (1+y)^deg phi times Etilde's, in every reciprocity,
+    duality and purity check on the corpus with phi of degree 0, 1 and 2."""
+    for name, lattice, wlabel, f, philabel, phi in full_grid():
+        factor = one_plus_y_power(phi.degree)
+        for check in (verify_reciprocity, verify_duality_reciprocity):
+            for ell in (1, 2, 3):
+                e = check(lattice, f, phi, ell, VARIANT_E)
+                etilde = check(lattice, f, phi, ell, VARIANT_ETILDE)
+                assert e.passed and etilde.passed, (check.__name__, name, wlabel, philabel, ell)
+                assert (e.lhs, e.rhs) == (etilde.lhs * factor, etilde.rhs * factor)
+    for name in corpus.names():
+        lattice = corpus.build(name)
+        for _, phi in grid_phis(lattice.polytope.n):
+            d, factor = phi.degree, one_plus_y_power(phi.degree)
+            for qp in lattice.nonempty_ids:
+                g = g_weight_function(lattice, qp)
+                etilde = ehrhart_polynomial(lattice, g, phi, VARIANT_ETILDE)
+                nprime = lattice.faces[qp].dim
+                for ell in (1, 2, 3):
+                    res = verify_purity(lattice, qp, phi, ell, weights=g)
+                    value = weighted_ehrhart_value(lattice, g, phi, ell, VARIANT_ETILDE)
+                    etilde_rhs = (-1) ** d * neg_y_power(nprime) * substitute_inverse(value)
+                    assert res.passed, (name, qp, phi, ell)
+                    assert (res.lhs, res.rhs) == (etilde(-ell) * factor, etilde_rhs * factor)
+                    # the theorem's own form, on E's value
+                    e_value = weighted_ehrhart_value(lattice, g, phi, ell, VARIANT_E)
+                    assert res.rhs == neg_y_power(nprime + d) * substitute_inverse(e_value)
 
 
 def test_criterion_7_character_sum_duality():

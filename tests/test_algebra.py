@@ -81,6 +81,12 @@ class TestLaurentPoly:
         with pytest.raises(TypeError):
             as_rat(0.5)
 
+    def test_bools_refused(self):
+        with pytest.raises(TypeError):
+            L({0: True})
+        with pytest.raises(TypeError):
+            as_rat(True)
+
     @pytest.mark.parametrize("k", [1.5, 1.0, True, Fraction(3, 2), "1"])
     def test_inexact_exponents_refused(self, k):
         with pytest.raises(TypeError):
@@ -112,6 +118,10 @@ class TestHomogPoly:
     def test_inexact_exponents_refused(self, e):
         with pytest.raises(TypeError):
             HomogPoly(1, [((e,), 1)])
+
+    def test_bool_coefficient_refused(self):
+        with pytest.raises(TypeError):
+            HomogPoly(1, [((1,), True)])
 
     def test_bool_dimension_refused(self):
         with pytest.raises(TypeError, match="is not an exact integer"):

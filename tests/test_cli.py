@@ -245,6 +245,38 @@ def test_parse_error_random_without_seed(capsys):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--seed", "1"], ["--count", "2"], ["--seed", "1", "--count", "2"]]
+)
+def test_parse_error_seed_or_count_without_random_weights(flags, capsys):
+    code, out, err = run_cli(
+        ["verify", fx("square"), "--suite", "all", "--lmax", "1", *flags], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: parse: --seed and --count need --random-weights\n"
+
+
+def test_count_defaults_to_five_only_with_random_weights():
+    argv = ["verify", "p.json", "--suite", "all", "--lmax", "1"]
+    assert cli.parse_args(argv).count is None
+    assert cli.parse_args([*argv, "--random-weights", "--seed", "1"]).count == 5
+
+
+def test_parse_error_unwritable_out(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["faces", fx("square"), "--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: parse: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_failed_run_leaves_out_file_as_it_was(tmp_path, capsys):
+    path = tmp_path / "kept.json"
+    path.write_text("kept\n")
+    code, _, _ = run_cli(["gweights", fx("square"), "--face", "99", "--out", str(path)], capsys)
+    assert code == 3
+    assert path.read_text() == "kept\n"
+
+
 def test_validation_error_degenerate_polytope(tmp_path, capsys):
     path = tmp_path / "flat.json"
     path.write_text('{"vertices": [[0, 0], [1, 1], [2, 2]]}')
@@ -317,6 +349,13 @@ def test_face_ids_out_of_range_refused(capsys):
         code, out, err = run_cli(["gweights", fx("square"), "--face", str(fid)], capsys)
         assert (code, out) == (3, "")
         assert err == f"error: validation: no face with id {fid}\n"
+
+
+def test_empty_face_refused(capsys):
+    empty = corpus.build("square").empty_id
+    code, out, err = run_cli(["gweights", fx("square"), "--face", str(empty)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: validation: face {empty} is the empty face; a nonempty face is needed\n"
 
 
 @pytest.mark.parametrize("face", ["1_0", "01", " 2", "+1", "-0", "x"])

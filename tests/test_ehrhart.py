@@ -232,6 +232,24 @@ def test_dilation_must_be_an_int(name, ell):
         DILATION_CALLS[name](lat, all_ones(lat), phi_one(2), ell)
 
 
+@pytest.mark.parametrize(
+    "name,ell",
+    [
+        (name, ell)
+        for name in sorted(DILATION_CALLS)
+        for ell in (0, -1, True, 2.0, -2.0)
+        # a character sum is defined at every integer dilation
+        if not (name == "hodge_character_sum" and type(ell) is int)
+    ],
+    ids=str,
+)
+def test_bad_dilation_is_refused_before_any_sum(name, ell):
+    lat = build_face_lattice(facet_presentation(CORPUS["square"]))
+    with pytest.raises((TypeError, ValueError)):
+        DILATION_CALLS[name](lat, all_ones(lat), phi_one(2), ell)
+    assert not (lat._points_cache or lat._phi_sums or lat._face_polys)
+
+
 class TestEhrhartPolynomial:
     def test_segment_all_ones(self):
         lat = build("segment")

@@ -8,7 +8,9 @@ rule is read off the ast of every module under src/wehrhart.  Every
 memo table on a FaceLattice has a known bound: its __init__ assigns only
 BoundedCaches and the fields named in LATTICE_FIELDS.  No call passes
 indent= to json.dump or json.dumps, which would bring back the
-pure-Python encoder that jsonio.dumps avoids.  The benchmark's
+pure-Python encoder that jsonio.dumps avoids.  E and Etilde differ
+only by (1+y)^deg phi, so no function but ehrhart._variant_factor
+compares a value with VARIANT_E.  The benchmark's
 tracer looks library functions up by name, so one more test
 installs and removes it on the imported library.
 """
@@ -108,6 +110,31 @@ def test_no_indented_json_encoding(path):
     assert not lines, f"{path.name} passes indent= to json on lines {lines}"
 
 
+def _names_variant_e(node):
+    return any(
+        isinstance(x, ast.Name) and x.id == "VARIANT_E"
+        or isinstance(x, ast.Attribute) and x.attr == "VARIANT_E"
+        for x in ast.walk(node)
+    )
+
+
+def _variant_e_comparisons(node, owner):
+    """Line numbers of the comparisons naming VARIANT_E outside _variant_factor."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _variant_e_comparisons(child, child.name)
+            continue
+        if isinstance(child, ast.Compare) and owner != "_variant_factor" and _names_variant_e(child):
+            yield child.lineno
+        yield from _variant_e_comparisons(child, owner)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_variants_told_apart_in_one_function(path):
+    lines = list(_variant_e_comparisons(tree(path), None))
+    assert not lines, f"{path.name} compares with VARIANT_E outside _variant_factor on lines {lines}"
+
+
 def test_face_lattice_memo_tables_are_bounded(path=SRC / "polytope.py"):
     inits = [
         node
@@ -157,6 +184,12 @@ class FaceLattice:
         ("x = 1\nx /= 2\n", test_no_float_conversions),
         ("x = json.dumps(y, indent=2)\n", test_no_indented_json_encoding),
         ("json.dump(y, fh, indent=4)\n", test_no_indented_json_encoding),
+        ("def f(v):\n    return v == VARIANT_E\n", test_variants_told_apart_in_one_function),
+        ("x = 1 if ehrhart.VARIANT_E != v else 2\n", test_variants_told_apart_in_one_function),
+        (
+            "def _variant_factor(v):\n    def g():\n        return v in (VARIANT_E,)\n",
+            test_variants_told_apart_in_one_function,
+        ),
         (LATTICE_INIT + "        self._memo = {}\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self.a, self.up = {}, []\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
