@@ -46,6 +46,9 @@ def canon(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+_ONE_TERMS = {0: 1}
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial sum c_k * y**k with exact coefficients.
 
@@ -105,6 +108,11 @@ class LaurentPoly:
             return LaurentPoly._make({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        # values never change after _make, so a product by 1 can share its other operand
+        if other.terms == _ONE_TERMS:
+            return self
+        if self.terms == _ONE_TERMS:
+            return other
         acc = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

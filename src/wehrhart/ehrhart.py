@@ -4,7 +4,9 @@ A weighted count splits into torus orbits, one per nonempty face Q:
 Etilde(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), where S_Q(ell), the
 sum of phi over Relint(ell Q), is a polynomial of degree dim Q + deg phi
 that does not depend on the weights.  It is interpolated once per
-(lattice, phi), in int, and checked face by face.  phi is homogeneous,
+(lattice, phi), in int, from the walk at ell = 1 .. n + deg phi + 2, and
+checked face by face, the top face also against its facets' leading
+coefficients (_check_facet_identities).  phi is homogeneous,
 so E = (1+y)^deg phi Etilde (_variant_factor).  Every value a verifier
 compares is one linear combination of per-face scalars with the orbit
 coefficients f_Q(y) (1+y)^dim Q, which are built once per weight.
@@ -242,17 +244,19 @@ def _face_polynomials(lattice, phi):
     """(D, {Q: (a_Q0, .., a_Qdeg)}), memoized per phi in lattice._face_polys.
 
     S_Q(z) = sum_k a_Qk z^k / D with D = (n + deg phi)! * lcm(denominators
-    of phi).  Each face's sums at ell = 1 .. n + deg phi + 3 are scaled to
+    of phi).  Each face's sums at ell = 1 .. n + deg phi + 2 are scaled to
     int and differenced; every difference above deg = dim Q + deg phi must
     vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D, or
-    PolynomialityError names the face.
+    PolynomialityError names the face.  The top face P, which has one
+    difference above its degree, is also checked against its facets F
+    (_check_facet_identities).
     """
     if phi not in lattice._face_polys:
         n = lattice.polytope.n
         bound = n + phi.degree
         d = lcm(*(c.denominator for _, c in phi.monomials))
         denom = factorial(bound) * d
-        samples = [_phi_face_sums(lattice, phi, ell) for ell in range(1, bound + 4)]
+        samples = [_phi_face_sums(lattice, phi, ell) for ell in range(1, bound + 3)]
         basis = _newton_basis(bound)
         phi0 = factorial(bound) * canon(d * phi_eval(phi, (0,) * n))
         table = {}
@@ -279,8 +283,39 @@ def _face_polynomials(lattice, phi):
                     f"closed form {Fraction((-1) ** dim * phi0, denom)}"
                 )
             table[q] = coeffs
+        _check_facet_identities(lattice, bound, denom, table)
         lattice._face_polys[phi] = denom, table
     return lattice._face_polys[phi]
+
+
+def _check_facet_identities(lattice, bound, denom, table):
+    """The top face's two leading coefficients against its facets' leading ones.
+
+    With phi homogeneous, bound = n + deg phi and the leading coefficient
+    of S_Q the integral of phi over Q (in Q's lattice measure), the
+    divergence theorem gives bound * a_P[bound] = sum_F a_F a_F[bound - 1],
+    a_F the offset of facet F in P.facets, and the Euler-Maclaurin
+    boundary term gives 2 a_P[bound - 1] = -sum_F a_F[bound - 1], both
+    over the common D.  A failure raises PolynomialityError naming P.
+    """
+    P, top = lattice.polytope, lattice.top_id
+    # an (n-1)-face is tight on exactly one facet: its own
+    leads = [
+        (P.facets[F][1], table[f.id][bound - 1])
+        for f in lattice.faces
+        if f.dim == P.n - 1
+        for F in f.tight_facets
+    ]
+    # (k, m, rhs): m * a_P[k] must equal rhs
+    for k, m, rhs in (
+        (bound, bound, sum(a * c for a, c in leads)),
+        (bound - 1, 2, -sum(c for _, c in leads)),
+    ):
+        if m * table[top][k] != rhs:
+            raise PolynomialityError(
+                f"face {top}: coefficient of z^{k} {Fraction(table[top][k], denom)}, "
+                f"facet identity {Fraction(rhs, m * denom)}"
+            )
 
 
 def ehrhart_polynomial(
@@ -293,8 +328,9 @@ def ehrhart_polynomial(
 
     Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D times the variant's
     factor, from the per-face interpolants of _face_polynomials; their
-    checks (two or more extra dilations and the constant term, face by
-    face) raise PolynomialityError.
+    checks (one or more extra dilations and the constant term, face by
+    face, and the two facet identities of the top face) raise
+    PolynomialityError.
     """
     factor = _variant_factor(phi, variant)
     _check_lattice(lattice, f)

@@ -63,8 +63,7 @@ class WeightFunction:
 
 
 def delta_weight(lattice: FaceLattice, qp_id: int) -> WeightFunction:
-    """Value 1 at the given nonempty face, zero elsewhere."""
-    qp_id = check_nonempty_face(lattice, qp_id)
+    """Value 1 at the given nonempty face, zero elsewhere; WeightFunction checks the id."""
     return WeightFunction(lattice, {qp_id: LaurentPoly.const(1)})
 
 

@@ -47,6 +47,12 @@ class TestLaurentPoly:
         assert p * 0 == L({})
         assert 2 * p == L({0: 2, 1: 2})
 
+    def test_product_by_one_shares_the_other_operand(self):
+        p = L({-1: Fraction(1, 2), 3: -2})
+        one = L({0: Fraction(2, 2)})
+        assert p * one is p and one * p is p
+        assert L({}) * one == L({}) and one * one == one
+
     def test_pow(self):
         p = L({0: 1, 1: 1})
         assert p**0 == L({0: 1})

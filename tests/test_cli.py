@@ -595,7 +595,7 @@ def test_cache_bounds_cover_the_size_budgets():
     assert polytope.POINTS_CACHE_MAX >= max(cli.MAX_ELL, cli.MAX_LMAX)
     # sums at the larger of lmax and the dilations that the interpolant of
     # a degree-MAX_DEGREE integrand in dimension 6 reads, and at -1 .. -lmax
-    assert polytope.PHI_SUMS_MAX >= max(cli.MAX_LMAX, 6 + cli.MAX_DEGREE + 3) + cli.MAX_LMAX
+    assert polytope.PHI_SUMS_MAX >= max(cli.MAX_LMAX, 6 + cli.MAX_DEGREE + 2) + cli.MAX_LMAX
 
 
 def _phi_file(tmp_path, exponent):

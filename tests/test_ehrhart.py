@@ -292,12 +292,12 @@ class TestEhrhartPolynomial:
 
         def warped(lattice, phi, ell):
             sums = dict(real(lattice, phi, ell))
-            if ell >= 4:
+            if ell >= 3:
                 sums[lat.top_id] += 1
             return sums
 
         monkeypatch.setattr(eh, "_phi_face_sums", warped)
-        message = rf"^face {lat.top_id}: .* order 3, above their degree 1$"
+        message = rf"^face {lat.top_id}: .* order 2, above their degree 1$"
         with pytest.raises(PolynomialityError, match=message):
             eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(1), "Etilde")
 
@@ -316,6 +316,38 @@ class TestEhrhartPolynomial:
         message = rf"^face {vertex}: constant term 6, closed form 1$"
         with pytest.raises(PolynomialityError, match=message):
             eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(2), "E")
+
+    @pytest.mark.parametrize("name", ["segment", "square", "cube", "random3"])
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("drop", [0, 1])
+    def test_facet_identities_fire_on_warped_top_face(self, monkeypatch, name, degree, drop):
+        # ell^j with j = n + deg phi - drop: the differences pass, and for j > 0
+        # so does the constant term, but the identity on z^j does not
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        top, j = lat.top_id, lat.polytope.n + degree - drop
+        real = eh._phi_face_sums
+
+        def warped(lattice, phi, ell):
+            sums = dict(real(lattice, phi, ell))
+            sums[top] += ell**j
+            return sums
+
+        monkeypatch.setattr(eh, "_phi_face_sums", warped)
+        if j:
+            message = rf"^face {top}: coefficient of z\^{j} .*, facet identity .*$"
+        else:  # the segment with phi of degree 0: ell^0 moves the constant term
+            message = rf"^face {top}: constant term -1/2, closed form -3/2$"
+        with pytest.raises(PolynomialityError, match=message):
+            eh.ehrhart_polynomial(lat, all_ones(lat), mixed_phi(lat.polytope.n, degree), "E")
+
+    @pytest.mark.parametrize("name", ["segment", "square", "cube", "random3"])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_interpolant_walks_up_to_n_plus_degree_plus_2(self, name, degree):
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        phi = mixed_phi(lat.polytope.n, degree)
+        eh.ehrhart_polynomial(lat, all_ones(lat), phi, "E")
+        last = lat.polytope.n + degree + 2
+        assert set(lat._phi_sums) == {(phi, ell) for ell in range(1, last + 1)}
 
 
 def delta_per_dimension(lat):

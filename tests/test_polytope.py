@@ -869,7 +869,7 @@ class TestCacheBounds:
         for ell in range(1, last + 1):
             assert _phi_face_sums(lattice, phi, ell)[top] == ell - 1
             assert _phi_face_sums(lattice, phi, -ell)[top] == -ell - 1
-        # the interpolant walked ell = 1..4 before -1 was read
+        # the interpolant walked ell = 1..3 before -1 was read
         assert len(lattice._phi_sums) == PHI_SUMS_MAX
         assert lattice._phi_sums.evictions == 2 * last - PHI_SUMS_MAX == 2
         assert (phi, 1) not in lattice._phi_sums and (phi, 2) not in lattice._phi_sums
