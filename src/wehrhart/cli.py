@@ -50,7 +50,7 @@ SUITES = ("all", "reciprocity", "duality", "purity", "hodge")
 # Budgets on the size flags, checked before the polytope is read (exit 3
 # above them): the work grows like the lattice points of the dilate, about
 # vol(P) * ell^n (random3 has 162,081 at ell = 16, 1.28 million at 32),
-# and desk-scale runs need dilations up to n + deg phi + 2.  The integrand's
+# and desk-scale runs need dilations up to n + deg phi + 1.  The integrand's
 # degree is checked as soon as it is read, before any sum is taken.
 MAX_ELL = 16  # |charsum --l|
 MAX_LMAX = 12  # verify --lmax

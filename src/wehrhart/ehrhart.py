@@ -4,9 +4,10 @@ A weighted count splits into torus orbits, one per nonempty face Q:
 Etilde(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), where S_Q(ell), the
 sum of phi over Relint(ell Q), is a polynomial of degree dim Q + deg phi
 that does not depend on the weights.  It is interpolated once per
-(lattice, phi), in int, from the walk at ell = 1 .. n + deg phi + 2, and
-checked face by face, the top face also against its facets' leading
-coefficients (_check_facet_identities).  phi is homogeneous,
+(lattice, phi), in int, from the walk at ell = 1 .. n + deg phi + 1, and
+checked face by face against its own facets: a vertex by its closed
+form, every other face by the Euler-Maclaurin boundary term, and the top
+face also by the divergence theorem (_face_polynomials).  phi is homogeneous,
 so E = (1+y)^deg phi Etilde (_variant_factor).  Every value a verifier
 compares is one linear combination of per-face scalars with the orbit
 coefficients f_Q(y) (1+y)^dim Q, which are built once per weight.
@@ -40,7 +41,6 @@ from .algebra import (
     linear_combination,
     neg_y_power,
     one_plus_y_power,
-    phi_eval,
     poly_sum,
     power_sum,
     substitute_inverse,
@@ -50,6 +50,7 @@ from .polytope import (
     check_dilation,
     check_nonempty_face,
     fibre_rows,
+    mask_ids,
     points_by_face,
 )
 from .stanley import g_weight_function
@@ -144,6 +145,12 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Or
     return OrbitSum(n, {empty: total}, {empty: [(0,) * n]}, 1)
 
 
+def _scaled_monomials(phi):
+    """(d, [(exponents, d * c)]): phi's coefficients over their common denominator d, in int."""
+    d = lcm(*(c.denominator for _, c in phi.monomials))
+    return d, [(e, (c * d).numerator) for e, c in phi.monomials]
+
+
 def _phi_face_sums(lattice, phi, ell):
     """S_Q(ell) for every nonempty Q and ell != 0, memoized in lattice._phi_sums
     as one {Q: value} dict per (phi, ell).  S_Q(ell) is the sum of phi over
@@ -174,11 +181,11 @@ def _phi_face_sums(lattice, phi, ell):
                     v = v * ell + a
                 acc[q] = v
         else:
-            denom = lcm(*(c.denominator for _, c in phi.monomials))
+            denom, monomials = _scaled_monomials(phi)
             terms = {}  # k -> j -> [(exponents of outer, d*c)]
-            for exps, c in phi.monomials:
+            for exps, c in monomials:
                 *e, j, k = (0,) * (2 - phi.n) + exps
-                terms.setdefault(k, {}).setdefault(j, []).append((e, (c * denom).numerator))
+                terms.setdefault(k, {}).setdefault(j, []).append((e, c))
             acc = dict.fromkeys(lattice.nonempty_ids, 0)
             for outer, row in fibre_rows(lattice, ell):
                 for k, by_j in terms.items():
@@ -244,24 +251,35 @@ def _face_polynomials(lattice, phi):
     """(D, {Q: (a_Q0, .., a_Qdeg)}), memoized per phi in lattice._face_polys.
 
     S_Q(z) = sum_k a_Qk z^k / D with D = (n + deg phi)! * lcm(denominators
-    of phi).  Each face's sums at ell = 1 .. n + deg phi + 2 are scaled to
+    of phi).  Each face's sums at ell = 1 .. n + deg phi + 1 are scaled to
     int and differenced; every difference above deg = dim Q + deg phi must
-    vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D, or
-    PolynomialityError names the face.  The top face P, which has one
-    difference above its degree, is also checked against its facets F
-    (_check_facet_identities).
+    vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D.  Each face is then
+    checked against its own facets G, the faces of dimension dim Q - 1
+    below it: a vertex v has S_v(z) = phi(v) z^deg phi, and a face of
+    dim >= 1 meets the Euler-Maclaurin boundary term in its own lattice,
+    2 a_Q[deg - 1] = -sum_G a_G[deg - 1], with a_G[deg - 1] the integral
+    of phi over G times D.  The top face P is also checked by the
+    divergence theorem (_check_facet_identities).  A failure raises
+    PolynomialityError naming the face.
     """
     if phi not in lattice._face_polys:
-        n = lattice.polytope.n
+        n, faces = lattice.polytope.n, lattice.faces
         bound = n + phi.degree
-        d = lcm(*(c.denominator for _, c in phi.monomials))
+        d, monomials = _scaled_monomials(phi)
         denom = factorial(bound) * d
-        samples = [_phi_face_sums(lattice, phi, ell) for ell in range(1, bound + 3)]
+
+        def scaled_phi(m):  # D * phi(m), in int
+            return factorial(bound) * sum(c * prod(map(pow, m, e)) for e, c in monomials)
+
+        samples = [_phi_face_sums(lattice, phi, ell) for ell in range(1, bound + 2)]
         basis = _newton_basis(bound)
-        phi0 = factorial(bound) * canon(d * phi_eval(phi, (0,) * n))
+        phi0 = scaled_phi((0,) * n)
+        by_dim = [sum(1 << f.id for f in faces if f.dim == k) for k in range(n)]
         table = {}
+        # face ids increase with the dimension, so a face's facets come first
         for q in lattice.nonempty_ids:
-            dim = lattice.faces[q].dim
+            face = faces[q]
+            dim = face.dim
             deg = dim + phi.degree
             row = [canon(d * sums[q]) for sums in samples]
             lead = []
@@ -282,40 +300,47 @@ def _face_polynomials(lattice, phi):
                     f"face {q}: constant term {Fraction(coeffs[0], denom)}, "
                     f"closed form {Fraction((-1) ** dim * phi0, denom)}"
                 )
+            if dim:
+                ridges = mask_ids(lattice.down[q] & by_dim[dim - 1])
+                rhs = -sum(table[g][deg - 1] for g in ridges)
+                _check_coefficient(q, deg - 1, 2, coeffs[deg - 1], rhs, denom, "facet identity")
+            else:
+                (v,) = face.vertex_set
+                closed = (0,) * phi.degree + (scaled_phi(lattice.polytope.vertices[v]),)
+                for k, (a, b) in enumerate(zip(coeffs, closed)):
+                    _check_coefficient(q, k, 1, a, b, denom, "closed form")
             table[q] = coeffs
         _check_facet_identities(lattice, bound, denom, table)
         lattice._face_polys[phi] = denom, table
     return lattice._face_polys[phi]
 
 
+def _check_coefficient(q, k, m, a, rhs, denom, name):
+    """m * a == rhs for the coefficient a of z^k of face q, over D = denom,
+    or PolynomialityError naming the face, both sides divided by m * D."""
+    if m * a != rhs:
+        raise PolynomialityError(
+            f"face {q}: coefficient of z^{k} {Fraction(a, denom)}, {name} {Fraction(rhs, m * denom)}"
+        )
+
+
 def _check_facet_identities(lattice, bound, denom, table):
-    """The top face's two leading coefficients against its facets' leading ones.
+    """The top face's leading coefficient against its facets' leading ones.
 
     With phi homogeneous, bound = n + deg phi and the leading coefficient
     of S_Q the integral of phi over Q (in Q's lattice measure), the
-    divergence theorem gives bound * a_P[bound] = sum_F a_F a_F[bound - 1],
-    a_F the offset of facet F in P.facets, and the Euler-Maclaurin
-    boundary term gives 2 a_P[bound - 1] = -sum_F a_F[bound - 1], both
-    over the common D.  A failure raises PolynomialityError naming P.
+    divergence theorem gives bound * a_P[bound] = sum_F a_F a_F[bound - 1]
+    over the common D, a_F the offset of facet F in P.facets.
     """
     P, top = lattice.polytope, lattice.top_id
     # an (n-1)-face is tight on exactly one facet: its own
-    leads = [
-        (P.facets[F][1], table[f.id][bound - 1])
+    rhs = sum(
+        P.facets[F][1] * table[f.id][bound - 1]
         for f in lattice.faces
         if f.dim == P.n - 1
         for F in f.tight_facets
-    ]
-    # (k, m, rhs): m * a_P[k] must equal rhs
-    for k, m, rhs in (
-        (bound, bound, sum(a * c for a, c in leads)),
-        (bound - 1, 2, -sum(c for _, c in leads)),
-    ):
-        if m * table[top][k] != rhs:
-            raise PolynomialityError(
-                f"face {top}: coefficient of z^{k} {Fraction(table[top][k], denom)}, "
-                f"facet identity {Fraction(rhs, m * denom)}"
-            )
+    )
+    _check_coefficient(top, bound, bound, table[top][bound], rhs, denom, "facet identity")
 
 
 def ehrhart_polynomial(
@@ -328,9 +353,10 @@ def ehrhart_polynomial(
 
     Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D times the variant's
     factor, from the per-face interpolants of _face_polynomials; their
-    checks (one or more extra dilations and the constant term, face by
-    face, and the two facet identities of the top face) raise
-    PolynomialityError.
+    checks (the extra dilations and the constant term, face by face, the
+    closed form of each vertex, the Euler-Maclaurin identity of every
+    other face against its own facets, and the divergence identity of the
+    top face) raise PolynomialityError.
     """
     factor = _variant_factor(phi, variant)
     _check_lattice(lattice, f)

@@ -1,15 +1,24 @@
-"""The weighted polynomial one weight at a time, the oracle for the per-face interpolants.
+"""The weighted polynomial two slower ways, the oracles for the per-face interpolants.
 
 The library interpolates the phi-sum of every face once per integrand, in
-int, and combines those per-face polynomials for each weight.  This helper
-follows the per-weight route instead: it samples the weighted count at
-dilations 1 .. n + deg phi + 1, interpolates the Laurent values by
-Lagrange, then checks two extra dilations and the closed-form constant
-term (the ell = 0 character sum pushed through phi).
+int, and combines those per-face polynomials for each weight.
+
+per_weight_polynomial follows the per-weight route instead: it samples the
+weighted count at dilations 1 .. n + deg phi + 1, interpolates the Laurent
+values by Lagrange, then checks two extra dilations and the closed-form
+constant term (the ell = 0 character sum pushed through phi).
+
+per_face_polynomials takes each face's phi-sums at dilations
+1 .. n + deg phi + 3 from a brute-force enumerator, interpolates them by
+Lagrange in Fraction and checks every sample past the fit.
+face_identity_failures states the facts the library checks each face's
+interpolant against, read off vertex sets and phi_eval alone.
 """
 
+from fractions import Fraction
+
 from charsum_oracle import constant_term
-from wehrhart.algebra import lagrange_interpolate
+from wehrhart.algebra import lagrange_interpolate, phi_eval
 from wehrhart.ehrhart import PolynomialityError, weighted_ehrhart_value
 
 
@@ -33,3 +42,70 @@ def per_weight_polynomial(lattice, f, phi, variant):
             f"constant term mismatch: interpolated {zp(0)}, closed form {expected0}"
         )
     return zp
+
+
+def _interpolate(values):
+    """Coefficients c_0 .. c_d of the polynomial through (1, values[0]) .. (d+1, values[d])."""
+    nodes = range(1, len(values) + 1)
+    coeffs = [Fraction(0)] * len(values)
+    for xi, v in zip(nodes, values):
+        basis, denom = [1], 1
+        for xj in nodes:
+            if xj != xi:
+                # times (z - xj)
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                denom *= xi - xj
+        for k, b in enumerate(basis):
+            coeffs[k] += Fraction(v * b, denom)
+    return coeffs
+
+
+def per_face_polynomials(lattice, phi, face_sums):
+    """{Q: [c_0, .., c_deg]}, S_Q(z) = sum_k c_k z^k with deg = dim Q + deg phi.
+
+    face_sums(lattice, phi, ell) gives S_Q(ell) for every nonempty Q; it is
+    read at ell = 1 .. n + deg phi + 3, each face's first deg + 1 samples
+    fix its polynomial and every later one must agree with it.
+    """
+    last = lattice.polytope.n + phi.degree + 3
+    samples = [face_sums(lattice, phi, ell) for ell in range(1, last + 1)]
+    out = {}
+    for q in lattice.nonempty_ids:
+        deg = lattice.faces[q].dim + phi.degree
+        coeffs = _interpolate([s[q] for s in samples[: deg + 1]])
+        for ell in range(deg + 2, last + 1):
+            value = sum(c * ell**k for k, c in enumerate(coeffs))
+            if value != samples[ell - 1][q]:
+                raise PolynomialityError(
+                    f"face {q}: interpolated {value} at dilation {ell}, "
+                    f"sampled {samples[ell - 1][q]}"
+                )
+        out[q] = coeffs
+    return out
+
+
+def face_identity_failures(lattice, phi, polys):
+    """The faces whose polynomial in polys breaks its face identity.
+
+    A vertex v: S_v(z) = phi(v) z^deg phi.  A face Q of dim >= 1, with
+    deg = dim Q + deg phi and G over the faces of dimension dim Q - 1 whose
+    vertex sets lie in Q's (Euler-Maclaurin boundary term in Q's own
+    lattice): 2 [z^(deg-1)] S_Q = -sum_G [z^(deg-1)] S_G.
+    """
+    faces = [f for f in lattice.faces if f.dim >= 0]
+    failures = []
+    for face in faces:
+        c = polys[face.id]
+        if face.dim == 0:
+            (v,) = face.vertex_set
+            expected = [0] * phi.degree + [phi_eval(phi, lattice.polytope.vertices[v])]
+            ok = c == expected
+        else:
+            k = face.dim + phi.degree - 1
+            ridges = [
+                g.id for g in faces if g.dim == face.dim - 1 and g.vertex_set <= face.vertex_set
+            ]
+            ok = 2 * c[k] == -sum(polys[g][k] for g in ridges)
+        if not ok:
+            failures.append(face.id)
+    return failures

@@ -150,14 +150,14 @@ def test_failed_face_check_exits_1(capsys, monkeypatch):
 
     def warped(lattice, phi, ell):
         sums = dict(real(lattice, phi, ell))
-        sums[lattice.top_id] += ell**4
+        sums[lattice.vertex_face_id(0)] += ell**2
         return sums
 
     monkeypatch.setattr(ehrhart, "_phi_face_sums", warped)
     code, out, err = run_cli(["ehrhart", fx("square"), "--variant", "E"], capsys)
     assert (code, out) == (1, "")
-    top = corpus.build("square").top_id
-    assert err.startswith(f"error: check: face {top}: ") and "order 3, above their degree 2" in err
+    vertex = corpus.build("square").vertex_face_id(0)
+    assert err.startswith(f"error: check: face {vertex}: ") and "order 1, above their degree 0" in err
 
 
 def test_verify_pyramid_all_suites_pass(capsys):
@@ -595,7 +595,7 @@ def test_cache_bounds_cover_the_size_budgets():
     assert polytope.POINTS_CACHE_MAX >= max(cli.MAX_ELL, cli.MAX_LMAX)
     # sums at the larger of lmax and the dilations that the interpolant of
     # a degree-MAX_DEGREE integrand in dimension 6 reads, and at -1 .. -lmax
-    assert polytope.PHI_SUMS_MAX >= max(cli.MAX_LMAX, 6 + cli.MAX_DEGREE + 2) + cli.MAX_LMAX
+    assert polytope.PHI_SUMS_MAX >= max(cli.MAX_LMAX, 6 + cli.MAX_DEGREE + 1) + cli.MAX_LMAX
 
 
 def _phi_file(tmp_path, exponent):

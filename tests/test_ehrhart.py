@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wehrhart.ehrhart as eh
-from box_oracle import RANDOM_6, RANDOM_SHAPES, box_phi_face_sums, cross, cube, random_lattice
+from box_oracle import (
+    RANDOM_6,
+    RANDOM_SHAPES,
+    box_phi_face_sums,
+    cross,
+    cube,
+    fibre_phi_face_sums,
+    random_lattice,
+)
 from charsum_oracle import (
     apply_phi,
     constant_term,
@@ -22,7 +30,7 @@ from charsum_oracle import (
     pointwise_character_sum,
     pointwise_hodge_duality,
 )
-from interp_oracle import per_weight_polynomial
+from interp_oracle import face_identity_failures, per_face_polynomials, per_weight_polynomial
 from wehrhart.algebra import (
     HomogPoly,
     LaurentPoly,
@@ -289,15 +297,16 @@ class TestEhrhartPolynomial:
         # a fresh lattice: the corpus one may already hold the per-face table
         lat = build_face_lattice(facet_presentation(CORPUS["segment"]))
         real = eh._phi_face_sums
+        vertex = lat.vertex_face_id(0)
 
         def warped(lattice, phi, ell):
             sums = dict(real(lattice, phi, ell))
-            if ell >= 3:
-                sums[lat.top_id] += 1
+            if ell >= 2:
+                sums[vertex] += 1
             return sums
 
         monkeypatch.setattr(eh, "_phi_face_sums", warped)
-        message = rf"^face {lat.top_id}: .* order 2, above their degree 1$"
+        message = rf"^face {vertex}: .* order 1, above their degree 0$"
         with pytest.raises(PolynomialityError, match=message):
             eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(1), "Etilde")
 
@@ -342,12 +351,93 @@ class TestEhrhartPolynomial:
 
     @pytest.mark.parametrize("name", ["segment", "square", "cube", "random3"])
     @pytest.mark.parametrize("degree", [0, 1, 2])
-    def test_interpolant_walks_up_to_n_plus_degree_plus_2(self, name, degree):
+    def test_interpolant_walks_up_to_n_plus_degree_plus_1(self, name, degree):
         lat = build_face_lattice(facet_presentation(CORPUS[name]))
         phi = mixed_phi(lat.polytope.n, degree)
         eh.ehrhart_polynomial(lat, all_ones(lat), phi, "E")
-        last = lat.polytope.n + degree + 2
+        last = lat.polytope.n + degree + 1
         assert set(lat._phi_sums) == {(phi, ell) for ell in range(1, last + 1)}
+
+    @staticmethod
+    def raises_on_warped_face(monkeypatch, lat, face, power, phi, message):
+        """ell^power added to one face's sums must raise PolynomialityError matching message."""
+        real = eh._phi_face_sums
+
+        def warped(lattice, phi, ell):
+            sums = dict(real(lattice, phi, ell))
+            sums[face] += ell**power
+            return sums
+
+        monkeypatch.setattr(eh, "_phi_face_sums", warped)
+        with pytest.raises(PolynomialityError, match=message):
+            eh.ehrhart_polynomial(lat, all_ones(lat), phi, "E")
+
+    @pytest.mark.parametrize("name", ["cube", "random3"])
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_facet_identity_fires_on_warped_facet(self, monkeypatch, name, degree):
+        # ell^(deg - 1) with deg = dim F + deg phi: F's difference and constant
+        # term pass, its own Euler-Maclaurin identity does not
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        facet = next(f.id for f in lat.faces if f.dim == lat.polytope.n - 1)
+        j = lat.polytope.n - 1 + degree - 1
+        message = rf"^face {facet}: coefficient of z\^{j} .*, facet identity .*$"
+        self.raises_on_warped_face(
+            monkeypatch, lat, facet, j, mixed_phi(lat.polytope.n, degree), message
+        )
+
+    @pytest.mark.parametrize("name", ["cube", "random3"])
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_facet_identity_fires_above_warped_edge(self, monkeypatch, name, degree):
+        # ell^(1 + deg phi) moves only the edge's leading coefficient, which
+        # every 2-face above it reads; the first of them in id order fails
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        edge = next(f.id for f in lat.faces if f.dim == 1)
+        above = min(f.id for f in lat.faces if f.dim == 2 and lat.leq(edge, f.id))
+        message = rf"^face {above}: coefficient of z\^{degree + 1} .*, facet identity .*$"
+        self.raises_on_warped_face(monkeypatch, lat, edge, 1 + degree, mixed_phi(3, degree), message)
+
+    @pytest.mark.parametrize("name", ["segment", "square", "cube", "random3"])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_closed_form_fires_on_warped_vertex(self, monkeypatch, name, degree):
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        vertex = lat.vertex_face_id(0)
+        message = rf"^face {vertex}: coefficient of z\^{degree} .*, closed form .*$"
+        self.raises_on_warped_face(
+            monkeypatch, lat, vertex, degree, mixed_phi(lat.polytope.n, degree), message
+        )
+
+
+class TestFacePolynomialsAgainstOracle:
+    """The per-face table against per_face_polynomials, read past the walk.
+
+    Dimension <= 4: the sums come from the box oracle.  Dimension 5: the
+    box oracle's prefixes alone take 10 to 30 s to ell = 10 on cross5 and
+    the random 5-polytope, so the oracle reads the walked sums (compared
+    with the box at small ell in TestPhiFaceSumsAgainstPointSums) at
+    ell = 1 .. n + deg phi + 3, two dilations past what the table reads.
+    """
+
+    def check(self, lat, face_sums=fibre_phi_face_sums):
+        n = lat.polytope.n
+        for degree in (0, 1, 2):
+            phi = mixed_phi(n, degree)
+            expected = per_face_polynomials(lat, phi, face_sums)
+            assert face_identity_failures(lat, phi, expected) == []
+            denom, table = eh._face_polynomials(lat, phi)
+            assert {q: [Fraction(a, denom) for a in c] for q, c in table.items()} == expected
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus(self, name):
+        self.check(build_face_lattice(facet_presentation(CORPUS[name])))
+
+    @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
+    def test_random(self, n, seed, radius, draws):
+        lat = random_lattice(n, seed, radius, draws)
+        self.check(lat, fibre_phi_face_sums if n <= 4 else eh._phi_face_sums)
+
+    @pytest.mark.parametrize("shape", [cube, cross], ids=["cube5", "cross5"])
+    def test_dimension_5(self, shape):
+        self.check(build_face_lattice(facet_presentation(shape(5))), eh._phi_face_sums)
 
 
 def delta_per_dimension(lat):
