@@ -5,9 +5,10 @@ Etilde(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), where S_Q(ell), the
 sum of phi over Relint(ell Q), is a polynomial of degree dim Q + deg phi
 that does not depend on the weights.  It is interpolated once per
 (lattice, phi), in int, from the walk at ell = 1 .. n + deg phi + 1, and
-checked face by face against its own facets: a vertex by its closed
-form, every other face by the Euler-Maclaurin boundary term, and the top
-face also by the divergence theorem (_face_polynomials).  phi is homogeneous,
+checked face by face, a dimension at a time, against its own facets: a
+vertex by its closed form, every other face by the Euler-Maclaurin
+boundary term, and the top face also by the divergence theorem
+(_face_polynomials).  phi is homogeneous,
 so E = (1+y)^deg phi Etilde (_variant_factor).  Every value a verifier
 compares is one linear combination of per-face scalars with the orbit
 coefficients f_Q(y) (1+y)^dim Q, which are built once per weight.
@@ -165,8 +166,8 @@ def _phi_face_sums(lattice, phi, ell):
     evaluated once per row and g_k = sum_j h_kj x^j once per fibre; a
     fibre's two ends are evaluated and its middle lo < t < hi adds sum_k
     g_k times the power sum of t^k.
-    Either way each face's value is one int, divided once by D or d as a
-    Fraction.
+    Either way each face's value is one int, divided once by D or d: an
+    int when the division is exact, else a Fraction.
     """
     if phi.n != lattice.polytope.n:
         raise ValueError("integrand dimension differs from the polytope's")
@@ -202,7 +203,9 @@ def _phi_face_sums(lattice, phi, ell):
                         if hi > lo:
                             acc[face_mid] += g * power_sum(k, lo + 1, hi - 1)
                             acc[face_hi] += g * hi**k
-        lattice._phi_sums[key] = {q: canon(Fraction(v, denom)) for q, v in acc.items()}
+        lattice._phi_sums[key] = {
+            q: v // denom if v % denom == 0 else Fraction(v, denom) for q, v in acc.items()
+        }
     return lattice._phi_sums[key]
 
 
@@ -253,17 +256,20 @@ def _face_polynomials(lattice, phi):
     S_Q(z) = sum_k a_Qk z^k / D with D = (n + deg phi)! * lcm(denominators
     of phi).  Each face's sums at ell = 1 .. n + deg phi + 1 are scaled to
     int and differenced; every difference above deg = dim Q + deg phi must
-    vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D.  Each face is then
-    checked against its own facets G, the faces of dimension dim Q - 1
-    below it: a vertex v has S_v(z) = phi(v) z^deg phi, and a face of
-    dim >= 1 meets the Euler-Maclaurin boundary term in its own lattice,
+    vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D.  Taken dimension by
+    dimension (FaceLattice.by_dim), each face is then checked against its
+    own facets G, the faces of dimension dim Q - 1 below it: a vertex v has
+    S_v(z) = phi(v) z^deg phi, and a face of dim >= 1 meets the
+    Euler-Maclaurin boundary term in its own lattice,
     2 a_Q[deg - 1] = -sum_G a_G[deg - 1], with a_G[deg - 1] the integral
-    of phi over G times D.  The top face P is also checked by the
-    divergence theorem (_check_facet_identities).  A failure raises
+    of phi over G times D.  The top face P also meets the divergence
+    theorem, deg a_P[deg] = sum_G a_F a_G[deg - 1] (deg = n + deg phi),
+    a_F the offset of the one facet F tight at G.  A failure raises
     PolynomialityError naming the face.
     """
     if phi not in lattice._face_polys:
-        n, faces = lattice.polytope.n, lattice.faces
+        P, faces = lattice.polytope, lattice.faces
+        n = P.n
         bound = n + phi.degree
         d, monomials = _scaled_monomials(phi)
         denom = factorial(bound) * d
@@ -274,43 +280,46 @@ def _face_polynomials(lattice, phi):
         samples = [_phi_face_sums(lattice, phi, ell) for ell in range(1, bound + 2)]
         basis = _newton_basis(bound)
         phi0 = scaled_phi((0,) * n)
-        by_dim = [sum(1 << f.id for f in faces if f.dim == k) for k in range(n)]
         table = {}
-        # face ids increase with the dimension, so a face's facets come first
-        for q in lattice.nonempty_ids:
-            face = faces[q]
-            dim = face.dim
+        for dim, layer in enumerate(lattice.by_dim[1:]):
             deg = dim + phi.degree
-            row = [canon(d * sums[q]) for sums in samples]
-            lead = []
-            while row:
-                lead.append(row[0])
-                row = [b - a for a, b in zip(row, row[1:])]
-            for j in range(deg + 1, len(lead)):
-                if lead[j]:
-                    raise PolynomialityError(
-                        f"face {q}: its sums at dilations 1..{len(lead)} have a nonzero "
-                        f"difference of order {j}, above their degree {deg}"
-                    )
-            coeffs = tuple(
-                sum(lead[j] * basis[j][k] for j in range(k, deg + 1)) for k in range(deg + 1)
-            )
-            if coeffs[0] != (-1) ** dim * phi0:
-                raise PolynomialityError(
-                    f"face {q}: constant term {Fraction(coeffs[0], denom)}, "
-                    f"closed form {Fraction((-1) ** dim * phi0, denom)}"
+            for q in mask_ids(layer):
+                row = [canon(d * sums[q]) for sums in samples]
+                lead = []
+                while row:
+                    lead.append(row[0])
+                    row = [b - a for a, b in zip(row, row[1:])]
+                for j in range(deg + 1, len(lead)):
+                    if lead[j]:
+                        raise PolynomialityError(
+                            f"face {q}: its sums at dilations 1..{len(lead)} have a nonzero "
+                            f"difference of order {j}, above their degree {deg}"
+                        )
+                coeffs = tuple(
+                    sum(lead[j] * basis[j][k] for j in range(k, deg + 1)) for k in range(deg + 1)
                 )
-            if dim:
-                ridges = mask_ids(lattice.down[q] & by_dim[dim - 1])
-                rhs = -sum(table[g][deg - 1] for g in ridges)
-                _check_coefficient(q, deg - 1, 2, coeffs[deg - 1], rhs, denom, "facet identity")
-            else:
-                (v,) = face.vertex_set
-                closed = (0,) * phi.degree + (scaled_phi(lattice.polytope.vertices[v]),)
-                for k, (a, b) in enumerate(zip(coeffs, closed)):
-                    _check_coefficient(q, k, 1, a, b, denom, "closed form")
-            table[q] = coeffs
-        _check_facet_identities(lattice, bound, denom, table)
+                if coeffs[0] != (-1) ** dim * phi0:
+                    raise PolynomialityError(
+                        f"face {q}: constant term {Fraction(coeffs[0], denom)}, "
+                        f"closed form {Fraction((-1) ** dim * phi0, denom)}"
+                    )
+                if dim:
+                    ridges = mask_ids(lattice.down[q] & lattice.by_dim[dim])
+                    rhs = -sum(table[g][deg - 1] for g in ridges)
+                    _check_coefficient(q, deg - 1, 2, coeffs[deg - 1], rhs, denom, "facet identity")
+                else:
+                    (v,) = faces[q].vertex_set
+                    closed = (0,) * phi.degree + (scaled_phi(P.vertices[v]),)
+                    for k, (a, b) in enumerate(zip(coeffs, closed)):
+                        _check_coefficient(q, k, 1, a, b, denom, "closed form")
+                if dim == n:  # an (n-1)-face is tight on exactly one facet: its own
+                    rhs = sum(
+                        P.facets[F][1] * table[g][deg - 1]
+                        for g in ridges
+                        for F in faces[g].tight_facets
+                    )
+                    _check_coefficient(q, deg, deg, coeffs[deg], rhs, denom, "facet identity")
+                table[q] = coeffs
         lattice._face_polys[phi] = denom, table
     return lattice._face_polys[phi]
 
@@ -322,25 +331,6 @@ def _check_coefficient(q, k, m, a, rhs, denom, name):
         raise PolynomialityError(
             f"face {q}: coefficient of z^{k} {Fraction(a, denom)}, {name} {Fraction(rhs, m * denom)}"
         )
-
-
-def _check_facet_identities(lattice, bound, denom, table):
-    """The top face's leading coefficient against its facets' leading ones.
-
-    With phi homogeneous, bound = n + deg phi and the leading coefficient
-    of S_Q the integral of phi over Q (in Q's lattice measure), the
-    divergence theorem gives bound * a_P[bound] = sum_F a_F a_F[bound - 1]
-    over the common D, a_F the offset of facet F in P.facets.
-    """
-    P, top = lattice.polytope, lattice.top_id
-    # an (n-1)-face is tight on exactly one facet: its own
-    rhs = sum(
-        P.facets[F][1] * table[f.id][bound - 1]
-        for f in lattice.faces
-        if f.dim == P.n - 1
-        for F in f.tight_facets
-    )
-    _check_coefficient(top, bound, bound, table[top][bound], rhs, denom, "facet identity")
 
 
 def ehrhart_polynomial(

@@ -3,8 +3,9 @@
 Facet presentation by the double-description method (Fukuda-Prodon) in
 int arithmetic, face lattice by closing tight-facet vertex sets under
 intersection in one pass down the closure that also collects each set's
-tight facets and grades it, with the face order held as one bitmask of
-faces above and one below each face, and lattice points by a fibre walk.
+tight facets and grades it, with the grading held as one bitmask of faces
+per dimension and the face order as one bitmask of faces above and one
+below each face, and lattice points by a fibre walk.
 The walk lifts the first n-1 coordinates level by level through the
 hulls of P's coordinate projections; along each row (the first n-2
 fixed) the ends of the last coordinate's interval, whose ends and middle
@@ -275,17 +276,19 @@ def facet_presentation(points) -> LatticePolytope:
 class FaceLattice:
     """Graded face poset of a polytope, from the empty face up to P.
 
-    Faces are ordered by (dim, vertex set); the order relation is vertex
-    set inclusion, held as bitmasks over face ids: bit b of up[a] is set
-    iff a <= b, bit a of down[b] likewise.  up[a] is the AND, over the
-    vertices of a, of the faces containing that vertex; down[b] is the
-    AND, over the facets tight at b, of the faces inside that facet
-    (every face is the intersection of its tight facets).  Carries memo
-    tables for point partitions and for the poset polynomials computed on
-    top of it; the two that grow with the dilation (the points, and the
-    per-face sums at +-ell) and the per-integrand table of per-face
-    interpolants are BoundedCaches (POINTS_CACHE_MAX, PHI_SUMS_MAX,
-    FACE_POLYS_MAX), and every other field is bounded by construction.
+    faces[q] has id q, and ids set only the order faces are printed in: the
+    grading is by_dim, bit q of by_dim[d + 1] set iff face q has dim d.
+    The order relation is vertex set inclusion, held as bitmasks over face
+    ids: bit b of up[a] is set iff a <= b, bit a of down[b] likewise.
+    up[a] is the AND, over the vertices of a, of the faces containing that
+    vertex; down[b] is the AND, over the facets tight at b, of the faces
+    inside that facet (every face is the intersection of its tight
+    facets).  Carries memo tables for point partitions and for the poset
+    polynomials computed on top of it; the two that grow with the dilation
+    (the points, and the per-face sums at +-ell) and the per-integrand
+    table of per-face interpolants are BoundedCaches (POINTS_CACHE_MAX,
+    PHI_SUMS_MAX, FACE_POLYS_MAX), and every other field is bounded by
+    construction.
     The facets of the coordinate projections that bound the fibre walk
     are computed on first use and have exactly n-1 entries.
     """
@@ -293,19 +296,20 @@ class FaceLattice:
     def __init__(self, polytope, faces):
         self.polytope = polytope
         self.faces = list(faces)
-        self._by_mask = {
-            sum(1 << F for F in f.tight_facets): f.id for f in self.faces if f.dim >= 0
-        }
-        full = (1 << len(self.faces)) - 1
-        with_vertex, in_facet = {}, {}
+        self.by_dim = [0] * (polytope.n + 2)
+        self._by_mask, with_vertex, in_facet = {}, {}, {}
         for f in self.faces:
+            bit = 1 << f.id
+            self.by_dim[f.dim + 1] |= bit
+            if f.dim >= 0:
+                self._by_mask[sum(1 << F for F in f.tight_facets)] = f.id
             for v in f.vertex_set:
-                with_vertex[v] = with_vertex.get(v, 0) | 1 << f.id
+                with_vertex[v] = with_vertex.get(v, 0) | bit
             for F in f.tight_facets:
-                in_facet[F] = in_facet.get(F, 0) | 1 << f.id
+                in_facet[F] = in_facet.get(F, 0) | bit
+        full = (1 << len(self.faces)) - 1
         self.up = [reduce(and_, map(with_vertex.get, f.vertex_set), full) for f in self.faces]
         self.down = [reduce(and_, map(in_facet.get, f.tight_facets), full) for f in self.faces]
-        self._nonempty = sum(1 << f.id for f in self.faces if f.dim >= 0)
         self._points_cache = BoundedCache(POINTS_CACHE_MAX)
         self._g_memo = {}
         self._phi_sums = BoundedCache(PHI_SUMS_MAX)
@@ -318,34 +322,31 @@ class FaceLattice:
 
     @property
     def empty_id(self) -> int:
-        return next(f.id for f in self.faces if f.dim < 0)
+        (fid,) = mask_ids(self.by_dim[0])
+        return fid
 
     @property
     def top_id(self) -> int:
-        return next(f.id for f in self.faces if f.dim == self.polytope.n)
+        (fid,) = mask_ids(self.by_dim[-1])
+        return fid
 
     @property
     def nonempty_ids(self):
-        return [f.id for f in self.faces if f.dim >= 0]
+        return mask_ids(sum(self.by_dim[1:]))
 
     @property
     def f_vector(self):
-        counts = [0] * (self.polytope.n + 2)
-        for f in self.faces:
-            counts[f.dim + 1] += 1
-        return tuple(counts)
+        return tuple(map(int.bit_count, self.by_dim))
 
     def interval(self, a: int, b: int):
         return mask_ids(self.up[a] & self.down[b])
 
     def subfaces(self, a: int):
         """Nonempty faces below (and including) face a."""
-        return mask_ids(self.down[a] & self._nonempty)
+        return mask_ids(self.down[a] & ~self.by_dim[0])
 
     def vertex_face_id(self, vertex_index: int) -> int:
-        return next(
-            f.id for f in self.faces if f.vertex_set == frozenset({vertex_index})
-        )
+        return next(q for q in mask_ids(self.by_dim[1]) if vertex_index in self.faces[q].vertex_set)
 
     def projections(self):
         """Facets of pi_k(P), the hull of the vertices cut to their first k coordinates, for k = 1..n-1."""
@@ -373,8 +374,8 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     contains the set and else cuts out a smaller set, queued if new.  So
     the closure under intersection is complete, deduplicated by vertex set
     and graded in one pass; the empty face (dim -1, tight on all facets)
-    and P (empty tight set) are always present.  Elimination ranks only
-    the facets, for the closure check.
+    and P (empty tight set) are always present, and ids follow (dim,
+    vertex set).  Elimination ranks only the facets, for the closure check.
     """
     nv = len(P.vertices)
     facet_tight = [
@@ -644,6 +645,6 @@ def eulerian_check(up, down, even) -> bool:
 
 def validate_eulerian(lattice) -> bool:
     """True iff the face poset is Eulerian (interval parity balance)."""
-    # rank is dim + 1: the even-rank faces are those of odd dim, the empty face among them
-    even = sum(1 << f.id for f in lattice.faces if f.dim % 2)
+    # rank is dim + 1, the index into by_dim: the empty face has even rank
+    even = sum(lattice.by_dim[::2])
     return eulerian_check(lattice.up, lattice.down, even)

@@ -3,15 +3,15 @@
 Stanley's f/g polynomials of reversed intervals [Q, Q'] of the face
 lattice, g-polynomials of polar faces, the induced weight functions
 (t -> -y), and the h-polynomial of the fully reversed lattice.  One
-sweep down the faces below Q' gives f of every [Q, Q'] as a tuple of int
-coefficients in t, constant term first; the public functions return
-LaurentPoly values with nonnegative exponents, rendered with f"{p:t}".
+sweep down the faces below Q', one dimension of FaceLattice.by_dim at a
+time, gives f of every [Q, Q'] as a tuple of int coefficients in t,
+constant term first; the public functions return LaurentPoly values with
+nonnegative exponents, rendered with f"{p:t}".
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 
 from .algebra import LaurentPoly
@@ -45,22 +45,22 @@ def _f_rows(lattice: FaceLattice, qp_id: int):
     """f([Q, Q']) as an int tuple, of length dim Q' - dim Q (1 for Q = Q'), for
     every face Q below Q', the empty face included; memoized in lattice._g_memo[qp_id].
 
-    The faces below Q' are taken top down by dimension.  Once a dimension d
-    is done, masks[i, v] holds its faces whose g has coefficient v at t**i,
-    so its faces above a lower Q add v * popcount(up[Q] & mask) *
-    t**i * (t-1)**(d - dim Q - 1) to f([Q, Q']).
+    The faces below Q' are taken top down by dimension, layer d being
+    down[Q'] & by_dim[d + 1].  Once a dimension d is done, masks[i, v]
+    holds its faces whose g has coefficient v at t**i, so its faces above
+    a lower Q add v * popcount(up[Q] & mask) * t**i * (t-1)**(d - dim Q - 1)
+    to f([Q, Q']).
     """
     rows = lattice._g_memo.get(qp_id)
     if rows is not None:
         return rows
-    faces, up = lattice.faces, lattice.up
-    top = faces[qp_id].dim
+    up, by_dim, below = lattice.up, lattice.by_dim, lattice.down[qp_id]
+    top = lattice.faces[qp_id].dim
     rows = {qp_id: (1,)}
     done = [(top, [(0, 1, 1 << qp_id)])]  # (d, [(i, v, mask)]) per finished dimension
-    below = mask_ids(lattice.down[qp_id] ^ 1 << qp_id)  # ids rise with dim
-    for d, layer in groupby(reversed(below), key=lambda q: faces[q].dim):
+    for d in range(top - 1, -2, -1):
         masks = {}
-        for q in layer:
+        for q in mask_ids(below & by_dim[d + 1]):
             f = [0] * (top - d)
             for dx, dim_masks in done:
                 kernel = _t_minus_1_row(dx - d - 1)

@@ -7,6 +7,7 @@ character-sum duality case for the delta weight on the segment's edge
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -53,7 +54,13 @@ from wehrhart.ehrhart import (
     verify_reciprocity,
     weighted_ehrhart_value,
 )
-from wehrhart.polytope import build_face_lattice, facet_presentation, points_by_face
+from wehrhart.polytope import (
+    Face,
+    FaceLattice,
+    build_face_lattice,
+    facet_presentation,
+    points_by_face,
+)
 from wehrhart.stanley import g_weight_function, h_polynomial
 from wehrhart.weights import (
     WeightFunction,
@@ -697,6 +704,50 @@ class TestVerifyPurity:
         lat = build("cube")
         with pytest.raises(ValueError):
             verify_purity(lat, lat.empty_id, phi_one(3), 1)
+
+
+def relabelled(lat, seed):
+    """lat with its face ids permuted by a seeded shuffle under which the
+    dimensions do not rise with the id, and the permutation, old id -> new."""
+    rng = random.Random(f"relabel:{seed}")
+    perm = list(range(len(lat.faces)))
+    dims = [0]
+    while dims == sorted(dims):
+        rng.shuffle(perm)
+        dims = [lat.faces[q].dim for q in sorted(perm, key=perm.__getitem__)]
+    faces = [Face(perm[f.id], f.vertex_set, f.tight_facets, f.dim) for f in lat.faces]
+    return FaceLattice(lat.polytope, sorted(faces, key=lambda f: f.id)), perm
+
+
+class TestRelabelledFaces:
+    """Face ids set only the order faces are listed in: every result on a
+    lattice whose ids interleave the dimensions matches the original's
+    through the permutation."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_results_follow_the_permutation(self, name, seed):
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        new, perm = relabelled(lat, seed)
+        n = lat.polytope.n
+        assert h_polynomial(new) == h_polynomial(lat)
+        for q in lat.nonempty_ids:
+            expected = {perm[e]: v for e, v in g_weight_function(lat, q).values.items()}
+            assert g_weight_function(new, perm[q]).values == expected, q
+        (f,) = random_weight_functions(lat, seed, 1)
+        g = WeightFunction(new, {perm[q]: v for q, v in f.values.items()})
+        for variant in ("E", "Etilde"):
+            assert ehrhart_polynomial(new, g, phi_one(n), variant) == ehrhart_polynomial(
+                lat, f, phi_one(n), variant
+            )
+        for ell in (-2, 0, 1, 2):
+            got, want = hodge_character_sum(new, g, ell), hodge_character_sum(lat, f, ell)
+            assert got.terms() == want.terms(), ell
+        for ell in (1, 2):
+            assert verify_reciprocity(new, g, phi_one(n), ell).passed
+            assert verify_duality_reciprocity(new, g, phi_one(n), ell).passed
+            assert verify_hodge_duality(new, g, ell).passed
+            assert verify_purity(new, new.top_id, phi_one(n), ell).passed
 
 
 class TestHLink:

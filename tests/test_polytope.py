@@ -594,12 +594,23 @@ class TestRowsOnTieHeavyPolytopes:
 
 
 class TestGrading:
-    """The top-down grading of the closure against elimination, face by face."""
+    """The top-down grading of the closure against elimination, face by face,
+    and FaceLattice.by_dim and the ids read off it against the Face list."""
 
     @staticmethod
-    def _agree(P):
-        for face in build_face_lattice(P).faces:
+    def _agree(P, f_vector=None):
+        lattice = build_face_lattice(P)
+        faces, by_dim = lattice.faces, lattice.by_dim
+        for q, face in enumerate(faces):
             assert face.dim == _affine_rank([P.vertices[i] for i in face.vertex_set]), face
+            bits = [by_dim[d + 1] >> q & 1 for d in range(-1, P.n + 1)]
+            assert bits == [int(face.dim == d) for d in range(-1, P.n + 1)], face
+        assert len(by_dim) == P.n + 2 and sum(by_dim) < 1 << len(faces)
+        assert [f.id for f in faces if f.dim < 0] == [lattice.empty_id]
+        assert [f.id for f in faces if f.dim == P.n] == [lattice.top_id]
+        assert [f.id for f in faces if f.dim >= 0] == lattice.nonempty_ids
+        if f_vector is not None:
+            assert tuple(m.bit_count() for m in by_dim) == f_vector
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus(self, name):
@@ -609,9 +620,17 @@ class TestGrading:
     def test_random(self, n, seed, radius, draws):
         self._agree(random_lattice(n, seed, radius, draws).polytope)
 
-    @pytest.mark.parametrize("pts", [cube(6), cross(6)], ids=["cube6", "cross6"])
-    def test_cube6_and_cross6(self, pts):
-        self._agree(facet_presentation(pts))
+    # f_k = C(6, k) 2^(6-k) for the cube, 2^(k+1) C(6, k+1) for the cross-polytope
+    @pytest.mark.parametrize(
+        "pts,f_vector",
+        [
+            (cube(6), (1, *(comb(6, k) * 2 ** (6 - k) for k in range(6)), 1)),
+            (cross(6), (1, *(2 ** (k + 1) * comb(6, k + 1) for k in range(6)), 1)),
+        ],
+        ids=["cube6", "cross6"],
+    )
+    def test_cube6_and_cross6(self, pts, f_vector):
+        self._agree(facet_presentation(pts), f_vector)
 
 
 class TestClosureCheck:

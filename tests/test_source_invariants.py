@@ -10,9 +10,11 @@ BoundedCaches and the fields named in LATTICE_FIELDS.  No call passes
 indent= to json.dump or json.dumps, which would bring back the
 pure-Python encoder that jsonio.dumps avoids.  E and Etilde differ
 only by (1+y)^deg phi, so no function but ehrhart._variant_factor
-compares a value with VARIANT_E.  The benchmark's
-tracer looks library functions up by name, so one more test
-installs and removes it on the imported library.
+compares a value with VARIANT_E.  FaceLattice.by_dim holds the grading,
+so no module but polytope.py filters a face list by .dim in a
+comprehension or a loop.  The benchmark's tracer looks library functions
+up by name, so one more test installs and removes it on the imported
+library.
 """
 
 import ast
@@ -26,10 +28,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wehrhart"
 TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 # FaceLattice's structural fields, and its slots bounded by construction:
-# _g_memo (one entry per face), _projections (n - 1 facet lists) and
-# _eulerian (one flag)
+# by_dim (n + 2 masks), _g_memo (one entry per face), _projections
+# (n - 1 facet lists) and _eulerian (one flag)
 LATTICE_FIELDS = {
-    "polytope", "faces", "_by_mask", "up", "down", "_nonempty",
+    "polytope", "faces", "by_dim", "_by_mask", "up", "down",
     "_g_memo", "_projections", "_eulerian",
 }
 
@@ -161,6 +163,39 @@ def test_face_lattice_memo_tables_are_bounded(path=SRC / "polytope.py"):
     assert not unbounded, f"FaceLattice.__init__ assigns unbounded fields {unbounded}"
 
 
+def _is_face_list(node):
+    return isinstance(node, ast.Attribute) and node.attr == "faces" or (
+        isinstance(node, ast.Name) and node.id == "faces"
+    )
+
+
+def _reads_dim(node):
+    return any(isinstance(x, ast.Attribute) and x.attr == "dim" for x in ast.walk(node))
+
+
+def _dim_filters(module):
+    """Line numbers of the comprehensions and for loops over a face list that test .dim."""
+    for node in ast.walk(module):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            gens = node.generators
+            if any(_is_face_list(g.iter) for g in gens) and any(
+                _reads_dim(test) for g in gens for test in g.ifs
+            ):
+                yield node.lineno
+        elif isinstance(node, ast.For) and _is_face_list(node.iter):
+            tests = (x.test for x in ast.walk(node) if isinstance(x, (ast.If, ast.IfExp)))
+            if any(map(_reads_dim, tests)):
+                yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "polytope.py"], ids=lambda p: p.name
+)
+def test_faces_filtered_by_dimension_only_in_polytope(path):
+    lines = list(_dim_filters(tree(path)))
+    assert not lines, f"{path.name} filters faces by .dim on lines {lines}; read FaceLattice.by_dim"
+
+
 LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
@@ -194,6 +229,14 @@ class FaceLattice:
         (LATTICE_INIT + "        self.a, self.up = {}, []\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
         ("class FaceLattice:\n    pass\n", test_face_lattice_memo_tables_are_bounded),
+        (
+            "x = [f.id for f in lattice.faces if f.dim == 0]\n",
+            test_faces_filtered_by_dimension_only_in_polytope,
+        ),
+        (
+            "for f in faces:\n    if f.dim < 0:\n        x = f.id\n",
+            test_faces_filtered_by_dimension_only_in_polytope,
+        ),
     ],
 )
 def test_each_rule_catches_a_violation(source, rule, tmp_path):
