@@ -8,6 +8,9 @@ benchmark's tracer wraps it by this module's name.  Every value is
 immutable after construction and every operation is a pure function, so
 values are safe to share freely.
 
+Record and FrozenRecord are the plain slotted value classes that the
+library's records (faces, check results, reports) are built on.
+
 Integers are the fast path: a rational that happens to be integral is
 held as an int, and a Fraction appears only where a denominator does.
 """
@@ -39,6 +42,43 @@ def as_int(x) -> int:
     if isinstance(x, (bool, float)):
         raise TypeError(f"{x!r} is not an exact integer, pass int")
     return index(x)
+
+
+class Record:
+    """A value class over its __slots__, listed in constructor order: equal
+    to a record of its own class with equal fields, hashed, shown and
+    copied by them."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({inner})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FrozenRecord(Record):
+    """A Record whose __init__ sets each field once, by object.__setattr__;
+    any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def canon(c):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
+from math import prod
 
 from .algebra import HomogPoly
 from .ehrhart import (
@@ -41,7 +42,14 @@ from .jsonio import (
     weight_to_json,
     zpoly_to_json,
 )
-from .polytope import FaceLattice, InvalidPolytope, build_face_lattice, check_nonempty_face, polytope_hash
+from .polytope import (
+    FaceLattice,
+    InvalidPolytope,
+    build_face_lattice,
+    check_nonempty_face,
+    fibre_rows,
+    polytope_hash,
+)
 from .stanley import g_weight_function, h_polynomial
 from .weights import all_ones, dualize, random_weight_functions
 
@@ -56,6 +64,13 @@ MAX_ELL = 16  # |charsum --l|
 MAX_LMAX = 12  # verify --lmax
 MAX_COUNT = 64  # verify --count, random weight functions
 MAX_DEGREE = 12  # deg phi of ehrhart/verify --phi
+# Budget on the lattice points a character sum renders: charsum at |ell|,
+# and the hodge suite of verify over ell = 1 .. lmax.  A rendered point
+# peaks at about 2.2 KB (254 MB RSS for the 117,649 points of cube6 at
+# ell = 6), so the budget allows about 0.55 GB.  The points are counted
+# fibre by fibre before any is made, and the count stops (exit 3) as soon
+# as it passes the budget.
+MAX_POINTS = 250_000
 
 
 class CliError(Exception):
@@ -178,6 +193,22 @@ def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
         raise CliError("validation", str(exc)) from exc
 
 
+def _check_point_budget(lattice: FaceLattice, ells, what: str) -> None:
+    """Count the points of ell*P over ells, fibre by fibre, until they pass MAX_POINTS.
+
+    No walk is needed where the bounding boxes of the ell*P hold no more.
+    """
+    spans = [max(xs) - min(xs) for xs in zip(*lattice.polytope.vertices)]
+    if sum(prod(ell * s + 1 for s in spans) for ell in ells) <= MAX_POINTS:
+        return
+    count = 0
+    for ell in ells:
+        for _, row in fibre_rows(lattice, ell):
+            count += sum(hi - lo + 1 for _, lo, hi, *_ in row)
+            if count > MAX_POINTS:
+                raise CliError("validation", f"{what} has more than {MAX_POINTS} lattice points")
+
+
 def _cmd_faces(spec, lattice):
     return dumps(lattice_to_json(lattice))
 
@@ -198,6 +229,8 @@ def _cmd_dualize(spec, lattice):
 
 def _cmd_charsum(spec, lattice):
     f = _resolve_weights(spec, lattice)
+    if spec.ell:
+        _check_point_budget(lattice, [abs(spec.ell)], f"the character sum at --l {spec.ell}")
     return dumps(charsum_to_json(hodge_character_sum(lattice, f, spec.ell)))
 
 
@@ -234,6 +267,8 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
     phi = _resolve_phi(spec, lattice)
     phash = polytope_hash(lattice.polytope)
     ells = range(1, spec.lmax + 1)
+    if spec.suite in ("all", "hodge"):
+        _check_point_budget(lattice, ells, f"the hodge suite up to --lmax {spec.lmax}")
     weight_set = _verify_weight_set(spec, lattice)
     reports = []
     # the suites share the dual weights; build each once

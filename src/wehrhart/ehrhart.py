@@ -26,7 +26,6 @@ each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -34,8 +33,10 @@ from math import factorial, lcm, prod
 from .algebra import (
     L_ONE,
     L_ZERO,
+    FrozenRecord,
     HomogPoly,
     LaurentPoly,
+    Record,
     ZPoly,
     as_int,
     canon,
@@ -361,20 +362,23 @@ def ehrhart_polynomial(
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(FrozenRecord):
     """Outcome of one identity check, with both sides kept for reporting.
 
     difference names the first coefficient at which a failed check's sides
     differ (see _first_difference); it is None on a passed check.
     """
 
-    name: str
-    params: dict
-    passed: bool
-    lhs: object
-    rhs: object
-    difference: dict | None = None
+    __slots__ = ("name", "params", "passed", "lhs", "rhs", "difference")
+
+    def __init__(self, name: str, params: dict, passed: bool, lhs, rhs, difference: dict | None = None):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "params", params)
+        init(self, "passed", passed)
+        init(self, "lhs", lhs)
+        init(self, "rhs", rhs)
+        init(self, "difference", difference)
 
     def render(self):
         lhs = render_value(self.lhs)
@@ -399,14 +403,15 @@ def render_value(v) -> str:
     return f"{{{inner}}}" if inner else "{}"
 
 
-@dataclass
-class EhrhartReport:
+class EhrhartReport(Record):
     """Checks for one (polytope, weight, integrand) combination."""
 
-    polytope: str
-    weight: str
-    phi: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("polytope", "weight", "phi", "checks")
+    __hash__ = None  # mutable: checks grow
+
+    def __init__(self, polytope: str, weight: str, phi: str, checks: list | None = None):
+        self.polytope, self.weight, self.phi = polytope, weight, phi
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

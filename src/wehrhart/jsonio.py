@@ -9,7 +9,12 @@ dumps writes the bytes of json.dumps(obj, indent=2) without the pure-
 Python encoder that indent selects: dicts with str keys, lists, str
 (through json's C escaper), exact int, bool and None; anything else, a
 float among them, raises TypeError.  Lists of exact ints, and of
-nonempty such lists, are written from their repr.
+nonempty such lists, are written from their repr.  A RawJSON is text
+already rendered and is spliced as it stands, and any other nonempty
+list met again at the same indent is copied from its first rendering,
+so an exporter that shares one value among many places (a face's
+coefficient among its points, one weight among many faces) has it
+rendered once.
 
 FormatError means the bytes do not parse into the schema (CLI exit 2);
 ContentError means they parse but fail semantic validation (exit 3).
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -94,33 +100,62 @@ def load_polytope(path) -> LatticePolytope:
     return facet_presentation(verts)
 
 
+class RawJSON(str):
+    """Indent-2 JSON text rendered at indent 0, which dumps splices at any depth."""
+
+    __slots__ = ()
+
+
+def _int_list(xs, pad: str) -> str:
+    """The indent-2 JSON of a list of ints, nested at indent pad."""
+    if not xs:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
+
+
+def _raw_list(items) -> RawJSON:
+    """A list of entries already rendered at indent 2."""
+    return RawJSON("[\n" + ",\n".join(items) + "\n]" if items else "[]")
+
+
 def lattice_to_json(lattice: FaceLattice):
-    """Facets, f-vector, faces with tight sets, and the strict order pairs."""
+    """Facets, f-vector, faces with tight sets, and the strict order pairs.
+
+    The faces and the order pairs, most of the export, are RawJSON
+    written straight from the Face fields and the up masks.
+    """
     P = lattice.polytope
-    # read off the up masks in (a, b) order, so the pairs come sorted
-    order = [[a, b] for a, up in enumerate(lattice.up) for b in mask_ids(up & ~(1 << a))]
+    faces = [
+        f'  {{\n    "id": {f.id},\n    "dim": {f.dim},\n'
+        f'    "vertices": {_int_list(sorted(f.vertex_set), "    ")},\n'
+        f'    "tight_facets": {_int_list(sorted(f.tight_facets), "    ")}\n  }}'
+        for f in lattice.faces
+    ]
+    # the pair [a, b] is one head per a and one tail per b; read off the
+    # up masks in (a, b) order, so the pairs come sorted
+    tails = [f"{b}\n  ]" for b in range(len(lattice.faces))]
+    order = []
+    for a, up in enumerate(lattice.up):
+        if above := mask_ids(up & ~(1 << a)):
+            head = f"  [\n    {a},\n    "
+            order.append(head + (",\n" + head).join(map(tails.__getitem__, above)))
     return {
         "n": P.n,
         "polytope_hash": polytope_hash(P),
         "facets": [{"u": list(u), "a": a} for u, a in P.facets],
         "f_vector": list(lattice.f_vector),
-        "faces": [
-            {
-                "id": f.id,
-                "dim": f.dim,
-                "vertices": sorted(f.vertex_set),
-                "tight_facets": sorted(f.tight_facets),
-            }
-            for f in lattice.faces
-        ],
-        "order": order,
+        "faces": _raw_list(faces),
+        "order": _raw_list(order),
     }
 
 
 def weight_to_json(f: WeightFunction):
+    # one JSON value per distinct polynomial, so that dumps renders each once
+    as_json = cache(laurent_to_json)
     return {
         "polytope_hash": polytope_hash(f.lattice.polytope),
-        "values": {str(fid): laurent_to_json(p) for fid, p in f.values.items()},
+        "values": {str(fid): as_json(p) for fid, p in f.values.items()},
     }
 
 
@@ -193,41 +228,67 @@ def zpoly_to_json(zp: ZPoly):
 _ATOMS = {None: "null", True: "true", False: "false"}
 
 
-def _write(obj, pad: str, out: list) -> None:
-    """Append the indent-2 JSON of obj, nested at indent pad, to out."""
-    kind, inner = type(obj), pad + "  "
+def _write(obj, pad: str, out: list, seen: dict) -> None:
+    """Append the indent-2 JSON of obj, nested at indent pad, to out.
+
+    seen maps (id, pad) of each nonempty list written through the general
+    branch to the span of out it took, or to that span's text once the
+    list is met again: a repeat is one copied piece.  Only lists are
+    memoized: every value the exporters share is a list (a coefficient,
+    a weight), and a memo entry per dict (a check, a point's term) would
+    cost every export that shares none.
+    """
+    kind = type(obj)
     if kind is str:
         out.append(_quote(obj))
     elif kind is int or (kind is list or kind is dict) and not obj:
         out.append(repr(obj))  # an int, [] or {}
     elif kind is bool or obj is None:
         out.append(_ATOMS[obj])
-    elif kind is dict:
-        out.append("{\n" + inner)
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            out += _quote(key), ": "
-            _write(value, inner, out)
-            out.append(",\n" + inner)
-        out[-1] = "\n" + pad + "}"
-    elif kind is not list:
+    elif kind is RawJSON:
+        out.append(obj.replace("\n", "\n" + pad) if pad else obj)
+    elif kind is not list and kind is not dict:
         raise TypeError(f"{kind.__name__} is not written as JSON")
-    elif (kinds := set(map(type, obj))) == {int}:
+    elif kind is list and (kinds := set(map(type, obj))) == {int}:
+        inner = pad + "  "
         out += "[\n", inner, repr(obj)[1:-1].replace(", ", ",\n" + inner), "\n" + pad + "]"
-    elif kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+    elif kind is list and kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+        inner = pad + "  "
         row = inner + "  "
         rows = repr(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{row}")
         out += f"[\n{inner}[\n{row}", rows.replace(", ", ",\n" + row), f"\n{inner}]\n{pad}]"
+    elif kind is list and (key := (id(obj), pad)) in seen:
+        span = seen[key]
+        if type(span) is not str:
+            span = seen[key] = "".join(out[span])
+        out.append(span)
     else:
-        out.append("[\n" + inner)
-        for item in obj:
-            _write(item, inner, out)
-            out.append(",\n" + inner)
-        out[-1] = "\n" + pad + "]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if kind is dict:
+            out.append("{\n" + inner)
+            for k, value in obj.items():
+                if type(k) is not str:
+                    raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
+                if type(value) is str:  # the common leaf, written here without a call
+                    out += _quote(k), ": ", _quote(value), sep
+                else:
+                    out += _quote(k), ": "
+                    _write(value, inner, out, seen)
+                    out.append(sep)
+            out[-1] = "\n" + pad + "}"
+        else:
+            start = len(out)
+            out.append("[\n" + inner)
+            for item in obj:
+                _write(item, inner, out, seen)
+                out.append(sep)
+            out[-1] = "\n" + pad + "]"
+            # ids stay unique while the caller holds the whole tree
+            seen[key] = slice(start, len(out))
 
 
 def dumps(obj) -> str:
     out = []
-    _write(obj, "", out)
+    _write(obj, "", out, {})
     return "".join(out) + "\n"

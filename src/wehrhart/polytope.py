@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cmp_to_key, reduce
 from math import gcd, lcm
 from operator import and_, mul
 
-from .algebra import as_int
+from .algebra import FrozenRecord, as_int
 
 # Entries kept in FaceLattice._points_cache (one per dilation),
 # FaceLattice._phi_sums (one per integrand and dilation +-ell: the
@@ -116,8 +115,31 @@ def _echelon(rows, ncols):
 
 
 def _rank(rows) -> int:
-    """Rank of a matrix given as a list of integer row vectors."""
-    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
+    """Rank of a matrix given as a list of integer row vectors.
+
+    Fraction-free forward elimination (Bareiss), with no back-substitution
+    and no gcd: after k pivots every entry left is a (k+1)-minor of the
+    input, so each new entry p*a - f*b divides exactly by the previous
+    pivot.  A remainder would mean broken arithmetic: ArithmeticError.
+    """
+    mat, rank, prev = [list(row) for row in rows], 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        i = next((i for i, row in enumerate(mat) if row[col]), None)
+        if i is None:
+            continue
+        top = mat.pop(i)
+        p, rank = top[col], rank + 1
+        rest = []
+        for row in mat:
+            f, new = row[col], []
+            for a, b in zip(row, top):
+                q, r = divmod(p * a - f * b, prev)
+                if r:
+                    raise ArithmeticError(f"elimination step not divisible by the pivot {prev}")
+                new.append(q)
+            rest.append(new)
+        mat, prev = rest, p
+    return rank
 
 
 def _nullspace(rows, ncols):
@@ -146,18 +168,21 @@ def _affine_rank(points) -> int:
     return _rank(diffs) if diffs else 0
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(FrozenRecord):
     """One face of the lattice: its vertices, tight facets, and dimension.
 
     The empty face has dim -1 and is tight on every facet by convention;
     the polytope itself has an empty tight set.
     """
 
-    id: int
-    vertex_set: frozenset
-    tight_facets: frozenset
-    dim: int
+    __slots__ = ("id", "vertex_set", "tight_facets", "dim")
+
+    def __init__(self, id: int, vertex_set: frozenset, tight_facets: frozenset, dim: int):
+        init = object.__setattr__
+        init(self, "id", id)
+        init(self, "vertex_set", vertex_set)
+        init(self, "tight_facets", tight_facets)
+        init(self, "dim", dim)
 
 
 class LatticePolytope:
@@ -276,8 +301,9 @@ def facet_presentation(points) -> LatticePolytope:
 class FaceLattice:
     """Graded face poset of a polytope, from the empty face up to P.
 
-    faces[q] has id q, and ids set only the order faces are printed in: the
-    grading is by_dim, bit q of by_dim[d + 1] set iff face q has dim d.
+    faces[q] has id q (ValueError otherwise), and ids set only the order
+    faces are printed in: the grading is by_dim, bit q of by_dim[d + 1]
+    set iff face q has dim d.
     The order relation is vertex set inclusion, held as bitmasks over face
     ids: bit b of up[a] is set iff a <= b, bit a of down[b] likewise.
     up[a] is the AND, over the vertices of a, of the faces containing that
@@ -298,11 +324,13 @@ class FaceLattice:
         self.faces = list(faces)
         self.by_dim = [0] * (polytope.n + 2)
         self._by_mask, with_vertex, in_facet = {}, {}, {}
-        for f in self.faces:
-            bit = 1 << f.id
+        for q, f in enumerate(self.faces):
+            if f.id != q:
+                raise ValueError(f"faces must be listed by id: position {q} holds face {f.id}")
+            bit = 1 << q
             self.by_dim[f.dim + 1] |= bit
             if f.dim >= 0:
-                self._by_mask[sum(1 << F for F in f.tight_facets)] = f.id
+                self._by_mask[sum(1 << F for F in f.tight_facets)] = q
             for v in f.vertex_set:
                 with_vertex[v] = with_vertex.get(v, 0) | bit
             for F in f.tight_facets:

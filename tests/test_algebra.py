@@ -5,6 +5,8 @@ hand solves of the corresponding linear systems (2x2 and 3x3 over Q[y]),
 not from the implementation.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,8 @@ from wehrhart.algebra import (
     substitute_inverse,
     substitute_negative,
 )
+from wehrhart.ehrhart import CheckResult, EhrhartReport
+from wehrhart.polytope import Face
 
 
 def L(d):
@@ -304,3 +308,51 @@ class TestPowerSum:
     def test_result_is_an_int(self):
         for k in range(6):
             assert type(power_sum(k, -4, 9)) is int
+
+
+class TestRecords:
+    """Face, CheckResult and EhrhartReport are plain slotted records that
+    behave as the dataclasses they replaced: the same constructors and
+    defaults, equality by class and fields, hashing and repr by fields,
+    and no assignment to a Face or a CheckResult."""
+
+    def face(self, **changes):
+        fields = {"id": 3, "vertex_set": frozenset({0, 2}), "tight_facets": frozenset({1}), "dim": 1}
+        return Face(**{**fields, **changes})
+
+    def test_face_equality_hash_and_repr(self):
+        f = self.face()
+        assert f == Face(3, frozenset({0, 2}), frozenset({1}), 1)
+        assert hash(f) == hash(self.face()) and len({f, self.face()}) == 1
+        assert f != self.face(dim=2) and f != (3, frozenset({0, 2}), frozenset({1}), 1)
+        assert repr(f) == "Face(id=3, vertex_set=frozenset({0, 2}), tight_facets=frozenset({1}), dim=1)"
+
+    def test_frozen_records_refuse_assignment(self):
+        check = CheckResult("c", {"ell": 1}, True, 1, 1)
+        for record, field in ((self.face(), "dim"), (check, "passed"), (check, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+
+    def test_check_result_defaults_and_equality(self):
+        check = CheckResult(name="c", params={"ell": 1}, passed=False, lhs=L({0: 1}), rhs=L({}))
+        assert check.difference is None
+        assert check == CheckResult("c", {"ell": 1}, False, L({0: 1}), L({}), None)
+        assert check != CheckResult("c", {"ell": 1}, False, L({0: 1}), L({}), {"exponent": 0})
+        assert repr(check).startswith("CheckResult(name='c', params={'ell': 1}, passed=False, lhs=")
+
+    def test_report_is_mutable_and_unhashable(self):
+        a, b = EhrhartReport("p", "w", "1"), EhrhartReport("p", "w", "1")
+        assert a == b and a.checks == [] and a.checks is not b.checks
+        a.add(CheckResult("c", {}, True, 1, 1))
+        assert a != b and a.passed
+        a.weight = "v"
+        assert repr(EhrhartReport("p", "w", "1")) == "EhrhartReport(polytope='p', weight='w', phi='1', checks=[])"
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_records_copy_and_pickle(self):
+        f = self.face()
+        assert copy.copy(f) == f and copy.deepcopy(f) == f
+        assert pickle.loads(pickle.dumps(f)) == f

@@ -1,5 +1,6 @@
 """End-to-end command tests against the bundled fixture files."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -644,3 +645,58 @@ def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
     assert code == 0
     # all-ones and g-weights(P), each dualized once for both suites that need it
     assert calls == {"cli.dualize": 2, "ehrhart.dualize": 0, "ehrhart.g_weight_function": 0}
+
+
+def test_point_budget_covers_the_largest_input_in_use():
+    # charsum --l 6 on cube6, the largest character sum the digests render
+    assert cli.MAX_POINTS >= 7**6
+
+
+def test_charsum_far_over_the_point_budget_exits_3_at_once(tmp_path, capsys, monkeypatch):
+    # cube6 at ell = 16 has 17**6 = 24.1 million points; the count stops past
+    # the budget, and no point list is ever made
+    def no_points(lattice, ell):
+        raise AssertionError(f"points of {ell}P were made")
+
+    monkeypatch.setattr(ehrhart, "points_by_face", no_points)
+    path = tmp_path / "cube6.json"
+    path.write_text(json.dumps({"vertices": [list(v) for v in itertools.product((0, 1), repeat=6)]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["charsum", str(path), "--l", "16"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == f"error: validation: the character sum at --l 16 has more than {cli.MAX_POINTS} lattice points\n"
+
+
+@pytest.mark.parametrize(
+    "name,ell,points",
+    # the cube fills its bounding box; the simplex at ell = 2 has 10 of its 27
+    [("cube", 2, 27), ("cube", -2, 27), ("simplex3", 2, 10)],
+)
+def test_charsum_one_point_over_the_budget_is_refused(name, ell, points, monkeypatch, capsys):
+    argv = ["charsum", fx(name), "--l", str(ell)]
+    monkeypatch.setattr(cli, "MAX_POINTS", points)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(json.loads(out)["terms"]) == points
+    monkeypatch.setattr(cli, "MAX_POINTS", points - 1)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err == f"error: validation: the character sum at --l {ell} has more than {points - 1} lattice points\n"
+
+
+@pytest.mark.parametrize("suite", ["hodge", "all"])
+def test_hodge_suite_counts_the_points_of_every_dilation(suite, monkeypatch, capsys):
+    # the cube has 8 + 27 = 35 points at ell = 1 and 2
+    argv = ["verify", fx("cube"), "--suite", suite, "--lmax", "2"]
+    monkeypatch.setattr(cli, "MAX_POINTS", 35)
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr(cli, "MAX_POINTS", 34)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err == "error: validation: the hodge suite up to --lmax 2 has more than 34 lattice points\n"
+
+
+def test_suites_without_character_sums_have_no_point_budget(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_POINTS", 0)
+    for suite in ("reciprocity", "duality", "purity"):
+        assert run_cli(["verify", fx("cube"), "--suite", suite, "--lmax", "2"], capsys)[0] == 0

@@ -750,6 +750,17 @@ class TestRelabelledFaces:
             assert verify_purity(new, new.top_id, phi_one(n), ell).passed
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_faces_out_of_id_order_are_refused(seed):
+    # the relabelled cube's faces in their old order: up and down would be
+    # built by list position and every other mask by id
+    lat = build("cube")
+    _, perm = relabelled(lat, seed)
+    faces = [Face(perm[f.id], f.vertex_set, f.tight_facets, f.dim) for f in lat.faces]
+    with pytest.raises(ValueError, match=r"faces must be listed by id: position \d+ holds face \d+"):
+        FaceLattice(lat.polytope, faces)
+
+
 class TestHLink:
     def test_h_equals_zero_dilation_count(self):
         # combinatorial h vs the weighted count at dilation 0 under y -> -y

@@ -3,15 +3,36 @@
 dumps renders indent-2 JSON itself, and writes lists of ints and matrices
 of ints from their repr; json.dumps with indent takes the pure-Python
 encoder and is the slow, obvious route it must agree with byte for byte.
-dumps refuses floats, so no float crosses the output boundary.
+dumps refuses floats, so no float crosses the output boundary.  A list
+shared among several places of a tree is copied from its first rendering
+and a RawJSON block is spliced as it stands; both must still give the
+bytes that json.dumps gives for the plain tree.  The exporters feed dumps
+such values (pre-rendered face lattices, one value per distinct weight),
+so the CLI's stdout is checked against json.dumps of the plain dicts the
+exporters built before, kept here as oracles.
 """
 
+import io
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wehrhart.jsonio import dumps
+from box_oracle import cube, cross, random_lattice
+from wehrhart import cli
+from wehrhart.corpus import CORPUS, build
+from wehrhart.jsonio import (
+    RawJSON,
+    dumps,
+    lattice_to_json,
+    laurent_to_json,
+    load_polytope,
+    load_weight,
+    weight_to_json,
+)
+from wehrhart.polytope import mask_ids, polytope_hash
+from wehrhart.stanley import g_weight_function
+from wehrhart.weights import dualize, random_weight_functions
 
 # strings made of the pieces the repr route splits on, quotes, escapes and non-ASCII
 TRICKY = st.text(alphabet=st.sampled_from([",", " ", "[", "]", '"', "\\", "\n", "a", "é", "日", "\U0001f600"]))
@@ -77,3 +98,156 @@ def test_refuses_int_subclasses_and_tuples():
     for value in (Count(3), [Count(3)], (1, 2), [[1], (2,)]):
         with pytest.raises(TypeError):
             dumps(value)
+
+
+def test_refuses_str_subclasses_other_than_raw():
+    class Name(str):
+        pass
+
+    for value in (Name("a"), [Name("a")], {"k": Name("a")}):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree whose leaves are drawn, as the same objects, from a small pool."""
+    pool = draw(st.lists(JSON_VALUES, min_size=1, max_size=4))
+    return draw(
+        st.recursive(
+            st.sampled_from(pool),
+            lambda children: st.one_of(
+                st.lists(children, max_size=4), st.dictionaries(STRINGS, children, max_size=4)
+            ),
+            max_leaves=12,
+        )
+    )
+
+
+COEFF = [{"exp": 0, "coeff": "1"}, {"exp": 2, "coeff": "-3/2"}]
+ROW = {"m": [1, 2], "coeff": COEFF, "more": [COEFF, [COEFF]]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_trees())
+@example({"x": COEFF, "rows": [ROW, ROW, {"c": ROW}], "deep": [[[COEFF]], COEFF]})
+@example([COEFF, [COEFF, [COEFF, [COEFF]]], {"a": COEFF, "b": [COEFF]}])
+@example([[ROW], ROW, [ROW], {"r": [ROW, ROW]}])
+def test_shared_values_match_json_dumps(value):
+    # a list met again at the same indent is copied; a shared dict is written again
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+@st.composite
+def raw_trees(draw):
+    """(tree, plain): some subtrees of plain replaced, in tree, by their RawJSON."""
+    plain = draw(JSON_VALUES)
+
+    def rawify(value):
+        if draw(st.integers(0, 2)) == 0:
+            return RawJSON(json.dumps(value, indent=2))
+        if type(value) is list:
+            return [rawify(item) for item in value]
+        if type(value) is dict:
+            return {key: rawify(item) for key, item in value.items()}
+        return value
+
+    return rawify(plain), plain
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_trees())
+@example((RawJSON("[]"), []))
+@example((RawJSON('"a"'), "a"))
+@example(([RawJSON("[\n  1,\n  2\n]")], [[1, 2]]))
+@example(({"a": [{"b": RawJSON('{\n  "c": [\n    1\n  ]\n}')}]}, {"a": [{"b": {"c": [1]}}]}))
+def test_raw_blocks_splice_at_any_depth(trees):
+    tree, plain = trees
+    assert dumps(tree) == json.dumps(plain, indent=2) + "\n"
+
+
+def test_repeated_value_with_a_float_is_refused():
+    bad = [1, {"a": 0.5}]
+    for value in ([bad, bad], {"a": bad, "b": [bad]}):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
+# The exports as plain dicts, the route the exporters took before they fed
+# dumps RawJSON blocks and shared values.
+def plain_lattice_json(lattice):
+    P = lattice.polytope
+    return {
+        "n": P.n,
+        "polytope_hash": polytope_hash(P),
+        "facets": [{"u": list(u), "a": a} for u, a in P.facets],
+        "f_vector": list(lattice.f_vector),
+        "faces": [
+            {
+                "id": f.id,
+                "dim": f.dim,
+                "vertices": sorted(f.vertex_set),
+                "tight_facets": sorted(f.tight_facets),
+            }
+            for f in lattice.faces
+        ],
+        "order": [[a, b] for a, up in enumerate(lattice.up) for b in mask_ids(up & ~(1 << a))],
+    }
+
+
+def plain_weight_json(f):
+    return {
+        "polytope_hash": polytope_hash(f.lattice.polytope),
+        "values": {str(fid): laurent_to_json(p) for fid, p in f.values.items()},
+    }
+
+
+def test_lattice_export_is_prerendered():
+    lattice = build("pyramid")
+    data, plain = lattice_to_json(lattice), plain_lattice_json(lattice)
+    for key in ("faces", "order"):
+        assert type(data[key]) is RawJSON and json.loads(data[key]) == plain[key]
+
+
+def test_weight_export_holds_one_value_per_distinct_polynomial():
+    lattice = build("random3")
+    g = g_weight_function(lattice, lattice.top_id)
+    values = weight_to_json(g)["values"]
+    assert len({id(v) for v in values.values()}) == len(set(g.values.values())) < len(values)
+
+
+def _plain(value):
+    return json.dumps(value, indent=2) + "\n"
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    assert cli.run(cli.parse_args(argv), stdout=out) == 0
+    return out.getvalue()
+
+
+EXPORT_POLYTOPES = {
+    **CORPUS,
+    "cube5": cube(5),
+    "cube6": cube(6),
+    "cross5": cross(5),
+    "cross6": cross(6),
+    # 27 vertices, 317 facets and 4,362 faces
+    "random6": random_lattice(6, 1, 1, 30).polytope.vertices,
+}
+
+
+@pytest.mark.parametrize("name", list(EXPORT_POLYTOPES))
+def test_exports_match_the_plain_dict_route(name, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"vertices": [list(v) for v in EXPORT_POLYTOPES[name]]}))
+    lattice = cli.build_face_lattice(load_polytope(path))
+    assert _stdout(["faces", str(path)]) == _plain(plain_lattice_json(lattice))
+    g = g_weight_function(lattice, lattice.top_id)
+    assert _stdout(["gweights", str(path), "--face", "P"]) == _plain(plain_weight_json(g))
+    # g-weights repeat a few values over many faces; random weights rarely repeat
+    for f in (g, *random_weight_functions(lattice, 3, 1)):
+        weights = tmp_path / "w.json"
+        weights.write_text(_plain(plain_weight_json(f)))
+        dual = dualize(load_weight(weights, lattice))
+        assert _stdout(["dualize", str(path), "--weights", str(weights)]) == _plain(plain_weight_json(dual))

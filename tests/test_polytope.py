@@ -29,6 +29,7 @@ from box_oracle import (
     random_lattice,
 )
 from face_oracle import oracle_faces, oracle_order
+from hull_oracle import _affine_rank as fraction_affine_rank
 from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
 from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build, simplex
@@ -665,7 +666,28 @@ def int_matrices(draw):
     return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
 
 
+@st.composite
+def dependent_matrices(draw):
+    """Integer combinations of a few base rows, some columns then zeroed."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(st.integers(min_value=-9, max_value=9), min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    coeffs = st.lists(st.integers(min_value=-4, max_value=4), min_size=len(base), max_size=len(base))
+    zeros = draw(st.sets(st.integers(min_value=0, max_value=ncols - 1), max_size=3))
+    return [
+        [0 if j in zeros else sum(c * b[j] for c, b in zip(cs, base)) for j in range(ncols)]
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=8))
+    ]
+
+
 class TestElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(dependent_matrices())
+    def test_fraction_free_rank_matches_fraction_oracle(self, rows):
+        # every division of the forward elimination is exact: no ArithmeticError
+        assert _rank(rows) == fraction_rank(rows)
+        assert _affine_rank(rows) == fraction_affine_rank(rows)
+
     @settings(max_examples=200, deadline=None)
     @given(int_matrices())
     def test_rank_nullity_and_transpose(self, matrix):

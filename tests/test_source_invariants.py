@@ -14,11 +14,16 @@ compares a value with VARIANT_E.  FaceLattice.by_dim holds the grading,
 so no module but polytope.py filters a face list by .dim in a
 comprehension or a loop.  The benchmark's tracer looks library functions
 up by name, so one more test installs and removes it on the imported
-library.
+library.  Records are plain slotted classes, not dataclasses: importing
+dataclasses pulls inspect, ast, dis and tokenize into every start-up, so
+no module imports it and a fresh interpreter's import of wehrhart.cli
+is checked not to load them.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,6 +115,21 @@ def test_no_indented_json_encoding(path):
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert not lines, f"{path.name} passes indent= to json on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert "dataclasses" not in set(imported_roots(tree(path))), f"{path.name} imports dataclasses"
+
+
+def test_cli_import_loads_no_introspection_modules():
+    probe = "import sys, wehrhart.cli; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _names_variant_e(node):
@@ -217,6 +237,8 @@ class FaceLattice:
         ("x = 1 / int(2)\n", test_no_float_conversions),
         ("x = Fraction(1) / 2\n", test_no_float_conversions),
         ("x = 1\nx /= 2\n", test_no_float_conversions),
+        ("from dataclasses import dataclass\n", test_no_dataclasses),
+        ("import dataclasses as dc\n", test_no_dataclasses),
         ("x = json.dumps(y, indent=2)\n", test_no_indented_json_encoding),
         ("json.dump(y, fh, indent=4)\n", test_no_indented_json_encoding),
         ("def f(v):\n    return v == VARIANT_E\n", test_variants_told_apart_in_one_function),
