@@ -100,18 +100,25 @@ def load_polytope(path) -> LatticePolytope:
     return facet_presentation(verts)
 
 
-class RawJSON(str):
-    """Indent-2 JSON text rendered at indent 0, which dumps splices at any depth."""
+class RawJSON:
+    """Indent-2 JSON text rendered at indent 0, which dumps splices at any depth.
 
-    __slots__ = ()
+    Not a str: any encoder other than dumps refuses it with TypeError
+    instead of writing the text as one quoted string.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-def _int_list(xs, pad: str) -> str:
-    """The indent-2 JSON of a list of ints, nested at indent pad."""
+def _int_list(xs: list, pad: str) -> str:
+    """The indent-2 JSON of a list of exact ints, nested at indent pad, from its repr."""
     if not xs:
         return "[]"
     inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
+    return "[" + inner + repr(xs)[1:-1].replace(", ", "," + inner) + "\n" + pad + "]"
 
 
 def _raw_list(items) -> RawJSON:
@@ -123,7 +130,8 @@ def lattice_to_json(lattice: FaceLattice):
     """Facets, f-vector, faces with tight sets, and the strict order pairs.
 
     The faces and the order pairs, most of the export, are RawJSON
-    written straight from the Face fields and the up masks.
+    written straight from the Face fields and the up masks, so the result
+    is written with dumps; json.dumps refuses it.
     """
     P = lattice.polytope
     faces = [
@@ -246,12 +254,11 @@ def _write(obj, pad: str, out: list, seen: dict) -> None:
     elif kind is bool or obj is None:
         out.append(_ATOMS[obj])
     elif kind is RawJSON:
-        out.append(obj.replace("\n", "\n" + pad) if pad else obj)
+        out.append(obj.text.replace("\n", "\n" + pad) if pad else obj.text)
     elif kind is not list and kind is not dict:
         raise TypeError(f"{kind.__name__} is not written as JSON")
     elif kind is list and (kinds := set(map(type, obj))) == {int}:
-        inner = pad + "  "
-        out += "[\n", inner, repr(obj)[1:-1].replace(", ", ",\n" + inner), "\n" + pad + "]"
+        out.append(_int_list(obj, pad))
     elif kind is list and kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
         inner = pad + "  "
         row = inner + "  "
@@ -270,12 +277,9 @@ def _write(obj, pad: str, out: list, seen: dict) -> None:
             for k, value in obj.items():
                 if type(k) is not str:
                     raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
-                if type(value) is str:  # the common leaf, written here without a call
-                    out += _quote(k), ": ", _quote(value), sep
-                else:
-                    out += _quote(k), ": "
-                    _write(value, inner, out, seen)
-                    out.append(sep)
+                out += _quote(k), ": "
+                _write(value, inner, out, seen)
+                out.append(sep)
             out[-1] = "\n" + pad + "}"
         else:
             start = len(out)
