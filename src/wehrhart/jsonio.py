@@ -8,13 +8,12 @@ canonical so identical inputs give identical bytes.
 dumps writes the bytes of json.dumps(obj, indent=2) without the pure-
 Python encoder that indent selects: dicts with str keys, lists, str
 (through json's C escaper), exact int, bool and None; anything else, a
-float among them, raises TypeError.  Lists of exact ints, and of
-nonempty such lists, are written from their repr.  A RawJSON is text
-already rendered and is spliced as it stands, and any other nonempty
-list met again at the same indent is copied from its first rendering,
-so an exporter that shares one value among many places (a face's
-coefficient among its points, one weight among many faces) has it
-rendered once.
+float among them, raises TypeError.  A list of exact ints is written
+from its repr.  A RawJSON is text already rendered and is spliced as it
+stands, and any other nonempty list met again at the same indent is
+copied from its first rendering, so an exporter that shares one value
+among many places (a face's coefficient among its points, one weight
+among many faces) has it rendered once.
 
 FormatError means the bytes do not parse into the schema (CLI exit 2);
 ContentError means they parse but fail semantic validation (exit 3).
@@ -26,7 +25,6 @@ import json
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import HomogPoly, LaurentPoly, ZPoly
@@ -49,7 +47,13 @@ def _is_int(x) -> bool:
 
 
 def _rat_parse(s) -> Fraction:
-    if not isinstance(s, str):
+    """A rational in the form str(Fraction) writes: "3" or "-3/4".
+
+    Fraction's other spellings (exponents, decimals, whitespace, "+" and
+    "_") are refused: an exponent alone can ask for a number too large to
+    build or to print.
+    """
+    if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
         raise FormatError(f"rational must be a string like 'p/q', got {s!r}")
     try:
         return Fraction(s)
@@ -257,13 +261,8 @@ def _write(obj, pad: str, out: list, seen: dict) -> None:
         out.append(obj.text.replace("\n", "\n" + pad) if pad else obj.text)
     elif kind is not list and kind is not dict:
         raise TypeError(f"{kind.__name__} is not written as JSON")
-    elif kind is list and (kinds := set(map(type, obj))) == {int}:
+    elif kind is list and set(map(type, obj)) == {int}:
         out.append(_int_list(obj, pad))
-    elif kind is list and kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-        inner = pad + "  "
-        row = inner + "  "
-        rows = repr(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{row}")
-        out += f"[\n{inner}[\n{row}", rows.replace(", ", ",\n" + row), f"\n{inner}]\n{pad}]"
     elif kind is list and (key := (id(obj), pad)) in seen:
         span = seen[key]
         if type(span) is not str:

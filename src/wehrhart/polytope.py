@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cmp_to_key, reduce
-from math import gcd, lcm
+from math import gcd
 from operator import and_, mul
 
 from .algebra import FrozenRecord, as_int
@@ -84,51 +84,23 @@ def _primitive(vec):
     return tuple(x // g for x in vec)
 
 
-def _echelon(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination over int.
+def _eliminate(rows, ncols):
+    """Fraction-free forward elimination (Bareiss) of an integer matrix.
 
-    Returns the reduced nonzero rows and their pivot columns; row i has a
-    positive entry in column pivots[i] and 0 there in every other row.
-    Each elimination step r <- p*r - f*pivot row is divided by the gcd of
-    the new row, so entries stay small and never leave int.
+    Returns the pivot rows and their pivot columns: pivot row k is 0
+    before column pivots[k] and nonzero there, and the pivot rows span
+    the row space.  Each step r <- (p*r - f*pivot row) / previous pivot
+    needs no gcd: after k pivots every entry left is a (k+1)-minor of the
+    input, so the division is exact and entries never leave int.  A
+    remainder would mean broken arithmetic: ArithmeticError.
     """
-    mat = [list(row) for row in rows]
-    pivots = []
+    mat, prev, tops, pivots = list(rows), 1, [], []
     for col in range(ncols):
-        row = len(pivots)
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        if mat[row][col] < 0:
-            mat[row] = [-x for x in mat[row]]
-        prow = mat[row]
-        p = prow[col]
-        for r, other in enumerate(mat):
-            f = other[col]
-            if r != row and f:
-                new = [p * a - f * b for a, b in zip(other, prow)]
-                g = gcd(*new)
-                mat[r] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-    return mat[: len(pivots)], pivots
-
-
-def _rank(rows) -> int:
-    """Rank of a matrix given as a list of integer row vectors.
-
-    Fraction-free forward elimination (Bareiss), with no back-substitution
-    and no gcd: after k pivots every entry left is a (k+1)-minor of the
-    input, so each new entry p*a - f*b divides exactly by the previous
-    pivot.  A remainder would mean broken arithmetic: ArithmeticError.
-    """
-    mat, rank, prev = [list(row) for row in rows], 0, 1
-    for col in range(len(mat[0]) if mat else 0):
         i = next((i for i, row in enumerate(mat) if row[col]), None)
         if i is None:
             continue
         top = mat.pop(i)
-        p, rank = top[col], rank + 1
+        p = top[col]
         rest = []
         for row in mat:
             f, new = row[col], []
@@ -139,22 +111,34 @@ def _rank(rows) -> int:
                 new.append(q)
             rest.append(new)
         mat, prev = rest, p
-    return rank
+        tops.append(top)
+        pivots.append(col)
+    return tops, pivots
+
+
+def _rank(rows) -> int:
+    """Rank of a matrix given as a list of integer row vectors: its number of Bareiss pivots."""
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
 def _nullspace(rows, ncols):
-    """Basis of the right kernel of an integer matrix, as primitive int vectors."""
-    mat, pivots = _echelon(rows, ncols)
+    """Basis of the right kernel of an integer matrix, as primitive int vectors.
+
+    One vector per free (non-pivot) column, positive there and 0 at every
+    other free column, back-substituted up the Bareiss pivot rows.  Row k
+    fixes x[pc] = -s / pivot, s the row's sum past pc; the vector is first
+    scaled by |pivot| / gcd(pivot, s) so that the quotient is an int.
+    """
+    tops, pivots = _eliminate(rows, ncols)
     basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        # row r reads mat[r][pc] * x[pc] + mat[r][fc] * x[fc] = 0 at x[fc] = scale
-        scale = lcm(*(mat[r][pc] for r, pc in enumerate(pivots) if mat[r][fc]))
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
-        vec[fc] = scale
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc] * scale // mat[r][pc]
+        vec[fc] = 1
+        for top, pc in zip(reversed(tops), reversed(pivots)):
+            p, s = top[pc], _dot(top[pc + 1 :], vec[pc + 1 :])
+            m = abs(p) // gcd(p, s)
+            vec = [x * m for x in vec]
+            vec[pc] = -s * m // p
         basis.append(_primitive(vec))
     return basis
 
@@ -247,7 +231,7 @@ def facet_presentation(points) -> LatticePolytope:
         raise InvalidPolytope(f"{len(pts)} distinct points cannot span R^{n}")
     rows = [p + (1,) for p in pts]
     # pivot columns of the transposed rows: the first affinely independent points
-    _, start = _echelon(list(zip(*rows)), len(rows))
+    _, start = _eliminate(list(zip(*rows)), len(rows))
     if len(start) != n + 1:
         raise InvalidPolytope("points do not affinely span the ambient space")
 

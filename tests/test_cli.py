@@ -19,6 +19,7 @@ from wehrhart.jsonio import (
     FormatError,
     charsum_to_json,
     dumps,
+    laurent_from_json,
     load_polytope,
     weight_from_json,
     weight_to_json,
@@ -535,6 +536,41 @@ def test_parse_error_boolean_phi_field(tmp_path, capsys, phi):
     )
     assert code == 2
     assert err.startswith("error: parse: ")
+
+
+@pytest.mark.parametrize("coeff", ["1e-30000000", "1e-5000"])
+@pytest.mark.parametrize("where", ["phi", "weights"])
+def test_rational_with_an_exponent_is_refused_at_once(where, coeff, tmp_path, capsys):
+    # Fraction reads "1e-30000000" for over a minute, and "1e-5000" has a
+    # denominator too long to print: both must stop at the parse
+    path = tmp_path / "in.json"
+    if where == "phi":
+        path.write_text(json.dumps({"n": 2, "monomials": [{"exps": [1, 0], "coeff": coeff}]}))
+        argv = ["ehrhart", fx("square"), "--variant", "E", "--phi", str(path)]
+    else:
+        data = weight_to_json(all_ones_weight(corpus.build("square")))
+        values = dict.fromkeys(data["values"], [{"exp": 0, "coeff": coeff}])
+        path.write_text(json.dumps({**data, "values": values}))
+        argv = ["dualize", fx("square"), "--weights", str(path)]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    ["1e3", "1E3", "0.5", ".5", "1.", " 1", "1 ", "1\n", "+1", "1_0", "1/2_0", "1/-2", "\u0661", "", "/2", "1/"],
+)
+def test_noncanonical_rational_refused(coeff):
+    with pytest.raises(FormatError):
+        laurent_from_json([{"exp": 0, "coeff": coeff}])
+
+
+@pytest.mark.parametrize("coeff", ["0", "3", "-3", "3/4", "-3/4", "007", "-0"])
+def test_canonical_rational_read(coeff):
+    assert laurent_from_json([{"exp": 0, "coeff": coeff}]) == L({0: Fraction(coeff)})
 
 
 def test_boolean_exponent_refused():

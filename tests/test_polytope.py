@@ -30,7 +30,7 @@ from box_oracle import (
 )
 from face_oracle import oracle_faces, oracle_order
 from hull_oracle import _affine_rank as fraction_affine_rank
-from hull_oracle import fraction_nullspace, fraction_rank, subset_facet_presentation
+from hull_oracle import fraction_echelon, fraction_nullspace, fraction_rank, subset_facet_presentation
 from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.ehrhart import verify_purity
@@ -42,6 +42,7 @@ from wehrhart.polytope import (
     InvalidPolytope,
     LatticePolytope,
     _affine_rank,
+    _eliminate,
     _floor_min,
     _nullspace,
     _primitive,
@@ -707,6 +708,11 @@ class TestElimination:
         basis = _nullspace(rows, ncols)
         assert _rank(rows) == fraction_rank(rows)
         assert all(type(x) is int for vec in basis for x in vec)
+        # the same pivot columns, of the matrix and of its transpose (the
+        # hull's start simplex is the pivot columns of the transposed rows)
+        cols = [list(col) for col in zip(*rows)]
+        assert _eliminate(rows, ncols)[1] == fraction_echelon(rows, ncols)[1]
+        assert _eliminate(cols, len(rows))[1] == fraction_echelon(cols, len(rows))[1]
         # the same kernel vectors, one per free column, scaled to primitive
         expected = []
         for vec in fraction_nullspace(rows, ncols):

@@ -4,7 +4,9 @@ The library is standard-library only, holds no float anywhere, and never
 relies on an assert statement for a check (python -O strips them).  A
 float can also be made at run time, by float(...) or by a true division
 of two ints, so every / must divide by a Fraction(...) call.  Each
-rule is read off the ast of every module under src/wehrhart.  Every
+rule is read off the ast of every module under src/wehrhart.  The hull
+and the fibre walk eliminate fraction-free over int, so polytope.py
+neither imports nor names Fraction.  Every
 memo table on a FaceLattice has a known bound: its __init__ assigns only
 BoundedCaches and the fields named in LATTICE_FIELDS.  No call passes
 indent= to json.dump or json.dumps, which would bring back the
@@ -115,6 +117,20 @@ def test_no_indented_json_encoding(path):
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert not lines, f"{path.name} passes indent= to json on lines {lines}"
+
+
+def test_no_fraction_in_polytope(path=SRC / "polytope.py"):
+    """The hull and the walk eliminate over int: polytope.py neither imports nor names Fraction."""
+    module = tree(path)
+    lines = [
+        node.lineno
+        for node in ast.walk(module)
+        if isinstance(node, ast.Name) and node.id == "Fraction"
+        or isinstance(node, ast.Attribute) and node.attr == "Fraction"
+        or isinstance(node, ast.alias) and node.name == "Fraction"
+    ]
+    assert "fractions" not in set(imported_roots(module)), f"{path.name} imports fractions"
+    assert not lines, f"{path.name} names Fraction on lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -239,6 +255,11 @@ class FaceLattice:
         ("x = 1\nx /= 2\n", test_no_float_conversions),
         ("from dataclasses import dataclass\n", test_no_dataclasses),
         ("import dataclasses as dc\n", test_no_dataclasses),
+        ("from fractions import Fraction\n", test_no_fraction_in_polytope),
+        ("import fractions\n", test_no_fraction_in_polytope),
+        ("x = fractions.Fraction(1, 2)\n", test_no_fraction_in_polytope),
+        ("from .algebra import Fraction as F\n", test_no_fraction_in_polytope),
+        ("x = Fraction(1, 2)\n", test_no_fraction_in_polytope),
         ("x = json.dumps(y, indent=2)\n", test_no_indented_json_encoding),
         ("json.dump(y, fh, indent=4)\n", test_no_indented_json_encoding),
         ("def f(v):\n    return v == VARIANT_E\n", test_variants_told_apart_in_one_function),
