@@ -20,7 +20,7 @@ for name in names():
     h = h_polynomial(lattice)
     # simple: every vertex lies on exactly n facets
     vertices = (f for f in lattice.faces if f.dim == 0)
-    simple = "simple" if all(len(f.tight_facets) == n for f in vertices) else "not simple"
+    simple = "simple" if all(f.tight_mask.bit_count() == n for f in vertices) else "not simple"
     print(f"h({name}) = {h:t}   [{simple}]")
     assert h == substitute_inverse(h) * LaurentPoly({n: 1}), "master duality must hold"
 

@@ -29,6 +29,7 @@ from .ehrhart import (
     verify_reciprocity,
 )
 from .jsonio import (
+    MAX_DEGREE,
     ContentError,
     FormatError,
     charsum_to_json,
@@ -63,7 +64,6 @@ SUITES = ("all", "reciprocity", "duality", "purity", "hodge")
 MAX_ELL = 16  # |charsum --l|
 MAX_LMAX = 12  # verify --lmax
 MAX_COUNT = 64  # verify --count, random weight functions
-MAX_DEGREE = 12  # deg phi of ehrhart/verify --phi
 # Budget on the lattice points a character sum renders: charsum at |ell|,
 # and the hodge suite of verify over ell = 1 .. lmax.  A rendered point
 # peaks at about 2.2 KB (254 MB RSS for the 117,649 points of cube6 at

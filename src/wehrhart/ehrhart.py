@@ -79,10 +79,10 @@ class OrbitSum:
     """A character sum held as one coefficient per torus orbit: coeffs[E] at
     chi^(sign * m) for every m in relint[E], the points of Relint(|ell| E)."""
 
-    __slots__ = ("n", "coeffs", "relint", "sign")
+    __slots__ = ("coeffs", "relint", "sign")
 
-    def __init__(self, n, coeffs, relint, sign):
-        self.n, self.coeffs, self.relint, self.sign = n, coeffs, relint, sign
+    def __init__(self, coeffs, relint, sign):
+        self.coeffs, self.relint, self.sign = coeffs, relint, sign
 
     def terms(self, fmt=lambda c: c):
         """Sorted (character, fmt(coefficient)) pairs; fmt runs once per face."""
@@ -134,17 +134,16 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Or
               on the empty face, the face below every Q (_MINUS's rule there)
     """
     _check_lattice(lattice, f)
-    n = lattice.polytope.n
     ell = as_int(ell)
     if ell:
         coeffs = _orbit_coefficients(f, _MINUS if ell < 0 else _PLUS)
-        return OrbitSum(n, coeffs, points_by_face(lattice, abs(ell)), 1 if ell < 0 else -1)
+        return OrbitSum(coeffs, points_by_face(lattice, abs(ell)), 1 if ell < 0 else -1)
     faces = lattice.faces
     total = linear_combination(
         (c, -1 if faces[q].dim % 2 else 1) for q, c in _orbit_coefficients(f, _PLUS).items()
     )
     empty = lattice.empty_id
-    return OrbitSum(n, {empty: total}, {empty: [(0,) * n]}, 1)
+    return OrbitSum({empty: total}, {empty: [(0,) * lattice.polytope.n]}, 1)
 
 
 def _scaled_monomials(phi):
@@ -309,15 +308,14 @@ def _face_polynomials(lattice, phi):
                     rhs = -sum(table[g][deg - 1] for g in ridges)
                     _check_coefficient(q, deg - 1, 2, coeffs[deg - 1], rhs, denom, "facet identity")
                 else:
-                    (v,) = faces[q].vertex_set
-                    closed = (0,) * phi.degree + (scaled_phi(P.vertices[v]),)
+                    v = P.vertices[faces[q].vertex_mask.bit_length() - 1]
+                    closed = (0,) * phi.degree + (scaled_phi(v),)
                     for k, (a, b) in enumerate(zip(coeffs, closed)):
                         _check_coefficient(q, k, 1, a, b, denom, "closed form")
                 if dim == n:  # an (n-1)-face is tight on exactly one facet: its own
                     rhs = sum(
-                        P.facets[F][1] * table[g][deg - 1]
+                        P.facets[faces[g].tight_mask.bit_length() - 1][1] * table[g][deg - 1]
                         for g in ridges
-                        for F in faces[g].tight_facets
                     )
                     _check_coefficient(q, deg, deg, coeffs[deg], rhs, denom, "facet identity")
                 table[q] = coeffs
@@ -496,7 +494,7 @@ def verify_hodge_duality(lattice, f, ell: int, dual=None) -> CheckResult:
     _check_lattice(lattice, f)
     lhs = hodge_character_sum(lattice, dualize(f) if dual is None else dual, ell)
     inverted = _orbit_coefficients(f, _MINUS_INVERTED)
-    rhs = OrbitSum(lhs.n, inverted, lhs.relint, -1)
+    rhs = OrbitSum(inverted, lhs.relint, -1)
     for e, points in lhs.relint.items():
         a, b = lhs.coeffs.get(e, L_ZERO), inverted.get(e, L_ZERO)
         if points and a != b:

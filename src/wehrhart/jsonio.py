@@ -17,6 +17,20 @@ among many faces) has it rendered once.
 
 FormatError means the bytes do not parse into the schema (CLI exit 2);
 ContentError means they parse but fail semantic validation (exit 3).
+
+Every number a command prints must stay within Python's 4,300-digit
+limit on int-to-str conversion, so the digits read are bounded: any one
+integer read (a JSON integer, either part of a rational, a face id) has
+at most MAX_DIGITS digits (else FormatError); a coordinate of an
+n-polytope has at most 2 * MAX_DIGITS // (n + MAX_DEGREE) digits, as a
+count carries coordinates to the power n + deg phi; and an integrand, or
+a weight file as a whole, written over the common denominator of its
+coefficients has a denominator and numerators of at most MAX_DIGITS
+digits, as sums over monomials or faces multiply distinct denominators
+(else ContentError).  A printed numerator then has at most
+2000 + 1000 + 1000 digits from the inputs, plus at most 193 from
+dilations, factorials and face counts on any lattice of fewer than 2^25
+faces, which every lattice held in memory is.
 """
 
 from __future__ import annotations
@@ -26,11 +40,18 @@ import re
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 
 from .algebra import HomogPoly, LaurentPoly, ZPoly
 from .ehrhart import OrbitSum
 from .polytope import FaceLattice, LatticePolytope, facet_presentation, mask_ids, polytope_hash
 from .weights import WeightFunction
+
+
+# the most digits of an integer read; see the module docstring for the others
+MAX_DIGITS = 1000
+MAX_DEGREE = 12  # deg phi of ehrhart/verify --phi
+_DIGIT_LIMIT = 10**MAX_DIGITS
 
 
 class FormatError(ValueError):
@@ -39,6 +60,29 @@ class FormatError(ValueError):
 
 class ContentError(ValueError):
     pass
+
+
+def _check_digits(literal: str, what: str) -> None:
+    """FormatError for a decimal literal of more than MAX_DIGITS digits, before int() reads it."""
+    digits = len(literal) - literal.startswith("-")
+    if digits > MAX_DIGITS:
+        raise FormatError(f"{what} of {digits} digits; at most {MAX_DIGITS} are read")
+
+
+def _parse_int(literal: str) -> int:
+    _check_digits(literal, "integer")
+    return int(literal)
+
+
+def _check_common_denominator(coeffs, what: str) -> None:
+    """ContentError unless the rationals coeffs, over their common denominator,
+    have a denominator and numerators of at most MAX_DIGITS digits."""
+    d = lcm(*(c.denominator for c in coeffs))
+    numerators = (abs(c.numerator) * (d // c.denominator) for c in coeffs)
+    if d >= _DIGIT_LIMIT or max(numerators, default=0) >= _DIGIT_LIMIT:
+        raise ContentError(
+            f"{what} over their common denominator have more than {MAX_DIGITS} digits"
+        )
 
 
 def _is_int(x) -> bool:
@@ -55,6 +99,8 @@ def _rat_parse(s) -> Fraction:
     """
     if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
         raise FormatError(f"rational must be a string like 'p/q', got {s!r}")
+    for part in s.split("/"):
+        _check_digits(part, "rational part")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -80,11 +126,13 @@ def laurent_from_json(data) -> LaurentPoly:
 
 def _load_json(path):
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
+            return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -101,6 +149,13 @@ def load_polytope(path) -> LatticePolytope:
             raise FormatError(f"{path}: vertex {v!r} is not a list of integers")
         if len(v) != len(verts[0]):
             raise FormatError(f"{path}: vertices of mixed dimension")
+    digits = 2 * MAX_DIGITS // (len(verts[0]) + MAX_DEGREE)
+    bound = 10**digits
+    if any(abs(x) >= bound for v in verts for x in v):
+        raise ContentError(
+            f"{path}: a coordinate has more than {digits} digits, "
+            f"the most read in dimension {len(verts[0])}"
+        )
     return facet_presentation(verts)
 
 
@@ -134,15 +189,15 @@ def lattice_to_json(lattice: FaceLattice):
     """Facets, f-vector, faces with tight sets, and the strict order pairs.
 
     The faces and the order pairs, most of the export, are RawJSON
-    written straight from the Face fields and the up masks, so the result
+    written straight from the Face masks and the up masks, so the result
     is written with dumps; json.dumps refuses it.
     """
     P = lattice.polytope
     faces = [
-        f'  {{\n    "id": {f.id},\n    "dim": {f.dim},\n'
-        f'    "vertices": {_int_list(sorted(f.vertex_set), "    ")},\n'
-        f'    "tight_facets": {_int_list(sorted(f.tight_facets), "    ")}\n  }}'
-        for f in lattice.faces
+        f'  {{\n    "id": {q},\n    "dim": {f.dim},\n'
+        f'    "vertices": {_int_list(mask_ids(f.vertex_mask), "    ")},\n'
+        f'    "tight_facets": {_int_list(mask_ids(f.tight_mask), "    ")}\n  }}'
+        for q, f in enumerate(lattice.faces)
     ]
     # the pair [a, b] is one head per a and one tail per b; read off the
     # up masks in (a, b) order, so the pairs come sorted
@@ -175,6 +230,7 @@ def face_id_from_json(key: str) -> int:
     """A face id in canonical decimal ("12"; not "012", " 12" or "1_2"): one key per face."""
     if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
         raise FormatError(f"face id {key!r} is not a canonical decimal integer")
+    _check_digits(key, "face id")
     return int(key)
 
 
@@ -189,6 +245,9 @@ def weight_from_json(data, lattice: FaceLattice) -> WeightFunction:
         face_id_from_json(key): laurent_from_json(terms)
         for key, terms in data["values"].items()
     }
+    _check_common_denominator(
+        [c for p in values.values() for c in p.terms.values()], "the weight file's coefficients"
+    )
     try:
         return WeightFunction(lattice, values)
     except ValueError as exc:
@@ -217,6 +276,7 @@ def load_phi(path, n_expected=None) -> HomogPoly:
         if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
             raise FormatError(f"{path}: exponents must be integers")
         monomials.append((tuple(exps), _rat_parse(item["coeff"])))
+    _check_common_denominator([c for _, c in monomials], f"{path}: the integrand's coefficients")
     try:
         phi = HomogPoly(data["n"], monomials)
     except ValueError as exc:

@@ -3,9 +3,9 @@
 Facet presentation by the double-description method (Fukuda-Prodon) in
 int arithmetic, face lattice by closing tight-facet vertex sets under
 intersection in one pass down the closure that also collects each set's
-tight facets and grades it, with the grading held as one bitmask of faces
-per dimension and the face order as one bitmask of faces above and one
-below each face, and lattice points by a fibre walk.
+tight facets and grades it, each face two bitmasks (its vertices, its
+tight facets) and a dimension with its position as its id, the grading
+and the order as bitmasks of face ids, and lattice points by a fibre walk.
 The walk lifts the first n-1 coordinates level by level through the
 hulls of P's coordinate projections; along each row (the first n-2
 fixed) the ends of the last coordinate's interval, whose ends and middle
@@ -153,19 +153,19 @@ def _affine_rank(points) -> int:
 
 
 class Face(FrozenRecord):
-    """One face of the lattice: its vertices, tight facets, and dimension.
+    """One face of the lattice as two bitmasks and its dimension.
 
-    The empty face has dim -1 and is tight on every facet by convention;
-    the polytope itself has an empty tight set.
+    Bit i of vertex_mask is set iff P.vertices[i] lies on the face, bit F of
+    tight_mask iff the face lies on P.facets[F]; the empty face (dim -1) is
+    tight on every facet, P on none.  Its id is its position in FaceLattice.faces.
     """
 
-    __slots__ = ("id", "vertex_set", "tight_facets", "dim")
+    __slots__ = ("vertex_mask", "tight_mask", "dim")
 
-    def __init__(self, id: int, vertex_set: frozenset, tight_facets: frozenset, dim: int):
+    def __init__(self, vertex_mask: int, tight_mask: int, dim: int):
         init = object.__setattr__
-        init(self, "id", id)
-        init(self, "vertex_set", vertex_set)
-        init(self, "tight_facets", tight_facets)
+        init(self, "vertex_mask", vertex_mask)
+        init(self, "tight_mask", tight_mask)
         init(self, "dim", dim)
 
 
@@ -285,10 +285,10 @@ def facet_presentation(points) -> LatticePolytope:
 class FaceLattice:
     """Graded face poset of a polytope, from the empty face up to P.
 
-    faces[q] has id q (ValueError otherwise), and ids set only the order
+    A face's id is its position q in faces, and ids set only the order
     faces are printed in: the grading is by_dim, bit q of by_dim[d + 1]
     set iff face q has dim d.
-    The order relation is vertex set inclusion, held as bitmasks over face
+    The order relation is vertex mask inclusion, held as bitmasks over face
     ids: bit b of up[a] is set iff a <= b, bit a of down[b] likewise.
     up[a] is the AND, over the vertices of a, of the faces containing that
     vertex; down[b] is the AND, over the facets tight at b, of the faces
@@ -308,20 +308,19 @@ class FaceLattice:
         self.faces = list(faces)
         self.by_dim = [0] * (polytope.n + 2)
         self._by_mask, with_vertex, in_facet = {}, {}, {}
-        for q, f in enumerate(self.faces):
-            if f.id != q:
-                raise ValueError(f"faces must be listed by id: position {q} holds face {f.id}")
+        members = [(mask_ids(f.vertex_mask), mask_ids(f.tight_mask)) for f in self.faces]
+        for q, (f, (vertices, tight)) in enumerate(zip(self.faces, members)):
             bit = 1 << q
             self.by_dim[f.dim + 1] |= bit
             if f.dim >= 0:
-                self._by_mask[sum(1 << F for F in f.tight_facets)] = q
-            for v in f.vertex_set:
+                self._by_mask[f.tight_mask] = q
+            for v in vertices:
                 with_vertex[v] = with_vertex.get(v, 0) | bit
-            for F in f.tight_facets:
+            for F in tight:
                 in_facet[F] = in_facet.get(F, 0) | bit
         full = (1 << len(self.faces)) - 1
-        self.up = [reduce(and_, map(with_vertex.get, f.vertex_set), full) for f in self.faces]
-        self.down = [reduce(and_, map(in_facet.get, f.tight_facets), full) for f in self.faces]
+        self.up = [reduce(and_, map(with_vertex.get, vertices), full) for vertices, _ in members]
+        self.down = [reduce(and_, map(in_facet.get, tight), full) for _, tight in members]
         self._points_cache = BoundedCache(POINTS_CACHE_MAX)
         self._g_memo = {}
         self._phi_sums = BoundedCache(PHI_SUMS_MAX)
@@ -358,7 +357,7 @@ class FaceLattice:
         return mask_ids(self.down[a] & ~self.by_dim[0])
 
     def vertex_face_id(self, vertex_index: int) -> int:
-        return next(q for q in mask_ids(self.by_dim[1]) if vertex_index in self.faces[q].vertex_set)
+        return next(q for q in mask_ids(self.by_dim[1]) if self.faces[q].vertex_mask == 1 << vertex_index)
 
     def projections(self):
         """Facets of pi_k(P), the hull of the vertices cut to their first k coordinates, for k = 1..n-1."""
@@ -414,10 +413,7 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
                     dims[t] = below
             tight[s] = mask
     members = {s: mask_ids(s) for s in dims}
-    faces = [
-        Face(fid, frozenset(members[s]), frozenset(mask_ids(tight[s])), dims[s])
-        for fid, s in enumerate(sorted(dims, key=lambda s: (dims[s], members[s])))
-    ]
+    faces = [Face(s, tight[s], dims[s]) for s in sorted(dims, key=lambda s: (dims[s], members[s]))]
     # Every set in the closure is the common vertex set of its tight
     # facets by construction; what a wrong facet list breaks is the grading:
     # each facet must close to an (n-1)-face and each vertex to a 0-face.

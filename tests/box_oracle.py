@@ -45,7 +45,7 @@ def box_fibres(lattice, ell):
     the library's walk does, and empty fibres are skipped.
     """
     P = lattice.polytope
-    by_mask = {sum(1 << F for F in f.tight_facets): f.id for f in lattice.faces if f.dim >= 0}
+    by_mask = {f.tight_mask: q for q, f in enumerate(lattice.faces) if f.dim >= 0}
     lower, upper, flat = [], [], []
     for F, (u, a) in enumerate(P.facets):
         group = lower if u[-1] > 0 else upper if u[-1] < 0 else flat
@@ -81,14 +81,14 @@ def box_points_by_face(lattice, ell):
     Lists are in lexicographic order, like the library's.
     """
     P = lattice.polytope
-    by_tight = {f.tight_facets: f.id for f in lattice.faces if f.dim >= 0}
+    by_tight = {f.tight_mask: q for q, f in enumerate(lattice.faces) if f.dim >= 0}
     lo = [min(v[i] for v in P.vertices) * ell for i in range(P.n)]
     hi = [max(v[i] for v in P.vertices) * ell for i in range(P.n)]
     out = {fid: [] for fid in lattice.nonempty_ids}
     for m in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
         slacks = [sum(x * y for x, y in zip(m, u)) + ell * a for u, a in P.facets]
         if all(s >= 0 for s in slacks):
-            tight = frozenset(F for F, s in enumerate(slacks) if s == 0)
+            tight = sum(1 << F for F, s in enumerate(slacks) if s == 0)
             out[by_tight[tight]].append(m)
     return out
 

@@ -92,20 +92,22 @@ def face_identity_failures(lattice, phi, polys):
     vertex sets lie in Q's (Euler-Maclaurin boundary term in Q's own
     lattice): 2 [z^(deg-1)] S_Q = -sum_G [z^(deg-1)] S_G.
     """
-    faces = [f for f in lattice.faces if f.dim >= 0]
+    faces = [(q, f) for q, f in enumerate(lattice.faces) if f.dim >= 0]
     failures = []
-    for face in faces:
-        c = polys[face.id]
+    for q, face in faces:
+        c = polys[q]
         if face.dim == 0:
-            (v,) = face.vertex_set
-            expected = [0] * phi.degree + [phi_eval(phi, lattice.polytope.vertices[v])]
+            v = lattice.polytope.vertices[face.vertex_mask.bit_length() - 1]
+            expected = [0] * phi.degree + [phi_eval(phi, v)]
             ok = c == expected
         else:
             k = face.dim + phi.degree - 1
             ridges = [
-                g.id for g in faces if g.dim == face.dim - 1 and g.vertex_set <= face.vertex_set
+                g
+                for g, ridge in faces
+                if ridge.dim == face.dim - 1 and ridge.vertex_mask & ~face.vertex_mask == 0
             ]
             ok = 2 * c[k] == -sum(polys[g][k] for g in ridges)
         if not ok:
-            failures.append(face.id)
+            failures.append(q)
     return failures

@@ -317,15 +317,15 @@ class TestRecords:
     and no assignment to a Face or a CheckResult."""
 
     def face(self, **changes):
-        fields = {"id": 3, "vertex_set": frozenset({0, 2}), "tight_facets": frozenset({1}), "dim": 1}
+        fields = {"vertex_mask": 0b101, "tight_mask": 0b10, "dim": 1}
         return Face(**{**fields, **changes})
 
     def test_face_equality_hash_and_repr(self):
         f = self.face()
-        assert f == Face(3, frozenset({0, 2}), frozenset({1}), 1)
+        assert f == Face(0b101, 0b10, 1)
         assert hash(f) == hash(self.face()) and len({f, self.face()}) == 1
-        assert f != self.face(dim=2) and f != (3, frozenset({0, 2}), frozenset({1}), 1)
-        assert repr(f) == "Face(id=3, vertex_set=frozenset({0, 2}), tight_facets=frozenset({1}), dim=1)"
+        assert f != self.face(dim=2) and f != (0b101, 0b10, 1)
+        assert repr(f) == "Face(vertex_mask=5, tight_mask=2, dim=1)"
 
     def test_frozen_records_refuse_assignment(self):
         check = CheckResult("c", {"ell": 1}, True, 1, 1)

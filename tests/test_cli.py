@@ -58,9 +58,9 @@ def test_faces_export_is_consistent_with_library(capsys):
     lattice = corpus.build("pyramid")
     assert data["f_vector"] == list(lattice.f_vector)
     by_id = {f["id"]: f for f in data["faces"]}
-    for f in lattice.faces:
-        assert by_id[f.id]["dim"] == f.dim
-        assert by_id[f.id]["vertices"] == sorted(f.vertex_set)
+    for q, f in enumerate(lattice.faces):
+        assert by_id[q]["dim"] == f.dim
+        assert by_id[q]["vertices"] == [i for i in range(f.vertex_mask.bit_length()) if f.vertex_mask >> i & 1]
     pairs = {tuple(p) for p in data["order"]}
     for a in range(len(lattice.faces)):
         for b in range(len(lattice.faces)):
@@ -736,3 +736,124 @@ def test_suites_without_character_sums_have_no_point_budget(monkeypatch, capsys)
     monkeypatch.setattr(cli, "MAX_POINTS", 0)
     for suite in ("reciprocity", "duality", "purity"):
         assert run_cli(["verify", fx("cube"), "--suite", suite, "--lmax", "2"], capsys)[0] == 0
+
+
+# Over-long numbers.  Python refuses int <-> str conversions past 4,300
+# digits, so the readers bound the digits of what they read (jsonio
+# MAX_DIGITS and the rules built on it) and refuse more with one error line.
+
+
+def _write_json(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    return str(path)
+
+
+def _assert_refused(code, out, err, exit_code):
+    kind = "parse" if exit_code == 2 else "validation"
+    assert code == exit_code and out == ""
+    assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
+
+
+def _weights(tmp_path, lattice, values):
+    """A weight file for lattice: {face id: [(exp, coeff string)]}."""
+    data = {
+        "polytope_hash": polytope.polytope_hash(lattice.polytope),
+        "values": {str(q): [{"exp": e, "coeff": c} for e, c in terms] for q, terms in values.items()},
+    }
+    return _write_json(tmp_path, "weights.json", data)
+
+
+def test_integer_literal_past_the_parser_limit_exits_2(tmp_path, capsys):
+    # int() refuses a 5,001-digit literal; the reader refuses it first
+    path = _write_json(tmp_path, "p.json", '{"vertices": [[0, 0], [1%s, 0], [0, 1]]}' % ("0" * 5000))
+    _assert_refused(*run_cli(["faces", path], capsys), 2)
+
+
+def test_input_file_that_is_not_text_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(b'{"vertices": [[0], [1]], "x": "\xff"}')
+    _assert_refused(*run_cli(["faces", str(path)], capsys), 2)
+
+
+def test_face_id_key_past_the_parser_limit_exits_2(tmp_path, capsys):
+    weights = _weights(tmp_path, corpus.build("square"), {"1" * 5000: [(0, "1")]})
+    _assert_refused(*run_cli(["dualize", fx("square"), "--weights", weights], capsys), 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["ehrhart", "--variant", "E"], ["verify", "--suite", "all", "--lmax", "2"]],
+    ids=["ehrhart", "verify"],
+)
+def test_integrand_coefficients_too_long_to_print_are_refused(tmp_path, capsys, args):
+    # each parses, but their sums over the square's points passed 4,300 digits at output
+    phi = _write_json(tmp_path, "phi.json", {"n": 2, "monomials": [
+        {"exps": [1, 0], "coeff": "7" * 3000},
+        {"exps": [0, 1], "coeff": "1/" + "3" * 3000},
+    ]})
+    _assert_refused(*run_cli([args[0], fx("square"), *args[1:], "--phi", phi], capsys), 2)
+
+
+def test_triangle_too_long_to_print_is_refused(tmp_path, capsys):
+    # its slanted facet has the offset A*B, of 5,000 digits
+    a, b = 10**2500 + 1, 10**2499 + 3
+    path = _write_json(tmp_path, "p.json", '{"vertices": [[0, 0], [%d, 0], [0, %d]]}' % (a, b))
+    _assert_refused(*run_cli(["faces", path], capsys), 2)
+
+
+def test_coordinates_past_the_dimension_budget_exit_3(tmp_path, capsys):
+    # the 6-simplex conv(0, a_i e_i) has the facet offset a_1 * .. * a_6
+    # (over a gcd below 10^6), of about 4,800 digits for 800-digit a_i;
+    # 111 digits is the most read in dimension 6, as (6 + 12) * 111 <= 2,000
+    def simplex(digits):
+        a = [10**digits - 1 - 2 * i for i in range(6)]
+        return {"vertices": [[0] * 6] + [[a[i] * (i == j) for j in range(6)] for i in range(6)]}
+
+    code, out, err = run_cli(["faces", _write_json(tmp_path, "ok.json", simplex(111))], capsys)
+    assert code == 0 and err == "" and json.loads(out)["f_vector"] == [1, 7, 21, 35, 35, 21, 7, 1]
+    _assert_refused(*run_cli(["faces", _write_json(tmp_path, "p.json", simplex(112))], capsys), 3)
+    _assert_refused(*run_cli(["faces", _write_json(tmp_path, "p.json", simplex(800))], capsys), 3)
+
+
+def test_integrand_common_denominator_past_the_budget_exits_3(tmp_path, capsys):
+    # eight 600-digit denominators, pairwise coprime up to factors below 8:
+    # each is read, but their common denominator has about 4,800 digits
+    monomials = [
+        {"exps": [7 - k, k], "coeff": f"1/{10**599 + k}"} for k in range(8)
+    ]
+    phi = _write_json(tmp_path, "phi.json", {"n": 2, "monomials": monomials})
+    _assert_refused(*run_cli(["ehrhart", fx("square"), "--variant", "E", "--phi", phi], capsys), 3)
+    one = _write_json(tmp_path, "one.json", {"n": 2, "monomials": monomials[:1]})
+    assert run_cli(["ehrhart", fx("square"), "--variant", "E", "--phi", one], capsys)[0] == 0
+
+
+def test_weight_common_denominator_past_the_budget_exits_3(tmp_path, capsys):
+    # dualize sums f_E over the 8 nonempty faces E above a vertex of the cube
+    lattice = corpus.build("cube")
+    values = {q: [(0, f"1/{10**599 + q}")] for q in lattice.nonempty_ids}
+    weights = _weights(tmp_path, lattice, values)
+    _assert_refused(*run_cli(["dualize", fx("cube"), "--weights", weights], capsys), 3)
+
+
+def test_largest_accepted_numbers_print_on_every_command(tmp_path, capsys):
+    # a unimodular triangle with 141-digit coordinates (the most read in
+    # dimension 2), a degree-12 integrand and weights whose numbers take the
+    # whole budget: every command prints
+    big = 10**141 - 1
+    path = _write_json(tmp_path, "p.json", {"vertices": [[0, 0], [1, big], [1, big - 1]]})
+    phi = _write_json(tmp_path, "phi.json", {"n": 2, "monomials": [
+        {"exps": [0, 12], "coeff": "9" * 1000 + "/" + "7" * 999 + "1"},
+    ]})
+    lattice = polytope.build_face_lattice(load_polytope(path))
+    values = {q: [(10**999 - q, "8" * 1000)] for q in lattice.nonempty_ids}
+    weights = _weights(tmp_path, lattice, values)
+    for argv in (
+        ["faces", path],
+        ["ehrhart", path, "--variant", "E", "--phi", phi, "--weights", weights],
+        ["verify", path, "--suite", "all", "--lmax", "2", "--phi", phi],
+        ["dualize", path, "--weights", weights],
+        ["charsum", path, "--l", "-3", "--weights", weights],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == "", argv[0]

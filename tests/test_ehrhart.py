@@ -55,7 +55,6 @@ from wehrhart.ehrhart import (
     weighted_ehrhart_value,
 )
 from wehrhart.polytope import (
-    Face,
     FaceLattice,
     build_face_lattice,
     facet_presentation,
@@ -385,7 +384,7 @@ class TestEhrhartPolynomial:
         # ell^(deg - 1) with deg = dim F + deg phi: F's difference and constant
         # term pass, its own Euler-Maclaurin identity does not
         lat = build_face_lattice(facet_presentation(CORPUS[name]))
-        facet = next(f.id for f in lat.faces if f.dim == lat.polytope.n - 1)
+        facet = next(q for q, f in enumerate(lat.faces) if f.dim == lat.polytope.n - 1)
         j = lat.polytope.n - 1 + degree - 1
         message = rf"^face {facet}: coefficient of z\^{j} .*, facet identity .*$"
         self.raises_on_warped_face(
@@ -398,8 +397,8 @@ class TestEhrhartPolynomial:
         # ell^(1 + deg phi) moves only the edge's leading coefficient, which
         # every 2-face above it reads; the first of them in id order fails
         lat = build_face_lattice(facet_presentation(CORPUS[name]))
-        edge = next(f.id for f in lat.faces if f.dim == 1)
-        above = min(f.id for f in lat.faces if f.dim == 2 and lat.leq(edge, f.id))
+        edge = next(q for q, f in enumerate(lat.faces) if f.dim == 1)
+        above = min(q for q, f in enumerate(lat.faces) if f.dim == 2 and lat.leq(edge, q))
         message = rf"^face {above}: coefficient of z\^{degree + 1} .*, facet identity .*$"
         self.raises_on_warped_face(monkeypatch, lat, edge, 1 + degree, mixed_phi(3, degree), message)
 
@@ -450,7 +449,7 @@ class TestFacePolynomialsAgainstOracle:
 def delta_per_dimension(lat):
     """The delta weight of the first face of each dimension 0 .. n."""
     return [
-        delta_weight(lat, next(f.id for f in lat.faces if f.dim == d))
+        delta_weight(lat, next(q for q, f in enumerate(lat.faces) if f.dim == d))
         for d in range(lat.polytope.n + 1)
     ]
 
@@ -692,7 +691,7 @@ class TestVerifyPurity:
 
     def test_cube_facet_quadratic(self):
         lat = build("cube")
-        facet = next(f.id for f in lat.faces if f.dim == 2)
+        facet = next(q for q, f in enumerate(lat.faces) if f.dim == 2)
         phi = HomogPoly(3, [((2, 0, 0), 1)])
         zp = ehrhart_polynomial(lat, g_weight_function(lat, facet), phi, "E")
         for ell in (1, 2):
@@ -714,9 +713,9 @@ def relabelled(lat, seed):
     dims = [0]
     while dims == sorted(dims):
         rng.shuffle(perm)
-        dims = [lat.faces[q].dim for q in sorted(perm, key=perm.__getitem__)]
-    faces = [Face(perm[f.id], f.vertex_set, f.tight_facets, f.dim) for f in lat.faces]
-    return FaceLattice(lat.polytope, sorted(faces, key=lambda f: f.id)), perm
+        old = sorted(range(len(perm)), key=perm.__getitem__)  # new id -> old id
+        dims = [lat.faces[q].dim for q in old]
+    return FaceLattice(lat.polytope, [lat.faces[q] for q in old]), perm
 
 
 class TestRelabelledFaces:
@@ -748,17 +747,6 @@ class TestRelabelledFaces:
             assert verify_duality_reciprocity(new, g, phi_one(n), ell).passed
             assert verify_hodge_duality(new, g, ell).passed
             assert verify_purity(new, new.top_id, phi_one(n), ell).passed
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_faces_out_of_id_order_are_refused(seed):
-    # the relabelled cube's faces in their old order: up and down would be
-    # built by list position and every other mask by id
-    lat = build("cube")
-    _, perm = relabelled(lat, seed)
-    faces = [Face(perm[f.id], f.vertex_set, f.tight_facets, f.dim) for f in lat.faces]
-    with pytest.raises(ValueError, match=r"faces must be listed by id: position \d+ holds face \d+"):
-        FaceLattice(lat.polytope, faces)
 
 
 class TestHLink:

@@ -184,12 +184,12 @@ def plain_lattice_json(lattice):
         "f_vector": list(lattice.f_vector),
         "faces": [
             {
-                "id": f.id,
+                "id": q,
                 "dim": f.dim,
-                "vertices": sorted(f.vertex_set),
-                "tight_facets": sorted(f.tight_facets),
+                "vertices": mask_ids(f.vertex_mask),
+                "tight_facets": mask_ids(f.tight_mask),
             }
-            for f in lattice.faces
+            for q, f in enumerate(lattice.faces)
         ],
         "order": [[a, b] for a, up in enumerate(lattice.up) for b in mask_ids(up & ~(1 << a))],
     }

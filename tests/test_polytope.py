@@ -201,23 +201,23 @@ class TestFaceLattice:
         L = build("square")
         empty = L.faces[L.empty_id]
         assert empty.dim == -1
-        assert empty.vertex_set == frozenset()
-        assert empty.tight_facets == frozenset(range(len(L.polytope.facets)))
+        assert empty.vertex_mask == 0
+        assert empty.tight_mask == (1 << len(L.polytope.facets)) - 1
 
     def test_top_face_convention(self):
         L = build("square")
         top = L.faces[L.top_id]
         assert top.dim == 2
-        assert top.tight_facets == frozenset()
+        assert top.tight_mask == 0
 
     def test_tight_set_monotonicity(self):
         L = build("pyramid")
         for a in L.faces:
             for b in L.faces:
-                if a.dim < 0 or b.dim < 0 or a.id == b.id:
+                if a.dim < 0 or b.dim < 0 or a is b:
                     continue
-                nested = a.vertex_set <= b.vertex_set
-                assert nested == (a.tight_facets >= b.tight_facets)
+                nested = a.vertex_mask & ~b.vertex_mask == 0
+                assert nested == (b.tight_mask & ~a.tight_mask == 0)
 
     def test_euler_relation(self):
         for name in CORPUS:
@@ -229,7 +229,7 @@ class TestFaceLattice:
         L = build("pyramid")
         apex_vertex = L.polytope.vertices.index((0, 0, 1))
         apex = L.faces[L.vertex_face_id(apex_vertex)]
-        assert len(apex.tight_facets) == 4
+        assert apex.tight_mask.bit_count() == 4
 
 
 class TestPointsByFace:
@@ -237,19 +237,19 @@ class TestPointsByFace:
         L = build("square")
         pts = points_by_face(L, 1)
         by_dim = {}
-        for f in L.faces:
+        for q, f in enumerate(L.faces):
             if f.dim >= 0:
                 by_dim.setdefault(f.dim, 0)
-                by_dim[f.dim] += len(pts[f.id])
+                by_dim[f.dim] += len(pts[q])
         assert by_dim == {0: 4, 1: 0, 2: 0}
 
     def test_square_l2(self):
         L = build("square")
         pts = points_by_face(L, 2)
         counts = {f.dim: 0 for f in L.faces if f.dim >= 0}
-        for f in L.faces:
+        for q, f in enumerate(L.faces):
             if f.dim >= 0:
-                counts[f.dim] += len(pts[f.id])
+                counts[f.dim] += len(pts[q])
         assert counts == {0: 4, 1: 4, 2: 1}
         assert sum(counts.values()) == 9
 
@@ -293,15 +293,15 @@ class _StubPoset:
     """Face lattice minus chosen elements, for Eulerian failure cases."""
 
     def __init__(self, lattice, dropped):
-        self.members = [f for f in lattice.faces if f.id not in dropped]
-        self.sets = {f.id: f.vertex_set for f in self.members}
-        self.dims = {f.id: f.dim for f in self.members}
+        kept = [q for q in range(len(lattice.faces)) if q not in dropped]
+        self.sets = {q: lattice.faces[q].vertex_mask for q in kept}
+        self.dims = {q: lattice.faces[q].dim for q in kept}
 
     def ids(self):
-        return [f.id for f in self.members]
+        return list(self.sets)
 
     def leq(self, a, b):
-        return self.sets[a] <= self.sets[b]
+        return self.sets[a] & ~self.sets[b] == 0
 
     def rank(self, e):
         return self.dims[e] + 1
@@ -358,7 +358,7 @@ class TestEulerian:
         L = build(name)
         # dropping a proper face F breaks the diamonds [G, H] with G < F < H
         for dim in range(L.polytope.n):
-            dropped = {next(f.id for f in L.faces if f.dim == dim)}
+            dropped = {next(q for q, f in enumerate(L.faces) if f.dim == dim)}
             stub = _StubPoset(L, dropped)
             expected = triple_eulerian_check(stub.ids(), stub.leq, stub.rank)
             assert not expected
@@ -604,13 +604,13 @@ class TestGrading:
         lattice = build_face_lattice(P)
         faces, by_dim = lattice.faces, lattice.by_dim
         for q, face in enumerate(faces):
-            assert face.dim == _affine_rank([P.vertices[i] for i in face.vertex_set]), face
+            assert face.dim == _affine_rank([P.vertices[i] for i in mask_ids(face.vertex_mask)]), face
             bits = [by_dim[d + 1] >> q & 1 for d in range(-1, P.n + 1)]
             assert bits == [int(face.dim == d) for d in range(-1, P.n + 1)], face
         assert len(by_dim) == P.n + 2 and sum(by_dim) < 1 << len(faces)
-        assert [f.id for f in faces if f.dim < 0] == [lattice.empty_id]
-        assert [f.id for f in faces if f.dim == P.n] == [lattice.top_id]
-        assert [f.id for f in faces if f.dim >= 0] == lattice.nonempty_ids
+        assert [q for q, f in enumerate(faces) if f.dim < 0] == [lattice.empty_id]
+        assert [q for q, f in enumerate(faces) if f.dim == P.n] == [lattice.top_id]
+        assert [q for q, f in enumerate(faces) if f.dim >= 0] == lattice.nonempty_ids
         if f_vector is not None:
             assert tuple(m.bit_count() for m in by_dim) == f_vector
 
@@ -799,8 +799,9 @@ class TestFaceLatticeAgainstOracle:
         expected = oracle_faces(P)
         assert len(lattice.faces) == len(expected)
         # face by face, so that a failure reports one face, not two long lists
-        for fid, (f, want) in enumerate(zip(lattice.faces, expected)):
-            assert (f.id, f.dim, sorted(f.vertex_set), sorted(f.tight_facets)) == (fid, *want)
+        for fid, (f, (dim, vertices, tight)) in enumerate(zip(lattice.faces, expected)):
+            want = dim, sum(1 << i for i in vertices), sum(1 << F for F in tight)
+            assert (f.dim, f.vertex_mask, f.tight_mask) == want, fid
         for fid, masks in enumerate(zip(*oracle_order(expected))):
             assert (lattice.up[fid], lattice.down[fid]) == masks, fid
 
@@ -860,16 +861,16 @@ class TestBitmaskOrder:
 
     @staticmethod
     def assert_inclusion_order(lattice):
-        sets = [f.vertex_set for f in lattice.faces]
+        sets = [f.vertex_mask for f in lattice.faces]
         ids = range(len(sets))
         for a in ids:
             assert lattice.subfaces(a) == [
-                e for e in ids if lattice.faces[e].dim >= 0 and sets[e] <= sets[a]
+                e for e in ids if lattice.faces[e].dim >= 0 and sets[e] & ~sets[a] == 0
             ]
             for b in ids:
-                assert lattice.leq(a, b) == (sets[a] <= sets[b])
+                assert lattice.leq(a, b) == (sets[a] & ~sets[b] == 0)
                 assert lattice.interval(a, b) == [
-                    e for e in ids if sets[a] <= sets[e] <= sets[b]
+                    e for e in ids if sets[a] & ~sets[e] == 0 and sets[e] & ~sets[b] == 0
                 ]
 
 

@@ -14,7 +14,8 @@ pure-Python encoder that jsonio.dumps avoids.  E and Etilde differ
 only by (1+y)^deg phi, so no function but ehrhart._variant_factor
 compares a value with VARIANT_E.  FaceLattice.by_dim holds the grading,
 so no module but polytope.py filters a face list by .dim in a
-comprehension or a loop.  The benchmark's tracer looks library functions
+comprehension or a loop.  A face is two bitmasks and a dimension, so no
+module names frozenset, the face format it replaced.  The benchmark's tracer looks library functions
 up by name, so one more test installs and removes it on the imported
 library.  Records are plain slotted classes, not dataclasses: importing
 dataclasses pulls inspect, ast, dis and tokenize into every start-up, so
@@ -232,6 +233,18 @@ def test_faces_filtered_by_dimension_only_in_polytope(path):
     assert not lines, f"{path.name} filters faces by .dim on lines {lines}; read FaceLattice.by_dim"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_frozenset(path):
+    """A face is two bitmasks; no second format, a set of vertex or facet ids, comes back."""
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Name) and node.id == "frozenset"
+        or isinstance(node, ast.Attribute) and node.attr == "frozenset"
+    ]
+    assert not lines, f"{path.name} names frozenset on lines {lines}; hold a face as its masks"
+
+
 LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
@@ -260,6 +273,9 @@ class FaceLattice:
         ("x = fractions.Fraction(1, 2)\n", test_no_fraction_in_polytope),
         ("from .algebra import Fraction as F\n", test_no_fraction_in_polytope),
         ("x = Fraction(1, 2)\n", test_no_fraction_in_polytope),
+        ("x = frozenset(mask_ids(m))\n", test_no_frozenset),
+        ("def f(s: frozenset) -> int:\n    return len(s)\n", test_no_frozenset),
+        ("x = builtins.frozenset()\n", test_no_frozenset),
         ("x = json.dumps(y, indent=2)\n", test_no_indented_json_encoding),
         ("json.dump(y, fh, indent=4)\n", test_no_indented_json_encoding),
         ("def f(v):\n    return v == VARIANT_E\n", test_variants_told_apart_in_one_function),

@@ -14,7 +14,7 @@ import pytest
 from box_oracle import random_lattice
 from stanley_oracle import oracle_fg, oracle_g, oracle_h
 from wehrhart.corpus import CORPUS, build
-from wehrhart.polytope import FaceLattice, Face, build_face_lattice, facet_presentation, mask_ids
+from wehrhart.polytope import FaceLattice, build_face_lattice, facet_presentation, mask_ids
 from wehrhart.stanley import (
     NonEulerianPoset,
     g_weight_function,
@@ -36,14 +36,7 @@ def crippled_square():
     """The square's face poset with one vertex dropped: not Eulerian."""
     L = build("square")
     dropped = L.vertex_face_id(0)
-    kept = [f for f in L.faces if f.id != dropped]
-    return FaceLattice(
-        L.polytope,
-        [
-            Face(id=i, vertex_set=f.vertex_set, tight_facets=f.tight_facets, dim=f.dim)
-            for i, f in enumerate(kept)
-        ],
-    )
+    return FaceLattice(L.polytope, [f for q, f in enumerate(L.faces) if q != dropped])
 
 
 class TestPolyT:
@@ -89,7 +82,7 @@ class TestStanleyFG:
 
     def test_non_eulerian_rejected(self):
         crippled = crippled_square()
-        edge = next(f.id for f in crippled.faces if f.dim == 1)
+        edge = next(q for q, f in enumerate(crippled.faces) if f.dim == 1)
         with pytest.raises(NonEulerianPoset):
             stanley_fg(crippled, edge, crippled.top_id)
         with pytest.raises(NonEulerianPoset):
@@ -184,7 +177,7 @@ class TestGWeightFunction:
 
     def test_support_below_qprime(self):
         L = build("pyramid")
-        some_edge = next(f.id for f in L.faces if f.dim == 1)
+        some_edge = next(q for q, f in enumerate(L.faces) if f.dim == 1)
         f = g_weight_function(L, some_edge)
         for q in f.values:
             assert L.leq(q, some_edge)

@@ -117,7 +117,7 @@ class TestDualize:
 
     def test_delta_general_formula(self):
         lat = build("pyramid")
-        some_edge = next(f.id for f in lat.faces if f.dim == 1)
+        some_edge = next(q for q, f in enumerate(lat.faces) if f.dim == 1)
         d = dualize(delta_weight(lat, some_edge))
         dim_qp = lat.faces[some_edge].dim
         one_plus_y = L({0: 1, 1: 1})
