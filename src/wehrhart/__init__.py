@@ -18,7 +18,6 @@ from .ehrhart import (
     VARIANT_E,
     VARIANT_ETILDE,
     CheckResult,
-    EhrhartReport,
     OrbitSum,
     PolynomialityError,
     ehrhart_polynomial,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CORPUS",
     "CheckResult",
-    "EhrhartReport",
     "Face",
     "FaceLattice",
     "HomogPoly",

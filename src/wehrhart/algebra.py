@@ -8,8 +8,8 @@ benchmark's tracer wraps it by this module's name.  Every value is
 immutable after construction and every operation is a pure function, so
 values are safe to share freely.
 
-Record and FrozenRecord are the plain slotted value classes that the
-library's records (faces, check results, reports) are built on.
+FrozenRecord is the plain slotted value class that the library's
+records (faces and check results) are built on.
 
 Integers are the fast path: a rational that happens to be integral is
 held as an int, and a Fraction appears only where a denominator does.
@@ -44,10 +44,11 @@ def as_int(x) -> int:
     return index(x)
 
 
-class Record:
+class FrozenRecord:
     """A value class over its __slots__, listed in constructor order: equal
     to a record of its own class with equal fields, hashed, shown and
-    copied by them."""
+    copied by them.  Its __init__ sets each field once, by
+    object.__setattr__; any later assignment raises AttributeError."""
 
     __slots__ = ()
 
@@ -66,13 +67,6 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._fields()
-
-
-class FrozenRecord(Record):
-    """A Record whose __init__ sets each field once, by object.__setattr__;
-    any later assignment raises AttributeError."""
-
-    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

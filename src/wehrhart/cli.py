@@ -19,7 +19,6 @@ from .algebra import HomogPoly
 from .ehrhart import (
     VARIANT_E,
     VARIANT_ETILDE,
-    EhrhartReport,
     PolynomialityError,
     ehrhart_polynomial,
     hodge_character_sum,
@@ -40,6 +39,7 @@ from .jsonio import (
     load_phi,
     load_polytope,
     load_weight,
+    verify_to_json,
     weight_to_json,
     zpoly_to_json,
 )
@@ -65,9 +65,10 @@ MAX_ELL = 16  # |charsum --l|
 MAX_LMAX = 12  # verify --lmax
 MAX_COUNT = 64  # verify --count, random weight functions
 # Budget on the lattice points a character sum renders: charsum at |ell|,
-# and the hodge suite of verify over ell = 1 .. lmax.  A rendered point
-# peaks at about 2.2 KB (254 MB RSS for the 117,649 points of cube6 at
-# ell = 6), so the budget allows about 0.55 GB.  The points are counted
+# and the hodge suite of verify, which renders every point of ell*P over
+# ell = 1 .. lmax once per weight function (2 + --count).  A rendered
+# point peaks at about 2.2 KB (254 MB RSS for the 117,649 points of cube6
+# at ell = 6), so the budget allows about 0.55 GB.  The points are counted
 # fibre by fibre before any is made, and the count stops (exit 3) as soon
 # as it passes the budget.
 MAX_POINTS = 250_000
@@ -193,18 +194,19 @@ def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
         raise CliError("validation", str(exc)) from exc
 
 
-def _check_point_budget(lattice: FaceLattice, ells, what: str) -> None:
-    """Count the points of ell*P over ells, fibre by fibre, until they pass MAX_POINTS.
+def _check_point_budget(lattice: FaceLattice, ells, what: str, copies: int = 1) -> None:
+    """Count the points of ell*P over ells, copies times each, fibre by
+    fibre, until they pass MAX_POINTS.
 
     No walk is needed where the bounding boxes of the ell*P hold no more.
     """
     spans = [max(xs) - min(xs) for xs in zip(*lattice.polytope.vertices)]
-    if sum(prod(ell * s + 1 for s in spans) for ell in ells) <= MAX_POINTS:
+    if copies * sum(prod(ell * s + 1 for s in spans) for ell in ells) <= MAX_POINTS:
         return
     count = 0
     for ell in ells:
         for _, row in fibre_rows(lattice, ell):
-            count += sum(hi - lo + 1 for _, lo, hi, *_ in row)
+            count += copies * sum(hi - lo + 1 for _, lo, hi, *_ in row)
             if count > MAX_POINTS:
                 raise CliError("validation", f"{what} has more than {MAX_POINTS} lattice points")
 
@@ -264,12 +266,14 @@ def _verify_weight_set(spec: argparse.Namespace, lattice: FaceLattice):
 
 
 def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
+    """One (suite, weight label, integrand label, [CheckResult]) tuple per report."""
     phi = _resolve_phi(spec, lattice)
-    phash = polytope_hash(lattice.polytope)
+    phi_label = str(phi)
     ells = range(1, spec.lmax + 1)
-    if spec.suite in ("all", "hodge"):
-        _check_point_budget(lattice, ells, f"the hodge suite up to --lmax {spec.lmax}")
     weight_set = _verify_weight_set(spec, lattice)
+    if spec.suite in ("all", "hodge"):
+        what = f"the hodge suite up to --lmax {spec.lmax} over {len(weight_set)} weight functions"
+        _check_point_budget(lattice, ells, what, copies=len(weight_set))
     reports = []
     # the suites share the dual weights; build each once
     duals = {}
@@ -283,10 +287,8 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
         for i, (label, f) in enumerate(weight_set):
             extra = {"dual": dual(i)} if with_dual else {}
             for variant in (VARIANT_ETILDE, VARIANT_E):
-                rep = EhrhartReport(phash, label, str(phi))
-                for ell in ells:
-                    rep.add(checker(lattice, f, phi, ell, variant, **extra))
-                reports.append((suite_name, rep))
+                checks = [checker(lattice, f, phi, ell, variant, **extra) for ell in ells]
+                reports.append((suite_name, label, phi_label, checks))
 
     if spec.suite in ("all", "reciprocity"):
         reciprocity_like(verify_reciprocity, "reciprocity")
@@ -294,43 +296,19 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
         reciprocity_like(verify_duality_reciprocity, "duality", with_dual=True)
     if spec.suite in ("all", "purity"):
         for fid in lattice.nonempty_ids:
-            rep = EhrhartReport(phash, f"g-weights(face {fid})", str(phi))
             f = g_weight_function(lattice, fid)
-            for ell in ells:
-                rep.add(verify_purity(lattice, fid, phi, ell, weights=f))
-            reports.append(("purity", rep))
+            checks = [verify_purity(lattice, fid, phi, ell, weights=f) for ell in ells]
+            reports.append(("purity", f"g-weights(face {fid})", phi_label, checks))
     if spec.suite in ("all", "hodge"):
         for i, (label, f) in enumerate(weight_set):
-            rep = EhrhartReport(phash, label, "-")
-            for ell in ells:
-                rep.add(verify_hodge_duality(lattice, f, ell, dual=dual(i)))
-            reports.append(("hodge", rep))
+            checks = [verify_hodge_duality(lattice, f, ell, dual=dual(i)) for ell in ells]
+            reports.append(("hodge", label, "-", checks))
     return reports
 
 
-def render_verify_reports(reports) -> dict:
-    rendered = []
-    for suite_name, rep in reports:
-        entry = rep.render()
-        entry["suite"] = suite_name
-        rendered.append(entry)
-    total = sum(len(rep.checks) for _, rep in reports)
-    failed = sum(1 for _, rep in reports for c in rep.checks if not c.passed)
-    return {
-        "reports": rendered,
-        "checks": total,
-        "failed": failed,
-        "passed": failed == 0,
-    }
-
-
-def exit_code_for_reports(reports) -> int:
-    return 0 if all(rep.passed for _, rep in reports) else 1
-
-
 def _cmd_verify(spec, lattice):
-    reports = _run_verify(spec, lattice)
-    return dumps(render_verify_reports(reports)), exit_code_for_reports(reports)
+    report = verify_to_json(lattice, _run_verify(spec, lattice))
+    return dumps(report), 1 if report["failed"] else 0
 
 
 _COMMANDS = {

@@ -21,7 +21,8 @@ at ell > 0 from the walk, at ell < 0 off the per-face interpolants, one
 evaluation per face and dilation.  Reciprocity, duality reciprocity and
 purity are one check (_minus_ell_check): the value at -ell against
 (-1)^deg phi times a sum built at +ell, so the two routes cross-validate
-each other.
+each other.  A check is a CheckResult holding both sides and, on
+failure, its first differing coefficient; jsonio renders it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .algebra import (
     FrozenRecord,
     HomogPoly,
     LaurentPoly,
-    Record,
     ZPoly,
     as_int,
     canon,
@@ -377,55 +377,6 @@ class CheckResult(FrozenRecord):
         init(self, "lhs", lhs)
         init(self, "rhs", rhs)
         init(self, "difference", difference)
-
-    def render(self):
-        lhs = render_value(self.lhs)
-        out = {
-            "name": self.name,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "passed": self.passed,
-            "lhs": lhs,
-            # equal sides render alike, so a passed check renders once
-            "rhs": lhs if self.passed else render_value(self.rhs),
-        }
-        if self.difference is not None:
-            out["first_difference"] = {k: str(v) for k, v in self.difference.items()}
-        return out
-
-
-def render_value(v) -> str:
-    if not isinstance(v, OrbitSum):
-        return str(v)
-    # each face's coefficient is formatted once
-    inner = "; ".join(f"chi^{list(m)}: {p}" for m, p in v.terms(str))
-    return f"{{{inner}}}" if inner else "{}"
-
-
-class EhrhartReport(Record):
-    """Checks for one (polytope, weight, integrand) combination."""
-
-    __slots__ = ("polytope", "weight", "phi", "checks")
-    __hash__ = None  # mutable: checks grow
-
-    def __init__(self, polytope: str, weight: str, phi: str, checks: list | None = None):
-        self.polytope, self.weight, self.phi = polytope, weight, phi
-        self.checks = [] if checks is None else checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, check: CheckResult):
-        self.checks.append(check)
-
-    def render(self):
-        return {
-            "polytope": self.polytope,
-            "weight": self.weight,
-            "phi": self.phi,
-            "passed": self.passed,
-            "checks": [c.render() for c in self.checks],
-        }
 
 
 def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:

@@ -1,9 +1,12 @@
 """JSON formats for every value that crosses the process boundary.
 
 Polytopes, weight functions (guarded by a polytope content hash) and
-integrands are read; face lattice exports, weight functions, character
-sums, z-polynomials and reports are written.  All orderings are
-canonical so identical inputs give identical bytes.
+integrands are read, and a key repeated within one object is refused;
+face lattice exports, weight functions, character sums, z-polynomials
+and the verify report are written.  The report's layout lives here
+alone: check_to_json renders one CheckResult and verify_to_json the
+reports with their totals.  All orderings are canonical so identical
+inputs give identical bytes.
 
 dumps writes the bytes of json.dumps(obj, indent=2) without the pure-
 Python encoder that indent selects: dicts with str keys, lists, str
@@ -37,13 +40,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 
 from .algebra import HomogPoly, LaurentPoly, ZPoly
-from .ehrhart import OrbitSum
+from .ehrhart import CheckResult, OrbitSum
 from .polytope import FaceLattice, LatticePolytope, facet_presentation, mask_ids, polytope_hash
 from .weights import WeightFunction
 
@@ -124,10 +128,19 @@ def laurent_from_json(data) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _object(pairs) -> dict:
+    """A JSON object; json keeps the last value of a repeated key, so one is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise FormatError(f"repeated key {key!r}")
+    return obj
+
+
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
-            return json.load(fh, parse_int=_parse_int)
+            return json.load(fh, parse_int=_parse_int, object_pairs_hook=_object)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except FormatError as exc:
@@ -139,8 +152,8 @@ def _load_json(path):
 def load_polytope(path) -> LatticePolytope:
     """{"vertices": [[int, ...], ...]}; dimension inferred from the vectors."""
     data = _load_json(path)
-    if not isinstance(data, dict) or "vertices" not in data:
-        raise FormatError(f"{path}: expected an object with a 'vertices' key")
+    if not isinstance(data, dict) or set(data) != {"vertices"}:
+        raise FormatError(f"{path}: expected an object with the one key 'vertices'")
     verts = data["vertices"]
     if not isinstance(verts, list) or not verts:
         raise FormatError(f"{path}: 'vertices' must be a nonempty list")
@@ -295,6 +308,51 @@ def charsum_to_json(s: OrbitSum):
 
 def zpoly_to_json(zp: ZPoly):
     return {"coeffs": [laurent_to_json(c) for c in zp.coeffs]}
+
+
+def _render_value(v) -> str:
+    """A check's side as text: an OrbitSum as its sorted terms, each face's coefficient formatted once."""
+    if not isinstance(v, OrbitSum):
+        return str(v)
+    inner = "; ".join(f"chi^{list(m)}: {p}" for m, p in v.terms(str))
+    return f"{{{inner}}}" if inner else "{}"
+
+
+def check_to_json(check: CheckResult):
+    """One check: its name, parameters, verdict and sides, and on failure its first_difference."""
+    lhs = _render_value(check.lhs)
+    out = {
+        "name": check.name,
+        "params": {k: str(v) for k, v in check.params.items()},
+        "passed": check.passed,
+        "lhs": lhs,
+        # equal sides render alike, so a passed check renders its value once
+        "rhs": lhs if check.passed else _render_value(check.rhs),
+    }
+    if check.difference is not None:
+        out["first_difference"] = {k: str(v) for k, v in check.difference.items()}
+    return out
+
+
+def verify_to_json(lattice: FaceLattice, reports):
+    """The verify report on lattice's polytope, from (suite, weight label,
+    integrand label, [CheckResult]) tuples: one entry per tuple, then the
+    number of checks, the number failed, and passed when none failed."""
+    phash = polytope_hash(lattice.polytope)
+    entries, total, failed = [], 0, 0
+    for suite, weight, phi, checks in reports:
+        misses = sum(not c.passed for c in checks)
+        entries.append({
+            "polytope": phash,
+            "weight": weight,
+            "phi": phi,
+            "passed": not misses,
+            "checks": [check_to_json(c) for c in checks],
+            "suite": suite,
+        })
+        total += len(checks)
+        failed += misses
+    return {"reports": entries, "checks": total, "failed": failed, "passed": not failed}
 
 
 _ATOMS = {None: "null", True: "true", False: "false"}

@@ -26,7 +26,7 @@ from wehrhart.algebra import (
     substitute_inverse,
     substitute_negative,
 )
-from wehrhart.ehrhart import CheckResult, EhrhartReport
+from wehrhart.ehrhart import CheckResult
 from wehrhart.polytope import Face
 
 
@@ -311,10 +311,10 @@ class TestPowerSum:
 
 
 class TestRecords:
-    """Face, CheckResult and EhrhartReport are plain slotted records that
-    behave as the dataclasses they replaced: the same constructors and
-    defaults, equality by class and fields, hashing and repr by fields,
-    and no assignment to a Face or a CheckResult."""
+    """Face and CheckResult are plain slotted records that behave as the
+    frozen dataclasses they replaced: the same constructors and defaults,
+    equality by class and fields, hashing and repr by fields, and no
+    assignment."""
 
     def face(self, **changes):
         fields = {"vertex_mask": 0b101, "tight_mask": 0b10, "dim": 1}
@@ -341,16 +341,6 @@ class TestRecords:
         assert check == CheckResult("c", {"ell": 1}, False, L({0: 1}), L({}), None)
         assert check != CheckResult("c", {"ell": 1}, False, L({0: 1}), L({}), {"exponent": 0})
         assert repr(check).startswith("CheckResult(name='c', params={'ell': 1}, passed=False, lhs=")
-
-    def test_report_is_mutable_and_unhashable(self):
-        a, b = EhrhartReport("p", "w", "1"), EhrhartReport("p", "w", "1")
-        assert a == b and a.checks == [] and a.checks is not b.checks
-        a.add(CheckResult("c", {}, True, 1, 1))
-        assert a != b and a.passed
-        a.weight = "v"
-        assert repr(EhrhartReport("p", "w", "1")) == "EhrhartReport(polytope='p', weight='w', phi='1', checks=[])"
-        with pytest.raises(TypeError):
-            hash(a)
 
     def test_records_copy_and_pickle(self):
         f = self.face()

@@ -13,7 +13,7 @@ import pytest
 
 from wehrhart import cli, corpus, ehrhart, polytope
 from wehrhart.algebra import LaurentPoly as L
-from wehrhart.ehrhart import CheckResult, EhrhartReport
+from wehrhart.ehrhart import CheckResult
 from wehrhart.jsonio import (
     ContentError,
     FormatError,
@@ -21,6 +21,7 @@ from wehrhart.jsonio import (
     dumps,
     laurent_from_json,
     load_polytope,
+    verify_to_json,
     weight_from_json,
     weight_to_json,
 )
@@ -217,11 +218,33 @@ def test_verify_single_suite_with_phi(capsys):
 
 
 def test_exit_code_1_on_failed_check():
+    # verify exits 1 exactly when the rendered failed count is nonzero
     bad = CheckResult("demo", {}, False, 0, 1)
-    rep = EhrhartReport("hash", "w", "1", [bad])
-    assert cli.exit_code_for_reports([("demo", rep)]) == 1
-    rendered = cli.render_verify_reports([("demo", rep)])
+    rendered = verify_to_json(corpus.build("segment"), [("demo", "w", "1", [bad])])
     assert rendered["passed"] is False and rendered["failed"] == 1
+
+
+def test_failed_check_exits_1_and_prints_its_first_difference(monkeypatch, capsys):
+    real = cli.verify_reciprocity
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            return real(*args, **kwargs)
+        difference = {"exponent": 0, "lhs": 1, "rhs": 2}
+        return CheckResult("reciprocity", {"ell": 1}, False, L({0: 1}), L({0: 2}), difference)
+
+    monkeypatch.setattr(cli, "verify_reciprocity", first_fails)
+    spec = cli.parse_args(["verify", fx("segment"), "--suite", "reciprocity", "--lmax", "2"])
+    assert cli.run(spec) == 1
+    out = capsys.readouterr().out
+    assert len(calls) == 8
+    assert '\n  "failed": 1,\n  "passed": false\n}\n' in out
+    assert out.count('"first_difference"') == 1
+    first = json.loads(out)["reports"][0]["checks"][0]
+    assert first["passed"] is False
+    assert first["first_difference"] == {"exponent": "0", "lhs": "1", "rhs": "2"}
 
 
 def test_parse_error_bad_json(tmp_path, capsys):
@@ -390,6 +413,40 @@ def test_weight_file_two_spellings_of_one_face_refused(tmp_path, capsys):
     assert weight_from_json({**data, "values": {"1": one}}, lattice).values == {1: L({0: 1})}
     with pytest.raises(ContentError):
         weight_from_json({**data, "values": {"-1": one}}, lattice)
+
+
+# json keeps the last value of a repeated key; each reader refuses it instead
+REPEATED_KEYS = {
+    # two values for face 1, the second of which would drop the first weight
+    "weights": '{"polytope_hash": "%s", "values": {"1": [{"exp": 0, "coeff": "1"}], "1": []}}',
+    "phi": '{"n": 2, "monomials": [{"exps": [1, 0], "coeff": "1", "coeff": "2"}]}',
+    "polytope": '{"vertices": [[0, 0], [1, 0], [0, 1]], "vertices": [[0, 0], [2, 0], [0, 2]]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_KEYS))
+def test_repeated_key_exits_2(kind, tmp_path, capsys):
+    text = REPEATED_KEYS[kind]
+    argv = {
+        "weights": ["dualize", fx("square"), "--weights"],
+        "phi": ["ehrhart", fx("square"), "--variant", "E", "--phi"],
+        "polytope": ["faces"],
+    }[kind]
+    if kind == "weights":
+        text %= polytope.polytope_hash(corpus.build("square").polytope)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: parse: ") and "repeated key" in err
+
+
+def test_polytope_file_with_another_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]], "n": 2}')
+    code, out, err = run_cli(["faces", str(path)], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: parse: ") and "'vertices'" in err
 
 
 def test_dualize_twice_is_identity(tmp_path, capsys):
@@ -722,14 +779,32 @@ def test_charsum_one_point_over_the_budget_is_refused(name, ell, points, monkeyp
 
 @pytest.mark.parametrize("suite", ["hodge", "all"])
 def test_hodge_suite_counts_the_points_of_every_dilation(suite, monkeypatch, capsys):
-    # the cube has 8 + 27 = 35 points at ell = 1 and 2
+    # the cube has 8 + 27 = 35 points at ell = 1 and 2, rendered once for
+    # each of the 2 default weight functions
     argv = ["verify", fx("cube"), "--suite", suite, "--lmax", "2"]
-    monkeypatch.setattr(cli, "MAX_POINTS", 35)
+    monkeypatch.setattr(cli, "MAX_POINTS", 70)
     assert run_cli(argv, capsys)[0] == 0
-    monkeypatch.setattr(cli, "MAX_POINTS", 34)
+    monkeypatch.setattr(cli, "MAX_POINTS", 69)
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
-    assert err == "error: validation: the hodge suite up to --lmax 2 has more than 34 lattice points\n"
+    expected = "the hodge suite up to --lmax 2 over 2 weight functions has more than 69 lattice points"
+    assert err == f"error: validation: {expected}\n"
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_hodge_suite_counts_the_points_of_every_weight_function(count, monkeypatch, capsys):
+    # 35 points for each of all-ones, g-weights(P) and count random weight functions
+    argv = ["verify", fx("cube"), "--suite", "hodge", "--lmax", "2",
+            "--random-weights", "--seed", "1", "--count", str(count)]
+    points = 35 * (2 + count)
+    monkeypatch.setattr(cli, "MAX_POINTS", points)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(json.loads(out)["reports"]) == 2 + count
+    monkeypatch.setattr(cli, "MAX_POINTS", points - 1)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    expected = f"over {2 + count} weight functions has more than {points - 1} lattice points\n"
+    assert err.startswith("error: validation: the hodge suite") and err.endswith(expected)
 
 
 def test_suites_without_character_sums_have_no_point_budget(monkeypatch, capsys):

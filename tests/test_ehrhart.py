@@ -47,13 +47,13 @@ from wehrhart.ehrhart import (
     PolynomialityError,
     ehrhart_polynomial,
     hodge_character_sum,
-    render_value,
     verify_duality_reciprocity,
     verify_hodge_duality,
     verify_purity,
     verify_reciprocity,
     weighted_ehrhart_value,
 )
+from wehrhart.jsonio import _render_value, check_to_json
 from wehrhart.polytope import (
     FaceLattice,
     build_face_lattice,
@@ -608,7 +608,7 @@ class TestFailedCheckNamesFirstDifference:
         assert not check.passed
         # y -> 1/y sends y^3 + y^4 to y^-3 + y^-4; the lowest is -4
         assert check.difference == {"exponent": -4, "lhs": 0, "rhs": 1}
-        rendered = check.render()
+        rendered = check_to_json(check)
         assert rendered["first_difference"] == {"exponent": "-4", "lhs": "0", "rhs": "1"}
         # a failed check renders each side from its own value
         assert rendered["rhs"] == str(check.rhs) != rendered["lhs"]
@@ -619,10 +619,10 @@ class TestFailedCheckNamesFirstDifference:
         assert not check.passed
         # the vertices agree; the edge's coefficient gains y^3 (1+y)
         assert check.difference == {"face": lat.top_id, "exponent": 3, "lhs": 1, "rhs": 0}
-        rendered = check.render()
+        rendered = check_to_json(check)
         expected = {"face": str(lat.top_id), "exponent": "3", "lhs": "1", "rhs": "0"}
         assert rendered["first_difference"] == expected
-        assert rendered["rhs"] == render_value(check.rhs) != rendered["lhs"]
+        assert rendered["rhs"] == _render_value(check.rhs) != rendered["lhs"]
 
     def test_passed_checks_render_no_difference(self):
         lat = build("segment")
@@ -634,10 +634,10 @@ class TestFailedCheckNamesFirstDifference:
         ]
         for check in checks:
             assert check.passed and check.difference is None
-            rendered = check.render()
+            rendered = check_to_json(check)
             assert "first_difference" not in rendered
             # the passed check renders its value once; the rhs renders alike
-            assert rendered["rhs"] == render_value(check.rhs)
+            assert rendered["rhs"] == _render_value(check.rhs)
 
     def test_verifiers_take_no_polynomial(self):
         lat = build("segment")
@@ -658,7 +658,7 @@ class TestHodgeDualityAgainstPointwiseOracle:
             faces = verify_hodge_duality(lat, f, ell, dual=dual)
             points = pointwise_hodge_duality(lat, f, ell, dual)
             assert faces.passed is points.passed is expect
-            assert faces.render() == points.render()
+            assert check_to_json(faces) == check_to_json(points)
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus(self, name):

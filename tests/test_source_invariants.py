@@ -15,7 +15,9 @@ only by (1+y)^deg phi, so no function but ehrhart._variant_factor
 compares a value with VARIANT_E.  FaceLattice.by_dim holds the grading,
 so no module but polytope.py filters a face list by .dim in a
 comprehension or a loop.  A face is two bitmasks and a dimension, so no
-module names frozenset, the face format it replaced.  The benchmark's tracer looks library functions
+module names frozenset, the face format it replaced.  The verify report's
+layout lives in jsonio.py, so no other module writes its keys
+"first_difference" or "suite" as string constants.  The benchmark's tracer looks library functions
 up by name, so one more test installs and removes it on the imported
 library.  Records are plain slotted classes, not dataclasses: importing
 dataclasses pulls inspect, ast, dis and tokenize into every start-up, so
@@ -245,6 +247,22 @@ def test_no_frozenset(path):
     assert not lines, f"{path.name} names frozenset on lines {lines}; hold a face as its masks"
 
 
+# keys of the verify report that only its writer, jsonio.verify_to_json, may name
+REPORT_KEYS = ("first_difference", "suite")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "jsonio.py"], ids=lambda p: p.name
+)
+def test_report_keys_written_only_in_jsonio(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in REPORT_KEYS
+    ]
+    assert not lines, f"{path.name} writes a verify report key on lines {lines}; render it in jsonio"
+
+
 LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
@@ -276,6 +294,8 @@ class FaceLattice:
         ("x = frozenset(mask_ids(m))\n", test_no_frozenset),
         ("def f(s: frozenset) -> int:\n    return len(s)\n", test_no_frozenset),
         ("x = builtins.frozenset()\n", test_no_frozenset),
+        ('out["first_difference"] = {}\n', test_report_keys_written_only_in_jsonio),
+        ('entry = {"suite": name, **rest}\n', test_report_keys_written_only_in_jsonio),
         ("x = json.dumps(y, indent=2)\n", test_no_indented_json_encoding),
         ("json.dump(y, fh, indent=4)\n", test_no_indented_json_encoding),
         ("def f(v):\n    return v == VARIANT_E\n", test_variants_told_apart_in_one_function),
