@@ -59,8 +59,9 @@ SUITES = ("all", "reciprocity", "duality", "purity", "hodge")
 # Budgets on the size flags, checked before the polytope is read (exit 3
 # above them): the work grows like the lattice points of the dilate, about
 # vol(P) * ell^n (random3 has 162,081 at ell = 16, 1.28 million at 32),
-# and desk-scale runs need dilations up to n + deg phi + 1.  The integrand's
-# degree is checked as soon as it is read, before any sum is taken.
+# and the interpolants walk dilations up to ceil((n + deg phi + 1) / 2)
+# whatever lmax is.  The integrand's degree is checked as soon as it is
+# read, before any sum is taken.
 MAX_ELL = 16  # |charsum --l|
 MAX_LMAX = 12  # verify --lmax
 MAX_COUNT = 64  # verify --count, random weight functions
@@ -246,8 +247,8 @@ def _cmd_ehrhart(spec, lattice):
         "degree_bound": lattice.polytope.n + phi.degree,
         "degree": zp.degree,
         **zpoly_to_json(zp),
-        # ehrhart_polynomial has already checked zp(0) against the closed
-        # form and raised PolynomialityError (exit 1) on a mismatch
+        # zp(0) is the closed form: every face's fit passes through its
+        # sample at 0, or ehrhart_polynomial raised PolynomialityError (exit 1)
         "constant_term": laurent_to_json(zp(0)),
         "constant_term_check": True,
     }

@@ -4,25 +4,34 @@ A weighted count splits into torus orbits, one per nonempty face Q:
 Etilde(ell, y) = sum_Q f_Q(y) (1+y)^dim Q S_Q(ell), where S_Q(ell), the
 sum of phi over Relint(ell Q), is a polynomial of degree dim Q + deg phi
 that does not depend on the weights.  It is interpolated once per
-(lattice, phi), in int, from the walk at ell = 1 .. n + deg phi + 1, and
-checked face by face, a dimension at a time, against its own facets: a
-vertex by its closed form, every other face by the Euler-Maclaurin
-boundary term, and the top face also by the divergence theorem
-(_face_polynomials).  phi is homogeneous,
-so E = (1+y)^deg phi Etilde (_variant_factor).  Every value a verifier
-compares is one linear combination of per-face scalars with the orbit
-coefficients f_Q(y) (1+y)^dim Q, which are built once per weight.
-Character sums likewise carry one coefficient per orbit (OrbitSum), and
-duality compares them face by face; points appear only when a sum is
-rendered.
+(lattice, phi), in int, from the walk at ell = 1 .. K alone,
+K = ceil((n + deg phi + 1) / 2): per-face reciprocity (Macdonald, with
+polynomial weights as in Brion-Vergne), S_Q(-ell) = (-1)^(dim Q + deg phi)
+sum_{G <= Q} S_G(ell), and S_Q(0) = (-1)^dim Q phi(0) give every face its
+samples at -K .. 0.  Each face is checked, a dimension at a time, by the
+samples past its degree and against its own facets: a vertex by its
+closed form, every other face by the Euler-Maclaurin boundary term, and
+the top face also by the divergence theorem (_face_polynomials).  phi is
+homogeneous, so E = (1+y)^deg phi Etilde (_variant_factor).  Every value
+a verifier compares is one linear combination of per-face scalars with
+the orbit coefficients f_Q(y) (1+y)^dim Q, which are built once per
+weight.  Character sums likewise carry one coefficient per orbit
+(OrbitSum), and duality compares them face by face; points appear only
+when a sum is rendered.
 
 The per-face values come by two routes, kept in one table per (phi, ell):
 at ell > 0 from the walk, at ell < 0 off the per-face interpolants, one
 evaluation per face and dilation.  Reciprocity, duality reciprocity and
 purity are one check (_minus_ell_check): the value at -ell against
-(-1)^deg phi times a sum built at +ell, so the two routes cross-validate
-each other.  A check is a CheckResult holding both sides and, on
-failure, its first differing coefficient; jsonio renders it.
+(-1)^deg phi times a sum built at +ell.  Past K the two routes
+cross-validate each other.  At ell <= K the interpolant's value at -ell
+is the reciprocity sample built from the same walk, so the reciprocity
+suite there checks only the orbit-coefficient algebra (_MINUS), while
+duality and purity still test dualize and the g-weights.  Per-face
+reciprocity is checked independently only by the tests, against an
+interpolation of the walk at ell = 1 .. n + deg phi + 3.  A check is a
+CheckResult holding both sides and, on failure, its first differing
+coefficient; jsonio renders it.
 """
 
 from __future__ import annotations
@@ -231,7 +240,7 @@ def weighted_ehrhart_value(
 
 
 class PolynomialityError(ArithmeticError):
-    """A face's sums failed an overdetermination or constant-term check.
+    """A face's samples failed an overdetermination or face-identity check.
 
     Polynomiality in the dilation is a theorem, so this always signals an
     implementation bug and is surfaced loudly rather than reported.
@@ -239,13 +248,16 @@ class PolynomialityError(ArithmeticError):
 
 
 @lru_cache(maxsize=16)
-def _newton_basis(bound):
-    """Row j, for j = 0..bound: the z-coefficients of (bound!/j!) (z-1)(z-2)...(z-j), all int."""
+def _newton_basis(bound, first):
+    """Row j, for j = 0..bound: the z-coefficients of (bound!/j!) (z - first)
+    (z - first - 1) ... (z - first - j + 1), the Newton basis on the nodes
+    first, first + 1, .. scaled by bound!, all int."""
     row = [factorial(bound)]
     rows = [row]
     for j in range(1, bound + 1):
-        # times (z - j), then / j: bound!/(j-1)! is j * bound!/j!
-        row = [(a - j * b) // j for a, b in zip([0] + row, row + [0])]
+        # times (z - node), then / j: bound!/(j-1)! is j * bound!/j!
+        node = first + j - 1
+        row = [(a - node * b) // j for a, b in zip([0] + row, row + [0])]
         rows.append(row)
     return rows
 
@@ -254,37 +266,60 @@ def _face_polynomials(lattice, phi):
     """(D, {Q: (a_Q0, .., a_Qdeg)}), memoized per phi in lattice._face_polys.
 
     S_Q(z) = sum_k a_Qk z^k / D with D = (n + deg phi)! * lcm(denominators
-    of phi).  Each face's sums at ell = 1 .. n + deg phi + 1 are scaled to
-    int and differenced; every difference above deg = dim Q + deg phi must
-    vanish, and a_Q0 must be (-1)^dim Q * phi(0) * D.  Taken dimension by
-    dimension (FaceLattice.by_dim), each face is then checked against its
-    own facets G, the faces of dimension dim Q - 1 below it: a vertex v has
-    S_v(z) = phi(v) z^deg phi, and a face of dim >= 1 meets the
-    Euler-Maclaurin boundary term in its own lattice,
+    of phi), deg = dim Q + deg phi.  The walk runs at ell = 1 .. K only,
+    K = ceil((n + deg phi + 1) / 2), and gives each face 2K + 1 samples at
+    the consecutive integers -K .. K (Macdonald reciprocity, with
+    polynomial weights as in Brion-Vergne):
+        +ell  S_Q(ell), from the walk
+         0    (-1)^dim Q phi(0)
+        -ell  (-1)^deg times the closed sum, sum over G <= Q of S_G(ell)
+    The samples are scaled to int and differenced from -K; every
+    difference above deg must vanish, which also fixes a_Q0 to the sample
+    at 0.  Taken dimension by dimension (FaceLattice.by_dim), each face is
+    then checked against its own facets G, the faces of dimension dim Q - 1
+    below it: a vertex v has S_v(z) = phi(v) z^deg phi, and a face of
+    dim >= 1 meets the Euler-Maclaurin boundary term in its own lattice,
     2 a_Q[deg - 1] = -sum_G a_G[deg - 1], with a_G[deg - 1] the integral
     of phi over G times D.  The top face P also meets the divergence
     theorem, deg a_P[deg] = sum_G a_F a_G[deg - 1] (deg = n + deg phi),
-    a_F the offset of the one facet F tight at G.  A failure raises
+    a_F the offset of the one facet F tight at G.  The constraints past
+    the fit, per face of dimension d (2K >= n + deg phi + 1):
+        d = 0           2K - deg phi differences, deg phi + 1 closed-form
+                        coefficients
+        0 < d < n       2K - d - deg phi differences, Euler-Maclaurin
+        d = n           2K - n - deg phi >= 1 differences, Euler-Maclaurin
+                        and the divergence identity
+    so no face has fewer than three.  The Euler-Maclaurin identity is the
+    z^(deg - 1) coefficient of reciprocity, which the samples impose at
+    0 .. K, so it binds only where deg >= K + 2.  A failure raises
     PolynomialityError naming the face.
     """
     if phi not in lattice._face_polys:
         P, faces = lattice.polytope, lattice.faces
         n = P.n
         bound = n + phi.degree
+        K = (bound + 2) // 2
         d, monomials = _scaled_monomials(phi)
         denom = factorial(bound) * d
 
-        def scaled_phi(m):  # D * phi(m), in int
-            return factorial(bound) * sum(c * prod(map(pow, m, e)) for e, c in monomials)
+        def scaled_phi(m):  # d * phi(m), in int
+            return sum(c * prod(map(pow, m, e)) for e, c in monomials)
 
-        samples = [_phi_face_sums(lattice, phi, ell) for ell in range(1, bound + 2)]
-        basis = _newton_basis(bound)
+        walk = [
+            {q: canon(d * v) for q, v in _phi_face_sums(lattice, phi, ell).items()}
+            for ell in range(1, K + 1)
+        ]
+        basis = _newton_basis(bound, -K)
         phi0 = scaled_phi((0,) * n)
         table = {}
         for dim, layer in enumerate(lattice.by_dim[1:]):
             deg = dim + phi.degree
+            sign = -1 if deg % 2 else 1
             for q in mask_ids(layer):
-                row = [canon(d * sums[q]) for sums in samples]
+                below = lattice.subfaces(q)
+                row = [sign * sum(map(sums.__getitem__, below)) for sums in reversed(walk)]
+                row.append(-phi0 if dim % 2 else phi0)
+                row.extend(sums[q] for sums in walk)
                 lead = []
                 while row:
                     lead.append(row[0])
@@ -292,24 +327,20 @@ def _face_polynomials(lattice, phi):
                 for j in range(deg + 1, len(lead)):
                     if lead[j]:
                         raise PolynomialityError(
-                            f"face {q}: its sums at dilations 1..{len(lead)} have a nonzero "
-                            f"difference of order {j}, above their degree {deg}"
+                            f"face {q}: its samples at z = -{K}..{K} (walked at 1..{K}, "
+                            f"by reciprocity at -{K}..-1) have a nonzero difference of "
+                            f"order {j}, above their degree {deg}"
                         )
                 coeffs = tuple(
                     sum(lead[j] * basis[j][k] for j in range(k, deg + 1)) for k in range(deg + 1)
                 )
-                if coeffs[0] != (-1) ** dim * phi0:
-                    raise PolynomialityError(
-                        f"face {q}: constant term {Fraction(coeffs[0], denom)}, "
-                        f"closed form {Fraction((-1) ** dim * phi0, denom)}"
-                    )
                 if dim:
                     ridges = mask_ids(lattice.down[q] & lattice.by_dim[dim])
                     rhs = -sum(table[g][deg - 1] for g in ridges)
                     _check_coefficient(q, deg - 1, 2, coeffs[deg - 1], rhs, denom, "facet identity")
                 else:
                     v = P.vertices[faces[q].vertex_mask.bit_length() - 1]
-                    closed = (0,) * phi.degree + (scaled_phi(v),)
+                    closed = (0,) * phi.degree + (factorial(bound) * scaled_phi(v),)
                     for k, (a, b) in enumerate(zip(coeffs, closed)):
                         _check_coefficient(q, k, 1, a, b, denom, "closed form")
                 if dim == n:  # an (n-1)-face is tight on exactly one facet: its own
@@ -342,7 +373,7 @@ def ehrhart_polynomial(
 
     Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D times the variant's
     factor, from the per-face interpolants of _face_polynomials; their
-    checks (the extra dilations and the constant term, face by face, the
+    checks (the samples past each face's degree, reciprocity's included, the
     closed form of each vertex, the Euler-Maclaurin identity of every
     other face against its own facets, and the divergence identity of the
     top face) raise PolynomialityError.

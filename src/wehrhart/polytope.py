@@ -33,8 +33,10 @@ from .algebra import FrozenRecord, as_int
 # interpolants per integrand); past the bound the oldest entry is
 # dropped.  One CLI run asks for at most 16 dilations of points
 # (|charsum --l| <= 16, verify --lmax <= 12) and, for its one integrand,
-# for sums at max(lmax, n + deg phi + 1) positive and lmax negative
-# dilations and for one table, so no run at desk scale evicts anything.
+# for sums at max(lmax, K) positive and lmax negative dilations and for
+# one table, where the table walks ell = 1 .. K, K = ceil((n + deg phi +
+# 1) / 2), and takes its samples at -K .. -1 from reciprocity without
+# caching them; so no run at desk scale evicts anything.
 # FaceLattice._projections needs no bound: it holds the facets of the
 # n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
 # Nor does FaceLattice._g_memo: one entry per face Q' that the Stanley

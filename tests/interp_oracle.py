@@ -1,7 +1,8 @@
 """The weighted polynomial two slower ways, the oracles for the per-face interpolants.
 
 The library interpolates the phi-sum of every face once per integrand, in
-int, and combines those per-face polynomials for each weight.
+int, from the walk at ell = 1 .. K and per-face reciprocity at -K .. -1,
+and combines those per-face polynomials for each weight.
 
 per_weight_polynomial follows the per-weight route instead: it samples the
 weighted count at dilations 1 .. n + deg phi + 1, interpolates the Laurent
@@ -10,7 +11,8 @@ constant term (the ell = 0 character sum pushed through phi).
 
 per_face_polynomials takes each face's phi-sums at dilations
 1 .. n + deg phi + 3 from a brute-force enumerator, interpolates them by
-Lagrange in Fraction and checks every sample past the fit.
+Lagrange in Fraction and checks every sample past the fit; it uses no
+reciprocity, so comparing the two tests the library's reciprocity samples.
 face_identity_failures states the facts the library checks each face's
 interpolant against, read off vertex sets and phi_eval alone.
 """

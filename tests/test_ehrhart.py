@@ -300,8 +300,9 @@ class TestEhrhartPolynomial:
         assert not zp(0)
 
     def test_overdetermination_guard_fires_on_non_polynomial(self, monkeypatch):
-        # a fresh lattice: the corpus one may already hold the per-face table
-        lat = build_face_lattice(facet_presentation(CORPUS["segment"]))
+        # a fresh lattice: the corpus one may already hold the per-face table.
+        # The square walks ell = 1..2, so a step at ell = 2 reaches the samples
+        lat = build_face_lattice(facet_presentation(CORPUS["square"]))
         real = eh._phi_face_sums
         vertex = lat.vertex_face_id(0)
 
@@ -312,12 +313,17 @@ class TestEhrhartPolynomial:
             return sums
 
         monkeypatch.setattr(eh, "_phi_face_sums", warped)
-        message = rf"^face {vertex}: .* order 1, above their degree 0$"
+        message = (
+            rf"^face {vertex}: its samples at z = -2\.\.2 \(walked at 1\.\.2, by reciprocity "
+            rf"at -2\.\.-1\) have a nonzero difference of order 1, above their degree 0$"
+        )
         with pytest.raises(PolynomialityError, match=message):
-            eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(1), "Etilde")
+            eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(2), "Etilde")
 
     def test_constant_term_guard_fires_on_offset_face(self, monkeypatch):
-        # one face off by a constant at every dilation is still a polynomial
+        # one face off by a constant at every walked dilation, and by
+        # reciprocity at their negatives, still misses the closed form at
+        # ell = 0: the samples 6, 6, 1, 6, 6 at -2..2 have a second difference
         lat = build_face_lattice(facet_presentation(CORPUS["square"]))
         vertex = lat.vertex_face_id(0)
         real = eh._phi_face_sums
@@ -328,7 +334,7 @@ class TestEhrhartPolynomial:
             return sums
 
         monkeypatch.setattr(eh, "_phi_face_sums", offset)
-        message = rf"^face {vertex}: constant term 6, closed form 1$"
+        message = rf"^face {vertex}: .* order 2, above their degree 0$"
         with pytest.raises(PolynomialityError, match=message):
             eh.ehrhart_polynomial(lat, all_ones(lat), phi_one(2), "E")
 
@@ -336,10 +342,16 @@ class TestEhrhartPolynomial:
     @pytest.mark.parametrize("degree", [0, 1])
     @pytest.mark.parametrize("drop", [0, 1])
     def test_facet_identities_fire_on_warped_top_face(self, monkeypatch, name, degree, drop):
-        # ell^j with j = n + deg phi - drop: the differences pass, and for j > 0
-        # so does the constant term, but the identity on z^j does not
+        # ell^j with j = deg - drop, deg = n + deg phi, reaches P's samples at
+        # -ell as (-1)^deg ell^j.  For drop 0 that is z^deg, which passes the
+        # differences; for drop 1 it is sign(z) z^j, odd for odd deg, which a
+        # polynomial of P's degree fits on -K..K with odd powers only, and
+        # even for even deg, which needs z^(deg + 2).  A fit moves z^deg, and
+        # the divergence identity fires; no fit leaves a difference of order
+        # deg + 1
         lat = build_face_lattice(facet_presentation(CORPUS[name]))
-        top, j = lat.top_id, lat.polytope.n + degree - drop
+        deg = lat.polytope.n + degree
+        top, j = lat.top_id, deg - drop
         real = eh._phi_face_sums
 
         def warped(lattice, phi, ell):
@@ -348,21 +360,43 @@ class TestEhrhartPolynomial:
             return sums
 
         monkeypatch.setattr(eh, "_phi_face_sums", warped)
-        if j:
-            message = rf"^face {top}: coefficient of z\^{j} .*, facet identity .*$"
-        else:  # the segment with phi of degree 0: ell^0 moves the constant term
-            message = rf"^face {top}: constant term -1/2, closed form -3/2$"
+        if drop == 0 or deg % 2:
+            message = rf"^face {top}: coefficient of z\^{deg} .*, facet identity .*$"
+        else:
+            message = rf"^face {top}: .* order {deg + 1}, above their degree {deg}$"
         with pytest.raises(PolynomialityError, match=message):
             eh.ehrhart_polynomial(lat, all_ones(lat), mixed_phi(lat.polytope.n, degree), "E")
 
     @pytest.mark.parametrize("name", ["segment", "square", "cube", "random3"])
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_interpolant_walks_up_to_n_plus_degree_plus_1(self, name, degree):
+        # exactly ell = 1..K, K = ceil((n + deg phi + 1) / 2): reciprocity gives
+        # the samples at -K..-1
         lat = build_face_lattice(facet_presentation(CORPUS[name]))
         phi = mixed_phi(lat.polytope.n, degree)
         eh.ehrhart_polynomial(lat, all_ones(lat), phi, "E")
-        last = lat.polytope.n + degree + 1
+        last = (lat.polytope.n + degree + 2) // 2
         assert set(lat._phi_sums) == {(phi, ell) for ell in range(1, last + 1)}
+
+    @pytest.mark.parametrize("name", ["square", "cube"])
+    def test_walked_set_ignores_cached_dilations(self, monkeypatch, name):
+        # sums cached past K, as a verify --lmax run leaves them, are not read,
+        # and the table equals the one from a cold lattice
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        phi = mixed_phi(lat.polytope.n, 1)
+        for ell in range(1, 9):
+            weighted_ehrhart_value(lat, all_ones(lat), phi, ell, "E")
+        cold = build_face_lattice(facet_presentation(CORPUS[name]))
+        real, read = eh._phi_face_sums, []
+
+        def spy(lattice, phi, ell):
+            read.append(ell)
+            return real(lattice, phi, ell)
+
+        monkeypatch.setattr(eh, "_phi_face_sums", spy)
+        assert eh._face_polynomials(lat, phi) == eh._face_polynomials(cold, phi)
+        last = (lat.polytope.n + 1 + 2) // 2
+        assert read == 2 * list(range(1, last + 1))
 
     @staticmethod
     def raises_on_warped_face(monkeypatch, lat, face, power, phi, message):
@@ -381,12 +415,15 @@ class TestEhrhartPolynomial:
     @pytest.mark.parametrize("name", ["cube", "random3"])
     @pytest.mark.parametrize("degree", [0, 1])
     def test_facet_identity_fires_on_warped_facet(self, monkeypatch, name, degree):
-        # ell^(deg - 1) with deg = dim F + deg phi: F's difference and constant
-        # term pass, its own Euler-Maclaurin identity does not
+        # ell^(deg - 1) with deg = dim F + deg phi reaches F's samples at -ell
+        # as -(-ell)^(deg - 1), so F's own differences fail: on a face with
+        # deg <= K + 1 the Euler-Maclaurin identity is the z^(deg - 1)
+        # coefficient of reciprocity, which the samples already impose
         lat = build_face_lattice(facet_presentation(CORPUS[name]))
         facet = next(q for q, f in enumerate(lat.faces) if f.dim == lat.polytope.n - 1)
-        j = lat.polytope.n - 1 + degree - 1
-        message = rf"^face {facet}: coefficient of z\^{j} .*, facet identity .*$"
+        deg = lat.polytope.n - 1 + degree
+        j = deg - 1
+        message = rf"^face {facet}: .* order {deg + 1}, above their degree {deg}$"
         self.raises_on_warped_face(
             monkeypatch, lat, facet, j, mixed_phi(lat.polytope.n, degree), message
         )
@@ -395,11 +432,14 @@ class TestEhrhartPolynomial:
     @pytest.mark.parametrize("degree", [0, 1])
     def test_facet_identity_fires_above_warped_edge(self, monkeypatch, name, degree):
         # ell^(1 + deg phi) moves only the edge's leading coefficient, which
-        # every 2-face above it reads; the first of them in id order fails
+        # passes the edge's own checks; every 2-face above it reads the edge
+        # in its samples at -ell, where no polynomial of its degree then
+        # fits, and the first of them in id order fails
         lat = build_face_lattice(facet_presentation(CORPUS[name]))
         edge = next(q for q, f in enumerate(lat.faces) if f.dim == 1)
         above = min(q for q, f in enumerate(lat.faces) if f.dim == 2 and lat.leq(edge, q))
-        message = rf"^face {above}: coefficient of z\^{degree + 1} .*, facet identity .*$"
+        deg = 2 + degree
+        message = rf"^face {above}: .* order {deg + 1}, above their degree {deg}$"
         self.raises_on_warped_face(monkeypatch, lat, edge, 1 + degree, mixed_phi(3, degree), message)
 
     @pytest.mark.parametrize("name", ["segment", "square", "cube", "random3"])
@@ -412,15 +452,41 @@ class TestEhrhartPolynomial:
             monkeypatch, lat, vertex, degree, mixed_phi(lat.polytope.n, degree), message
         )
 
+    @pytest.mark.parametrize("name", ["cube", "random3"])
+    def test_middle_coefficient_of_a_2_face_is_caught_above_it(self, monkeypatch, name):
+        # ell^1 on a facet with a linear phi (deg 3) is z^1, which the
+        # facet's own samples and identity accept; P reads it at -ell, where
+        # no polynomial of degree 4 through its samples then fits
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        face = next(q for q, f in enumerate(lat.faces) if f.dim == 2)
+        message = rf"^face {lat.top_id}: .* order 5, above their degree 4$"
+        self.raises_on_warped_face(monkeypatch, lat, face, 1, mixed_phi(3, 1), message)
+
+    @pytest.mark.parametrize(
+        "name,dim",
+        [(name, dim) for name, n in (("square", 2), ("cube", 3), ("random3", 3)) for dim in range(n)],
+    )
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("power", range(5))
+    def test_every_warp_below_the_top_face_is_caught(self, monkeypatch, name, dim, degree, power):
+        # ell^power on the first face of a dimension below n: what its own
+        # checks accept, the samples at -ell of a face above it do not
+        lat = build_face_lattice(facet_presentation(CORPUS[name]))
+        face = next(q for q, f in enumerate(lat.faces) if f.dim == dim)
+        phi = mixed_phi(lat.polytope.n, degree)
+        self.raises_on_warped_face(monkeypatch, lat, face, power, phi, r"^face \d+: ")
+
 
 class TestFacePolynomialsAgainstOracle:
     """The per-face table against per_face_polynomials, read past the walk.
 
-    Dimension <= 4: the sums come from the box oracle.  Dimension 5: the
-    box oracle's prefixes alone take 10 to 30 s to ell = 10 on cross5 and
-    the random 5-polytope, so the oracle reads the walked sums (compared
-    with the box at small ell in TestPhiFaceSumsAgainstPointSums) at
-    ell = 1 .. n + deg phi + 3, two dilations past what the table reads.
+    The table walks ell = 1 .. K and takes its samples at -K .. -1 from
+    per-face reciprocity; the oracle fits ell = 1 .. n + deg phi + 3 alone,
+    so it checks that reciprocity independently.  Dimension <= 4: the sums
+    come from the box oracle.  Dimension 5: the box oracle's prefixes alone
+    take 10 to 30 s to ell = 10 on cross5 and the random 5-polytope, so the
+    oracle reads the walked sums (compared with the box at small ell in
+    TestPhiFaceSumsAgainstPointSums).
     """
 
     def check(self, lat, face_sums=fibre_phi_face_sums):

@@ -917,14 +917,16 @@ class TestCacheBounds:
         for ell in range(1, last + 1):
             assert _phi_face_sums(lattice, phi, ell)[top] == ell - 1
             assert _phi_face_sums(lattice, phi, -ell)[top] == -ell - 1
-        # the interpolant walked ell = 1..3 before -1 was read
+        # the interpolant walks only ell = 1 (K = 1 on the segment), already
+        # cached when -1 was read, so the two signs went in alternately
         assert len(lattice._phi_sums) == PHI_SUMS_MAX
         assert lattice._phi_sums.evictions == 2 * last - PHI_SUMS_MAX == 2
-        assert (phi, 1) not in lattice._phi_sums and (phi, 2) not in lattice._phi_sums
-        assert (phi, -1) in lattice._phi_sums
-        # rebuilt from a fresh walk after the eviction
+        assert (phi, 1) not in lattice._phi_sums and (phi, -1) not in lattice._phi_sums
+        assert (phi, 2) in lattice._phi_sums and (phi, -2) in lattice._phi_sums
+        # rebuilt after the eviction: from a fresh walk, and off the table
         assert _phi_face_sums(lattice, phi, 1)[top] == 0
-        assert lattice._phi_sums.evictions == 3
+        assert _phi_face_sums(lattice, phi, -1)[top] == -2
+        assert lattice._phi_sums.evictions == 4
 
     def test_face_polynomials_past_their_bound(self):
         from wehrhart.algebra import HomogPoly

@@ -3,6 +3,10 @@
 The benchmark's digests cover verify up to dimension 4 only.  These two
 sha256 digests were recorded before the verifiers were rebuilt on per-face
 values, so any change to the report of a 5-polytope fails the suite.
+The ehrhart digests of a seeded 12-vertex 5-polytope were recorded while
+the per-face interpolants still walked every dilation 1 .. n + deg phi + 1,
+so a change to which dilations they are fitted from must leave the
+polynomial's bytes alone.
 No benchmark workload runs charsum; its digests were recorded while the
 library still expanded each orbit into a point-keyed sum before rendering,
 so a change to how the sum is held must leave its bytes alone.
@@ -39,6 +43,30 @@ def test_verify_all_stdout_matches_the_recorded_digest(name, tmp_path):
     argv = ["verify", str(path), "--suite", "all", "--lmax", "2"]
     assert cli.run(cli.parse_args(argv), stdout=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[name]
+
+
+# integrand -> sha256 of ehrhart --variant E stdout on the hull of 12 points
+# drawn from random.Random(1) in [-2, 2]^5; None is phi = 1
+EHRHART_DIGESTS = {
+    None: "e4e97c212c22a61c75f0ac9013b8254ceef924d4b56f501602e9249565cb5cbc",
+    "linear": "57ea42c25e205e2907b4b521dd5928f7caa70900408dd96c8306106e0a0aae1e",
+}
+
+
+@pytest.mark.parametrize("phi", sorted(EHRHART_DIGESTS, key=str), ids=str)
+def test_ehrhart_stdout_matches_the_recorded_digest(phi, tmp_path):
+    rng = random.Random(1)
+    points = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(12)]
+    path = tmp_path / "random5.json"
+    path.write_text(json.dumps({"vertices": points}))
+    argv = ["ehrhart", str(path), "--variant", "E"]
+    if phi == "linear":  # phi(x) = x_5
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"n": 5, "monomials": [{"exps": [0, 0, 0, 0, 1], "coeff": "1"}]}))
+        argv += ["--phi", str(phi_path)]
+    out = StringIO()
+    assert cli.run(cli.parse_args(argv), stdout=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == EHRHART_DIGESTS[phi]
 
 
 # (polytope, ell, weights) -> sha256 of charsum stdout; weights None is all-ones,
