@@ -276,33 +276,22 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
         what = f"the hodge suite up to --lmax {spec.lmax} over {len(weight_set)} weight functions"
         _check_point_budget(lattice, ells, what, copies=len(weight_set))
     reports = []
-    # the suites share the dual weights; build each once
-    duals = {}
-
-    def dual(i):
-        if i not in duals:
-            duals[i] = dualize(weight_set[i][1])
-        return duals[i]
-
-    def reciprocity_like(checker, suite_name, with_dual=False):
-        for i, (label, f) in enumerate(weight_set):
-            extra = {"dual": dual(i)} if with_dual else {}
-            for variant in (VARIANT_ETILDE, VARIANT_E):
-                checks = [checker(lattice, f, phi, ell, variant, **extra) for ell in ells]
-                reports.append((suite_name, label, phi_label, checks))
-
-    if spec.suite in ("all", "reciprocity"):
-        reciprocity_like(verify_reciprocity, "reciprocity")
-    if spec.suite in ("all", "duality"):
-        reciprocity_like(verify_duality_reciprocity, "duality", with_dual=True)
+    # each weight keeps its dual, so the duality and hodge suites share one
+    suites = ((verify_reciprocity, "reciprocity"), (verify_duality_reciprocity, "duality"))
+    for checker, suite_name in suites:
+        if spec.suite in ("all", suite_name):
+            for label, f in weight_set:
+                for variant in (VARIANT_ETILDE, VARIANT_E):
+                    checks = [checker(lattice, f, phi, ell, variant) for ell in ells]
+                    reports.append((suite_name, label, phi_label, checks))
     if spec.suite in ("all", "purity"):
         for fid in lattice.nonempty_ids:
             f = g_weight_function(lattice, fid)
             checks = [verify_purity(lattice, fid, phi, ell, weights=f) for ell in ells]
             reports.append(("purity", f"g-weights(face {fid})", phi_label, checks))
     if spec.suite in ("all", "hodge"):
-        for i, (label, f) in enumerate(weight_set):
-            checks = [verify_hodge_duality(lattice, f, ell, dual=dual(i)) for ell in ells]
+        for label, f in weight_set:
+            checks = [verify_hodge_duality(lattice, f, ell) for ell in ells]
             reports.append(("hodge", label, "-", checks))
     return reports
 

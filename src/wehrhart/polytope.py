@@ -45,6 +45,11 @@ from .algebra import FrozenRecord, as_int
 POINTS_CACHE_MAX = 16
 PHI_SUMS_MAX = 64
 FACE_POLYS_MAX = 4
+# Faces a lattice may have: up and down are two F x F bit matrices, 64 MB
+# at F = 2**14.  The largest lattice in use, the hull of 40 points in
+# [-3, 3]^6, has 10,712 faces; the d-simplex has 2**(d+1), so the
+# 14-simplex is the first simplex refused.
+MAX_FACES = 1 << 14
 
 
 class InvalidPolytope(ValueError):
@@ -176,15 +181,26 @@ class LatticePolytope:
 
     P = {m : <m, u_F> >= -a_F for every facet F}, inward normals u_F with
     gcd of entries 1.  Vertices and facets are stored in a deterministic
-    (lexicographic) order.
+    (lexicographic) order.  facet_vertices holds one vertex bitmask per
+    facet, bit i set iff P.vertices[i] is tight on it.  Every polytope,
+    fitted or given, is checked once here: a facet whose vertices do not
+    span an (n-1)-face raises InvalidPolytope, naming the dimension.
     """
 
-    __slots__ = ("n", "vertices", "facets")
+    __slots__ = ("n", "vertices", "facets", "facet_vertices")
 
     def __init__(self, n, vertices, facets):
         self.n = n
         self.vertices = tuple(tuple(map(as_int, v)) for v in vertices)
         self.facets = tuple((tuple(map(as_int, u)), as_int(a)) for u, a in facets)
+        self.facet_vertices = tuple(
+            sum(1 << i for i, v in enumerate(self.vertices) if _dot(v, u) == -a)
+            for u, a in self.facets
+        )
+        for facet, mask in zip(self.facets, self.facet_vertices):
+            rank = _affine_rank([self.vertices[i] for i in mask_ids(mask)])
+            if rank != n - 1:
+                raise InvalidPolytope(f"facet {facet} spans a {rank}-face, not an {n - 1}-face")
 
     def __eq__(self, other):
         return (
@@ -219,7 +235,7 @@ def facet_presentation(points) -> LatticePolytope:
     by its gcd at the end.  Points that are not vertices of the hull are
     dropped from the vertex list.  Requires a full-dimensional hull in
     the ambient dimension and int coordinates (floats and bools raise
-    TypeError).
+    TypeError).  The returned LatticePolytope rank-checks its facets.
     """
     pts = sorted({tuple(map(as_int, p)) for p in points})
     if not pts:
@@ -272,9 +288,6 @@ def facet_presentation(points) -> LatticePolytope:
         g = gcd(*ray[:-1])
         facets.append(((tuple(x // g for x in ray[:-1]), ray[-1] // g), zero))
     facets.sort()
-    for (u, a), zero in facets:
-        if _affine_rank([pts[i] for i in mask_ids(zero)]) != n - 1:
-            raise InvalidPolytope(f"degenerate facet fit {(u, a)}")
     # a point is a vertex iff no other point lies on all of its facets
     vertices = [
         p
@@ -383,24 +396,22 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     """All faces of P as intersections of facet vertex sets.
 
     Vertex sets are bitmasks, taken in decreasing vertex count from P's
-    own; each meets each facet once, which joins its tight mask if it
-    contains the set and else cuts out a smaller set, queued if new.  So
-    the closure under intersection is complete, deduplicated by vertex set
-    and graded in one pass; the empty face (dim -1, tight on all facets)
-    and P (empty tight set) are always present, and ids follow (dim,
-    vertex set).  Elimination ranks only the facets, for the closure check.
+    own; each meets each facet's vertex set (P.facet_vertices) once, which
+    joins its tight mask if it contains the set and else cuts out a smaller
+    set, queued if new.  So the closure under intersection is complete,
+    deduplicated by vertex set and graded in one pass; the empty face (dim
+    -1, tight on all facets) and P (empty tight set) are always present,
+    and ids follow (dim, vertex set); P ranked its facets when it was
+    built.  A closure past MAX_FACES faces raises InvalidPolytope before
+    the order masks are built.
     """
     nv = len(P.vertices)
-    facet_tight = [
-        sum(1 << i for i, v in enumerate(P.vertices) if _dot(v, u) == -a)
-        for u, a in P.facets
-    ]
     all_v = (1 << nv) - 1
     # grade top down: a face meets a facet not containing it in a face one
     # dimension lower or less, and in exactly one lower along some facet
     dims, tight = {all_v: P.n}, {}
     by_count = [[] for _ in range(nv)] + [[all_v]]
-    bits = [(1 << F, ft) for F, ft in enumerate(facet_tight)]
+    bits = [(1 << F, ft) for F, ft in enumerate(P.facet_vertices)]
     for bucket in reversed(by_count):
         for s in bucket:
             below, mask = dims[s] - 1, 0
@@ -409,6 +420,11 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
                 if t == s:
                     mask |= bit
                 elif (d := dims.get(t)) is None:
+                    if len(dims) == MAX_FACES:
+                        raise InvalidPolytope(
+                            f"{nv} vertices and {len(bits)} facets give more than "
+                            f"{MAX_FACES} faces, the face lattice budget"
+                        )
                     dims[t] = below
                     by_count[t.bit_count()].append(t)
                 elif d > below:
@@ -417,15 +433,8 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     members = {s: mask_ids(s) for s in dims}
     faces = [Face(s, tight[s], dims[s]) for s in sorted(dims, key=lambda s: (dims[s], members[s]))]
     # Every set in the closure is the common vertex set of its tight
-    # facets by construction; what a wrong facet list breaks is the grading:
-    # each facet must close to an (n-1)-face and each vertex to a 0-face.
-    for F, ft in enumerate(facet_tight):
-        rank = _affine_rank([P.vertices[i] for i in members[ft]])
-        if rank != P.n - 1:
-            raise InvalidPolytope(
-                f"face lattice closure broken: facet {P.facets[F]} spans a "
-                f"{rank}-face, not an {P.n - 1}-face"
-            )
+    # facets by construction, and every facet closes to an (n-1)-face;
+    # what a wrong facet list can still break is each vertex's 0-face.
     for i, v in enumerate(P.vertices):
         if dims.get(1 << i) != 0:
             raise InvalidPolytope(

@@ -28,11 +28,11 @@ class LatticeMismatch(ValueError):
 class WeightFunction:
     """Map from nonempty face ids to LaurentPoly; absent means zero.
 
-    Treated as immutable once built: _orbit memoizes the orbit
-    coefficients that the weighted counts derive from the values.
+    Treated as immutable once built: _memo keeps, from first use, the orbit
+    coefficients that the weighted counts use and the dual (dualize).
     """
 
-    __slots__ = ("lattice", "values", "_orbit")
+    __slots__ = ("lattice", "values", "_memo")
 
     def __init__(self, lattice: FaceLattice, values=None):
         vals = {}
@@ -42,7 +42,7 @@ class WeightFunction:
                 vals[fid] = p
         self.lattice = lattice
         self.values = dict(sorted(vals.items()))
-        self._orbit = {}
+        self._memo = {}
 
     def __getitem__(self, fid: int) -> LaurentPoly:
         return self.values.get(fid, LaurentPoly())
@@ -86,8 +86,22 @@ def add(f: WeightFunction, g: WeightFunction) -> WeightFunction:
     return WeightFunction(f.lattice, acc)
 
 
+_DUAL = "dual"
+
+
 def dualize(f: WeightFunction) -> WeightFunction:
-    """The duality involution, grouped by the dimension of E.
+    """The duality involution D(f), built once per f and kept in f's memo.
+
+    D(f) keeps no link back to f, so D(D(f)) is computed afresh: it
+    equals f but is a new WeightFunction.
+    """
+    if _DUAL not in f._memo:
+        f._memo[_DUAL] = _involution(f)
+    return f._memo[_DUAL]
+
+
+def _involution(f: WeightFunction) -> WeightFunction:
+    """D(f), grouped by the dimension of E.
 
     For each Q the f_E(1/y) over E >= Q of one dimension d are summed
     first, then multiplied once by the kernel (1+y)^(d - dim Q) * (-y)^(-d);

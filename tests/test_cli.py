@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wehrhart import cli, corpus, ehrhart, polytope
+from wehrhart import cli, corpus, ehrhart, polytope, weights
 from wehrhart.algebra import LaurentPoly as L
 from wehrhart.ehrhart import CheckResult
 from wehrhart.jsonio import (
@@ -724,22 +724,63 @@ def test_integrand_degree_over_budget_is_refused_at_once(tmp_path, capsys, args,
     assert str(cli.MAX_DEGREE) in err
 
 
+def _capture_weight_set(monkeypatch):
+    """The weight functions a verify run checks, recorded as cli builds them."""
+    captured = []
+    real = cli._verify_weight_set
+
+    def recording(spec, lattice):
+        named = real(spec, lattice)
+        captured.extend(f for _, f in named)
+        return named
+
+    monkeypatch.setattr(cli, "_verify_weight_set", recording)
+    return captured
+
+
 def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
-    calls = {"cli.dualize": 0, "ehrhart.dualize": 0, "ehrhart.g_weight_function": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for module, attr in [(cli, "dualize"), (ehrhart, "dualize"), (ehrhart, "g_weight_function")]:
-        name = f"{module.__name__.split('.')[-1]}.{attr}"
-        monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+    # counted below dualize's memo: each weight's dual is computed exactly once
+    built, g_calls = [], []
+    involution, g_weights = weights._involution, ehrhart.g_weight_function
+    monkeypatch.setattr(weights, "_involution", lambda f: built.append(id(f)) or involution(f))
+    monkeypatch.setattr(ehrhart, "g_weight_function", lambda *a: g_calls.append(a) or g_weights(*a))
+    weight_set = _capture_weight_set(monkeypatch)
     code, _, _ = run_cli(["verify", fx("square"), "--suite", "all", "--lmax", "3"], capsys)
     assert code == 0
     # all-ones and g-weights(P), each dualized once for both suites that need it
-    assert calls == {"cli.dualize": 2, "ehrhart.dualize": 0, "ehrhart.g_weight_function": 0}
+    assert len(weight_set) == 2
+    assert sorted(built) == sorted(map(id, weight_set))
+    # purity is handed each face's g-weights by the CLI
+    assert g_calls == []
+
+
+def test_verify_leaves_the_orbit_kinds_and_the_dual_in_each_memo(monkeypatch, capsys):
+    weight_set = _capture_weight_set(monkeypatch)
+    argv = ["verify", fx("pyramid"), "--suite", "all", "--lmax", "2"]
+    argv += ["--random-weights", "--seed", "5", "--count", "2"]
+    assert cli.run(cli.parse_args(argv)) == 0
+    capsys.readouterr()
+    assert len(weight_set) == 4
+    orbit_kinds = {ehrhart._PLUS, ehrhart._MINUS, ehrhart._MINUS_INVERTED}
+    for f in weight_set:
+        assert set(f._memo) == orbit_kinds | {weights._DUAL}
+        # the dual keeps its own orbit coefficients, and no link back to f
+        assert set(weights.dualize(f)._memo) <= orbit_kinds
+
+
+@pytest.mark.parametrize("d", [14, 16])
+@pytest.mark.parametrize("command", ["faces", "hpoly"])
+def test_face_lattice_past_the_budget_exits_3_at_once(tmp_path, capsys, command, d):
+    # the d-simplex has 2**(d+1) faces: the closure stops past MAX_FACES,
+    # before the order masks (two F x F bit matrices) are built
+    path = tmp_path / f"simplex{d}.json"
+    path.write_text(json.dumps({"vertices": corpus.simplex(d)}))
+    start = time.perf_counter()
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+    assert f"{d + 1} vertices and {d + 1} facets give more than {polytope.MAX_FACES} faces" in err
 
 
 def test_point_budget_covers_the_largest_input_in_use():

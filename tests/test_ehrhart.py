@@ -653,8 +653,14 @@ class TestVerifyHodgeDuality:
                 assert verify_hodge_duality(lat, f, ell).passed
 
 
+def plant_dual(monkeypatch, f, dual):
+    """Have the verifiers read `dual` as the dual of f: they take it from ehrhart.dualize."""
+    real = eh.dualize
+    monkeypatch.setattr(eh, "dualize", lambda g: dual if g is f else real(g))
+
+
 class TestFailedCheckNamesFirstDifference:
-    """A wrong dual weight, planted through the library API, on the segment.
+    """A wrong dual weight, planted as f's dual in ehrhart.dualize, on the segment.
 
     all-ones has E~(z, y) of degree <= 1 in y, and y^3 on the open edge adds
     y^3 (1+y) S_edge(2) = y^3 + y^4 to the dual's count at ell = 2.
@@ -668,9 +674,10 @@ class TestFailedCheckNamesFirstDifference:
         planted = {**dual.values, lat.top_id: dual[lat.top_id] + L({3: 1})}
         return lat, f, WeightFunction(lat, planted)
 
-    def test_duality_reciprocity_names_the_exponent(self):
+    def test_duality_reciprocity_names_the_exponent(self, monkeypatch):
         lat, f, wrong = self.wrong_dual()
-        check = verify_duality_reciprocity(lat, f, phi_one(1), 2, "Etilde", dual=wrong)
+        plant_dual(monkeypatch, f, wrong)
+        check = verify_duality_reciprocity(lat, f, phi_one(1), 2, "Etilde")
         assert not check.passed
         # y -> 1/y sends y^3 + y^4 to y^-3 + y^-4; the lowest is -4
         assert check.difference == {"exponent": -4, "lhs": 0, "rhs": 1}
@@ -679,9 +686,10 @@ class TestFailedCheckNamesFirstDifference:
         # a failed check renders each side from its own value
         assert rendered["rhs"] == str(check.rhs) != rendered["lhs"]
 
-    def test_hodge_duality_names_the_face_and_exponent(self):
+    def test_hodge_duality_names_the_face_and_exponent(self, monkeypatch):
         lat, f, wrong = self.wrong_dual()
-        check = verify_hodge_duality(lat, f, 2, dual=wrong)
+        plant_dual(monkeypatch, f, wrong)
+        check = verify_hodge_duality(lat, f, 2)
         assert not check.passed
         # the vertices agree; the edge's coefficient gains y^3 (1+y)
         assert check.difference == {"face": lat.top_id, "exponent": 3, "lhs": 1, "rhs": 0}
@@ -714,39 +722,49 @@ class TestFailedCheckNamesFirstDifference:
         with pytest.raises(TypeError):
             verify_purity(lat, lat.top_id, phi_one(1), 1, zpoly=zp)
 
+    def test_verifiers_take_no_dual(self):
+        # the weight function keeps its own dual (dualize); no caller passes one in
+        lat = build("segment")
+        f = all_ones(lat)
+        with pytest.raises(TypeError):
+            verify_duality_reciprocity(lat, f, phi_one(1), 1, "E", dual=dualize(f))
+        with pytest.raises(TypeError):
+            verify_hodge_duality(lat, f, 1, dual=dualize(f))
+
 
 class TestHodgeDualityAgainstPointwiseOracle:
     """Face-by-face duality against the point-by-point comparison: verdict and rendered sides."""
 
     @staticmethod
-    def check(lat, f, dual, expect):
+    def check(monkeypatch, lat, f, dual, expect):
+        plant_dual(monkeypatch, f, dual)
         for ell in (1, 2, 3):
-            faces = verify_hodge_duality(lat, f, ell, dual=dual)
+            faces = verify_hodge_duality(lat, f, ell)
             points = pointwise_hodge_duality(lat, f, ell, dual)
             assert faces.passed is points.passed is expect
             assert check_to_json(faces) == check_to_json(points)
 
     @pytest.mark.parametrize("name", list(CORPUS))
-    def test_corpus(self, name):
+    def test_corpus(self, name, monkeypatch):
         lat = build(name)
         for f in oracle_weight_set(lat, 67):
-            self.check(lat, f, dualize(f), True)
+            self.check(monkeypatch, lat, f, dualize(f), True)
 
     @pytest.mark.parametrize("n,seed,radius,draws", RANDOM_SHAPES)
-    def test_random(self, n, seed, radius, draws):
+    def test_random(self, n, seed, radius, draws, monkeypatch):
         lat = random_lattice(n, seed, radius, draws)
         for f in oracle_weight_set(lat, seed):
-            self.check(lat, f, dualize(f), True)
+            self.check(monkeypatch, lat, f, dualize(f), True)
 
     @pytest.mark.parametrize("name", list(CORPUS))
-    def test_planted_wrong_dual_weight(self, name):
+    def test_planted_wrong_dual_weight(self, name, monkeypatch):
         # a vertex has a point at every dilation, so both routes must see it
         lat = build(name)
         f = random_weight_functions(lat, seed=71, count=1)[0]
         dual = dualize(f)
         vertex = lat.vertex_face_id(0)
         wrong = WeightFunction(lat, {**dual.values, vertex: dual[vertex] + L({1: 1})})
-        self.check(lat, f, wrong, False)
+        self.check(monkeypatch, lat, f, wrong, False)
 
 
 class TestVerifyPurity:

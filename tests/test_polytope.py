@@ -11,8 +11,10 @@ import io
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from box_oracle import (
 from face_oracle import oracle_faces, oracle_order
 from hull_oracle import _affine_rank as fraction_affine_rank
 from hull_oracle import fraction_echelon, fraction_nullspace, fraction_rank, subset_facet_presentation
+from wehrhart import polytope
 from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.ehrhart import verify_purity
@@ -643,19 +646,66 @@ class TestClosureCheck:
             build_face_lattice(broken)
 
     def test_facet_off_the_vertices_is_refused(self):
+        # the polytope checks its facets when it is built: this one holds no vertex
         P = facet_presentation(SQUARE)
         (u, a), rest = P.facets[0], P.facets[1:]
-        broken = LatticePolytope(P.n, P.vertices, [(u, a + 1)] + list(rest))
-        with pytest.raises(InvalidPolytope, match="closure"):
-            build_face_lattice(broken)
+        shifted = re.escape(str((u, a + 1)))
+        with pytest.raises(InvalidPolytope, match=rf"facet {shifted} spans a -1-face, not an 1-face"):
+            LatticePolytope(P.n, P.vertices, [(u, a + 1)] + list(rest))
 
     def test_supporting_line_at_a_vertex_is_refused(self):
         # x + y >= 0 touches the square only at the origin: every vertex is
         # still cut out by its facets, and only the facet's rank is wrong
         P = facet_presentation(SQUARE)
-        broken = LatticePolytope(P.n, P.vertices, [*P.facets, ((1, 1), 0)])
         with pytest.raises(InvalidPolytope, match=r"facet \(\(1, 1\), 0\) spans a 0-face"):
-            build_face_lattice(broken)
+            LatticePolytope(P.n, P.vertices, [*P.facets, ((1, 1), 0)])
+
+    @pytest.mark.parametrize("pts", [SQUARE, PYRAMID, cube(4), cross(4), CORPUS["random3"]])
+    def test_each_facet_is_ranked_once(self, pts, monkeypatch):
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return _affine_rank(points)
+
+        monkeypatch.setattr(polytope, "_affine_rank", counting)
+        P = facet_presentation(pts)
+        assert len(calls) == len(P.facets)
+        build_face_lattice(P)
+        assert len(calls) == len(P.facets)
+
+    def test_facet_vertices_are_the_tight_vertices(self):
+        for name in CORPUS:
+            P = build(name).polytope
+            assert P.facet_vertices == tuple(
+                sum(1 << i for i, v in enumerate(P.vertices) if sum(map(mul, v, u)) == -a)
+                for u, a in P.facets
+            ), name
+
+
+class TestFaceBudget:
+    def test_budget_covers_the_largest_lattice_in_use(self):
+        # the hull of 40 points of random.Random(1) in [-3, 3]^6, drawn point
+        # by point: the largest face lattice the desk-scale table builds
+        rng = random.Random(1)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(40)]
+        lattice = build_face_lattice(facet_presentation(pts))
+        assert len(lattice.faces) == 10_712 <= polytope.MAX_FACES
+        # and the 14-simplex, 2**15 faces, is past it
+        assert polytope.MAX_FACES < 2**15
+
+    def test_closure_stops_at_the_budget_before_the_order_masks(self, monkeypatch):
+        P = facet_presentation(CORPUS["cube"])  # 28 faces, the empty face and P included
+        monkeypatch.setattr(polytope, "MAX_FACES", 28)
+        assert len(build_face_lattice(P).faces) == 28
+
+        def no_lattice(*args):
+            raise AssertionError("the order masks were built")
+
+        monkeypatch.setattr(polytope, "MAX_FACES", 27)
+        monkeypatch.setattr(polytope, "FaceLattice", no_lattice)
+        with pytest.raises(InvalidPolytope, match="8 vertices and 6 facets give more than 27 faces"):
+            build_face_lattice(P)
 
 
 @st.composite

@@ -17,7 +17,9 @@ so no module but polytope.py filters a face list by .dim in a
 comprehension or a loop.  A face is two bitmasks and a dimension, so no
 module names frozenset, the face format it replaced.  The verify report's
 layout lives in jsonio.py, so no other module writes its keys
-"first_difference" or "suite" as string constants.  The benchmark's tracer looks library functions
+"first_difference" or "suite" as string constants.  A polytope checks
+its facets' ranks once, when it is built, so _affine_rank has one call
+site, in LatticePolytope.__init__.  The benchmark's tracer looks library functions
 up by name, so one more test installs and removes it on the imported
 library.  Records are plain slotted classes, not dataclasses: importing
 dataclasses pulls inspect, ast, dis and tokenize into every start-up, so
@@ -263,6 +265,29 @@ def test_report_keys_written_only_in_jsonio(path):
     assert not lines, f"{path.name} writes a verify report key on lines {lines}; render it in jsonio"
 
 
+def _calls_by_scope(node, name, scope=()):
+    """(enclosing class and function names, line) of each call to name, bare or as an attribute."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, child.name)
+        elif isinstance(child, ast.Call) and (
+            isinstance(child.func, ast.Name) and child.func.id == name
+            or isinstance(child.func, ast.Attribute) and child.func.attr == name
+        ):
+            yield ".".join(scope), child.lineno
+        yield from _calls_by_scope(child, name, inner)
+
+
+def test_facets_ranked_only_when_a_polytope_is_built(path=SRC):
+    """_affine_rank is called once, in LatticePolytope.__init__: every other
+    reader of a facet's vertices takes P.facet_vertices, already checked."""
+    paths = sorted(path.glob("*.py")) if path.is_dir() else [path]
+    sites = [(p.name, *site) for p in paths for site in _calls_by_scope(tree(p), "_affine_rank")]
+    scopes = [scope for _, scope, _ in sites]
+    assert scopes == ["LatticePolytope.__init__"], f"_affine_rank is called at {sites}"
+
+
 LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
@@ -308,6 +333,17 @@ class FaceLattice:
         (LATTICE_INIT + "        self.a, self.up = {}, []\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
         ("class FaceLattice:\n    pass\n", test_face_lattice_memo_tables_are_bounded),
+        ("x = _affine_rank(pts)\n", test_facets_ranked_only_when_a_polytope_is_built),
+        (
+            "class LatticePolytope:\n    def __init__(self, pts):\n        self.r = 0\n"
+            "def build_face_lattice(P):\n    return polytope._affine_rank(P.vertices)\n",
+            test_facets_ranked_only_when_a_polytope_is_built,
+        ),
+        (
+            "class LatticePolytope:\n    def __init__(self, pts):\n"
+            "        self.r = _affine_rank(pts) + _affine_rank(pts)\n",
+            test_facets_ranked_only_when_a_polytope_is_built,
+        ),
         (
             "x = [f.id for f in lattice.faces if f.dim == 0]\n",
             test_faces_filtered_by_dimension_only_in_polytope,

@@ -135,6 +135,14 @@ class TestDualize:
             for f in random_weight_functions(lat, seed=11, count=10):
                 assert dualize(dualize(f)) == f
 
+    def test_dual_is_kept_on_the_weight_function(self):
+        lat = build("pyramid")
+        for f in random_weight_functions(lat, seed=19, count=4):
+            assert dualize(f) is dualize(f)
+            # the dual has no link back to f: the involution is computed twice
+            assert dualize(dualize(f)) == f
+            assert dualize(dualize(f)) is not f
+
     def test_module_property(self):
         lat = build("square")
         rng = random.Random(13)
