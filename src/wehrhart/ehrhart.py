@@ -85,20 +85,24 @@ def _check_lattice(lattice, f):
 
 
 class OrbitSum:
-    """A character sum held as one coefficient per torus orbit: coeffs[E] at
-    chi^(sign * m) for every m in relint[E], the points of Relint(|ell| E)."""
+    """A character sum at dilation ell held as one coefficient per torus
+    orbit: coeffs[E] at chi^(-m) for every m in Relint(ell E) at ell > 0,
+    at chi^m for every m in Relint(-ell E) at ell < 0; at ell = 0 every
+    coefficient sits at chi^0."""
 
-    __slots__ = ("coeffs", "relint", "sign")
+    __slots__ = ("coeffs", "lattice", "ell")
 
-    def __init__(self, coeffs, relint, sign):
-        self.coeffs, self.relint, self.sign = coeffs, relint, sign
+    def __init__(self, coeffs, lattice, ell):
+        self.coeffs, self.lattice, self.ell = coeffs, lattice, ell
 
     def terms(self, fmt=lambda c: c):
-        """Sorted (character, fmt(coefficient)) pairs; fmt runs once per face."""
+        """Sorted (character, fmt(coefficient)) pairs; fmt runs once per face,
+        and the points come from points_by_face at |ell|."""
         values = {e: fmt(c) for e, c in self.coeffs.items() if c}
-        sign = self.sign
-        pairs = ((tuple(sign * x for x in m), v) for e, v in values.items() for m in self.relint[e])
-        return sorted(pairs)
+        if not self.ell:
+            return [((0,) * self.lattice.polytope.n, v) for v in values.values()]
+        relint, sign = points_by_face(self.lattice, abs(self.ell)), -1 if self.ell > 0 else 1
+        return sorted((tuple(sign * x for x in m), v) for e, v in values.items() for m in relint[e])
 
 
 _PLUS, _MINUS, _MINUS_INVERTED = "plus", "minus", "minus at 1/y"
@@ -137,7 +141,8 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Or
     """The equivariant character sum of the weighted divisor at dilation ell.
 
     One coefficient per torus orbit (_orbit_coefficients), carried by every
-    point of the orbit's face's relative interior in |ell| P:
+    point of the orbit's face's relative interior in |ell| P once the sum
+    is listed (OrbitSum.terms):
     ell > 0:  _PLUS at chi^(-m);  ell < 0:  _MINUS at chi^(+m)
     ell = 0:  sum_Q f_Q(y) (-1-y)^dim Q at chi^0, the one point of 0 P, held
               on the empty face, the face below every Q (_MINUS's rule there)
@@ -145,14 +150,12 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Or
     _check_lattice(lattice, f)
     ell = as_int(ell)
     if ell:
-        coeffs = _orbit_coefficients(f, _MINUS if ell < 0 else _PLUS)
-        return OrbitSum(coeffs, points_by_face(lattice, abs(ell)), 1 if ell < 0 else -1)
+        return OrbitSum(_orbit_coefficients(f, _MINUS if ell < 0 else _PLUS), lattice, ell)
     faces = lattice.faces
     total = linear_combination(
         (c, -1 if faces[q].dim % 2 else 1) for q, c in _orbit_coefficients(f, _PLUS).items()
     )
-    empty = lattice.empty_id
-    return OrbitSum({empty: total}, {empty: [(0,) * lattice.polytope.n]}, 1)
+    return OrbitSum({lattice.empty_id: total}, lattice, 0)
 
 
 def _scaled_monomials(phi):
@@ -162,8 +165,8 @@ def _scaled_monomials(phi):
 
 
 def _phi_face_sums(lattice, phi, ell):
-    """S_Q(ell) for every nonempty Q and ell != 0, memoized in lattice._phi_sums
-    as one {Q: value} dict per (phi, ell).  S_Q(ell) is the sum of phi over
+    """S_Q(ell) for every nonempty Q and ell != 0, memoized in lattice._memo
+    as one {Q: value} dict under (phi, ell).  S_Q(ell) is the sum of phi over
     Relint(ell Q) at ell > 0, and the value of its polynomial at ell < 0.
 
     ell < 0: each face's interpolant (_face_polynomials) at ell, by Horner's
@@ -181,7 +184,7 @@ def _phi_face_sums(lattice, phi, ell):
     if phi.n != lattice.polytope.n:
         raise ValueError("integrand dimension differs from the polytope's")
     key = (phi, ell)
-    if key not in lattice._phi_sums:
+    if key not in lattice._memo:
         if ell < 0:
             denom, table = _face_polynomials(lattice, phi)
             acc = {}
@@ -212,10 +215,10 @@ def _phi_face_sums(lattice, phi, ell):
                         if hi > lo:
                             acc[face_mid] += g * power_sum(k, lo + 1, hi - 1)
                             acc[face_hi] += g * hi**k
-        lattice._phi_sums[key] = {
+        lattice._memo[key] = {
             q: v // denom if v % denom == 0 else Fraction(v, denom) for q, v in acc.items()
         }
-    return lattice._phi_sums[key]
+    return lattice._memo[key]
 
 
 def weighted_ehrhart_value(
@@ -263,7 +266,7 @@ def _newton_basis(bound, first):
 
 
 def _face_polynomials(lattice, phi):
-    """(D, {Q: (a_Q0, .., a_Qdeg)}), memoized per phi in lattice._face_polys.
+    """(D, {Q: (a_Q0, .., a_Qdeg)}), memoized in lattice._memo under phi.
 
     S_Q(z) = sum_k a_Qk z^k / D with D = (n + deg phi)! * lcm(denominators
     of phi), deg = dim Q + deg phi.  The walk runs at ell = 1 .. K only,
@@ -291,10 +294,12 @@ def _face_polynomials(lattice, phi):
                         and the divergence identity
     so no face has fewer than three.  The Euler-Maclaurin identity is the
     z^(deg - 1) coefficient of reciprocity, which the samples impose at
-    0 .. K, so it binds only where deg >= K + 2.  A failure raises
+    0 .. K; once every face below Q fits, the lattice being Eulerian makes
+    Q's reciprocity remainder even or odd, so it vanishes at -K .. K and
+    the identity follows from Q's differences.  A failure raises
     PolynomialityError naming the face.
     """
-    if phi not in lattice._face_polys:
+    if phi not in lattice._memo:
         P, faces = lattice.polytope, lattice.faces
         n = P.n
         bound = n + phi.degree
@@ -350,8 +355,8 @@ def _face_polynomials(lattice, phi):
                     )
                     _check_coefficient(q, deg, deg, coeffs[deg], rhs, denom, "facet identity")
                 table[q] = coeffs
-        lattice._face_polys[phi] = denom, table
-    return lattice._face_polys[phi]
+        lattice._memo[phi] = denom, table
+    return lattice._memo[phi]
 
 
 def _check_coefficient(q, k, m, a, rhs, denom, name):
@@ -474,8 +479,8 @@ def verify_hodge_duality(lattice, f, ell: int) -> CheckResult:
     _check_lattice(lattice, f)
     lhs = hodge_character_sum(lattice, dualize(f), ell)
     inverted = _orbit_coefficients(f, _MINUS_INVERTED)
-    rhs = OrbitSum(inverted, lhs.relint, -1)
-    for e, points in lhs.relint.items():
+    rhs = OrbitSum(inverted, lattice, ell)
+    for e, points in points_by_face(lattice, ell).items():
         a, b = lhs.coeffs.get(e, L_ZERO), inverted.get(e, L_ZERO)
         if points and a != b:
             difference = {"face": e, **_first_difference(a, b)}

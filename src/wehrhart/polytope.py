@@ -26,25 +26,11 @@ from operator import and_, mul
 
 from .algebra import FrozenRecord, as_int
 
-# Entries kept in FaceLattice._points_cache (one per dilation),
-# FaceLattice._phi_sums (one per integrand and dilation +-ell: the
-# per-face sums, walked at ell > 0 and read off the interpolants at
-# ell < 0) and FaceLattice._face_polys (one table of per-face
-# interpolants per integrand); past the bound the oldest entry is
-# dropped.  One CLI run asks for at most 16 dilations of points
-# (|charsum --l| <= 16, verify --lmax <= 12) and, for its one integrand,
-# for sums at max(lmax, K) positive and lmax negative dilations and for
-# one table, where the table walks ell = 1 .. K, K = ceil((n + deg phi +
-# 1) / 2), and takes its samples at -K .. -1 from reciprocity without
-# caching them; so no run at desk scale evicts anything.
-# FaceLattice._projections needs no bound: it holds the facets of the
-# n-1 projections pi_1(P) .. pi_{n-1}(P) and serves every dilation.
-# Nor does FaceLattice._g_memo: one entry per face Q' that the Stanley
-# sweep reached, holding one int tuple (the f of [Q, Q']) per face Q below
-# Q', the empty face included, so at most the number of nested pairs.
-POINTS_CACHE_MAX = 16
-PHI_SUMS_MAX = 64
-FACE_POLYS_MAX = 4
+# Entries kept in FaceLattice._memo, of any kind, before the oldest is
+# dropped.  The largest CLI run, verify --suite all --lmax 12, keeps 12
+# point partitions, per-face sums at 12 positive and 12 negative
+# dilations and one table of per-face interpolants: 37.
+MEMO_MAX = 37
 # Faces a lattice may have: up and down are two F x F bit matrices, 64 MB
 # at F = 2**14.  The largest lattice in use, the hull of 40 points in
 # [-3, 3]^6, has 10,712 faces; the d-simplex has 2**(d+1), so the
@@ -183,8 +169,9 @@ class LatticePolytope:
     gcd of entries 1.  Vertices and facets are stored in a deterministic
     (lexicographic) order.  facet_vertices holds one vertex bitmask per
     facet, bit i set iff P.vertices[i] is tight on it.  Every polytope,
-    fitted or given, is checked once here: a facet whose vertices do not
-    span an (n-1)-face raises InvalidPolytope, naming the dimension.
+    fitted or given, is checked once here: a vertex with negative slack on
+    a facet raises InvalidPolytope naming both, and so does a facet whose
+    vertices do not span an (n-1)-face, naming the dimension.
     """
 
     __slots__ = ("n", "vertices", "facets", "facet_vertices")
@@ -193,10 +180,15 @@ class LatticePolytope:
         self.n = n
         self.vertices = tuple(tuple(map(as_int, v)) for v in vertices)
         self.facets = tuple((tuple(map(as_int, u)), as_int(a)) for u, a in facets)
-        self.facet_vertices = tuple(
-            sum(1 << i for i, v in enumerate(self.vertices) if _dot(v, u) == -a)
-            for u, a in self.facets
-        )
+        masks = []
+        for facet in self.facets:
+            slacks = [_dot(v, facet[0]) + facet[1] for v in self.vertices]
+            worst = min(slacks)
+            if worst < 0:
+                v = self.vertices[slacks.index(worst)]
+                raise InvalidPolytope(f"vertex {v} violates facet {facet}")
+            masks.append(sum(1 << i for i, s in enumerate(slacks) if not s))
+        self.facet_vertices = tuple(masks)
         for facet, mask in zip(self.facets, self.facet_vertices):
             rank = _affine_rank([self.vertices[i] for i in mask_ids(mask)])
             if rank != n - 1:
@@ -308,12 +300,12 @@ class FaceLattice:
     up[a] is the AND, over the vertices of a, of the faces containing that
     vertex; down[b] is the AND, over the facets tight at b, of the faces
     inside that facet (every face is the intersection of its tight
-    facets).  Carries memo tables for point partitions and for the poset
-    polynomials computed on top of it; the two that grow with the dilation
-    (the points, and the per-face sums at +-ell) and the per-integrand
-    table of per-face interpolants are BoundedCaches (POINTS_CACHE_MAX,
-    PHI_SUMS_MAX, FACE_POLYS_MAX), and every other field is bounded by
-    construction.
+    facets).  Everything derived at a dilation or per integrand shares one
+    BoundedCache of MEMO_MAX entries, _memo, each key naming what its
+    entry depends on: ell for a point partition, (phi, ell) for per-face
+    sums, phi for a table of per-face interpolants.  Every other field is
+    bounded by construction: _g_memo holds one entry per face the Stanley
+    sweep reached, one f-row per face below it.
     The facets of the coordinate projections that bound the fibre walk
     are computed on first use and have exactly n-1 entries.
     """
@@ -336,10 +328,8 @@ class FaceLattice:
         full = (1 << len(self.faces)) - 1
         self.up = [reduce(and_, map(with_vertex.get, vertices), full) for vertices, _ in members]
         self.down = [reduce(and_, map(in_facet.get, tight), full) for _, tight in members]
-        self._points_cache = BoundedCache(POINTS_CACHE_MAX)
+        self._memo = BoundedCache(MEMO_MAX)
         self._g_memo = {}
-        self._phi_sums = BoundedCache(PHI_SUMS_MAX)
-        self._face_polys = BoundedCache(FACE_POLYS_MAX)
         self._projections = None
         self._eulerian = None
 
@@ -622,20 +612,21 @@ def points_by_face(lattice: FaceLattice, ell: int):
     the face read off its end or its middle, so no point outside ell*P is
     ever visited.  The cost is that of the rows of fibre_rows plus the
     points kept.  Prefixes come in lexicographic order and t rises within
-    a fibre, so every list is sorted lexicographically as built.  Results
-    are memoized on the lattice; only character sums call this, the
-    weighted counts sum over the rows directly.
+    a fibre, so every list is sorted lexicographically as built.  Memoized
+    in lattice._memo under ell; only character sums call this, when they
+    are listed or compared, and the weighted counts sum over the rows
+    directly.
     """
     ell = check_dilation(ell)
-    if ell in lattice._points_cache:
-        return lattice._points_cache[ell]
+    if ell in lattice._memo:
+        return lattice._memo[ell]
     out = {fid: [] for fid in lattice.nonempty_ids}
     for prefix, lo, hi, face_lo, face_mid, face_hi in fibres(lattice, ell):
         out[face_lo].append(prefix + (lo,))
         if hi > lo:
             out[face_mid].extend(prefix + (t,) for t in range(lo + 1, hi))
             out[face_hi].append(prefix + (hi,))
-    lattice._points_cache[ell] = out
+    lattice._memo[ell] = out
     return out
 
 

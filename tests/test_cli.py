@@ -685,13 +685,13 @@ def test_hull_checks_survive_python_O(tmp_path, vertices):
 
 
 def test_cache_bounds_cover_the_size_budgets():
-    # one run asks for at most this many dilations, so nothing is evicted
-    assert polytope.POINTS_CACHE_MAX >= max(cli.MAX_ELL, cli.MAX_LMAX)
-    # sums at the larger of lmax and the dilations 1..K that the interpolant
-    # of a degree-MAX_DEGREE integrand in dimension 6 walks,
-    # K = ceil((6 + MAX_DEGREE + 1) / 2), and at -1 .. -lmax
+    # the largest run, verify, keeps lmax point partitions, sums at the larger
+    # of lmax and the dilations 1..K that the interpolant of a
+    # degree-MAX_DEGREE integrand in dimension 6 walks,
+    # K = ceil((6 + MAX_DEGREE + 1) / 2), sums at -1 .. -lmax, and one table;
+    # charsum keeps one partition, ehrhart K sums and one table
     walked = (6 + cli.MAX_DEGREE + 2) // 2
-    assert polytope.PHI_SUMS_MAX >= max(cli.MAX_LMAX, walked) + cli.MAX_LMAX
+    assert polytope.MEMO_MAX >= cli.MAX_LMAX + max(cli.MAX_LMAX, walked) + cli.MAX_LMAX + 1
 
 
 def _phi_file(tmp_path, exponent):

@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,9 +39,7 @@ from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build, simplex
 from wehrhart.ehrhart import verify_purity
 from wehrhart.polytope import (
-    FACE_POLYS_MAX,
-    PHI_SUMS_MAX,
-    POINTS_CACHE_MAX,
+    MEMO_MAX,
     BoundedCache,
     InvalidPolytope,
     LatticePolytope,
@@ -65,6 +64,10 @@ from wehrhart.weights import WeightFunction, delta_weight
 SEGMENT = CORPUS["segment"]
 SQUARE = CORPUS["square"]
 PYRAMID = CORPUS["pyramid"]
+FIXTURE_POLYTOPES = sorted(
+    p for p in (Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")
+    if "vertices" in json.loads(p.read_text())
+)
 
 
 class TestFacetPresentation:
@@ -660,6 +663,24 @@ class TestClosureCheck:
         with pytest.raises(InvalidPolytope, match=r"facet \(\(1, 1\), 0\) spans a 0-face"):
             LatticePolytope(P.n, P.vertices, [*P.facets, ((1, 1), 0)])
 
+    def test_vertex_outside_a_facet_is_refused(self):
+        # x + y >= 1 passes through two vertices of the unit square, so it
+        # spans a 1-face, but the origin lies outside it: unchecked, the
+        # lattice closes to the f-vector (1, 4, 5, 1)
+        P = facet_presentation(SQUARE)
+        with pytest.raises(InvalidPolytope, match=r"^vertex \(0, 0\) violates facet \(\(1, 1\), -1\)$"):
+            LatticePolytope(P.n, P.vertices, [*P.facets, ((1, 1), -1)])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [*CORPUS.values(), *(json.loads(p.read_text())["vertices"] for p in FIXTURE_POLYTOPES)],
+        ids=[*CORPUS, *(p.stem for p in FIXTURE_POLYTOPES)],
+    )
+    def test_every_corpus_and_fixture_polytope_builds(self, pts):
+        # each vertex is on the inner side of each facet
+        P = facet_presentation(pts)
+        assert LatticePolytope(P.n, P.vertices, P.facets) == P
+
     @pytest.mark.parametrize("pts", [SQUARE, PYRAMID, cube(4), cross(4), CORPUS["random3"]])
     def test_each_facet_is_ranked_once(self, pts, monkeypatch):
         calls = []
@@ -935,84 +956,110 @@ class TestCacheBounds:
 
     def test_points_cache_past_its_bound(self):
         lattice = build_face_lattice(facet_presentation(SEGMENT))
-        for ell in range(1, POINTS_CACHE_MAX + 3):
+        for ell in range(1, MEMO_MAX + 3):
             points_by_face(lattice, ell)
-        assert len(lattice._points_cache) == POINTS_CACHE_MAX
-        assert min(lattice._points_cache) == 3
+        assert len(lattice._memo) == MEMO_MAX
+        assert min(lattice._memo) == 3
         assert points_by_face(lattice, 1) == box_points_by_face(lattice, 1)
 
     def test_phi_sums_past_its_bound(self):
-        from wehrhart.algebra import HomogPoly
         from wehrhart.ehrhart import _phi_face_sums
 
         lattice = build_face_lattice(facet_presentation(SEGMENT))
         phi = HomogPoly.one(1)
-        for ell in range(1, PHI_SUMS_MAX + 3):
+        for ell in range(1, MEMO_MAX + 3):
             _phi_face_sums(lattice, phi, ell)
-        assert len(lattice._phi_sums) == PHI_SUMS_MAX
-        assert (phi, 1) not in lattice._phi_sums
+        assert len(lattice._memo) == MEMO_MAX
+        assert (phi, 1) not in lattice._memo
         # the relative interior of ell*[0, 1] has ell - 1 points
         assert _phi_face_sums(lattice, phi, 1)[lattice.top_id] == 0
         assert _phi_face_sums(lattice, phi, 9)[lattice.top_id] == 8
 
     def test_both_signs_share_phi_sums_and_its_bound(self):
-        from wehrhart.algebra import HomogPoly
         from wehrhart.ehrhart import _phi_face_sums
 
         lattice = build_face_lattice(facet_presentation(SEGMENT))
-        phi = HomogPoly.one(1)
+        memo, phi = lattice._memo, HomogPoly.one(1)
         top = lattice.top_id
         # S(z) = z - 1 on the open segment: walked at +ell, interpolated at -ell
-        last = PHI_SUMS_MAX // 2 + 1
+        last = MEMO_MAX // 2 + 1
         for ell in range(1, last + 1):
             assert _phi_face_sums(lattice, phi, ell)[top] == ell - 1
             assert _phi_face_sums(lattice, phi, -ell)[top] == -ell - 1
         # the interpolant walks only ell = 1 (K = 1 on the segment), already
-        # cached when -1 was read, so the two signs went in alternately
-        assert len(lattice._phi_sums) == PHI_SUMS_MAX
-        assert lattice._phi_sums.evictions == 2 * last - PHI_SUMS_MAX == 2
-        assert (phi, 1) not in lattice._phi_sums and (phi, -1) not in lattice._phi_sums
-        assert (phi, 2) in lattice._phi_sums and (phi, -2) in lattice._phi_sums
-        # rebuilt after the eviction: from a fresh walk, and off the table
+        # kept when -1 was read, and went in after it: the two signs
+        # alternate after the table, which the two evictions took
+        assert len(memo) == MEMO_MAX
+        assert memo.evictions == 2 * last + 1 - MEMO_MAX == 2
+        assert (phi, 1) not in memo and phi not in memo and (phi, -1) in memo
+        assert (phi, 2) in memo and (phi, -2) in memo
+        # rebuilt after the eviction: from a fresh walk, and off a new table
         assert _phi_face_sums(lattice, phi, 1)[top] == 0
-        assert _phi_face_sums(lattice, phi, -1)[top] == -2
-        assert lattice._phi_sums.evictions == 4
+        assert _phi_face_sums(lattice, phi, -last - 1)[top] == -last - 2
+        assert phi in memo and memo.evictions == 5
 
     def test_face_polynomials_past_their_bound(self):
-        from wehrhart.algebra import HomogPoly
         from wehrhart.ehrhart import _face_polynomials
 
         lattice = build_face_lattice(facet_presentation(SEGMENT))
-        phis = [HomogPoly(1, [((0,), c)]) for c in range(1, FACE_POLYS_MAX + 2)]
+        # each table takes two entries, its walk at ell = 1 and itself
+        phis = [HomogPoly(1, [((0,), c)]) for c in range(1, MEMO_MAX // 2 + 3)]
         for phi in phis:
             _face_polynomials(lattice, phi)
-        assert list(lattice._face_polys) == phis[1:]
-        assert lattice._face_polys.evictions == 1
+        assert list(lattice._memo)[:2] == [phis[1], (phis[2], 1)]
+        assert lattice._memo.evictions == 3
         # S(z) = c (z - 1) on the open segment, over D = 1!
         assert _face_polynomials(lattice, phis[2])[1][lattice.top_id] == (-3, 3)
 
     def test_values_at_negative_outlive_their_face_polys_entry(self):
-        from wehrhart.algebra import HomogPoly
         from wehrhart.ehrhart import _face_polynomials, _phi_face_sums
 
         lattice = build_face_lattice(facet_presentation(SEGMENT))
-        top = lattice.top_id
-        phis = [HomogPoly(1, [((0,), c)]) for c in range(1, FACE_POLYS_MAX + 2)]
-        # S(-ell) = c (-ell - 1) on the open segment
-        kept = _phi_face_sums(lattice, phis[0], -2)
+        memo, top, phi = lattice._memo, lattice.top_id, HomogPoly(1, [((0,), 1)])
+        # S(-ell) = -ell - 1 on the open segment, after the walk at 1 and the table
+        kept = _phi_face_sums(lattice, phi, -2)
         assert kept[top] == -3
-        for phi in phis[1:]:
-            _phi_face_sums(lattice, phi, -1)
-        assert phis[0] not in lattice._face_polys
-        assert lattice._face_polys.evictions == 1
-        # the values stay in _phi_sums, and reading them rebuilds nothing
-        assert _phi_face_sums(lattice, phis[0], -2) is kept and kept[top] == -3
-        assert phis[0] not in lattice._face_polys
+        for ell in range(1, MEMO_MAX):
+            points_by_face(lattice, ell)
+        assert phi not in memo and memo.evictions == 2
+        # the values stay, and reading them rebuilds nothing
+        assert _phi_face_sums(lattice, phi, -2) is kept and kept[top] == -3
+        assert phi not in memo
         # a new dilation misses and rebuilds the interpolant
-        assert _phi_face_sums(lattice, phis[0], -3)[top] == -4
-        assert phis[0] in lattice._face_polys
-        assert lattice._face_polys.evictions == 2
-        assert _face_polynomials(lattice, phis[0])[1][top] == (-1, 1)
+        assert _phi_face_sums(lattice, phi, -3)[top] == -4
+        assert phi in memo and memo.evictions == 5
+        assert _face_polynomials(lattice, phi)[1][top] == (-1, 1)
+
+    def test_memo_drops_its_oldest_entry_of_any_kind(self):
+        from wehrhart.ehrhart import _face_polynomials, _phi_face_sums
+
+        lattice = build_face_lattice(facet_presentation(SQUARE))
+        memo, phi = lattice._memo, HomogPoly.one(2)
+        # the table walks ell = 1, 2 (K = 2 on the square), then the
+        # partition at 1 and the sums at -1, read off the table
+        table = _face_polynomials(lattice, phi)
+        walked = _phi_face_sums(lattice, phi, 1)
+        points = points_by_face(lattice, 1)
+        minus = _phi_face_sums(lattice, phi, -1)
+        assert list(memo) == [(phi, 1), (phi, 2), phi, 1, (phi, -1)]
+        for ell in range(2, MEMO_MAX - 3):
+            points_by_face(lattice, ell)
+        assert len(memo) == MEMO_MAX and memo.evictions == 0
+        # each new entry drops the oldest, whatever its kind
+        points_by_face(lattice, MEMO_MAX - 3)
+        points_by_face(lattice, MEMO_MAX - 2)
+        assert list(memo)[:3] == [phi, 1, (phi, -1)] and memo.evictions == 2
+        points_by_face(lattice, MEMO_MAX - 1)
+        assert phi not in memo and memo.evictions == 3
+        # the sums at -1 outlive their table, and reading them rebuilds nothing
+        assert _phi_face_sums(lattice, phi, -1) is minus and phi not in memo
+        # rebuilt after the eviction, each equal to its value before it; the
+        # table walks ell = 2 again, and each of the five entries drops one
+        assert _phi_face_sums(lattice, phi, 1) == walked
+        assert _face_polynomials(lattice, phi) == table
+        assert points_by_face(lattice, 1) == points == box_points_by_face(lattice, 1)
+        assert _phi_face_sums(lattice, phi, -1) == minus
+        assert len(memo) == MEMO_MAX and memo.evictions == 8
 
     def test_verify_at_the_largest_lmax_evicts_nothing(self, tmp_path, monkeypatch):
         from wehrhart import cli
@@ -1029,6 +1076,7 @@ class TestCacheBounds:
         argv = ["verify", str(path), "--suite", "all", "--lmax", str(cli.MAX_LMAX)]
         assert cli.run(cli.parse_args(argv), stdout=io.StringIO()) == 0
         (lattice,) = built
-        caches = (lattice._points_cache, lattice._phi_sums, lattice._face_polys)
-        assert [len(c) for c in caches] == [cli.MAX_LMAX, 2 * cli.MAX_LMAX, 1]
-        assert [c.evictions for c in caches] == [0, 0, 0]
+        memo = lattice._memo
+        kinds = [sum(isinstance(key, kind) for key in memo) for kind in (int, tuple, HomogPoly)]
+        assert kinds == [cli.MAX_LMAX, 2 * cli.MAX_LMAX, 1]
+        assert len(memo) == MEMO_MAX == 37 and memo.evictions == 0

@@ -7,8 +7,10 @@ of two ints, so every / must divide by a Fraction(...) call.  Each
 rule is read off the ast of every module under src/wehrhart.  The hull
 and the fibre walk eliminate fraction-free over int, so polytope.py
 neither imports nor names Fraction.  Every
-memo table on a FaceLattice has a known bound: its __init__ assigns only
-BoundedCaches and the fields named in LATTICE_FIELDS.  No call passes
+memo table on a FaceLattice has a known bound: its __init__ builds exactly
+one BoundedCache, the memo every table derived at a dilation or per
+integrand shares, and assigns no field but it and those named in
+LATTICE_FIELDS.  No call passes
 indent= to json.dump or json.dumps, which would bring back the
 pure-Python encoder that jsonio.dumps avoids.  E and Etilde differ
 only by (1+y)^deg phi, so no function but ehrhart._variant_factor
@@ -21,7 +23,9 @@ layout lives in jsonio.py, so no other module writes its keys
 its facets' ranks once, when it is built, so _affine_rank has one call
 site, in LatticePolytope.__init__.  The benchmark's tracer looks library functions
 up by name, so one more test installs and removes it on the imported
-library.  Records are plain slotted classes, not dataclasses: importing
+library, and another traces one verify run, which must read a point
+partition twice at one dilation for the benchmark's cache-hit count.
+Records are plain slotted classes, not dataclasses: importing
 dataclasses pulls inspect, ast, dis and tokenize into every start-up, so
 no module imports it and a fresh interpreter's import of wehrhart.cli
 is checked not to load them.
@@ -29,6 +33,8 @@ is checked not to load them.
 
 import ast
 import importlib.util
+import io
+import json
 import os
 import subprocess
 import sys
@@ -41,7 +47,8 @@ TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 # FaceLattice's structural fields, and its slots bounded by construction:
 # by_dim (n + 2 masks), _g_memo (one entry per face), _projections
-# (n - 1 facet lists) and _eulerian (one flag)
+# (n - 1 facet lists) and _eulerian (one flag); everything else it derives
+# lives in its one BoundedCache
 LATTICE_FIELDS = {
     "polytope", "faces", "by_dim", "_by_mask", "up", "down",
     "_g_memo", "_projections", "_eulerian",
@@ -202,6 +209,8 @@ def test_face_lattice_memo_tables_are_bounded(path=SRC / "polytope.py"):
                 and not (bounded or attr.attr in LATTICE_FIELDS)
             ]
     assert not unbounded, f"FaceLattice.__init__ assigns unbounded fields {unbounded}"
+    memos = sum(_is_call(node, "BoundedCache") for node in ast.walk(inits[0]))
+    assert memos == 1, f"FaceLattice.__init__ builds {memos} BoundedCaches, not one memo"
 
 
 def _is_face_list(node):
@@ -292,7 +301,7 @@ LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
         self.polytope = polytope
-        self._points_cache = BoundedCache(16)
+        self._memo = BoundedCache(37)
 """
 
 
@@ -333,6 +342,7 @@ class FaceLattice:
         (LATTICE_INIT + "        self.a, self.up = {}, []\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
         ("class FaceLattice:\n    pass\n", test_face_lattice_memo_tables_are_bounded),
+        (LATTICE_INIT + "        self._sums = BoundedCache(64)\n", test_face_lattice_memo_tables_are_bounded),
         ("x = _affine_rank(pts)\n", test_facets_ranked_only_when_a_polytope_is_built),
         (
             "class LatticePolytope:\n    def __init__(self, pts):\n        self.r = 0\n"
@@ -361,13 +371,19 @@ def test_each_rule_catches_a_violation(source, rule, tmp_path):
         rule(path)
 
 
-def test_tracer_finds_every_traced_name():
-    """bench/tracing.py wraps each name it traces and puts the originals back."""
+def _load_tracing():
+    """bench/tracing.py as a module, read and never written, with every module it traces imported."""
     spec = importlib.util.spec_from_file_location("wehrhart_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     for name in {module for module, _, _ in tracing.TRACED}:
         importlib.import_module(f"wehrhart.{name}")
+    return tracing
+
+
+def test_tracer_finds_every_traced_name():
+    """bench/tracing.py wraps each name it traces and puts the originals back."""
+    tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -377,3 +393,22 @@ def test_tracer_finds_every_traced_name():
     assert {attr for _, attr, _ in patched} >= {path.split(".")[-1] for _, path, _ in tracing.TRACED}
     for holder, attr, original in patched:
         assert getattr(holder, attr) is original, (holder, attr)
+
+
+def test_traced_verify_reads_points_at_a_dilation_already_seen(tmp_path):
+    """The benchmark's points_by_face.cache_hits counts calls at a dilation
+    the lattice has already served; verify --suite all makes some."""
+    from wehrhart import cli
+    from wehrhart.corpus import CORPUS
+
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"vertices": [list(v) for v in CORPUS["cube"]]}))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        argv = ["verify", str(path), "--suite", "all", "--lmax", "2"]
+        assert cli.run(cli.parse_args(argv), stdout=io.StringIO()) == 0
+    finally:
+        tracer.remove()
+    hits = [s[7]["hit"] for s in tracer.spans if s[1] == "points_by_face"]
+    assert 0 in hits and 1 in hits
