@@ -15,7 +15,7 @@ import sys
 from functools import cache
 from math import prod
 
-from .algebra import HomogPoly
+from .algebra import L_ZERO, HomogPoly
 from .ehrhart import (
     VARIANT_E,
     VARIANT_ETILDE,
@@ -247,9 +247,9 @@ def _cmd_ehrhart(spec, lattice):
         "degree_bound": lattice.polytope.n + phi.degree,
         "degree": zp.degree,
         **zpoly_to_json(zp),
-        # zp(0) is the closed form: every face's fit passes through its
-        # sample at 0, or ehrhart_polynomial raised PolynomialityError (exit 1)
-        "constant_term": laurent_to_json(zp(0)),
+        # zp(0), the z^0 coefficient, is the closed form: every face's fit passes
+        # through its sample at 0, or ehrhart_polynomial raised PolynomialityError (exit 1)
+        "constant_term": laurent_to_json(zp.coeffs[0] if zp.coeffs else L_ZERO),
         "constant_term_check": True,
     }
     return dumps(payload)

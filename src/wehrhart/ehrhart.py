@@ -52,6 +52,7 @@ from .algebra import (
     linear_combination,
     neg_y_power,
     one_plus_y_power,
+    phi_eval,
     poly_sum,
     power_sum,
     substitute_inverse,
@@ -297,25 +298,22 @@ def _face_polynomials(lattice, phi):
     0 .. K; once every face below Q fits, the lattice being Eulerian makes
     Q's reciprocity remainder even or odd, so it vanishes at -K .. K and
     the identity follows from Q's differences.  A failure raises
-    PolynomialityError naming the face.
+    PolynomialityError naming the face.  phi(0) and each phi(v) are
+    phi_eval's, times d, so in int.
     """
     if phi not in lattice._memo:
         P, faces = lattice.polytope, lattice.faces
         n = P.n
         bound = n + phi.degree
         K = (bound + 2) // 2
-        d, monomials = _scaled_monomials(phi)
+        d, _ = _scaled_monomials(phi)
         denom = factorial(bound) * d
-
-        def scaled_phi(m):  # d * phi(m), in int
-            return sum(c * prod(map(pow, m, e)) for e, c in monomials)
-
         walk = [
             {q: canon(d * v) for q, v in _phi_face_sums(lattice, phi, ell).items()}
             for ell in range(1, K + 1)
         ]
         basis = _newton_basis(bound, -K)
-        phi0 = scaled_phi((0,) * n)
+        phi0 = int(d * phi_eval(phi, (0,) * n))  # d clears every denominator of phi
         table = {}
         for dim, layer in enumerate(lattice.by_dim[1:]):
             deg = dim + phi.degree
@@ -345,7 +343,7 @@ def _face_polynomials(lattice, phi):
                     _check_coefficient(q, deg - 1, 2, coeffs[deg - 1], rhs, denom, "facet identity")
                 else:
                     v = P.vertices[faces[q].vertex_mask.bit_length() - 1]
-                    closed = (0,) * phi.degree + (factorial(bound) * scaled_phi(v),)
+                    closed = (0,) * phi.degree + (factorial(bound) * int(d * phi_eval(phi, v)),)
                     for k, (a, b) in enumerate(zip(coeffs, closed)):
                         _check_coefficient(q, k, 1, a, b, denom, "closed form")
                 if dim == n:  # an (n-1)-face is tight on exactly one facet: its own

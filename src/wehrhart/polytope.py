@@ -36,6 +36,12 @@ MEMO_MAX = 37
 # [-3, 3]^6, has 10,712 faces; the d-simplex has 2**(d+1), so the
 # 14-simplex is the first simplex refused.
 MAX_FACES = 1 << 14
+# Comparable face pairs (a <= b, sum of popcount(up)) the Eulerian check
+# may visit.  The largest lattice in use, the 40-point hull above, has
+# 266,979 and takes about 1 s; the d-simplex has 3**(d+1), so the
+# 11-simplex (531,441, about 1 s) is the last simplex admitted and the
+# 12-simplex (1.59 million, 4 to 7 s) the first refused.
+MAX_PAIRS = 1 << 20
 
 
 class InvalidPolytope(ValueError):
@@ -538,8 +544,9 @@ def fibre_rows(lattice: FaceLattice, ell: int):
     Yields (outer, row), row a list of (x, lo, hi, face_lo, face_mid,
     face_hi), one per nonempty fibre in increasing x: the face of lo, the
     face shared by every t strictly between lo and hi (None when
-    lo == hi), and the face of hi.  Rows come in lexicographic order; for
-    n = 1 the one fibre, over the empty prefix, is one row at x = 0.
+    lo == hi), and the face of hi.  A fibre's prefix is outer + (x,), or
+    () for n = 1, whose one fibre is one row at x = 0.  Rows come in
+    lexicographic order, and so do fibres.
     """
     ell = check_dilation(ell)
     P = lattice.polytope
@@ -593,26 +600,14 @@ def fibre_rows(lattice: FaceLattice, ell: int):
         yield outer, row
 
 
-def fibres(lattice: FaceLattice, ell: int):
-    """Every nonempty fibre of the integer points of ell*P, in lexicographic order.
-
-    The rows of fibre_rows flattened to (prefix, lo, hi, face_lo,
-    face_mid, face_hi), prefix = outer + (x,), or () for n = 1.
-    """
-    keep = lattice.polytope.n - 1
-    for outer, row in fibre_rows(lattice, ell):
-        for x, *fibre in row:
-            yield ((*outer, x)[:keep], *fibre)
-
-
 def points_by_face(lattice: FaceLattice, ell: int):
     """All m in ell*P (integer points), partitioned by relative interior.
 
-    Materialises the fibres of fibres(): every point of a fibre lands in
+    Materialises the rows of fibre_rows: every point of a fibre lands in
     the face read off its end or its middle, so no point outside ell*P is
-    ever visited.  The cost is that of the rows of fibre_rows plus the
-    points kept.  Prefixes come in lexicographic order and t rises within
-    a fibre, so every list is sorted lexicographically as built.  Memoized
+    ever visited.  The cost is that of the rows plus the points kept.
+    Rows come in lexicographic order, x rises along a row and t within a
+    fibre, so every list is sorted lexicographically as built.  Memoized
     in lattice._memo under ell; only character sums call this, when they
     are listed or compared, and the weighted counts sum over the rows
     directly.
@@ -620,12 +615,15 @@ def points_by_face(lattice: FaceLattice, ell: int):
     ell = check_dilation(ell)
     if ell in lattice._memo:
         return lattice._memo[ell]
+    keep = lattice.polytope.n - 1  # for n = 1 the fibre's prefix is empty, not (x,)
     out = {fid: [] for fid in lattice.nonempty_ids}
-    for prefix, lo, hi, face_lo, face_mid, face_hi in fibres(lattice, ell):
-        out[face_lo].append(prefix + (lo,))
-        if hi > lo:
-            out[face_mid].extend(prefix + (t,) for t in range(lo + 1, hi))
-            out[face_hi].append(prefix + (hi,))
+    for outer, row in fibre_rows(lattice, ell):
+        for x, lo, hi, face_lo, face_mid, face_hi in row:
+            prefix = (*outer, x)[:keep]
+            out[face_lo].append(prefix + (lo,))
+            if hi > lo:
+                out[face_mid].extend(prefix + (t,) for t in range(lo + 1, hi))
+                out[face_hi].append(prefix + (hi,))
     lattice._memo[ell] = out
     return out
 
@@ -654,7 +652,17 @@ def eulerian_check(up, down, even) -> bool:
 
 
 def validate_eulerian(lattice) -> bool:
-    """True iff the face poset is Eulerian (interval parity balance)."""
+    """True iff the face poset is Eulerian (interval parity balance).
+
+    The check visits every comparable pair, so a lattice of more than
+    MAX_PAIRS of them raises InvalidPolytope before the first is visited.
+    """
+    pairs = sum(map(int.bit_count, lattice.up))
+    if pairs > MAX_PAIRS:
+        raise InvalidPolytope(
+            f"{len(lattice.faces)} faces give {pairs} comparable pairs, more than "
+            f"{MAX_PAIRS}, the Eulerian check's budget"
+        )
     # rank is dim + 1, the index into by_dim: the empty face has even rank
     even = sum(lattice.by_dim[::2])
     return eulerian_check(lattice.up, lattice.down, even)

@@ -3,7 +3,8 @@
 The library lifts prefixes level by level through the projections of P
 and enumerates points fibre by fibre.  Two slower, obvious routes stand
 beside it: box_fibres visits every (n-1)-prefix of the bounding box and
-solves each fibre from the facets alone, and box_points_by_face scans the
+solves each fibre from the facets alone, to be compared with the walk's
+rows flattened by row_fibres, and box_points_by_face scans the
 whole integer bounding box and reads each point's face off its tight
 facets.  contains, tight_facet_indices and is_simple read a point or a
 vertex against the facet inequalities directly.
@@ -15,7 +16,7 @@ from math import prod
 from operator import floordiv
 
 from wehrhart.algebra import phi_eval
-from wehrhart.polytope import InvalidPolytope, build_face_lattice, facet_presentation
+from wehrhart.polytope import InvalidPolytope, build_face_lattice, facet_presentation, fibre_rows
 
 
 def _dot(a, b):
@@ -37,8 +38,23 @@ def is_simple(P):
     return all(len(tight_facet_indices(P, v)) == P.n for v in P.vertices)
 
 
+def row_fibres(lattice, ell):
+    """The rows of wehrhart.polytope.fibre_rows flattened to the fibres of box_fibres.
+
+    A fibre (prefix, lo, hi, face_lo, face_mid, face_hi) has the prefix
+    outer + (x,), or () for n = 1.  Each row's shape is asserted on the
+    way: outer has max(n - 2, 0) coordinates and x rises strictly.
+    """
+    n = lattice.polytope.n
+    for outer, row in fibre_rows(lattice, ell):
+        xs = [x for x, *_ in row]
+        assert len(outer) == max(n - 2, 0) and xs == sorted(set(xs)), (outer, xs)
+        for x, *fibre in row:
+            yield ((*outer, x)[: n - 1], *fibre)
+
+
 def box_fibres(lattice, ell):
-    """The tuples of wehrhart.polytope.fibres, from every prefix of the bounding box.
+    """The fibres of the library's walk (row_fibres), from every prefix of the bounding box.
 
     Each integer prefix of the first n-1 coordinates in the box of ell*P
     is tried in lexicographic order; the facets solve its fibre exactly as

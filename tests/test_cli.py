@@ -783,6 +783,24 @@ def test_face_lattice_past_the_budget_exits_3_at_once(tmp_path, capsys, command,
     assert f"{d + 1} vertices and {d + 1} facets give more than {polytope.MAX_FACES} faces" in err
 
 
+@pytest.mark.parametrize("d", [12, 13])
+@pytest.mark.parametrize(
+    "argv",
+    [["hpoly"], ["gweights", "--face", "1"], ["verify", "--suite", "all", "--lmax", "1"]],
+    ids=["hpoly", "gweights", "verify"],
+)
+def test_eulerian_check_past_its_budget_exits_3_at_once(tmp_path, capsys, argv, d):
+    # the d-simplex has 3**(d + 1) comparable face pairs, so the 12- and
+    # 13-simplex pass MAX_FACES but not MAX_PAIRS; no pair is visited
+    path = tmp_path / f"simplex{d}.json"
+    path.write_text(json.dumps({"vertices": corpus.simplex(d)}))
+    start = time.perf_counter()
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert time.perf_counter() - start < 2
+    _assert_refused(code, out, err, 3)
+    assert f"{2 ** (d + 1)} faces give {3 ** (d + 1)} comparable pairs, more than" in err
+
+
 def test_point_budget_covers_the_largest_input_in_use():
     # charsum --l 6 on cube6, the largest character sum the digests render
     assert cli.MAX_POINTS >= 7**6

@@ -30,6 +30,7 @@ from box_oracle import (
     cube,
     is_simple,
     random_lattice,
+    row_fibres,
 )
 from face_oracle import oracle_faces, oracle_order
 from hull_oracle import _affine_rank as fraction_affine_rank
@@ -53,7 +54,6 @@ from wehrhart.polytope import (
     eulerian_check,
     facet_presentation,
     fibre_rows,
-    fibres,
     mask_ids,
     points_by_face,
     validate_eulerian,
@@ -435,21 +435,24 @@ class TestFibreWalkAgainstBoxScan:
         lattice = build("pyramid")
         parts = points_by_face(lattice, 3)
         face_of = {m: q for q, pts in parts.items() for m in pts}
-        for prefix, lo, hi, face_lo, face_mid, face_hi in fibres(lattice, 3):
-            assert face_of[prefix + (lo,)] == face_lo
-            assert face_of[prefix + (hi,)] == face_hi
-            for t in range(lo + 1, hi):
-                assert face_of[prefix + (t,)] == face_mid
-            assert (face_mid is None) == (lo == hi)
+        for outer, row in fibre_rows(lattice, 3):
+            for x, lo, hi, face_lo, face_mid, face_hi in row:
+                prefix = outer + (x,)
+                assert face_of[prefix + (lo,)] == face_lo
+                assert face_of[prefix + (hi,)] == face_hi
+                for t in range(lo + 1, hi):
+                    assert face_of[prefix + (t,)] == face_mid
+                assert (face_mid is None) == (lo == hi)
 
 
 class TestFibresAgainstBoxFibres:
-    """Projection-bounded lifting against every prefix of the box, tuple for tuple and in order."""
+    """Projection-bounded lifting against every prefix of the box, fibre for
+    fibre and in order, each row of the walk checked for its shape."""
 
     @staticmethod
     def _agree(lattice, ells):
         for ell in ells:
-            assert list(fibres(lattice, ell)) == list(box_fibres(lattice, ell)), ell
+            assert list(row_fibres(lattice, ell)) == list(box_fibres(lattice, ell)), ell
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus(self, name):
@@ -467,22 +470,31 @@ class TestFibresAgainstBoxFibres:
     def test_cube6_and_cross6(self, pts):
         self._agree(build_face_lattice(facet_presentation(pts)), (1, 2, 3))
 
+    def test_few_dozen_vertices(self):
+        # the hull of 40 points of random.Random(1) in [-3, 3]^5, drawn point by
+        # point: the box scan tries 7**4 prefixes against 406 facets
+        rng = random.Random(1)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(40)]
+        lattice = build_face_lattice(facet_presentation(pts))
+        assert (len(lattice.polytope.vertices), len(lattice.polytope.facets)) == (38, 406)
+        self._agree(lattice, (1,))
+
     def test_segment_has_one_fibre_over_the_empty_prefix(self):
         lattice = build("segment")
         v0, v1 = (lattice.vertex_face_id(i) for i in (0, 1))
-        assert list(fibres(lattice, 3)) == [((), 0, 3, v0, lattice.top_id, v1)]
+        assert list(fibre_rows(lattice, 3)) == [((), [(0, 0, 3, v0, lattice.top_id, v1)])]
 
     def test_fibres_is_a_generator(self):
-        assert inspect.isgenerator(fibres(build("cube"), 2))
+        assert inspect.isgenerator(fibre_rows(build("cube"), 2))
 
     def test_projection_table_is_lazy_and_has_n_minus_1_entries(self):
         lattice = build_face_lattice(facet_presentation(cross(5)))
         assert lattice._projections is None
-        list(fibres(lattice, 1))
+        list(fibre_rows(lattice, 1))
         table = lattice.projections()
         assert [len(facets) for facets in table] == [2, 4, 8, 16]
         assert table[0] == (((-1,), 1), ((1,), 1))
-        list(fibres(lattice, 4))
+        list(fibre_rows(lattice, 4))
         assert lattice.projections() is table
 
 
@@ -587,18 +599,7 @@ class TestRowsOnTieHeavyPolytopes:
     def test_fibres_match_box_fibres(self, name):
         lattice = build_face_lattice(facet_presentation(TIE_HEAVY[name]))
         for ell in (1, 2, 3):
-            assert list(fibres(lattice, ell)) == list(box_fibres(lattice, ell)), ell
-
-    @pytest.mark.parametrize("name", ["segment", "square", "pyramid"])
-    def test_rows_flatten_to_fibres(self, name):
-        lattice = build(name)
-        n = lattice.polytope.n
-        flat = []
-        for outer, row in fibre_rows(lattice, 3):
-            xs = [x for x, *_ in row]
-            assert len(outer) == max(n - 2, 0) and xs == sorted(set(xs))
-            flat += [((outer + (x,))[: n - 1], *rest) for x, *rest in row]
-        assert flat == list(fibres(lattice, 3))
+            assert list(row_fibres(lattice, ell)) == list(box_fibres(lattice, ell)), ell
 
 
 class TestGrading:
@@ -712,8 +713,10 @@ class TestFaceBudget:
         pts = [tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(40)]
         lattice = build_face_lattice(facet_presentation(pts))
         assert len(lattice.faces) == 10_712 <= polytope.MAX_FACES
-        # and the 14-simplex, 2**15 faces, is past it
-        assert polytope.MAX_FACES < 2**15
+        assert sum(map(int.bit_count, lattice.up)) == 266_979 <= polytope.MAX_PAIRS
+        # and the 14-simplex, 2**15 faces, is past it, as the 13-simplex's
+        # 3**14 comparable pairs are past the Eulerian check's
+        assert polytope.MAX_FACES < 2**15 and polytope.MAX_PAIRS < 3**14
 
     def test_closure_stops_at_the_budget_before_the_order_masks(self, monkeypatch):
         P = facet_presentation(CORPUS["cube"])  # 28 faces, the empty face and P included
@@ -727,6 +730,23 @@ class TestFaceBudget:
         monkeypatch.setattr(polytope, "FaceLattice", no_lattice)
         with pytest.raises(InvalidPolytope, match="8 vertices and 6 facets give more than 27 faces"):
             build_face_lattice(P)
+
+
+class TestEulerianBudget:
+    def test_check_stops_at_the_budget_before_any_pair(self, monkeypatch):
+        lattice = build("cube")
+        # 5**3 nested pairs of nonempty faces, and the empty face under all 28
+        assert sum(map(int.bit_count, lattice.up)) == 153
+        monkeypatch.setattr(polytope, "MAX_PAIRS", 153)
+        assert validate_eulerian(lattice)
+
+        def no_pairs(*args):
+            raise AssertionError("a pair was visited")
+
+        monkeypatch.setattr(polytope, "MAX_PAIRS", 152)
+        monkeypatch.setattr(polytope, "eulerian_check", no_pairs)
+        with pytest.raises(InvalidPolytope, match="28 faces give 153 comparable pairs, more than 152"):
+            validate_eulerian(lattice)
 
 
 @st.composite
