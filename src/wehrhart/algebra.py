@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import index
 from typing import Iterable
 
@@ -326,14 +326,8 @@ def phi_eval(phi: HomogPoly, m) -> Fraction:
     """
     if len(m) != phi.n:
         raise ValueError(f"point has length {len(m)}, expected {phi.n}")
-    total = RAT_ZERO
-    for exps, c in phi.monomials:
-        v = c
-        for mi, e in zip(m, exps):
-            if e:
-                v *= Fraction(mi) ** e
-        total += v
-    return total
+    # the powers multiply in int, so each monomial takes one Fraction product
+    return sum((c * prod(map(pow, m, exps)) for exps, c in phi.monomials), RAT_ZERO)
 
 
 @lru_cache(maxsize=None)

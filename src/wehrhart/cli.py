@@ -48,6 +48,7 @@ from .polytope import (
     InvalidPolytope,
     build_face_lattice,
     check_nonempty_face,
+    check_pair_budget,
     fibre_rows,
     polytope_hash,
 )
@@ -213,6 +214,7 @@ def _check_point_budget(lattice: FaceLattice, ells, what: str, copies: int = 1) 
 
 
 def _cmd_faces(spec, lattice):
+    check_pair_budget(lattice, "the faces export")  # which lists every comparable pair
     return dumps(lattice_to_json(lattice))
 
 

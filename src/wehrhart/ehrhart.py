@@ -8,16 +8,17 @@ that does not depend on the weights.  It is interpolated once per
 K = ceil((n + deg phi + 1) / 2): per-face reciprocity (Macdonald, with
 polynomial weights as in Brion-Vergne), S_Q(-ell) = (-1)^(dim Q + deg phi)
 sum_{G <= Q} S_G(ell), and S_Q(0) = (-1)^dim Q phi(0) give every face its
-samples at -K .. 0.  Each face is checked, a dimension at a time, by the
-samples past its degree and against its own facets: a vertex by its
-closed form, every other face by the Euler-Maclaurin boundary term, and
-the top face also by the divergence theorem (_face_polynomials).  phi is
-homogeneous, so E = (1+y)^deg phi Etilde (_variant_factor).  Every value
-a verifier compares is one linear combination of per-face scalars with
-the orbit coefficients f_Q(y) (1+y)^dim Q, which are built once per
-weight.  Character sums likewise carry one coefficient per orbit
-(OrbitSum), and duality compares them face by face; points appear only
-when a sum is rendered.
+samples at -K .. 0, fitted by one int matrix per face degree.  Each face
+is checked, a dimension at a time, by the samples past its degree and
+against its own facets: a vertex by its closed form, every other face by
+the Euler-Maclaurin boundary term, and the top face also by the
+divergence theorem (_face_polynomials).  phi is homogeneous, so
+E = (1+y)^deg phi Etilde (_variant_factor).  The polynomial sums the
+interpolants in int per (f_Q, dim Q); every value a verifier compares is
+one linear combination of per-face scalars with the orbit coefficients
+f_Q(y) (1+y)^dim Q, built once per weight.  Character sums likewise carry
+one coefficient per orbit (OrbitSum), and duality compares them face by
+face; points appear only when a sum is rendered.
 
 The per-face values come by two routes, kept in one table per (phi, ell):
 at ell > 0 from the walk, at ell < 0 off the per-face interpolants, one
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
+from operator import add, mul
 
 from .algebra import (
     L_ONE,
@@ -113,7 +115,7 @@ def _orbit_coefficients(f, kind):
     """One coefficient per torus orbit, built on first use and kept on f.
 
     _PLUS:           c_Q = f_Q(y) (1+y)^dim Q for each Q in the support, the
-                     coefficient at ell > 0 and of every weighted count
+                     coefficient at ell > 0, of weighted values and -ell checks
     _MINUS:          c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at ell < 0:
                      the faces whose closed dilate |ell| Q holds m; also
                      the right side of reciprocity, on the sums at +ell
@@ -251,19 +253,21 @@ class PolynomialityError(ArithmeticError):
     """
 
 
-@lru_cache(maxsize=16)
-def _newton_basis(bound, first):
-    """Row j, for j = 0..bound: the z-coefficients of (bound!/j!) (z - first)
-    (z - first - 1) ... (z - first - j + 1), the Newton basis on the nodes
-    first, first + 1, .. scaled by bound!, all int."""
-    row = [factorial(bound)]
-    rows = [row]
-    for j in range(1, bound + 1):
-        # times (z - node), then / j: bound!/(j-1)! is j * bound!/j!
-        node = first + j - 1
-        row = [(a - node * b) // j for a, b in zip([0] + row, row + [0])]
-        rows.append(row)
-    return rows
+@lru_cache(maxsize=16)  # a table takes n + 1 <= 14 degrees: MAX_FACES admits no n above 13
+def _fit_matrix(bound, deg):
+    """(fit, checks) in int on the samples s_0 .. s_2K at -K .. K, K = (bound + 2) // 2.
+    fit takes s_0 .. s_deg to bound! a_0 .. a_deg: the differences Delta^j s_0
+    = sum_i (-1)^(j-i) C(j, i) s_i, j <= deg, folded into the Newton basis
+    bound! C(z + K, j).  checks holds the rows of Delta^j s_0, j = deg + 1 .. 2K."""
+    K = (bound + 2) // 2
+    diff = [[(-1) ** (j - i) * comb(j, i) for i in range(j + 1)] for j in range(2 * K + 1)]
+    fit, newton = [[0] * (deg + 1) for _ in range(deg + 1)], [factorial(bound)]
+    for j in range(deg + 1):
+        for k, b in enumerate(newton):
+            fit[k][: j + 1] = [f + b * c for f, c in zip(fit[k], diff[j])]
+        # times (z + K - j), then / (j + 1): exact below j = bound, and the last row is unused
+        newton = [(a + (K - j) * b) // (j + 1) for a, b in zip([0] + newton, newton + [0])]
+    return tuple(map(tuple, fit)), tuple(map(tuple, diff[deg + 1 :]))
 
 
 def _face_polynomials(lattice, phi):
@@ -277,10 +281,11 @@ def _face_polynomials(lattice, phi):
         +ell  S_Q(ell), from the walk
          0    (-1)^dim Q phi(0)
         -ell  (-1)^deg times the closed sum, sum over G <= Q of S_G(ell)
-    The samples are scaled to int and differenced from -K; every
-    difference above deg must vanish, which also fixes a_Q0 to the sample
-    at 0.  Taken dimension by dimension (FaceLattice.by_dim), each face is
-    then checked against its own facets G, the faces of dimension dim Q - 1
+    The samples are scaled to int, and _fit_matrix, one per degree, takes
+    the first deg + 1 to the a_Qk; every difference from -K above deg, one
+    check row each, must vanish, which also fixes a_Q0 to the sample at 0.
+    Taken dimension by dimension (FaceLattice.by_dim), each face is then
+    checked against its own facets G, the faces of dimension dim Q - 1
     below it: a vertex v has S_v(z) = phi(v) z^deg phi, and a face of
     dim >= 1 meets the Euler-Maclaurin boundary term in its own lattice,
     2 a_Q[deg - 1] = -sum_G a_G[deg - 1], with a_G[deg - 1] the integral
@@ -312,31 +317,25 @@ def _face_polynomials(lattice, phi):
             {q: canon(d * v) for q, v in _phi_face_sums(lattice, phi, ell).items()}
             for ell in range(1, K + 1)
         ]
-        basis = _newton_basis(bound, -K)
         phi0 = int(d * phi_eval(phi, (0,) * n))  # d clears every denominator of phi
         table = {}
         for dim, layer in enumerate(lattice.by_dim[1:]):
             deg = dim + phi.degree
             sign = -1 if deg % 2 else 1
+            fit, checks = _fit_matrix(bound, deg)
             for q in mask_ids(layer):
                 below = lattice.subfaces(q)
                 row = [sign * sum(map(sums.__getitem__, below)) for sums in reversed(walk)]
                 row.append(-phi0 if dim % 2 else phi0)
                 row.extend(sums[q] for sums in walk)
-                lead = []
-                while row:
-                    lead.append(row[0])
-                    row = [b - a for a, b in zip(row, row[1:])]
-                for j in range(deg + 1, len(lead)):
-                    if lead[j]:
+                for j, check in enumerate(checks, deg + 1):
+                    if sum(map(mul, check, row)):
                         raise PolynomialityError(
                             f"face {q}: its samples at z = -{K}..{K} (walked at 1..{K}, "
                             f"by reciprocity at -{K}..-1) have a nonzero difference of "
                             f"order {j}, above their degree {deg}"
                         )
-                coeffs = tuple(
-                    sum(lead[j] * basis[j][k] for j in range(k, deg + 1)) for k in range(deg + 1)
-                )
+                coeffs = tuple(sum(map(mul, r, row)) for r in fit)
                 if dim:
                     ridges = mask_ids(lattice.down[q] & lattice.by_dim[dim])
                     rhs = -sum(table[g][deg - 1] for g in ridges)
@@ -375,21 +374,23 @@ def ehrhart_polynomial(
     """The weighted count as a polynomial in the dilation z.
 
     Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D times the variant's
-    factor, from the per-face interpolants of _face_polynomials; their
-    checks (the samples past each face's degree, reciprocity's included, the
-    closed form of each vertex, the Euler-Maclaurin identity of every
-    other face against its own facets, and the divergence identity of the
-    top face) raise PolynomialityError.
+    factor, the per-face interpolants of _face_polynomials summed in int
+    per (f_Q, dim Q) first: one Laurent product per such pair and one per
+    coefficient.  Their checks (the samples past each face's degree,
+    reciprocity's included, the closed form of each vertex, the
+    Euler-Maclaurin identity of every other face against its own facets,
+    and the divergence identity of the top face) raise PolynomialityError.
     """
     factor = _variant_factor(phi, variant)
     _check_lattice(lattice, f)
     denom, table = _face_polynomials(lattice, phi)
-    scale = factor * Fraction(1, denom)
-    plus = _orbit_coefficients(f, _PLUS)
-    return ZPoly(
-        linear_combination(
-            (c, table[q][k]) for q, c in plus.items() if k < len(table[q])
-        ) * scale
+    groups = {}  # (f_Q, dim Q) -> the sum of a_Q over its faces, in int
+    for q, fq in f.values.items():
+        a = groups.setdefault((fq, lattice.faces[q].dim), [0] * len(table[q]))
+        a[:] = map(add, a, table[q])
+    orbits = [(fq * one_plus_y_power(dim), a) for (fq, dim), a in groups.items()]
+    return ZPoly(  # the factor in int, then one division by D per y-coefficient
+        linear_combination((c, a[k]) for c, a in orbits if k < len(a)) * factor * Fraction(1, denom)
         for k in range(lattice.polytope.n + phi.degree + 1)
     )
 

@@ -37,10 +37,10 @@ MEMO_MAX = 37
 # 14-simplex is the first simplex refused.
 MAX_FACES = 1 << 14
 # Comparable face pairs (a <= b, sum of popcount(up)) the Eulerian check
-# may visit.  The largest lattice in use, the 40-point hull above, has
-# 266,979 and takes about 1 s; the d-simplex has 3**(d+1), so the
-# 11-simplex (531,441, about 1 s) is the last simplex admitted and the
-# 12-simplex (1.59 million, 4 to 7 s) the first refused.
+# visits and the faces export lists.  The 40-point hull above has 266,979
+# (checked in about 1 s); the d-simplex has 3**(d+1), so the 11-simplex
+# (531,441, about 1 s) is the last simplex admitted and the 12-simplex
+# (1.59 million, 4 to 7 s to check, 58 MB to export) the first refused.
 MAX_PAIRS = 1 << 20
 
 
@@ -651,18 +651,19 @@ def eulerian_check(up, down, even) -> bool:
     return True
 
 
-def validate_eulerian(lattice) -> bool:
-    """True iff the face poset is Eulerian (interval parity balance).
-
-    The check visits every comparable pair, so a lattice of more than
-    MAX_PAIRS of them raises InvalidPolytope before the first is visited.
-    """
+def check_pair_budget(lattice, what: str) -> None:
+    """InvalidPolytope past MAX_PAIRS comparable pairs, before `what` visits any."""
     pairs = sum(map(int.bit_count, lattice.up))
     if pairs > MAX_PAIRS:
         raise InvalidPolytope(
             f"{len(lattice.faces)} faces give {pairs} comparable pairs, more than "
-            f"{MAX_PAIRS}, the Eulerian check's budget"
+            f"{MAX_PAIRS}, {what}'s budget"
         )
+
+
+def validate_eulerian(lattice) -> bool:
+    """True iff the face poset is Eulerian (interval parity balance), within check_pair_budget."""
+    check_pair_budget(lattice, "the Eulerian check")
     # rank is dim + 1, the index into by_dim: the empty face has even rank
     even = sum(lattice.by_dim[::2])
     return eulerian_check(lattice.up, lattice.down, even)

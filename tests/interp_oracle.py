@@ -1,4 +1,4 @@
-"""The weighted polynomial two slower ways, the oracles for the per-face interpolants.
+"""The weighted polynomial by slower routes, the oracles for the per-face interpolants.
 
 The library interpolates the phi-sum of every face once per integrand, in
 int, from the walk at ell = 1 .. K and per-face reciprocity at -K .. -1,
@@ -15,12 +15,19 @@ Lagrange in Fraction and checks every sample past the fit; it uses no
 reciprocity, so comparing the two tests the library's reciprocity samples.
 face_identity_failures states the facts the library checks each face's
 interpolant against, read off vertex sets and phi_eval alone.
+
+forward_differences and lagrange_fit are the two routes the library's
+fit matrix folds into one: the samples differenced list by list, and
+Lagrange through the first deg + 1 of them.  per_face_weighted_polynomial
+combines the interpolants face by face, one orbit coefficient each,
+where the library sums them per (weight value, dimension) first.
 """
 
 from fractions import Fraction
 
+import wehrhart.ehrhart as eh
 from charsum_oracle import constant_term
-from wehrhart.algebra import lagrange_interpolate, phi_eval
+from wehrhart.algebra import ZPoly, lagrange_interpolate, linear_combination, phi_eval
 from wehrhart.ehrhart import PolynomialityError, weighted_ehrhart_value
 
 
@@ -113,3 +120,32 @@ def face_identity_failures(lattice, phi, polys):
         if not ok:
             failures.append(q)
     return failures
+
+
+def forward_differences(samples):
+    """Delta^j s_0 for j = 0 .. len(samples) - 1, each list differenced in turn."""
+    lead = []
+    while samples:
+        lead.append(samples[0])
+        samples = [b - a for a, b in zip(samples, samples[1:])]
+    return lead
+
+
+def lagrange_fit(samples, first, deg):
+    """[a_0, .., a_deg] of the polynomial through (first + i, samples[i]), i = 0 .. deg."""
+    zp = lagrange_interpolate(enumerate(samples[: deg + 1], first), deg)
+    return [c.coeff(0) for c in zp.coeffs] + [0] * (deg + 1 - len(zp.coeffs))
+
+
+def per_face_weighted_polynomial(lattice, f, phi, variant):
+    """One linear combination per z-coefficient over every face of the
+    weight's support, with its orbit coefficient f_Q(y) (1+y)^dim Q,
+    times the variant's factor over D."""
+    factor = eh._variant_factor(phi, variant)
+    denom, table = eh._face_polynomials(lattice, phi)
+    plus = eh._orbit_coefficients(f, eh._PLUS)
+    return ZPoly(
+        linear_combination((c, table[q][k]) for q, c in plus.items() if k < len(table[q]))
+        * (factor * Fraction(1, denom))
+        for k in range(lattice.polytope.n + phi.degree + 1)
+    )

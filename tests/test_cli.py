@@ -801,6 +801,23 @@ def test_eulerian_check_past_its_budget_exits_3_at_once(tmp_path, capsys, argv, 
     assert f"{2 ** (d + 1)} faces give {3 ** (d + 1)} comparable pairs, more than" in err
 
 
+def test_faces_export_past_the_pair_budget_exits_3_at_once(tmp_path, capsys, monkeypatch):
+    # the 12-simplex passes MAX_FACES, but its order export would list
+    # 3**13 comparable pairs (58 MB of JSON); it is refused before any is written
+    def no_export(lattice):
+        raise AssertionError("the lattice was exported")
+
+    monkeypatch.setattr(cli, "lattice_to_json", no_export)
+    path = tmp_path / "simplex12.json"
+    path.write_text(json.dumps({"vertices": corpus.simplex(12)}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["faces", str(path)], capsys)
+    assert time.perf_counter() - start < 2
+    _assert_refused(code, out, err, 3)
+    assert f"8192 faces give {3**13} comparable pairs, more than {polytope.MAX_PAIRS}, " in err
+    assert err.endswith("the faces export's budget\n")
+
+
 def test_point_budget_covers_the_largest_input_in_use():
     # charsum --l 6 on cube6, the largest character sum the digests render
     assert cli.MAX_POINTS >= 7**6

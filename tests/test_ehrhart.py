@@ -9,7 +9,8 @@ character-sum duality case for the delta weight on the segment's edge
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,14 @@ from charsum_oracle import (
     pointwise_character_sum,
     pointwise_hodge_duality,
 )
-from interp_oracle import face_identity_failures, per_face_polynomials, per_weight_polynomial
+from interp_oracle import (
+    face_identity_failures,
+    forward_differences,
+    lagrange_fit,
+    per_face_polynomials,
+    per_face_weighted_polynomial,
+    per_weight_polynomial,
+)
 from wehrhart.algebra import (
     HomogPoly,
     LaurentPoly,
@@ -66,6 +74,7 @@ from wehrhart.weights import (
     all_ones,
     delta_weight,
     dualize,
+    random_laurent,
     random_weight_functions,
     scale,
 )
@@ -553,6 +562,78 @@ class TestPolynomialAgainstPerWeightOracle:
             for variant in ("E", "Etilde"):
                 expected = per_weight_polynomial(lat, f, phi_one(n), variant)
                 assert ehrhart_polynomial(lat, f, phi_one(n), variant) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fit_matrix_against_lagrange(data):
+    # a polynomial of degree <= deg sampled at -K .. K: the fit rows give
+    # bound! a_k and every check row vanishes; a +-1 warp of one sample
+    # makes the first nonzero check row the first nonzero difference
+    # above deg, differenced list by list
+    bound = data.draw(st.integers(min_value=0, max_value=8), label="bound")
+    deg = data.draw(st.integers(min_value=0, max_value=bound), label="deg")
+    K = (bound + 2) // 2
+    coeffs = data.draw(st.lists(st.integers(-50, 50), min_size=deg + 1, max_size=deg + 1))
+    samples = [sum(c * z**k for k, c in enumerate(coeffs)) for z in range(-K, K + 1)]
+    fit, checks = eh._fit_matrix(bound, deg)
+    assert len(checks) == 2 * K - deg
+    assert [sum(map(mul, r, samples)) for r in fit] == [factorial(bound) * c for c in coeffs]
+    assert lagrange_fit(samples, -K, deg) == coeffs
+    assert not any(sum(map(mul, r, samples)) for r in checks)
+
+    i = data.draw(st.integers(min_value=0, max_value=2 * K), label="warped sample")
+    samples[i] += data.draw(st.sampled_from((1, -1)), label="warp")
+    fitted = [sum(map(mul, r, samples)) for r in fit]
+    assert fitted == [factorial(bound) * c for c in lagrange_fit(samples, -K, deg)]
+    lead = forward_differences(samples)
+    first = next(j for j in range(deg + 1, 2 * K + 1) if lead[j])
+    rows = [j for j, r in enumerate(checks, deg + 1) if sum(map(mul, r, samples))]
+    assert rows[0] == first == max(i, deg + 1)
+
+
+def _weights_with_repeats(lat, rng):
+    """Each nonempty face drawn from a palette of two values, or left out."""
+    palette = [random_laurent(rng) or L({0: 1}) for _ in range(2)]
+    return WeightFunction(lat, {q: rng.choice(palette) for q in lat.nonempty_ids if rng.randrange(3)})
+
+
+class TestGroupedSumAgainstPerFaceOracle:
+    """ehrhart_polynomial sums the interpolants per (weight value, dimension),
+    against one orbit coefficient per face (per_face_weighted_polynomial)."""
+
+    @pytest.mark.parametrize("name", ["cube", "pyramid", "random3", "cross4"])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_weights_with_repeated_and_distinct_values(self, name, degree):
+        lat = build_face_lattice(facet_presentation(cross(4) if name == "cross4" else CORPUS[name]))
+        phi = mixed_phi(lat.polytope.n, degree)
+        rng = random.Random(f"grouped:{name}:{degree}")
+        weights = [all_ones(lat), g_weight_function(lat, lat.top_id)]
+        weights += [_weights_with_repeats(lat, rng) for _ in range(2)]
+        weights += random_weight_functions(lat, rng.randrange(1 << 30), 2)
+        for f in weights:
+            for variant in ("E", "Etilde"):
+                expected = per_face_weighted_polynomial(lat, f, phi, variant)
+                assert ehrhart_polynomial(lat, f, phi, variant) == expected
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_one_laurent_product_per_group_and_coefficient(self, monkeypatch, degree):
+        lat = build_face_lattice(facet_presentation(cube(5)))
+        f, phi = all_ones(lat), mixed_phi(5, degree)
+        eh._face_polynomials(lat, phi)  # no Laurent product; held on the lattice
+        groups = {(fq, lat.faces[q].dim) for q, fq in f.values.items()}
+        real, products = LaurentPoly.__mul__, []
+
+        def counted(self, other):
+            if isinstance(other, LaurentPoly):
+                products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        for variant in ("E", "Etilde"):
+            products.clear()
+            ehrhart_polynomial(lat, f, phi, variant)
+            assert 0 < len(products) <= len(groups) + 5 + degree + 1
 
 
 class TestVerifyReciprocity:

@@ -83,6 +83,36 @@ def test_homog_evaluation_is_multiplicative_in_scalars(monos):
             assert phi_eval(phi, doubled) == Fraction(2) ** deg * phi_eval(phi, m)
 
 
+def phi_eval_per_coordinate(phi, m):
+    """phi at m with each coordinate raised in Fraction, one at a time: the oracle for phi_eval."""
+    total = Fraction(0)
+    for exps, c in phi.monomials:
+        v = c
+        for mi, e in zip(m, exps):
+            if e:
+                v *= Fraction(mi) ** e
+        total += v
+    return total
+
+
+@st.composite
+def phis_and_points(draw):
+    """A homogeneous phi on Z^n, zero exponents included, and a point, negative coordinates allowed."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    degree = draw(st.integers(min_value=0, max_value=5))
+    cuts = st.lists(st.integers(min_value=0, max_value=degree), min_size=n - 1, max_size=n - 1)
+    exps = cuts.map(lambda c: tuple(b - a for a, b in zip([0, *sorted(c)], [*sorted(c), degree])))
+    phi = HomogPoly(n, draw(st.lists(st.tuples(exps, rationals), max_size=5)))
+    return phi, tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+
+
+@given(phis_and_points())
+def test_phi_eval_matches_the_per_coordinate_loop(case):
+    phi, m = case
+    value = phi_eval(phi, m)
+    assert type(value) is Fraction and value == phi_eval_per_coordinate(phi, m)
+
+
 @given(st.lists(laurents, min_size=1, max_size=5))
 def test_interpolation_recovers_zpoly(coeffs):
     zp = ZPoly(coeffs)
