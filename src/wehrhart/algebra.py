@@ -229,14 +229,6 @@ def linear_combination(pairs) -> LaurentPoly:
     return LaurentPoly._make(acc)
 
 
-def grouped_sum(pairs, kernel) -> LaurentPoly:
-    """sum of p * kernel(k) over (k, LaurentPoly p) pairs, one kernel product per distinct k."""
-    groups = {}
-    for k, p in pairs:
-        groups.setdefault(k, []).append(p)
-    return poly_sum(poly_sum(ps) * kernel(k) for k, ps in groups.items())
-
-
 L_ZERO = LaurentPoly()
 L_ONE = LaurentPoly.const(1)
 ONE_PLUS_Y = LaurentPoly({0: 1, 1: 1})
@@ -277,7 +269,7 @@ class HomogPoly:
     and has degree 0 by convention.
     """
 
-    __slots__ = ("n", "degree", "monomials")
+    __slots__ = ("n", "degree", "monomials", "_hash")
 
     def __init__(self, n: int, monomials: Iterable = ()):
         n = as_int(n)
@@ -297,6 +289,8 @@ class HomogPoly:
         self.n = n
         self.degree = degrees.pop() if degrees else 0
         self.monomials = tuple(sorted(clean.items()))
+        # every (phi, ell) memo key hashes phi: its Fractions are hashed once, here
+        self._hash = hash((n, self.monomials))
 
     @staticmethod
     def one(n: int) -> "HomogPoly":
@@ -313,7 +307,7 @@ class HomogPoly:
         )
 
     def __hash__(self):
-        return hash((self.n, self.monomials))
+        return self._hash
 
     def __repr__(self):
         return f"HomogPoly(n={self.n}, degree={self.degree}, {list(self.monomials)!r})"

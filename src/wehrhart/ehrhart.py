@@ -24,7 +24,8 @@ The per-face values come by two routes, kept in one table per (phi, ell):
 at ell > 0 from the walk, at ell < 0 off the per-face interpolants, one
 evaluation per face and dilation.  Reciprocity, duality reciprocity and
 purity are one check (_minus_ell_check): the value at -ell against
-(-1)^deg phi times a sum built at +ell.  Past K the two routes
+(-1)^deg phi times a sum built at +ell, and an E check is the Etilde
+check with both sides times (1+y)^deg phi (e_form).  Past K the two routes
 cross-validate each other.  At ell <= K the interpolant's value at -ell
 is the reciprocity sample built from the same walk, so the reciprocity
 suite there checks only the orbit-coefficient algebra (_MINUS), while
@@ -437,6 +438,14 @@ def _minus_ell_check(name, params, lattice, f, phi, ell, variant, right) -> Chec
     plus = _orbit_coefficients(f, _PLUS)
     lhs = linear_combination((c, lows[q]) for q, c in plus.items()) * factor
     return _compare(name, params, lhs, rhs)
+
+
+def e_form(check: CheckResult, phi) -> CheckResult:
+    """The E check of an Etilde check from _minus_ell_check: both sides times
+    (1+y)^deg phi, compared afresh, so a failure's first difference is its own."""
+    factor = _variant_factor(phi, VARIANT_E)
+    params = {**check.params, "variant": VARIANT_E}
+    return _compare(check.name, params, check.lhs * factor, check.rhs * factor)
 
 
 def verify_reciprocity(lattice, f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:

@@ -111,7 +111,8 @@ def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
 
 
 def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
-    """Weights g(reversed [Q, Q']) at t = -y on faces Q below Q', else 0."""
+    """Weights g(reversed [Q, Q']) at t = -y on faces Q below Q', else 0; each has constant
+    term 1 (the interval is Eulerian) and subfaces ascends, as WeightFunction._make needs."""
     qp_id = check_nonempty_face(lattice, qp_id)
     _check_interval(lattice, qp_id, qp_id)
     rows = _f_rows(lattice, qp_id)
@@ -119,7 +120,7 @@ def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     for q in lattice.subfaces(qp_id):
         g = _g_row(rows[q])
         values[q] = LaurentPoly._make({i: -c if i % 2 else c for i, c in enumerate(g)})
-    return WeightFunction(lattice, values)
+    return WeightFunction._make(lattice, values)
 
 
 def h_polynomial(lattice: FaceLattice) -> LaurentPoly:

@@ -4,20 +4,16 @@ A free module over Laurent polynomials in y, with the delta basis, the
 duality involution D, and seeded random generation for property tests.
 
 D(f)_Q(y) = sum over nonempty faces E above Q of
-            (1+y)^(dim E - dim Q) * (-y)^(-dim E) * f_E(1/y).
+            (1+y)^(dim E - dim Q) * (-y)^(-dim E) * f_E(1/y),
+by Horner's rule in (1+y).  Weights built from the lattice's own ids skip
+the checks of WeightFunction(...) through WeightFunction._make.
 """
 
 from __future__ import annotations
 
 import random
 
-from .algebra import (
-    LaurentPoly,
-    grouped_sum,
-    neg_y_power,
-    one_plus_y_power,
-    substitute_inverse,
-)
+from .algebra import LaurentPoly
 from .polytope import FaceLattice, check_nonempty_face, mask_ids
 
 
@@ -44,6 +40,13 @@ class WeightFunction:
         self.values = dict(sorted(vals.items()))
         self._memo = {}
 
+    @staticmethod
+    def _make(lattice: FaceLattice, values: dict) -> "WeightFunction":
+        """Trusted constructor from nonzero values keyed by increasing nonempty ids; no re-validation."""
+        f = object.__new__(WeightFunction)
+        f.lattice, f.values, f._memo = lattice, values, {}
+        return f
+
     def __getitem__(self, fid: int) -> LaurentPoly:
         return self.values.get(fid, LaurentPoly())
 
@@ -69,8 +72,7 @@ def delta_weight(lattice: FaceLattice, qp_id: int) -> WeightFunction:
 
 def all_ones(lattice: FaceLattice) -> WeightFunction:
     """Weight 1 on every nonempty face."""
-    one = LaurentPoly.const(1)
-    return WeightFunction(lattice, {fid: one for fid in lattice.nonempty_ids})
+    return WeightFunction._make(lattice, dict.fromkeys(lattice.nonempty_ids, LaurentPoly.const(1)))
 
 
 def scale(p: LaurentPoly, f: WeightFunction) -> WeightFunction:
@@ -101,30 +103,31 @@ def dualize(f: WeightFunction) -> WeightFunction:
 
 
 def _involution(f: WeightFunction) -> WeightFunction:
-    """D(f), grouped by the dimension of E.
-
-    For each Q the f_E(1/y) over E >= Q of one dimension d are summed
-    first, then multiplied once by the kernel (1+y)^(d - dim Q) * (-y)^(-d);
-    the kernel table covers 0 <= dim Q <= d <= n and each f_E is inverted
-    once per call, and the faces above Q are read off the bitmask order.
-    """
+    """D(f) by Horner's rule in (1+y): from d = n down to dim Q, D(f)_Q <- D(f)_Q (1+y)
+    plus the g_E = (-y)^(-dim E) f_E(1/y) of the E >= Q of dimension d, each g_E
+    built once.  Sparse dicts, as a weight's exponents may have 1,000 digits."""
     L = f.lattice
-    n = L.polytope.n
-    kernel = {
-        (d, dq): one_plus_y_power(d - dq) * neg_y_power(-d)
-        for d in range(n + 1)
-        for dq in range(d + 1)
-    }
-    inverted = {e: (L.faces[e].dim, substitute_inverse(fe)) for e, fe in f.values.items()}
-    support = sum(1 << e for e in inverted)
+    faces, up, by_dim = L.faces, L.up, L.by_dim
+    g = {}
+    for e, fe in f.values.items():
+        d = faces[e].dim
+        g[e] = [(-k - d, -c if d % 2 else c) for k, c in fe.terms.items()]
+    support = sum(1 << e for e in g)
     out = {}
     for q in L.nonempty_ids:
-        dim_q = L.faces[q].dim
-        above = (inverted[e] for e in mask_ids(L.up[q] & support))
-        acc = grouped_sum(above, lambda d: kernel[d, dim_q])
-        if acc:
-            out[q] = acc
-    return WeightFunction(L, out)
+        above = up[q] & support
+        acc = {}
+        for d in range(L.polytope.n, faces[q].dim - 1, -1):
+            shifted = dict(acc)  # acc (1+y), a shift-add
+            for k, c in acc.items():
+                shifted[k + 1] = shifted.get(k + 1, 0) + c
+            acc = shifted
+            for e in mask_ids(above & by_dim[d + 1]):
+                for k, c in g[e]:
+                    acc[k] = acc.get(k, 0) + c
+        if p := LaurentPoly._make(acc):
+            out[q] = p
+    return WeightFunction._make(L, out)
 
 
 def random_laurent(rng: random.Random) -> LaurentPoly:
@@ -150,7 +153,7 @@ def random_weight_function(lattice: FaceLattice, rng: random.Random) -> WeightFu
             p = random_laurent(rng)
             if p:
                 vals[fid] = p
-    return WeightFunction(lattice, vals)
+    return WeightFunction._make(lattice, vals)
 
 
 def random_weight_functions(lattice: FaceLattice, seed: int, count: int):

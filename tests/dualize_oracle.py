@@ -1,6 +1,6 @@
-"""The duality involution term by term, the oracle for the grouped dualize.
+"""The duality involution term by term, the oracle for dualize.
 
-The library sums f_E(1/y) per dimension of E before one kernel product;
+The library takes each D(f)_Q by Horner's rule in (1+y) over dim E;
 this helper multiplies every comparable pair Q <= E on its own, straight
 from the defining sum.
 """

@@ -8,7 +8,15 @@ f's coefficients at degree floor(r/2), r = dim Q' - dim Q - 1.
 Polynomials in t are LaurentPoly values.
 """
 
-from wehrhart.algebra import L_ONE, LaurentPoly, grouped_sum, one_plus_y_power, substitute_negative
+from wehrhart.algebra import L_ONE, LaurentPoly, one_plus_y_power, poly_sum, substitute_negative
+
+
+def grouped_sum(pairs, kernel):
+    """sum of p * kernel(k) over (k, LaurentPoly p) pairs, one kernel product per distinct k."""
+    groups = {}
+    for k, p in pairs:
+        groups.setdefault(k, []).append(p)
+    return poly_sum(poly_sum(ps) * kernel(k) for k, ps in groups.items())
 
 
 def t_minus_1_power(k):

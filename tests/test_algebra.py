@@ -16,7 +16,6 @@ from wehrhart.algebra import (
     LaurentPoly,
     ZPoly,
     as_rat,
-    grouped_sum,
     lagrange_interpolate,
     linear_combination,
     neg_y_power,
@@ -173,29 +172,6 @@ class TestHomogPoly:
         phi = HomogPoly.one(3)
         assert phi.degree == 0
         assert phi_eval(phi, (4, 5, 6)) == 1
-
-
-class TestGroupedSum:
-    def test_matches_term_by_term_sum(self):
-        pairs = [(2, L({0: 1})), (0, L({1: 3})), (2, L({-1: 2})), (1, L({}))]
-        kernel = lambda k: L({0: 1, 1: 1}) ** k
-        expected = L({})
-        for k, p in pairs:
-            expected = expected + p * kernel(k)
-        assert grouped_sum(pairs, kernel) == expected
-
-    def test_one_kernel_call_per_key(self):
-        calls = []
-
-        def kernel(k):
-            calls.append(k)
-            return L({0: 1})
-
-        assert grouped_sum([(1, L({0: 1})), (1, L({0: 2})), (0, L({0: 1}))], kernel) == L({0: 4})
-        assert sorted(calls) == [0, 1]
-
-    def test_empty_is_zero(self):
-        assert grouped_sum([], lambda k: L({0: 1})) == L({})
 
 
 class TestLinearCombination:

@@ -1,5 +1,6 @@
 """End-to-end command tests against the bundled fixture files."""
 
+import io
 import itertools
 import json
 import os
@@ -239,12 +240,33 @@ def test_failed_check_exits_1_and_prints_its_first_difference(monkeypatch, capsy
     spec = cli.parse_args(["verify", fx("segment"), "--suite", "reciprocity", "--lmax", "2"])
     assert cli.run(spec) == 1
     out = capsys.readouterr().out
-    assert len(calls) == 8
-    assert '\n  "failed": 1,\n  "passed": false\n}\n' in out
-    assert out.count('"first_difference"') == 1
-    first = json.loads(out)["reports"][0]["checks"][0]
-    assert first["passed"] is False
-    assert first["first_difference"] == {"exponent": "0", "lhs": "1", "rhs": "2"}
+    # one Etilde check per (weight, ell); its E copy fails with it
+    assert len(calls) == 4
+    assert '\n  "failed": 2,\n  "passed": false\n}\n' in out
+    assert out.count('"first_difference"') == 2
+    reports = json.loads(out)["reports"]
+    for first in (reports[0]["checks"][0], reports[1]["checks"][0]):
+        assert first["passed"] is False
+        assert first["first_difference"] == {"exponent": "0", "lhs": "1", "rhs": "2"}
+
+
+def test_each_checker_runs_once_per_weight_and_dilation(monkeypatch):
+    """verify checks each (weight, ell) once, for Etilde, and derives the E report from it."""
+    calls = {}
+    for name in ("verify_reciprocity", "verify_duality_reciprocity"):
+        real = getattr(cli, name)
+
+        def counted(lattice, f, phi, ell, variant, real=real, name=name):
+            calls.setdefault(name, []).append((id(f), ell, variant))
+            return real(lattice, f, phi, ell, variant)
+
+        monkeypatch.setattr(cli, name, counted)
+    argv = ["verify", fx("square"), "--suite", "all", "--lmax", "3", "--random-weights", "--seed", "5", "--count", "2"]
+    assert cli.run(cli.parse_args(argv), stdout=io.StringIO()) == 0
+    assert set(calls) == {"verify_reciprocity", "verify_duality_reciprocity"}
+    for made in calls.values():
+        assert len(made) == len(set(made)) == 4 * 3  # all-ones, g-weights(P) and two random weights
+        assert {variant for _, _, variant in made} == {"Etilde"}
 
 
 def test_parse_error_bad_json(tmp_path, capsys):

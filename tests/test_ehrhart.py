@@ -51,8 +51,10 @@ from wehrhart.algebra import (
 )
 from wehrhart.corpus import CORPUS, build, names
 from wehrhart.ehrhart import (
+    CheckResult,
     OrbitSum,
     PolynomialityError,
+    e_form,
     ehrhart_polynomial,
     hodge_character_sum,
     verify_duality_reciprocity,
@@ -814,6 +816,48 @@ class TestFailedCheckNamesFirstDifference:
             verify_hodge_duality(lat, f, 1, dual=dualize(f))
 
 
+class TestEFormOfTheEtildeCheck:
+    """verify derives each E report from the Etilde check by e_form, which
+    must give the E check of the same arguments, as a CheckResult."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_equals_the_e_check(self, name, degree):
+        lat = build(name)
+        phi = mixed_phi(lat.polytope.n, degree)
+        weights = [all_ones(lat), g_weight_function(lat, lat.top_id)]
+        weights += random_weight_functions(lat, seed=59, count=2)
+        for checker in (verify_reciprocity, verify_duality_reciprocity):
+            for f in weights:
+                for ell in (1, 2, 3):
+                    etilde = checker(lat, f, phi, ell, "Etilde")
+                    assert e_form(etilde, phi) == checker(lat, f, phi, ell, "E")
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_planted_failure(self, monkeypatch, degree):
+        lat, f, wrong = TestFailedCheckNamesFirstDifference.wrong_dual()
+        plant_dual(monkeypatch, f, wrong)
+        phi = mixed_phi(1, degree)
+        # the open edge has no lattice point at ell = 1, so only 2 and 3 fail
+        for ell in (1, 2, 3):
+            etilde = verify_duality_reciprocity(lat, f, phi, ell, "Etilde")
+            e = e_form(etilde, phi)
+            assert e.passed is etilde.passed is (ell == 1)
+            assert e == verify_duality_reciprocity(lat, f, phi, ell, "E")
+
+    def test_first_difference_is_found_afresh(self):
+        # (1+y) * 1 = 1 + y against (1+y)(1 - y) = 1 - y^2: still apart at y^1, as 1 against 0
+        phi = mixed_phi(2, 1)
+        etilde = CheckResult(
+            "reciprocity", {"ell": 1, "variant": "Etilde"}, False,
+            L({0: 1}), L({0: 1, 1: -1}), {"exponent": 1, "lhs": 0, "rhs": -1},
+        )
+        e = e_form(etilde, phi)
+        assert e.params == {"ell": 1, "variant": "E"}
+        assert (e.lhs, e.rhs) == (L({0: 1, 1: 1}), L({0: 1, 2: -1}))
+        assert e.difference == {"exponent": 1, "lhs": 1, "rhs": 0}
+
+
 class TestHodgeDualityAgainstPointwiseOracle:
     """Face-by-face duality against the point-by-point comparison: verdict and rendered sides."""
 
@@ -1022,6 +1066,20 @@ nonzero_rationals = rationals.filter(bool)
 laurents = st.dictionaries(
     st.integers(min_value=-3, max_value=3), rationals, max_size=4
 ).map(LaurentPoly)
+
+
+def test_equal_integrands_share_one_memo_entry():
+    """HomogPoly hashes once, when built; equal integrands, their monomials
+    given in another order or as Fraction(2, 4) for 1/2, hash alike and
+    read one (phi, ell) entry of the lattice's memo."""
+    lat = build_face_lattice(facet_presentation(CORPUS["square"]))
+    a = HomogPoly(2, [((1, 0), Fraction(2, 4)), ((0, 1), -3)])
+    b = HomogPoly(2, [((0, 1), -3), ((1, 0), Fraction(1, 2))])
+    assert a == b and hash(a) == hash(b)
+    first = eh._phi_face_sums(lat, a, 2)
+    entries = len(lat._memo)
+    assert eh._phi_face_sums(lat, b, 2) is first
+    assert len(lat._memo) == entries
 
 
 def test_integral_fraction_is_stored_as_int():

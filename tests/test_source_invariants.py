@@ -21,10 +21,14 @@ module names frozenset, the face format it replaced.  The verify report's
 layout lives in jsonio.py, so no other module writes its keys
 "first_difference" or "suite" as string constants.  A polytope checks
 its facets' ranks once, when it is built, so _affine_rank has one call
-site, in LatticePolytope.__init__.  The benchmark's tracer looks library functions
-up by name, so one more test installs and removes it on the imported
-library, and another traces one verify run, which must read a point
-partition twice at one dilation for the benchmark's cache-hit count.
+site, in LatticePolytope.__init__.  WeightFunction._make, the
+constructor that skips the face-id checks, is named only in weights.py
+and stanley.py, which build weights from the lattice's own ids; so every
+weight read from input goes through the checks.  The benchmark's tracer
+looks library functions up by name, so one more test installs and
+removes it on the imported library, and another traces one verify run,
+which must read a point partition twice at one dilation for the
+benchmark's cache-hit count.
 Records are plain slotted classes, not dataclasses: importing
 dataclasses pulls inspect, ast, dis and tokenize into every start-up, so
 no module imports it and a fresh interpreter's import of wehrhart.cli
@@ -297,6 +301,25 @@ def test_facets_ranked_only_when_a_polytope_is_built(path=SRC):
     assert scopes == ["LatticePolytope.__init__"], f"_affine_rank is called at {sites}"
 
 
+# the modules that may build a WeightFunction by its trusted constructor
+TRUSTED_WEIGHT_MODULES = ("weights.py", "stanley.py")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in TRUSTED_WEIGHT_MODULES], ids=lambda p: p.name
+)
+def test_trusted_weights_built_only_in_weights_and_stanley(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "_make"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "WeightFunction"
+    ]
+    assert not lines, f"{path.name} names WeightFunction._make on lines {lines}; use WeightFunction(...)"
+
+
 LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
@@ -362,6 +385,8 @@ class FaceLattice:
             "for f in faces:\n    if f.dim < 0:\n        x = f.id\n",
             test_faces_filtered_by_dimension_only_in_polytope,
         ),
+        ("f = WeightFunction._make(lattice, values)\n", test_trusted_weights_built_only_in_weights_and_stanley),
+        ("make = WeightFunction._make\n", test_trusted_weights_built_only_in_weights_and_stanley),
     ],
 )
 def test_each_rule_catches_a_violation(source, rule, tmp_path):

@@ -12,7 +12,7 @@ from math import comb
 import pytest
 
 from box_oracle import random_lattice
-from stanley_oracle import oracle_fg, oracle_g, oracle_h
+from stanley_oracle import grouped_sum, oracle_fg, oracle_g, oracle_h
 from wehrhart.corpus import CORPUS, build
 from wehrhart.polytope import FaceLattice, build_face_lattice, facet_presentation, mask_ids
 from wehrhart.stanley import (
@@ -199,6 +199,31 @@ class TestHPolynomial:
             L = build(name)
             h = h_polynomial(L)
             assert h == substitute_inverse(h) * LaurentPoly({L.polytope.n: 1}), name
+
+
+class TestGroupedSum:
+    """The oracle's grouped sum, which its recursion sums (t-1)^k kernels with."""
+
+    def test_matches_term_by_term_sum(self):
+        pairs = [(2, T({0: 1})), (0, T({1: 3})), (2, T({-1: 2})), (1, T({}))]
+        kernel = lambda k: T({0: 1, 1: 1}) ** k
+        expected = T({})
+        for k, p in pairs:
+            expected = expected + p * kernel(k)
+        assert grouped_sum(pairs, kernel) == expected
+
+    def test_one_kernel_call_per_key(self):
+        calls = []
+
+        def kernel(k):
+            calls.append(k)
+            return T({0: 1})
+
+        assert grouped_sum([(1, T({0: 1})), (1, T({0: 2})), (0, T({0: 1}))], kernel) == T({0: 4})
+        assert sorted(calls) == [0, 1]
+
+    def test_empty_is_zero(self):
+        assert grouped_sum([], lambda k: T({0: 1})) == T({})
 
 
 @lru_cache(maxsize=None)

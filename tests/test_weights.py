@@ -2,16 +2,21 @@
 
 The segment dualize example was expanded by hand from the involution's
 defining sum and frozen; the eigen-relation cases use the g-weight
-construction as their independent second route.
+construction as their independent second route, and the Horner form of
+dualize is checked against the pairwise sum of tests/dualize_oracle.py.
 """
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from box_oracle import cross
 from dualize_oracle import pairwise_dualize
 from wehrhart.algebra import LaurentPoly, neg_y_power, substitute_inverse
 from wehrhart.corpus import CORPUS, build
+from wehrhart.polytope import build_face_lattice, facet_presentation
 from wehrhart.stanley import g_weight_function
 from wehrhart.weights import (
     LatticeMismatch,
@@ -164,7 +169,7 @@ class TestDualize:
 
 
 class TestDualizeAgainstPairwiseSum:
-    """The grouped dualize against the defining sum taken pair by pair."""
+    """dualize against the defining sum taken pair by pair."""
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus(self, name):
@@ -175,6 +180,52 @@ class TestDualizeAgainstPairwiseSum:
         weights.append(scale(L({-1: "1/2", 2: "-3/4"}), weights[-1]))
         for f in weights:
             assert dualize(f) == pairwise_dualize(f)
+
+
+@cache
+def dual_lattice(name):
+    return build_face_lattice(facet_presentation(cross(4))) if name == "cross4" else build(name)
+
+
+wide_laurents = st.dictionaries(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    min_size=1,
+    max_size=4,
+).map(LaurentPoly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([*CORPUS, "cross4"]), st.data())
+def test_dualize_against_pairwise_sum_with_a_cancelled_face(name, data):
+    """f = D(h) for an h that is zero on one face Q below the top: D(f)_Q sums
+    f's nonzero terms above Q, the top's among them, to zero, and must be absent."""
+    lat = dual_lattice(name)
+    below_top = [q for q in lat.nonempty_ids if q != lat.top_id]
+    gone = data.draw(st.sampled_from(below_top))
+    h = {q: data.draw(wide_laurents) for q in below_top if q != gone and data.draw(st.booleans())}
+    h[lat.top_id] = data.draw(wide_laurents.filter(bool))
+    f = pairwise_dualize(WeightFunction(lat, h))
+    assert f[lat.top_id]
+    dual = dualize(f)
+    assert dual == pairwise_dualize(f) == WeightFunction(lat, h)
+    assert gone not in dual.values
+
+
+class TestTrustedConstruction:
+    """all_ones, random weights, g-weights and dualize build through the trusted
+    WeightFunction._make: each holds what the checked constructor makes of its
+    values, in the same key order."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_values_and_order_match_the_checked_constructor(self, name):
+        lat = build(name)
+        made = [all_ones(lat)]
+        made += [g_weight_function(lat, qp) for qp in lat.nonempty_ids]
+        made += random_weight_functions(lat, seed=23, count=4)
+        made += [dualize(f) for f in made]
+        for f in made:
+            assert list(f.values.items()) == list(WeightFunction(lat, f.values).values.items())
 
 
 class TestRandomWeights:
