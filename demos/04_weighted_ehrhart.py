@@ -21,7 +21,7 @@ from wehrhart import (
 cube = build("cube")
 f = delta_weight(cube, cube.top_id)
 one = HomogPoly.one(3)
-zp = ehrhart_polynomial(cube, f, one, VARIANT_ETILDE)
+zp = ehrhart_polynomial(f, one, VARIANT_ETILDE)
 print("cube, weight 1 on the solid cube, integrand 1:")
 for k, c in enumerate(zp.coeffs):
     print(f"  z^{k}: {c}")
@@ -35,9 +35,9 @@ print()
 square = build("square")
 phi = HomogPoly(2, [((1, 0), Fraction(1))])  # integrand m_1
 gw = g_weight_function(square, square.top_id)
-zp2 = ehrhart_polynomial(square, gw, phi, VARIANT_E)
+zp2 = ehrhart_polynomial(gw, phi, VARIANT_E)
 print("square, g-weights, integrand m_1 (E variant):")
 print(f"  degree {zp2.degree} (bound {square.polytope.n + phi.degree})")
 for ell in (1, 2, 3):
-    direct = weighted_ehrhart_value(square, gw, phi, ell, VARIANT_E)
+    direct = weighted_ehrhart_value(gw, phi, ell, VARIANT_E)
     print(f"  ell={ell}: {direct}  (polynomial agrees: {zp2(ell) == direct})")

@@ -23,8 +23,8 @@ phi = HomogPoly(3, [((0, 0, 1), Fraction(1))])  # integrand m_3
 
 print("pyramid, all-ones weights, integrand m_3, variant Etilde:")
 for ell in (1, 2, 3):
-    r = verify_reciprocity(pyr, ones, phi, ell, VARIANT_ETILDE)
-    d = verify_duality_reciprocity(pyr, ones, phi, ell, VARIANT_ETILDE)
+    r = verify_reciprocity(ones, phi, ell, VARIANT_ETILDE)
+    d = verify_duality_reciprocity(ones, phi, ell, VARIANT_ETILDE)
     print(f"  ell={ell}: reciprocity {'ok' if r.passed else 'FAIL'}, "
           f"dual form {'ok' if d.passed else 'FAIL'}, "
           f"E(-ell) = {r.lhs}")

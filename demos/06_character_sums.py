@@ -22,21 +22,21 @@ from wehrhart import (
 seg = build("segment")
 ones = all_ones(seg)
 for ell in (1, 0, -1):
-    s = hodge_character_sum(seg, ones, ell)
+    s = hodge_character_sum(ones, ell)
     terms = ", ".join(f"chi^{list(m)} * ({p})" for m, p in s.terms())
     print(f"segment, ell={ell}: {terms}")
 
 print()
-lhs = hodge_character_sum(seg, dualize(ones), 1).terms()
+lhs = hodge_character_sum(dualize(ones), 1).terms()
 rhs = sorted(
     (tuple(-x for x in m), substitute_inverse(p))
-    for m, p in hodge_character_sum(seg, ones, -1).terms()
+    for m, p in hodge_character_sum(ones, -1).terms()
 )
 print("duality formula at ell=1:", lhs == rhs)
 for name in ("square", "pyramid", "random3"):
     lattice = build(name)
     ok = all(
-        verify_hodge_duality(lattice, all_ones(lattice), ell).passed
+        verify_hodge_duality(all_ones(lattice), ell).passed
         for ell in (1, 2, 3)
     )
     print(f"  {name}: ell=1..3 {'ok' if ok else 'FAIL'}")
@@ -46,7 +46,7 @@ print("h-polynomial from the zero-dilation character sum, y -> -t:")
 for name in ("square", "cube", "pyramid"):
     lattice = build(name)
     g = g_weight_function(lattice, lattice.top_id)
-    ((origin, value),) = hodge_character_sum(lattice, g, 0).terms()
+    ((origin, value),) = hodge_character_sum(g, 0).terms()
     h = h_polynomial(lattice)
     assert substitute_negative(value) == h, "the zero-dilation sum must give h"
     print(f"  {name}: chi^{list(origin)} * ({value}) gives h = {h:t}")

@@ -237,13 +237,13 @@ def _cmd_charsum(spec, lattice):
     f = _resolve_weights(spec, lattice)
     if spec.ell:
         _check_point_budget(lattice, [abs(spec.ell)], f"the character sum at --l {spec.ell}")
-    return dumps(charsum_to_json(hodge_character_sum(lattice, f, spec.ell)))
+    return dumps(charsum_to_json(hodge_character_sum(f, spec.ell)))
 
 
 def _cmd_ehrhart(spec, lattice):
     f = _resolve_weights(spec, lattice)
     phi = _resolve_phi(spec, lattice)
-    zp = ehrhart_polynomial(lattice, f, phi, spec.variant)
+    zp = ehrhart_polynomial(f, phi, spec.variant)
     payload = {
         "polytope_hash": polytope_hash(lattice.polytope),
         "variant": spec.variant,
@@ -274,7 +274,8 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
     phi = _resolve_phi(spec, lattice)
     phi_label = str(phi)
     ells = range(1, spec.lmax + 1)
-    weight_set = _verify_weight_set(spec, lattice)
+    # purity reads no weight set; where one is built, its g-weights(P) serves purity at P too
+    weight_set = [] if spec.suite == "purity" else _verify_weight_set(spec, lattice)
     if spec.suite in ("all", "hodge"):
         what = f"the hodge suite up to --lmax {spec.lmax} over {len(weight_set)} weight functions"
         _check_point_budget(lattice, ells, what, copies=len(weight_set))
@@ -285,17 +286,18 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
     for checker, suite_name in suites:
         if spec.suite in ("all", suite_name):
             for label, f in weight_set:
-                checks = [checker(lattice, f, phi, ell, VARIANT_ETILDE) for ell in ells]
+                checks = [checker(f, phi, ell, VARIANT_ETILDE) for ell in ells]
                 reports.append((suite_name, label, phi_label, checks))
                 reports.append((suite_name, label, phi_label, [e_form(c, phi) for c in checks]))
     if spec.suite in ("all", "purity"):
+        built = {lattice.top_id: f for label, f in weight_set if label == "g-weights(P)"}
         for fid in lattice.nonempty_ids:
-            f = g_weight_function(lattice, fid)
+            f = built[fid] if fid in built else g_weight_function(lattice, fid)
             checks = [verify_purity(lattice, fid, phi, ell, weights=f) for ell in ells]
             reports.append(("purity", f"g-weights(face {fid})", phi_label, checks))
     if spec.suite in ("all", "hodge"):
         for label, f in weight_set:
-            checks = [verify_hodge_duality(lattice, f, ell) for ell in ells]
+            checks = [verify_hodge_duality(f, ell) for ell in ells]
             reports.append(("hodge", label, "-", checks))
     return reports
 

@@ -61,7 +61,6 @@ from .algebra import (
     substitute_inverse,
 )
 from .polytope import (
-    FaceLattice,
     check_dilation,
     check_nonempty_face,
     fibre_rows,
@@ -69,7 +68,7 @@ from .polytope import (
     points_by_face,
 )
 from .stanley import g_weight_function
-from .weights import WeightFunction, dualize
+from .weights import LatticeMismatch, WeightFunction, dualize
 
 VARIANT_E = "E"
 VARIANT_ETILDE = "Etilde"
@@ -81,11 +80,6 @@ def _variant_factor(phi, variant):
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     return one_plus_y_power(phi.degree) if variant == VARIANT_E else L_ONE
-
-
-def _check_lattice(lattice, f):
-    if f.lattice is not lattice:
-        raise ValueError("weight function belongs to a different lattice")
 
 
 class OrbitSum:
@@ -141,7 +135,7 @@ def _orbit_coefficients(f, kind):
     return memo[kind]
 
 
-def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> OrbitSum:
+def hodge_character_sum(f: WeightFunction, ell: int) -> OrbitSum:
     """The equivariant character sum of the weighted divisor at dilation ell.
 
     One coefficient per torus orbit (_orbit_coefficients), carried by every
@@ -151,8 +145,7 @@ def hodge_character_sum(lattice: FaceLattice, f: WeightFunction, ell: int) -> Or
     ell = 0:  sum_Q f_Q(y) (-1-y)^dim Q at chi^0, the one point of 0 P, held
               on the empty face, the face below every Q (_MINUS's rule there)
     """
-    _check_lattice(lattice, f)
-    ell = as_int(ell)
+    lattice, ell = f.lattice, as_int(ell)
     if ell:
         return OrbitSum(_orbit_coefficients(f, _MINUS if ell < 0 else _PLUS), lattice, ell)
     faces = lattice.faces
@@ -225,23 +218,16 @@ def _phi_face_sums(lattice, phi, ell):
     return lattice._memo[key]
 
 
-def weighted_ehrhart_value(
-    lattice: FaceLattice,
-    f: WeightFunction,
-    phi: HomogPoly,
-    ell: int,
-    variant: str,
-) -> LaurentPoly:
+def weighted_ehrhart_value(f: WeightFunction, phi: HomogPoly, ell: int, variant: str) -> LaurentPoly:
     """The weighted count at a positive dilation.
 
-    Equal to hodge_character_sum(lattice, f, ell) with chi^m sent to
+    Equal to hodge_character_sum(f, ell) with chi^m sent to
     phi(-m), times the variant's factor; one linear combination of the
     per-face integrand sums, which are memoized, with the weight's orbit
     coefficients.
     """
     factor = _variant_factor(phi, variant)
-    _check_lattice(lattice, f)
-    sums = _phi_face_sums(lattice, phi, check_dilation(ell))
+    sums = _phi_face_sums(f.lattice, phi, check_dilation(ell))
     plus = _orbit_coefficients(f, _PLUS)
     return linear_combination((c, sums[q]) for q, c in plus.items()) * factor
 
@@ -366,12 +352,7 @@ def _check_coefficient(q, k, m, a, rhs, denom, name):
         )
 
 
-def ehrhart_polynomial(
-    lattice: FaceLattice,
-    f: WeightFunction,
-    phi: HomogPoly,
-    variant: str,
-) -> ZPoly:
+def ehrhart_polynomial(f: WeightFunction, phi: HomogPoly, variant: str) -> ZPoly:
     """The weighted count as a polynomial in the dilation z.
 
     Coefficient k is sum_Q f_Q(y) (1+y)^dim Q a_Qk / D times the variant's
@@ -382,8 +363,7 @@ def ehrhart_polynomial(
     Euler-Maclaurin identity of every other face against its own facets,
     and the divergence identity of the top face) raise PolynomialityError.
     """
-    factor = _variant_factor(phi, variant)
-    _check_lattice(lattice, f)
+    factor, lattice = _variant_factor(phi, variant), f.lattice
     denom, table = _face_polynomials(lattice, phi)
     groups = {}  # (f_Q, dim Q) -> the sum of a_Q over its faces, in int
     for q, fq in f.values.items():
@@ -427,14 +407,13 @@ def _compare(name, params, lhs, rhs) -> CheckResult:
     return CheckResult(name, params, False, lhs, rhs, _first_difference(lhs, rhs))
 
 
-def _minus_ell_check(name, params, lattice, f, phi, ell, variant, right) -> CheckResult:
+def _minus_ell_check(name, params, f, phi, ell, variant, right) -> CheckResult:
     """factor * Etilde(-ell) off the interpolants vs (-1)^deg phi * factor * R, where
     R = right() is the verifier's sum at +ell, built once every argument is checked."""
     factor = _variant_factor(phi, variant)
-    _check_lattice(lattice, f)
     ell = check_dilation(ell)
     rhs = right() * ((-1) ** phi.degree * factor)
-    lows = _phi_face_sums(lattice, phi, -ell)
+    lows = _phi_face_sums(f.lattice, phi, -ell)
     plus = _orbit_coefficients(f, _PLUS)
     lhs = linear_combination((c, lows[q]) for q, c in plus.items()) * factor
     return _compare(name, params, lhs, rhs)
@@ -448,32 +427,32 @@ def e_form(check: CheckResult, phi) -> CheckResult:
     return _compare(check.name, params, check.lhs * factor, check.rhs * factor)
 
 
-def verify_reciprocity(lattice, f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
+def verify_reciprocity(f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
     """Reciprocity: R = sum_Q f_Q(y) (-1-y)^dim Q times phi summed over ell Q closed."""
 
     def right():
-        sums = _phi_face_sums(lattice, phi, ell)
+        sums = _phi_face_sums(f.lattice, phi, ell)
         return linear_combination((c, sums[e]) for e, c in _orbit_coefficients(f, _MINUS).items())
 
     params = {"ell": ell, "variant": variant}
-    return _minus_ell_check("reciprocity", params, lattice, f, phi, ell, variant, right)
+    return _minus_ell_check("reciprocity", params, f, phi, ell, variant, right)
 
 
-def verify_duality_reciprocity(lattice, f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
+def verify_duality_reciprocity(f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
     """Duality reciprocity: R = Etilde of the dualized weights at +ell, y -> 1/y.
 
     The dual is dualize(f), which f keeps: every check on f shares one.
     """
 
     def right():
-        value = weighted_ehrhart_value(lattice, dualize(f), phi, ell, VARIANT_ETILDE)
+        value = weighted_ehrhart_value(dualize(f), phi, ell, VARIANT_ETILDE)
         return substitute_inverse(value)
 
     params = {"ell": ell, "variant": variant}
-    return _minus_ell_check("duality_reciprocity", params, lattice, f, phi, ell, variant, right)
+    return _minus_ell_check("duality_reciprocity", params, f, phi, ell, variant, right)
 
 
-def verify_hodge_duality(lattice, f, ell: int) -> CheckResult:
+def verify_hodge_duality(f, ell: int) -> CheckResult:
     """Character sum of the dual weights vs the inverted, negated sum at -ell.
 
     Both sides hold one coefficient per face E at chi^(-m) for m in
@@ -484,11 +463,10 @@ def verify_hodge_duality(lattice, f, ell: int) -> CheckResult:
     is dualize(f), which f keeps: every check on f shares one.
     """
     check_dilation(ell)
-    _check_lattice(lattice, f)
-    lhs = hodge_character_sum(lattice, dualize(f), ell)
+    lhs = hodge_character_sum(dualize(f), ell)
     inverted = _orbit_coefficients(f, _MINUS_INVERTED)
-    rhs = OrbitSum(inverted, lattice, ell)
-    for e, points in points_by_face(lattice, ell).items():
+    rhs = OrbitSum(inverted, f.lattice, ell)
+    for e, points in points_by_face(f.lattice, ell).items():
         a, b = lhs.coeffs.get(e, L_ZERO), inverted.get(e, L_ZERO)
         if points and a != b:
             difference = {"face": e, **_first_difference(a, b)}
@@ -501,19 +479,22 @@ def verify_purity(lattice, qprime_id: int, phi, ell: int, weights=None) -> Check
     of Q': R = (-y)^dim Q' Etilde(ell, 1/y).
 
     weights is g_weight_function(lattice, qprime_id) when the caller has
-    already built it.  The g-weights are not memoized on the lattice the
-    way a dual is kept on its weight function: such a memo would keep
-    every face's g-weights, and their orbit coefficients, alive for the
+    already built it; weights on another lattice raise LatticeMismatch, a
+    ValueError.  The g-weights are not memoized on the lattice the way a
+    dual is kept on its weight function: such a memo would keep every
+    face's g-weights, and their orbit coefficients, alive for the
     lattice's lifetime (about 5.7 MB on the 6-cube's 730 faces under
     tracemalloc, Python 3.11), where a caller that passes them in holds
     one face's at a time.
     """
     qprime_id = check_nonempty_face(lattice, qprime_id)
     f = g_weight_function(lattice, qprime_id) if weights is None else weights
+    if f.lattice is not lattice:
+        raise LatticeMismatch("the g-weights belong to a different lattice")
 
     def right():
-        value = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_ETILDE)
+        value = weighted_ehrhart_value(f, phi, ell, VARIANT_ETILDE)
         return neg_y_power(lattice.faces[qprime_id].dim) * substitute_inverse(value)
 
     params = {"ell": ell, "face": qprime_id}
-    return _minus_ell_check("purity", params, lattice, f, phi, ell, VARIANT_E, right)
+    return _minus_ell_check("purity", params, f, phi, ell, VARIANT_E, right)

@@ -34,12 +34,12 @@ from wehrhart.ehrhart import PolynomialityError, weighted_ehrhart_value
 def per_weight_polynomial(lattice, f, phi, variant):
     bound = lattice.polytope.n + phi.degree
     samples = [
-        (ell, weighted_ehrhart_value(lattice, f, phi, ell, variant))
+        (ell, weighted_ehrhart_value(f, phi, ell, variant))
         for ell in range(1, bound + 2)
     ]
     zp = lagrange_interpolate(samples, bound)
     for ell in (bound + 2, bound + 3):
-        direct = weighted_ehrhart_value(lattice, f, phi, ell, variant)
+        direct = weighted_ehrhart_value(f, phi, ell, variant)
         if zp(ell) != direct:
             raise PolynomialityError(
                 f"overdetermination failed at dilation {ell}: "

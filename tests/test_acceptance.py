@@ -126,7 +126,7 @@ _ZPS = {}
 def zp_for(name, wlabel, f, philabel, phi, variant) -> ZPoly:
     key = (name, wlabel, philabel, variant)
     if key not in _ZPS:
-        _ZPS[key] = ehrhart_polynomial(corpus.build(name), f, phi, variant)
+        _ZPS[key] = ehrhart_polynomial(f, phi, variant)
     return _ZPS[key]
 
 
@@ -160,7 +160,7 @@ def test_criterion_1_classical_specialization_in_dimensions_5_and_6():
         cross = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
         lattice = build_face_lattice(facet_presentation(cross))
         f = delta_weight(lattice, lattice.top_id)
-        zp = ehrhart_polynomial(lattice, f, HomogPoly.one(n), VARIANT_ETILDE)
+        zp = ehrhart_polynomial(f, HomogPoly.one(n), VARIANT_ETILDE)
         for ell in range(1, 5):
             closed = cross_polytope_count(n, ell)
             interior = (-1) ** n * cross_polytope_count(n, -ell)
@@ -180,7 +180,7 @@ def test_criterion_2_polynomiality_and_constant_term():
             assert zp.degree <= bound
             assert zp(0) == constant_term(lattice, f, phi, variant)
             probe = bound + 2
-            assert zp(probe) == weighted_ehrhart_value(lattice, f, phi, probe, variant)
+            assert zp(probe) == weighted_ehrhart_value(f, phi, probe, variant)
 
 
 def test_criterion_3_reciprocity():
@@ -188,7 +188,7 @@ def test_criterion_3_reciprocity():
         for variant in (VARIANT_ETILDE, VARIANT_E):
             zp = zp_for(name, wlabel, f, philabel, phi, variant)
             for ell in (1, 2, 3):
-                res = verify_reciprocity(lattice, f, phi, ell, variant)
+                res = verify_reciprocity(f, phi, ell, variant)
                 assert res.passed, (name, wlabel, philabel, variant, ell)
                 assert zp(-ell) == res.lhs
 
@@ -198,11 +198,11 @@ def test_criterion_4_reciprocity_for_duality():
         for variant in (VARIANT_ETILDE, VARIANT_E):
             zp = zp_for(name, wlabel, f, philabel, phi, variant)
             for ell in (1, 2, 3):
-                dual = verify_duality_reciprocity(lattice, f, phi, ell, variant)
+                dual = verify_duality_reciprocity(f, phi, ell, variant)
                 assert dual.passed, (name, wlabel, philabel, variant, ell)
                 assert zp(-ell) == dual.lhs
                 # both formulations evaluate the same left side
-                classic = verify_reciprocity(lattice, f, phi, ell, variant)
+                classic = verify_reciprocity(f, phi, ell, variant)
                 assert classic.passed == dual.passed
                 assert classic.lhs == dual.lhs
 
@@ -230,9 +230,7 @@ def test_criterion_6_purity():
         n = lattice.polytope.n
         for _, phi in grid_phis(n)[:2]:  # 1 and the linear form
             for qp in lattice.nonempty_ids:
-                zp = ehrhart_polynomial(
-                    lattice, g_weight_function(lattice, qp), phi, VARIANT_E
-                )
+                zp = ehrhart_polynomial(g_weight_function(lattice, qp), phi, VARIANT_E)
                 for ell in (1, 2, 3):
                     res = verify_purity(lattice, qp, phi, ell)
                     assert res.passed, (name, qp, phi, ell)
@@ -246,8 +244,8 @@ def test_variants_differ_by_one_factor():
         factor = one_plus_y_power(phi.degree)
         for check in (verify_reciprocity, verify_duality_reciprocity):
             for ell in (1, 2, 3):
-                e = check(lattice, f, phi, ell, VARIANT_E)
-                etilde = check(lattice, f, phi, ell, VARIANT_ETILDE)
+                e = check(f, phi, ell, VARIANT_E)
+                etilde = check(f, phi, ell, VARIANT_ETILDE)
                 assert e.passed and etilde.passed, (check.__name__, name, wlabel, philabel, ell)
                 assert (e.lhs, e.rhs) == (etilde.lhs * factor, etilde.rhs * factor)
     for name in corpus.names():
@@ -256,16 +254,16 @@ def test_variants_differ_by_one_factor():
             d, factor = phi.degree, one_plus_y_power(phi.degree)
             for qp in lattice.nonempty_ids:
                 g = g_weight_function(lattice, qp)
-                etilde = ehrhart_polynomial(lattice, g, phi, VARIANT_ETILDE)
+                etilde = ehrhart_polynomial(g, phi, VARIANT_ETILDE)
                 nprime = lattice.faces[qp].dim
                 for ell in (1, 2, 3):
                     res = verify_purity(lattice, qp, phi, ell, weights=g)
-                    value = weighted_ehrhart_value(lattice, g, phi, ell, VARIANT_ETILDE)
+                    value = weighted_ehrhart_value(g, phi, ell, VARIANT_ETILDE)
                     etilde_rhs = (-1) ** d * neg_y_power(nprime) * substitute_inverse(value)
                     assert res.passed, (name, qp, phi, ell)
                     assert (res.lhs, res.rhs) == (etilde(-ell) * factor, etilde_rhs * factor)
                     # the theorem's own form, on E's value
-                    e_value = weighted_ehrhart_value(lattice, g, phi, ell, VARIANT_E)
+                    e_value = weighted_ehrhart_value(g, phi, ell, VARIANT_E)
                     assert res.rhs == neg_y_power(nprime + d) * substitute_inverse(e_value)
 
 
@@ -274,7 +272,7 @@ def test_criterion_7_character_sum_duality():
         lattice = corpus.build(name)
         for wlabel, f in grid_weights(name):
             for ell in (1, 2, 3):
-                res = verify_hodge_duality(lattice, f, ell)
+                res = verify_hodge_duality(f, ell)
                 assert res.passed, (name, wlabel, ell)
 
 

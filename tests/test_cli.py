@@ -256,9 +256,9 @@ def test_each_checker_runs_once_per_weight_and_dilation(monkeypatch):
     for name in ("verify_reciprocity", "verify_duality_reciprocity"):
         real = getattr(cli, name)
 
-        def counted(lattice, f, phi, ell, variant, real=real, name=name):
+        def counted(f, phi, ell, variant, real=real, name=name):
             calls.setdefault(name, []).append((id(f), ell, variant))
-            return real(lattice, f, phi, ell, variant)
+            return real(f, phi, ell, variant)
 
         monkeypatch.setattr(cli, name, counted)
     argv = ["verify", fx("square"), "--suite", "all", "--lmax", "3", "--random-weights", "--seed", "5", "--count", "2"]
@@ -539,7 +539,7 @@ def test_charsum_export_reingests_equal():
     lattice = corpus.build("square")
     f = all_ones(lattice)
     for ell in (-2, 0, 2):
-        s = hodge_character_sum(lattice, f, ell)
+        s = hodge_character_sum(f, ell)
         terms = pointwise_character_sum(lattice, f, ell).items()
         expected = {"terms": [{"m": list(m), "coeff": laurent_to_json(p)} for m, p in terms]}
         assert dumps(charsum_to_json(s)) == json.dumps(expected, indent=2) + "\n"
@@ -762,10 +762,11 @@ def _capture_weight_set(monkeypatch):
 
 def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
     # counted below dualize's memo: each weight's dual is computed exactly once
-    built, g_calls = [], []
+    built, g_calls, made = [], [], []
     involution, g_weights = weights._involution, ehrhart.g_weight_function
     monkeypatch.setattr(weights, "_involution", lambda f: built.append(id(f)) or involution(f))
     monkeypatch.setattr(ehrhart, "g_weight_function", lambda *a: g_calls.append(a) or g_weights(*a))
+    monkeypatch.setattr(cli, "g_weight_function", lambda *a: made.append(a) or g_weights(*a))
     weight_set = _capture_weight_set(monkeypatch)
     code, _, _ = run_cli(["verify", fx("square"), "--suite", "all", "--lmax", "3"], capsys)
     assert code == 0
@@ -773,6 +774,18 @@ def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
     assert len(weight_set) == 2
     assert sorted(built) == sorted(map(id, weight_set))
     # purity is handed each face's g-weights by the CLI
+    assert g_calls == []
+    # which builds each face's at most once: g-weights(P) serves the weight set and purity,
+    # and purity alone builds no weight set
+    for suite in cli.SUITES:
+        made.clear()
+        weight_set.clear()
+        code, _, _ = run_cli(["verify", fx("square"), "--suite", suite, "--lmax", "2"], capsys)
+        assert code == 0
+        lattice = made[0][0]
+        wanted = lattice.nonempty_ids if suite in ("all", "purity") else [lattice.top_id]
+        assert sorted(fid for _, fid in made) == sorted(wanted), suite
+        assert len(weight_set) == (0 if suite == "purity" else 2), suite
     assert g_calls == []
 
 

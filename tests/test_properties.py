@@ -151,8 +151,8 @@ def test_character_route_agrees_with_direct_value(f, ell):
     lattice = corpus.build("segment")
     phi = HomogPoly(1, [((2,), Fraction(1))])
     for variant in (VARIANT_E, VARIANT_ETILDE):
-        via_charsum = apply_phi(dict(hodge_character_sum(lattice, f, ell).terms()), phi, variant)
-        direct = weighted_ehrhart_value(lattice, f, phi, ell, variant)
+        via_charsum = apply_phi(dict(hodge_character_sum(f, ell).terms()), phi, variant)
+        direct = weighted_ehrhart_value(f, phi, ell, variant)
         assert via_charsum == direct
 
 
@@ -161,6 +161,6 @@ def test_character_route_agrees_with_direct_value(f, ell):
 def test_variants_differ_by_unit_factor(f, ell):
     lattice = corpus.build("square")
     phi = HomogPoly(2, [((1, 1), Fraction(1))])
-    e = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_E)
-    etilde = weighted_ehrhart_value(lattice, f, phi, ell, VARIANT_ETILDE)
+    e = weighted_ehrhart_value(f, phi, ell, VARIANT_E)
+    etilde = weighted_ehrhart_value(f, phi, ell, VARIANT_ETILDE)
     assert e == ONE_PLUS_Y ** phi.degree * etilde

@@ -24,7 +24,9 @@ its facets' ranks once, when it is built, so _affine_rank has one call
 site, in LatticePolytope.__init__.  WeightFunction._make, the
 constructor that skips the face-id checks, is named only in weights.py
 and stanley.py, which build weights from the lattice's own ids; so every
-weight read from input goes through the checks.  The benchmark's tracer
+weight read from input goes through the checks.  A weight function
+carries its lattice (f.lattice), so no function takes both a lattice and
+an f parameter, which would name it twice.  The benchmark's tracer
 looks library functions up by name, so one more test installs and
 removes it on the imported library, and another traces one verify run,
 which must read a point partition twice at one dilation for the
@@ -320,6 +322,17 @@ def test_trusted_weights_built_only_in_weights_and_stanley(path):
     assert not lines, f"{path.name} names WeightFunction._make on lines {lines}; use WeightFunction(...)"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_a_lattice_and_a_weight(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and {"lattice", "f"} <= {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert not lines, f"{path.name} takes both lattice and f on lines {lines}; read f.lattice"
+
+
 LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
@@ -387,6 +400,7 @@ class FaceLattice:
         ),
         ("f = WeightFunction._make(lattice, values)\n", test_trusted_weights_built_only_in_weights_and_stanley),
         ("make = WeightFunction._make\n", test_trusted_weights_built_only_in_weights_and_stanley),
+        ("def count(lattice, f, ell):\n    return ell\n", test_no_function_takes_a_lattice_and_a_weight),
     ],
 )
 def test_each_rule_catches_a_violation(source, rule, tmp_path):
