@@ -70,10 +70,12 @@ MAX_COUNT = 64  # verify --count, random weight functions
 # Budget on the lattice points a character sum renders: charsum at |ell|,
 # and the hodge suite of verify, which renders every point of ell*P over
 # ell = 1 .. lmax once per weight function (2 + --count).  A rendered
-# point peaks at about 2.2 KB (254 MB RSS for the 117,649 points of cube6
-# at ell = 6), so the budget allows about 0.55 GB.  The points are counted
-# fibre by fibre before any is made, and the count stops (exit 3) as soon
-# as it passes the budget.
+# point peaks at about 1.6 KB in charsum (186 MB RSS for the 117,649
+# points of cube6 at ell = 6, Python 3.11) and at about 0.7 KB in the
+# hodge suite (141 MB for the 201,510 points of cube6 over lmax 5 and
+# three weight functions), so the budget allows about 0.4 GB.  The points
+# are counted fibre by fibre before any is made, and the count stops
+# (exit 3) as soon as it passes the budget.
 MAX_POINTS = 250_000
 
 
@@ -148,6 +150,12 @@ def parse_args(argv) -> argparse.Namespace:
     if spec.command == "verify":
         if spec.lmax < 1:
             raise CliError("parse", "--lmax must be a positive integer")
+        # a flag the suite never reads is refused rather than dropped
+        draws = spec.random_weights or spec.seed is not None or spec.count is not None
+        if spec.suite == "purity" and draws:
+            raise CliError("parse", "--suite purity builds no weight set to draw --random-weights into")
+        if spec.suite == "hodge" and spec.phi is not None:
+            raise CliError("parse", "--suite hodge takes no --phi: its character sums do not depend on it")
         if spec.random_weights:
             if spec.seed is None:
                 raise CliError("parse", "--random-weights requires --seed")

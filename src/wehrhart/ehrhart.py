@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from operator import add, mul
+from operator import add, mul, neg
 
 from .algebra import (
     L_ONE,
@@ -85,22 +85,36 @@ def _variant_factor(phi, variant):
 class OrbitSum:
     """A character sum at dilation ell held as one coefficient per torus
     orbit: coeffs[E] at chi^(-m) for every m in Relint(ell E) at ell > 0,
-    at chi^m for every m in Relint(-ell E) at ell < 0; at ell = 0 every
-    coefficient sits at chi^0."""
+    at chi^m for every m in Relint(-ell E) at ell < 0; at ell = 0 the one
+    coefficient, on the empty face, sits at chi^0."""
 
     __slots__ = ("coeffs", "lattice", "ell")
 
     def __init__(self, coeffs, lattice, ell):
         self.coeffs, self.lattice, self.ell = coeffs, lattice, ell
 
-    def terms(self, fmt=lambda c: c):
-        """Sorted (character, fmt(coefficient)) pairs; fmt runs once per face,
-        and the points come from points_by_face at |ell|."""
-        values = {e: fmt(c) for e, c in self.coeffs.items() if c}
+    def characters(self):
+        """(character, face) for every point of |ell| P, characters ascending.
+
+        It depends on the lattice and ell alone, so a writer of many sums
+        keeps one per (lattice, ell).  points_by_face's lists are each
+        sorted, so one sort merges them into the lexicographic order of m:
+        the order of chi^m at ell < 0, and reversed that of chi^(-m) at
+        ell > 0.
+        """
         if not self.ell:
-            return [((0,) * self.lattice.polytope.n, v) for v in values.values()]
-        relint, sign = points_by_face(self.lattice, abs(self.ell)), -1 if self.ell > 0 else 1
-        return sorted((tuple(sign * x for x in m), v) for e, v in values.items() for m in relint[e])
+            return [((0,) * self.lattice.polytope.n, self.lattice.empty_id)]
+        relint = points_by_face(self.lattice, abs(self.ell))
+        order = sorted((m, e) for e, points in relint.items() for m in points)
+        if self.ell < 0:
+            return order
+        return [(tuple(map(neg, m)), e) for m, e in reversed(order)]
+
+    def terms(self, fmt=lambda c: c):
+        """Sorted (character, fmt(coefficient)) pairs, one per point whose
+        face has a nonzero coefficient; fmt runs once per face."""
+        values = {e: fmt(c) for e, c in self.coeffs.items() if c}
+        return [(m, values[e]) for m, e in self.characters() if e in values]
 
 
 _PLUS, _MINUS, _MINUS_INVERTED = "plus", "minus", "minus at 1/y"

@@ -4,9 +4,13 @@ Polytopes, weight functions (guarded by a polytope content hash) and
 integrands are read, and a key repeated within one object is refused;
 face lattice exports, weight functions, character sums, z-polynomials
 and the verify report are written.  The report's layout lives here
-alone: check_to_json renders one CheckResult and verify_to_json the
-reports with their totals.  All orderings are canonical so identical
-inputs give identical bytes.
+alone: verify_to_json writes its entries as one RawJSON, each check
+straight from its CheckResult fields (_check_text) with no dict built
+per check.  A character-sum side is read off one character order per
+(lattice, ell) (OrbitSum.characters, which OrbitSum.terms also reads)
+and one string per face coefficient of each coefficient map, both built
+once per report and dropped when it is written.  All orderings are
+canonical so identical inputs give identical bytes.
 
 dumps writes the bytes of json.dumps(obj, indent=2) without the pure-
 Python encoder that indent selects: dicts with str keys, lists, str
@@ -193,9 +197,14 @@ def _int_list(xs: list, pad: str) -> str:
     return "[" + inner + repr(xs)[1:-1].replace(", ", "," + inner) + "\n" + pad + "]"
 
 
-def _raw_list(items) -> RawJSON:
-    """A list of entries already rendered at indent 2."""
-    return RawJSON("[\n" + ",\n".join(items) + "\n]" if items else "[]")
+def _list_text(items: list, pad: str) -> str:
+    """A list, nested at indent pad, of entries already rendered at indent
+    pad + 2, joined once: the whole is copied only into the result."""
+    if not items:
+        return "[]"
+    pieces = [",\n"] * (2 * len(items) + 1)
+    pieces[0], pieces[1::2], pieces[-1] = "[\n", items, "\n" + pad + "]"
+    return "".join(pieces)
 
 
 def lattice_to_json(lattice: FaceLattice):
@@ -225,8 +234,8 @@ def lattice_to_json(lattice: FaceLattice):
         "polytope_hash": polytope_hash(P),
         "facets": [{"u": list(u), "a": a} for u, a in P.facets],
         "f_vector": list(lattice.f_vector),
-        "faces": _raw_list(faces),
-        "order": _raw_list(order),
+        "faces": RawJSON(_list_text(faces, "")),
+        "order": RawJSON(_list_text(order, "")),
     }
 
 
@@ -310,52 +319,70 @@ def zpoly_to_json(zp: ZPoly):
     return {"coeffs": [laurent_to_json(c) for c in zp.coeffs]}
 
 
-def _render_value(v) -> str:
-    """A check's side as text: an OrbitSum as its sorted terms, each face's coefficient formatted once."""
-    if not isinstance(v, OrbitSum):
-        return str(v)
-    inner = "; ".join(f"chi^{list(m)}: {p}" for m, p in v.terms(str))
-    return f"{{{inner}}}" if inner else "{}"
+_ATOMS = {None: "null", True: "true", False: "false"}
 
 
-def check_to_json(check: CheckResult):
-    """One check: its name, parameters, verdict and sides, and on failure its first_difference."""
-    lhs = _render_value(check.lhs)
-    out = {
-        "name": check.name,
-        "params": {k: str(v) for k, v in check.params.items()},
-        "passed": check.passed,
-        "lhs": lhs,
-        # equal sides render alike, so a passed check renders its value once
-        "rhs": lhs if check.passed else _render_value(check.rhs),
-    }
+def _str_object(d: dict, pad: str) -> str:
+    """The indent-2 JSON of {k: str(v) for k, v in d.items()}, nested at indent pad."""
+    if not d:
+        return "{}"
+    inner = ",\n" + pad + "  "
+    pairs = inner.join(f"{_quote(k)}: {_quote(str(v))}" for k, v in d.items())
+    return "{" + inner[1:] + pairs + "\n" + pad + "}"
+
+
+def _check_text(check: CheckResult, side) -> str:
+    """One check at its place in the report, from its fields: name, params,
+    verdict and sides, side(value) giving each side's JSON string, and on
+    failure its first_difference.  Equal sides render alike, so a passed
+    check renders its value once."""
+    lhs = side(check.lhs)
+    rhs = lhs if check.passed else side(check.rhs)
+    text = (
+        f'      {{\n        "name": {_quote(check.name)},\n'
+        f'        "params": {_str_object(check.params, "        ")},\n'
+        f'        "passed": {_ATOMS[check.passed]},\n'
+        f'        "lhs": {lhs},\n'
+        f'        "rhs": {rhs}'
+    )
     if check.difference is not None:
-        out["first_difference"] = {k: str(v) for k, v in check.difference.items()}
-    return out
+        text += f',\n        "first_difference": {_str_object(check.difference, "        ")}'
+    return text + "\n      }"
 
 
 def verify_to_json(lattice: FaceLattice, reports):
     """The verify report on lattice's polytope, from (suite, weight label,
     integrand label, [CheckResult]) tuples: one entry per tuple, then the
-    number of checks, the number failed, and passed when none failed."""
-    phash = polytope_hash(lattice.polytope)
+    number of checks, the number failed, and passed when none failed.
+    The entries are one RawJSON, so the result is written with dumps.  A
+    side is str(value), or an OrbitSum's terms "{chi^[m]: coefficient; ...}"."""
+    orders, texts = {}, {}  # (lattice, ell) -> [("chi^[m]: ", face)]; id(coeffs) -> {face: str}
+
+    def side(v) -> str:
+        if not isinstance(v, OrbitSum):
+            return _quote(str(v))
+        if (key := (v.lattice, v.ell)) not in orders:
+            orders[key] = [(f"chi^{list(m)}: ", e) for m, e in v.characters()]
+        if (held := id(v.coeffs)) not in texts:
+            texts[held] = {e: str(c) for e, c in v.coeffs.items() if c}
+        coeffs = texts[held]
+        inner = "; ".join([m + coeffs[e] for m, e in orders[key] if e in coeffs])
+        return _quote(f"{{{inner}}}")
+
+    phash = _quote(polytope_hash(lattice.polytope))
     entries, total, failed = [], 0, 0
     for suite, weight, phi, checks in reports:
         misses = sum(not c.passed for c in checks)
-        entries.append({
-            "polytope": phash,
-            "weight": weight,
-            "phi": phi,
-            "passed": not misses,
-            "checks": [check_to_json(c) for c in checks],
-            "suite": suite,
-        })
+        listed = _list_text([_check_text(c, side) for c in checks], "    ")
+        entries.append(
+            f'  {{\n    "polytope": {phash},\n    "weight": {_quote(weight)},\n'
+            f'    "phi": {_quote(phi)},\n    "passed": {_ATOMS[not misses]},\n'
+            f'    "checks": {listed},\n    "suite": {_quote(suite)}\n  }}'
+        )
         total += len(checks)
         failed += misses
+    entries = RawJSON(_list_text(entries, ""))
     return {"reports": entries, "checks": total, "failed": failed, "passed": not failed}
-
-
-_ATOMS = {None: "null", True: "true", False: "false"}
 
 
 def _write(obj, pad: str, out: list, seen: dict) -> None:
@@ -365,8 +392,8 @@ def _write(obj, pad: str, out: list, seen: dict) -> None:
     branch to the span of out it took, or to that span's text once the
     list is met again: a repeat is one copied piece.  Only lists are
     memoized: every value the exporters share is a list (a coefficient,
-    a weight), and a memo entry per dict (a check, a point's term) would
-    cost every export that shares none.
+    a weight), and a memo entry per dict (a point's term) would cost
+    every export that shares none.
     """
     kind = type(obj)
     if kind is str:
@@ -412,4 +439,5 @@ def _write(obj, pad: str, out: list, seen: dict) -> None:
 def dumps(obj) -> str:
     out = []
     _write(obj, "", out, {})
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)

@@ -678,6 +678,34 @@ def test_size_flags_over_budget_are_refused_before_loading(args, capsys):
     assert args[-2] in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "purity", "--random-weights", "--seed", "3", "--count", "2"],
+        ["--suite", "purity", "--random-weights", "--seed", "3"],
+        ["--suite", "purity", "--seed", "3"],
+        ["--suite", "purity", "--count", "2"],
+        ["--suite", "hodge", "--phi", fx("phi_linear_2d")],
+        ["--suite", "hodge", "--phi", fx("phi_linear_2d"), "--random-weights", "--seed", "3"],
+    ],
+)
+def test_verify_refuses_flags_its_suite_never_reads(args, capsys):
+    # purity builds no weight set, and hodge's character sums do not read phi;
+    # the polytope file does not exist: the flags are refused before reading it
+    code, out, err = run_cli(["verify", "no-such-polytope.json", "--lmax", "1", *args], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: parse: --suite {args[1]} ")
+    flag = "--phi" if args[1] == "hodge" else "--random-weights"
+    assert flag in err
+
+
+def test_verify_purity_with_random_weights_exits_2(capsys):
+    argv = ["verify", fx("square"), "--suite", "purity", "--lmax", "1"]
+    code, out, err = run_cli([*argv, "--random-weights", "--seed", "3", "--count", "2"], capsys)
+    assert code == 2 and out == ""
+    assert run_cli(argv, capsys)[0] == 0
+
+
 def test_size_flags_at_budget_parse():
     assert cli.parse_args(["charsum", "p.json", "--l", str(-cli.MAX_ELL)]).ell == -cli.MAX_ELL
     spec = cli.parse_args(["verify", "p.json", "--suite", "all", "--lmax", str(cli.MAX_LMAX),

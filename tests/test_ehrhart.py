@@ -40,6 +40,7 @@ from interp_oracle import (
     per_face_weighted_polynomial,
     per_weight_polynomial,
 )
+from test_jsonio import plain_check_json, plain_side, rendered_check
 from wehrhart.algebra import (
     HomogPoly,
     LaurentPoly,
@@ -63,7 +64,6 @@ from wehrhart.ehrhart import (
     verify_reciprocity,
     weighted_ehrhart_value,
 )
-from wehrhart.jsonio import _render_value, check_to_json
 from wehrhart.polytope import (
     FaceLattice,
     build_face_lattice,
@@ -758,7 +758,7 @@ class TestFailedCheckNamesFirstDifference:
         assert not check.passed
         # y -> 1/y sends y^3 + y^4 to y^-3 + y^-4; the lowest is -4
         assert check.difference == {"exponent": -4, "lhs": 0, "rhs": 1}
-        rendered = check_to_json(check)
+        rendered = rendered_check(lat, check)
         assert rendered["first_difference"] == {"exponent": "-4", "lhs": "0", "rhs": "1"}
         # a failed check renders each side from its own value
         assert rendered["rhs"] == str(check.rhs) != rendered["lhs"]
@@ -770,10 +770,10 @@ class TestFailedCheckNamesFirstDifference:
         assert not check.passed
         # the vertices agree; the edge's coefficient gains y^3 (1+y)
         assert check.difference == {"face": lat.top_id, "exponent": 3, "lhs": 1, "rhs": 0}
-        rendered = check_to_json(check)
+        rendered = rendered_check(lat, check)
         expected = {"face": str(lat.top_id), "exponent": "3", "lhs": "1", "rhs": "0"}
         assert rendered["first_difference"] == expected
-        assert rendered["rhs"] == _render_value(check.rhs) != rendered["lhs"]
+        assert rendered["rhs"] == plain_side(check.rhs) != rendered["lhs"]
 
     def test_passed_checks_render_no_difference(self):
         lat = build("segment")
@@ -785,10 +785,10 @@ class TestFailedCheckNamesFirstDifference:
         ]
         for check in checks:
             assert check.passed and check.difference is None
-            rendered = check_to_json(check)
+            rendered = rendered_check(lat, check)
             assert "first_difference" not in rendered
             # the passed check renders its value once; the rhs renders alike
-            assert rendered["rhs"] == _render_value(check.rhs)
+            assert rendered["rhs"] == plain_side(check.rhs)
 
     def test_verifiers_take_no_polynomial(self):
         lat = build("segment")
@@ -861,7 +861,7 @@ class TestHodgeDualityAgainstPointwiseOracle:
             faces = verify_hodge_duality(f, ell)
             points = pointwise_hodge_duality(lat, f, ell, dual)
             assert faces.passed is points.passed is expect
-            assert check_to_json(faces) == check_to_json(points)
+            assert rendered_check(lat, faces) == plain_check_json(points)
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus(self, name, monkeypatch):

@@ -14,13 +14,16 @@ exporters built before, kept here as oracles.
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from box_oracle import cube, cross, random_lattice
-from wehrhart import cli
+from wehrhart import cli, ehrhart
+from wehrhart.algebra import LaurentPoly as L
 from wehrhart.corpus import CORPUS, build
+from wehrhart.ehrhart import CheckResult, OrbitSum
 from wehrhart.jsonio import (
     RawJSON,
     dumps,
@@ -28,11 +31,12 @@ from wehrhart.jsonio import (
     laurent_to_json,
     load_polytope,
     load_weight,
+    verify_to_json,
     weight_to_json,
 )
-from wehrhart.polytope import mask_ids, polytope_hash
+from wehrhart.polytope import mask_ids, points_by_face, polytope_hash
 from wehrhart.stanley import g_weight_function
-from wehrhart.weights import dualize, random_weight_functions
+from wehrhart.weights import WeightFunction, all_ones, dualize, random_weight_functions
 
 # strings made of the pieces the repr route splits on, quotes, escapes and non-ASCII
 TRICKY = st.text(alphabet=st.sampled_from([",", " ", "[", "]", '"', "\\", "\n", "a", "é", "日", "\U0001f600"]))
@@ -202,6 +206,59 @@ def plain_weight_json(f):
     }
 
 
+def plain_side(v):
+    """A check's side as text: an OrbitSum as "{chi^[m]: coefficient; ...}",
+    its points sorted by character, each taken from points_by_face."""
+    if not isinstance(v, OrbitSum):
+        return str(v)
+    if v.ell:
+        relint, sign = points_by_face(v.lattice, abs(v.ell)), -1 if v.ell > 0 else 1
+        terms = sorted(
+            (tuple(sign * x for x in m), str(c)) for e, c in v.coeffs.items() if c for m in relint[e]
+        )
+    else:
+        terms = [((0,) * v.lattice.polytope.n, str(c)) for c in v.coeffs.values() if c]
+    return "{" + "; ".join(f"chi^{list(m)}: {p}" for m, p in terms) + "}"
+
+
+def plain_check_json(check):
+    lhs = plain_side(check.lhs)
+    out = {
+        "name": check.name,
+        "params": {k: str(v) for k, v in check.params.items()},
+        "passed": check.passed,
+        "lhs": lhs,
+        "rhs": lhs if check.passed else plain_side(check.rhs),
+    }
+    if check.difference is not None:
+        out["first_difference"] = {k: str(v) for k, v in check.difference.items()}
+    return out
+
+
+def plain_verify_json(lattice, reports):
+    phash = polytope_hash(lattice.polytope)
+    entries = [
+        {
+            "polytope": phash,
+            "weight": weight,
+            "phi": phi,
+            "passed": all(c.passed for c in checks),
+            "checks": [plain_check_json(c) for c in checks],
+            "suite": suite,
+        }
+        for suite, weight, phi, checks in reports
+    ]
+    failed = sum(not c.passed for *_, checks in reports for c in checks)
+    total = sum(len(checks) for *_, checks in reports)
+    return {"reports": entries, "checks": total, "failed": failed, "passed": not failed}
+
+
+def rendered_check(lattice, check):
+    """One check as verify_to_json writes it, read back."""
+    report = verify_to_json(lattice, [("suite", "weight", "phi", [check])])
+    return json.loads(dumps(report))["reports"][0]["checks"][0]
+
+
 def test_lattice_export_is_prerendered():
     lattice = build("pyramid")
     data, plain = lattice_to_json(lattice), plain_lattice_json(lattice)
@@ -254,3 +311,103 @@ def test_exports_match_the_plain_dict_route(name, tmp_path):
         weights.write_text(_plain(plain_weight_json(f)))
         dual = dualize(load_weight(weights, lattice))
         assert _stdout(["dualize", str(path), "--weights", str(weights)]) == _plain(plain_weight_json(dual))
+
+
+def _verify_run(monkeypatch, argv):
+    """(exit code, stdout, the plain dict route's report) of one verify run."""
+    seen = []
+    real = cli.verify_to_json
+
+    def recorded(lattice, reports):
+        seen.append((lattice, reports))
+        return real(lattice, reports)
+
+    monkeypatch.setattr(cli, "verify_to_json", recorded)
+    out = io.StringIO()
+    code = cli.run(cli.parse_args(argv), stdout=out)
+    ((lattice, reports),) = seen
+    return code, out.getvalue(), plain_verify_json(lattice, reports)
+
+
+def cli_fixture(name):
+    return Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+
+
+def _phi_file(tmp_path, n):
+    """A fixture integrand of dimension n, or a written one where none is bundled."""
+    bundled = {2: "phi_quadratic_2d", 3: "phi_linear_3d"}
+    if n in bundled:
+        return str(cli_fixture(bundled[n]))
+    path = tmp_path / "phi.json"
+    monomials = [{"exps": [int(i == j) for j in range(n)], "coeff": f"{i + 1}/2"} for i in range(n)]
+    path.write_text(json.dumps({"n": n, "monomials": monomials}))
+    return str(path)
+
+
+VERIFY_POLYTOPES = {**CORPUS, "cube5": cube(5), "cross5": cross(5)}
+
+
+@pytest.mark.parametrize("with_phi", [False, True], ids=["phi=1", "phi"])
+@pytest.mark.parametrize("name", list(VERIFY_POLYTOPES))
+def test_verify_report_matches_the_plain_dict_route(name, with_phi, monkeypatch, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"vertices": [list(v) for v in VERIFY_POLYTOPES[name]]}))
+    argv = ["verify", str(path), "--suite", "all", "--lmax", "2"]
+    argv += ["--random-weights", "--seed", "5", "--count", "2"]
+    if with_phi:
+        argv += ["--phi", _phi_file(tmp_path, len(VERIFY_POLYTOPES[name][0]))]
+    code, out, plain = _verify_run(monkeypatch, argv)
+    assert code == 0 and plain["passed"]
+    assert out == _plain(plain)
+
+
+def test_planted_failing_reciprocity_check_matches_the_plain_dict_route(monkeypatch):
+    real = cli.verify_reciprocity
+
+    def second_fails(f, phi, ell, variant):
+        check = real(f, phi, ell, variant)
+        if ell != 2:
+            return check
+        wrong = check.rhs + L({-1: 3})
+        difference = {"exponent": -1, "lhs": check.lhs.coeff(-1), "rhs": wrong.coeff(-1)}
+        return CheckResult(check.name, check.params, False, check.lhs, wrong, difference)
+
+    monkeypatch.setattr(cli, "verify_reciprocity", second_fails)
+    argv = ["verify", str(cli_fixture("pyramid")), "--suite", "reciprocity", "--lmax", "3"]
+    code, out, plain = _verify_run(monkeypatch, argv)
+    assert code == 1 and out == _plain(plain)
+    # two weights, each with an Etilde and an E report, fail at ell = 2
+    data = json.loads(out)
+    assert (data["checks"], data["failed"], data["passed"]) == (12, 4, False)
+    for report in data["reports"]:
+        first, second, third = report["checks"]
+        assert first["passed"] and third["passed"] and not second["passed"]
+        assert "first_difference" not in first and second["first_difference"]["exponent"] == "-1"
+        assert second["lhs"] != second["rhs"]
+
+
+def test_planted_wrong_dual_fails_its_hodge_check(monkeypatch):
+    """y^3 on the segment's open edge of every dual: the edge holds a point
+    from ell = 2 on, so the hodge check fails there and names the edge."""
+    lattice = build("segment")
+    real = ehrhart.dualize
+
+    def wrong(f):
+        dual = real(f)
+        top = f.lattice.top_id
+        return WeightFunction(f.lattice, {**dual.values, top: dual[top] + L({3: 1})})
+
+    monkeypatch.setattr(ehrhart, "dualize", wrong)
+    argv = ["verify", str(cli_fixture("segment")), "--suite", "hodge", "--lmax", "2"]
+    code, out, plain = _verify_run(monkeypatch, argv)
+    assert code == 1 and out == _plain(plain)
+    for report in json.loads(out)["reports"]:
+        one, two = report["checks"]
+        assert one["passed"] and one["lhs"] == one["rhs"]
+        assert not two["passed"] and two["lhs"] != two["rhs"]
+        assert two["first_difference"]["face"] == str(lattice.top_id)
+    # the rhs is rendered from its own value, the inverted sum of all-ones at -2
+    inverted = ehrhart._orbit_coefficients(all_ones(lattice), ehrhart._MINUS_INVERTED)
+    rhs = OrbitSum(inverted, lattice, 2)
+    assert json.loads(out)["reports"][0]["checks"][1]["rhs"] == plain_side(rhs)
+

@@ -7,6 +7,7 @@ octahedron h-vector for the cube) and frozen before implementation.
 
 import itertools
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -17,6 +18,8 @@ from wehrhart.corpus import CORPUS, build
 from wehrhart.polytope import FaceLattice, build_face_lattice, facet_presentation, mask_ids
 from wehrhart.stanley import (
     NonEulerianPoset,
+    _f_rows,
+    _g_row,
     g_weight_function,
     h_polynomial,
     polar_g,
@@ -289,6 +292,36 @@ class TestSweepAgainstPairwiseRecursion:
         for qp in L.nonempty_ids:
             for q in mask_ids(L.down[qp]):
                 assert stanley_fg(L, q, qp) == oracle_fg(L, q, qp, memo), (q, qp)
+
+
+G_THEOREM_LATTICES = [
+    *((name, lambda name=name: build(name)) for name in CORPUS),
+    *((f"{kind}{n}", lambda kind=kind, n=n: deep_lattice(kind, n))
+      for kind, n in [("cross", 3), ("cube", 4), ("cross", 4), ("cube", 5), ("cross", 5)]),
+]
+
+
+class TestGTheorem:
+    """The g of a reversed interval [Q, Q'] is the toric g of a polytope R:
+    its coefficients are nonnegative (Stanley 1987; Karu 2004), and it is
+    monotone, g(R) >= g(G) g(R/G) coefficientwise for every face G of R
+    (Braden and MacPherson 1999), which for x in [Q, Q'] reads
+    g([Q, Q']) >= g([Q, x]) g([x, Q']).  Neither reruns the recursion."""
+
+    @pytest.mark.parametrize("name,make", G_THEOREM_LATTICES, ids=[n for n, _ in G_THEOREM_LATTICES])
+    def test_nonnegative_and_monotone(self, name, make):
+        L = make()
+        g = {(q, qp): _g_row(f) for qp in L.nonempty_ids for q, f in _f_rows(L, qp).items()}
+        g[L.empty_id, L.empty_id] = (1,)
+        for (q, qp), row in g.items():
+            assert min(row) >= 0, (q, qp)
+            for x in mask_ids(L.up[q] & L.down[qp]):
+                low, high = g[q, x], g[x, qp]
+                product = [0] * (len(low) + len(high) - 1)
+                for i, a in enumerate(low):
+                    for j, b in enumerate(high):
+                        product[i + j] += a * b
+                assert all(a >= b for a, b in zip_longest(row, product, fillvalue=0)), (q, x, qp)
 
 
 def test_g_memo_bounded_by_nested_pairs():
