@@ -11,6 +11,7 @@ from wehrhart import (
     HomogPoly,
     VARIANT_ETILDE,
     build,
+    g_weight_function,
     verify_duality_reciprocity,
     verify_purity,
     verify_reciprocity,
@@ -33,6 +34,6 @@ print()
 print("purity along each face of the pyramid (ell = 2):")
 one = HomogPoly.one(3)
 for qp in pyr.nonempty_ids:
-    res = verify_purity(pyr, qp, one, 2)
+    res = verify_purity(g_weight_function(pyr, qp), qp, one, 2)
     face = pyr.faces[qp]
     print(f"  face {qp} (dim {face.dim}): {'ok' if res.passed else 'FAIL'}")

@@ -67,8 +67,7 @@ from .polytope import (
     mask_ids,
     points_by_face,
 )
-from .stanley import g_weight_function
-from .weights import LatticeMismatch, WeightFunction, dualize
+from .weights import WeightFunction, dualize
 
 VARIANT_E = "E"
 VARIANT_ETILDE = "Etilde"
@@ -488,27 +487,18 @@ def verify_hodge_duality(f, ell: int) -> CheckResult:
     return CheckResult("hodge_duality", {"ell": ell}, True, lhs, rhs)
 
 
-def verify_purity(lattice, qprime_id: int, phi, ell: int, weights=None) -> CheckResult:
-    """Purity, E(-ell, y) = (-y)^(dim Q' + deg phi) E(ell, 1/y) with the g-weights
-    of Q': R = (-y)^dim Q' Etilde(ell, 1/y).
+def verify_purity(f, qprime_id: int, phi, ell: int) -> CheckResult:
+    """Purity of the weight f at the face Q': E(-ell, y) = (-y)^(dim Q' + deg phi)
+    E(ell, 1/y), so R = (-y)^dim Q' Etilde(ell, 1/y).
 
-    weights is g_weight_function(lattice, qprime_id) when the caller has
-    already built it; weights on another lattice raise LatticeMismatch, a
-    ValueError.  The g-weights are not memoized on the lattice the way a
-    dual is kept on its weight function: such a memo would keep every
-    face's g-weights, and their orbit coefficients, alive for the
-    lattice's lifetime (about 5.7 MB on the 6-cube's 730 faces under
-    tracemalloc, Python 3.11), where a caller that passes them in holds
-    one face's at a time.
+    It holds for the g-weights of Q' (stanley.g_weight_function), and for any
+    f with D(f) = (-y)^(-dim Q') f, the weights of a pure module.
     """
-    qprime_id = check_nonempty_face(lattice, qprime_id)
-    f = g_weight_function(lattice, qprime_id) if weights is None else weights
-    if f.lattice is not lattice:
-        raise LatticeMismatch("the g-weights belong to a different lattice")
+    qprime_id = check_nonempty_face(f.lattice, qprime_id)
 
     def right():
         value = weighted_ehrhart_value(f, phi, ell, VARIANT_ETILDE)
-        return neg_y_power(lattice.faces[qprime_id].dim) * substitute_inverse(value)
+        return neg_y_power(f.lattice.faces[qprime_id].dim) * substitute_inverse(value)
 
     params = {"ell": ell, "face": qprime_id}
     return _minus_ell_check("purity", params, f, phi, ell, VARIANT_E, right)

@@ -23,6 +23,11 @@ class NonEulerianPoset(ValueError):
     pass
 
 
+class NegativeGCoefficient(ArithmeticError):
+    """A g row with a negative coefficient, which the g-theorem rules out
+    (Stanley 1987; Karu 2004): broken arithmetic, not bad input."""
+
+
 def _check_interval(lattice: FaceLattice, q_id: int, qp_id: int):
     if not lattice.leq(q_id, qp_id):
         raise ValueError("faces are not nested")
@@ -49,7 +54,8 @@ def _f_rows(lattice: FaceLattice, qp_id: int):
     down[Q'] & by_dim[d + 1].  Once a dimension d is done, masks[i, v]
     holds its faces whose g has coefficient v at t**i, so its faces above
     a lower Q add v * popcount(up[Q] & mask) * t**i * (t-1)**(d - dim Q - 1)
-    to f([Q, Q']).
+    to f([Q, Q']).  Each g row is scanned for a negative coefficient as it is
+    built, which raises NegativeGCoefficient naming the interval.
     """
     rows = lattice._g_memo.get(qp_id)
     if rows is not None:
@@ -71,6 +77,8 @@ def _f_rows(lattice: FaceLattice, qp_id: int):
                             f[j] += c * b
             rows[q] = f = tuple(f)
             for i, v in enumerate(_g_row(f)):
+                if v < 0:
+                    raise NegativeGCoefficient(f"g([{q}, {qp_id}]) has coefficient {v} at t^{i}")
                 if v:
                     masks[i, v] = masks.get((i, v), 0) | 1 << q
         done.append((d, [(i, v, m) for (i, v), m in masks.items()]))

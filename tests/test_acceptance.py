@@ -230,9 +230,10 @@ def test_criterion_6_purity():
         n = lattice.polytope.n
         for _, phi in grid_phis(n)[:2]:  # 1 and the linear form
             for qp in lattice.nonempty_ids:
-                zp = ehrhart_polynomial(g_weight_function(lattice, qp), phi, VARIANT_E)
+                g = g_weight_function(lattice, qp)
+                zp = ehrhart_polynomial(g, phi, VARIANT_E)
                 for ell in (1, 2, 3):
-                    res = verify_purity(lattice, qp, phi, ell)
+                    res = verify_purity(g, qp, phi, ell)
                     assert res.passed, (name, qp, phi, ell)
                     assert zp(-ell) == res.lhs
 
@@ -257,7 +258,7 @@ def test_variants_differ_by_one_factor():
                 etilde = ehrhart_polynomial(g, phi, VARIANT_ETILDE)
                 nprime = lattice.faces[qp].dim
                 for ell in (1, 2, 3):
-                    res = verify_purity(lattice, qp, phi, ell, weights=g)
+                    res = verify_purity(g, qp, phi, ell)
                     value = weighted_ehrhart_value(g, phi, ell, VARIANT_ETILDE)
                     etilde_rhs = (-1) ** d * neg_y_power(nprime) * substitute_inverse(value)
                     assert res.passed, (name, qp, phi, ell)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wehrhart import cli, corpus, ehrhart, polytope, weights
+from wehrhart import cli, corpus, ehrhart, polytope, stanley, weights
 from wehrhart.algebra import LaurentPoly as L
 from wehrhart.ehrhart import CheckResult
 from wehrhart.jsonio import (
@@ -162,6 +163,54 @@ def test_failed_face_check_exits_1(capsys, monkeypatch):
     assert (code, out) == (1, "")
     vertex = corpus.build("square").vertex_face_id(0)
     assert err.startswith(f"error: check: face {vertex}: ") and "order 1, above their degree 0" in err
+
+
+STANLEY_COMMANDS = {
+    "hpoly": ["hpoly"],
+    "gweights": ["gweights", "--face", "P"],
+    "verify": ["verify", "--suite", "purity", "--lmax", "1"],
+}
+
+
+def _assert_check_failed(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: check: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", STANLEY_COMMANDS)
+def test_non_eulerian_lattice_exits_1(capsys, monkeypatch, command):
+    # a lattice built from a polytope is always Eulerian, so a refusal is the library's own bug
+    monkeypatch.setattr(polytope, "eulerian_check", lambda up, down, even: False)
+    argv = STANLEY_COMMANDS[command]
+    code, out, err = run_cli([argv[0], fx("cube"), *argv[1:]], capsys)
+    _assert_check_failed(code, out, err)
+    assert err == "error: check: face lattice is not Eulerian\n"
+
+
+def _late_g_row(f):
+    """stanley._g_row truncated one coefficient late: past the middle, h falls, so g can go negative."""
+    return tuple(f[i] - f[i - 1] if i else f[0] for i in range(min(len(f), (len(f) - 1) // 2 + 2)))
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        # the sweep below the pyramid's top face builds two negative rows
+        ("pyramid", STANLEY_COMMANDS["hpoly"]),
+        ("pyramid", STANLEY_COMMANDS["gweights"]),
+        # the cube's sweep below its top face builds none, but the sweep
+        # below each square facet (ids 21 to 26) builds one
+        ("cube", ["gweights", "--face", "21"]),
+        ("cube", ["verify", "--suite", "purity", "--lmax", "1"]),
+        ("cube", ["verify", "--suite", "all", "--lmax", "1"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(v),
+)
+def test_negative_g_coefficient_exits_1(capsys, monkeypatch, name, argv):
+    monkeypatch.setattr(stanley, "_g_row", _late_g_row)
+    code, out, err = run_cli([argv[0], fx(name), *argv[1:]], capsys)
+    _assert_check_failed(code, out, err)
+    assert re.fullmatch(r"error: check: g\(\[\d+, \d+\]\) has coefficient -\d+ at t\^\d+\n", err), err
 
 
 def test_verify_pyramid_all_suites_pass(capsys):
@@ -790,10 +839,9 @@ def _capture_weight_set(monkeypatch):
 
 def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
     # counted below dualize's memo: each weight's dual is computed exactly once
-    built, g_calls, made = [], [], []
-    involution, g_weights = weights._involution, ehrhart.g_weight_function
+    built, made = [], []
+    involution, g_weights = weights._involution, cli.g_weight_function
     monkeypatch.setattr(weights, "_involution", lambda f: built.append(id(f)) or involution(f))
-    monkeypatch.setattr(ehrhart, "g_weight_function", lambda *a: g_calls.append(a) or g_weights(*a))
     monkeypatch.setattr(cli, "g_weight_function", lambda *a: made.append(a) or g_weights(*a))
     weight_set = _capture_weight_set(monkeypatch)
     code, _, _ = run_cli(["verify", fx("square"), "--suite", "all", "--lmax", "3"], capsys)
@@ -801,9 +849,7 @@ def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
     # all-ones and g-weights(P), each dualized once for both suites that need it
     assert len(weight_set) == 2
     assert sorted(built) == sorted(map(id, weight_set))
-    # purity is handed each face's g-weights by the CLI
-    assert g_calls == []
-    # which builds each face's at most once: g-weights(P) serves the weight set and purity,
+    # the CLI builds each face's g-weights at most once: g-weights(P) serves the weight set and purity,
     # and purity alone builds no weight set
     for suite in cli.SUITES:
         made.clear()
@@ -814,7 +860,6 @@ def test_verify_builds_dual_and_g_weights_once(monkeypatch, capsys):
         wanted = lattice.nonempty_ids if suite in ("all", "purity") else [lattice.top_id]
         assert sorted(fid for _, fid in made) == sorted(wanted), suite
         assert len(weight_set) == (0 if suite == "purity" else 2), suite
-    assert g_calls == []
 
 
 def test_verify_leaves_the_orbit_kinds_and_the_dual_in_each_memo(monkeypatch, capsys):

@@ -233,7 +233,9 @@ DILATION_CALLS = {
     "verify_reciprocity": lambda lat, f, phi, ell: verify_reciprocity(f, phi, ell),
     "verify_duality_reciprocity": lambda lat, f, phi, ell: verify_duality_reciprocity(f, phi, ell),
     "verify_hodge_duality": lambda lat, f, phi, ell: verify_hodge_duality(f, ell),
-    "verify_purity": lambda lat, f, phi, ell: verify_purity(lat, lat.top_id, phi, ell),
+    "verify_purity": lambda lat, f, phi, ell: verify_purity(
+        g_weight_function(lat, lat.top_id), lat.top_id, phi, ell
+    ),
     "hodge_character_sum": lambda lat, f, phi, ell: hodge_character_sum(f, ell),
     "points_by_face": lambda lat, f, phi, ell: points_by_face(lat, ell),
 }
@@ -797,7 +799,7 @@ class TestFailedCheckNamesFirstDifference:
             with pytest.raises(TypeError):
                 checker(all_ones(lat), phi_one(1), 1, "E", zpoly=zp)
         with pytest.raises(TypeError):
-            verify_purity(lat, lat.top_id, phi_one(1), 1, zpoly=zp)
+            verify_purity(g_weight_function(lat, lat.top_id), lat.top_id, phi_one(1), 1, zpoly=zp)
 
     def test_verifiers_take_no_dual(self):
         # the weight function keeps its own dual (dualize); no caller passes one in
@@ -890,27 +892,23 @@ class TestVerifyPurity:
     def test_pyramid_top(self):
         lat = build("pyramid")
         for ell in (1, 2, 3):
-            assert verify_purity(lat, lat.top_id, phi_one(3), ell).passed
+            assert verify_purity(g_weight_function(lat, lat.top_id), lat.top_id, phi_one(3), ell).passed
 
     def test_cube_facet_quadratic(self):
         lat = build("cube")
         facet = next(q for q, f in enumerate(lat.faces) if f.dim == 2)
         phi = HomogPoly(3, [((2, 0, 0), 1)])
-        zp = ehrhart_polynomial(g_weight_function(lat, facet), phi, "E")
+        g = g_weight_function(lat, facet)
+        zp = ehrhart_polynomial(g, phi, "E")
         for ell in (1, 2):
-            check = verify_purity(lat, facet, phi, ell)
+            check = verify_purity(g, facet, phi, ell)
             assert check.passed
             assert zp(-ell) == check.lhs
 
     def test_empty_face_rejected(self):
         lat = build("cube")
         with pytest.raises(ValueError):
-            verify_purity(lat, lat.empty_id, phi_one(3), 1)
-
-    def test_lattice_mismatch(self):
-        seg = build("segment")
-        with pytest.raises(ValueError):
-            verify_purity(seg, seg.top_id, phi_one(1), 1, weights=all_ones(build("square")))
+            verify_purity(g_weight_function(lat, lat.top_id), lat.empty_id, phi_one(3), 1)
 
 
 def relabelled(lat, seed):
@@ -952,7 +950,7 @@ class TestRelabelledFaces:
             assert verify_reciprocity(g, phi_one(n), ell).passed
             assert verify_duality_reciprocity(g, phi_one(n), ell).passed
             assert verify_hodge_duality(g, ell).passed
-            assert verify_purity(new, new.top_id, phi_one(n), ell).passed
+            assert verify_purity(g_weight_function(new, new.top_id), new.top_id, phi_one(n), ell).passed
 
 
 class TestHLink:

@@ -324,13 +324,30 @@ def test_trusted_weights_built_only_in_weights_and_stanley(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_a_lattice_and_a_weight(path):
-    lines = [
-        node.lineno
-        for node in ast.walk(tree(path))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        and {"lattice", "f"} <= {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
-    ]
-    assert not lines, f"{path.name} takes both lattice and f on lines {lines}; read f.lattice"
+    lines = []
+    for node in ast.walk(tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+            if "lattice" in args and args & {"f", "weights"}:
+                lines.append(node.lineno)
+    assert not lines, f"{path.name} takes both a lattice and a weight on lines {lines}; read f.lattice"
+
+
+def _imported_names(node):
+    """Every dotted part of the modules and names an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or "", *(alias.name for alias in node.names)]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return set()
+    return {part for name in names for part in name.split(".")}
+
+
+def test_counting_layer_imports_nothing_from_stanley(path=SRC / "ehrhart.py"):
+    # the weights a count or a check reads are passed in; ehrhart builds none itself
+    lines = [node.lineno for node in ast.walk(tree(path)) if "stanley" in _imported_names(node)]
+    assert not lines, f"{path.name} imports from stanley on lines {lines}"
 
 
 LATTICE_INIT = """
@@ -401,6 +418,14 @@ class FaceLattice:
         ("f = WeightFunction._make(lattice, values)\n", test_trusted_weights_built_only_in_weights_and_stanley),
         ("make = WeightFunction._make\n", test_trusted_weights_built_only_in_weights_and_stanley),
         ("def count(lattice, f, ell):\n    return ell\n", test_no_function_takes_a_lattice_and_a_weight),
+        (
+            "def check(lattice, q, ell, weights=None):\n    return ell\n",
+            test_no_function_takes_a_lattice_and_a_weight,
+        ),
+        ("from .stanley import g_weight_function\n", test_counting_layer_imports_nothing_from_stanley),
+        ("from . import polytope, stanley\n", test_counting_layer_imports_nothing_from_stanley),
+        ("import wehrhart.stanley as st\n", test_counting_layer_imports_nothing_from_stanley),
+        ("from wehrhart import stanley\n", test_counting_layer_imports_nothing_from_stanley),
     ],
 )
 def test_each_rule_catches_a_violation(source, rule, tmp_path):

@@ -13,6 +13,7 @@ from math import comb
 import pytest
 
 from box_oracle import random_lattice
+from kls_oracle import kls_weights
 from stanley_oracle import grouped_sum, oracle_fg, oracle_g, oracle_h
 from wehrhart.corpus import CORPUS, build
 from wehrhart.polytope import FaceLattice, build_face_lattice, facet_presentation, mask_ids
@@ -322,6 +323,18 @@ class TestGTheorem:
                     for j, b in enumerate(high):
                         product[i + j] += a * b
                 assert all(a >= b for a, b in zip_longest(row, product, fillvalue=0)), (q, x, qp)
+
+
+class TestKazhdanLusztigStanleyBasis:
+    """g_weight_function against tests/kls_oracle.py, which solves the
+    eigen relation D(w) = (-y)^(-dim Q') w from dualize's defining sum
+    and never reruns the f/g recursion."""
+
+    @pytest.mark.parametrize("name,make", G_THEOREM_LATTICES, ids=[n for n, _ in G_THEOREM_LATTICES])
+    def test_every_nonempty_face(self, name, make):
+        L = make()
+        for qp in L.nonempty_ids:
+            assert g_weight_function(L, qp).values == kls_weights(L, qp).values, qp
 
 
 def test_g_memo_bounded_by_nested_pairs():
