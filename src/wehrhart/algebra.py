@@ -13,6 +13,16 @@ records (faces and check results) are built on.
 
 Integers are the fast path: a rational that happens to be integral is
 held as an int, and a Fraction appears only where a denominator does.
+
+A LaurentPoly is built once, with its terms already in ascending
+exponent order, by one of two trusted constructors: LaurentPoly._make
+sorts the exponents of an accumulator and drops its zeros, and
+LaurentPoly._ascending holds terms that are ascending, nonzero and
+canonical already.  Negation, products by a scalar or by a monomial,
+substitute_inverse (read from the reversed terms), substitute_negative,
+neg_y_power and one_plus_y_power keep term order, so they build through
+_ascending and never sort; sums, linear combinations and general
+products go through _make.
 """
 
 from __future__ import annotations
@@ -106,9 +116,24 @@ class LaurentPoly:
 
     @staticmethod
     def _make(acc) -> "LaurentPoly":
-        """Trusted constructor from exponent -> int or Fraction; no re-validation."""
+        """Trusted constructor from exponent -> int or Fraction; no re-validation.
+        The int exponents are sorted, zeros dropped, and each coefficient that is
+        not an int canonicalised."""
         p = object.__new__(LaurentPoly)
-        p.terms = {k: canon(c) for k, c in sorted(acc.items()) if c}
+        p.terms = {
+            k: c if type(c) is int else c.numerator if c.denominator == 1 else c
+            for k in sorted(acc)
+            if (c := acc[k])
+        }
+        return p
+
+    @staticmethod
+    def _ascending(terms: dict) -> "LaurentPoly":
+        """Trusted constructor that holds terms as given: exponents ascending,
+        coefficients nonzero and canonical.  Only this module calls it, from
+        the operations that keep term order."""
+        p = object.__new__(LaurentPoly)
+        p.terms = terms
         return p
 
     @staticmethod
@@ -125,7 +150,7 @@ class LaurentPoly:
         return hash(tuple(self.terms.items()))
 
     def __neg__(self):
-        return LaurentPoly._make({k: -c for k, c in self.terms.items()})
+        return LaurentPoly._ascending({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -138,15 +163,22 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly._make({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                return LaurentPoly._ascending(_scaled(self.terms, 0, other)) if other else L_ZERO
             return NotImplemented
-        # values never change after _make, so a product by 1 can share its other operand
+        # values never change once built, so a product by 1 can share its other operand
         if other.terms == _ONE_TERMS:
             return self
         if self.terms == _ONE_TERMS:
             return other
+        # a monomial shifts and scales the other operand's terms, keeping their order
+        if len(other.terms) == 1:
+            ((k, c),) = other.terms.items()
+            return LaurentPoly._ascending(_scaled(self.terms, k, c))
+        if len(self.terms) == 1:
+            ((k, c),) = self.terms.items()
+            return LaurentPoly._ascending(_scaled(other.terms, k, c))
         acc = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -210,6 +242,17 @@ class LaurentPoly:
         return f"LaurentPoly({self.terms!r})"
 
 
+def _scaled(terms: dict, k: int, s) -> dict:
+    """The terms of y^k * s * p from p's terms, for a nonzero rational s.  Their
+    order and nonzero coefficients carry over; each product that is not an int
+    is canonicalised."""
+    if type(s) is int:
+        return {
+            e + k: v if type(v := c * s) is int else canon(v) for e, c in terms.items()
+        }
+    return {e + k: canon(c * s) for e, c in terms.items()}
+
+
 def poly_sum(polys) -> LaurentPoly:
     """Sum of LaurentPoly values, with one normalisation at the end."""
     acc = {}
@@ -236,17 +279,17 @@ ONE_PLUS_Y = LaurentPoly({0: 1, 1: 1})
 
 def substitute_inverse(p: LaurentPoly) -> LaurentPoly:
     """y -> 1/y, i.e. exponent negation on every term. An involution."""
-    return LaurentPoly._make({-k: c for k, c in p.terms.items()})
+    return LaurentPoly._ascending({-k: c for k, c in reversed(p.terms.items())})
 
 
 def substitute_negative(p: LaurentPoly) -> LaurentPoly:
     """y -> -y. An involution; bridges the t and y variables elsewhere."""
-    return LaurentPoly._make({k: c if k % 2 == 0 else -c for k, c in p.terms.items()})
+    return LaurentPoly._ascending({k: c if k % 2 == 0 else -c for k, c in p.terms.items()})
 
 
 def neg_y_power(k: int) -> LaurentPoly:
     """(-y)**k for any integer k, as a single monomial."""
-    return LaurentPoly._make({k: -1 if k % 2 else 1})
+    return LaurentPoly._ascending({k: -1 if k % 2 else 1})
 
 
 @lru_cache(maxsize=128)
@@ -258,7 +301,7 @@ def one_plus_y_power(k: int) -> LaurentPoly:
     """
     if k < 0:
         raise ValueError("(1+y) has no negative powers in the Laurent ring")
-    return LaurentPoly._make({i: comb(k, i) for i in range(k + 1)})
+    return LaurentPoly._ascending({i: comb(k, i) for i in range(k + 1)})
 
 
 class HomogPoly:

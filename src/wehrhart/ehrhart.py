@@ -242,7 +242,7 @@ def weighted_ehrhart_value(f: WeightFunction, phi: HomogPoly, ell: int, variant:
     factor = _variant_factor(phi, variant)
     sums = _phi_face_sums(f.lattice, phi, check_dilation(ell))
     plus = _orbit_coefficients(f, _PLUS)
-    return linear_combination((c, sums[q]) for q, c in plus.items()) * factor
+    return linear_combination(zip(plus.values(), map(sums.__getitem__, plus))) * factor
 
 
 class PolynomialityError(ArithmeticError):
@@ -425,18 +425,24 @@ def _minus_ell_check(name, params, f, phi, ell, variant, right) -> CheckResult:
     R = right() is the verifier's sum at +ell, built once every argument is checked."""
     factor = _variant_factor(phi, variant)
     ell = check_dilation(ell)
-    rhs = right() * ((-1) ** phi.degree * factor)
+    rhs = right() * factor
+    if phi.degree % 2:
+        rhs = -rhs
     lows = _phi_face_sums(f.lattice, phi, -ell)
     plus = _orbit_coefficients(f, _PLUS)
-    lhs = linear_combination((c, lows[q]) for q, c in plus.items()) * factor
+    lhs = linear_combination(zip(plus.values(), map(lows.__getitem__, plus))) * factor
     return _compare(name, params, lhs, rhs)
 
 
 def e_form(check: CheckResult, phi) -> CheckResult:
     """The E check of an Etilde check from _minus_ell_check: both sides times
-    (1+y)^deg phi, compared afresh, so a failure's first difference is its own."""
-    factor = _variant_factor(phi, VARIANT_E)
+    (1+y)^deg phi, compared afresh, so a failure's first difference is its own.
+    At deg phi = 0 the factor is 1, and the E check holds the Etilde check's
+    sides and verdict as they are."""
     params = {**check.params, "variant": VARIANT_E}
+    if not phi.degree:
+        return CheckResult(check.name, params, check.passed, check.lhs, check.rhs, check.difference)
+    factor = _variant_factor(phi, VARIANT_E)
     return _compare(check.name, params, check.lhs * factor, check.rhs * factor)
 
 
@@ -445,7 +451,8 @@ def verify_reciprocity(f, phi, ell: int, variant: str = VARIANT_E) -> CheckResul
 
     def right():
         sums = _phi_face_sums(f.lattice, phi, ell)
-        return linear_combination((c, sums[e]) for e, c in _orbit_coefficients(f, _MINUS).items())
+        minus = _orbit_coefficients(f, _MINUS)
+        return linear_combination(zip(minus.values(), map(sums.__getitem__, minus)))
 
     params = {"ell": ell, "variant": variant}
     return _minus_ell_check("reciprocity", params, f, phi, ell, variant, right)

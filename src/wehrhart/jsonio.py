@@ -9,7 +9,8 @@ straight from its CheckResult fields (_check_text) with no dict built
 per check.  A character-sum side is read off one character order per
 (lattice, ell) (OrbitSum.characters, which OrbitSum.terms also reads)
 and one string per face coefficient of each coefficient map, both built
-once per report and dropped when it is written.  All orderings are
+once per report and dropped when it is written; so is the text of each
+side object and of each distinct params dict.  All orderings are
 canonical so identical inputs give identical bytes.
 
 dumps writes the bytes of json.dumps(obj, indent=2) without the pure-
@@ -331,16 +332,16 @@ def _str_object(d: dict, pad: str) -> str:
     return "{" + inner[1:] + pairs + "\n" + pad + "}"
 
 
-def _check_text(check: CheckResult, side) -> str:
+def _check_text(check: CheckResult, side, params) -> str:
     """One check at its place in the report, from its fields: name, params,
-    verdict and sides, side(value) giving each side's JSON string, and on
-    failure its first_difference.  Equal sides render alike, so a passed
-    check renders its value once."""
+    verdict and sides, side(value) and params(dict) giving their JSON
+    strings, and on failure its first_difference.  Equal sides render
+    alike, so a passed check renders its value once."""
     lhs = side(check.lhs)
     rhs = lhs if check.passed else side(check.rhs)
     text = (
         f'      {{\n        "name": {_quote(check.name)},\n'
-        f'        "params": {_str_object(check.params, "        ")},\n'
+        f'        "params": {params(check.params)},\n'
         f'        "passed": {_ATOMS[check.passed]},\n'
         f'        "lhs": {lhs},\n'
         f'        "rhs": {rhs}'
@@ -355,12 +356,28 @@ def verify_to_json(lattice: FaceLattice, reports):
     integrand label, [CheckResult]) tuples: one entry per tuple, then the
     number of checks, the number failed, and passed when none failed.
     The entries are one RawJSON, so the result is written with dumps.  A
-    side is str(value), or an OrbitSum's terms "{chi^[m]: coefficient; ...}"."""
+    side is str(value), or an OrbitSum's terms "{chi^[m]: coefficient; ...}".
+    Checks share side objects (a passed check's two sides, an E check's
+    Etilde sides at deg phi = 0) and repeat params, so each side object and
+    each distinct params dict is rendered once per report."""
     orders, texts = {}, {}  # (lattice, ell) -> [("chi^[m]: ", face)]; id(coeffs) -> {face: str}
+    # id(side) -> (side, its JSON string), the side held so that its id stays
+    # unique; the items of a params dict, ints and strs -> its JSON object
+    sides, objects = {}, {}
 
     def side(v) -> str:
-        if not isinstance(v, OrbitSum):
-            return _quote(str(v))
+        held = sides.get(id(v))
+        if held is None:
+            text = orbit_side(v) if isinstance(v, OrbitSum) else _quote(str(v))
+            held = sides[id(v)] = v, text
+        return held[1]
+
+    def params(d) -> str:
+        if (key := tuple(d.items())) not in objects:
+            objects[key] = _str_object(d, "        ")
+        return objects[key]
+
+    def orbit_side(v) -> str:
         if (key := (v.lattice, v.ell)) not in orders:
             orders[key] = [(f"chi^{list(m)}: ", e) for m, e in v.characters()]
         if (held := id(v.coeffs)) not in texts:
@@ -373,7 +390,7 @@ def verify_to_json(lattice: FaceLattice, reports):
     entries, total, failed = [], 0, 0
     for suite, weight, phi, checks in reports:
         misses = sum(not c.passed for c in checks)
-        listed = _list_text([_check_text(c, side) for c in checks], "    ")
+        listed = _list_text([_check_text(c, side, params) for c in checks], "    ")
         entries.append(
             f'  {{\n    "polytope": {phash},\n    "weight": {_quote(weight)},\n'
             f'    "phi": {_quote(phi)},\n    "passed": {_ATOMS[not misses]},\n'

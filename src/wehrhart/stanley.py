@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .algebra import LaurentPoly
+from .algebra import L_ONE, LaurentPoly
 from .polytope import FaceLattice, check_face, check_nonempty_face, mask_ids
 from .weights import WeightFunction
 
@@ -120,14 +120,18 @@ def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
 
 def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     """Weights g(reversed [Q, Q']) at t = -y on faces Q below Q', else 0; each has constant
-    term 1 (the interval is Eulerian) and subfaces ascends, as WeightFunction._make needs."""
+    term 1 (the interval is Eulerian) and subfaces ascends, as WeightFunction._make needs.
+    Most rows are the constant 1, held as the one shared L_ONE."""
     qp_id = check_nonempty_face(lattice, qp_id)
     _check_interval(lattice, qp_id, qp_id)
     rows = _f_rows(lattice, qp_id)
     values = {}
     for q in lattice.subfaces(qp_id):
         g = _g_row(rows[q])
-        values[q] = LaurentPoly._make({i: -c if i % 2 else c for i, c in enumerate(g)})
+        if g == (1,):
+            values[q] = L_ONE
+        else:
+            values[q] = LaurentPoly._make({i: -c if i % 2 else c for i, c in enumerate(g)})
     return WeightFunction._make(lattice, values)
 
 

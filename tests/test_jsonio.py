@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from box_oracle import cube, cross, random_lattice
 from wehrhart import cli, ehrhart
-from wehrhart.algebra import LaurentPoly as L
+from wehrhart.algebra import HomogPoly, LaurentPoly as L
 from wehrhart.corpus import CORPUS, build
 from wehrhart.ehrhart import CheckResult, OrbitSum
 from wehrhart.jsonio import (
@@ -411,3 +411,44 @@ def test_planted_wrong_dual_fails_its_hodge_check(monkeypatch):
     rhs = OrbitSum(inverted, lattice, 2)
     assert json.loads(out)["reports"][0]["checks"][1]["rhs"] == plain_side(rhs)
 
+
+
+def test_shared_sides_and_params_render_as_the_plain_dict_route():
+    """verify_to_json renders each side object and each distinct params dict
+    once per report.  Checks that share sides, repeat params in new dicts or
+    hold distinct sides of equal params must still read as each check alone."""
+    lattice = build("square")
+    phi = HomogPoly.one(2)
+    f = all_ones(lattice)
+    etilde = ehrhart.verify_reciprocity(f, phi, 1, ehrhart.VARIANT_ETILDE)
+    e = ehrhart.e_form(etilde, phi)
+    assert e.lhs is etilde.lhs and e.rhs is etilde.rhs  # the factor is 1 at deg phi = 0
+    lhs, rhs = L({0: 1, 1: 2}), L({0: 1, 1: 3})
+    difference = {"exponent": 1, "lhs": 2, "rhs": 3}
+    planted = CheckResult("planted", {"ell": 1, "variant": "E"}, False, lhs, rhs, difference)
+    # one check's lhs is another's rhs, under params equal to the planted check's
+    swapped = CheckResult("swapped", {"ell": 1, "variant": "E"}, False, rhs, L({1: 2}), difference)
+    # equal values held by distinct objects, and the sum of every orbit at ell = 2
+    copies = CheckResult("copies", dict(etilde.params), True, L(dict(lhs.terms)), L(dict(lhs.terms)))
+    hodge = ehrhart.verify_hodge_duality(f, 2)
+    reports = [
+        ("reciprocity", "all-ones", "1", [etilde, planted, swapped]),
+        ("reciprocity", "all-ones", "1", [e, copies, planted]),
+        ("hodge", "all-ones", "-", [hodge, ehrhart.verify_hodge_duality(f, 2)]),
+    ]
+    assert dumps(verify_to_json(lattice, reports)) == _plain(plain_verify_json(lattice, reports))
+
+
+def test_sides_freed_while_the_report_renders_are_not_confused():
+    """A side memo keyed by id alone would read a freed side's text for a new
+    side at the same address; reports from a generator free each check's
+    sides once its entry is rendered."""
+    lattice = build("segment")
+
+    def checks():
+        for i in range(200):
+            value = L({0: i, 1: -i})
+            yield "suite", f"w{i}", "1", [CheckResult("c", {"ell": i}, True, value, value)]
+
+    expected = _plain(plain_verify_json(lattice, list(checks())))
+    assert dumps(verify_to_json(lattice, checks())) == expected

@@ -12,7 +12,9 @@ from wehrhart.algebra import (
     ONE_PLUS_Y,
     ZPoly,
     lagrange_interpolate,
+    linear_combination,
     phi_eval,
+    poly_sum,
     substitute_inverse,
     substitute_negative,
 )
@@ -164,3 +166,109 @@ def test_variants_differ_by_unit_factor(f, ell):
     e = weighted_ehrhart_value(f, phi, ell, VARIANT_E)
     etilde = weighted_ehrhart_value(f, phi, ell, VARIANT_ETILDE)
     assert e == ONE_PLUS_Y ** phi.degree * etilde
+
+
+# The Laurent kernel builds every result once, already in ascending order:
+# through _make, which sorts, or through _ascending, which trusts its caller
+# to keep the order.  Exponents and coefficients run up to 10^300 in size,
+# and small ones are mixed in so that terms collide and cancel.
+BIG = 10**300
+exponents = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+ints = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+# Fraction(6, 3) is an integral Fraction, which every result must hold as an int
+fractions = st.builds(Fraction, ints, st.one_of(st.integers(1, 4), st.integers(1, BIG)))
+coefficients = st.one_of(ints, fractions)
+nonzero = coefficients.filter(bool)
+wide_laurents = st.dictionaries(exponents, coefficients, max_size=6).map(L)
+monomials = st.builds(lambda k, c: L({k: c}), exponents, nonzero)
+
+
+def assert_canonical(p):
+    """Ascending exponents, no zero coefficient, an int wherever the value
+    is integral, and the same terms, in the same order, as the checked
+    constructor makes of them."""
+    keys = list(p.terms)
+    assert keys == sorted(keys)
+    for c in p.terms.values():
+        assert type(c) is int or type(c) is Fraction and c.denominator > 1, c
+        assert c
+    rebuilt = L(dict(p.terms))
+    assert p == rebuilt and list(rebuilt.terms.items()) == list(p.terms.items())
+
+
+def from_pairs(pairs):
+    """The checked constructor on (exponent, coefficient) pairs, repeats summed: the oracle."""
+    return L(list(pairs))
+
+
+@given(st.dictionaries(exponents, st.one_of(coefficients, st.just(0), st.just(Fraction(6, 3)))))
+def test_make_is_canonical(acc):
+    p = L._make(acc)
+    assert_canonical(p)
+    assert p == from_pairs(acc.items())
+
+
+@given(wide_laurents)
+def test_negation_is_canonical(p):
+    assert_canonical(-p)
+    assert -p == from_pairs((k, -c) for k, c in p.terms.items())
+
+
+@given(wide_laurents, st.one_of(ints, fractions))
+def test_scalar_products_are_canonical(p, s):
+    oracle = from_pairs((k, c * s) for k, c in p.terms.items())
+    for product in (p * s, s * p):
+        assert_canonical(product)
+        assert product == oracle
+
+
+@given(st.dictionaries(exponents, ints, max_size=6).map(L))
+def test_a_scalar_that_clears_every_denominator_gives_ints(p):
+    thirds = p * Fraction(2, 3)
+    assert_canonical(thirds)
+    whole = thirds * Fraction(3, 2)
+    assert_canonical(whole)
+    assert whole == p and all(type(c) is int for c in whole.terms.values())
+
+
+@given(wide_laurents)
+def test_substitutions_are_canonical(p):
+    inverse, negative = substitute_inverse(p), substitute_negative(p)
+    assert_canonical(inverse)
+    assert_canonical(negative)
+    assert inverse == from_pairs((-k, c) for k, c in p.terms.items())
+    assert negative == from_pairs((k, -c if k % 2 else c) for k, c in p.terms.items())
+
+
+@given(monomials, wide_laurents)
+def test_monomial_products_are_canonical(m, p):
+    ((e, a),) = m.terms.items()
+    oracle = from_pairs((k + e, c * a) for k, c in p.terms.items())
+    for product in (m * p, p * m):
+        assert_canonical(product)
+        assert product == oracle
+
+
+@given(wide_laurents, wide_laurents)
+def test_general_product_is_canonical(p, q):
+    product = p * q
+    assert_canonical(product)
+    pairs = ((k1 + k2, c1 * c2) for k1, c1 in p.terms.items() for k2, c2 in q.terms.items())
+    assert product == from_pairs(pairs)
+
+
+@given(st.lists(wide_laurents, max_size=4))
+def test_poly_sum_is_canonical(ps):
+    total = poly_sum(ps)
+    assert_canonical(total)
+    assert total == from_pairs(t for p in ps for t in p.terms.items())
+    assert poly_sum([*ps, *(-p for p in ps)]) == L()
+
+
+@given(st.lists(st.tuples(wide_laurents, st.one_of(st.just(0), ints, fractions)), max_size=4))
+def test_linear_combination_is_canonical(pairs):
+    combined = linear_combination(pairs)
+    assert_canonical(combined)
+    assert combined == from_pairs((k, c * s) for p, s in pairs for k, c in p.terms.items())
+    # each pair again with its scalar negated: everything cancels
+    assert linear_combination([*pairs, *((p, -s) for p, s in pairs)]) == L()

@@ -24,7 +24,10 @@ its facets' ranks once, when it is built, so _affine_rank has one call
 site, in LatticePolytope.__init__.  WeightFunction._make, the
 constructor that skips the face-id checks, is named only in weights.py
 and stanley.py, which build weights from the lattice's own ids; so every
-weight read from input goes through the checks.  A weight function
+weight read from input goes through the checks.  Likewise
+LaurentPoly._ascending, which holds terms it trusts to be ascending and
+canonical, is named only in algebra.py, by the operations that keep term
+order.  A weight function
 carries its lattice (f.lattice), so no function takes both a lattice and
 an f parameter, which would name it twice.  The benchmark's tracer
 looks library functions up by name, so one more test installs and
@@ -322,6 +325,18 @@ def test_trusted_weights_built_only_in_weights_and_stanley(path):
     assert not lines, f"{path.name} names WeightFunction._make on lines {lines}; use WeightFunction(...)"
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "algebra.py"], ids=lambda p: p.name
+)
+def test_ascending_laurent_terms_trusted_only_in_algebra(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "_ascending"
+    ]
+    assert not lines, f"{path.name} names LaurentPoly._ascending on lines {lines}; use LaurentPoly._make"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_a_lattice_and_a_weight(path):
     lines = []
@@ -417,6 +432,8 @@ class FaceLattice:
         ),
         ("f = WeightFunction._make(lattice, values)\n", test_trusted_weights_built_only_in_weights_and_stanley),
         ("make = WeightFunction._make\n", test_trusted_weights_built_only_in_weights_and_stanley),
+        ("p = LaurentPoly._ascending({0: 1})\n", test_ascending_laurent_terms_trusted_only_in_algebra),
+        ("make = algebra.LaurentPoly._ascending\n", test_ascending_laurent_terms_trusted_only_in_algebra),
         ("def count(lattice, f, ell):\n    return ell\n", test_no_function_takes_a_lattice_and_a_weight),
         (
             "def check(lattice, q, ell, weights=None):\n    return ell\n",
