@@ -70,10 +70,10 @@ MAX_COUNT = 64  # verify --count, random weight functions
 # Budget on the lattice points a character sum renders: charsum at |ell|,
 # and the hodge suite of verify, which renders every point of ell*P over
 # ell = 1 .. lmax once per weight function (2 + --count).  A rendered
-# point peaks at about 1.6 KB in charsum (186 MB RSS for the 117,649
-# points of cube6 at ell = 6, Python 3.11) and at about 0.7 KB in the
-# hodge suite (141 MB for the 201,510 points of cube6 over lmax 5 and
-# three weight functions), so the budget allows about 0.4 GB.  The points
+# point peaks at about 1.2 KB in charsum (139 MB RSS for the 117,649
+# points of cube6 at ell = 6, Python 3.11) and at about 0.5 KB in the
+# hodge suite (104 MB for the 201,510 points of cube6 over lmax 5 and
+# three weight functions), so the budget allows about 0.3 GB.  The points
 # are counted fibre by fibre before any is made, and the count stops
 # (exit 3) as soon as it passes the budget.
 MAX_POINTS = 250_000
@@ -101,7 +101,7 @@ class _Parser(argparse.ArgumentParser):
 @cache
 def _build_parser() -> _Parser:
     """The one parser of the process, built on first use; parse_args returns a new Namespace each call."""
-    parser = _Parser(prog="wehrhart", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="wehrhart", description="Command-line surface.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
@@ -224,12 +224,12 @@ def _check_point_budget(lattice: FaceLattice, ells, what: str, copies: int = 1) 
 
 def _cmd_faces(spec, lattice):
     check_pair_budget(lattice, "the faces export")  # which lists every comparable pair
-    return dumps(lattice_to_json(lattice))
+    return lattice_to_json(lattice)
 
 
 def _cmd_gweights(spec, lattice):
     fid = _resolve_face(spec, lattice)
-    return dumps(weight_to_json(g_weight_function(lattice, fid)))
+    return weight_to_json(g_weight_function(lattice, fid))
 
 
 def _cmd_hpoly(spec, lattice):
@@ -238,14 +238,14 @@ def _cmd_hpoly(spec, lattice):
 
 def _cmd_dualize(spec, lattice):
     f = load_weight(spec.weights, lattice)
-    return dumps(weight_to_json(dualize(f)))
+    return weight_to_json(dualize(f))
 
 
 def _cmd_charsum(spec, lattice):
     f = _resolve_weights(spec, lattice)
     if spec.ell:
         _check_point_budget(lattice, [abs(spec.ell)], f"the character sum at --l {spec.ell}")
-    return dumps(charsum_to_json(hodge_character_sum(f, spec.ell)))
+    return charsum_to_json(hodge_character_sum(f, spec.ell))
 
 
 def _cmd_ehrhart(spec, lattice):
@@ -313,8 +313,8 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
 
 
 def _cmd_verify(spec, lattice):
-    report = verify_to_json(lattice, _run_verify(spec, lattice))
-    return dumps(report), 1 if report["failed"] else 0
+    text, failed = verify_to_json(lattice, _run_verify(spec, lattice))
+    return text, 1 if failed else 0
 
 
 _COMMANDS = {

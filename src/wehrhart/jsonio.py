@@ -1,27 +1,23 @@
 """JSON formats for every value that crosses the process boundary.
 
 Polytopes, weight functions (guarded by a polytope content hash) and
-integrands are read, and a key repeated within one object is refused;
-face lattice exports, weight functions, character sums, z-polynomials
-and the verify report are written.  The report's layout lives here
-alone: verify_to_json writes its entries as one RawJSON, each check
-straight from its CheckResult fields (_check_text) with no dict built
-per check.  A character-sum side is read off one character order per
-(lattice, ell) (OrbitSum.characters, which OrbitSum.terms also reads)
-and one string per face coefficient of each coefficient map, both built
-once per report and dropped when it is written; so is the text of each
-side object and of each distinct params dict.  All orderings are
-canonical so identical inputs give identical bytes.
+integrands are read, and a key repeated within one object is refused.
 
-dumps writes the bytes of json.dumps(obj, indent=2) without the pure-
-Python encoder that indent selects: dicts with str keys, lists, str
+Every document is written as the bytes json.dumps(plain, indent=2) + "\n"
+gives for its plain dict, and all orderings are canonical, so identical
+inputs give identical bytes.  The four documents whose size grows with
+the input (the face lattice, a weight function, a character sum and the
+verify report, whose layout lives here alone) are each written as text
+by their exporter: its pieces go into one list that is joined once, and
+each distinct value shared among many places (a weight value, a face's
+coefficient, a check side, a params dict) is rendered once, at the
+indent where it lands, and placed as that one str wherever it occurs.
+
+dumps writes the bytes of json.dumps(obj, indent=2) + "\n" for the
+fixed-size documents (the z-polynomial of ehrhart) without the
+pure-Python encoder that indent selects: dicts with str keys, lists, str
 (through json's C escaper), exact int, bool and None; anything else, a
-float among them, raises TypeError.  A list of exact ints is written
-from its repr.  A RawJSON is text already rendered and is spliced as it
-stands, and any other nonempty list met again at the same indent is
-copied from its first rendering, so an exporter that shares one value
-among many places (a face's coefficient among its points, one weight
-among many faces) has it rendered once.
+float among them, raises TypeError.
 
 FormatError means the bytes do not parse into the schema (CLI exit 2);
 ContentError means they parse but fail semantic validation (exit 3).
@@ -52,7 +48,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 
 from .algebra import HomogPoly, LaurentPoly, ZPoly
-from .ehrhart import CheckResult, OrbitSum
+from .ehrhart import OrbitSum
 from .polytope import FaceLattice, LatticePolytope, facet_presentation, mask_ids, polytope_hash
 from .weights import WeightFunction
 
@@ -177,76 +173,108 @@ def load_polytope(path) -> LatticePolytope:
     return facet_presentation(verts)
 
 
-class RawJSON:
-    """Indent-2 JSON text rendered at indent 0, which dumps splices at any depth.
-
-    Not a str: any encoder other than dumps refuses it with TypeError
-    instead of writing the text as one quoted string.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
+_ATOMS = {None: "null", True: "true", False: "false"}
 
 
-def _int_list(xs: list, pad: str) -> str:
-    """The indent-2 JSON of a list of exact ints, nested at indent pad, from its repr."""
+def _enclose(out: list, start: int, pad: str, brackets: str = "[]") -> None:
+    """Make out[start:] a JSON list nested at indent pad, or with brackets
+    "{}" an object: its entries rendered at indent pad + 2, each led by a
+    piece that starts with the separator ",\n" + pad + "  "."""
+    if len(out) == start:
+        out.append(brackets)
+    else:
+        out[start] = brackets[0] + out[start][1:]
+        out.append("\n" + pad + brackets[1])
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append the indent-2 JSON of obj, nested at indent pad, to out."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(repr(obj))
+    elif kind is bool or obj is None:
+        out.append(_ATOMS[obj])
+    elif kind is list or kind is dict:
+        start, inner = len(out), pad + "  "
+        sep = ",\n" + inner
+        if kind is list:
+            for item in obj:
+                out.append(sep)
+                _write(item, inner, out)
+        else:
+            for k, value in obj.items():
+                if type(k) is not str:
+                    raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
+                out += sep, _quote(k), ": "
+                _write(value, inner, out)
+        _enclose(out, start, pad, "[]" if kind is list else "{}")
+    else:
+        raise TypeError(f"{kind.__name__} is not written as JSON")
+
+
+def _text(obj, pad: str) -> str:
+    """The indent-2 JSON of obj, nested at indent pad."""
+    out = []
+    _write(obj, pad, out)
+    return "".join(out)
+
+
+def dumps(obj) -> str:
+    return _text(obj, "") + "\n"
+
+
+def _int_list(xs, pad: str) -> str:
+    """The indent-2 JSON of a sequence of exact ints, nested at indent pad."""
     if not xs:
         return "[]"
     inner = "\n" + pad + "  "
-    return "[" + inner + repr(xs)[1:-1].replace(", ", "," + inner) + "\n" + pad + "]"
+    return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
 
 
-def _list_text(items: list, pad: str) -> str:
-    """A list, nested at indent pad, of entries already rendered at indent
-    pad + 2, joined once: the whole is copied only into the result."""
-    if not items:
-        return "[]"
-    pieces = [",\n"] * (2 * len(items) + 1)
-    pieces[0], pieces[1::2], pieces[-1] = "[\n", items, "\n" + pad + "]"
-    return "".join(pieces)
-
-
-def lattice_to_json(lattice: FaceLattice):
-    """Facets, f-vector, faces with tight sets, and the strict order pairs.
-
-    The faces and the order pairs, most of the export, are RawJSON
-    written straight from the Face masks and the up masks, so the result
-    is written with dumps; json.dumps refuses it.
-    """
+def lattice_to_json(lattice: FaceLattice) -> str:
+    """Facets, f-vector, faces with tight sets, and the strict order pairs:
+    the faces written straight from the Face masks, the pairs from the up
+    masks."""
     P = lattice.polytope
-    faces = [
-        f'  {{\n    "id": {q},\n    "dim": {f.dim},\n'
-        f'    "vertices": {_int_list(mask_ids(f.vertex_mask), "    ")},\n'
-        f'    "tight_facets": {_int_list(mask_ids(f.tight_mask), "    ")}\n  }}'
-        for q, f in enumerate(lattice.faces)
-    ]
+    out = [f'{{\n  "n": {P.n},\n  "polytope_hash": {_quote(polytope_hash(P))},\n  "facets": ']
+    for u, a in P.facets:
+        out.append(f',\n    {{\n      "u": {_int_list(u, "      ")},\n      "a": {a}\n    }}')
+    _enclose(out, 1, "  ")
+    out.append(f',\n  "f_vector": {_int_list(lattice.f_vector, "  ")},\n  "faces": ')
+    start = len(out)
+    for q, f in enumerate(lattice.faces):
+        out.append(
+            f',\n    {{\n      "id": {q},\n      "dim": {f.dim},\n'
+            f'      "vertices": {_int_list(mask_ids(f.vertex_mask), "      ")},\n'
+            f'      "tight_facets": {_int_list(mask_ids(f.tight_mask), "      ")}\n    }}'
+        )
+    _enclose(out, start, "  ")
+    out.append(',\n  "order": ')
+    start = len(out)
     # the pair [a, b] is one head per a and one tail per b; read off the
     # up masks in (a, b) order, so the pairs come sorted
-    tails = [f"{b}\n  ]" for b in range(len(lattice.faces))]
-    order = []
+    tails = [f"{b}\n    ]" for b in range(len(lattice.faces))]
     for a, up in enumerate(lattice.up):
-        if above := mask_ids(up & ~(1 << a)):
-            head = f"  [\n    {a},\n    "
-            order.append(head + (",\n" + head).join(map(tails.__getitem__, above)))
-    return {
-        "n": P.n,
-        "polytope_hash": polytope_hash(P),
-        "facets": [{"u": list(u), "a": a} for u, a in P.facets],
-        "f_vector": list(lattice.f_vector),
-        "faces": RawJSON(_list_text(faces, "")),
-        "order": RawJSON(_list_text(order, "")),
-    }
+        head = f",\n    [\n      {a},\n      "
+        for b in mask_ids(up & ~(1 << a)):
+            out += head, tails[b]
+    _enclose(out, start, "  ")
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def weight_to_json(f: WeightFunction):
-    # one JSON value per distinct polynomial, so that dumps renders each once
-    as_json = cache(laurent_to_json)
-    return {
-        "polytope_hash": polytope_hash(f.lattice.polytope),
-        "values": {str(fid): as_json(p) for fid, p in f.values.items()},
-    }
+def weight_to_json(f: WeightFunction) -> str:
+    """{"polytope_hash": hash, "values": {face id: Laurent, ...}}, each
+    distinct polynomial rendered once."""
+    value = cache(lambda p: _text(laurent_to_json(p), "    "))
+    out = [f'{{\n  "polytope_hash": {_quote(polytope_hash(f.lattice.polytope))},\n  "values": ']
+    for fid, p in f.values.items():
+        out += f',\n    "{fid}": ', value(p)
+    _enclose(out, 1, "  ", "{}")
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def face_id_from_json(key: str) -> int:
@@ -311,55 +339,31 @@ def load_phi(path, n_expected=None) -> HomogPoly:
     return phi
 
 
-def charsum_to_json(s: OrbitSum):
-    """{"terms": [{"m": [int, ...], "coeff": Laurent}, ...]} in sorted character order."""
-    return {"terms": [{"m": list(m), "coeff": c} for m, c in s.terms(laurent_to_json)]}
+def charsum_to_json(s: OrbitSum) -> str:
+    """{"terms": [{"m": [int, ...], "coeff": Laurent}, ...]} in sorted
+    character order, each face's coefficient rendered once."""
+    out = ['{\n  "terms": ']
+    for m, coeff in s.terms(lambda c: _text(laurent_to_json(c), "      ")):
+        out += f',\n    {{\n      "m": {_int_list(m, "      ")},\n      "coeff": ', coeff, "\n    }"
+    _enclose(out, 1, "  ")
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def zpoly_to_json(zp: ZPoly):
     return {"coeffs": [laurent_to_json(c) for c in zp.coeffs]}
 
 
-_ATOMS = {None: "null", True: "true", False: "false"}
-
-
-def _str_object(d: dict, pad: str) -> str:
-    """The indent-2 JSON of {k: str(v) for k, v in d.items()}, nested at indent pad."""
-    if not d:
-        return "{}"
-    inner = ",\n" + pad + "  "
-    pairs = inner.join(f"{_quote(k)}: {_quote(str(v))}" for k, v in d.items())
-    return "{" + inner[1:] + pairs + "\n" + pad + "}"
-
-
-def _check_text(check: CheckResult, side, params) -> str:
-    """One check at its place in the report, from its fields: name, params,
-    verdict and sides, side(value) and params(dict) giving their JSON
-    strings, and on failure its first_difference.  Equal sides render
-    alike, so a passed check renders its value once."""
-    lhs = side(check.lhs)
-    rhs = lhs if check.passed else side(check.rhs)
-    text = (
-        f'      {{\n        "name": {_quote(check.name)},\n'
-        f'        "params": {params(check.params)},\n'
-        f'        "passed": {_ATOMS[check.passed]},\n'
-        f'        "lhs": {lhs},\n'
-        f'        "rhs": {rhs}'
-    )
-    if check.difference is not None:
-        text += f',\n        "first_difference": {_str_object(check.difference, "        ")}'
-    return text + "\n      }"
-
-
-def verify_to_json(lattice: FaceLattice, reports):
-    """The verify report on lattice's polytope, from (suite, weight label,
-    integrand label, [CheckResult]) tuples: one entry per tuple, then the
-    number of checks, the number failed, and passed when none failed.
-    The entries are one RawJSON, so the result is written with dumps.  A
-    side is str(value), or an OrbitSum's terms "{chi^[m]: coefficient; ...}".
-    Checks share side objects (a passed check's two sides, an E check's
-    Etilde sides at deg phi = 0) and repeat params, so each side object and
-    each distinct params dict is rendered once per report."""
+def verify_to_json(lattice: FaceLattice, reports) -> tuple[str, int]:
+    """The verify report on lattice's polytope, and the number of checks
+    failed, from (suite, weight label, integrand label, [CheckResult])
+    tuples: one entry per tuple, each check written straight from its
+    fields, then the number of checks, the number failed, and passed when
+    none failed.  A side is str(value), or an OrbitSum's terms
+    "{chi^[m]: coefficient; ...}".  Checks share side objects (a passed
+    check's two sides, an E check's Etilde sides at deg phi = 0) and
+    repeat params, so each side object and each distinct params dict is
+    rendered once per report and placed as one str wherever it lands."""
     orders, texts = {}, {}  # (lattice, ell) -> [("chi^[m]: ", face)]; id(coeffs) -> {face: str}
     # id(side) -> (side, its JSON string), the side held so that its id stays
     # unique; the items of a params dict, ints and strs -> its JSON object
@@ -374,7 +378,7 @@ def verify_to_json(lattice: FaceLattice, reports):
 
     def params(d) -> str:
         if (key := tuple(d.items())) not in objects:
-            objects[key] = _str_object(d, "        ")
+            objects[key] = _text({k: str(v) for k, v in key}, "          ")
         return objects[key]
 
     def orbit_side(v) -> str:
@@ -387,74 +391,35 @@ def verify_to_json(lattice: FaceLattice, reports):
         return _quote(f"{{{inner}}}")
 
     phash = _quote(polytope_hash(lattice.polytope))
-    entries, total, failed = [], 0, 0
+    out = ['{\n  "reports": ']
+    total, failed = 0, 0
     for suite, weight, phi, checks in reports:
         misses = sum(not c.passed for c in checks)
-        listed = _list_text([_check_text(c, side, params) for c in checks], "    ")
-        entries.append(
-            f'  {{\n    "polytope": {phash},\n    "weight": {_quote(weight)},\n'
-            f'    "phi": {_quote(phi)},\n    "passed": {_ATOMS[not misses]},\n'
-            f'    "checks": {listed},\n    "suite": {_quote(suite)}\n  }}'
+        out.append(
+            f',\n    {{\n      "polytope": {phash},\n      "weight": {_quote(weight)},\n'
+            f'      "phi": {_quote(phi)},\n      "passed": {_ATOMS[not misses]},\n      "checks": '
         )
+        start = len(out)
+        for check in checks:
+            lhs = side(check.lhs)
+            out += (
+                f',\n        {{\n          "name": {_quote(check.name)},\n'
+                f'          "params": {params(check.params)},\n'
+                f'          "passed": {_ATOMS[check.passed]},\n          "lhs": ',
+                lhs,
+                ',\n          "rhs": ',
+                lhs if check.passed else side(check.rhs),  # equal sides render alike
+            )
+            if check.difference is not None:
+                diff = {k: str(v) for k, v in check.difference.items()}
+                out.append(f',\n          "first_difference": {_text(diff, "          ")}')
+            out.append("\n        }")
+        _enclose(out, start, "      ")
+        out.append(f',\n      "suite": {_quote(suite)}\n    }}')
         total += len(checks)
         failed += misses
-    entries = RawJSON(_list_text(entries, ""))
-    return {"reports": entries, "checks": total, "failed": failed, "passed": not failed}
-
-
-def _write(obj, pad: str, out: list, seen: dict) -> None:
-    """Append the indent-2 JSON of obj, nested at indent pad, to out.
-
-    seen maps (id, pad) of each nonempty list written through the general
-    branch to the span of out it took, or to that span's text once the
-    list is met again: a repeat is one copied piece.  Only lists are
-    memoized: every value the exporters share is a list (a coefficient,
-    a weight), and a memo entry per dict (a point's term) would cost
-    every export that shares none.
-    """
-    kind = type(obj)
-    if kind is str:
-        out.append(_quote(obj))
-    elif kind is int or (kind is list or kind is dict) and not obj:
-        out.append(repr(obj))  # an int, [] or {}
-    elif kind is bool or obj is None:
-        out.append(_ATOMS[obj])
-    elif kind is RawJSON:
-        out.append(obj.text.replace("\n", "\n" + pad) if pad else obj.text)
-    elif kind is not list and kind is not dict:
-        raise TypeError(f"{kind.__name__} is not written as JSON")
-    elif kind is list and set(map(type, obj)) == {int}:
-        out.append(_int_list(obj, pad))
-    elif kind is list and (key := (id(obj), pad)) in seen:
-        span = seen[key]
-        if type(span) is not str:
-            span = seen[key] = "".join(out[span])
-        out.append(span)
-    else:
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if kind is dict:
-            out.append("{\n" + inner)
-            for k, value in obj.items():
-                if type(k) is not str:
-                    raise TypeError(f"JSON object keys must be str, got {type(k).__name__}")
-                out += _quote(k), ": "
-                _write(value, inner, out, seen)
-                out.append(sep)
-            out[-1] = "\n" + pad + "}"
-        else:
-            start = len(out)
-            out.append("[\n" + inner)
-            for item in obj:
-                _write(item, inner, out, seen)
-                out.append(sep)
-            out[-1] = "\n" + pad + "]"
-            # ids stay unique while the caller holds the whole tree
-            seen[key] = slice(start, len(out))
-
-
-def dumps(obj) -> str:
-    out = []
-    _write(obj, "", out, {})
-    out.append("\n")
-    return "".join(out)
+    _enclose(out, 1, "  ")
+    out.append(
+        f',\n  "checks": {total},\n  "failed": {failed},\n  "passed": {_ATOMS[not failed]}\n}}\n'
+    )
+    return "".join(out), failed

@@ -20,7 +20,6 @@ from wehrhart.jsonio import (
     ContentError,
     FormatError,
     charsum_to_json,
-    dumps,
     laurent_from_json,
     load_polytope,
     verify_to_json,
@@ -270,8 +269,9 @@ def test_verify_single_suite_with_phi(capsys):
 def test_exit_code_1_on_failed_check():
     # verify exits 1 exactly when the rendered failed count is nonzero
     bad = CheckResult("demo", {}, False, 0, 1)
-    rendered = verify_to_json(corpus.build("segment"), [("demo", "w", "1", [bad])])
-    assert rendered["passed"] is False and rendered["failed"] == 1
+    text, failed = verify_to_json(corpus.build("segment"), [("demo", "w", "1", [bad])])
+    rendered = json.loads(text)
+    assert failed == 1 and rendered["passed"] is False and rendered["failed"] == 1
 
 
 def test_failed_check_exits_1_and_prints_its_first_difference(monkeypatch, capsys):
@@ -464,7 +464,7 @@ def test_parse_error_noncanonical_face_id(face, capsys):
 @pytest.mark.parametrize("key", ["01", " 2", "2 ", "1_0", "+1", "-0", "\u0662"])
 def test_weight_file_noncanonical_face_id_refused(key, tmp_path, capsys):
     lattice = corpus.build("square")
-    data = weight_to_json(g_weight_function(lattice, lattice.top_id))
+    data = json.loads(weight_to_json(g_weight_function(lattice, lattice.top_id)))
     with pytest.raises(FormatError):
         weight_from_json({**data, "values": {key: [{"exp": 0, "coeff": "1"}]}}, lattice)
     path = tmp_path / "w.json"
@@ -477,7 +477,7 @@ def test_weight_file_noncanonical_face_id_refused(key, tmp_path, capsys):
 def test_weight_file_two_spellings_of_one_face_refused(tmp_path, capsys):
     lattice = corpus.build("square")
     one = [{"exp": 0, "coeff": "1"}]
-    data = {**weight_to_json(all_ones_weight(lattice)), "values": {"1": one, "01": one}}
+    data = {**json.loads(weight_to_json(all_ones_weight(lattice))), "values": {"1": one, "01": one}}
     with pytest.raises(FormatError):
         weight_from_json(data, lattice)
     # the canonical spelling alone still loads, and a negative id is a content error
@@ -564,6 +564,36 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert a.read_bytes() == b.read_bytes()
 
 
+def _cli_stdout(argv, *flags, **env):
+    """stdout of the wehrhart command in a fresh interpreter, which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "wehrhart.cli", *argv],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout
+
+
+def test_byte_identical_reruns_across_hash_seeds(tmp_path):
+    # the weight export looks its values up in a hash-keyed cache; the
+    # bytes of every command must not depend on the hash seed
+    weights = tmp_path / "w.json"
+    weights.write_bytes(_cli_stdout(["gweights", fx("pyramid"), "--face", "P"]))
+    for argv in (
+        ["faces"],
+        ["gweights", "--face", "P"],
+        ["hpoly"],
+        ["dualize", "--weights", str(weights)],
+        ["charsum", "--l", "2", "--weights", str(weights)],
+        ["ehrhart", "--variant", "E"],
+        ["verify", "--suite", "all", "--lmax", "2", "--random-weights", "--seed", "5", "--count", "1"],
+    ):
+        argv = [argv[0], fx("pyramid"), *argv[1:]]
+        outs = {_cli_stdout(argv, PYTHONHASHSEED=seed) for seed in ("1", "2")}
+        assert len(outs) == 1, argv
+
+
 def test_fixture_corpus_matches_builtin_corpus():
     for name in corpus.names():
         P = load_polytope(fx(name))
@@ -574,7 +604,7 @@ def test_fixture_corpus_matches_builtin_corpus():
 def test_weight_export_reingests_equal():
     lattice = corpus.build("pyramid")
     f = random_weight_function(lattice, random.Random(3))
-    assert weight_from_json(weight_to_json(f), lattice) == f
+    assert weight_from_json(json.loads(weight_to_json(f)), lattice) == f
 
 
 def test_charsum_export_reingests_equal():
@@ -591,7 +621,7 @@ def test_charsum_export_reingests_equal():
         s = hodge_character_sum(f, ell)
         terms = pointwise_character_sum(lattice, f, ell).items()
         expected = {"terms": [{"m": list(m), "coeff": laurent_to_json(p)} for m, p in terms]}
-        assert dumps(charsum_to_json(s)) == json.dumps(expected, indent=2) + "\n"
+        assert charsum_to_json(s) == json.dumps(expected, indent=2) + "\n"
 
 
 def test_phi_export_reingests_equal(tmp_path):
@@ -676,7 +706,7 @@ def test_rational_with_an_exponent_is_refused_at_once(where, coeff, tmp_path, ca
         path.write_text(json.dumps({"n": 2, "monomials": [{"exps": [1, 0], "coeff": coeff}]}))
         argv = ["ehrhart", fx("square"), "--variant", "E", "--phi", str(path)]
     else:
-        data = weight_to_json(all_ones_weight(corpus.build("square")))
+        data = json.loads(weight_to_json(all_ones_weight(corpus.build("square"))))
         values = dict.fromkeys(data["values"], [{"exp": 0, "coeff": coeff}])
         path.write_text(json.dumps({**data, "values": values}))
         argv = ["dualize", fx("square"), "--weights", str(path)]
@@ -781,6 +811,12 @@ def test_hull_checks_survive_python_O(tmp_path, vertices):
     )
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: validation: ")
+
+
+def test_commands_survive_python_OO():
+    # -OO strips docstrings too; no command may read one
+    argv = ["hpoly", fx("cube")]
+    assert _cli_stdout(argv, "-OO") == _cli_stdout(argv)
 
 
 def test_cache_bounds_cover_the_size_budgets():

@@ -1,33 +1,30 @@
-"""The canonical JSON writer against json.dumps(..., indent=2), its oracle.
+"""The JSON writers against json.dumps(..., indent=2), their oracle.
 
-dumps renders indent-2 JSON itself, and writes lists of ints and matrices
-of ints from their repr; json.dumps with indent takes the pure-Python
-encoder and is the slow, obvious route it must agree with byte for byte.
-dumps refuses floats, so no float crosses the output boundary.  A list
-shared among several places of a tree is copied from its first rendering
-and a RawJSON block is spliced as it stands; both must still give the
-bytes that json.dumps gives for the plain tree.  The exporters feed dumps
-such values (pre-rendered face lattices, one value per distinct weight),
-so the CLI's stdout is checked against json.dumps of the plain dicts the
+dumps renders indent-2 JSON itself; json.dumps with indent takes the
+pure-Python encoder and is the slow, obvious route it must agree with
+byte for byte.  dumps refuses floats, so no float crosses the output
+boundary.  The exporters of the documents that grow with the input
+(face lattices, weight functions, character sums and the verify report)
+write their text themselves, each shared value rendered once, so the
+CLI's stdout is checked against json.dumps of the plain dicts the
 exporters built before, kept here as oracles.
 """
 
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from box_oracle import cube, cross, random_lattice
-from wehrhart import cli, ehrhart
+from wehrhart import cli, ehrhart, jsonio
 from wehrhart.algebra import HomogPoly, LaurentPoly as L
 from wehrhart.corpus import CORPUS, build
 from wehrhart.ehrhart import CheckResult, OrbitSum
 from wehrhart.jsonio import (
-    RawJSON,
     dumps,
-    lattice_to_json,
     laurent_to_json,
     load_polytope,
     load_weight,
@@ -104,7 +101,7 @@ def test_refuses_int_subclasses_and_tuples():
             dumps(value)
 
 
-def test_refuses_str_subclasses_other_than_raw():
+def test_refuses_str_subclasses():
     class Name(str):
         pass
 
@@ -138,36 +135,7 @@ ROW = {"m": [1, 2], "coeff": COEFF, "more": [COEFF, [COEFF]]}
 @example([COEFF, [COEFF, [COEFF, [COEFF]]], {"a": COEFF, "b": [COEFF]}])
 @example([[ROW], ROW, [ROW], {"r": [ROW, ROW]}])
 def test_shared_values_match_json_dumps(value):
-    # a list met again at the same indent is copied; a shared dict is written again
     assert dumps(value) == json.dumps(value, indent=2) + "\n"
-
-
-@st.composite
-def raw_trees(draw):
-    """(tree, plain): some subtrees of plain replaced, in tree, by their RawJSON."""
-    plain = draw(JSON_VALUES)
-
-    def rawify(value):
-        if draw(st.integers(0, 2)) == 0:
-            return RawJSON(json.dumps(value, indent=2))
-        if type(value) is list:
-            return [rawify(item) for item in value]
-        if type(value) is dict:
-            return {key: rawify(item) for key, item in value.items()}
-        return value
-
-    return rawify(plain), plain
-
-
-@settings(max_examples=200, deadline=None)
-@given(raw_trees())
-@example((RawJSON("[]"), []))
-@example((RawJSON('"a"'), "a"))
-@example(([RawJSON("[\n  1,\n  2\n]")], [[1, 2]]))
-@example(({"a": [{"b": RawJSON('{\n  "c": [\n    1\n  ]\n}')}]}, {"a": [{"b": {"c": [1]}}]}))
-def test_raw_blocks_splice_at_any_depth(trees):
-    tree, plain = trees
-    assert dumps(tree) == json.dumps(plain, indent=2) + "\n"
 
 
 def test_repeated_value_with_a_float_is_refused():
@@ -177,8 +145,8 @@ def test_repeated_value_with_a_float_is_refused():
             dumps(value)
 
 
-# The exports as plain dicts, the route the exporters took before they fed
-# dumps RawJSON blocks and shared values.
+# The exports as plain dicts, the route the exporters took before they
+# wrote their text themselves.
 def plain_lattice_json(lattice):
     P = lattice.polytope
     return {
@@ -255,25 +223,40 @@ def plain_verify_json(lattice, reports):
 
 def rendered_check(lattice, check):
     """One check as verify_to_json writes it, read back."""
-    report = verify_to_json(lattice, [("suite", "weight", "phi", [check])])
-    return json.loads(dumps(report))["reports"][0]["checks"][0]
+    text, _ = verify_to_json(lattice, [("suite", "weight", "phi", [check])])
+    return json.loads(text)["reports"][0]["checks"][0]
 
 
-def test_lattice_export_is_prerendered():
-    lattice = build("pyramid")
-    data, plain = lattice_to_json(lattice), plain_lattice_json(lattice)
-    for key in ("faces", "order"):
-        assert type(data[key]) is RawJSON and json.loads(data[key].text) == plain[key]
-    # a block is not a str, so another encoder refuses it rather than quote it
-    with pytest.raises(TypeError):
-        json.dumps(data, indent=2)
-
-
-def test_weight_export_holds_one_value_per_distinct_polynomial():
+def test_weight_export_renders_each_distinct_polynomial_once(monkeypatch):
     lattice = build("random3")
     g = g_weight_function(lattice, lattice.top_id)
-    values = weight_to_json(g)["values"]
-    assert len({id(v) for v in values.values()}) == len(set(g.values.values())) < len(values)
+    rendered = []
+
+    def counted(p):
+        rendered.append(p)
+        return real(p)
+
+    real = jsonio.laurent_to_json
+    monkeypatch.setattr(jsonio, "laurent_to_json", counted)
+    assert weight_to_json(g) == _plain(plain_weight_json(g))
+    assert len(rendered) == len(set(g.values.values())) < len(g.values)
+
+
+BIG = 10**300
+# exact ints and rationals far beyond what random and g-weights hold
+COEFFS = st.one_of(st.integers(-BIG, BIG), st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+LAURENTS = st.dictionaries(st.integers(-BIG, BIG), COEFFS, max_size=4).map(L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_weight_export_matches_json_dumps(data):
+    lattice = build("pyramid")
+    # values drawn from a small pool, so that faces share polynomials
+    pool = data.draw(st.lists(LAURENTS, min_size=1, max_size=4))
+    values = data.draw(st.dictionaries(st.sampled_from(lattice.nonempty_ids), st.sampled_from(pool)))
+    f = WeightFunction(lattice, values)
+    assert weight_to_json(f) == _plain(plain_weight_json(f))
 
 
 def _plain(value):
@@ -436,7 +419,8 @@ def test_shared_sides_and_params_render_as_the_plain_dict_route():
         ("reciprocity", "all-ones", "1", [e, copies, planted]),
         ("hodge", "all-ones", "-", [hodge, ehrhart.verify_hodge_duality(f, 2)]),
     ]
-    assert dumps(verify_to_json(lattice, reports)) == _plain(plain_verify_json(lattice, reports))
+    plain = plain_verify_json(lattice, reports)
+    assert verify_to_json(lattice, reports) == (_plain(plain), plain["failed"])
 
 
 def test_sides_freed_while_the_report_renders_are_not_confused():
@@ -451,4 +435,4 @@ def test_sides_freed_while_the_report_renders_are_not_confused():
             yield "suite", f"w{i}", "1", [CheckResult("c", {"ell": i}, True, value, value)]
 
     expected = _plain(plain_verify_json(lattice, list(checks())))
-    assert dumps(verify_to_json(lattice, checks())) == expected
+    assert verify_to_json(lattice, checks()) == (expected, 0)

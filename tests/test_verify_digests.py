@@ -23,7 +23,7 @@ import pytest
 from box_oracle import cross, cube
 from wehrhart import cli
 from wehrhart.corpus import build
-from wehrhart.jsonio import dumps, weight_to_json
+from wehrhart.jsonio import weight_to_json
 from wehrhart.weights import random_weight_function
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -106,7 +106,7 @@ def test_charsum_stdout_matches_the_recorded_digest(key, tmp_path):
     argv = ["charsum", _polytope_file(name, tmp_path), "--l", str(ell)]
     if weights == "random":
         path = tmp_path / "weights.json"
-        path.write_text(dumps(weight_to_json(random_weight_function(build(name), random.Random(5)))))
+        path.write_text(weight_to_json(random_weight_function(build(name), random.Random(5))))
         argv += ["--weights", str(path)]
     out = StringIO()
     assert cli.run(cli.parse_args(argv), stdout=out) == 0
