@@ -235,8 +235,8 @@ def _int_list(xs, pad: str) -> str:
 
 def lattice_to_json(lattice: FaceLattice) -> str:
     """Facets, f-vector, faces with tight sets, and the strict order pairs:
-    the faces written straight from the Face masks, the pairs from the up
-    masks."""
+    the faces written from the id lists the lattice decoded once
+    (FaceLattice.members), the pairs from the up masks."""
     P = lattice.polytope
     out = [f'{{\n  "n": {P.n},\n  "polytope_hash": {_quote(polytope_hash(P))},\n  "facets": ']
     for u, a in P.facets:
@@ -244,11 +244,11 @@ def lattice_to_json(lattice: FaceLattice) -> str:
     _enclose(out, 1, "  ")
     out.append(f',\n  "f_vector": {_int_list(lattice.f_vector, "  ")},\n  "faces": ')
     start = len(out)
-    for q, f in enumerate(lattice.faces):
+    for q, (f, (vertices, tight)) in enumerate(zip(lattice.faces, lattice.members)):
         out.append(
             f',\n    {{\n      "id": {q},\n      "dim": {f.dim},\n'
-            f'      "vertices": {_int_list(mask_ids(f.vertex_mask), "      ")},\n'
-            f'      "tight_facets": {_int_list(mask_ids(f.tight_mask), "      ")}\n    }}'
+            f'      "vertices": {_int_list(vertices, "      ")},\n'
+            f'      "tight_facets": {_int_list(tight, "      ")}\n    }}'
         )
     _enclose(out, start, "  ")
     out.append(',\n  "order": ')

@@ -1,11 +1,13 @@
 """Lattice polytopes at desk scale.
 
 Facet presentation by the double-description method (Fukuda-Prodon) in
-int arithmetic, face lattice by closing tight-facet vertex sets under
+int arithmetic, which hands each facet's tight vertex set to the
+polytope it builds, face lattice by closing tight-facet vertex sets under
 intersection in one pass down the closure that also collects each set's
 tight facets and grades it, each face two bitmasks (its vertices, its
-tight facets) and a dimension with its position as its id, the grading
-and the order as bitmasks of face ids, and lattice points by a fibre walk.
+tight facets) and a dimension with its position as its id, each mask
+decoded to ids once, the grading and the order as bitmasks of face ids,
+and lattice points by a fibre walk.
 The walk lifts the first n-1 coordinates level by level through the
 hulls of P's coordinate projections; along each row (the first n-2
 fixed) the ends of the last coordinate's interval, whose ends and middle
@@ -174,10 +176,12 @@ class LatticePolytope:
     P = {m : <m, u_F> >= -a_F for every facet F}, inward normals u_F with
     gcd of entries 1.  Vertices and facets are stored in a deterministic
     (lexicographic) order.  facet_vertices holds one vertex bitmask per
-    facet, bit i set iff P.vertices[i] is tight on it.  Every polytope,
-    fitted or given, is checked once here: a vertex with negative slack on
-    a facet raises InvalidPolytope naming both, and so does a facet whose
-    vertices do not span an (n-1)-face, naming the dimension.
+    facet, bit i set iff P.vertices[i] is tight on it.  A polytope given
+    by hand is checked once here: a vertex with negative slack on a facet
+    raises InvalidPolytope naming both, and so does a facet whose vertices
+    do not span an (n-1)-face, naming the dimension.  facet_presentation
+    carries both properties by construction and builds its result through
+    the trusted _make.
     """
 
     __slots__ = ("n", "vertices", "facets", "facet_vertices")
@@ -199,6 +203,13 @@ class LatticePolytope:
             rank = _affine_rank([self.vertices[i] for i in mask_ids(mask)])
             if rank != n - 1:
                 raise InvalidPolytope(f"facet {facet} spans a {rank}-face, not an {n - 1}-face")
+
+    @staticmethod
+    def _make(n, vertices, facets, facet_vertices) -> "LatticePolytope":
+        """Trusted constructor from int tuples and the tight vertex masks; no re-validation."""
+        P = object.__new__(LatticePolytope)
+        P.n, P.vertices, P.facets, P.facet_vertices = n, vertices, facets, facet_vertices
+        return P
 
     def __eq__(self, other):
         return (
@@ -233,7 +244,18 @@ def facet_presentation(points) -> LatticePolytope:
     by its gcd at the end.  Points that are not vertices of the hull are
     dropped from the vertex list.  Requires a full-dimensional hull in
     the ambient dimension and int coordinates (floats and bools raise
-    TypeError).  The returned LatticePolytope rank-checks its facets.
+    TypeError).
+
+    The result is built by the trusted LatticePolytope._make, each facet's
+    vertex mask its ray's zero set cut to the vertices, since the method
+    proves what the checking constructor would test.  Every kept ray is
+    >= 0 on every point processed so far: a negative ray is dropped, and
+    a new ray s1*r2 - s2*r1 is a positive combination, 0 on the cut.  So
+    each zero set is exact, and each has rank n in the rows (p, 1): a
+    start ray's holds n independent rows, and a new ray's holds C and k,
+    where C = z1 & z2 has rank n-1 (two rays are adjacent) and row k is
+    outside span(C), as <row_k, r1> = s1 > 0.  The vertices on a facet
+    span what all its points span, so they form an (n-1)-face.
     """
     pts = sorted({tuple(map(as_int, p)) for p in points})
     if not pts:
@@ -287,12 +309,16 @@ def facet_presentation(points) -> LatticePolytope:
         facets.append(((tuple(x // g for x in ray[:-1]), ray[-1] // g), zero))
     facets.sort()
     # a point is a vertex iff no other point lies on all of its facets
-    vertices = [
-        p
-        for i, p in enumerate(pts)
-        if reduce(and_, (zero for _, zero in facets if zero >> i & 1), -1) == 1 << i
-    ]
-    return LatticePolytope(n, vertices, [facet for facet, _ in facets])
+    index = {}  # point id -> vertex id
+    for i in range(len(pts)):
+        if reduce(and_, (zero for _, zero in facets if zero >> i & 1), -1) == 1 << i:
+            index[i] = len(index)
+    return LatticePolytope._make(
+        n,
+        tuple(pts[i] for i in index),
+        tuple(facet for facet, _ in facets),
+        tuple(sum(1 << index[i] for i in mask_ids(zero) if i in index) for _, zero in facets),
+    )
 
 
 class FaceLattice:
@@ -306,34 +332,41 @@ class FaceLattice:
     up[a] is the AND, over the vertices of a, of the faces containing that
     vertex; down[b] is the AND, over the facets tight at b, of the faces
     inside that facet (every face is the intersection of its tight
-    facets).  Everything derived at a dilation or per integrand shares one
-    BoundedCache of MEMO_MAX entries, _memo, each key naming what its
-    entry depends on: ell for a point partition, (phi, ell) for per-face
-    sums, phi for a table of per-face interpolants.  Every other field is
-    bounded by construction: _g_memo holds one entry per face the Stanley
-    sweep reached, one f-row per face below it.
+    facets).  members[q] is face q's vertex ids and tight facet ids, each
+    mask decoded once: build_face_lattice passes the vertex ids it sorted
+    by, and a bare face list has both decoded here.  Everything derived
+    at a dilation or per integrand shares one BoundedCache of MEMO_MAX
+    entries, _memo, each key naming what its entry depends on: ell for a
+    point partition, (phi, ell) for per-face sums, phi for a table of
+    per-face interpolants.  Every other field is bounded by construction:
+    members and nonempty_ids hold one entry per face, and _g_memo one
+    entry per face the Stanley sweep reached, one f-row per face below it.
     The facets of the coordinate projections that bound the fibre walk
     are computed on first use and have exactly n-1 entries.
     """
 
-    def __init__(self, polytope, faces):
+    def __init__(self, polytope, faces, vertex_ids=None):
         self.polytope = polytope
         self.faces = list(faces)
         self.by_dim = [0] * (polytope.n + 2)
+        self.nonempty_ids = []
         self._by_mask, with_vertex, in_facet = {}, {}, {}
-        members = [(mask_ids(f.vertex_mask), mask_ids(f.tight_mask)) for f in self.faces]
-        for q, (f, (vertices, tight)) in enumerate(zip(self.faces, members)):
+        if vertex_ids is None:
+            vertex_ids = [mask_ids(f.vertex_mask) for f in self.faces]
+        self.members = [(vs, mask_ids(f.tight_mask)) for f, vs in zip(self.faces, vertex_ids)]
+        for q, (f, (vertices, tight)) in enumerate(zip(self.faces, self.members)):
             bit = 1 << q
             self.by_dim[f.dim + 1] |= bit
             if f.dim >= 0:
                 self._by_mask[f.tight_mask] = q
+                self.nonempty_ids.append(q)
             for v in vertices:
                 with_vertex[v] = with_vertex.get(v, 0) | bit
             for F in tight:
                 in_facet[F] = in_facet.get(F, 0) | bit
         full = (1 << len(self.faces)) - 1
-        self.up = [reduce(and_, map(with_vertex.get, vertices), full) for vertices, _ in members]
-        self.down = [reduce(and_, map(in_facet.get, tight), full) for _, tight in members]
+        self.up = [reduce(and_, map(with_vertex.get, vertices), full) for vertices, _ in self.members]
+        self.down = [reduce(and_, map(in_facet.get, tight), full) for _, tight in self.members]
         self._memo = BoundedCache(MEMO_MAX)
         self._g_memo = {}
         self._projections = None
@@ -351,10 +384,6 @@ class FaceLattice:
     def top_id(self) -> int:
         (fid,) = mask_ids(self.by_dim[-1])
         return fid
-
-    @property
-    def nonempty_ids(self):
-        return mask_ids(sum(self.by_dim[1:]))
 
     @property
     def f_vector(self):
@@ -397,9 +426,10 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     set, queued if new.  So the closure under intersection is complete,
     deduplicated by vertex set and graded in one pass; the empty face (dim
     -1, tight on all facets) and P (empty tight set) are always present,
-    and ids follow (dim, vertex set); P ranked its facets when it was
-    built.  A closure past MAX_FACES faces raises InvalidPolytope before
-    the order masks are built.
+    and ids follow (dim, vertex set), whose decoded vertex ids the lattice
+    keeps; P's facets are (n-1)-faces by construction or by its checking
+    constructor.  A closure past MAX_FACES faces raises InvalidPolytope
+    before the order masks are built.
     """
     nv = len(P.vertices)
     all_v = (1 << nv) - 1
@@ -427,7 +457,7 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
                     dims[t] = below
             tight[s] = mask
     members = {s: mask_ids(s) for s in dims}
-    faces = [Face(s, tight[s], dims[s]) for s in sorted(dims, key=lambda s: (dims[s], members[s]))]
+    order = sorted(dims, key=lambda s: (dims[s], members[s]))
     # Every set in the closure is the common vertex set of its tight
     # facets by construction, and every facet closes to an (n-1)-face;
     # what a wrong facet list can still break is each vertex's 0-face.
@@ -436,7 +466,7 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
             raise InvalidPolytope(
                 f"face lattice closure broken: vertex {v} is not cut out by its facets"
             )
-    return FaceLattice(P, faces)
+    return FaceLattice(P, [Face(s, tight[s], dims[s]) for s in order], [members[s] for s in order])
 
 
 def check_dilation(ell) -> int:

@@ -12,6 +12,7 @@ exporters built before, kept here as oracles.
 
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from box_oracle import cube, cross, random_lattice
-from wehrhart import cli, ehrhart, jsonio
+from wehrhart import cli, ehrhart, jsonio, polytope
 from wehrhart.algebra import HomogPoly, LaurentPoly as L
 from wehrhart.corpus import CORPUS, build
 from wehrhart.ehrhart import CheckResult, OrbitSum
@@ -31,7 +32,7 @@ from wehrhart.jsonio import (
     verify_to_json,
     weight_to_json,
 )
-from wehrhart.polytope import mask_ids, points_by_face, polytope_hash
+from wehrhart.polytope import build_face_lattice, facet_presentation, mask_ids, points_by_face, polytope_hash
 from wehrhart.stanley import g_weight_function
 from wehrhart.weights import WeightFunction, all_ones, dualize, random_weight_functions
 
@@ -294,6 +295,30 @@ def test_exports_match_the_plain_dict_route(name, tmp_path):
         weights.write_text(_plain(plain_weight_json(f)))
         dual = dualize(load_weight(weights, lattice))
         assert _stdout(["dualize", str(path), "--weights", str(weights)]) == _plain(plain_weight_json(dual))
+
+
+@pytest.mark.parametrize(
+    "pts", [CORPUS["square"], cube(4), cross(4), CORPUS["random3"]], ids=["square", "cube4", "cross4", "random3"]
+)
+def test_each_face_mask_is_decoded_once(pts, monkeypatch):
+    """Between them, build_face_lattice and lattice_to_json decode each
+    face's vertex mask and tight mask once."""
+    P = facet_presentation(pts)
+    calls, real = Counter(), polytope.mask_ids
+
+    def counting(mask):
+        calls[mask] += 1
+        return real(mask)
+
+    monkeypatch.setattr(polytope, "mask_ids", counting)
+    monkeypatch.setattr(jsonio, "mask_ids", counting)
+    lattice = build_face_lattice(P)
+    jsonio.lattice_to_json(lattice)
+    masks = Counter(m for f in lattice.faces for m in (f.vertex_mask, f.tight_mask))
+    # 0 is the empty face's vertex mask and P's tight mask, and also the
+    # order row of P, which lies below no other face
+    del masks[0]
+    assert {m: calls[m] for m in masks} == masks
 
 
 def _verify_run(monkeypatch, argv):

@@ -686,6 +686,7 @@ class TestClosureCheck:
 
     @pytest.mark.parametrize("pts", [SQUARE, PYRAMID, cube(4), cross(4), CORPUS["random3"]])
     def test_each_facet_is_ranked_once(self, pts, monkeypatch):
+        # the hull proves its facets' ranks, so only a hand-built polytope ranks them
         calls = []
 
         def counting(points):
@@ -694,9 +695,47 @@ class TestClosureCheck:
 
         monkeypatch.setattr(polytope, "_affine_rank", counting)
         P = facet_presentation(pts)
-        assert len(calls) == len(P.facets)
         build_face_lattice(P)
+        assert calls == []
+        LatticePolytope(P.n, P.vertices, P.facets)
         assert len(calls) == len(P.facets)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            *CORPUS.values(),
+            *(json.loads(p.read_text())["vertices"] for p in FIXTURE_POLYTOPES),
+            cube(5),
+            cross(5),
+        ],
+        ids=[*CORPUS, *(p.stem for p in FIXTURE_POLYTOPES), "cube5", "cross5"],
+    )
+    def test_checking_constructor_accepts_the_hull(self, pts):
+        self.assert_hull_passes_the_checks(pts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_checking_constructor_accepts_random_hulls(self, data):
+        # doubled draws, with the sums of some pairs: midpoints that often
+        # lie on a facet without being vertices, and some points repeated
+        n = data.draw(st.integers(1, 5), label="n")
+        coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        base = [[2 * x for x in p] for p in data.draw(st.lists(coords, min_size=n + 1, max_size=n + 8))]
+        pair = st.tuples(st.sampled_from(base), st.sampled_from(base))
+        mids = [list(map(sum, zip(p, q))) for p, q in data.draw(st.lists(pair, max_size=6))]
+        repeats = data.draw(st.lists(st.sampled_from(base), max_size=3))
+        try:
+            facet_presentation(base)
+        except InvalidPolytope:
+            return  # no full-dimensional hull to check
+        self.assert_hull_passes_the_checks(base + mids + repeats)
+
+    @staticmethod
+    def assert_hull_passes_the_checks(pts):
+        P = facet_presentation(pts)
+        checked = LatticePolytope(P.n, P.vertices, P.facets)
+        assert checked == P
+        assert checked.facet_vertices == P.facet_vertices
 
     def test_facet_vertices_are_the_tight_vertices(self):
         for name in CORPUS:

@@ -19,9 +19,12 @@ so no module but polytope.py filters a face list by .dim in a
 comprehension or a loop.  A face is two bitmasks and a dimension, so no
 module names frozenset, the face format it replaced.  The verify report's
 layout lives in jsonio.py, so no other module writes its keys
-"first_difference" or "suite" as string constants.  A polytope checks
-its facets' ranks once, when it is built, so _affine_rank has one call
-site, in LatticePolytope.__init__.  WeightFunction._make, the
+"first_difference" or "suite" as string constants.  A hand-built
+polytope checks its facets' ranks once, when it is built, and the hull
+proves them, so _affine_rank has one call site, in
+LatticePolytope.__init__, and LatticePolytope._make, the constructor
+that skips those checks, is named only in polytope.py, by the hull.
+WeightFunction._make, the
 constructor that skips the face-id checks, is named only in weights.py
 and stanley.py, which build weights from the lattice's own ids; so every
 weight read from input goes through the checks.  Likewise
@@ -55,11 +58,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wehrhart"
 TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 # FaceLattice's structural fields, and its slots bounded by construction:
-# by_dim (n + 2 masks), _g_memo (one entry per face), _projections
-# (n - 1 facet lists) and _eulerian (one flag); everything else it derives
-# lives in its one BoundedCache
+# by_dim (n + 2 masks), members (one pair of id lists per face),
+# nonempty_ids (one id per face), _g_memo (one entry per face),
+# _projections (n - 1 facet lists) and _eulerian (one flag); everything
+# else it derives lives in its one BoundedCache
 LATTICE_FIELDS = {
-    "polytope", "faces", "by_dim", "_by_mask", "up", "down",
+    "polytope", "faces", "by_dim", "_by_mask", "up", "down", "members", "nonempty_ids",
     "_g_memo", "_projections", "_eulerian",
 }
 
@@ -299,11 +303,25 @@ def _calls_by_scope(node, name, scope=()):
 
 def test_facets_ranked_only_when_a_polytope_is_built(path=SRC):
     """_affine_rank is called once, in LatticePolytope.__init__: every other
-    reader of a facet's vertices takes P.facet_vertices, already checked."""
+    reader of a facet's vertices takes P.facet_vertices, already checked
+    or proved by the hull."""
     paths = sorted(path.glob("*.py")) if path.is_dir() else [path]
     sites = [(p.name, *site) for p in paths for site in _calls_by_scope(tree(p), "_affine_rank")]
     scopes = [scope for _, scope, _ in sites]
     assert scopes == ["LatticePolytope.__init__"], f"_affine_rank is called at {sites}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polytope.py"], ids=lambda p: p.name)
+def test_trusted_polytopes_built_only_in_polytope(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "_make"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "LatticePolytope"
+    ]
+    assert not lines, f"{path.name} names LatticePolytope._make on lines {lines}; use facet_presentation"
 
 
 # the modules that may build a WeightFunction by its trusted constructor
@@ -430,6 +448,7 @@ class FaceLattice:
             "for f in faces:\n    if f.dim < 0:\n        x = f.id\n",
             test_faces_filtered_by_dimension_only_in_polytope,
         ),
+        ("P = LatticePolytope._make(2, vs, fs, masks)\n", test_trusted_polytopes_built_only_in_polytope),
         ("f = WeightFunction._make(lattice, values)\n", test_trusted_weights_built_only_in_weights_and_stanley),
         ("make = WeightFunction._make\n", test_trusted_weights_built_only_in_weights_and_stanley),
         ("p = LaurentPoly._ascending({0: 1})\n", test_ascending_laurent_terms_trusted_only_in_algebra),
