@@ -117,11 +117,6 @@ def _eliminate(rows, ncols):
     return tops, pivots
 
 
-def _rank(rows) -> int:
-    """Rank of a matrix given as a list of integer row vectors: its number of Bareiss pivots."""
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
-
-
 def _nullspace(rows, ncols):
     """Basis of the right kernel of an integer matrix, as primitive int vectors.
 
@@ -142,15 +137,6 @@ def _nullspace(rows, ncols):
             vec[pc] = -s * m // p
         basis.append(_primitive(vec))
     return basis
-
-
-def _affine_rank(points) -> int:
-    """Dimension of the affine hull; -1 for the empty set."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return _rank(diffs) if diffs else 0
 
 
 class Face(FrozenRecord):
@@ -176,33 +162,15 @@ class LatticePolytope:
     P = {m : <m, u_F> >= -a_F for every facet F}, inward normals u_F with
     gcd of entries 1.  Vertices and facets are stored in a deterministic
     (lexicographic) order.  facet_vertices holds one vertex bitmask per
-    facet, bit i set iff P.vertices[i] is tight on it.  A polytope given
-    by hand is checked once here: a vertex with negative slack on a facet
-    raises InvalidPolytope naming both, and so does a facet whose vertices
-    do not span an (n-1)-face, naming the dimension.  facet_presentation
-    carries both properties by construction and builds its result through
-    the trusted _make.
+    facet, bit i set iff P.vertices[i] is tight on it.  Polytopes come
+    from facet_presentation(points), whose hull proves that every vertex
+    lies on the inner side of every facet and that every facet's vertices
+    span an (n-1)-face, and hands its result to the trusted _make; there
+    is no public constructor, so LatticePolytope(n, vertices, facets)
+    raises TypeError.
     """
 
     __slots__ = ("n", "vertices", "facets", "facet_vertices")
-
-    def __init__(self, n, vertices, facets):
-        self.n = n
-        self.vertices = tuple(tuple(map(as_int, v)) for v in vertices)
-        self.facets = tuple((tuple(map(as_int, u)), as_int(a)) for u, a in facets)
-        masks = []
-        for facet in self.facets:
-            slacks = [_dot(v, facet[0]) + facet[1] for v in self.vertices]
-            worst = min(slacks)
-            if worst < 0:
-                v = self.vertices[slacks.index(worst)]
-                raise InvalidPolytope(f"vertex {v} violates facet {facet}")
-            masks.append(sum(1 << i for i, s in enumerate(slacks) if not s))
-        self.facet_vertices = tuple(masks)
-        for facet, mask in zip(self.facets, self.facet_vertices):
-            rank = _affine_rank([self.vertices[i] for i in mask_ids(mask)])
-            if rank != n - 1:
-                raise InvalidPolytope(f"facet {facet} spans a {rank}-face, not an {n - 1}-face")
 
     @staticmethod
     def _make(n, vertices, facets, facet_vertices) -> "LatticePolytope":
@@ -248,7 +216,8 @@ def facet_presentation(points) -> LatticePolytope:
 
     The result is built by the trusted LatticePolytope._make, each facet's
     vertex mask its ray's zero set cut to the vertices, since the method
-    proves what the checking constructor would test.  Every kept ray is
+    proves that every vertex lies on the inner side of every facet and that
+    every facet's vertices span an (n-1)-face.  Every kept ray is
     >= 0 on every point processed so far: a negative ray is dropped, and
     a new ray s1*r2 - s2*r1 is a positive combination, 0 on the cut.  So
     each zero set is exact, and each has rank n in the rows (p, 1): a
@@ -333,8 +302,8 @@ class FaceLattice:
     vertex; down[b] is the AND, over the facets tight at b, of the faces
     inside that facet (every face is the intersection of its tight
     facets).  members[q] is face q's vertex ids and tight facet ids, each
-    mask decoded once: build_face_lattice passes the vertex ids it sorted
-    by, and a bare face list has both decoded here.  Everything derived
+    mask decoded once: the one caller, build_face_lattice, passes the
+    vertex ids it sorted by, and the tight ids are decoded here.  Everything derived
     at a dilation or per integrand shares one BoundedCache of MEMO_MAX
     entries, _memo, each key naming what its entry depends on: ell for a
     point partition, (phi, ell) for per-face sums, phi for a table of
@@ -345,15 +314,13 @@ class FaceLattice:
     are computed on first use and have exactly n-1 entries.
     """
 
-    def __init__(self, polytope, faces, vertex_ids=None):
+    def __init__(self, polytope, faces, vertex_ids):
         self.polytope = polytope
-        self.faces = list(faces)
+        self.faces = faces
         self.by_dim = [0] * (polytope.n + 2)
         self.nonempty_ids = []
         self._by_mask, with_vertex, in_facet = {}, {}, {}
-        if vertex_ids is None:
-            vertex_ids = [mask_ids(f.vertex_mask) for f in self.faces]
-        self.members = [(vs, mask_ids(f.tight_mask)) for f, vs in zip(self.faces, vertex_ids)]
+        self.members = [(vs, mask_ids(f.tight_mask)) for f, vs in zip(faces, vertex_ids)]
         for q, (f, (vertices, tight)) in enumerate(zip(self.faces, self.members)):
             bit = 1 << q
             self.by_dim[f.dim + 1] |= bit
@@ -388,9 +355,6 @@ class FaceLattice:
     @property
     def f_vector(self):
         return tuple(map(int.bit_count, self.by_dim))
-
-    def interval(self, a: int, b: int):
-        return mask_ids(self.up[a] & self.down[b])
 
     def subfaces(self, a: int):
         """Nonempty faces below (and including) face a."""
@@ -427,9 +391,9 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     deduplicated by vertex set and graded in one pass; the empty face (dim
     -1, tight on all facets) and P (empty tight set) are always present,
     and ids follow (dim, vertex set), whose decoded vertex ids the lattice
-    keeps; P's facets are (n-1)-faces by construction or by its checking
-    constructor.  A closure past MAX_FACES faces raises InvalidPolytope
-    before the order masks are built.
+    keeps; P's facets are (n-1)-faces by the hull's construction.  A
+    closure past MAX_FACES faces raises InvalidPolytope before the order
+    masks are built.
     """
     nv = len(P.vertices)
     all_v = (1 << nv) - 1

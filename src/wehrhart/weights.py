@@ -105,9 +105,10 @@ def dualize(f: WeightFunction) -> WeightFunction:
 def _involution(f: WeightFunction) -> WeightFunction:
     """D(f) by Horner's rule in (1+y): from d = n down to dim Q, D(f)_Q <- D(f)_Q (1+y)
     plus the g_E = (-y)^(-dim E) f_E(1/y) of the E >= Q of dimension d, each g_E
-    built once.  Sparse dicts, as a weight's exponents may have 1,000 digits."""
+    built once and the E >= Q decoded once per Q.  Sparse dicts, as a weight's
+    exponents may have 1,000 digits."""
     L = f.lattice
-    faces, up, by_dim = L.faces, L.up, L.by_dim
+    faces, up = L.faces, L.up
     g = {}
     for e, fe in f.values.items():
         d = faces[e].dim
@@ -115,15 +116,17 @@ def _involution(f: WeightFunction) -> WeightFunction:
     support = sum(1 << e for e in g)
     out = {}
     for q in L.nonempty_ids:
-        above = up[q] & support
+        by_d = {}  # dim E -> the g_E of the E >= Q of that dimension
+        for e in mask_ids(up[q] & support):
+            by_d.setdefault(faces[e].dim, []).append(g[e])
         acc = {}
         for d in range(L.polytope.n, faces[q].dim - 1, -1):
             shifted = dict(acc)  # acc (1+y), a shift-add
             for k, c in acc.items():
                 shifted[k + 1] = shifted.get(k + 1, 0) + c
             acc = shifted
-            for e in mask_ids(above & by_dim[d + 1]):
-                for k, c in g[e]:
+            for terms in by_d.get(d, ()):
+                for k, c in terms:
                     acc[k] = acc.get(k, 0) + c
         if p := LaurentPoly._make(acc):
             out[q] = p

@@ -5,12 +5,18 @@ fits a hyperplane through every n-subset of the points with its own
 Fraction Gauss-Jordan elimination, keeps those with all points on one
 side, and reads the vertices off the rank of the tight facet normals:
 the slow and obvious route the library must agree with.
+
+The library builds a polytope only from its hull, which proves its
+facets; checked_polytope builds one from a hand-written facet list and
+checks what the hull proves, so tests can hand the face lattice a
+broken list on purpose.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
+from wehrhart.algebra import as_int
 from wehrhart.polytope import InvalidPolytope, LatticePolytope
 
 
@@ -112,4 +118,28 @@ def subset_facet_presentation(points) -> LatticePolytope:
         normals = [u for u, a in facets if _dot(p, u) == -a]
         if len(normals) >= n and fraction_rank(normals) == n:
             vertices.append(p)
-    return LatticePolytope(n, vertices, facets)
+    return checked_polytope(n, vertices, facets)
+
+
+def checked_polytope(n, vertices, facets) -> LatticePolytope:
+    """A polytope from a hand-written presentation, checked once.
+
+    Coordinates and offsets go through as_int (floats and bools raise
+    TypeError).  A vertex with negative slack on a facet raises
+    InvalidPolytope naming both, and so does a facet whose vertices do
+    not span an (n-1)-face, naming the dimension; otherwise the result is
+    LatticePolytope._make's, each facet's tight vertex mask computed here.
+    """
+    vertices = tuple(tuple(map(as_int, v)) for v in vertices)
+    facets = tuple((tuple(map(as_int, u)), as_int(a)) for u, a in facets)
+    masks = []
+    for facet in facets:
+        slacks = [_dot(v, facet[0]) + facet[1] for v in vertices]
+        worst = min(slacks)
+        if worst < 0:
+            raise InvalidPolytope(f"vertex {vertices[slacks.index(worst)]} violates facet {facet}")
+        masks.append(sum(1 << i for i, s in enumerate(slacks) if not s))
+        rank = _affine_rank([v for v, s in zip(vertices, slacks) if not s])
+        if rank != n - 1:
+            raise InvalidPolytope(f"facet {facet} spans a {rank}-face, not an {n - 1}-face")
+    return LatticePolytope._make(n, vertices, facets, tuple(masks))

@@ -9,6 +9,7 @@ Polynomials in t are LaurentPoly values.
 """
 
 from wehrhart.algebra import L_ONE, LaurentPoly, one_plus_y_power, poly_sum, substitute_negative
+from wehrhart.polytope import mask_ids
 
 
 def grouped_sum(pairs, kernel):
@@ -32,7 +33,7 @@ def oracle_fg(lattice, q_id, qp_id, memo):
     f = grouped_sum(
         (
             (lattice.faces[x].dim - dim_q - 1, oracle_g(lattice, x, qp_id, memo))
-            for x in lattice.interval(q_id, qp_id)
+            for x in mask_ids(lattice.up[q_id] & lattice.down[qp_id])
             if x != q_id
         ),
         t_minus_1_power,

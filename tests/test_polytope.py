@@ -33,8 +33,15 @@ from box_oracle import (
     row_fibres,
 )
 from face_oracle import oracle_faces, oracle_order
-from hull_oracle import _affine_rank as fraction_affine_rank
-from hull_oracle import fraction_echelon, fraction_nullspace, fraction_rank, subset_facet_presentation
+import hull_oracle
+from hull_oracle import (
+    _affine_rank,
+    checked_polytope,
+    fraction_echelon,
+    fraction_nullspace,
+    fraction_rank,
+    subset_facet_presentation,
+)
 from wehrhart import polytope
 from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build, simplex
@@ -43,13 +50,10 @@ from wehrhart.polytope import (
     MEMO_MAX,
     BoundedCache,
     InvalidPolytope,
-    LatticePolytope,
-    _affine_rank,
     _eliminate,
     _floor_min,
     _nullspace,
     _primitive,
-    _rank,
     build_face_lattice,
     eulerian_check,
     facet_presentation,
@@ -157,7 +161,7 @@ class TestFacetPresentation:
     )
     def test_presentation_entries_must_be_ints(self, vertices, facets):
         with pytest.raises(TypeError, match="is not an exact integer"):
-            LatticePolytope(2, vertices, facets)
+            checked_polytope(2, vertices, facets)
 
 
 # every entry point that takes a face id, with fid in each position it can take
@@ -647,24 +651,24 @@ class TestGrading:
 class TestClosureCheck:
     def test_dropped_facet_is_refused(self):
         P = facet_presentation(SQUARE)
-        broken = LatticePolytope(P.n, P.vertices, P.facets[1:])
+        broken = checked_polytope(P.n, P.vertices, P.facets[1:])
         with pytest.raises(InvalidPolytope, match="closure"):
             build_face_lattice(broken)
 
     def test_facet_off_the_vertices_is_refused(self):
-        # the polytope checks its facets when it is built: this one holds no vertex
+        # the checked polytope ranks its facets when it is built: this one holds no vertex
         P = facet_presentation(SQUARE)
         (u, a), rest = P.facets[0], P.facets[1:]
         shifted = re.escape(str((u, a + 1)))
         with pytest.raises(InvalidPolytope, match=rf"facet {shifted} spans a -1-face, not an 1-face"):
-            LatticePolytope(P.n, P.vertices, [(u, a + 1)] + list(rest))
+            checked_polytope(P.n, P.vertices, [(u, a + 1)] + list(rest))
 
     def test_supporting_line_at_a_vertex_is_refused(self):
         # x + y >= 0 touches the square only at the origin: every vertex is
         # still cut out by its facets, and only the facet's rank is wrong
         P = facet_presentation(SQUARE)
         with pytest.raises(InvalidPolytope, match=r"facet \(\(1, 1\), 0\) spans a 0-face"):
-            LatticePolytope(P.n, P.vertices, [*P.facets, ((1, 1), 0)])
+            checked_polytope(P.n, P.vertices, [*P.facets, ((1, 1), 0)])
 
     def test_vertex_outside_a_facet_is_refused(self):
         # x + y >= 1 passes through two vertices of the unit square, so it
@@ -672,7 +676,7 @@ class TestClosureCheck:
         # lattice closes to the f-vector (1, 4, 5, 1)
         P = facet_presentation(SQUARE)
         with pytest.raises(InvalidPolytope, match=r"^vertex \(0, 0\) violates facet \(\(1, 1\), -1\)$"):
-            LatticePolytope(P.n, P.vertices, [*P.facets, ((1, 1), -1)])
+            checked_polytope(P.n, P.vertices, [*P.facets, ((1, 1), -1)])
 
     @pytest.mark.parametrize(
         "pts",
@@ -682,22 +686,24 @@ class TestClosureCheck:
     def test_every_corpus_and_fixture_polytope_builds(self, pts):
         # each vertex is on the inner side of each facet
         P = facet_presentation(pts)
-        assert LatticePolytope(P.n, P.vertices, P.facets) == P
+        assert checked_polytope(P.n, P.vertices, P.facets) == P
 
     @pytest.mark.parametrize("pts", [SQUARE, PYRAMID, cube(4), cross(4), CORPUS["random3"]])
     def test_each_facet_is_ranked_once(self, pts, monkeypatch):
-        # the hull proves its facets' ranks, so only a hand-built polytope ranks them
+        # the hull proves its facets' ranks, so the library has no rank to
+        # take, and only the checked hand-built polytope ranks them, once each
         calls = []
 
         def counting(points):
             calls.append(len(points))
             return _affine_rank(points)
 
-        monkeypatch.setattr(polytope, "_affine_rank", counting)
+        monkeypatch.setattr(hull_oracle, "_affine_rank", counting)
         P = facet_presentation(pts)
         build_face_lattice(P)
         assert calls == []
-        LatticePolytope(P.n, P.vertices, P.facets)
+        assert not hasattr(polytope, "_affine_rank") and not hasattr(polytope, "_rank")
+        checked_polytope(P.n, P.vertices, P.facets)
         assert len(calls) == len(P.facets)
 
     @pytest.mark.parametrize(
@@ -733,7 +739,7 @@ class TestClosureCheck:
     @staticmethod
     def assert_hull_passes_the_checks(pts):
         P = facet_presentation(pts)
-        checked = LatticePolytope(P.n, P.vertices, P.facets)
+        checked = checked_polytope(P.n, P.vertices, P.facets)
         assert checked == P
         assert checked.facet_vertices == P.facet_vertices
 
@@ -818,27 +824,27 @@ class TestElimination:
     @given(dependent_matrices())
     def test_fraction_free_rank_matches_fraction_oracle(self, rows):
         # every division of the forward elimination is exact: no ArithmeticError
-        assert _rank(rows) == fraction_rank(rows)
-        assert _affine_rank(rows) == fraction_affine_rank(rows)
+        assert len(_eliminate(rows, len(rows[0]))[1]) == fraction_rank(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices())
     def test_rank_nullity_and_transpose(self, matrix):
         rows, ncols = matrix
         basis = _nullspace(rows, ncols)
-        assert _rank(rows) + len(basis) == ncols
+        rank = len(_eliminate(rows, ncols)[1])
+        assert rank + len(basis) == ncols
         for vec in basis:
             assert any(vec)
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
-        assert _rank(rows) == _rank([list(col) for col in zip(*rows)])
+        assert rank == len(_eliminate([list(col) for col in zip(*rows)], len(rows))[1])
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices())
     def test_int_elimination_matches_fraction_oracle(self, matrix):
         rows, ncols = matrix
         basis = _nullspace(rows, ncols)
-        assert _rank(rows) == fraction_rank(rows)
+        assert len(_eliminate(rows, ncols)[1]) == fraction_rank(rows)
         assert all(type(x) is int for vec in basis for x in vec)
         # the same pivot columns, of the matrix and of its transpose (the
         # hull's start simplex is the pivot columns of the transposed rows)
@@ -981,7 +987,7 @@ class TestHullClosedForms:
 
 
 class TestBitmaskOrder:
-    """leq, interval and subfaces against inclusion of vertex sets."""
+    """leq, the intervals up[a] & down[b] and subfaces against inclusion of vertex sets."""
 
     @pytest.mark.parametrize("name", list(CORPUS))
     def test_corpus(self, name):
@@ -1001,7 +1007,7 @@ class TestBitmaskOrder:
             ]
             for b in ids:
                 assert lattice.leq(a, b) == (sets[a] & ~sets[b] == 0)
-                assert lattice.interval(a, b) == [
+                assert mask_ids(lattice.up[a] & lattice.down[b]) == [
                     e for e in ids if sets[a] & ~sets[e] == 0 and sets[e] & ~sets[b] == 0
                 ]
 

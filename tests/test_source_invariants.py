@@ -19,11 +19,11 @@ so no module but polytope.py filters a face list by .dim in a
 comprehension or a loop.  A face is two bitmasks and a dimension, so no
 module names frozenset, the face format it replaced.  The verify report's
 layout lives in jsonio.py, so no other module writes its keys
-"first_difference" or "suite" as string constants.  A hand-built
-polytope checks its facets' ranks once, when it is built, and the hull
-proves them, so _affine_rank has one call site, in
-LatticePolytope.__init__, and LatticePolytope._make, the constructor
-that skips those checks, is named only in polytope.py, by the hull.
+"first_difference" or "suite" as string constants.  The hull proves
+its facets' ranks, so no module calls _affine_rank or _rank, and
+LatticePolytope._make, the one constructor of a polytope, is named only
+in polytope.py, by the hull; LatticePolytope(...) itself raises
+TypeError.
 WeightFunction._make, the
 constructor that skips the face-id checks, is named only in weights.py
 and stanley.py, which build weights from the lattice's own ids; so every
@@ -301,14 +301,25 @@ def _calls_by_scope(node, name, scope=()):
         yield from _calls_by_scope(child, name, inner)
 
 
-def test_facets_ranked_only_when_a_polytope_is_built(path=SRC):
-    """_affine_rank is called once, in LatticePolytope.__init__: every other
-    reader of a facet's vertices takes P.facet_vertices, already checked
-    or proved by the hull."""
+def test_facets_never_ranked_in_src(path=SRC):
+    """No module calls _affine_rank or _rank: every reader of a facet's
+    vertices takes P.facet_vertices, which the hull proved."""
     paths = sorted(path.glob("*.py")) if path.is_dir() else [path]
-    sites = [(p.name, *site) for p in paths for site in _calls_by_scope(tree(p), "_affine_rank")]
-    scopes = [scope for _, scope, _ in sites]
-    assert scopes == ["LatticePolytope.__init__"], f"_affine_rank is called at {sites}"
+    sites = [
+        (p.name, name, *site)
+        for p in paths
+        for name in ("_affine_rank", "_rank")
+        for site in _calls_by_scope(tree(p), name)
+    ]
+    assert not sites, f"a facet is ranked at {sites}"
+
+
+def test_polytope_has_no_public_constructor():
+    """Polytopes come from facet_presentation: LatticePolytope(n, vertices, facets) is refused."""
+    from wehrhart.polytope import LatticePolytope
+
+    with pytest.raises(TypeError):
+        LatticePolytope(2, [(0, 0), (1, 0), (0, 1)], [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polytope.py"], ids=lambda p: p.name)
@@ -429,17 +440,19 @@ class FaceLattice:
         (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
         ("class FaceLattice:\n    pass\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self._sums = BoundedCache(64)\n", test_face_lattice_memo_tables_are_bounded),
-        ("x = _affine_rank(pts)\n", test_facets_ranked_only_when_a_polytope_is_built),
+        ("x = _affine_rank(pts)\n", test_facets_never_ranked_in_src),
         (
             "class LatticePolytope:\n    def __init__(self, pts):\n        self.r = 0\n"
             "def build_face_lattice(P):\n    return polytope._affine_rank(P.vertices)\n",
-            test_facets_ranked_only_when_a_polytope_is_built,
+            test_facets_never_ranked_in_src,
         ),
         (
             "class LatticePolytope:\n    def __init__(self, pts):\n"
             "        self.r = _affine_rank(pts) + _affine_rank(pts)\n",
-            test_facets_ranked_only_when_a_polytope_is_built,
+            test_facets_never_ranked_in_src,
         ),
+        ("x = _rank(rows)\n", test_facets_never_ranked_in_src),
+        ("r = polytope._rank(rows)\n", test_facets_never_ranked_in_src),
         (
             "x = [f.id for f in lattice.faces if f.dim == 0]\n",
             test_faces_filtered_by_dimension_only_in_polytope,
