@@ -9,13 +9,14 @@ tight facets) and a dimension with its position as its id, each mask
 decoded to ids once, the grading and the order as bitmasks of face ids,
 and lattice points by a fibre walk.
 The walk lifts the first n-1 coordinates level by level through the
-hulls of P's coordinate projections; along each row (the first n-2
-fixed) the ends of the last coordinate's interval, whose ends and middle
-each lie in the relative interior of one face, follow two envelopes of
-facet lines.  Its cost is one pass over the facets per row, O(1) per
-fibre, and the points kept.  Everything is exact and no Fraction is
-built: elimination is fraction-free over int.  Dimensions up to 6 and a
-few dozen vertices are the intended scale.
+facets of P's coordinate projections, each cut from the one above (P's
+own at first) by one more double-description step; along each row (the
+first n-2 fixed) the ends of the last coordinate's interval, whose ends
+and middle each lie in the relative interior of one face, follow two
+envelopes of facet lines.  Its cost is one pass over the facets per row,
+O(1) per fibre, and the points kept.  Everything is exact and no
+Fraction is built: elimination is fraction-free over int.  Dimensions up
+to 6 and a few dozen vertices are the intended scale.
 """
 
 from __future__ import annotations
@@ -85,58 +86,70 @@ def _primitive(vec):
     return tuple(x // g for x in vec)
 
 
-def _eliminate(rows, ncols):
-    """Fraction-free forward elimination (Bareiss) of an integer matrix.
+def _start_simplex(rows):
+    """The first linearly independent rows of an int matrix, as (index,
+    vector) pairs, each vector zero on the other chosen rows and positive
+    on its own.
 
-    Returns the pivot rows and their pivot columns: pivot row k is 0
-    before column pivots[k] and nonzero there, and the pivot rows span
-    the row space.  Each step r <- (p*r - f*pivot row) / previous pivot
-    needs no gcd: after k pivots every entry left is a (k+1)-minor of the
-    input, so the division is exact and entries never leave int.  A
-    remainder would mean broken arithmetic: ArithmeticError.
+    One fraction-free Gauss-Jordan pass (Bareiss) over the transposed rows
+    beside the identity E, storing only E (column k of the left block is
+    E row_k); a row is chosen iff its column is a pivot column.  A step
+    r <- (p*r - f*pivot row) / previous pivot needs no gcd: every entry is
+    a minor of the input, so a remainder means broken arithmetic
+    (ArithmeticError).  At the end each pivot row reads the last pivot d at
+    its own column and 0 at the others: the vector is its row of E, times
+    the sign of d.
     """
-    mat, prev, tops, pivots = list(rows), 1, [], []
-    for col in range(ncols):
-        i = next((i for i, row in enumerate(mat) if row[col]), None)
+    m = len(rows[0])
+    block = [[int(i == j) for j in range(m)] for i in range(m)]
+    free, prev, chosen = list(range(m)), 1, []
+    for k, row in enumerate(rows):
+        col = [_dot(e, row) for e in block]
+        i = next((i for i in free if col[i]), None)
         if i is None:
             continue
-        top = mat.pop(i)
-        p = top[col]
-        rest = []
-        for row in mat:
-            f, new = row[col], []
-            for a, b in zip(row, top):
-                q, r = divmod(p * a - f * b, prev)
-                if r:
+        free.remove(i)
+        top, p = block[i], col[i]
+        for j, f in enumerate(col):
+            if j != i:
+                new = [divmod(p * a - f * b, prev) for a, b in zip(block[j], top)]
+                if any(r for _, r in new):
                     raise ArithmeticError(f"elimination step not divisible by the pivot {prev}")
-                new.append(q)
-            rest.append(new)
-        mat, prev = rest, p
-        tops.append(top)
-        pivots.append(col)
-    return tops, pivots
+                block[j] = [q for q, _ in new]
+        prev = p
+        chosen.append((k, i))
+        if not free:
+            break
+    return [(k, [x if prev > 0 else -x for x in block[i]]) for k, i in chosen]
 
 
-def _nullspace(rows, ncols):
-    """Basis of the right kernel of an integer matrix, as primitive int vectors.
-
-    One vector per free (non-pivot) column, positive there and 0 at every
-    other free column, back-substituted up the Bareiss pivot rows.  Row k
-    fixes x[pc] = -s / pivot, s the row's sum past pc; the vector is first
-    scaled by |pivot| / gcd(pivot, s) so that the quotient is an int.
+def _cut(rays, values, bit, bound):
+    """One double-description step: the extreme rays of a pointed cone,
+    (ray, zero set bitmask) pairs, and their values on a hyperplane give the
+    rays zero on it, bit joined to their zero sets, and for each adjacent
+    pair with s1 > 0 > s2 the combination s1*r2 - s2*r1, zero on it, with
+    their common zero set and bit.  Two rays are adjacent iff their common
+    zero set has at least bound members (the cone's dimension less 2) and
+    lies in no third ray's.
     """
-    tops, pivots = _eliminate(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[fc] = 1
-        for top, pc in zip(reversed(tops), reversed(pivots)):
-            p, s = top[pc], _dot(top[pc + 1 :], vec[pc + 1 :])
-            m = abs(p) // gcd(p, s)
-            vec = [x * m for x in vec]
-            vec[pc] = -s * m // p
-        basis.append(_primitive(vec))
-    return basis
+    zeros = [zero for _, zero in rays]
+    out = [(ray, zero | bit) for (ray, zero), s in zip(rays, values) if s == 0]
+    pos = [(ray, zero, s) for (ray, zero), s in zip(rays, values) if s > 0]
+    neg = [(ray, zero, s) for (ray, zero), s in zip(rays, values) if s < 0]
+    for r1, z1, s1 in pos:
+        for r2, z2, s2 in neg:
+            common = z1 & z2
+            if common.bit_count() >= bound and not any(
+                z & common == common for z in zeros if z != z1 and z != z2
+            ):
+                out.append((_primitive([s1 * b - s2 * a for a, b in zip(r1, r2)]), common | bit))
+    return out
+
+
+def _normal(ray, k):
+    """The inequality ray = u + (a,) cut to u[:k] + (a,) and divided by the gcd of u[:k]."""
+    g = gcd(*ray[:k])
+    return tuple(x // g for x in ray[:k]) + (ray[-1] // g,)
 
 
 class Face(FrozenRecord):
@@ -166,11 +179,14 @@ class LatticePolytope:
     from facet_presentation(points), whose hull proves that every vertex
     lies on the inner side of every facet and that every facet's vertices
     span an (n-1)-face, and hands its result to the trusted _make; there
-    is no public constructor, so LatticePolytope(n, vertices, facets)
-    raises TypeError.
+    is no public constructor, so every call LatticePolytope(...) raises
+    TypeError.
     """
 
     __slots__ = ("n", "vertices", "facets", "facet_vertices")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("LatticePolytope has no public constructor; use facet_presentation(points)")
 
     @staticmethod
     def _make(n, vertices, facets, facet_vertices) -> "LatticePolytope":
@@ -203,15 +219,16 @@ def facet_presentation(points) -> LatticePolytope:
     Double description: the inequalities (u, a) with <p, u> + a >= 0 at
     every point p form a pointed cone whose extreme rays are the facets.
     The cone of the first n+1 affinely independent points is simplicial,
-    each ray the kernel of n of the rows (p, 1).  Every other point then
-    cuts the cone: rays on its positive side stay, and each adjacent
-    pair of rays on opposite sides gives one new ray on the cut.  Two
-    rays are adjacent iff their common zero set (the points tight on
-    both, a bitmask) has at least n-1 points and lies in the zero set of
-    no third ray.  All arithmetic is in int; each normal u_F is divided
-    by its gcd at the end.  Points that are not vertices of the hull are
-    dropped from the vertex list.  Requires a full-dimensional hull in
-    the ambient dimension and int coordinates (floats and bools raise
+    its rays read off one fraction-free Gauss-Jordan pass over the rows
+    (p, 1) (_start_simplex).  Every other point then cuts the cone (_cut):
+    rays on its positive side or on the cut stay, and each adjacent pair
+    on opposite sides gives one new ray on the cut.  Two rays are
+    adjacent iff their common zero set (the points tight on both, a
+    bitmask) has at least n-1 points and lies in the zero set of no third
+    ray.  All arithmetic is in int; each normal u_F is divided by its gcd
+    at the end.  Points that are not vertices of the hull are dropped
+    from the vertex list.  Requires a full-dimensional hull in the
+    ambient dimension and int coordinates (floats and bools raise
     TypeError).
 
     The result is built by the trusted LatticePolytope._make, each facet's
@@ -237,55 +254,28 @@ def facet_presentation(points) -> LatticePolytope:
     if len(pts) < n + 1:
         raise InvalidPolytope(f"{len(pts)} distinct points cannot span R^{n}")
     rows = [p + (1,) for p in pts]
-    # pivot columns of the transposed rows: the first affinely independent points
-    _, start = _eliminate(list(zip(*rows)), len(rows))
+    start = _start_simplex(rows)
     if len(start) != n + 1:
         raise InvalidPolytope("points do not affinely span the ambient space")
+    start_mask = sum(1 << i for i, _ in start)
+    rays = [(_primitive(ray), start_mask ^ 1 << i) for i, ray in start]  # (u_F + (a_F,), tight points)
+    for k, row in enumerate(rows):
+        if not start_mask >> k & 1:
+            values = [_dot(row, ray) for ray, _ in rays]
+            rays = [ray for ray, s in zip(rays, values) if s > 0] + _cut(rays, values, 1 << k, n - 1)
 
-    start_mask = sum(1 << i for i in start)
-    rays = []  # (u_F + (a_F,), bitmask of the points tight on it)
-    for i in start:
-        (ray,) = _nullspace([rows[j] for j in start if j != i], n + 1)
-        if _dot(rows[i], ray) < 0:
-            ray = tuple(-x for x in ray)
-        rays.append((ray, start_mask ^ 1 << i))
-    for k in sorted(set(range(len(pts))) - set(start)):
-        row, bit = rows[k], 1 << k
-        pos, neg, kept = [], [], []
-        for ray, zero in rays:
-            s = _dot(row, ray)
-            if s > 0:
-                pos.append((ray, zero, s))
-                kept.append((ray, zero))
-            elif s < 0:
-                neg.append((ray, zero, s))
-            else:
-                kept.append((ray, zero | bit))
-        zeros = [zero for _, zero in rays]
-        for r1, z1, s1 in pos:
-            for r2, z2, s2 in neg:
-                common = z1 & z2
-                if common.bit_count() < n - 1 or any(
-                    z & common == common for z in zeros if z != z1 and z != z2
-                ):
-                    continue
-                kept.append((_primitive([s1 * b - s2 * a for a, b in zip(r1, r2)]), common | bit))
-        rays = kept
-
-    facets = []
-    for ray, zero in rays:
-        g = gcd(*ray[:-1])
-        facets.append(((tuple(x // g for x in ray[:-1]), ray[-1] // g), zero))
-    facets.sort()
+    facets = sorted((_normal(ray, n), zero) for ray, zero in rays)
     # a point is a vertex iff no other point lies on all of its facets
-    index = {}  # point id -> vertex id
-    for i in range(len(pts)):
-        if reduce(and_, (zero for _, zero in facets if zero >> i & 1), -1) == 1 << i:
-            index[i] = len(index)
+    common = [-1] * len(pts)
+    for _, zero in facets:
+        for i in mask_ids(zero):
+            common[i] &= zero
+    vertex_ids = [i for i, tight in enumerate(common) if tight == 1 << i]
+    index = {i: v for v, i in enumerate(vertex_ids)}  # point id -> vertex id
     return LatticePolytope._make(
         n,
-        tuple(pts[i] for i in index),
-        tuple(facet for facet, _ in facets),
+        tuple(pts[i] for i in vertex_ids),
+        tuple((ray[:-1], ray[-1]) for ray, _ in facets),
         tuple(sum(1 << index[i] for i in mask_ids(zero) if i in index) for _, zero in facets),
     )
 
@@ -311,7 +301,7 @@ class FaceLattice:
     members and nonempty_ids hold one entry per face, and _g_memo one
     entry per face the Stanley sweep reached, one f-row per face below it.
     The facets of the coordinate projections that bound the fibre walk
-    are computed on first use and have exactly n-1 entries.
+    are cut from P's facets on first use and have exactly n-1 entries.
     """
 
     def __init__(self, polytope, faces, vertex_ids):
@@ -364,12 +354,21 @@ class FaceLattice:
         return next(q for q in mask_ids(self.by_dim[1]) if self.faces[q].vertex_mask == 1 << vertex_index)
 
     def projections(self):
-        """Facets of pi_k(P), the hull of the vertices cut to their first k coordinates, for k = 1..n-1."""
+        """Facets of pi_k(P), P cut to its first k coordinates, for k = 1..n-1.
+
+        Those valid on pi_k(P) are P's with u[k:] = 0: each level is the one
+        above (at first P's facets, zero sets their vertices) cut by u[k] = 0,
+        a cone in k+2 dimensions whose adjacent rays share k vertices or more.
+        """
         if self._projections is None:
-            verts = self.polytope.vertices
-            self._projections = [
-                facet_presentation([v[:k] for v in verts]).facets for k in range(1, self.polytope.n)
-            ]
+            P = self.polytope
+            rays = [(u + (a,), zero) for (u, a), zero in zip(P.facets, P.facet_vertices)]
+            levels = []
+            for k in range(P.n - 1, 0, -1):
+                cut = _cut(rays, [ray[k] for ray, _ in rays], 0, k)
+                rays = sorted((_normal(ray, k), zero) for ray, zero in cut)
+                levels.append(tuple((ray[:-1], ray[-1]) for ray, _ in rays))
+            self._projections = tuple(reversed(levels))
         return self._projections
 
     def ensure_eulerian(self) -> bool:

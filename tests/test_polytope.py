@@ -18,7 +18,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from box_oracle import (
     RANDOM_6,
@@ -50,10 +50,9 @@ from wehrhart.polytope import (
     MEMO_MAX,
     BoundedCache,
     InvalidPolytope,
-    _eliminate,
     _floor_min,
-    _nullspace,
     _primitive,
+    _start_simplex,
     build_face_lattice,
     eulerian_check,
     facet_presentation,
@@ -504,6 +503,78 @@ class TestFibresAgainstBoxFibres:
         assert lattice.projections() is table
 
 
+def _desk_cloud(count, radius, n):
+    """count points of random.Random(1) in [-radius, radius]^n, drawn point by point."""
+    rng = random.Random(1)
+    return [tuple(rng.randint(-radius, radius) for _ in range(n)) for _ in range(count)]
+
+
+@st.composite
+def hull_clouds(draw):
+    """Clouds in dimensions 2 to 6: doubled draws, midpoints of pairs (inside
+    the hull, often interior) and repeated points."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    point = st.tuples(*[st.integers(min_value=-2, max_value=2)] * n)
+    pts = [tuple(2 * x for x in p) for p in draw(st.lists(point, min_size=n + 2, max_size=n + 8))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=4))
+    repeats = draw(st.lists(st.sampled_from(pts), max_size=3))
+    return pts + [tuple((a + b) // 2 for a, b in zip(p, q)) for p, q in pairs] + repeats
+
+
+class TestProjectionsAgainstProjectedHulls:
+    """FaceLattice.projections, cut from P's facets, against the hull of the
+    vertices cut to their first k coordinates, for every k."""
+
+    @staticmethod
+    def oracle(P):
+        return tuple(facet_presentation([v[:k] for v in P.vertices]).facets for k in range(1, P.n))
+
+    def _agree(self, pts):
+        P = facet_presentation(pts)
+        assert build_face_lattice(P).projections() == self.oracle(P)
+        return P
+
+    @pytest.mark.parametrize(
+        "pts",
+        [*CORPUS.values(), *(json.loads(p.read_text())["vertices"] for p in FIXTURE_POLYTOPES)],
+        ids=[*CORPUS, *(p.stem for p in FIXTURE_POLYTOPES)],
+    )
+    def test_corpus_and_fixtures(self, pts):
+        self._agree(pts)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("shape", [cube, cross])
+    def test_cubes_and_cross_polytopes(self, shape, n):
+        self._agree(shape(n))
+
+    @pytest.mark.parametrize(
+        "count,radius,n,size",
+        [(12, 2, 5, 12), (12, 1, 6, 12), (40, 3, 5, 38)],
+        ids=["12-vertex-5-polytope", "12-vertex-6-polytope", "38-vertex-5-polytope"],
+    )
+    def test_desk_polytopes(self, count, radius, n, size):
+        assert len(self._agree(_desk_cloud(count, radius, n)).vertices) == size
+
+    @settings(max_examples=60, deadline=None)
+    @given(hull_clouds())
+    def test_random_clouds(self, pts):
+        try:
+            lattice = build_face_lattice(facet_presentation(pts))
+        except InvalidPolytope:
+            assume(False)
+        assert lattice.projections() == self.oracle(lattice.polytope)
+
+    def test_no_hull_is_rerun(self, monkeypatch):
+        lattice = build_face_lattice(facet_presentation(cross(5)))
+        calls = []
+        hull = polytope.facet_presentation
+        monkeypatch.setattr(polytope, "facet_presentation", lambda pts: calls.append(pts) or hull(pts))
+        table = lattice.projections()
+        assert calls == []
+        monkeypatch.undo()
+        assert table == self.oracle(lattice.polytope)
+
+
 def _lines_by_slope(lines, rng):
     """Lines (s, v, c, bits) sorted by decreasing slope v/c, equal slopes in a random order."""
     rng.shuffle(lines)
@@ -820,43 +891,49 @@ def dependent_matrices(draw):
 
 
 class TestElimination:
+    """_start_simplex, one fraction-free Gauss-Jordan pass, against Fraction elimination."""
+
     @settings(max_examples=300, deadline=None)
     @given(dependent_matrices())
     def test_fraction_free_rank_matches_fraction_oracle(self, rows):
-        # every division of the forward elimination is exact: no ArithmeticError
-        assert len(_eliminate(rows, len(rows[0]))[1]) == fraction_rank(rows)
+        # every division of the Gauss-Jordan pass is exact: no ArithmeticError
+        assert len(_start_simplex(rows)) == fraction_rank(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices())
     def test_rank_nullity_and_transpose(self, matrix):
         rows, ncols = matrix
-        basis = _nullspace(rows, ncols)
-        rank = len(_eliminate(rows, ncols)[1])
-        assert rank + len(basis) == ncols
-        for vec in basis:
-            assert any(vec)
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
-        assert rank == len(_eliminate([list(col) for col in zip(*rows)], len(rows))[1])
+        chosen = _start_simplex(rows)
+        # the vectors are rows of an invertible matrix: as many independent as rows chosen
+        assert fraction_rank([vec for _, vec in chosen]) == len(chosen)
+        assert len(chosen) == len(_start_simplex([list(col) for col in zip(*rows)]))
 
     @settings(max_examples=200, deadline=None)
     @given(int_matrices())
     def test_int_elimination_matches_fraction_oracle(self, matrix):
         rows, ncols = matrix
-        basis = _nullspace(rows, ncols)
-        assert len(_eliminate(rows, ncols)[1]) == fraction_rank(rows)
-        assert all(type(x) is int for vec in basis for x in vec)
-        # the same pivot columns, of the matrix and of its transpose (the
-        # hull's start simplex is the pivot columns of the transposed rows)
+        chosen = _start_simplex(rows)
+        assert len(chosen) == fraction_rank(rows)
+        # the chosen rows are the pivot columns of the transpose (the hull's
+        # start simplex), and the transpose's chosen rows those of the matrix
         cols = [list(col) for col in zip(*rows)]
-        assert _eliminate(rows, ncols)[1] == fraction_echelon(rows, ncols)[1]
-        assert _eliminate(cols, len(rows))[1] == fraction_echelon(cols, len(rows))[1]
-        # the same kernel vectors, one per free column, scaled to primitive
-        expected = []
-        for vec in fraction_nullspace(rows, ncols):
-            d = lcm(*(x.denominator for x in vec))
-            expected.append(_primitive([int(x * d) for x in vec]))
-        assert basis == expected
+        assert [i for i, _ in chosen] == fraction_echelon(cols, len(rows))[1]
+        assert [i for i, _ in _start_simplex(cols)] == fraction_echelon(rows, ncols)[1]
+        ids = [i for i, _ in chosen]
+        for i, vec in chosen:
+            vec = _primitive(vec)
+            assert all(type(x) is int for x in vec)
+            assert sum(map(mul, rows[i], vec)) > 0
+            others = [rows[j] for j in ids if j != i]
+            assert all(sum(map(mul, row, vec)) == 0 for row in others)
+            if len(chosen) == ncols:
+                # the other chosen rows have a one-dimensional kernel: vec spans it
+                (kernel,) = fraction_nullspace(others, ncols)
+                d = lcm(*(x.denominator for x in kernel))
+                expected = _primitive([int(x * d) for x in kernel])
+                if sum(map(mul, rows[i], expected)) < 0:
+                    expected = tuple(-x for x in expected)
+                assert vec == expected
 
 
 def _cloud(n, seed, draws, radius):

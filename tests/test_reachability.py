@@ -52,6 +52,8 @@ UNREACHED = {
     "polytope.FaceLattice.__repr__": _VALUE,
     "polytope.LatticePolytope.__eq__": _VALUE,
     "polytope.LatticePolytope.__repr__": _VALUE,
+    "polytope.LatticePolytope.__new__": "refuses every public construction; the commands build "
+    "polytopes through facet_presentation, which calls the trusted _make",
     "weights.WeightFunction.__bool__": _VALUE,
     "weights.WeightFunction.__repr__": _VALUE,
     "weights.WeightFunction.__getitem__": "a face's weight with zero for an absent face, for library users; "

@@ -315,11 +315,14 @@ def test_facets_never_ranked_in_src(path=SRC):
 
 
 def test_polytope_has_no_public_constructor():
-    """Polytopes come from facet_presentation: LatticePolytope(n, vertices, facets) is refused."""
+    """Polytopes come from facet_presentation: every call LatticePolytope(...) is refused,
+    with arguments or without (an instance with no slots set)."""
     from wehrhart.polytope import LatticePolytope
 
     with pytest.raises(TypeError):
         LatticePolytope(2, [(0, 0), (1, 0), (0, 1)], [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)])
+    with pytest.raises(TypeError):
+        LatticePolytope()
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polytope.py"], ids=lambda p: p.name)
