@@ -23,9 +23,11 @@ ones = all_ones(pyr)
 phi = HomogPoly(3, [((0, 0, 1), Fraction(1))])  # integrand m_3
 
 print("pyramid, all-ones weights, integrand m_3, variant Etilde:")
-for ell in (1, 2, 3):
-    r = verify_reciprocity(ones, phi, ell, VARIANT_ETILDE)
-    d = verify_duality_reciprocity(ones, phi, ell, VARIANT_ETILDE)
+# each verifier takes the whole run of dilations and returns one check per ell
+ells = (1, 2, 3)
+recip = verify_reciprocity(ones, phi, ells, VARIANT_ETILDE)
+dual = verify_duality_reciprocity(ones, phi, ells, VARIANT_ETILDE)
+for ell, r, d in zip(ells, recip, dual):
     print(f"  ell={ell}: reciprocity {'ok' if r.passed else 'FAIL'}, "
           f"dual form {'ok' if d.passed else 'FAIL'}, "
           f"E(-ell) = {r.lhs}")
@@ -34,6 +36,6 @@ print()
 print("purity along each face of the pyramid (ell = 2):")
 one = HomogPoly.one(3)
 for qp in pyr.nonempty_ids:
-    res = verify_purity(g_weight_function(pyr, qp), qp, one, 2)
+    (res,) = verify_purity(g_weight_function(pyr, qp), qp, one, [2])
     face = pyr.faces[qp]
     print(f"  face {qp} (dim {face.dim}): {'ok' if res.passed else 'FAIL'}")

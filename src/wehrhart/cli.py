@@ -288,27 +288,28 @@ def _run_verify(spec: argparse.Namespace, lattice: FaceLattice):
         what = f"the hodge suite up to --lmax {spec.lmax} over {len(weight_set)} weight functions"
         _check_point_budget(lattice, ells, what, copies=len(weight_set))
     reports = []
-    # each weight keeps its dual, so the duality and hodge suites share one;
-    # each (weight, ell) is checked once, for Etilde, and its E report is e_form's
+    # each weight keeps its dual, so the duality and hodge suites share one; each
+    # (suite, weight) is checked once over the run, for Etilde, and its E report is e_form's
     suites = ((verify_reciprocity, "reciprocity"), (verify_duality_reciprocity, "duality"))
     for checker, suite_name in suites:
         if spec.suite in ("all", suite_name):
             for label, f in weight_set:
-                checks = [checker(f, phi, ell, VARIANT_ETILDE) for ell in ells]
+                checks = checker(f, phi, ells, VARIANT_ETILDE)
                 reports.append((suite_name, label, phi_label, checks))
                 reports.append((suite_name, label, phi_label, [e_form(c, phi) for c in checks]))
     if spec.suite in ("all", "purity"):
-        # one face's g-weights are alive at a time; a memo would keep every face's and their orbit
-        # coefficients (about 5.7 MB on the 6-cube's 730 faces under tracemalloc, Python 3.11)
+        # one face's g-weights are alive at a time, freed before the next face's are built; a memo
+        # would keep every face's and their orbit coefficients (about 5.7 MB on the 6-cube's 730
+        # faces under tracemalloc, Python 3.11)
         built = {lattice.top_id: f for label, f in weight_set if label == "g-weights(P)"}
         for fid in lattice.nonempty_ids:
             f = built[fid] if fid in built else g_weight_function(lattice, fid)
-            checks = [verify_purity(f, fid, phi, ell) for ell in ells]
+            checks = verify_purity(f, fid, phi, ells)
+            del f
             reports.append(("purity", f"g-weights(face {fid})", phi_label, checks))
     if spec.suite in ("all", "hodge"):
         for label, f in weight_set:
-            checks = [verify_hodge_duality(f, ell) for ell in ells]
-            reports.append(("hodge", label, "-", checks))
+            reports.append(("hodge", label, "-", verify_hodge_duality(f, ells)))
     return reports
 
 

@@ -22,18 +22,22 @@ face; points appear only when a sum is rendered.
 
 The per-face values come by two routes, kept in one table per (phi, ell):
 at ell > 0 from the walk, at ell < 0 off the per-face interpolants, one
-evaluation per face and dilation.  Reciprocity, duality reciprocity and
-purity are one check (_minus_ell_check): the value at -ell against
-(-1)^deg phi times a sum built at +ell, and an E check is the Etilde
-check with both sides times (1+y)^deg phi (e_form).  Past K the two routes
-cross-validate each other.  At ell <= K the interpolant's value at -ell
-is the reciprocity sample built from the same walk, so the reciprocity
-suite there checks only the orbit-coefficient algebra (_MINUS), while
-duality and purity still test dualize and the g-weights.  Per-face
-reciprocity is checked independently only by the tests, against an
-interpolation of the walk at ell = 1 .. n + deg phi + 3.  A check is a
-CheckResult holding both sides and, on failure, its first differing
-coefficient; jsonio renders it.
+evaluation per face and dilation.  Each verifier checks one (suite,
+weight) over a run of dilations and returns one CheckResult per ell, in
+order: its arguments, coefficients and tables are read once per run.
+Reciprocity, duality reciprocity and purity are one check
+(_minus_ell_checks): the value at -ell, kept on the weight and shared by
+all three, against (-1)^deg phi times a sum built at +ell, and an E check
+is the Etilde check with both sides times (1+y)^deg phi (e_form).  Past
+K the two routes cross-validate each other.  At ell <= K the
+interpolant's value at -ell is the reciprocity sample built from the
+same walk, so the reciprocity suite there checks only the
+orbit-coefficient algebra (_MINUS), while duality and purity still test
+dualize and the g-weights.  Per-face reciprocity is checked
+independently only by the tests, against an interpolation of the walk
+at ell = 1 .. n + deg phi + 3.  A check is a CheckResult holding both
+sides and, on failure, its first differing coefficient; jsonio renders
+it.
 """
 
 from __future__ import annotations
@@ -420,22 +424,29 @@ def _compare(name, params, lhs, rhs) -> CheckResult:
     return CheckResult(name, params, False, lhs, rhs, _first_difference(lhs, rhs))
 
 
-def _minus_ell_check(name, params, f, phi, ell, variant, right) -> CheckResult:
-    """factor * Etilde(-ell) off the interpolants vs (-1)^deg phi * factor * R, where
-    R = right() is the verifier's sum at +ell, built once every argument is checked."""
-    factor = _variant_factor(phi, variant)
-    ell = check_dilation(ell)
-    rhs = right() * factor
-    if phi.degree % 2:
-        rhs = -rhs
-    lows = _phi_face_sums(f.lattice, phi, -ell)
-    plus = _orbit_coefficients(f, _PLUS)
-    lhs = linear_combination(zip(plus.values(), map(lows.__getitem__, plus))) * factor
-    return _compare(name, params, lhs, rhs)
+def _minus_ell_checks(name, params, f, phi, ells, factor, coeffs, invert, shift=L_ONE) -> list:
+    """factor * Etilde(-ell) off the interpolants against (-1)^deg phi * factor
+    * shift * R for each ell of a checked run, R the combination of coeffs with
+    the +ell face table, at y -> 1/y if invert.  Etilde(-ell) is kept in
+    f._memo under (phi, -ell), so reciprocity, duality and purity of one
+    weight build it once; per ell only the two combinations and the
+    comparison are paid."""
+    lattice, memo, plus = f.lattice, f._memo, _orbit_coefficients(f, _PLUS)
+    scale = shift * (-factor if phi.degree % 2 else factor)
+    checks = []
+    for ell in ells:
+        sums = _phi_face_sums(lattice, phi, ell)
+        right = linear_combination(zip(coeffs.values(), map(sums.__getitem__, coeffs)))
+        if (phi, -ell) not in memo:
+            lows = _phi_face_sums(lattice, phi, -ell)
+            memo[phi, -ell] = linear_combination(zip(plus.values(), map(lows.__getitem__, plus)))
+        rhs = (substitute_inverse(right) if invert else right) * scale
+        checks.append(_compare(name, {"ell": ell, **params}, memo[phi, -ell] * factor, rhs))
+    return checks
 
 
 def e_form(check: CheckResult, phi) -> CheckResult:
-    """The E check of an Etilde check from _minus_ell_check: both sides times
+    """The E check of an Etilde check from _minus_ell_checks: both sides times
     (1+y)^deg phi, compared afresh, so a failure's first difference is its own.
     At deg phi = 0 the factor is 1, and the E check holds the Etilde check's
     sides and verdict as they are."""
@@ -446,66 +457,65 @@ def e_form(check: CheckResult, phi) -> CheckResult:
     return _compare(check.name, params, check.lhs * factor, check.rhs * factor)
 
 
-def verify_reciprocity(f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
-    """Reciprocity: R = sum_Q f_Q(y) (-1-y)^dim Q times phi summed over ell Q closed."""
-
-    def right():
-        sums = _phi_face_sums(f.lattice, phi, ell)
-        minus = _orbit_coefficients(f, _MINUS)
-        return linear_combination(zip(minus.values(), map(sums.__getitem__, minus)))
-
-    params = {"ell": ell, "variant": variant}
-    return _minus_ell_check("reciprocity", params, f, phi, ell, variant, right)
+def verify_reciprocity(f, phi, ells, variant: str = VARIANT_E) -> list:
+    """Reciprocity at each ell of the run, one CheckResult each, in order:
+    R = sum_Q f_Q(y) (-1-y)^dim Q times phi summed over ell Q closed."""
+    factor, ells = _variant_factor(phi, variant), [check_dilation(ell) for ell in ells]
+    minus = _orbit_coefficients(f, _MINUS)
+    return _minus_ell_checks("reciprocity", {"variant": variant}, f, phi, ells, factor, minus, False)
 
 
-def verify_duality_reciprocity(f, phi, ell: int, variant: str = VARIANT_E) -> CheckResult:
-    """Duality reciprocity: R = Etilde of the dualized weights at +ell, y -> 1/y.
+def verify_duality_reciprocity(f, phi, ells, variant: str = VARIANT_E) -> list:
+    """Duality reciprocity at each ell of the run, one CheckResult each, in
+    order: R = Etilde of the dualized weights at +ell, y -> 1/y.
 
     The dual is dualize(f), which f keeps: every check on f shares one.
     """
-
-    def right():
-        value = weighted_ehrhart_value(dualize(f), phi, ell, VARIANT_ETILDE)
-        return substitute_inverse(value)
-
-    params = {"ell": ell, "variant": variant}
-    return _minus_ell_check("duality_reciprocity", params, f, phi, ell, variant, right)
+    factor, ells = _variant_factor(phi, variant), [check_dilation(ell) for ell in ells]
+    dual = _orbit_coefficients(dualize(f), _PLUS)
+    return _minus_ell_checks("duality_reciprocity", {"variant": variant}, f, phi, ells, factor, dual, True)
 
 
-def verify_hodge_duality(f, ell: int) -> CheckResult:
-    """Character sum of the dual weights vs the inverted, negated sum at -ell.
+def verify_hodge_duality(f, ells) -> list:
+    """Character sum of the dual weights vs the inverted, negated sum at -ell,
+    at each ell of the run, one CheckResult each, in order.
 
     Both sides hold one coefficient per face E at chi^(-m) for m in
     Relint(ell E), so they agree exactly when the coefficients agree on
-    every face whose relative interior has points; lhs and rhs are
-    OrbitSums, expanded to points only when rendered.  A failed check
-    names the first such face and its first differing exponent.  The dual
-    is dualize(f), which f keeps: every check on f shares one.
+    every face whose relative interior has points; the two tables are
+    compared once, and each ell only looks for a face that differs and has
+    points.  lhs and rhs are OrbitSums, expanded to points only when
+    rendered.  A failed check names the first such face and its first
+    differing exponent.  The dual is dualize(f), which f keeps: every check
+    on f shares one.
     """
-    check_dilation(ell)
-    lhs = hodge_character_sum(dualize(f), ell)
+    ells = [check_dilation(ell) for ell in ells]
+    lattice, dual = f.lattice, _orbit_coefficients(dualize(f), _PLUS)
     inverted = _orbit_coefficients(f, _MINUS_INVERTED)
-    rhs = OrbitSum(inverted, f.lattice, ell)
-    for e, points in points_by_face(f.lattice, ell).items():
-        a, b = lhs.coeffs.get(e, L_ZERO), inverted.get(e, L_ZERO)
-        if points and a != b:
-            difference = {"face": e, **_first_difference(a, b)}
-            return CheckResult("hodge_duality", {"ell": ell}, False, lhs, rhs, difference)
-    return CheckResult("hodge_duality", {"ell": ell}, True, lhs, rhs)
+    differ = {e for e in dual.keys() | inverted.keys()
+              if dual.get(e, L_ZERO) != inverted.get(e, L_ZERO)}
+    checks = []
+    for ell in ells:
+        lhs, rhs = OrbitSum(dual, lattice, ell), OrbitSum(inverted, lattice, ell)
+        e = next((e for e, points in points_by_face(lattice, ell).items() if points and e in differ), None)
+        if e is None:
+            checks.append(CheckResult("hodge_duality", {"ell": ell}, True, lhs, rhs))
+        else:
+            difference = {"face": e, **_first_difference(dual.get(e, L_ZERO), inverted.get(e, L_ZERO))}
+            checks.append(CheckResult("hodge_duality", {"ell": ell}, False, lhs, rhs, difference))
+    return checks
 
 
-def verify_purity(f, qprime_id: int, phi, ell: int) -> CheckResult:
-    """Purity of the weight f at the face Q': E(-ell, y) = (-y)^(dim Q' + deg phi)
+def verify_purity(f, qprime_id: int, phi, ells) -> list:
+    """Purity of the weight f at the face Q' at each ell of the run, one
+    CheckResult each, in order: E(-ell, y) = (-y)^(dim Q' + deg phi)
     E(ell, 1/y), so R = (-y)^dim Q' Etilde(ell, 1/y).
 
     It holds for the g-weights of Q' (stanley.g_weight_function), and for any
     f with D(f) = (-y)^(-dim Q') f, the weights of a pure module.
     """
     qprime_id = check_nonempty_face(f.lattice, qprime_id)
-
-    def right():
-        value = weighted_ehrhart_value(f, phi, ell, VARIANT_ETILDE)
-        return neg_y_power(f.lattice.faces[qprime_id].dim) * substitute_inverse(value)
-
-    params = {"ell": ell, "face": qprime_id}
-    return _minus_ell_check("purity", params, f, phi, ell, VARIANT_E, right)
+    factor, ells = _variant_factor(phi, VARIANT_E), [check_dilation(ell) for ell in ells]
+    shift = neg_y_power(f.lattice.faces[qprime_id].dim)
+    plus = _orbit_coefficients(f, _PLUS)
+    return _minus_ell_checks("purity", {"face": qprime_id}, f, phi, ells, factor, plus, True, shift)

@@ -299,7 +299,7 @@ class FaceLattice:
     point partition, (phi, ell) for per-face sums, phi for a table of
     per-face interpolants.  Every other field is bounded by construction:
     members and nonempty_ids hold one entry per face, and _g_memo one
-    entry per face the Stanley sweep reached, one f-row per face below it.
+    entry per face the Stanley sweep reached, one (f, g) row pair per face below it.
     The facets of the coordinate projections that bound the fibre walk
     are cut from P's facets on first use and have exactly n-1 entries.
     """

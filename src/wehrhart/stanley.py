@@ -47,8 +47,10 @@ def _g_row(f):
 
 
 def _f_rows(lattice: FaceLattice, qp_id: int):
-    """f([Q, Q']) as an int tuple, of length dim Q' - dim Q (1 for Q = Q'), for
-    every face Q below Q', the empty face included; memoized in lattice._g_memo[qp_id].
+    """(f, g) of [Q, Q'] as int tuples, f of length dim Q' - dim Q (1 for Q = Q')
+    and g its _g_row, for every face Q below Q', the empty face included;
+    memoized in lattice._g_memo[qp_id].  Faces with equal f rows share one
+    pair.
 
     The faces below Q' are taken top down by dimension, layer d being
     down[Q'] & by_dim[d + 1].  Once a dimension d is done, masks[i, v]
@@ -62,7 +64,8 @@ def _f_rows(lattice: FaceLattice, qp_id: int):
         return rows
     up, by_dim, below = lattice.up, lattice.by_dim, lattice.down[qp_id]
     top = lattice.faces[qp_id].dim
-    rows = {qp_id: (1,)}
+    rows = {qp_id: ((1,), (1,))}
+    pairs = {}  # f -> (f, g): the faces of one f row share one pair, and its g is built once
     done = [(top, [(0, 1, 1 << qp_id)])]  # (d, [(i, v, mask)]) per finished dimension
     for d in range(top - 1, -2, -1):
         masks = {}
@@ -75,8 +78,11 @@ def _f_rows(lattice: FaceLattice, qp_id: int):
                     if c:
                         for j, b in enumerate(kernel, i):
                             f[j] += c * b
-            rows[q] = f = tuple(f)
-            for i, v in enumerate(_g_row(f)):
+            f = tuple(f)
+            if f not in pairs:
+                pairs[f] = f, _g_row(f)
+            rows[q] = f, g = pairs[f]
+            for i, v in enumerate(g):
                 if v < 0:
                     raise NegativeGCoefficient(f"g([{q}, {qp_id}]) has coefficient {v} at t^{i}")
                 if v:
@@ -103,8 +109,8 @@ def stanley_fg(lattice: FaceLattice, q_id: int, qp_id: int):
     """
     q_id, qp_id = check_face(lattice, q_id), check_face(lattice, qp_id)
     _check_interval(lattice, q_id, qp_id)
-    f = _f_rows(lattice, qp_id)[q_id]
-    return _t_poly(f), _t_poly(_g_row(f))
+    f, g = _f_rows(lattice, qp_id)[q_id]
+    return _t_poly(f), _t_poly(g)
 
 
 def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
@@ -115,7 +121,7 @@ def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     """
     q_id, qp_id = check_nonempty_face(lattice, q_id), check_nonempty_face(lattice, qp_id)
     _check_interval(lattice, q_id, qp_id)
-    return _t_poly(_g_row(_f_rows(lattice, qp_id)[q_id]))
+    return _t_poly(_f_rows(lattice, qp_id)[q_id][1])
 
 
 def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
@@ -127,7 +133,7 @@ def g_weight_function(lattice: FaceLattice, qp_id: int) -> WeightFunction:
     rows = _f_rows(lattice, qp_id)
     values = {}
     for q in lattice.subfaces(qp_id):
-        g = _g_row(rows[q])
+        g = rows[q][1]
         if g == (1,):
             values[q] = L_ONE
         else:
@@ -142,4 +148,4 @@ def h_polynomial(lattice: FaceLattice) -> LaurentPoly:
     agree with the ell = 0 weighted count at y = -t computed downstream.
     """
     _check_interval(lattice, lattice.empty_id, lattice.top_id)
-    return _t_poly(_f_rows(lattice, lattice.top_id)[lattice.empty_id])
+    return _t_poly(_f_rows(lattice, lattice.top_id)[lattice.empty_id][0])

@@ -25,10 +25,12 @@ class WeightFunction:
     """Map from nonempty face ids to LaurentPoly; absent means zero.
 
     Treated as immutable once built: _memo keeps, from first use, the orbit
-    coefficients that the weighted counts use and the dual (dualize).
+    coefficients that the weighted counts use, the dual (dualize) and the
+    value at each -ell the verifiers read.  A weak reference can watch when
+    one is freed.
     """
 
-    __slots__ = ("lattice", "values", "_memo")
+    __slots__ = ("lattice", "values", "_memo", "__weakref__")
 
     def __init__(self, lattice: FaceLattice, values=None):
         vals = {}

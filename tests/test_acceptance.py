@@ -187,8 +187,7 @@ def test_criterion_3_reciprocity():
     for name, lattice, wlabel, f, philabel, phi in full_grid():
         for variant in (VARIANT_ETILDE, VARIANT_E):
             zp = zp_for(name, wlabel, f, philabel, phi, variant)
-            for ell in (1, 2, 3):
-                res = verify_reciprocity(f, phi, ell, variant)
+            for ell, res in zip((1, 2, 3), verify_reciprocity(f, phi, (1, 2, 3), variant), strict=True):
                 assert res.passed, (name, wlabel, philabel, variant, ell)
                 assert zp(-ell) == res.lhs
 
@@ -197,12 +196,12 @@ def test_criterion_4_reciprocity_for_duality():
     for name, lattice, wlabel, f, philabel, phi in full_grid():
         for variant in (VARIANT_ETILDE, VARIANT_E):
             zp = zp_for(name, wlabel, f, philabel, phi, variant)
-            for ell in (1, 2, 3):
-                dual = verify_duality_reciprocity(f, phi, ell, variant)
+            duals = verify_duality_reciprocity(f, phi, (1, 2, 3), variant)
+            classics = verify_reciprocity(f, phi, (1, 2, 3), variant)
+            for ell, dual, classic in zip((1, 2, 3), duals, classics, strict=True):
                 assert dual.passed, (name, wlabel, philabel, variant, ell)
                 assert zp(-ell) == dual.lhs
                 # both formulations evaluate the same left side
-                classic = verify_reciprocity(f, phi, ell, variant)
                 assert classic.passed == dual.passed
                 assert classic.lhs == dual.lhs
 
@@ -232,8 +231,7 @@ def test_criterion_6_purity():
             for qp in lattice.nonempty_ids:
                 g = g_weight_function(lattice, qp)
                 zp = ehrhart_polynomial(g, phi, VARIANT_E)
-                for ell in (1, 2, 3):
-                    res = verify_purity(g, qp, phi, ell)
+                for ell, res in zip((1, 2, 3), verify_purity(g, qp, phi, (1, 2, 3)), strict=True):
                     assert res.passed, (name, qp, phi, ell)
                     assert zp(-ell) == res.lhs
 
@@ -244,9 +242,8 @@ def test_variants_differ_by_one_factor():
     for name, lattice, wlabel, f, philabel, phi in full_grid():
         factor = one_plus_y_power(phi.degree)
         for check in (verify_reciprocity, verify_duality_reciprocity):
-            for ell in (1, 2, 3):
-                e = check(f, phi, ell, VARIANT_E)
-                etilde = check(f, phi, ell, VARIANT_ETILDE)
+            es, etildes = check(f, phi, (1, 2, 3), VARIANT_E), check(f, phi, (1, 2, 3), VARIANT_ETILDE)
+            for ell, e, etilde in zip((1, 2, 3), es, etildes, strict=True):
                 assert e.passed and etilde.passed, (check.__name__, name, wlabel, philabel, ell)
                 assert (e.lhs, e.rhs) == (etilde.lhs * factor, etilde.rhs * factor)
     for name in corpus.names():
@@ -257,8 +254,7 @@ def test_variants_differ_by_one_factor():
                 g = g_weight_function(lattice, qp)
                 etilde = ehrhart_polynomial(g, phi, VARIANT_ETILDE)
                 nprime = lattice.faces[qp].dim
-                for ell in (1, 2, 3):
-                    res = verify_purity(g, qp, phi, ell)
+                for ell, res in zip((1, 2, 3), verify_purity(g, qp, phi, (1, 2, 3)), strict=True):
                     value = weighted_ehrhart_value(g, phi, ell, VARIANT_ETILDE)
                     etilde_rhs = (-1) ** d * neg_y_power(nprime) * substitute_inverse(value)
                     assert res.passed, (name, qp, phi, ell)
@@ -272,8 +268,7 @@ def test_criterion_7_character_sum_duality():
     for name in corpus.names():
         lattice = corpus.build(name)
         for wlabel, f in grid_weights(name):
-            for ell in (1, 2, 3):
-                res = verify_hodge_duality(f, ell)
+            for ell, res in zip((1, 2, 3), verify_hodge_duality(f, (1, 2, 3)), strict=True):
                 assert res.passed, (name, wlabel, ell)
 
 

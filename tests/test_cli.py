@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from wehrhart import cli, corpus, ehrhart, polytope, stanley, weights
-from wehrhart.algebra import LaurentPoly as L
+from wehrhart.algebra import HomogPoly, LaurentPoly as L
 from wehrhart.ehrhart import CheckResult
 from wehrhart.jsonio import (
     ContentError,
@@ -280,17 +280,18 @@ def test_failed_check_exits_1_and_prints_its_first_difference(monkeypatch, capsy
 
     def first_fails(*args, **kwargs):
         calls.append(args)
+        checks = real(*args, **kwargs)
         if len(calls) > 1:
-            return real(*args, **kwargs)
+            return checks
         difference = {"exponent": 0, "lhs": 1, "rhs": 2}
-        return CheckResult("reciprocity", {"ell": 1}, False, L({0: 1}), L({0: 2}), difference)
+        return [CheckResult("reciprocity", {"ell": 1}, False, L({0: 1}), L({0: 2}), difference), *checks[1:]]
 
     monkeypatch.setattr(cli, "verify_reciprocity", first_fails)
     spec = cli.parse_args(["verify", fx("segment"), "--suite", "reciprocity", "--lmax", "2"])
     assert cli.run(spec) == 1
     out = capsys.readouterr().out
-    # one Etilde check per (weight, ell); its E copy fails with it
-    assert len(calls) == 4
+    # one Etilde run per weight; the E copy of its first check fails with it
+    assert len(calls) == 2
     assert '\n  "failed": 2,\n  "passed": false\n}\n' in out
     assert out.count('"first_difference"') == 2
     reports = json.loads(out)["reports"]
@@ -300,14 +301,16 @@ def test_failed_check_exits_1_and_prints_its_first_difference(monkeypatch, capsy
 
 
 def test_each_checker_runs_once_per_weight_and_dilation(monkeypatch):
-    """verify checks each (weight, ell) once, for Etilde, and derives the E report from it."""
-    calls = {}
+    """verify checks each (weight, ell) once, for Etilde, in one run per weight over the
+    dilations, and derives the E report from it."""
+    calls, runs = {}, {}
     for name in ("verify_reciprocity", "verify_duality_reciprocity"):
         real = getattr(cli, name)
 
-        def counted(f, phi, ell, variant, real=real, name=name):
-            calls.setdefault(name, []).append((id(f), ell, variant))
-            return real(f, phi, ell, variant)
+        def counted(f, phi, ells, variant, real=real, name=name):
+            runs.setdefault(name, []).append(id(f))
+            calls.setdefault(name, []).extend((id(f), ell, variant) for ell in ells)
+            return real(f, phi, ells, variant)
 
         monkeypatch.setattr(cli, name, counted)
     argv = ["verify", fx("square"), "--suite", "all", "--lmax", "3", "--random-weights", "--seed", "5", "--count", "2"]
@@ -316,6 +319,8 @@ def test_each_checker_runs_once_per_weight_and_dilation(monkeypatch):
     for made in calls.values():
         assert len(made) == len(set(made)) == 4 * 3  # all-ones, g-weights(P) and two random weights
         assert {variant for _, _, variant in made} == {"Etilde"}
+    for made in runs.values():
+        assert len(made) == len(set(made)) == 4
 
 
 def test_parse_error_bad_json(tmp_path, capsys):
@@ -906,8 +911,10 @@ def test_verify_leaves_the_orbit_kinds_and_the_dual_in_each_memo(monkeypatch, ca
     capsys.readouterr()
     assert len(weight_set) == 4
     orbit_kinds = {ehrhart._PLUS, ehrhart._MINUS, ehrhart._MINUS_INVERTED}
+    # and Etilde(-ell) under (phi, -ell), for every ell of the run
+    minus_ell = {(HomogPoly.one(3), -ell) for ell in (1, 2)}
     for f in weight_set:
-        assert set(f._memo) == orbit_kinds | {weights._DUAL}
+        assert set(f._memo) == orbit_kinds | {weights._DUAL} | minus_ell
         # the dual keeps its own orbit coefficients, and no link back to f
         assert set(weights.dualize(f)._memo) <= orbit_kinds
 

@@ -230,11 +230,11 @@ class TestWeightedValue:
 # every public entry point that takes a dilation, on (lattice, weight, phi, ell)
 DILATION_CALLS = {
     "weighted_ehrhart_value": lambda lat, f, phi, ell: weighted_ehrhart_value(f, phi, ell, "E"),
-    "verify_reciprocity": lambda lat, f, phi, ell: verify_reciprocity(f, phi, ell),
-    "verify_duality_reciprocity": lambda lat, f, phi, ell: verify_duality_reciprocity(f, phi, ell),
-    "verify_hodge_duality": lambda lat, f, phi, ell: verify_hodge_duality(f, ell),
+    "verify_reciprocity": lambda lat, f, phi, ell: verify_reciprocity(f, phi, [ell]),
+    "verify_duality_reciprocity": lambda lat, f, phi, ell: verify_duality_reciprocity(f, phi, [ell]),
+    "verify_hodge_duality": lambda lat, f, phi, ell: verify_hodge_duality(f, [ell]),
     "verify_purity": lambda lat, f, phi, ell: verify_purity(
-        g_weight_function(lat, lat.top_id), lat.top_id, phi, ell
+        g_weight_function(lat, lat.top_id), lat.top_id, phi, [ell]
     ),
     "hodge_character_sum": lambda lat, f, phi, ell: hodge_character_sum(f, ell),
     "points_by_face": lambda lat, f, phi, ell: points_by_face(lat, ell),
@@ -640,10 +640,9 @@ class TestVerifyReciprocity:
         f = all_ones(lat)
         phi = phi_coord(1)
         zp = ehrhart_polynomial(f, phi, "Etilde")
-        for ell in (1, 2, 3):
+        for ell, check in zip((1, 2, 3), verify_reciprocity(f, phi, (1, 2, 3), "Etilde"), strict=True):
             expected = L({0: -ell}) + L({0: 1, 1: 1}) * Fraction(ell * (ell + 1), 2)
             assert zp(-ell) == expected
-            check = verify_reciprocity(f, phi, ell, "Etilde")
             assert check.passed
             assert zp(-ell) == check.lhs
 
@@ -652,8 +651,8 @@ class TestVerifyReciprocity:
         lat = build("square")
         f = delta_weight(lat, lat.top_id)
         zp = ehrhart_polynomial(f, phi_one(2), "Etilde")
-        for ell in (1, 2, 3):
-            check = verify_reciprocity(f, phi_one(2), ell, "Etilde")
+        checks = verify_reciprocity(f, phi_one(2), (1, 2, 3), "Etilde")
+        for ell, check in zip((1, 2, 3), checks, strict=True):
             assert check.passed
             assert zp(-ell) == check.lhs
             assert zp(-ell).subs(0) == (ell + 1) ** 2  # (-1)^2 |lP|
@@ -666,8 +665,8 @@ class TestVerifyReciprocity:
             for f in random_weight_functions(lat, seed=41, count=3):
                 for variant in ("E", "Etilde"):
                     zp = ehrhart_polynomial(f, phi_coord(n), variant)
-                    for ell in (1, 2):
-                        check = verify_reciprocity(f, phi_coord(n), ell, variant)
+                    checks = verify_reciprocity(f, phi_coord(n), (1, 2), variant)
+                    for ell, check in zip((1, 2), checks, strict=True):
                         assert check.passed
                         assert zp(-ell) == check.lhs
 
@@ -678,8 +677,7 @@ class TestVerifyDualityReciprocity:
         phi = HomogPoly(3, [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
         for f in random_weight_functions(lat, seed=43, count=2):
             zp = ehrhart_polynomial(f, phi, "E")
-            for ell in (1, 2):
-                check = verify_duality_reciprocity(f, phi, ell, "E")
+            for ell, check in zip((1, 2), verify_duality_reciprocity(f, phi, (1, 2), "E"), strict=True):
                 assert check.passed
                 assert zp(-ell) == check.lhs
 
@@ -689,9 +687,9 @@ class TestVerifyDualityReciprocity:
         phi = phi_coord(2)
         for variant in ("E", "Etilde"):
             zp = ehrhart_polynomial(f, phi, variant)
-            for ell in (1, 2, 3):
-                a = verify_reciprocity(f, phi, ell, variant)
-                b = verify_duality_reciprocity(f, phi, ell, variant)
+            recip = verify_reciprocity(f, phi, (1, 2, 3), variant)
+            dual = verify_duality_reciprocity(f, phi, (1, 2, 3), variant)
+            for ell, a, b in zip((1, 2, 3), recip, dual, strict=True):
                 assert a.passed and b.passed
                 assert a.lhs == b.lhs
                 assert zp(-ell) == a.lhs
@@ -700,27 +698,26 @@ class TestVerifyDualityReciprocity:
         lat = build("segment")
         for fid in lat.nonempty_ids:
             f = delta_weight(lat, fid)
-            assert verify_duality_reciprocity(f, phi_one(1), 1, "E").passed
+            assert verify_duality_reciprocity(f, phi_one(1), [1], "E")[0].passed
 
 
 class TestVerifyHodgeDuality:
     def test_segment_delta_edge_frozen(self):
         lat = build("segment")
         f = delta_weight(lat, lat.top_id)
-        check = verify_hodge_duality(f, 1)
+        (check,) = verify_hodge_duality(f, [1])
         assert check.passed
         minus = L({-1: -1, 0: -1})  # -(1+y)/y
         assert dict(check.lhs.terms()) == {(-1,): minus, (0,): minus}
 
     def test_square_all_ones(self):
         lat = build("square")
-        for ell in (1, 2):
-            assert verify_hodge_duality(all_ones(lat), ell).passed
+        assert [check.passed for check in verify_hodge_duality(all_ones(lat), (1, 2))] == [True, True]
 
     def test_pyramid_g_weights_eigen_form(self):
         lat = build("pyramid")
         f = g_weight_function(lat, lat.top_id)
-        check = verify_hodge_duality(f, 1)
+        (check,) = verify_hodge_duality(f, [1])
         assert check.passed
         expected = [(m, p * neg_y_power(-3)) for m, p in hodge_character_sum(f, 1).terms()]
         assert check.lhs.terms() == expected
@@ -728,8 +725,7 @@ class TestVerifyHodgeDuality:
     def test_random_weights(self):
         lat = build("square")
         for f in random_weight_functions(lat, seed=53, count=3):
-            for ell in (1, 2):
-                assert verify_hodge_duality(f, ell).passed
+            assert [check.passed for check in verify_hodge_duality(f, (1, 2))] == [True, True]
 
 
 def plant_dual(monkeypatch, f, dual):
@@ -756,7 +752,7 @@ class TestFailedCheckNamesFirstDifference:
     def test_duality_reciprocity_names_the_exponent(self, monkeypatch):
         lat, f, wrong = self.wrong_dual()
         plant_dual(monkeypatch, f, wrong)
-        check = verify_duality_reciprocity(f, phi_one(1), 2, "Etilde")
+        (check,) = verify_duality_reciprocity(f, phi_one(1), [2], "Etilde")
         assert not check.passed
         # y -> 1/y sends y^3 + y^4 to y^-3 + y^-4; the lowest is -4
         assert check.difference == {"exponent": -4, "lhs": 0, "rhs": 1}
@@ -768,7 +764,7 @@ class TestFailedCheckNamesFirstDifference:
     def test_hodge_duality_names_the_face_and_exponent(self, monkeypatch):
         lat, f, wrong = self.wrong_dual()
         plant_dual(monkeypatch, f, wrong)
-        check = verify_hodge_duality(f, 2)
+        (check,) = verify_hodge_duality(f, [2])
         assert not check.passed
         # the vertices agree; the edge's coefficient gains y^3 (1+y)
         assert check.difference == {"face": lat.top_id, "exponent": 3, "lhs": 1, "rhs": 0}
@@ -781,9 +777,9 @@ class TestFailedCheckNamesFirstDifference:
         lat = build("segment")
         f = all_ones(lat)
         checks = [
-            verify_duality_reciprocity(f, phi_one(1), 2, "Etilde"),
-            verify_hodge_duality(f, 2),
-            verify_reciprocity(f, phi_one(1), 2, "E"),
+            *verify_duality_reciprocity(f, phi_one(1), [2], "Etilde"),
+            *verify_hodge_duality(f, [2]),
+            *verify_reciprocity(f, phi_one(1), [2], "E"),
         ]
         for check in checks:
             assert check.passed and check.difference is None
@@ -797,18 +793,18 @@ class TestFailedCheckNamesFirstDifference:
         zp = ehrhart_polynomial(all_ones(lat), phi_one(1), "E")
         for checker in (verify_reciprocity, verify_duality_reciprocity):
             with pytest.raises(TypeError):
-                checker(all_ones(lat), phi_one(1), 1, "E", zpoly=zp)
+                checker(all_ones(lat), phi_one(1), [1], "E", zpoly=zp)
         with pytest.raises(TypeError):
-            verify_purity(g_weight_function(lat, lat.top_id), lat.top_id, phi_one(1), 1, zpoly=zp)
+            verify_purity(g_weight_function(lat, lat.top_id), lat.top_id, phi_one(1), [1], zpoly=zp)
 
     def test_verifiers_take_no_dual(self):
         # the weight function keeps its own dual (dualize); no caller passes one in
         lat = build("segment")
         f = all_ones(lat)
         with pytest.raises(TypeError):
-            verify_duality_reciprocity(f, phi_one(1), 1, "E", dual=dualize(f))
+            verify_duality_reciprocity(f, phi_one(1), [1], "E", dual=dualize(f))
         with pytest.raises(TypeError):
-            verify_hodge_duality(f, 1, dual=dualize(f))
+            verify_hodge_duality(f, [1], dual=dualize(f))
 
 
 class TestEFormOfTheEtildeCheck:
@@ -824,9 +820,8 @@ class TestEFormOfTheEtildeCheck:
         weights += random_weight_functions(lat, seed=59, count=2)
         for checker in (verify_reciprocity, verify_duality_reciprocity):
             for f in weights:
-                for ell in (1, 2, 3):
-                    etilde = checker(f, phi, ell, "Etilde")
-                    assert e_form(etilde, phi) == checker(f, phi, ell, "E")
+                etilde, e = checker(f, phi, (1, 2, 3), "Etilde"), checker(f, phi, (1, 2, 3), "E")
+                assert [e_form(check, phi) for check in etilde] == e
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_planted_failure(self, monkeypatch, degree):
@@ -834,11 +829,12 @@ class TestEFormOfTheEtildeCheck:
         plant_dual(monkeypatch, f, wrong)
         phi = mixed_phi(1, degree)
         # the open edge has no lattice point at ell = 1, so only 2 and 3 fail
-        for ell in (1, 2, 3):
-            etilde = verify_duality_reciprocity(f, phi, ell, "Etilde")
+        etildes = verify_duality_reciprocity(f, phi, (1, 2, 3), "Etilde")
+        es = verify_duality_reciprocity(f, phi, (1, 2, 3), "E")
+        for ell, etilde, e_check in zip((1, 2, 3), etildes, es, strict=True):
             e = e_form(etilde, phi)
             assert e.passed is etilde.passed is (ell == 1)
-            assert e == verify_duality_reciprocity(f, phi, ell, "E")
+            assert e == e_check
 
     def test_first_difference_is_found_afresh(self):
         # (1+y) * 1 = 1 + y against (1+y)(1 - y) = 1 - y^2: still apart at y^1, as 1 against 0
@@ -859,8 +855,7 @@ class TestHodgeDualityAgainstPointwiseOracle:
     @staticmethod
     def check(monkeypatch, lat, f, dual, expect):
         plant_dual(monkeypatch, f, dual)
-        for ell in (1, 2, 3):
-            faces = verify_hodge_duality(f, ell)
+        for ell, faces in zip((1, 2, 3), verify_hodge_duality(f, (1, 2, 3)), strict=True):
             points = pointwise_hodge_duality(lat, f, ell, dual)
             assert faces.passed is points.passed is expect
             assert rendered_check(lat, faces) == plain_check_json(points)
@@ -891,8 +886,8 @@ class TestHodgeDualityAgainstPointwiseOracle:
 class TestVerifyPurity:
     def test_pyramid_top(self):
         lat = build("pyramid")
-        for ell in (1, 2, 3):
-            assert verify_purity(g_weight_function(lat, lat.top_id), lat.top_id, phi_one(3), ell).passed
+        checks = verify_purity(g_weight_function(lat, lat.top_id), lat.top_id, phi_one(3), (1, 2, 3))
+        assert [check.passed for check in checks] == [True, True, True]
 
     def test_cube_facet_quadratic(self):
         lat = build("cube")
@@ -900,15 +895,14 @@ class TestVerifyPurity:
         phi = HomogPoly(3, [((2, 0, 0), 1)])
         g = g_weight_function(lat, facet)
         zp = ehrhart_polynomial(g, phi, "E")
-        for ell in (1, 2):
-            check = verify_purity(g, facet, phi, ell)
+        for ell, check in zip((1, 2), verify_purity(g, facet, phi, (1, 2)), strict=True):
             assert check.passed
             assert zp(-ell) == check.lhs
 
     def test_empty_face_rejected(self):
         lat = build("cube")
         with pytest.raises(ValueError):
-            verify_purity(g_weight_function(lat, lat.top_id), lat.empty_id, phi_one(3), 1)
+            verify_purity(g_weight_function(lat, lat.top_id), lat.empty_id, phi_one(3), [1])
 
 
 def relabelled(lat, seed):
@@ -946,11 +940,13 @@ class TestRelabelledFaces:
         for ell in (-2, 0, 1, 2):
             got, want = hodge_character_sum(g, ell), hodge_character_sum(f, ell)
             assert got.terms() == want.terms(), ell
-        for ell in (1, 2):
-            assert verify_reciprocity(g, phi_one(n), ell).passed
-            assert verify_duality_reciprocity(g, phi_one(n), ell).passed
-            assert verify_hodge_duality(g, ell).passed
-            assert verify_purity(g_weight_function(new, new.top_id), new.top_id, phi_one(n), ell).passed
+        checks = [
+            *verify_reciprocity(g, phi_one(n), (1, 2)),
+            *verify_duality_reciprocity(g, phi_one(n), (1, 2)),
+            *verify_hodge_duality(g, (1, 2)),
+            *verify_purity(g_weight_function(new, new.top_id), new.top_id, phi_one(n), (1, 2)),
+        ]
+        assert [check.passed for check in checks] == [True] * 8
 
 
 class TestHLink:

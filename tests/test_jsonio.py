@@ -372,13 +372,13 @@ def test_verify_report_matches_the_plain_dict_route(name, with_phi, monkeypatch,
 def test_planted_failing_reciprocity_check_matches_the_plain_dict_route(monkeypatch):
     real = cli.verify_reciprocity
 
-    def second_fails(f, phi, ell, variant):
-        check = real(f, phi, ell, variant)
-        if ell != 2:
-            return check
+    def second_fails(f, phi, ells, variant):
+        checks = real(f, phi, ells, variant)
+        check = checks[1]  # at ell = 2
         wrong = check.rhs + L({-1: 3})
         difference = {"exponent": -1, "lhs": check.lhs.coeff(-1), "rhs": wrong.coeff(-1)}
-        return CheckResult(check.name, check.params, False, check.lhs, wrong, difference)
+        checks[1] = CheckResult(check.name, check.params, False, check.lhs, wrong, difference)
+        return checks
 
     monkeypatch.setattr(cli, "verify_reciprocity", second_fails)
     argv = ["verify", str(cli_fixture("pyramid")), "--suite", "reciprocity", "--lmax", "3"]
@@ -428,7 +428,7 @@ def test_shared_sides_and_params_render_as_the_plain_dict_route():
     lattice = build("square")
     phi = HomogPoly.one(2)
     f = all_ones(lattice)
-    etilde = ehrhart.verify_reciprocity(f, phi, 1, ehrhart.VARIANT_ETILDE)
+    (etilde,) = ehrhart.verify_reciprocity(f, phi, [1], ehrhart.VARIANT_ETILDE)
     e = ehrhart.e_form(etilde, phi)
     assert e.lhs is etilde.lhs and e.rhs is etilde.rhs  # the factor is 1 at deg phi = 0
     lhs, rhs = L({0: 1, 1: 2}), L({0: 1, 1: 3})
@@ -438,11 +438,11 @@ def test_shared_sides_and_params_render_as_the_plain_dict_route():
     swapped = CheckResult("swapped", {"ell": 1, "variant": "E"}, False, rhs, L({1: 2}), difference)
     # equal values held by distinct objects, and the sum of every orbit at ell = 2
     copies = CheckResult("copies", dict(etilde.params), True, L(dict(lhs.terms)), L(dict(lhs.terms)))
-    hodge = ehrhart.verify_hodge_duality(f, 2)
+    (hodge,) = ehrhart.verify_hodge_duality(f, [2])
     reports = [
         ("reciprocity", "all-ones", "1", [etilde, planted, swapped]),
         ("reciprocity", "all-ones", "1", [e, copies, planted]),
-        ("hodge", "all-ones", "-", [hodge, ehrhart.verify_hodge_duality(f, 2)]),
+        ("hodge", "all-ones", "-", [hodge, *ehrhart.verify_hodge_duality(f, [2])]),
     ]
     plain = plain_verify_json(lattice, reports)
     assert verify_to_json(lattice, reports) == (_plain(plain), plain["failed"])

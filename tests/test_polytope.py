@@ -171,7 +171,7 @@ FACE_ID_ENTRY_POINTS = {
     "stanley_fg lower": lambda lat, fid: stanley_fg(lat, fid, lat.top_id),
     "stanley_fg upper": lambda lat, fid: stanley_fg(lat, lat.vertex_face_id(0), fid),
     "verify_purity": lambda lat, fid: verify_purity(
-        g_weight_function(lat, lat.top_id), fid, HomogPoly.one(2), 1
+        g_weight_function(lat, lat.top_id), fid, HomogPoly.one(2), [1]
     ),
     "delta_weight": lambda lat, fid: delta_weight(lat, fid),
     "WeightFunction": lambda lat, fid: WeightFunction(lat, {fid: LaurentPoly.const(1)}),

@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 
+import wehrhart.stanley as stanley
 from box_oracle import random_lattice
 from face_oracle import lattice_of_faces
 from kls_oracle import kls_weights
@@ -313,7 +314,7 @@ class TestGTheorem:
     @pytest.mark.parametrize("name,make", G_THEOREM_LATTICES, ids=[n for n, _ in G_THEOREM_LATTICES])
     def test_nonnegative_and_monotone(self, name, make):
         L = make()
-        g = {(q, qp): _g_row(f) for qp in L.nonempty_ids for q, f in _f_rows(L, qp).items()}
+        g = {(q, qp): g for qp in L.nonempty_ids for q, (_, g) in _f_rows(L, qp).items()}
         g[L.empty_id, L.empty_id] = (1,)
         for (q, qp), row in g.items():
             assert min(row) >= 0, (q, qp)
@@ -344,3 +345,24 @@ def test_g_memo_bounded_by_nested_pairs():
         g_weight_function(L, qp)
     assert set(L._g_memo) == set(L.nonempty_ids)
     assert sum(map(len, L._g_memo.values())) <= sum(map(int.bit_count, L.up))
+
+
+def test_each_g_row_is_built_once_beside_its_f_row(monkeypatch):
+    # the sweep keeps each face's g row with its f row, one pair per distinct f row;
+    # the readers take it from there and build none
+    built = []
+    monkeypatch.setattr(stanley, "_g_row", lambda f: built.append(f) or _g_row(f))
+    L = build_face_lattice(facet_presentation(list(itertools.product((0, 1), repeat=3))))
+    for qp in L.nonempty_ids:
+        g_weight_function(L, qp)
+    swept = len(built)
+    distinct = sum(len({f for q, (f, _) in memo.items() if q != qp}) for qp, memo in L._g_memo.items())
+    assert 0 < swept == distinct
+    for qp in L.nonempty_ids:
+        g_weight_function(L, qp)
+        for q in L.subfaces(qp):
+            polar_g(L, q, qp)
+            stanley_fg(L, q, qp)
+    h_polynomial(L)
+    assert len(built) == swept
+    assert all(g == _g_row(f) for memo in L._g_memo.values() for f, g in memo.values())
