@@ -299,9 +299,10 @@ class FaceLattice:
     point partition, (phi, ell) for per-face sums, phi for a table of
     per-face interpolants.  Every other field is bounded by construction:
     members and nonempty_ids hold one entry per face, and _g_memo one
-    entry per face the Stanley sweep reached, one (f, g) row pair per face below it.
-    The facets of the coordinate projections that bound the fibre walk
-    are cut from P's facets on first use and have exactly n-1 entries.
+    entry per face the Stanley sweep reached, one (f, g) row pair per
+    face below it.  The facets of the coordinate projections that bound
+    the fibre walk are cut from P's facets on first use and have exactly
+    n-1 entries.
     """
 
     def __init__(self, polytope, faces, vertex_ids):
