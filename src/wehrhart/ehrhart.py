@@ -46,11 +46,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add, mul, neg
+from typing import NamedTuple
 
 from .algebra import (
     L_ONE,
     L_ZERO,
-    FrozenRecord,
     HomogPoly,
     LaurentPoly,
     ZPoly,
@@ -85,16 +85,17 @@ def _variant_factor(phi, variant):
     return one_plus_y_power(phi.degree) if variant == VARIANT_E else L_ONE
 
 
-class OrbitSum:
+class OrbitSum(NamedTuple):
     """A character sum at dilation ell held as one coefficient per torus
     orbit: coeffs[E] at chi^(-m) for every m in Relint(ell E) at ell > 0,
     at chi^m for every m in Relint(-ell E) at ell < 0; at ell = 0 the one
-    coefficient, on the empty face, sits at chi^0."""
+    coefficient, on the empty face, sits at chi^0.  Two sums are equal
+    when their coefficient maps are, on the same lattice object at the
+    same ell; the dict field leaves it unhashable."""
 
-    __slots__ = ("coeffs", "lattice", "ell")
-
-    def __init__(self, coeffs, lattice, ell):
-        self.coeffs, self.lattice, self.ell = coeffs, lattice, ell
+    coeffs: dict
+    lattice: object
+    ell: int
 
     def characters(self):
         """(character, face) for every point of |ell| P, characters ascending.
@@ -393,23 +394,20 @@ def ehrhart_polynomial(f: WeightFunction, phi: HomogPoly, variant: str) -> ZPoly
     )
 
 
-class CheckResult(FrozenRecord):
+class CheckResult(NamedTuple):
     """Outcome of one identity check, with both sides kept for reporting.
 
     difference names the first coefficient at which a failed check's sides
-    differ (see _first_difference); it is None on a passed check.
+    differ (see _first_difference); it is None on a passed check.  The
+    params dict leaves it unhashable.
     """
 
-    __slots__ = ("name", "params", "passed", "lhs", "rhs", "difference")
-
-    def __init__(self, name: str, params: dict, passed: bool, lhs, rhs, difference: dict | None = None):
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "params", params)
-        init(self, "passed", passed)
-        init(self, "lhs", lhs)
-        init(self, "rhs", rhs)
-        init(self, "difference", difference)
+    name: str
+    params: dict
+    passed: bool
+    lhs: object
+    rhs: object
+    difference: dict | None = None
 
 
 def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
@@ -452,7 +450,7 @@ def e_form(check: CheckResult, phi) -> CheckResult:
     sides and verdict as they are."""
     params = {**check.params, "variant": VARIANT_E}
     if not phi.degree:
-        return CheckResult(check.name, params, check.passed, check.lhs, check.rhs, check.difference)
+        return check._replace(params=params)
     factor = _variant_factor(phi, VARIANT_E)
     return _compare(check.name, params, check.lhs * factor, check.rhs * factor)
 

@@ -235,8 +235,8 @@ def _int_list(xs, pad: str) -> str:
 
 def lattice_to_json(lattice: FaceLattice) -> str:
     """Facets, f-vector, faces with tight sets, and the strict order pairs:
-    the faces written from the id lists the lattice decoded once
-    (FaceLattice.members), the pairs from the up masks."""
+    the faces written from the ids each Face record holds, decoded once
+    when the lattice was built, the pairs from the up masks."""
     P = lattice.polytope
     out = [f'{{\n  "n": {P.n},\n  "polytope_hash": {_quote(polytope_hash(P))},\n  "facets": ']
     for u, a in P.facets:
@@ -244,11 +244,11 @@ def lattice_to_json(lattice: FaceLattice) -> str:
     _enclose(out, 1, "  ")
     out.append(f',\n  "f_vector": {_int_list(lattice.f_vector, "  ")},\n  "faces": ')
     start = len(out)
-    for q, (f, (vertices, tight)) in enumerate(zip(lattice.faces, lattice.members)):
+    for q, f in enumerate(lattice.faces):
         out.append(
             f',\n    {{\n      "id": {q},\n      "dim": {f.dim},\n'
-            f'      "vertices": {_int_list(vertices, "      ")},\n'
-            f'      "tight_facets": {_int_list(tight, "      ")}\n    }}'
+            f'      "vertices": {_int_list(f.vertex_ids, "      ")},\n'
+            f'      "tight_facets": {_int_list(f.tight_ids, "      ")}\n    }}'
         )
     _enclose(out, start, "  ")
     out.append(',\n  "order": ')

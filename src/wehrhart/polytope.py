@@ -4,10 +4,10 @@ Facet presentation by the double-description method (Fukuda-Prodon) in
 int arithmetic, which hands each facet's tight vertex set to the
 polytope it builds, face lattice by closing tight-facet vertex sets under
 intersection in one pass down the closure that also collects each set's
-tight facets and grades it, each face two bitmasks (its vertices, its
-tight facets) and a dimension with its position as its id, each mask
-decoded to ids once, the grading and the order as bitmasks of face ids,
-and lattice points by a fibre walk.
+tight facets and grades it, each face one record of two bitmasks (its
+vertices, its tight facets), a dimension and each mask decoded to ids
+once, with its position as its id, the grading and the order as
+bitmasks of face ids, and lattice points by a fibre walk.
 The walk lifts the first n-1 coordinates level by level through the
 facets of P's coordinate projections, each cut from the one above (P's
 own at first) by one more double-description step; along each row (the
@@ -26,8 +26,9 @@ import json
 from functools import cmp_to_key, reduce
 from math import gcd
 from operator import and_, mul
+from typing import NamedTuple
 
-from .algebra import FrozenRecord, as_int
+from .algebra import as_int
 
 # Entries kept in FaceLattice._memo, of any kind, before the oldest is
 # dropped.  The largest CLI run, verify --suite all --lmax 12, keeps 12
@@ -152,21 +153,20 @@ def _normal(ray, k):
     return tuple(x // g for x in ray[:k]) + (ray[-1] // g,)
 
 
-class Face(FrozenRecord):
-    """One face of the lattice as two bitmasks and its dimension.
+class Face(NamedTuple):
+    """One face of the lattice as two bitmasks, its dimension and the masks' ids.
 
     Bit i of vertex_mask is set iff P.vertices[i] lies on the face, bit F of
     tight_mask iff the face lies on P.facets[F]; the empty face (dim -1) is
-    tight on every facet, P on none.  Its id is its position in FaceLattice.faces.
+    tight on every facet, P on none.  vertex_ids and tight_ids are the two
+    masks decoded, ascending.  Its id is its position in FaceLattice.faces.
     """
 
-    __slots__ = ("vertex_mask", "tight_mask", "dim")
-
-    def __init__(self, vertex_mask: int, tight_mask: int, dim: int):
-        init = object.__setattr__
-        init(self, "vertex_mask", vertex_mask)
-        init(self, "tight_mask", tight_mask)
-        init(self, "dim", dim)
+    vertex_mask: int
+    tight_mask: int
+    dim: int
+    vertex_ids: tuple
+    tight_ids: tuple
 
 
 class LatticePolytope:
@@ -291,40 +291,36 @@ class FaceLattice:
     up[a] is the AND, over the vertices of a, of the faces containing that
     vertex; down[b] is the AND, over the facets tight at b, of the faces
     inside that facet (every face is the intersection of its tight
-    facets).  members[q] is face q's vertex ids and tight facet ids, each
-    mask decoded once: the one caller, build_face_lattice, passes the
-    vertex ids it sorted by, and the tight ids are decoded here.  Everything derived
-    at a dilation or per integrand shares one BoundedCache of MEMO_MAX
-    entries, _memo, each key naming what its entry depends on: ell for a
-    point partition, (phi, ell) for per-face sums, phi for a table of
+    facets), both read off the ids each Face record holds.  Everything
+    derived at a dilation or per integrand shares one BoundedCache of
+    MEMO_MAX entries, _memo, each key naming what its entry depends on: ell
+    for a point partition, (phi, ell) for per-face sums, phi for a table of
     per-face interpolants.  Every other field is bounded by construction:
-    members and nonempty_ids hold one entry per face, and _g_memo one
-    entry per face the Stanley sweep reached, one (f, g) row pair per
-    face below it.  The facets of the coordinate projections that bound
-    the fibre walk are cut from P's facets on first use and have exactly
-    n-1 entries.
+    nonempty_ids holds one entry per face, and _g_memo one entry per face
+    the Stanley sweep reached, one (f, g) row pair per face below it.  The
+    facets of the coordinate projections that bound the fibre walk are cut
+    from P's facets on first use and have exactly n-1 entries.
     """
 
-    def __init__(self, polytope, faces, vertex_ids):
+    def __init__(self, polytope, faces):
         self.polytope = polytope
         self.faces = faces
         self.by_dim = [0] * (polytope.n + 2)
         self.nonempty_ids = []
         self._by_mask, with_vertex, in_facet = {}, {}, {}
-        self.members = [(vs, mask_ids(f.tight_mask)) for f, vs in zip(faces, vertex_ids)]
-        for q, (f, (vertices, tight)) in enumerate(zip(self.faces, self.members)):
+        for q, f in enumerate(faces):
             bit = 1 << q
             self.by_dim[f.dim + 1] |= bit
             if f.dim >= 0:
                 self._by_mask[f.tight_mask] = q
                 self.nonempty_ids.append(q)
-            for v in vertices:
+            for v in f.vertex_ids:
                 with_vertex[v] = with_vertex.get(v, 0) | bit
-            for F in tight:
+            for F in f.tight_ids:
                 in_facet[F] = in_facet.get(F, 0) | bit
-        full = (1 << len(self.faces)) - 1
-        self.up = [reduce(and_, map(with_vertex.get, vertices), full) for vertices, _ in self.members]
-        self.down = [reduce(and_, map(in_facet.get, tight), full) for _, tight in self.members]
+        full = (1 << len(faces)) - 1
+        self.up = [reduce(and_, map(with_vertex.get, f.vertex_ids), full) for f in faces]
+        self.down = [reduce(and_, map(in_facet.get, f.tight_ids), full) for f in faces]
         self._memo = BoundedCache(MEMO_MAX)
         self._g_memo = {}
         self._projections = None
@@ -390,8 +386,8 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
     set, queued if new.  So the closure under intersection is complete,
     deduplicated by vertex set and graded in one pass; the empty face (dim
     -1, tight on all facets) and P (empty tight set) are always present,
-    and ids follow (dim, vertex set), whose decoded vertex ids the lattice
-    keeps; P's facets are (n-1)-faces by the hull's construction.  A
+    and ids follow (dim, vertex set).  Each face's two masks are decoded
+    once, into its record; P's facets are (n-1)-faces by the hull's construction.  A
     closure past MAX_FACES faces raises InvalidPolytope before the order
     masks are built.
     """
@@ -420,8 +416,8 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
                 elif d > below:
                     dims[t] = below
             tight[s] = mask
-    members = {s: mask_ids(s) for s in dims}
-    order = sorted(dims, key=lambda s: (dims[s], members[s]))
+    vertex_ids = {s: tuple(mask_ids(s)) for s in dims}
+    order = sorted(dims, key=lambda s: (dims[s], vertex_ids[s]))
     # Every set in the closure is the common vertex set of its tight
     # facets by construction, and every facet closes to an (n-1)-face;
     # what a wrong facet list can still break is each vertex's 0-face.
@@ -430,7 +426,9 @@ def build_face_lattice(P: LatticePolytope) -> FaceLattice:
             raise InvalidPolytope(
                 f"face lattice closure broken: vertex {v} is not cut out by its facets"
             )
-    return FaceLattice(P, [Face(s, tight[s], dims[s]) for s in order], [members[s] for s in order])
+    return FaceLattice(
+        P, [Face(s, tight[s], dims[s], vertex_ids[s], tuple(mask_ids(tight[s]))) for s in order]
+    )
 
 
 def check_dilation(ell) -> int:

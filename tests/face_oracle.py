@@ -6,17 +6,10 @@ distinct intersection of facet vertex sets by repeating full rounds of
 "intersect every set with every facet" until nothing new appears, grades
 each by the Fraction rank of its vertices' affine hull (hull_oracle),
 and reads the order off vertex set inclusion pair by pair: the slow and
-obvious route the library must agree with.  lattice_of_faces builds a
-FaceLattice on a hand-made face list, which the library never does.
+obvious route the library must agree with.
 """
 
 from hull_oracle import _affine_rank
-from wehrhart.polytope import FaceLattice, mask_ids
-
-
-def lattice_of_faces(polytope, faces):
-    """FaceLattice on a face list of the caller's, each face's vertex ids decoded from its mask."""
-    return FaceLattice(polytope, faces, [mask_ids(f.vertex_mask) for f in faces])
 
 
 def oracle_faces(P):

@@ -25,8 +25,9 @@ from wehrhart.algebra import (
     substitute_inverse,
     substitute_negative,
 )
-from wehrhart.ehrhart import CheckResult
-from wehrhart.polytope import Face
+from wehrhart.corpus import CORPUS, build
+from wehrhart.ehrhart import CheckResult, OrbitSum
+from wehrhart.polytope import Face, build_face_lattice, facet_presentation
 
 
 def L(d):
@@ -287,38 +288,71 @@ class TestPowerSum:
 
 
 class TestRecords:
-    """Face and CheckResult are plain slotted records that behave as the
-    frozen dataclasses they replaced: the same constructors and defaults,
-    equality by class and fields, hashing and repr by fields, and no
-    assignment."""
+    """Face, CheckResult and OrbitSum are typing.NamedTuple records: built
+    by position or keyword with the defaults they had, equal by fields,
+    hashed when every field is, shown by fields, changed only through
+    _replace, and refusing assignment and deletion, under python -OO too."""
 
     def face(self, **changes):
-        fields = {"vertex_mask": 0b101, "tight_mask": 0b10, "dim": 1}
+        fields = {"vertex_mask": 0b101, "tight_mask": 0b10, "dim": 1, "vertex_ids": (0, 2), "tight_ids": (1,)}
         return Face(**{**fields, **changes})
+
+    def check(self, **changes):
+        fields = {"name": "c", "params": {"ell": 1}, "passed": False, "lhs": L({0: 1}), "rhs": L({})}
+        return CheckResult(**{**fields, **changes})
 
     def test_face_equality_hash_and_repr(self):
         f = self.face()
-        assert f == Face(0b101, 0b10, 1)
+        assert f == Face(0b101, 0b10, 1, (0, 2), (1,))
         assert hash(f) == hash(self.face()) and len({f, self.face()}) == 1
-        assert f != self.face(dim=2) and f != (0b101, 0b10, 1)
-        assert repr(f) == "Face(vertex_mask=5, tight_mask=2, dim=1)"
+        assert f != self.face(dim=2) and f != self.face(tight_ids=(0, 1))
+        assert repr(f) == "Face(vertex_mask=5, tight_mask=2, dim=1, vertex_ids=(0, 2), tight_ids=(1,))"
+
+    def test_a_record_is_the_tuple_of_its_fields(self):
+        f = self.face()
+        assert f == (0b101, 0b10, 1, (0, 2), (1,)) and hash(f) == hash(tuple(f))
+        assert f != (0b101, 0b10, 2, (0, 2), (1,))
+        assert f[2] == f.dim == 1 and list(f) == [0b101, 0b10, 1, (0, 2), (1,)]
+
+    def test_check_result_defaults_and_equality(self):
+        check = self.check()
+        assert check.difference is None
+        assert check == CheckResult("c", {"ell": 1}, False, L({0: 1}), L({}), None)
+        assert check != self.check(difference={"exponent": 0})
+        assert check != self.check(params={"ell": 2})
+        assert repr(check).startswith("CheckResult(name='c', params={'ell': 1}, passed=False, lhs=")
+
+    def test_records_with_a_dict_field_are_unhashable(self):
+        square = build("square")
+        for record in (self.check(), OrbitSum({square.empty_id: L({0: 1})}, square, 0)):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_orbit_sum_equality(self):
+        square = build("square")
+        s = OrbitSum({square.top_id: L({0: 1})}, square, 2)
+        assert s == OrbitSum({square.top_id: L({0: 1})}, square, 2)
+        assert s != s._replace(ell=3) and s != s._replace(coeffs={square.top_id: L({1: 1})})
+        # an equal lattice built afresh is another object
+        assert s != s._replace(lattice=build_face_lattice(facet_presentation(CORPUS["square"])))
+
+    def test_replace_builds_a_new_record(self):
+        f, check = self.face(), self.check()
+        assert f._replace(dim=2) == self.face(dim=2) and f.dim == 1
+        moved = check._replace(params={"ell": 2})
+        assert moved == self.check(params={"ell": 2}) and moved.lhs is check.lhs
+        assert check.params == {"ell": 1}
 
     def test_frozen_records_refuse_assignment(self):
-        check = CheckResult("c", {"ell": 1}, True, 1, 1)
-        for record, field in ((self.face(), "dim"), (check, "passed"), (check, "extra")):
+        check = self.check()
+        for record, field in ((self.face(), "dim"), (self.face(), "extra"), (check, "passed"), (check, "extra")):
             with pytest.raises(AttributeError):
                 setattr(record, field, 0)
             with pytest.raises(AttributeError):
                 delattr(record, field)
 
-    def test_check_result_defaults_and_equality(self):
-        check = CheckResult(name="c", params={"ell": 1}, passed=False, lhs=L({0: 1}), rhs=L({}))
-        assert check.difference is None
-        assert check == CheckResult("c", {"ell": 1}, False, L({0: 1}), L({}), None)
-        assert check != CheckResult("c", {"ell": 1}, False, L({0: 1}), L({}), {"exponent": 0})
-        assert repr(check).startswith("CheckResult(name='c', params={'ell': 1}, passed=False, lhs=")
-
     def test_records_copy_and_pickle(self):
-        f = self.face()
-        assert copy.copy(f) == f and copy.deepcopy(f) == f
-        assert pickle.loads(pickle.dumps(f)) == f
+        for record in (self.face(), self.check()):
+            assert copy.copy(record) == record and copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert type(pickle.loads(pickle.dumps(record))) is type(record)

@@ -32,7 +32,6 @@ from charsum_oracle import (
     pointwise_character_sum,
     pointwise_hodge_duality,
 )
-from face_oracle import lattice_of_faces
 from interp_oracle import (
     face_identity_failures,
     forward_differences,
@@ -66,6 +65,7 @@ from wehrhart.ehrhart import (
     weighted_ehrhart_value,
 )
 from wehrhart.polytope import (
+    FaceLattice,
     build_face_lattice,
     facet_presentation,
     points_by_face,
@@ -915,7 +915,7 @@ def relabelled(lat, seed):
         rng.shuffle(perm)
         old = sorted(range(len(perm)), key=perm.__getitem__)  # new id -> old id
         dims = [lat.faces[q].dim for q in old]
-    return lattice_of_faces(lat.polytope, [lat.faces[q] for q in old]), perm
+    return FaceLattice(lat.polytope, [lat.faces[q] for q in old]), perm
 
 
 class TestRelabelledFaces:

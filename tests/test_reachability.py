@@ -32,18 +32,10 @@ SRC = ROOT / "src" / "wehrhart"
 FIXTURES = ROOT / "fixtures"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-_RECORD = "record dunder: the commands never compare, hash, pickle, delete from or print a record"
 _VALUE = "value dunder, for library users and tests: the commands compare and print through jsonio"
 _FAILED = "runs only when a check fails, which no fixture makes happen"
 _TRACED = "bench/tracing.py wraps it by name, until the tracer is retargeted (ROADMAP item 1a)"
 UNREACHED = {
-    "algebra.FrozenRecord.__delattr__": _RECORD,
-    "algebra.FrozenRecord.__eq__": _RECORD,
-    "algebra.FrozenRecord.__hash__": _RECORD,
-    "algebra.FrozenRecord.__reduce__": _RECORD,
-    "algebra.FrozenRecord.__repr__": _RECORD,
-    "algebra.FrozenRecord.__setattr__": _RECORD,
-    "algebra.FrozenRecord._fields": "read only by the record dunders above",
     "algebra.HomogPoly.__bool__": _VALUE,
     "algebra.HomogPoly.__eq__": _VALUE,
     "algebra.LaurentPoly.__repr__": _VALUE,

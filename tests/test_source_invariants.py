@@ -16,14 +16,14 @@ pure-Python encoder that jsonio.dumps avoids.  E and Etilde differ
 only by (1+y)^deg phi, so no function but ehrhart._variant_factor
 compares a value with VARIANT_E.  FaceLattice.by_dim holds the grading,
 so no module but polytope.py filters a face list by .dim in a
-comprehension or a loop.  A face is two bitmasks and a dimension, so no
-module names frozenset, the face format it replaced.  The verify report's
-layout lives in jsonio.py, so no other module writes its keys
-"first_difference" or "suite" as string constants.  The hull proves
-its facets' ranks, so no module calls _affine_rank or _rank, and
-LatticePolytope._make, the one constructor of a polytope, is named only
-in polytope.py, by the hull; LatticePolytope(...) itself raises
-TypeError.
+comprehension or a loop.  A face holds its vertex and facet sets as
+bitmasks and as id tuples, so no module names frozenset, the face format
+it replaced.  The verify report's layout lives in jsonio.py, so no
+other module writes its keys "first_difference" or "suite" as string
+constants.  The hull proves its facets' ranks, so no module calls
+_affine_rank or _rank, and LatticePolytope._make, the one constructor
+of a polytope, is named only in polytope.py, by the hull;
+LatticePolytope(...) itself raises TypeError.
 WeightFunction._make, the
 constructor that skips the face-id checks, is named only in weights.py
 and stanley.py, which build weights from the lattice's own ids; so every
@@ -37,10 +37,12 @@ looks library functions up by name, so one more test installs and
 removes it on the imported library, and another traces one verify run,
 which must read a point partition twice at one dilation for the
 benchmark's cache-hit count.
-Records are plain slotted classes, not dataclasses: importing
+Records are typing.NamedTuple classes, not dataclasses: importing
 dataclasses pulls inspect, ast, dis and tokenize into every start-up, so
 no module imports it and a fresh interpreter's import of wehrhart.cli
-is checked not to load them.
+is checked not to load them.  A record is frozen by the tuple it is, so
+no module sets a field through object.__setattr__; a trusted constructor
+starts from object.__new__ and sets its slots as any __init__ does.
 """
 
 import ast
@@ -58,12 +60,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wehrhart"
 TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 # FaceLattice's structural fields, and its slots bounded by construction:
-# by_dim (n + 2 masks), members (one pair of id lists per face),
-# nonempty_ids (one id per face), _g_memo (one entry per face),
-# _projections (n - 1 facet lists) and _eulerian (one flag); everything
-# else it derives lives in its one BoundedCache
+# by_dim (n + 2 masks), nonempty_ids (one id per face), _g_memo (one entry
+# per face), _projections (n - 1 facet lists) and _eulerian (one flag);
+# everything else it derives lives in its one BoundedCache
 LATTICE_FIELDS = {
-    "polytope", "faces", "by_dim", "_by_mask", "up", "down", "members", "nonempty_ids",
+    "polytope", "faces", "by_dim", "_by_mask", "up", "down", "nonempty_ids",
     "_g_memo", "_projections", "_eulerian",
 }
 
@@ -161,6 +162,19 @@ def test_no_fraction_in_polytope(path=SRC / "polytope.py"):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
     assert "dataclasses" not in set(imported_roots(tree(path))), f"{path.name} imports dataclasses"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_object_setattr(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    assert not lines, f"{path.name} names object.__setattr__ on lines {lines}; make the record a NamedTuple"
 
 
 def test_cli_import_loads_no_introspection_modules():
@@ -420,6 +434,8 @@ class FaceLattice:
         ("x = 1\nx /= 2\n", test_no_float_conversions),
         ("from dataclasses import dataclass\n", test_no_dataclasses),
         ("import dataclasses as dc\n", test_no_dataclasses),
+        ('object.__setattr__(self, "dim", 1)\n', test_no_object_setattr),
+        ("init = object.__setattr__\n", test_no_object_setattr),
         ("from fractions import Fraction\n", test_no_fraction_in_polytope),
         ("import fractions\n", test_no_fraction_in_polytope),
         ("x = fractions.Fraction(1, 2)\n", test_no_fraction_in_polytope),

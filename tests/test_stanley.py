@@ -14,11 +14,10 @@ import pytest
 
 import wehrhart.stanley as stanley
 from box_oracle import random_lattice
-from face_oracle import lattice_of_faces
 from kls_oracle import kls_weights
 from stanley_oracle import grouped_sum, oracle_fg, oracle_g, oracle_h
 from wehrhart.corpus import CORPUS, build
-from wehrhart.polytope import build_face_lattice, facet_presentation, mask_ids
+from wehrhart.polytope import FaceLattice, build_face_lattice, facet_presentation, mask_ids
 from wehrhart.stanley import (
     NonEulerianPoset,
     _f_rows,
@@ -42,7 +41,7 @@ def crippled_square():
     """The square's face poset with one vertex dropped: not Eulerian."""
     L = build("square")
     dropped = L.vertex_face_id(0)
-    return lattice_of_faces(L.polytope, [f for q, f in enumerate(L.faces) if q != dropped])
+    return FaceLattice(L.polytope, [f for q, f in enumerate(L.faces) if q != dropped])
 
 
 class TestPolyT:

@@ -17,10 +17,10 @@ import pytest
 import wehrhart.ehrhart as eh
 from box_oracle import cube
 from wehrhart import cli
-from wehrhart.algebra import HomogPoly
+from wehrhart.algebra import HomogPoly, LaurentPoly
 from wehrhart.corpus import CORPUS, build
 from wehrhart.ehrhart import (
-    OrbitSum,
+    hodge_character_sum,
     verify_duality_reciprocity,
     verify_hodge_duality,
     verify_purity,
@@ -29,7 +29,7 @@ from wehrhart.ehrhart import (
 from wehrhart.jsonio import load_phi
 from wehrhart.polytope import build_face_lattice, facet_presentation
 from wehrhart.stanley import g_weight_function
-from wehrhart.weights import all_ones, random_weight_functions
+from wehrhart.weights import all_ones, random_weight_functions, scale
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # out of order, with repeats, and empty
@@ -47,17 +47,12 @@ def integrands(n):
     return [HomogPoly.one(n)] + [load_phi(str(p), n) for p in sorted(FIXTURES.glob(f"phi_*_{n}d.json"))]
 
 
-def fields(check):
-    """A check's fields, each OrbitSum side as its coefficients, lattice and dilation."""
-    return tuple((v.coeffs, v.lattice, v.ell) if isinstance(v, OrbitSum) else v for v in check._fields())
-
-
 def assert_runs_match(verify):
     """verify(ells) against verify([ell])[0] for each ell, on every run."""
     for ells in RUNS:
         checks = verify(ells)
         assert len(checks) == len(ells)
-        assert list(map(fields, checks)) == [fields(verify([ell])[0]) for ell in ells], ells
+        assert checks == [verify([ell])[0] for ell in ells], ells
 
 
 @pytest.mark.parametrize("name", [*CORPUS, "cube4"])
@@ -78,6 +73,25 @@ def test_run_form_matches_the_one_dilation_form(name):
             assert_runs_match(lambda ells: verify_purity(g, qp, phi, ells))
     for f in weights:
         assert_runs_match(lambda ells: verify_hodge_duality(f, ells))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_character_sums_and_hodge_checks_compare_by_value(name):
+    """Two calls build distinct OrbitSums that compare equal: the same
+    coefficients on the same lattice object at the same ell."""
+    lat = build(name)
+    f = all_ones(lat)
+    assert verify_hodge_duality(f, [1, 2]) == verify_hodge_duality(f, [1, 2])
+    for ell in (-2, 0, 2):
+        s = hodge_character_sum(f, ell)
+        assert s is not hodge_character_sum(f, ell) and s == hodge_character_sum(f, ell), ell
+    doubled = scale(LaurentPoly({0: 2}), f)
+    assert hodge_character_sum(f, 2) != hodge_character_sum(f, -2)
+    assert hodge_character_sum(f, 2) != hodge_character_sum(doubled, 2)
+    assert hodge_character_sum(f, -2) != hodge_character_sum(doubled, -2)
+    # an equal lattice built afresh is another object, so its sums differ
+    fresh = build_face_lattice(facet_presentation(CORPUS[name]))
+    assert hodge_character_sum(f, 2) != hodge_character_sum(all_ones(fresh), 2)
 
 
 # every verifier on the square, its run handed in as ells
