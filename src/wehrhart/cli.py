@@ -3,9 +3,10 @@
 Every command reads a polytope vertex file, runs one computation, and
 emits canonical JSON (or plain text for `hpoly`) to stdout or --out.
 
-Exit codes: 0 success, 1 a verification check failed, 2 the input did
-not parse, 3 the input parsed but failed validation.  Errors print one
-line to stderr: `error: <kind>: <detail>`.
+Exit codes: 0 success, 1 a verification check failed, 2 an input did
+not parse (FormatError), 3 an input parsed but failed validation
+(ContentError, InvalidPolytope).  Errors print one line to stderr,
+`error: <kind>: <detail>`, the detail led by the path of a refused file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .ehrhart import (
     verify_reciprocity,
 )
 from .jsonio import (
-    MAX_DEGREE,
     ContentError,
     FormatError,
     charsum_to_json,
@@ -62,8 +62,8 @@ SUITES = ("all", "reciprocity", "duality", "purity", "hodge")
 # above them): the work grows like the lattice points of the dilate, about
 # vol(P) * ell^n (random3 has 162,081 at ell = 16, 1.28 million at 32),
 # and the interpolants walk dilations up to ceil((n + deg phi + 1) / 2)
-# whatever lmax is.  The integrand's degree is checked as soon as it is
-# read, before any sum is taken.
+# whatever lmax is.  load_phi checks the integrand's degree
+# (jsonio.MAX_DEGREE) as it reads it, before any sum is taken.
 MAX_ELL = 16  # |charsum --l|
 MAX_LMAX = 12  # verify --lmax
 MAX_COUNT = 64  # verify --count, random weight functions
@@ -79,23 +79,10 @@ MAX_COUNT = 64  # verify --count, random weight functions
 MAX_POINTS = 250_000
 
 
-class CliError(Exception):
-    """kind is 'parse' (exit 2) or 'validation' (exit 3)."""
-
-    def __init__(self, kind: str, detail: str):
-        super().__init__(detail)
-        self.kind = kind
-        self.detail = detail
-
-    @property
-    def code(self) -> int:
-        return 2 if self.kind == "parse" else 3
-
-
 class _Parser(argparse.ArgumentParser):
     # raise instead of exiting so bad flags share the parse-error channel
     def error(self, message):
-        raise CliError("parse", message)
+        raise FormatError(message)
 
 
 @cache
@@ -146,29 +133,29 @@ def parse_args(argv) -> argparse.Namespace:
     """
     spec = _build_parser().parse_args(argv)
     if spec.command == "charsum" and abs(spec.ell) > MAX_ELL:
-        raise CliError("validation", f"--l must lie in -{MAX_ELL} .. {MAX_ELL}")
+        raise ContentError(f"--l must lie in -{MAX_ELL} .. {MAX_ELL}")
     if spec.command == "verify":
         if spec.lmax < 1:
-            raise CliError("parse", "--lmax must be a positive integer")
+            raise FormatError("--lmax must be a positive integer")
         # a flag the suite never reads is refused rather than dropped
         draws = spec.random_weights or spec.seed is not None or spec.count is not None
         if spec.suite == "purity" and draws:
-            raise CliError("parse", "--suite purity builds no weight set to draw --random-weights into")
+            raise FormatError("--suite purity builds no weight set to draw --random-weights into")
         if spec.suite == "hodge" and spec.phi is not None:
-            raise CliError("parse", "--suite hodge takes no --phi: its character sums do not depend on it")
+            raise FormatError("--suite hodge takes no --phi: its character sums do not depend on it")
         if spec.random_weights:
             if spec.seed is None:
-                raise CliError("parse", "--random-weights requires --seed")
+                raise FormatError("--random-weights requires --seed")
             if spec.count is None:
                 spec.count = 5
             elif spec.count < 1:
-                raise CliError("parse", "--count must be a positive integer")
+                raise FormatError("--count must be a positive integer")
         elif spec.seed is not None or spec.count is not None:
-            raise CliError("parse", "--seed and --count need --random-weights")
+            raise FormatError("--seed and --count need --random-weights")
         if spec.lmax > MAX_LMAX:
-            raise CliError("validation", f"--lmax must be at most {MAX_LMAX}")
+            raise ContentError(f"--lmax must be at most {MAX_LMAX}")
         if spec.random_weights and spec.count > MAX_COUNT:
-            raise CliError("validation", f"--count must be at most {MAX_COUNT}")
+            raise ContentError(f"--count must be at most {MAX_COUNT}")
     return spec
 
 
@@ -186,10 +173,7 @@ def _resolve_weights(spec: argparse.Namespace, lattice: FaceLattice):
 def _resolve_phi(spec: argparse.Namespace, lattice: FaceLattice) -> HomogPoly:
     if spec.phi is None:
         return HomogPoly.one(lattice.polytope.n)
-    phi = load_phi(spec.phi, n_expected=lattice.polytope.n)
-    if phi.degree > MAX_DEGREE:
-        raise CliError("validation", f"the integrand's degree must be at most {MAX_DEGREE}")
-    return phi
+    return load_phi(spec.phi, n_expected=lattice.polytope.n)
 
 
 def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
@@ -198,11 +182,11 @@ def _resolve_face(spec: argparse.Namespace, lattice: FaceLattice) -> int:
     try:
         fid = face_id_from_json(spec.face)
     except FormatError:
-        raise CliError("parse", f"--face must be an integer id or P, got {spec.face!r}")
+        raise FormatError(f"--face must be an integer id or P, got {spec.face!r}")
     try:
         return check_nonempty_face(lattice, fid)
     except ValueError as exc:
-        raise CliError("validation", str(exc)) from exc
+        raise ContentError(str(exc)) from exc
 
 
 def _check_point_budget(lattice: FaceLattice, ells, what: str, copies: int = 1) -> None:
@@ -219,7 +203,7 @@ def _check_point_budget(lattice: FaceLattice, ells, what: str, copies: int = 1) 
         for _, row in fibre_rows(lattice, ell):
             count += copies * sum(hi - lo + 1 for _, lo, hi, *_ in row)
             if count > MAX_POINTS:
-                raise CliError("validation", f"{what} has more than {MAX_POINTS} lattice points")
+                raise ContentError(f"{what} has more than {MAX_POINTS} lattice points")
 
 
 def _cmd_faces(spec, lattice):
@@ -340,7 +324,7 @@ def run(spec: argparse.Namespace, stdout=None) -> int:
             with open(spec.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise CliError("parse", f"cannot write {spec.out}: {exc}") from exc
+            raise FormatError(f"cannot write {spec.out}: {exc}") from exc
     else:
         stdout.write(text)
     return code
@@ -350,9 +334,6 @@ def main(argv=None) -> int:
     try:
         spec = parse_args(argv if argv is not None else sys.argv[1:])
         return run(spec)
-    except CliError as exc:
-        print(f"error: {exc.kind}: {exc.detail}", file=sys.stderr)
-        return exc.code
     except FormatError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 2

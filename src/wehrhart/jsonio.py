@@ -19,15 +19,18 @@ pure-Python encoder that indent selects: dicts with str keys, lists, str
 (through json's C escaper), exact int, bool and None; anything else, a
 float among them, raises TypeError.
 
-FormatError means the bytes do not parse into the schema (CLI exit 2);
-ContentError means they parse but fail semantic validation (exit 3).
+FormatError means an input, a file or the command line, does not parse
+into its schema (CLI exit 2); ContentError means it parses but fails
+semantic validation (exit 3).  _load_json, which reads every file, leads
+each of its refusals with the file's path.
 
 Every number a command prints must stay within Python's 4,300-digit
 limit on int-to-str conversion, so the digits read are bounded: any one
 integer read (a JSON integer, either part of a rational, a face id) has
 at most MAX_DIGITS digits (else FormatError); a coordinate of an
 n-polytope has at most 2 * MAX_DIGITS // (n + MAX_DEGREE) digits, as a
-count carries coordinates to the power n + deg phi; and an integrand, or
+count carries coordinates to the power n + deg phi, and an integrand has
+degree at most MAX_DEGREE; and an integrand, or
 a weight file as a whole, written over the common denominator of its
 coefficients has a denominator and numerators of at most MAX_DIGITS
 digits, as sums over monomials or faces multiply distinct denominators
@@ -55,16 +58,16 @@ from .weights import WeightFunction
 
 # the most digits of an integer read; see the module docstring for the others
 MAX_DIGITS = 1000
-MAX_DEGREE = 12  # deg phi of ehrhart/verify --phi
+MAX_DEGREE = 12  # the largest deg phi an integrand file may have
 _DIGIT_LIMIT = 10**MAX_DIGITS
 
 
 class FormatError(ValueError):
-    pass
+    """An input, a file or the command line, does not parse into its schema (exit 2)."""
 
 
 class ContentError(ValueError):
-    pass
+    """An input, a file or the command line, parses but fails validation (exit 3)."""
 
 
 def _check_digits(literal: str, what: str) -> None:
@@ -138,38 +141,44 @@ def _object(pairs) -> dict:
     return obj
 
 
-def _load_json(path):
+def _load_json(path, parse, *args):
+    """parse(the JSON document at path, *args), each refusal led by the path;
+    a ValueError of the content other than a FormatError becomes a ContentError."""
     try:
         with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
-            return json.load(fh, parse_int=_parse_int, object_pairs_hook=_object)
+            data = json.load(fh, parse_int=_parse_int, object_pairs_hook=_object)
+        return parse(data, *args)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ContentError(f"{path}: {exc}") from exc
 
 
 def load_polytope(path) -> LatticePolytope:
     """{"vertices": [[int, ...], ...]}; dimension inferred from the vectors."""
-    data = _load_json(path)
+    return _load_json(path, _polytope_from_json)
+
+
+def _polytope_from_json(data) -> LatticePolytope:
     if not isinstance(data, dict) or set(data) != {"vertices"}:
-        raise FormatError(f"{path}: expected an object with the one key 'vertices'")
+        raise FormatError("expected an object with the one key 'vertices'")
     verts = data["vertices"]
     if not isinstance(verts, list) or not verts:
-        raise FormatError(f"{path}: 'vertices' must be a nonempty list")
+        raise FormatError("'vertices' must be a nonempty list")
     for v in verts:
         if not isinstance(v, list) or not all(_is_int(x) for x in v):
-            raise FormatError(f"{path}: vertex {v!r} is not a list of integers")
+            raise FormatError(f"vertex {v!r} is not a list of integers")
         if len(v) != len(verts[0]):
-            raise FormatError(f"{path}: vertices of mixed dimension")
-    digits = 2 * MAX_DIGITS // (len(verts[0]) + MAX_DEGREE)
+            raise FormatError("vertices of mixed dimension")
+    n = len(verts[0])
+    digits = 2 * MAX_DIGITS // (n + MAX_DEGREE)
     bound = 10**digits
     if any(abs(x) >= bound for v in verts for x in v):
-        raise ContentError(
-            f"{path}: a coordinate has more than {digits} digits, "
-            f"the most read in dimension {len(verts[0])}"
-        )
+        raise ContentError(f"a coordinate has more than {digits} digits, the most read in dimension {n}")
     return facet_presentation(verts)
 
 
@@ -306,36 +315,37 @@ def weight_from_json(data, lattice: FaceLattice) -> WeightFunction:
 
 
 def load_weight(path, lattice) -> WeightFunction:
-    return weight_from_json(_load_json(path), lattice)
+    return _load_json(path, weight_from_json, lattice)
 
 
 def load_phi(path, n_expected=None) -> HomogPoly:
     """{"n": d, "monomials": [{"exps": [...], "coeff": "p/q"}]}.
 
-    Homogeneity and the dimension match are semantic checks (ContentError).
+    Homogeneity, the dimension match and deg phi <= MAX_DEGREE are
+    semantic checks (ContentError).
     """
-    data = _load_json(path)
+    return _load_json(path, _phi_from_json, n_expected)
+
+
+def _phi_from_json(data, n_expected) -> HomogPoly:
     if not isinstance(data, dict) or set(data) != {"n", "monomials"}:
-        raise FormatError(f"{path}: expected 'n' and 'monomials'")
+        raise FormatError("expected 'n' and 'monomials'")
     if not _is_int(data["n"]) or not isinstance(data["monomials"], list):
-        raise FormatError(f"{path}: bad field types")
+        raise FormatError("bad field types")
     monomials = []
     for item in data["monomials"]:
         if not isinstance(item, dict) or set(item) != {"exps", "coeff"}:
-            raise FormatError(f"{path}: bad monomial {item!r}")
+            raise FormatError(f"bad monomial {item!r}")
         exps = item["exps"]
         if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
-            raise FormatError(f"{path}: exponents must be integers")
+            raise FormatError("exponents must be integers")
         monomials.append((tuple(exps), _rat_parse(item["coeff"])))
-    _check_common_denominator([c for _, c in monomials], f"{path}: the integrand's coefficients")
-    try:
-        phi = HomogPoly(data["n"], monomials)
-    except ValueError as exc:
-        raise ContentError(f"{path}: {exc}") from exc
+    _check_common_denominator([c for _, c in monomials], "the integrand's coefficients")
+    phi = HomogPoly(data["n"], monomials)
     if n_expected is not None and phi.n != n_expected:
-        raise ContentError(
-            f"{path}: integrand lives in dimension {phi.n}, polytope in {n_expected}"
-        )
+        raise ContentError(f"integrand lives in dimension {phi.n}, polytope in {n_expected}")
+    if phi.degree > MAX_DEGREE:
+        raise ContentError(f"the integrand's degree must be at most {MAX_DEGREE}")
     return phi
 
 

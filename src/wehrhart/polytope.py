@@ -30,10 +30,11 @@ from typing import NamedTuple
 
 from .algebra import as_int
 
-# Entries kept in FaceLattice._memo, of any kind, before the oldest is
-# dropped.  The largest CLI run, verify --suite all --lmax 12, keeps 12
-# point partitions, per-face sums at 12 positive and 12 negative
-# dilations and one table of per-face interpolants: 37.
+# Entries kept in FaceLattice._memo, and in each WeightFunction._memo, of
+# any kind, before the oldest is dropped.  The largest CLI run, verify
+# --suite all --lmax 12, keeps 12 point partitions, per-face sums at 12
+# positive and 12 negative dilations and one table of per-face
+# interpolants: 37; a weight there keeps 16.
 MEMO_MAX = 37
 # Faces a lattice may have: up and down are two F x F bit matrices, 64 MB
 # at F = 2**14.  The largest lattice in use, the hull of 40 points in
@@ -348,7 +349,12 @@ class FaceLattice:
         return mask_ids(self.down[a] & ~self.by_dim[0])
 
     def vertex_face_id(self, vertex_index: int) -> int:
-        return next(q for q in mask_ids(self.by_dim[1]) if self.faces[q].vertex_mask == 1 << vertex_index)
+        """The id of the face {vertices[vertex_index]}; floats and bools raise
+        TypeError, indices outside 0 <= i < len(vertices) ValueError."""
+        i = as_int(vertex_index)
+        if not 0 <= i < len(self.polytope.vertices):
+            raise ValueError(f"no vertex with index {i}")
+        return next(q for q in mask_ids(self.by_dim[1]) if self.faces[q].vertex_mask == 1 << i)
 
     def projections(self):
         """Facets of pi_k(P), P cut to its first k coordinates, for k = 1..n-1.

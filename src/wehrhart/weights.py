@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .algebra import LaurentPoly
-from .polytope import FaceLattice, check_nonempty_face, mask_ids
+from .polytope import MEMO_MAX, BoundedCache, FaceLattice, check_nonempty_face, mask_ids
 
 
 class LatticeMismatch(ValueError):
@@ -24,10 +24,11 @@ class LatticeMismatch(ValueError):
 class WeightFunction:
     """Map from nonempty face ids to LaurentPoly; absent means zero.
 
-    Treated as immutable once built: _memo keeps, from first use, the orbit
-    coefficients that the weighted counts use, the dual (dualize) and the
-    value at each -ell the verifiers read.  A weak reference can watch when
-    one is freed.
+    Treated as immutable once built: _memo, a BoundedCache of MEMO_MAX
+    entries, keeps from first use the three kinds of orbit coefficients
+    that the weighted counts use, the dual (dualize) and the value at each
+    (phi, -ell) the verifiers read: 16 entries in the largest CLI run,
+    verify --lmax 12.  A weak reference can watch when one is freed.
     """
 
     __slots__ = ("lattice", "values", "_memo", "__weakref__")
@@ -36,17 +37,20 @@ class WeightFunction:
         vals = {}
         for fid, p in (values or {}).items():
             fid = check_nonempty_face(lattice, fid)
+            if not isinstance(p, LaurentPoly):
+                raise TypeError(f"the weight of face {fid} is a {type(p).__name__}, not a LaurentPoly")
             if p:
                 vals[fid] = p
         self.lattice = lattice
         self.values = dict(sorted(vals.items()))
-        self._memo = {}
+        self._memo = BoundedCache(MEMO_MAX)
 
     @staticmethod
     def _make(lattice: FaceLattice, values: dict) -> "WeightFunction":
         """Trusted constructor from nonzero values keyed by increasing nonempty ids; no re-validation."""
         f = object.__new__(WeightFunction)
-        f.lattice, f.values, f._memo = lattice, values, {}
+        f.lattice, f.values = lattice, values
+        f._memo = BoundedCache(MEMO_MAX)
         return f
 
     def __getitem__(self, fid: int) -> LaurentPoly:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wehrhart import cli, corpus, ehrhart, polytope, stanley, weights
+from wehrhart import cli, corpus, ehrhart, jsonio, polytope, stanley, weights
 from wehrhart.algebra import HomogPoly, LaurentPoly as L
 from wehrhart.ehrhart import CheckResult
 from wehrhart.jsonio import (
@@ -476,7 +476,7 @@ def test_weight_file_noncanonical_face_id_refused(key, tmp_path, capsys):
     path.write_text(json.dumps({**data, "values": {key: [{"exp": 0, "coeff": "1"}]}}))
     code, out, err = run_cli(["dualize", fx("square"), "--weights", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: parse: face id")
+    assert err.startswith(f"error: parse: {path}: face id")
 
 
 def test_weight_file_two_spellings_of_one_face_refused(tmp_path, capsys):
@@ -523,6 +523,46 @@ def test_polytope_file_with_another_key_exits_2(tmp_path, capsys):
     code, out, err = run_cli(["faces", str(path)], capsys)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("error: parse: ") and "'vertices'" in err
+
+
+# one parse and one validation refusal of each input file: (command line
+# before the file, file content, exit code, a piece of the detail)
+FILE_REFUSALS = {
+    "polytope-parse": (["faces"], {"vertices": [[True, 0], [1, 0], [0, 1]]}, 2, "vertex [True, 0] is not"),
+    "polytope-hull": (["faces"], {"vertices": [[0, 0], [1, 1], [2, 2]]}, 3, "do not affinely span"),
+    "phi-parse": (
+        ["ehrhart", fx("square"), "--variant", "E", "--phi"],
+        {"n": 2, "monomials": [{"exps": [1, 0], "coeff": "0.5"}]}, 2, "rational must be",
+    ),
+    "phi-degree": (
+        ["ehrhart", fx("square"), "--variant", "E", "--phi"],
+        {"n": 2, "monomials": [{"exps": [jsonio.MAX_DEGREE + 1, 0], "coeff": "1"}]}, 3, "degree",
+    ),
+    "weights-parse": (
+        ["ehrhart", fx("square"), "--variant", "E", "--weights"],
+        {
+            "polytope_hash": polytope.polytope_hash(corpus.build("square").polytope),
+            "values": {"1": [{"exp": True, "coeff": "1"}]},
+        },
+        2,
+        "exponent must be an integer",
+    ),
+    "weights-hash": (
+        ["ehrhart", fx("square"), "--variant", "E", "--weights"],
+        {"polytope_hash": "0" * 64, "values": {}}, 3, "different polytope",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_REFUSALS))
+def test_each_file_refusal_names_the_file(case, tmp_path, capsys):
+    argv, content, exit_code, detail = FILE_REFUSALS[case]
+    path = _write_json(tmp_path, "in.json", content)
+    code, out, err = run_cli([*argv, path], capsys)
+    kind = "parse" if exit_code == 2 else "validation"
+    assert (code, out) == (exit_code, "")
+    assert err.startswith(f"error: {kind}: {path}: ") and err.count("\n") == 1
+    assert detail in err
 
 
 def test_dualize_twice_is_identity(tmp_path, capsys):
@@ -662,9 +702,8 @@ def test_parser_reuse_gives_independent_namespaces():
 
 def test_bad_flag_after_good_parse_raises_parse_error():
     cli.parse_args(["faces", "a.json"])
-    with pytest.raises(cli.CliError) as info:
+    with pytest.raises(FormatError):
         cli.parse_args(["faces", "a.json", "--bogus"])
-    assert info.value.kind == "parse"
     assert cli.parse_args(["hpoly", "a.json"]).command == "hpoly"
 
 
@@ -830,8 +869,10 @@ def test_cache_bounds_cover_the_size_budgets():
     # degree-MAX_DEGREE integrand in dimension 6 walks,
     # K = ceil((6 + MAX_DEGREE + 1) / 2), sums at -1 .. -lmax, and one table;
     # charsum keeps one partition, ehrhart K sums and one table
-    walked = (6 + cli.MAX_DEGREE + 2) // 2
+    walked = (6 + jsonio.MAX_DEGREE + 2) // 2
     assert polytope.MEMO_MAX >= cli.MAX_LMAX + max(cli.MAX_LMAX, walked) + cli.MAX_LMAX + 1
+    # a weight keeps its three orbit kinds, its dual and Etilde at -1 .. -lmax
+    assert polytope.MEMO_MAX >= 3 + 1 + cli.MAX_LMAX
 
 
 def _phi_file(tmp_path, exponent):
@@ -841,13 +882,13 @@ def _phi_file(tmp_path, exponent):
 
 
 def test_integrand_degree_at_budget_runs(tmp_path, capsys):
-    phi = _phi_file(tmp_path, cli.MAX_DEGREE)
+    phi = _phi_file(tmp_path, jsonio.MAX_DEGREE)
     code, out, err = run_cli(["ehrhart", fx("simplex2"), "--variant", "E", "--phi", phi], capsys)
     assert code == 0 and err == ""
-    assert json.loads(out)["degree_bound"] == 2 + cli.MAX_DEGREE
+    assert json.loads(out)["degree_bound"] == 2 + jsonio.MAX_DEGREE
 
 
-@pytest.mark.parametrize("exponent", [cli.MAX_DEGREE + 1, 10**9])
+@pytest.mark.parametrize("exponent", [jsonio.MAX_DEGREE + 1, 10**9])
 @pytest.mark.parametrize(
     "args",
     [["ehrhart", "--variant", "E"], ["verify", "--suite", "all", "--lmax", "2"]],
@@ -861,7 +902,7 @@ def test_integrand_degree_over_budget_is_refused_at_once(tmp_path, capsys, args,
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err.startswith("error: validation: ") and err.count("\n") == 1
-    assert str(cli.MAX_DEGREE) in err
+    assert str(jsonio.MAX_DEGREE) in err
 
 
 def _capture_weight_set(monkeypatch):

@@ -199,6 +199,12 @@ class TestFaceLattice:
         assert len(L.faces) == 10
         assert L.f_vector == (1, 4, 4, 1)
 
+    @pytest.mark.parametrize("index,error", [(4, ValueError), (9, ValueError), (-1, ValueError),
+                                             (True, TypeError), (1.0, TypeError), ("1", TypeError)])
+    def test_vertex_index_outside_the_vertices_refused(self, index, error):
+        with pytest.raises(error, match=rf"^no vertex with index {index}$" if error is ValueError else None):
+            build("square").vertex_face_id(index)
+
     def test_pyramid_counts(self):
         L = build("pyramid")
         assert len(L.faces) == 20
@@ -1105,6 +1111,18 @@ class TestCacheBounds:
         assert len(lattice._memo) == MEMO_MAX
         assert min(lattice._memo) == 3
         assert points_by_face(lattice, 1) == box_points_by_face(lattice, 1)
+
+    def test_weight_memo_past_its_bound(self):
+        # each integrand adds Etilde(-1) under (phi, -1) to the weight's memo
+        from wehrhart.ehrhart import verify_reciprocity
+        from wehrhart.weights import all_ones
+
+        f = all_ones(build("square"))
+        for c in range(1, MEMO_MAX + 4):
+            (check,) = verify_reciprocity(f, HomogPoly(2, [((0, 0), c)]), [1])
+            assert check.passed
+        assert len(f._memo) == MEMO_MAX
+        assert f._memo.evictions > 0
 
     def test_phi_sums_past_its_bound(self):
         from wehrhart.ehrhart import _phi_face_sums

@@ -10,7 +10,9 @@ neither imports nor names Fraction.  Every
 memo table on a FaceLattice has a known bound: its __init__ builds exactly
 one BoundedCache, the memo every table derived at a dilation or per
 integrand shares, and assigns no field but it and those named in
-LATTICE_FIELDS.  No call passes
+LATTICE_FIELDS.  So has a WeightFunction's memo: its __init__ and its
+trusted _make each build one BoundedCache and assign only it, the
+lattice and the values.  No call passes
 indent= to json.dump or json.dumps, which would bring back the
 pure-Python encoder that jsonio.dumps avoids.  E and Etilde differ
 only by (1+y)^deg phi, so no function but ehrhart._variant_factor
@@ -212,32 +214,53 @@ def test_variants_told_apart_in_one_function(path):
     assert not lines, f"{path.name} compares with VARIANT_E outside _variant_factor on lines {lines}"
 
 
+def _assigned_fields(target):
+    """The fields an assignment target sets or indexes into: obj.x, in a tuple, or obj.x[...]."""
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+        yield target.attr
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned_fields(elt)
+    elif isinstance(target, (ast.Subscript, ast.Starred)):
+        yield from _assigned_fields(target.value)
+
+
+def _assert_one_bounded_memo(path, cls_name, builders, fields):
+    """Each of cls_name's builders builds exactly one BoundedCache and assigns
+    no field of a name (self, or the instance a trusted constructor makes)
+    but it and those in fields."""
+    for builder in builders:
+        defs = [
+            node
+            for cls in ast.walk(tree(path))
+            if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == builder
+        ]
+        where = f"{cls_name}.{builder}"
+        assert len(defs) == 1, f"{path.name} should define {where} once"
+        unbounded = []
+        for node in ast.walk(defs[0]):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bounded = _is_call(node.value, "BoundedCache")
+                unbounded += [
+                    field
+                    for target in targets
+                    for field in _assigned_fields(target)
+                    if not (bounded or field in fields)
+                ]
+        assert not unbounded, f"{where} assigns unbounded fields {unbounded}"
+        memos = sum(_is_call(node, "BoundedCache") for node in ast.walk(defs[0]))
+        assert memos == 1, f"{where} builds {memos} BoundedCaches, not one memo"
+
+
 def test_face_lattice_memo_tables_are_bounded(path=SRC / "polytope.py"):
-    inits = [
-        node
-        for cls in ast.walk(tree(path))
-        if isinstance(cls, ast.ClassDef) and cls.name == "FaceLattice"
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
-    ]
-    assert len(inits) == 1, f"{path.name} should define FaceLattice.__init__ once"
-    unbounded = []
-    for node in ast.walk(inits[0]):
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bounded = _is_call(node.value, "BoundedCache")
-            unbounded += [
-                attr.attr
-                for target in targets
-                for attr in ast.walk(target)
-                if isinstance(attr, ast.Attribute)
-                and isinstance(attr.value, ast.Name)
-                and attr.value.id == "self"
-                and not (bounded or attr.attr in LATTICE_FIELDS)
-            ]
-    assert not unbounded, f"FaceLattice.__init__ assigns unbounded fields {unbounded}"
-    memos = sum(_is_call(node, "BoundedCache") for node in ast.walk(inits[0]))
-    assert memos == 1, f"FaceLattice.__init__ builds {memos} BoundedCaches, not one memo"
+    _assert_one_bounded_memo(path, "FaceLattice", ("__init__",), LATTICE_FIELDS)
+
+
+def test_weight_memo_is_bounded(path=SRC / "weights.py"):
+    _assert_one_bounded_memo(path, "WeightFunction", ("__init__", "_make"), {"lattice", "values"})
 
 
 def _is_face_list(node):
@@ -411,6 +434,14 @@ def test_counting_layer_imports_nothing_from_stanley(path=SRC / "ehrhart.py"):
     assert not lines, f"{path.name} imports from stanley on lines {lines}"
 
 
+WEIGHT_MAKE = """
+    @staticmethod
+    def _make(lattice, values):
+        f = object.__new__(WeightFunction)
+        f.lattice, f.values = lattice, values
+        f._memo = BoundedCache(37)
+"""
+
 LATTICE_INIT = """
 class FaceLattice:
     def __init__(self, polytope, faces):
@@ -459,6 +490,11 @@ class FaceLattice:
         (LATTICE_INIT + "        self._memo: dict = {}\n", test_face_lattice_memo_tables_are_bounded),
         ("class FaceLattice:\n    pass\n", test_face_lattice_memo_tables_are_bounded),
         (LATTICE_INIT + "        self._sums = BoundedCache(64)\n", test_face_lattice_memo_tables_are_bounded),
+        (
+            "class WeightFunction:\n    def __init__(self, lattice, values):\n        self._memo = {}\n"
+            + WEIGHT_MAKE,
+            test_weight_memo_is_bounded,
+        ),
         ("x = _affine_rank(pts)\n", test_facets_never_ranked_in_src),
         (
             "class LatticePolytope:\n    def __init__(self, pts):\n        self.r = 0\n"

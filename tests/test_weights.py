@@ -7,6 +7,7 @@ dualize is checked against the pairwise sum of tests/dualize_oracle.py.
 """
 
 import random
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -49,6 +50,12 @@ class TestConstruction:
         lat = build("segment")
         with pytest.raises(ValueError):
             WeightFunction(lat, {99: L({0: 1})})
+
+    @pytest.mark.parametrize("value", [2.5, 5, Fraction(1, 2), None])
+    def test_values_other_than_laurent_polynomials_refused(self, value):
+        lat = build("segment")
+        with pytest.raises(TypeError, match=rf"^the weight of face {lat.top_id} is a "):
+            WeightFunction(lat, {lat.top_id: value})
 
     @pytest.mark.parametrize("fid", [1.7, 1.0, True, "1"])
     def test_inexact_face_ids_refused(self, fid):
