@@ -37,8 +37,8 @@ from .jsonio import (
     face_id_from_json,
     lattice_to_json,
     laurent_to_json,
+    load_lattice,
     load_phi,
-    load_polytope,
     load_weight,
     verify_to_json,
     weight_to_json,
@@ -47,7 +47,6 @@ from .jsonio import (
 from .polytope import (
     FaceLattice,
     InvalidPolytope,
-    build_face_lattice,
     check_nonempty_face,
     check_pair_budget,
     fibre_rows,
@@ -160,8 +159,7 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _load_lattice(spec: argparse.Namespace) -> FaceLattice:
-    P = load_polytope(spec.polytope)
-    return build_face_lattice(P)
+    return load_lattice(spec.polytope)
 
 
 def _resolve_weights(spec: argparse.Namespace, lattice: FaceLattice):

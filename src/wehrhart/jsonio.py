@@ -52,7 +52,14 @@ from math import lcm
 
 from .algebra import HomogPoly, LaurentPoly, ZPoly
 from .ehrhart import OrbitSum
-from .polytope import FaceLattice, LatticePolytope, facet_presentation, mask_ids, polytope_hash
+from .polytope import (
+    FaceLattice,
+    LatticePolytope,
+    build_face_lattice,
+    facet_presentation,
+    mask_ids,
+    polytope_hash,
+)
 from .weights import WeightFunction
 
 
@@ -161,6 +168,12 @@ def _load_json(path, parse, *args):
 def load_polytope(path) -> LatticePolytope:
     """{"vertices": [[int, ...], ...]}; dimension inferred from the vectors."""
     return _load_json(path, _polytope_from_json)
+
+
+def load_lattice(path) -> FaceLattice:
+    """The face lattice of load_polytope(path), built inside the read, so
+    that the face budget and the closure check name the file too."""
+    return _load_json(path, lambda data: build_face_lattice(_polytope_from_json(data)))
 
 
 def _polytope_from_json(data) -> LatticePolytope:

@@ -2,12 +2,15 @@
 
 Facet presentation by the double-description method (Fukuda-Prodon) in
 int arithmetic, which hands each facet's tight vertex set to the
-polytope it builds, face lattice by closing tight-facet vertex sets under
-intersection in one pass down the closure that also collects each set's
-tight facets and grades it, each face one record of two bitmasks (its
-vertices, its tight facets), a dimension and each mask decoded to ids
-once, with its position as its id, the grading and the order as
-bitmasks of face ids, and lattice points by a fibre walk.
+polytope it builds, face lattice by closing one side of the vertex-facet
+incidence under intersection in one pass down the closure that also
+collects each set's containing mask and grades it: the facets' vertex
+sets, or with fewer vertices than facets the vertices' facet sets (the
+polar polytope's lattice), since the pass meets every face with every
+row.  Each face is one record of two bitmasks (its vertices, its tight
+facets), a dimension and each mask decoded to ids once, with its
+position as its id, the grading and the order are bitmasks of face ids,
+and lattice points come from a fibre walk.
 The walk lifts the first n-1 coordinates level by level through the
 facets of P's coordinate projections, each cut from the one above (P's
 own at first) by one more double-description step; along each row (the
@@ -383,55 +386,90 @@ class FaceLattice:
         return f"FaceLattice({len(self.faces)} faces of {self.polytope!r})"
 
 
-def build_face_lattice(P: LatticePolytope) -> FaceLattice:
-    """All faces of P as intersections of facet vertex sets.
+def _close(rows, width, top, refusal):
+    """Close the full set of width bits under intersection with rows, one
+    bitmask per row of a bit matrix.
 
-    Vertex sets are bitmasks, taken in decreasing vertex count from P's
-    own; each meets each facet's vertex set (P.facet_vertices) once, which
-    joins its tight mask if it contains the set and else cuts out a smaller
-    set, queued if new.  So the closure under intersection is complete,
-    deduplicated by vertex set and graded in one pass; the empty face (dim
-    -1, tight on all facets) and P (empty tight set) are always present,
-    and ids follow (dim, vertex set).  Each face's two masks are decoded
-    once, into its record; P's facets are (n-1)-faces by the hull's construction.  A
-    closure past MAX_FACES faces raises InvalidPolytope before the order
-    masks are built.
+    Sets are taken in decreasing popcount from the full set, graded top;
+    each meets each row once, which joins the row's bit to its containing
+    mask if the row contains it and else cuts out a smaller set, queued if
+    new.  On a face lattice, with faces as sets and its facets as rows,
+    meeting a facet that does not contain a face gives a face one
+    dimension lower or less, and exactly one lower along some facet: so a
+    cut set's grade is one less than the least grade of the sets it is cut
+    from, all of which come before it.  Returns (grade, contain), two
+    dicts keyed by set, contain[s] the mask of the rows that contain s.
+    Past MAX_FACES sets, InvalidPolytope(refusal) is raised at once.
     """
-    nv = len(P.vertices)
-    all_v = (1 << nv) - 1
-    # grade top down: a face meets a facet not containing it in a face one
-    # dimension lower or less, and in exactly one lower along some facet
-    dims, tight = {all_v: P.n}, {}
-    by_count = [[] for _ in range(nv)] + [[all_v]]
-    bits = [(1 << F, ft) for F, ft in enumerate(P.facet_vertices)]
+    full = (1 << width) - 1
+    grade, contain = {full: top}, {}
+    by_count = [[] for _ in range(width)] + [[full]]
+    bits = [(1 << r, row) for r, row in enumerate(rows)]
     for bucket in reversed(by_count):
         for s in bucket:
-            below, mask = dims[s] - 1, 0
-            for bit, ft in bits:
-                t = s & ft
+            below, mask = grade[s] - 1, 0
+            for bit, row in bits:
+                t = s & row
                 if t == s:
                     mask |= bit
-                elif (d := dims.get(t)) is None:
-                    if len(dims) == MAX_FACES:
-                        raise InvalidPolytope(
-                            f"{nv} vertices and {len(bits)} facets give more than "
-                            f"{MAX_FACES} faces, the face lattice budget"
-                        )
-                    dims[t] = below
+                elif (d := grade.get(t)) is None:
+                    if len(grade) == MAX_FACES:
+                        raise InvalidPolytope(refusal)
+                    grade[t] = below
                     by_count[t.bit_count()].append(t)
                 elif d > below:
-                    dims[t] = below
-            tight[s] = mask
-    vertex_ids = {s: tuple(mask_ids(s)) for s in dims}
-    order = sorted(dims, key=lambda s: (dims[s], vertex_ids[s]))
+                    grade[t] = below
+            contain[s] = mask
+    return grade, contain
+
+
+def build_face_lattice(P: LatticePolytope) -> FaceLattice:
+    """All faces of P, closed (_close) on the smaller side of the
+    vertex-facet incidence.
+
+    The closure meets every face with every row, so it runs with the
+    fewer rows: random clouds have several times more facets than
+    vertices, cubes the reverse.  With no more facets than vertices, the
+    rows are the facets' vertex masks (P.facet_vertices): vertex sets are
+    closed from P's own (dim n), and each set's containing mask is its
+    tight mask.  With fewer vertices, the rows are the vertices' facet
+    masks, read off P.facet_vertices bit by bit, and the lattice closed is
+    the polar polytope's: tight masks from the empty face's (all facets,
+    polar dim n), each set's containing mask its vertex mask, and polar
+    dim d* is dim n - 1 - d*.  Either way the closed pairs (vertex mask,
+    tight mask) are the same, one per face; the empty face (dim -1, tight
+    on all facets) and P (empty tight set) are always present, and ids
+    follow (dim, vertex set).  Each face's two masks are decoded once,
+    into its record; P's facets are (n-1)-faces by the hull's
+    construction.  A closure past MAX_FACES faces raises InvalidPolytope,
+    counting vertices and facets on either side, before the order masks
+    are built.
+    """
+    nv, nf = len(P.vertices), len(P.facets)
+    refusal = f"{nv} vertices and {nf} facets give more than {MAX_FACES} faces, the face lattice budget"
+    if nf <= nv:
+        dims, tight = _close(P.facet_vertices, nv, P.n, refusal)
+    else:
+        rows = [sum(1 << F for F, ft in enumerate(P.facet_vertices) if ft >> i & 1) for i in range(nv)]
+        grade, vertices = _close(rows, nf, P.n, refusal)
+        dims, tight = {}, {}
+        for t, s in vertices.items():
+            dims[s], tight[s] = P.n - 1 - grade[t], t
     # Every set in the closure is the common vertex set of its tight
     # facets by construction, and every facet closes to an (n-1)-face;
-    # what a wrong facet list can still break is each vertex's 0-face.
+    # what a wrong facet list can still break is the empty face and each
+    # vertex's 0-face.  A vertex on every facet leaves the empty set
+    # unreached on the vertex side and grades to -1 on the facet side, so
+    # it is refused first, and both sides refuse with the same message.
+    if 0 not in dims:
+        raise InvalidPolytope("face lattice closure broken: a vertex lies on every facet")
     for i, v in enumerate(P.vertices):
         if dims.get(1 << i) != 0:
             raise InvalidPolytope(
                 f"face lattice closure broken: vertex {v} is not cut out by its facets"
             )
+    vertex_ids = {s: tuple(mask_ids(s)) for s in dims}
+    order = sorted(dims, key=lambda s: (dims[s], vertex_ids[s]))
     return FaceLattice(
         P, [Face(s, tight[s], dims[s], vertex_ids[s], tuple(mask_ids(tight[s]))) for s in order]
     )

@@ -1,12 +1,15 @@
 """Brute-force face lattice, the oracle for build_face_lattice.
 
-The library closes facet vertex sets under intersection in one pass down
-the closure, grading each set as it goes.  This helper takes every
-distinct intersection of facet vertex sets by repeating full rounds of
-"intersect every set with every facet" until nothing new appears, grades
-each by the Fraction rank of its vertices' affine hull (hull_oracle),
-and reads the order off vertex set inclusion pair by pair: the slow and
-obvious route the library must agree with.
+The library closes one side of the vertex-facet incidence under
+intersection in one pass down the closure, grading each set as it goes:
+facet vertex sets, or, with fewer vertices than facets, vertex facet
+sets (the polar polytope's lattice, graded upside down), since the pass
+meets every face with every row.  This helper, always on the vertex
+side, takes every distinct intersection of facet vertex sets by
+repeating full rounds of "intersect every set with every facet" until
+nothing new appears, grades each by the Fraction rank of its vertices'
+affine hull (hull_oracle), and reads the order off vertex set inclusion
+pair by pair: the slow and obvious route the library must agree with.
 """
 
 from hull_oracle import _affine_rank

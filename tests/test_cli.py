@@ -964,14 +964,15 @@ def test_verify_leaves_the_orbit_kinds_and_the_dual_in_each_memo(monkeypatch, ca
 @pytest.mark.parametrize("command", ["faces", "hpoly"])
 def test_face_lattice_past_the_budget_exits_3_at_once(tmp_path, capsys, command, d):
     # the d-simplex has 2**(d+1) faces: the closure stops past MAX_FACES,
-    # before the order masks (two F x F bit matrices) are built
+    # before the order masks (two F x F bit matrices) are built, and the
+    # refusal names the file
     path = tmp_path / f"simplex{d}.json"
     path.write_text(json.dumps({"vertices": corpus.simplex(d)}))
     start = time.perf_counter()
     code, out, err = run_cli([command, str(path)], capsys)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert err.startswith("error: validation: ") and err.count("\n") == 1
+    assert err.startswith(f"error: validation: {path}: ") and err.count("\n") == 1
     assert f"{d + 1} vertices and {d + 1} facets give more than {polytope.MAX_FACES} faces" in err
 
 

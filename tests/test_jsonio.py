@@ -285,7 +285,7 @@ EXPORT_POLYTOPES = {
 def test_exports_match_the_plain_dict_route(name, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"vertices": [list(v) for v in EXPORT_POLYTOPES[name]]}))
-    lattice = cli.build_face_lattice(load_polytope(path))
+    lattice = build_face_lattice(load_polytope(path))
     assert _stdout(["faces", str(path)]) == _plain(plain_lattice_json(lattice))
     g = g_weight_function(lattice, lattice.top_id)
     assert _stdout(["gweights", str(path), "--face", "P"]) == _plain(plain_weight_json(g))

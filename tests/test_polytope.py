@@ -732,6 +732,14 @@ class TestClosureCheck:
         with pytest.raises(InvalidPolytope, match="closure"):
             build_face_lattice(broken)
 
+    def test_facets_through_one_vertex_are_refused(self):
+        # two edges of a triangle meet in a vertex on every facet given, so
+        # no set of facets cuts out the empty face
+        P = facet_presentation(simplex(2))
+        broken = checked_polytope(P.n, P.vertices, P.facets[1:])
+        with pytest.raises(InvalidPolytope, match="^face lattice closure broken: a vertex lies on every facet$"):
+            build_face_lattice(broken)
+
     def test_facet_off_the_vertices_is_refused(self):
         # the checked polytope ranks its facets when it is built: this one holds no vertex
         P = facet_presentation(SQUARE)
@@ -853,6 +861,29 @@ class TestFaceBudget:
         monkeypatch.setattr(polytope, "MAX_FACES", 27)
         monkeypatch.setattr(polytope, "FaceLattice", no_lattice)
         with pytest.raises(InvalidPolytope, match="8 vertices and 6 facets give more than 27 faces"):
+            build_face_lattice(P)
+
+    def test_closure_stops_at_the_budget_on_the_facet_side(self, monkeypatch):
+        # the octahedron has fewer vertices than facets, so it closes facet
+        # sets, and the refusal still counts vertices first
+        P = facet_presentation(cross(3))  # 28 faces, the empty face and P included
+        widths, close = [], polytope._close
+
+        def recorded(rows, width, top, refusal):
+            widths.append(width)
+            return close(rows, width, top, refusal)
+
+        monkeypatch.setattr(polytope, "_close", recorded)
+        monkeypatch.setattr(polytope, "MAX_FACES", 28)
+        assert len(build_face_lattice(P).faces) == 28
+        assert widths == [8]
+
+        def no_lattice(*args):
+            raise AssertionError("the order masks were built")
+
+        monkeypatch.setattr(polytope, "MAX_FACES", 27)
+        monkeypatch.setattr(polytope, "FaceLattice", no_lattice)
+        with pytest.raises(InvalidPolytope, match="6 vertices and 8 facets give more than 27 faces"):
             build_face_lattice(P)
 
 
@@ -1044,6 +1075,77 @@ class TestFaceLatticeAgainstOracle:
         self.assert_same_lattice(facet_presentation(_cloud(*shape)))
 
 
+class TestBothSidesOfTheIncidence:
+    """The closure on the vertex side and on the facet side (the polar
+    polytope's lattice) give the same faces, and build_face_lattice gives
+    them on whichever side it takes."""
+
+    @staticmethod
+    def side(P, polar):
+        """{(vertex mask, tight mask, dim)} closed by _close on one side, the
+        facet side's rows (each vertex's facet mask) read off the inequalities."""
+        if not polar:
+            grade, tight = polytope._close(P.facet_vertices, len(P.vertices), P.n, "past the budget")
+            return {(s, tight[s], grade[s]) for s in grade}
+        rows = [
+            sum(1 << F for F, (u, a) in enumerate(P.facets) if sum(map(mul, v, u)) == -a)
+            for v in P.vertices
+        ]
+        grade, vertices = polytope._close(rows, len(P.facets), P.n, "past the budget")
+        return {(vertices[t], t, P.n - 1 - grade[t]) for t in grade}
+
+    @staticmethod
+    def outcome(P, faces):
+        """build_face_lattice's refusal for faces closed on either side, or the faces."""
+        dims = {s: d for s, _, d in faces}
+        if 0 not in dims:
+            return "face lattice closure broken: a vertex lies on every facet"
+        for i, v in enumerate(P.vertices):
+            if dims.get(1 << i) != 0:
+                return f"face lattice closure broken: vertex {v} is not cut out by its facets"
+        return faces
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            *CORPUS.values(),
+            *HULL_CLOUDS.values(),
+            cube(5),
+            cross(5),
+            _cloud(5, 3, 12, 2),
+            _cloud(6, 3, 12, 1),
+            _desk_cloud(40, 3, 5),
+        ],
+        ids=[*CORPUS, *HULL_CLOUDS, "cube5", "cross5", "random5", "random6", "38-vertex-5-polytope"],
+    )
+    def test_same_faces(self, pts):
+        P = facet_presentation(pts)
+        faces = build_face_lattice(P).faces
+        closed = {(f.vertex_mask, f.tight_mask, f.dim) for f in faces}
+        assert len(closed) == len(faces)
+        assert self.side(P, polar=False) == closed
+        assert self.side(P, polar=True) == closed
+
+    @settings(max_examples=300, deadline=None)
+    @given(hull_clouds(), st.data())
+    def test_clouds_with_a_facet_dropped(self, pts, data):
+        # both sides refuse with the same message, or build the same faces
+        try:
+            P = facet_presentation(pts)
+        except InvalidPolytope:
+            assume(False)
+        k = data.draw(st.integers(0, len(P.facets) - 1), label="dropped facet")
+        broken = checked_polytope(P.n, P.vertices, P.facets[:k] + P.facets[k + 1 :])
+        primal, polar = (self.outcome(broken, self.side(broken, side)) for side in (False, True))
+        assert primal == polar
+        try:
+            lattice = build_face_lattice(broken)
+        except InvalidPolytope as exc:
+            assert str(exc) == primal
+        else:
+            assert {(f.vertex_mask, f.tight_mask, f.dim) for f in lattice.faces} == primal
+
+
 class TestHullClosedForms:
     """Shapes the subset loop could not finish: C(64, 6) subsets for cube6."""
 
@@ -1224,7 +1326,7 @@ class TestCacheBounds:
         assert len(memo) == MEMO_MAX and memo.evictions == 8
 
     def test_verify_at_the_largest_lmax_evicts_nothing(self, tmp_path, monkeypatch):
-        from wehrhart import cli
+        from wehrhart import cli, jsonio
 
         built = []
 
@@ -1232,7 +1334,7 @@ class TestCacheBounds:
             built.append(build_face_lattice(P))
             return built[-1]
 
-        monkeypatch.setattr(cli, "build_face_lattice", keep)
+        monkeypatch.setattr(jsonio, "build_face_lattice", keep)
         path = tmp_path / "cube.json"
         path.write_text(json.dumps({"vertices": [list(v) for v in CORPUS["cube"]]}))
         argv = ["verify", str(path), "--suite", "all", "--lmax", str(cli.MAX_LMAX)]

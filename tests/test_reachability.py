@@ -57,6 +57,8 @@ UNREACHED = {
     "algebra.LaurentPoly.__rmul__": _TRACED,
     "algebra.LaurentPoly.__sub__": _TRACED,
     "stanley.stanley_fg": _TRACED + "; also the paper's f/g of one interval, for library users",
+    "jsonio.load_polytope": _TRACED + "; also a polytope file read without its face lattice, for "
+    "library users: the commands read through load_lattice",
     "weights.add": "a module operation of the paper on weight functions, beside scale (ROADMAP item 12)",
 }
 
