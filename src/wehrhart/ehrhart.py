@@ -121,35 +121,31 @@ class OrbitSum(NamedTuple):
         return [(m, values[e]) for m, e in self.characters() if e in values]
 
 
-_PLUS, _MINUS, _MINUS_INVERTED = "plus", "minus", "minus at 1/y"
+_PLUS, _MINUS = "plus", "minus"
 
 
 def _orbit_coefficients(f, kind):
     """One coefficient per torus orbit, built on first use and kept on f.
 
-    _PLUS:           c_Q = f_Q(y) (1+y)^dim Q for each Q in the support, the
-                     coefficient at ell > 0, of weighted values and -ell checks
-    _MINUS:          c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at ell < 0:
-                     the faces whose closed dilate |ell| Q holds m; also
-                     the right side of reciprocity, on the sums at +ell
-    _MINUS_INVERTED: _MINUS with y -> 1/y
-    None depends on the dilation, so each is built once per weight.
+    _PLUS:  c_Q = f_Q(y) (1+y)^dim Q for each Q in the support, the
+            coefficient at ell > 0, of weighted values and -ell checks
+    _MINUS: c_E = sum over Q >= E of f_Q(y) (-1-y)^dim Q, at ell < 0: the
+            faces whose closed dilate |ell| Q holds m; also the right side
+            of reciprocity, on the sums at +ell
+    Neither depends on the dilation, so each is built once per weight.
     """
     memo = f._memo
     if kind not in memo:
         faces = f.lattice.faces
         if kind == _PLUS:
             memo[kind] = {q: fq * one_plus_y_power(faces[q].dim) for q, fq in f.values.items()}
-        elif kind == _MINUS:
+        else:
             above = {}
             for q, c in _orbit_coefficients(f, _PLUS).items():
                 c = -c if faces[q].dim % 2 else c  # (-1-y)^d = (-1)^d (1+y)^d
                 for e in f.lattice.subfaces(q):
                     above.setdefault(e, []).append(c)
             memo[kind] = {e: poly_sum(cs) for e, cs in above.items()}
-        else:
-            minus = _orbit_coefficients(f, _MINUS)
-            memo[kind] = {e: substitute_inverse(c) for e, c in minus.items()}
     return memo[kind]
 
 
@@ -346,13 +342,13 @@ def _face_polynomials(lattice, phi):
                     rhs = -sum(table[g][deg - 1] for g in ridges)
                     _check_coefficient(q, deg - 1, 2, coeffs[deg - 1], rhs, denom, "facet identity")
                 else:
-                    v = P.vertices[faces[q].vertex_mask.bit_length() - 1]
+                    v = P.vertices[faces[q].vertex_ids[0]]
                     closed = (0,) * phi.degree + (factorial(bound) * int(d * phi_eval(phi, v)),)
                     for k, (a, b) in enumerate(zip(coeffs, closed)):
                         _check_coefficient(q, k, 1, a, b, denom, "closed form")
                 if dim == n:  # an (n-1)-face is tight on exactly one facet: its own
                     rhs = sum(
-                        P.facets[faces[g].tight_mask.bit_length() - 1][1] * table[g][deg - 1]
+                        P.facets[faces[g].tight_ids[0]][1] * table[g][deg - 1]
                         for g in ridges
                     )
                     _check_coefficient(q, deg, deg, coeffs[deg], rhs, denom, "facet identity")
@@ -485,11 +481,12 @@ def verify_hodge_duality(f, ells) -> list:
     points.  lhs and rhs are OrbitSums, expanded to points only when
     rendered.  A failed check names the first such face and its first
     differing exponent.  The dual is dualize(f), which f keeps: every check
-    on f shares one.
+    on f shares one.  The inverted table, f's _MINUS coefficients at
+    y -> 1/y, is built once per call and kept by neither.
     """
     ells = [check_dilation(ell) for ell in ells]
     lattice, dual = f.lattice, _orbit_coefficients(dualize(f), _PLUS)
-    inverted = _orbit_coefficients(f, _MINUS_INVERTED)
+    inverted = {e: substitute_inverse(c) for e, c in _orbit_coefficients(f, _MINUS).items()}
     differ = {e for e in dual.keys() | inverted.keys()
               if dual.get(e, L_ZERO) != inverted.get(e, L_ZERO)}
     checks = []

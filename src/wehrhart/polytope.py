@@ -300,10 +300,9 @@ class FaceLattice:
     MEMO_MAX entries, _memo, each key naming what its entry depends on: ell
     for a point partition, (phi, ell) for per-face sums, phi for a table of
     per-face interpolants.  Every other field is bounded by construction:
-    nonempty_ids holds one entry per face, and _g_memo one entry per face
-    the Stanley sweep reached, one (f, g) row pair per face below it.  The
-    facets of the coordinate projections that bound the fibre walk are cut
-    from P's facets on first use and have exactly n-1 entries.
+    nonempty_ids holds one entry per face, and the facets of the coordinate
+    projections that bound the fibre walk are cut from P's facets on first
+    use and have exactly n-1 entries.
     """
 
     def __init__(self, polytope, faces):
@@ -326,7 +325,6 @@ class FaceLattice:
         self.up = [reduce(and_, map(with_vertex.get, f.vertex_ids), full) for f in faces]
         self.down = [reduce(and_, map(in_facet.get, f.tight_ids), full) for f in faces]
         self._memo = BoundedCache(MEMO_MAX)
-        self._g_memo = {}
         self._projections = None
         self._eulerian = None
 

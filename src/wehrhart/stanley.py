@@ -5,7 +5,8 @@ lattice, g-polynomials of polar faces, the induced weight functions
 (t -> -y), and the h-polynomial of the fully reversed lattice.  One
 sweep down the faces below Q', one dimension of FaceLattice.by_dim at a
 time, gives f of every [Q, Q'] as a tuple of int coefficients in t,
-constant term first; the public functions return LaurentPoly values with
+constant term first.  Each public call runs its own sweep and keeps none:
+every command reads each Q' once.  They return LaurentPoly values with
 nonnegative exponents, rendered with f"{p:t}".
 """
 
@@ -48,9 +49,8 @@ def _g_row(f):
 
 def _f_rows(lattice: FaceLattice, qp_id: int):
     """(f, g) of [Q, Q'] as int tuples, f of length dim Q' - dim Q (1 for Q = Q')
-    and g its _g_row, for every face Q below Q', the empty face included;
-    memoized in lattice._g_memo[qp_id].  Faces with equal f rows share one
-    pair.
+    and g its _g_row, for every face Q below Q', the empty face included,
+    from one sweep per call.  Faces with equal f rows share one pair.
 
     The faces below Q' are taken top down by dimension, layer d being
     down[Q'] & by_dim[d + 1].  Once a dimension d is done, masks[i, v]
@@ -59,9 +59,6 @@ def _f_rows(lattice: FaceLattice, qp_id: int):
     to f([Q, Q']).  Each g row is scanned for a negative coefficient as it is
     built, which raises NegativeGCoefficient naming the interval.
     """
-    rows = lattice._g_memo.get(qp_id)
-    if rows is not None:
-        return rows
     up, by_dim, below = lattice.up, lattice.by_dim, lattice.down[qp_id]
     top = lattice.faces[qp_id].dim
     rows = {qp_id: ((1,), (1,))}
@@ -88,7 +85,6 @@ def _f_rows(lattice: FaceLattice, qp_id: int):
                 if v:
                     masks[i, v] = masks.get((i, v), 0) | 1 << q
         done.append((d, [(i, v, m) for (i, v), m in masks.items()]))
-    lattice._g_memo[qp_id] = rows
     return rows
 
 
@@ -116,8 +112,7 @@ def stanley_fg(lattice: FaceLattice, q_id: int, qp_id: int):
 def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     """g of the reversed interval [Q, Q'], i.e. of the polar face of Q.
 
-    Both faces must be nonempty and nested; the sweep below Q' is
-    memoized on the lattice.
+    Both faces must be nonempty and nested.
     """
     q_id, qp_id = check_nonempty_face(lattice, q_id), check_nonempty_face(lattice, qp_id)
     _check_interval(lattice, q_id, qp_id)

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from box_oracle import cube, cross, random_lattice
 from wehrhart import cli, ehrhart, jsonio, polytope
-from wehrhart.algebra import HomogPoly, LaurentPoly as L
+from wehrhart.algebra import HomogPoly, LaurentPoly as L, substitute_inverse
 from wehrhart.corpus import CORPUS, build
 from wehrhart.ehrhart import CheckResult, OrbitSum
 from wehrhart.jsonio import (
@@ -415,7 +415,8 @@ def test_planted_wrong_dual_fails_its_hodge_check(monkeypatch):
         assert not two["passed"] and two["lhs"] != two["rhs"]
         assert two["first_difference"]["face"] == str(lattice.top_id)
     # the rhs is rendered from its own value, the inverted sum of all-ones at -2
-    inverted = ehrhart._orbit_coefficients(all_ones(lattice), ehrhart._MINUS_INVERTED)
+    minus = ehrhart._orbit_coefficients(all_ones(lattice), ehrhart._MINUS)
+    inverted = {e: substitute_inverse(c) for e, c in minus.items()}
     rhs = OrbitSum(inverted, lattice, 2)
     assert json.loads(out)["reports"][0]["checks"][1]["rhs"] == plain_side(rhs)
 

@@ -50,6 +50,7 @@ starts from object.__new__ and sets its slots as any __init__ does.
 import ast
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -62,12 +63,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wehrhart"
 TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(SRC.glob("*.py"))
 # FaceLattice's structural fields, and its slots bounded by construction:
-# by_dim (n + 2 masks), nonempty_ids (one id per face), _g_memo (one entry
-# per face), _projections (n - 1 facet lists) and _eulerian (one flag);
-# everything else it derives lives in its one BoundedCache
+# by_dim (n + 2 masks), nonempty_ids (one id per face), _projections (n - 1
+# facet lists) and _eulerian (one flag); everything else it derives lives in
+# its one BoundedCache
 LATTICE_FIELDS = {
     "polytope", "faces", "by_dim", "_by_mask", "up", "down", "nonempty_ids",
-    "_g_memo", "_projections", "_eulerian",
+    "_projections", "_eulerian",
 }
 
 
@@ -257,6 +258,23 @@ def _assert_one_bounded_memo(path, cls_name, builders, fields):
 
 def test_face_lattice_memo_tables_are_bounded(path=SRC / "polytope.py"):
     _assert_one_bounded_memo(path, "FaceLattice", ("__init__",), LATTICE_FIELDS)
+
+
+def test_verify_leaves_no_field_on_the_lattice_but_the_bounded_ones(tmp_path, monkeypatch):
+    """The ast check above reads only __init__; a run of every suite must
+    not hang any other field on the lattice later."""
+    from wehrhart import cli
+
+    path = tmp_path / "cube4.json"
+    path.write_text(json.dumps({"vertices": list(itertools.product((0, 1), repeat=4))}))
+    loaded = []
+    load = cli._load_lattice
+    monkeypatch.setattr(cli, "_load_lattice", lambda spec: loaded.append(load(spec)) or loaded[-1])
+    argv = ["verify", str(path), "--suite", "all", "--lmax", "2"]
+    argv += ["--random-weights", "--seed", "1", "--count", "1"]
+    assert cli.run(cli.parse_args(argv), stdout=io.StringIO()) == 0
+    (lattice,) = loaded
+    assert set(vars(lattice)) <= LATTICE_FIELDS | {"_memo"}
 
 
 def test_weight_memo_is_bounded(path=SRC / "weights.py"):

@@ -338,30 +338,14 @@ class TestKazhdanLusztigStanleyBasis:
             assert g_weight_function(L, qp).values == kls_weights(L, qp).values, qp
 
 
-def test_g_memo_bounded_by_nested_pairs():
-    L = build_face_lattice(facet_presentation(list(itertools.product((0, 1), repeat=4))))
-    for qp in L.nonempty_ids:
-        g_weight_function(L, qp)
-    assert set(L._g_memo) == set(L.nonempty_ids)
-    assert sum(map(len, L._g_memo.values())) <= sum(map(int.bit_count, L.up))
-
-
 def test_each_g_row_is_built_once_beside_its_f_row(monkeypatch):
-    # the sweep keeps each face's g row with its f row, one pair per distinct f row;
-    # the readers take it from there and build none
+    # one sweep keeps each face's g row with its f row, one pair per distinct f row
     built = []
     monkeypatch.setattr(stanley, "_g_row", lambda f: built.append(f) or _g_row(f))
     L = build_face_lattice(facet_presentation(list(itertools.product((0, 1), repeat=3))))
     for qp in L.nonempty_ids:
-        g_weight_function(L, qp)
-    swept = len(built)
-    distinct = sum(len({f for q, (f, _) in memo.items() if q != qp}) for qp, memo in L._g_memo.items())
-    assert 0 < swept == distinct
-    for qp in L.nonempty_ids:
-        g_weight_function(L, qp)
-        for q in L.subfaces(qp):
-            polar_g(L, q, qp)
-            stanley_fg(L, q, qp)
-    h_polynomial(L)
-    assert len(built) == swept
-    assert all(g == _g_row(f) for memo in L._g_memo.values() for f, g in memo.values())
+        built.clear()
+        rows = _f_rows(L, qp)
+        distinct = {f for q, (f, _) in rows.items() if q != qp}
+        assert len(built) == len(distinct) and set(built) == distinct
+        assert all(g == _g_row(f) for f, g in rows.values())
