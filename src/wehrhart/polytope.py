@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from math import gcd
-from operator import and_, mul
+from operator import and_, mul, or_
 from typing import NamedTuple
 
 from .algebra import as_int
@@ -46,10 +46,17 @@ MEMO_MAX = 37
 MAX_FACES = 1 << 14
 # Comparable face pairs (a <= b, sum of popcount(up)) the Eulerian check
 # visits and the faces export lists.  The 40-point hull above has 266,979
-# (checked in about 1 s); the d-simplex has 3**(d+1), so the 11-simplex
-# (531,441, about 1 s) is the last simplex admitted and the 12-simplex
-# (1.59 million, 4 to 7 s to check, 58 MB to export) the first refused.
+# (checked in about 0.35 s on one core of a 2-CPU x86-64 machine under
+# Python 3.11); the d-simplex has 3**(d+1), so the 11-simplex (531,441,
+# about 0.25 s) is the last simplex admitted and the 12-simplex (1.59
+# million, about 1.4 s to check, 58 MB to export) the first refused.
 MAX_PAIRS = 1 << 20
+# Width of the square tiles the Eulerian check transposes up in, a power
+# of two: log2(TILE) delta swaps transpose a tile, which packs into one int
+# of 8 KB (the whole matrix, at MAX_FACES, would be 32 MB), and the swap
+# masks, built once, take 64 KB (at 512 they would take 288 KB, more than
+# the rest of the check holds at its peak on a lattice of 7,484 faces).
+TILE = 256
 
 
 class InvalidPolytope(ValueError):
@@ -662,25 +669,95 @@ def points_by_face(lattice: FaceLattice, ell: int):
     return out
 
 
+@lru_cache(maxsize=None)  # one entry per power-of-two width up to TILE
+def _swap_masks(width):
+    """(shift, mask) per delta swap that transposes a width x width bit
+    matrix packed row by row into one int: at block size s the mask marks
+    row k, column l with bit s clear in k and set in l, whose bit trades
+    places with row k + s, column l - s, shift = s * (width - 1) bits higher."""
+    nbytes = width // 8
+    blank = bytes(nbytes)
+    out, s = [], width // 2
+    while s:
+        row = sum(1 << l for l in range(width) if l & s).to_bytes(nbytes, "little")
+        mask = int.from_bytes(b"".join(blank if k & s else row for k in range(width)), "little")
+        out.append((s * (width - 1), mask))
+        s //= 2
+    return tuple(out)
+
+
+def _tile(rows, shift, mask, nbytes):
+    """The bits of each row from shift on, cut by mask, packed row by row into one int."""
+    chunks = ((row >> shift & mask).to_bytes(nbytes, "little") for row in rows)
+    return int.from_bytes(b"".join(chunks), "little")
+
+
+def _is_transpose(up, down) -> bool:
+    """Bit j of up[i] equals bit i of down[j] for all i, j < len(up).
+
+    Both matrices are cut into square tiles of a power-of-two width of at
+    most TILE; tile (r, c) of up, transposed by log2(width) delta swaps,
+    must equal tile (c, r) of down.  A pair of tiles is skipped when the OR
+    of the up rows of block r and the OR of the down rows of block c are
+    both zero on it.  Bits at or above the last tile are not read:
+    eulerian_check refuses them first.
+    """
+    size = len(up)
+    width = min(TILE, max(8, 1 << (size - 1).bit_length()))
+    nbytes, mask = width // 8, (1 << width) - 1
+    blocks = range(0, size, width)
+    up_or = [reduce(or_, up[r : r + width]) for r in blocks]
+    down_or = [reduce(or_, down[c : c + width]) for c in blocks]
+    for r, above in zip(blocks, up_or):
+        for c, below in zip(blocks, down_or):
+            if not (above >> c & mask or below >> r & mask):
+                continue
+            tile = _tile(up[r : r + width], c, mask, nbytes)
+            for shift, swap in _swap_masks(width):
+                t = (tile ^ tile >> shift) & swap
+                tile ^= t ^ t << shift
+            if tile != _tile(down[c : c + width], r, mask, nbytes):
+                return False
+    return True
+
+
 def eulerian_check(up, down, even) -> bool:
     """Every nontrivial closed interval balances even and odd ranks.
 
     Bit j of up[i] (down[i]) marks element j above (below) element i,
     and bit j of even marks element j of even rank, so the interval
     [a, b] is up[a] & down[b] and its even-rank half is one more mask
-    away.  The masks must agree: bit i of down[j] is required for every
-    bit j of up[i], and down must hold as many bits as up, so down is
-    exactly the transpose of up.
+    away.  The premise is that up is transitive, as vertex-set inclusion
+    is; the check makes it a partial order read both ways: up[i] & down[i]
+    must be exactly bit i (reflexive, and with the next test
+    antisymmetric), no row may hold a bit at or above len(up), and down
+    must be exactly the transpose of up (_is_transpose).
+
+    Only the intervals [i, j], j != i, whose ends have equal parity are
+    counted (Stanley, Enumerative Combinatorics 1, Eulerian posets).  Let
+    s = +-1 be the parity and T the sum of s over [i, j].  If every proper
+    subinterval of [i, j] balances, the Moebius recursion gives mu(i, c) =
+    s(i) s(c) and mu(c, j) = s(c) s(j) for every c in [i, j], and its two
+    forms give mu(i, j) = -s(i) (T - s(j)) = -s(j) (T - s(i)), so
+    (s(i) - s(j)) T = 0: by induction on the interval's size, an interval
+    whose ends differ in parity balances by itself.  The argument holds in
+    any finite poset under any +-1 labelling.
     """
-    if sum(map(int.bit_count, up)) != sum(map(int.bit_count, down)):
+    size = len(up)
+    if len(down) != size:
         return False
+    for i, (above, below) in enumerate(zip(up, down)):
+        if above & below != 1 << i or above >> size or below >> size:
+            return False
+    if not _is_transpose(up, down):
+        return False
+    odd = ~even
     for i, above in enumerate(up):
         bit = 1 << i
-        for j in mask_ids(above):
-            if not down[j] & bit:
-                return False
+        same = even if even & bit else odd  # the elements of i's parity
+        for j in mask_ids(above & same ^ bit):
             interval = above & down[j]
-            if j != i and 2 * (interval & even).bit_count() != interval.bit_count():
+            if 2 * (interval & even).bit_count() != interval.bit_count():
                 return False
     return True
 
@@ -696,7 +773,13 @@ def check_pair_budget(lattice, what: str) -> None:
 
 
 def validate_eulerian(lattice) -> bool:
-    """True iff the face poset is Eulerian (interval parity balance), within check_pair_budget."""
+    """True iff the face poset is Eulerian (interval parity balance), within check_pair_budget.
+
+    The order is vertex-set inclusion, so transitive, and eulerian_check
+    refuses masks that are not a partial order read both ways; on a
+    partial order, balancing the intervals whose ends have equal rank
+    parity balances them all (see eulerian_check), so only those are counted.
+    """
     check_pair_budget(lattice, "the Eulerian check")
     # rank is dim + 1, the index into by_dim: the empty face has even rank
     even = sum(lattice.by_dim[::2])

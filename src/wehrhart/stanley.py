@@ -102,6 +102,9 @@ def stanley_fg(lattice: FaceLattice, q_id: int, qp_id: int):
     is the sum, over the faces x != Q of the interval, of
     g([x, Q']) * (t-1)**(dim x - dim Q - 1), and g truncates the
     difference sequence of f's coefficients at degree floor(r/2).
+
+    Each call runs one sweep over every face below Q' and keeps none of
+    its rows, so reading many intervals under one Q' costs one sweep each.
     """
     q_id, qp_id = check_face(lattice, q_id), check_face(lattice, qp_id)
     _check_interval(lattice, q_id, qp_id)
@@ -112,7 +115,8 @@ def stanley_fg(lattice: FaceLattice, q_id: int, qp_id: int):
 def polar_g(lattice: FaceLattice, q_id: int, qp_id: int) -> LaurentPoly:
     """g of the reversed interval [Q, Q'], i.e. of the polar face of Q.
 
-    Both faces must be nonempty and nested.
+    Both faces must be nonempty and nested.  Like stanley_fg, each call
+    runs one sweep over every face below Q' and keeps none of its rows.
     """
     q_id, qp_id = check_nonempty_face(lattice, q_id), check_nonempty_face(lattice, qp_id)
     _check_interval(lattice, q_id, qp_id)

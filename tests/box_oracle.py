@@ -42,13 +42,15 @@ def row_fibres(lattice, ell):
     """The rows of wehrhart.polytope.fibre_rows flattened to the fibres of box_fibres.
 
     A fibre (prefix, lo, hi, face_lo, face_mid, face_hi) has the prefix
-    outer + (x,), or () for n = 1.  Each row's shape is asserted on the
-    way: outer has max(n - 2, 0) coordinates and x rises strictly.
+    outer + (x,), or () for n = 1.  Each row's shape is checked on the
+    way, also under python -O, which pytest's assert rewriting skips in
+    helper modules: outer has max(n - 2, 0) coordinates and x rises strictly.
     """
     n = lattice.polytope.n
     for outer, row in fibre_rows(lattice, ell):
         xs = [x for x, *_ in row]
-        assert len(outer) == max(n - 2, 0) and xs == sorted(set(xs)), (outer, xs)
+        if len(outer) != max(n - 2, 0) or xs != sorted(set(xs)):
+            raise AssertionError((outer, xs))
         for x, *fibre in row:
             yield ((*outer, x)[: n - 1], *fibre)
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 import re
+import unittest.mock
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
@@ -32,7 +33,7 @@ from box_oracle import (
     random_lattice,
     row_fibres,
 )
-from face_oracle import oracle_faces, oracle_order
+from face_oracle import oracle_faces, oracle_order, pairwise_eulerian_check, triple_eulerian_check
 import hull_oracle
 from hull_oracle import (
     _affine_rank,
@@ -333,19 +334,6 @@ class _StubPoset:
         return up, down, even
 
 
-def triple_eulerian_check(elements, leq, rank):
-    """The oracle: count the ranks of every interval one element at a time."""
-    elements = list(elements)
-    for a in elements:
-        for b in elements:
-            if a == b or not leq(a, b):
-                continue
-            ranks = [rank(e) % 2 for e in elements if leq(a, e) and leq(e, b)]
-            if ranks.count(0) != ranks.count(1):
-                return False
-    return True
-
-
 class TestEulerian:
     def test_square_is_eulerian(self):
         assert validate_eulerian(build("square"))
@@ -395,7 +383,7 @@ class TestEulerian:
 
     @pytest.mark.parametrize("name", ["square", "pyramid"])
     def test_moved_down_bit_fails(self, name):
-        # moving a bit keeps the popcount total; the pairwise transpose check catches it
+        # moving a bit keeps the popcount total; the tiled transpose catches it
         L = build(name)
         size = len(L.faces)
         for j in range(size):
@@ -406,6 +394,116 @@ class TestEulerian:
                         mutant.down = list(L.down)
                         mutant.down[j] ^= 1 << i | 1 << k
                         assert not validate_eulerian(mutant), (j, i, k)
+
+    @pytest.mark.parametrize("name", ["square", "pyramid", "cube"])
+    def test_any_flipped_up_bit_fails(self, name):
+        L = build(name)
+        size = len(L.faces)
+        for i in range(size):
+            for j in range(size):
+                mutant = copy.copy(L)
+                mutant.up = list(L.up)
+                mutant.up[i] ^= 1 << j
+                assert not validate_eulerian(mutant), (i, j)
+
+    @pytest.mark.parametrize("name", ["square", "pyramid"])
+    def test_moved_up_bit_fails(self, name):
+        L = build(name)
+        size = len(L.faces)
+        for i in range(size):
+            for j in mask_ids(L.up[i]):
+                for k in range(size):
+                    if not L.up[i] >> k & 1:
+                        mutant = copy.copy(L)
+                        mutant.up = list(L.up)
+                        mutant.up[i] ^= 1 << j | 1 << k
+                        assert not validate_eulerian(mutant), (i, j, k)
+
+    @pytest.mark.parametrize("side", ["up", "down"])
+    def test_stray_bit_past_the_last_element_is_refused(self, side):
+        L = build("square")
+        size = len(L.faces)
+        for bit in (size, size + 1, 8 * size, 1000 * size):
+            for row in range(size):
+                masks = {"up": list(L.up), "down": list(L.down)}
+                masks[side][row] |= 1 << bit
+                even = sum(L.by_dim[::2])
+                assert eulerian_check(masks["up"], masks["down"], even) is False, (bit, row)
+
+    def test_relations_that_are_no_partial_order_are_refused(self):
+        # each interval of the 2-cycle 0 <= 1 <= 0 balances, and the pairs of
+        # the empty relation are none, so the pairwise loop accepts both
+        for up, even in (([0b11, 0b11], 0b01), ([0, 0], 0b01)):
+            assert pairwise_eulerian_check(up, up, even)
+            assert not eulerian_check(up, up, even), up
+
+    @pytest.mark.parametrize("pts", [cube(6), cross(6)], ids=["cube6", "cross6"])
+    def test_three_tile_columns(self, pts):
+        L = build_face_lattice(facet_presentation(pts))
+        size, tile = len(L.faces), polytope.TILE
+        assert size == 730 and 2 * tile < size <= 3 * tile
+        even = sum(L.by_dim[::2])
+        assert eulerian_check(L.up, L.down, even)
+        assert pairwise_eulerian_check(L.up, L.down, even)
+        # bit i of down[j] with i in the second tile column: cleared from the
+        # top face's row, and set in a vertex's row, where up's tile is zero
+        vertex = L.vertex_face_id(0)
+        assert vertex < tile and not L.down[vertex] >> tile & 1
+        for j, i in ((L.top_id, tile + 1), (vertex, tile)):
+            down = list(L.down)
+            down[j] ^= 1 << i
+            assert not eulerian_check(L.up, down, even), (j, i)
+            assert not pairwise_eulerian_check(L.up, down, even), (j, i)
+
+
+@st.composite
+def finite_posets(draw):
+    """(up, down, even) of a random poset on at most 14 elements, listed in a
+    random order: the disjoint union of the subsets of a set of at most 3
+    elements under inclusion, each dropped with a drawn chance (none, so an
+    Eulerian boolean lattice, half the time), and the transitive closure of a
+    random DAG.  Bit e of even is set for the even ranks (longest chain below
+    e) or for a random set of elements."""
+    k = draw(st.integers(min_value=0, max_value=3))
+    drop = draw(st.sampled_from([0, 0, 25]))  # percent chance that a subset is left out
+    family = [x for x in range(1 << k) if draw(st.integers(0, 99)) >= drop]
+    below = [{a for a, y in enumerate(family) if y != x and y & ~x == 0} for x in family]
+    offset = len(family)
+    size = offset + draw(st.integers(min_value=0, max_value=14 - offset))
+    percent = draw(st.sampled_from([15, 30, 60]))  # chance that a < b is drawn as an edge
+    for b in range(offset, size):
+        below.append(set())
+        for a in range(offset, b):
+            if draw(st.integers(0, 99)) < percent:
+                below[b] |= below[a] | {a}
+    place = draw(st.permutations(range(size)))
+    up, down = [0] * size, [0] * size
+    for b in range(size):
+        for a in below[b] | {b}:
+            up[place[a]] |= 1 << place[b]
+            down[place[b]] |= 1 << place[a]
+    if draw(st.booleans()):
+        rank = []
+        for b in range(size):
+            rank.append(max((rank[a] + 1 for a in below[b]), default=0))
+        even = sum(1 << place[e] for e in range(size) if rank[e] % 2 == 0)
+    else:
+        even = draw(st.integers(min_value=0, max_value=(1 << size) - 1))
+    return up, down, even
+
+
+class TestEulerianOnRandomPosets:
+    """The tiled transpose and the equal-parity shortcut against both oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(poset=finite_posets(), tile=st.sampled_from([8, polytope.TILE]))
+    def test_three_checks_agree(self, poset, tile):
+        up, down, even = poset
+        leq, rank = (lambda a, b: up[a] >> b & 1), (lambda e: 1 - (even >> e & 1))
+        expected = triple_eulerian_check(range(len(up)), leq, rank)
+        assert pairwise_eulerian_check(up, down, even) == expected
+        with unittest.mock.patch.object(polytope, "TILE", tile):
+            assert eulerian_check(up, down, even) == expected
 
 
 class TestIsSimple:

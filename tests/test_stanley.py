@@ -278,13 +278,19 @@ class TestSweepAgainstPairwiseRecursion:
 
     @pytest.mark.parametrize("name,make", ORACLE_LATTICES, ids=[n for n, _ in ORACLE_LATTICES])
     def test_every_nested_pair_and_h(self, name, make):
+        # each public reader sweeps every face below Q', so every row of
+        # one Q' comes from one _f_rows sweep, and each reader is called once
         L = make()
         memo = {}
         for qp in L.nonempty_ids:
-            for q in mask_ids(L.down[qp]):
-                expected = oracle_g(L, q, qp, memo)
-                got = polar_g(L, q, qp) if q != L.empty_id else stanley_fg(L, q, qp)[1]
-                assert got.terms == expected.terms, (q, qp)
+            rows = _f_rows(L, qp)
+            below = mask_ids(L.down[qp])
+            for q in below:
+                got = LaurentPoly(dict(enumerate(rows[q][1])))
+                assert got.terms == oracle_g(L, q, qp, memo).terms, (q, qp)
+            q = next(q for q in below if q != L.empty_id)
+            assert polar_g(L, q, qp).terms == oracle_g(L, q, qp, memo).terms, (q, qp)
+            assert stanley_fg(L, L.empty_id, qp)[1].terms == oracle_g(L, L.empty_id, qp, memo).terms, qp
         assert h_polynomial(L).terms == oracle_h(L, memo).terms
 
     @pytest.mark.parametrize("name", ["cube", "pyramid", "random3"])
